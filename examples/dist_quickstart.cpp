@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   //    quickstart's (sparse input -> dense ReLU -> LSH-sampled softmax);
   //    only `.distributed(endpoints)` differs from the single-process
   //    version. Training must be single-threaded: the RPC stream to each
-  //    worker is ordered (that ordering is what makes the distributed run
-  //    bit-identical to ShardedSampledLayer).
+  //    worker is ordered (that ordering is what makes remote shards
+  //    bit-identical to in-process ones).
   // The wire-ratio argument needs a genuinely wide output layer: 64 sampled
   // of 8000 labels is 0.8% active — the paper's regime. (The tiny preset's
   // 500 labels would put the active set alone at 12.8% of dense.)
@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
       .distributed(endpoints);
   Network network = builder.max_batch(64).build(/*max_threads=*/1);
 
-  auto& dl = dynamic_cast<dist::DistributedSampledLayer&>(
-      network.stack(network.stack_depth() - 1));
-  const dist::WireCounters before = dl.wire_counters();
+  Layer& output = network.stack(network.stack_depth() - 1);
+  const dist::WireCounters before = dist::wire_counters(output);
 
   TrainerConfig train_cfg;
   train_cfg.batch_size = 64;
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
   // Snapshot wire counters before evaluation: exact P@1 intentionally ships
   // every unit's score back (dense), which is not the training hot path the
   // 10% budget is about.
-  const dist::WireCounters after = dl.wire_counters();
+  const dist::WireCounters after = dist::wire_counters(output);
   const double p1 = evaluate_p_at_1(network, data.test, trainer.pool(),
                                     {.exact = true, .max_samples = 300});
   std::printf("1 epoch (%ld iters) in %.1fs | exact P@1 %.3f\n", iterations,
@@ -134,8 +133,8 @@ int main(int argc, char** argv) {
   const std::string base = (tmp / "dist_quickstart_shards").string();
   const std::string coord = (tmp / "dist_quickstart_coord.slide").string();
   network.rebuild_all(nullptr);
-  dl.flush_maintenance();  // settle + refresh the coordinator-side cache
-  dl.checkpoint_shards(base);
+  output.flush_maintenance();  // settle + refresh the coordinator-side cache
+  dist::checkpoint_shards(output, base);
   save_weights_file(network, coord);
 
   InferenceContext ctx(network);

@@ -21,8 +21,8 @@
 //                     to vpmaddubsw / scalar otherwise.
 //     --dist N        serve the wide output layer from N shard worker
 //                     threads over loopback TCP (src/dist/): the snapshot
-//                     boots a DistributedSampledLayer that pushes the
-//                     checkpoint weights to the workers, and the stats
+//                     boots a sharded layer of remote shards that pushes
+//                     the checkpoint weights to the workers, and the stats
 //                     table grows bytes-on-wire + shard-health rows
 //     --churn         phase 2 churns the label space through the engine's
 //                     online-update API instead of the train-and-swap:
@@ -228,8 +228,9 @@ int main(int argc, char** argv) {
   serve_net_cfg.precision = opt.precision;
   // --dist N: host N shard workers on background threads and point the
   // serving config's wide layer at them. The checkpoint loader then builds
-  // a DistributedSampledLayer and pushes each shard's weights to its worker
-  // (kSetShardWeights) — the trainer's parameters, served model-parallel.
+  // a sharded layer of RemoteShards and pushes each shard's weights to its
+  // worker (kSetShardWeights) — the trainer's parameters, served
+  // model-parallel.
   // Declared before the store so the workers outlive the layer's shutdown.
   std::vector<std::unique_ptr<dist::InProcessWorker>> shard_workers;
   if (opt.dist > 0) {

@@ -148,7 +148,7 @@ NetworkBuilder& NetworkBuilder::shards(int shards) {
 }
 
 NetworkBuilder& NetworkBuilder::distributed(
-    std::vector<std::string> endpoints, bool wire_bf16) {
+    std::vector<std::string> endpoints) {
   SLIDE_CHECK(!endpoints.empty(),
               "NetworkBuilder::distributed: at least one worker endpoint");
   LayerSpec& spec = last_layer("distributed");
@@ -161,7 +161,6 @@ NetworkBuilder& NetworkBuilder::distributed(
   SLIDE_CHECK(static_cast<Index>(endpoints.size()) <= spec.units,
               "NetworkBuilder::distributed: more workers than units");
   spec.endpoints = std::move(endpoints);
-  spec.wire_bf16 = wire_bf16;
   return *this;
 }
 

@@ -98,17 +98,15 @@ class NetworkBuilder {
   /// implementation itself.
   NetworkBuilder& shards(int shards);
   /// Multi-process model parallelism of the most recently added LSH-sampled
-  /// layer (src/dist/): one shard worker per endpoint ("tcp:host:port" or
-  /// "shm:path"), partitioned exactly like .shards(endpoints.size()) but
-  /// with each shard living in a worker process reached over the sparse
-  /// active-set RPC protocol. `wire_bf16` compresses activation/error runs
-  /// on the wire (off keeps the run bit-identical to the in-process
-  /// sharded layer). Mutually exclusive with .shards().
-  NetworkBuilder& distributed(std::vector<std::string> endpoints,
-                              bool wire_bf16 = false);
+  /// layer (src/dist/): a ShardedSampledLayer partitioned exactly like
+  /// .shards(endpoints.size()), whose shards are dist::RemoteShards — one
+  /// worker process per endpoint ("tcp:host:port" or "shm:path") reached
+  /// over the sparse active-set RPC protocol, bit-identical to the
+  /// in-process shards. Mutually exclusive with .shards().
+  NetworkBuilder& distributed(std::vector<std::string> endpoints);
   /// Workers of the most recent .distributed() layer boot from per-shard
   /// checkpoint files "<base>.shard<s>of<n>" on their own filesystem (the
-  /// cluster restart path; see DistributedSampledLayer::checkpoint_shards).
+  /// cluster restart path; see dist::checkpoint_shards).
   NetworkBuilder& shard_checkpoint(std::string base);
 
   // ---- Network-wide knobs ----

@@ -119,15 +119,11 @@ struct LayerSpec {
   /// maintenance. Requires `hashed`.
   int shards = 0;
 
-  /// Multi-process model parallelism (src/dist/): non-empty builds a
-  /// DistributedSampledLayer with one shard worker per endpoint
-  /// ("tcp:host:port" or "shm:path"), partitioned exactly like `shards =
-  /// endpoints.size()`. Requires `hashed`; mutually exclusive with
-  /// `shards`.
+  /// Multi-process model parallelism (src/dist/): non-empty builds the
+  /// ShardedSampledLayer of `shards = endpoints.size()` with every shard a
+  /// dist::RemoteShard in its own worker ("tcp:host:port" or "shm:path").
+  /// Requires `hashed`; mutually exclusive with `shards`.
   std::vector<std::string> endpoints;
-  /// Compress activation/error value runs to bf16 on the wire (distributed
-  /// only). Halves hot-path bytes; breaks bit-exactness vs in-process.
-  bool wire_bf16 = false;
   /// Non-empty (distributed only): workers boot their weights from
   /// per-shard checkpoint files "<base>.shard<s>of<n>" on their own
   /// filesystem instead of random init.

@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "core/sharded_layer.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "retrieval/exact_retriever.h"
 #include "retrieval/hnsw_retriever.h"
 #include "retrieval/lsh_retriever.h"
@@ -173,8 +173,6 @@ const char* to_string(LayerKind kind) {
       return "random_sampled";
     case LayerKind::kSharded:
       return "sharded";
-    case LayerKind::kDistributed:
-      return "distributed";
   }
   return "?";
 }
@@ -1242,10 +1240,10 @@ Index SampledLayer::add_units(Index n) {
 void SampledLayer::retire_units(std::span<const Index> ids) {
   SLIDE_CHECK(config_.hashed,
               "retire_units: only hashed (retriever-backed) layers retire");
-  for (Index id : ids) {
+  // All or nothing: a bad id anywhere in the batch retires none of it.
+  for (Index id : ids)
     SLIDE_CHECK(id < units_, "retire_units: unit id out of range");
-    retriever_->remove(id);
-  }
+  for (Index id : ids) retriever_->remove(id);
 }
 
 Index SampledLayer::retired_count() const noexcept {
@@ -1489,11 +1487,10 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.precision = precision;
     cfg.seed = seed;
     if (!spec.endpoints.empty()) {
-      dist::DistributedOptions options;
-      options.wire_bf16 = spec.wire_bf16;
-      options.shard_checkpoint_base = spec.shard_checkpoint_base;
-      return std::make_unique<dist::DistributedSampledLayer>(
-          cfg, spec.endpoints, batch_slots, options);
+      return std::make_unique<ShardedSampledLayer>(
+          cfg, static_cast<int>(spec.endpoints.size()), batch_slots,
+          dist::remote_shard_factory(spec.endpoints, cfg.units, batch_slots,
+                                     spec.shard_checkpoint_base));
     }
     if (spec.shards >= 1) {
       return std::make_unique<ShardedSampledLayer>(cfg, spec.shards,

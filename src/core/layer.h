@@ -76,7 +76,6 @@ enum class LayerKind {
   kSampled,
   kRandomSampled,
   kSharded,
-  kDistributed,
 };
 
 const char* to_string(LayerKind kind);
@@ -276,6 +275,13 @@ class Layer {
   /// without phase timers report 0.
   virtual double sampling_seconds() const { return 0.0; }
   virtual double compute_seconds() const { return 0.0; }
+  /// Maintenance diagnostics: completed full table rebuilds (excluding the
+  /// initial build), neurons re-inserted by delta maintenance, and dirty
+  /// neurons queued for the next delta pass. Layers without LSH
+  /// maintenance report 0.
+  virtual long rebuild_count() const { return 0; }
+  virtual long delta_reinserted() const { return 0; }
+  virtual std::size_t dirty_pending() const { return 0; }
 
   // ---- Dynamic label lifecycle (online growth / retirement) ----
   // The label universe of an extreme-classification service churns while
@@ -545,7 +551,7 @@ class SampledLayer : public Layer {
   /// rebuild_all). Caller guarantees no concurrent table readers.
   void rebuild_tables(ThreadPool* pool) override;
   /// Completed full rebuilds (sync + async; excludes the initial build).
-  long rebuild_count() const noexcept {
+  long rebuild_count() const noexcept override {
     return rebuild_count_.load(std::memory_order_acquire);
   }
 
@@ -576,11 +582,11 @@ class SampledLayer : public Layer {
     return config_.maintenance;
   }
   /// Neurons re-inserted by delta maintenance so far (diagnostics).
-  long delta_reinserted() const noexcept {
+  long delta_reinserted() const noexcept override {
     return delta_reinserted_.load(std::memory_order_acquire);
   }
   /// Dirty neurons currently queued for the next delta re-insert.
-  std::size_t dirty_pending() const;
+  std::size_t dirty_pending() const override;
 
   ActiveSet& slot(int s) override {
     return slots_[static_cast<std::size_t>(s)];

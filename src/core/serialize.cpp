@@ -1,8 +1,14 @@
 #include "core/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -102,6 +108,42 @@ void read_rows_into_layer(std::istream& in, Layer& layer, Index first,
   scratch.resize(len);
   read_payload(in, scratch.data(), len);
   scatter_rows(layer, scratch.data(), first, block_rows, row_width, bias);
+}
+
+/// fsync(2) on `path` (a file, or a directory for its entries). Returns
+/// false if it cannot be opened or synced.
+bool sync_path(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+/// Writes `path` so that a crash or a failed write never leaves it
+/// truncated: `write` streams into "<path>.tmp" in the same directory,
+/// which is flushed, fsynced and renamed over `path`; the directory is
+/// then fsynced so the rename is durable too. On failure the temp file is
+/// removed and `path` keeps its previous contents.
+void write_file_atomically(const std::string& path, const std::string& what,
+                           const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    SLIDE_CHECK(out.good(), what + ": cannot open " + tmp);
+    write(out);
+    out.close();
+    SLIDE_CHECK(!out.fail(), what + ": write failed for " + tmp);
+    SLIDE_CHECK(sync_path(tmp, 0), what + ": fsync failed for " + tmp);
+    SLIDE_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+                what + ": cannot rename " + tmp + " to " + path);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  // Best effort: some filesystems refuse fsync on a directory.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  sync_path(dir.empty() ? "." : dir.string(), O_DIRECTORY);
 }
 
 void write_header(std::ostream& out, std::uint32_t kind,
@@ -353,9 +395,9 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
 }
 
 void save_weights_file(const Network& network, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  SLIDE_CHECK(out.good(), "save_weights_file: cannot open " + path);
-  save_weights(network, out);
+  write_file_atomically(path, "save_weights_file", [&](std::ostream& out) {
+    save_weights(network, out);
+  });
 }
 
 void load_weights_file(Network& network, const std::string& path,
@@ -399,18 +441,17 @@ void save_shard_file(const std::string& path, const ShardFileInfo& info,
               "save_shard_file: weight block does not match rows x fan_in");
   SLIDE_CHECK(bias.size() == info.rows,
               "save_shard_file: bias block does not match rows");
-  std::ofstream out(path, std::ios::binary);
-  SLIDE_CHECK(out.good(), "save_shard_file: cannot open " + path);
-  write_u32(out, kShardMagic);
-  write_u32(out, kShardVersion);
-  write_u32(out, info.shard_index);
-  write_u32(out, info.num_shards);
-  write_u32(out, info.row_offset);
-  write_u32(out, info.rows);
-  write_u32(out, info.fan_in);
-  write_floats(out, weights);
-  write_floats(out, bias);
-  SLIDE_CHECK(out.good(), "save_shard_file: write failed");
+  write_file_atomically(path, "save_shard_file", [&](std::ostream& out) {
+    write_u32(out, kShardMagic);
+    write_u32(out, kShardVersion);
+    write_u32(out, info.shard_index);
+    write_u32(out, info.num_shards);
+    write_u32(out, info.row_offset);
+    write_u32(out, info.rows);
+    write_u32(out, info.fan_in);
+    write_floats(out, weights);
+    write_floats(out, bias);
+  });
 }
 
 namespace {

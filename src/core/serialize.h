@@ -76,6 +76,9 @@ CheckpointInfo peek_checkpoint_info_file(const std::string& path);
 
 /// Serializes all weights and biases of the network.
 void save_weights(const Network& network, std::ostream& out);
+/// save_weights into `path`, crash-safely: the bytes go to "<path>.tmp",
+/// which is fsynced and renamed over `path`. A failed save throws and
+/// leaves any previous file at `path` intact (and no temp file behind).
 void save_weights_file(const Network& network, const std::string& path);
 
 /// Restores weights into an architecture-compatible network and rebuilds
@@ -112,7 +115,8 @@ struct ShardFileInfo {
 };
 
 /// Writes one shard's weight/bias blocks (`weights` is [rows x fan_in],
-/// `bias` is [rows]) with the ShardFileInfo header.
+/// `bias` is [rows]) with the ShardFileInfo header, crash-safely like
+/// save_weights_file.
 void save_shard_file(const std::string& path, const ShardFileInfo& info,
                      std::span<const float> weights,
                      std::span<const float> bias);

@@ -74,6 +74,16 @@ SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
                                          int shards, int batch_slots,
                                          int max_threads)
+    : ShardedSampledLayer(
+          config, shards, batch_slots,
+          [&](int, const SampledLayer::Config& shard_config, Index) {
+            return std::make_unique<SampledLayer>(shard_config, batch_slots,
+                                                  max_threads);
+          }) {}
+
+ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
+                                         int shards, int batch_slots,
+                                         const ShardFactory& make_shard)
     : config_(config), units_(config.units), fan_in_(config.fan_in) {
   SLIDE_CHECK(config.hashed,
               "ShardedSampledLayer: sharding requires an LSH (hashed) layer");
@@ -81,12 +91,23 @@ ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
               "ShardedSampledLayer: random_sampled cannot be sharded");
   offsets_ = shard_partition(units_, shards);
   for (int s = 0; s < shards; ++s) {
-    const Index size = offsets_[static_cast<std::size_t>(s) + 1] -
-                       offsets_[static_cast<std::size_t>(s)];
-    shards_.push_back(std::make_unique<SampledLayer>(
-        derive_shard_config(config, size, s), batch_slots, max_threads));
+    const Index lo = offsets_[static_cast<std::size_t>(s)];
+    const Index size = offsets_[static_cast<std::size_t>(s) + 1] - lo;
+    shards_.push_back(
+        make_shard(s, derive_shard_config(config, size, s), lo));
+    SLIDE_CHECK(shards_.back()->units() == size &&
+                    shards_.back()->fan_in() == fan_in_,
+                "ShardedSampledLayer: shard shape does not match its row "
+                "range");
   }
   slots_.resize(static_cast<std::size_t>(batch_slots));
+}
+
+const SampledLayer& ShardedSampledLayer::shard(int s) const {
+  const auto* local = dynamic_cast<const SampledLayer*>(&shard_layer(s));
+  SLIDE_CHECK(local != nullptr,
+              "ShardedSampledLayer::shard: shard is not in process");
+  return *local;
 }
 
 int ShardedSampledLayer::shard_of(Index unit) const noexcept {
@@ -284,6 +305,8 @@ Index ShardedSampledLayer::add_units(Index n) {
 }
 
 void ShardedSampledLayer::retire_units(std::span<const Index> ids) {
+  // All or nothing: every id is checked while routing, before any shard
+  // retires one.
   std::vector<std::vector<Index>> per_shard(shards_.size());
   for (Index id : ids) {
     SLIDE_CHECK(id < units_, "retire_units: unit id out of range");
@@ -317,13 +340,13 @@ Index ShardedSampledLayer::appended_units() const noexcept {
   return total;
 }
 
-long ShardedSampledLayer::rebuild_count() const noexcept {
+long ShardedSampledLayer::rebuild_count() const {
   long total = 0;
   for (const auto& shard : shards_) total += shard->rebuild_count();
   return total;
 }
 
-long ShardedSampledLayer::delta_reinserted() const noexcept {
+long ShardedSampledLayer::delta_reinserted() const {
   long total = 0;
   for (const auto& shard : shards_) total += shard->delta_reinserted();
   return total;
@@ -349,9 +372,9 @@ double ShardedSampledLayer::compute_seconds() const {
 
 RetrievalStats ShardedSampledLayer::retrieval_stats() const {
   RetrievalStats total;
-  total.adaptive = config_.sampling.escalation_floor > 0;
   for (const auto& shard : shards_) {
     const RetrievalStats s = shard->retrieval_stats();
+    total.adaptive = total.adaptive || s.adaptive;
     total.escalations += s.escalations;
     total.overlap += s.overlap;
     total.oracle += s.oracle;

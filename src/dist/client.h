@@ -12,8 +12,8 @@
 //     RPCs).
 //   * When the retries are exhausted, or the transport errors, the client
 //     marks itself unhealthy and closes: every later call fails fast with
-//     TransportClosed. The distributed layer skips unhealthy shards for
-//     inference (degraded mode, surfaced through engine stats) and
+//     TransportClosed. Its RemoteShard then contributes no inference
+//     candidates (degraded mode, surfaced through engine stats) and
 //     propagates the error for training (silently dropping a shard's
 //     gradients would corrupt the model).
 //   * A worker-side slide::Error arrives as kErrorResp and is rethrown

@@ -76,8 +76,10 @@ void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   out[7] = 0;
   put_u32(out.data() + 8, static_cast<std::uint32_t>(frame.payload.size()));
   put_u32(out.data() + 12, crc32(frame.payload.data(), frame.payload.size()));
-  std::memcpy(out.data() + kFrameHeaderBytes, frame.payload.data(),
-              frame.payload.size());
+  // An empty payload's data() may be null, which memcpy must not see.
+  if (!frame.payload.empty())
+    std::memcpy(out.data() + kFrameHeaderBytes, frame.payload.data(),
+                frame.payload.size());
 }
 
 FrameHeader decode_frame_header(const std::uint8_t* header16) {

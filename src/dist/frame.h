@@ -1,6 +1,6 @@
 // Wire framing for the distributed model-parallel subsystem.
 //
-// Every RPC between the coordinator (dist/distributed_layer.h) and a shard
+// Every RPC between the coordinator (dist/remote_shard.h) and a shard
 // worker (dist/worker.h) travels as one length-prefixed, CRC-checked frame:
 //
 //   offset  size  field
@@ -198,6 +198,7 @@ class PayloadReader {
   void raw(void* p, std::size_t n) {
     if (n > remaining())
       throw FrameError(FrameErrorKind::kBadFormat, "payload reader overrun");
+    if (n == 0) return;  // `p` may be an empty vector's null data()
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
   }

@@ -1,5 +1,5 @@
-// RPC protocol between the coordinator (DistributedSampledLayer) and shard
-// workers (ShardWorker), layered on dist/frame.h frames.
+// RPC protocol between the coordinator (one dist::RemoteShard per worker)
+// and shard workers (ShardWorker), layered on dist/frame.h frames.
 //
 // One request frame -> one response frame, strictly in order per transport
 // (the client serializes whole exchanges). The coordinator drives; workers
@@ -30,8 +30,8 @@
 //   kShutdown          kAck                worker exits its serve loop
 //   any                kErrorResp          worker-side slide::Error text
 //
-// Bit-exactness contract (what makes a 2-worker run reproduce
-// ShardedSampledLayer(S=2) bit for bit, pinned by tests/test_dist.cpp):
+// Bit-exactness contract (what makes 2 remote shards reproduce 2
+// in-process shards bit for bit, pinned by tests/test_dist.cpp):
 //   * kForwardActive / kQueryTopk round-trip the coordinator's Rng::State,
 //     so the remote shard consumes the exact RNG stream the in-process
 //     shard would have.
@@ -43,9 +43,9 @@
 //     same loop order as the in-process shard, the response replaces
 //     prev.err. Shard order is fixed, so FP rounding order is identical.
 //
-// Values (activations, errors, weights) may optionally travel bf16
-// (kFlagBf16Values) — halves the hot-path bytes at the cost of exactness;
-// off by default and off in the equivalence tests.
+// The frame codec can carry value runs as bf16 (kFlagBf16Values, halving
+// their bytes at the cost of exactness); RemoteShard always sends fp32, and
+// workers answer in the precision they were asked in.
 #pragma once
 
 #include <string>

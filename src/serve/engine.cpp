@@ -3,7 +3,7 @@
 #include <ostream>
 #include <utility>
 
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "metrics/table_printer.h"
 
 namespace slide {
@@ -557,14 +557,13 @@ ServeStats InferenceEngine::stats() const {
         overlap += rs.overlap;
         oracle += rs.oracle;
       }
-      const auto* d =
-          dynamic_cast<const dist::DistributedSampledLayer*>(&layer);
-      if (d == nullptr) continue;
-      s.distributed = true;
-      const dist::WireCounters wc = d->wire_counters();
-      s.wire_bytes_sent += wc.bytes_sent;
-      s.wire_bytes_received += wc.bytes_received;
-      s.unhealthy_shards += d->unhealthy_shards();
+      for (const dist::RemoteShard* shard : dist::remote_shards(layer)) {
+        s.distributed = true;
+        const dist::WireCounters wc = shard->wire_counters();
+        s.wire_bytes_sent += wc.bytes_sent;
+        s.wire_bytes_received += wc.bytes_received;
+        if (!shard->healthy()) ++s.unhealthy_shards;
+      }
     }
     if (oracle > 0)
       s.retrieval_recall =

@@ -199,8 +199,8 @@ struct ServeStats {
   /// the first batch completes.
   double ewma_service_us = 0.0;
 
-  // Distributed model parallelism (all zero unless the served network has a
-  // DistributedSampledLayer; see src/dist/).
+  // Distributed model parallelism (all zero unless the served network has
+  // remote shards, dist::RemoteShard; see src/dist/).
   bool distributed = false;
   std::uint64_t wire_bytes_sent = 0;      // coordinator -> workers
   std::uint64_t wire_bytes_received = 0;  // workers -> coordinator

@@ -55,7 +55,7 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
 
   /// Boots a store whose distributed layers load from per-shard checkpoint
   /// files "<base>.shard<s>of<n>" (core/serialize.h shard files, written by
-  /// DistributedSampledLayer::checkpoint_shards): each shard worker reads
+  /// dist::checkpoint_shards): each shard worker reads
   /// its OWN file during kInitShard — the wide layer's weights never cross
   /// the wire. A non-empty `coordinator_checkpoint` then restores the other
   /// layers (embedding, dense mid-stack) from a standard core/serialize

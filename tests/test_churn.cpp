@@ -11,6 +11,7 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,7 +20,7 @@
 #include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "dist/worker.h"
 #include "metrics/prometheus.h"
 #include "serve/engine.h"
@@ -161,6 +162,59 @@ TEST(Churn, RetiredUnitsVanishFromTopkOnEveryBackend) {
   }
 }
 
+// A retire batch is all or nothing on every layer: an out-of-range id
+// anywhere in it throws before a single id is tombstoned.
+enum class RetireLayout { kMonolithic, kShardedS2, kRemoteS2 };
+
+class ChurnRetireBatch : public ::testing::TestWithParam<RetireLayout> {};
+
+TEST_P(ChurnRetireBatch, OutOfRangeIdRetiresNothing) {
+  NetworkBuilder b(/*input_dim=*/64);
+  b.dense(16).sampled(/*units=*/61, small_family(), 16);
+  b.table({.range_pow = 8, .bucket_size = 32});
+  std::vector<std::unique_ptr<dist::InProcessWorker>> workers;
+  if (GetParam() == RetireLayout::kShardedS2) b.shards(2);
+  if (GetParam() == RetireLayout::kRemoteS2) {
+    std::vector<std::string> endpoints;
+    for (int s = 0; s < 2; ++s) {
+      workers.push_back(
+          std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
+      endpoints.push_back(workers.back()->endpoint());
+    }
+    b.distributed(endpoints);
+  }
+  {
+    Network net(b.max_batch(8).seed(123).to_config(), 1);
+    const Layer& out = net.stack(net.stack_depth() - 1);
+    EXPECT_THROW(net.retire_output_units(
+                     std::vector<Index>{3, 40, Index{1} << 30}),
+                 Error);
+    EXPECT_EQ(out.retired_count(), 0);
+    EXPECT_TRUE(out.retired_unit_ids().empty());
+
+    // The same ids without the bad one still retire.
+    net.retire_output_units(std::vector<Index>{3, 40});
+    EXPECT_EQ(out.retired_unit_ids(), (std::vector<Index>{3, 40}));
+  }
+  for (auto& w : workers) w->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, ChurnRetireBatch,
+    ::testing::Values(RetireLayout::kMonolithic, RetireLayout::kShardedS2,
+                      RetireLayout::kRemoteS2),
+    [](const ::testing::TestParamInfo<RetireLayout>& info) {
+      switch (info.param) {
+        case RetireLayout::kMonolithic:
+          return std::string("Monolithic");
+        case RetireLayout::kShardedS2:
+          return std::string("ShardedS2");
+        case RetireLayout::kRemoteS2:
+          return std::string("RemoteS2");
+      }
+      return std::string("Unknown");
+    });
+
 // ---------------------------------------------------------------------------
 // Checkpoint v5: tombstone persistence + growth round-trips (satellite 2)
 // ---------------------------------------------------------------------------
@@ -228,9 +282,9 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
     load_weights(restored, in);
     EXPECT_EQ(restored.output_dim(), data.train.label_dim() + 6)
         << shards << " shards";
-    EXPECT_EQ(restored.output_layer().retired_count(), 2);
-    EXPECT_EQ(restored.output_layer().retired_unit_ids(),
-              (std::vector<Index>{5, 11}));
+    const Layer& out = restored.stack(restored.stack_depth() - 1);
+    EXPECT_EQ(out.retired_count(), 2);
+    EXPECT_EQ(out.retired_unit_ids(), (std::vector<Index>{5, 11}));
     InferenceContext ctx(restored, 7);
     for (std::size_t i = 0; i < 20; ++i) {
       EXPECT_EQ(restored.predict_topk(data.test[i].features, ctx, 5,
@@ -434,7 +488,7 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
     b.distributed(endpoints);
     b.max_batch(32).seed(123);
     Network net(b.to_config(), 1);
-    auto* layer = dynamic_cast<dist::DistributedSampledLayer*>(
+    auto* layer = dynamic_cast<ShardedSampledLayer*>(
         &net.stack(net.stack_depth() - 1));
     ASSERT_NE(layer, nullptr);
 
@@ -456,7 +510,7 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
       EXPECT_EQ(std::count(top.begin(), top.end(), before + 1), 0);
       for (Index label : top) EXPECT_LT(label, before + 4);
     }
-    layer->shutdown_workers();
+    dist::shutdown_workers(*layer);
   }
   for (auto& w : workers) w->stop();
 }

@@ -2,8 +2,8 @@
 // over every corruption kind (the xc_reader malformed-input contract),
 // message round-trips, TCP + shared-memory transport semantics, the RPC
 // client's retry/timeout/degrade failure model, and the headline
-// equivalence anchor — a 2-worker DistributedSampledLayer training run is
-// bit-identical to ShardedSampledLayer(S=2) under sync maintenance.
+// equivalence anchor — a ShardedSampledLayer over 2 remote shards trains
+// bit-identically to one over 2 in-process shards under sync maintenance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/client.h"
-#include "dist/distributed_layer.h"
+#include "dist/remote_shard.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
 #include "serve/engine.h"
@@ -79,7 +79,7 @@ struct Fleet {
 };
 
 /// Builder-backed config; shards > 0 -> in-process sharded layer,
-/// endpoints non-empty -> distributed layer. Identical otherwise — the
+/// endpoints non-empty -> remote shards. Identical otherwise — the
 /// equivalence tests rely on that.
 NetworkConfig net_config(const SyntheticDataset& data, int shards,
                          const std::vector<std::string>& endpoints = {},
@@ -93,8 +93,8 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards,
   return b.to_config();
 }
 
-dist::DistributedSampledLayer& dist_output(Network& net) {
-  auto* layer = dynamic_cast<dist::DistributedSampledLayer*>(
+ShardedSampledLayer& dist_output(Network& net) {
+  auto* layer = dynamic_cast<ShardedSampledLayer*>(
       &net.stack(net.stack_depth() - 1));
   EXPECT_NE(layer, nullptr);
   return *layer;
@@ -740,7 +740,7 @@ TEST(DistEquivalence, TwoWorkerTrainingIsBitIdenticalToShardedS2) {
 
   Network sharded(net_config(data, 2), 1);
   Network distributed(net_config(data, 0, fleet.endpoints), 1);
-  ASSERT_EQ(distributed.stack(0).kind(), LayerKind::kDistributed);
+  ASSERT_EQ(distributed.stack(0).kind(), LayerKind::kSharded);
   ASSERT_EQ(distributed.stack(0).num_shards(), 2);
 
   train(sharded, data, 40);
@@ -776,12 +776,12 @@ TEST(DistEquivalence, TwoWorkerTrainingIsBitIdenticalToShardedS2) {
   // sparse-vs-dense acceptance ratio is asserted on realistically wide
   // layers by examples/dist_quickstart and bench/dist_transport; this
   // 61-label test layer is far too narrow for it to be meaningful.)
-  const dist::WireCounters wc = dl.wire_counters();
+  const dist::WireCounters wc = dist::wire_counters(dl);
   EXPECT_GT(wc.frames_sent, 0u);
   EXPECT_GT(wc.bytes_sent, 0u);
   EXPECT_EQ(wc.frames_sent, wc.frames_received);
 
-  dl.shutdown_workers();
+  dist::shutdown_workers(dl);
   fleet.stop();
 }
 
@@ -800,7 +800,7 @@ TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   buffer.seekg(0);
   load_weights(distributed, buffer);
   auto& dl = dist_output(distributed);
-  dl.refresh_checkpoint_cache();
+  dl.flush_maintenance();
   expect_same_parameters(sharded.stack(0), distributed.stack(0));
 
   // Distributed -> sharded: the flushed cache serializes worker state.
@@ -813,7 +813,7 @@ TEST(DistEquivalence, CheckpointV3RoundTripsAcrossLayerKinds) {
   load_weights(reloaded, buffer2);
   expect_same_parameters(distributed.stack(0), reloaded.stack(0));
 
-  dl.shutdown_workers();
+  dist::shutdown_workers(dl);
   fleet.stop();
 }
 
@@ -835,7 +835,7 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     auto& dl = dist_output(net);
     net.rebuild_all(nullptr);
     dl.flush_maintenance();
-    dl.checkpoint_shards(base);
+    dist::checkpoint_shards(dl, base);
     save_weights_file(net, coord);
     for (int s = 0; s < 2; ++s) {
       const auto w = dl.shard_weights(s);
@@ -845,7 +845,7 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     }
     InferenceContext ctx(net);
     trained_top = net.predict_top1(probe, ctx, /*exact=*/true);
-    dl.shutdown_workers();
+    dist::shutdown_workers(dl);
     fleet.stop();
   }
 
@@ -867,7 +867,7 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     NetworkConfig cfg = net_config(data, 0, fleet.endpoints);
     auto store = ModelStore::from_shard_checkpoints(cfg, base, coord);
     const Network& net = *store->current()->network;
-    const auto* dlp = dynamic_cast<const dist::DistributedSampledLayer*>(
+    const auto* dlp = dynamic_cast<const ShardedSampledLayer*>(
         &net.stack(net.stack_depth() - 1));
     ASSERT_NE(dlp, nullptr);
     const auto& dl = *dlp;
@@ -915,7 +915,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   train(net, data, 10);
   net.rebuild_all(nullptr);
   auto& dl = dist_output(net);
-  EXPECT_EQ(dl.unhealthy_shards(), 0);
+  EXPECT_EQ(dist::unhealthy_shards(dl), 0);
 
   // Kill worker 1. The next inference marks it unhealthy and answers from
   // the surviving shard: every candidate id must come from shard 0's rows.
@@ -930,7 +930,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   dl.forward_inference({}, hidden, /*exact=*/true, rng, visited, ids, act);
   ASSERT_FALSE(ids.empty());
   for (Index id : ids) EXPECT_LT(id, dl.shard_offset(1));
-  EXPECT_EQ(dl.unhealthy_shards(), 1);
+  EXPECT_EQ(dist::unhealthy_shards(dl), 1);
 
   // Top-k keeps answering too (degraded, but never hanging or throwing).
   const auto topk = net.predict_topk(data.test[1].features, ctx, 5, true);
@@ -941,7 +941,7 @@ TEST(DistDegraded, InferenceSkipsDeadShardsTrainingPropagates) {
   // shard's gradients corrupts the model, so the failure propagates.
   EXPECT_THROW(dl.apply_updates(5e-3f, nullptr), dist::TransportError);
 
-  dl.shutdown_workers();
+  dist::shutdown_workers(dl);
   fleet.stop();
 }
 

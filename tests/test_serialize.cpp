@@ -2,8 +2,13 @@
 // architecture validation, corruption rejection, and table rebuild after
 // load.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "core/serialize.h"
@@ -107,6 +112,70 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_EQ(trained.embedding().weights_span()[0],
             restored.embedding().weights_span()[0]);
   std::remove(path.c_str());
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Runs `fn` with the process's file-size limit lowered to `bytes` and
+/// SIGXFSZ ignored: a write past the limit then fails with EFBIG instead of
+/// killing the process — a save that dies part-way.
+template <class Fn>
+void with_file_size_limit(rlim_t bytes, Fn fn) {
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = bytes;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  fn();
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+}
+
+TEST(Serialize, FailedSaveLeavesThePreviousCheckpointIntact) {
+  const auto data = tiny_data();
+  Network net(net_config(data), 2);
+  train_a_bit(net, data.train, 10);
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "slide_test_crash_safe.ckpt").string();
+  save_weights_file(net, path);
+  const std::string saved = file_bytes(path);
+  const std::span<const float> w = net.embedding().weights_span();
+  const std::vector<float> saved_embedding(w.begin(), w.end());
+
+  // Train on, then let the save of the new state die half-way through.
+  train_a_bit(net, data.train, 10);
+  with_file_size_limit(saved.size() / 2, [&] {
+    EXPECT_THROW(save_weights_file(net, path), Error);
+  });
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(file_bytes(path), saved);
+  Network restored(net_config(data), 2);
+  ASSERT_NO_THROW(load_weights_file(restored, path));
+  const std::span<const float> r = restored.embedding().weights_span();
+  ASSERT_EQ(r.size(), saved_embedding.size());
+  EXPECT_EQ(std::memcmp(r.data(), saved_embedding.data(),
+                        r.size() * sizeof(float)),
+            0);
+  std::remove(path.c_str());
+
+  // Per-shard files go through the same writer.
+  const std::string shard = (dir / "slide_test_crash_safe.shard").string();
+  const ShardFileInfo info{.rows = 2, .fan_in = 3};
+  const std::vector<float> weights(6, 1.0f), bias(2, 2.0f);
+  save_shard_file(shard, info, weights, bias);
+  const std::string shard_saved = file_bytes(shard);
+  const std::vector<float> newer(6, 3.0f);
+  with_file_size_limit(shard_saved.size() / 2, [&] {
+    EXPECT_THROW(save_shard_file(shard, info, newer, bias), Error);
+  });
+  EXPECT_FALSE(std::filesystem::exists(shard + ".tmp"));
+  EXPECT_EQ(file_bytes(shard), shard_saved);
+  std::remove(shard.c_str());
 }
 
 TEST(Serialize, RejectsArchitectureMismatch) {

@@ -3,7 +3,8 @@
 // single-table path on exhaustive nets, gradient routing, checkpoint-v3
 // round-trips and resharding (including legacy v2 monolithic files),
 // train-while-rebuild stress at S=4 (the TSan CI target), and sharded
-// snapshot hot-swap under serving load.
+// snapshot hot-swap under serving load. The merge, top-k and checkpoint
+// tests also run with the shards in worker threads (dist::RemoteShard).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "dist/worker.h"
 #include "metrics/metrics.h"
 #include "serve/engine.h"
 
@@ -63,6 +65,37 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards,
   b.max_batch(32).precision(precision).seed(123);
   return b.to_config();
 }
+
+/// Where a test network's output layer lives: `shards` in-process shards
+/// (0 = monolithic) or, when `remote`, that many shard workers on loopback.
+struct Placement {
+  int shards = 0;
+  bool remote = false;
+};
+
+std::ostream& operator<<(std::ostream& out, const Placement& placement) {
+  return out << "shards=" << placement.shards
+             << (placement.remote ? " remote" : "");
+}
+
+/// A net_config network at `placement`, owning the workers its remote
+/// shards dial (declared first, so they outlive the network).
+struct PlacedNetwork {
+  std::vector<std::unique_ptr<dist::InProcessWorker>> workers;
+  std::unique_ptr<Network> net;
+
+  PlacedNetwork(const SyntheticDataset& data, Placement placement,
+                Index target, int max_threads) {
+    NetworkConfig cfg =
+        net_config(data, placement.remote ? 0 : placement.shards, target);
+    for (int s = 0; placement.remote && s < placement.shards; ++s) {
+      workers.push_back(
+          std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
+      cfg.layers.back().endpoints.push_back(workers.back()->endpoint());
+    }
+    net = std::make_unique<Network>(cfg, max_threads);
+  }
+};
 
 /// The sharded output layer of a network built with net_config(shards>=1).
 const ShardedSampledLayer& sharded_output(const Network& net) {
@@ -242,8 +275,10 @@ TEST(ShardedLayer, ShardMergedTopKEqualsSingleTableTopKWhenExhaustive) {
   train(mono, data, 40, 2);
   mono.rebuild_all(nullptr);
 
-  for (int shards : {2, 3, 5}) {
-    Network sharded(net_config(data, shards, /*target=*/61), 2);
+  for (Placement placement : {Placement{2}, Placement{3}, Placement{5},
+                              Placement{2, /*remote=*/true}}) {
+    PlacedNetwork placed(data, placement, /*target=*/61, 2);
+    Network& sharded = *placed.net;
     clone_weights(mono, sharded);
     expect_same_parameters(mono.stack(0), sharded.stack(0));
 
@@ -255,7 +290,7 @@ TEST(ShardedLayer, ShardMergedTopKEqualsSingleTableTopKWhenExhaustive) {
       // including tie-breaks (lower unit id first).
       EXPECT_EQ(mono.predict_topk(x, ctx_a, 7, true),
                 sharded.predict_topk(x, ctx_b, 7, true))
-          << "shards=" << shards << " sample=" << i;
+          << placement << " sample=" << i;
       EXPECT_EQ(mono.predict_top1(x, ctx_a, true),
                 sharded.predict_top1(x, ctx_b, true));
     }
@@ -267,37 +302,41 @@ TEST(ShardedLayer, HeapMergeMatchesRankingTheMergedCandidates) {
   // top-k the bounded heap produces must equal ranking the full merged
   // candidate list, for identical RNG streams.
   const auto data = planted();
-  Network net(net_config(data, 4, /*target=*/24), 2);
-  train(net, data, 30, 2);
-  net.rebuild_all(nullptr);
-  const ShardedSampledLayer& out = sharded_output(net);
+  for (Placement placement : {Placement{4}, Placement{2, /*remote=*/true}}) {
+    PlacedNetwork placed(data, placement, /*target=*/24, 2);
+    Network& net = *placed.net;
+    train(net, data, 30, 2);
+    net.rebuild_all(nullptr);
+    const ShardedSampledLayer& out = sharded_output(net);
 
-  InferenceContext ctx(net, 5);
-  VisitedSet visited_a(net.max_sampled_units());
-  VisitedSet visited_b(net.max_sampled_units());
-  TopKScratch scratch;
-  std::vector<Index> ids, merged_topk;
-  std::vector<float> act;
-  for (std::size_t i = 0; i < 40; ++i) {
-    ctx.dense.resize(net.embedding().units());
-    net.embedding().forward_inference(data.test[i].features,
-                                      ctx.dense.data());
-    Rng rng_a(1000 + i), rng_b(1000 + i);
-    out.forward_inference({}, ctx.dense, false, rng_a, visited_a, ids, act);
-    out.forward_inference_topk({}, ctx.dense, 6, false, rng_b, visited_b,
-                               scratch, merged_topk);
+    InferenceContext ctx(net, 5);
+    VisitedSet visited_a(net.max_sampled_units());
+    VisitedSet visited_b(net.max_sampled_units());
+    TopKScratch scratch;
+    std::vector<Index> ids, merged_topk;
+    std::vector<float> act;
+    for (std::size_t i = 0; i < 40; ++i) {
+      ctx.dense.resize(net.embedding().units());
+      net.embedding().forward_inference(data.test[i].features,
+                                        ctx.dense.data());
+      Rng rng_a(1000 + i), rng_b(1000 + i);
+      out.forward_inference({}, ctx.dense, false, rng_a, visited_a, ids, act);
+      out.forward_inference_topk({}, ctx.dense, 6, false, rng_b, visited_b,
+                                 scratch, merged_topk);
 
-    std::vector<std::size_t> order(act.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    const std::size_t take = std::min<std::size_t>(6, order.size());
-    std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                        return act[a] > act[b] || (act[a] == act[b] && a < b);
-                      });
-    ASSERT_EQ(merged_topk.size(), take);
-    for (std::size_t j = 0; j < take; ++j)
-      EXPECT_EQ(merged_topk[j], ids[order[j]]) << "sample " << i << " pos "
-                                               << j;
+      std::vector<std::size_t> order(act.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      const std::size_t take = std::min<std::size_t>(6, order.size());
+      std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                        [&](std::size_t a, std::size_t b) {
+                          return act[a] > act[b] ||
+                                 (act[a] == act[b] && a < b);
+                        });
+      ASSERT_EQ(merged_topk.size(), take);
+      for (std::size_t j = 0; j < take; ++j)
+        EXPECT_EQ(merged_topk[j], ids[order[j]]) << placement << " sample "
+                                                 << i << " pos " << j;
+    }
   }
 }
 
@@ -398,9 +437,11 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
   EXPECT_EQ(info.kind, 0u);
 
   InferenceContext ctx_src(src, 7);
-  for (int shards : {0, 1, 3, 5}) {  // 0 = monolithic target
+  for (Placement placement : {Placement{0}, Placement{1}, Placement{3},
+                              Placement{5}, Placement{2, /*remote=*/true}}) {
     buffer.seekg(0);
-    Network dst(net_config(data, shards), 2);
+    PlacedNetwork placed(data, placement, /*target=*/20, 2);
+    Network& dst = *placed.net;
     load_weights(dst, buffer);
     expect_same_parameters(src.stack(0), dst.stack(0));
     ASSERT_TRUE(bytes_equal(src.embedding().weights_span(),
@@ -409,7 +450,7 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
     for (std::size_t i = 0; i < 25; ++i) {
       EXPECT_EQ(src.predict_topk(data.test[i].features, ctx_src, 5, true),
                 dst.predict_topk(data.test[i].features, ctx_dst, 5, true))
-          << "shards=" << shards;
+          << placement;
     }
   }
 }

@@ -7,8 +7,8 @@
 // stdout so launch scripts can capture the kernel-assigned port, accepts
 // exactly one coordinator connection, and serves dist/protocol.h RPCs
 // until kShutdown (exit 0) or the coordinator vanishes (exit 2). One
-// process per shard; the coordinator's DistributedSampledLayer dials the
-// printed endpoints in shard order.
+// process per shard; the coordinator (one dist::RemoteShard per worker)
+// dials the printed endpoints in shard order.
 #include <cstdio>
 #include <cstring>
 #include <exception>
