@@ -8,7 +8,7 @@
 // ...), so a BENCH_backend.json from a VNNI host is distinguishable from
 // the graceful-downgrade path on one without.
 //
-// Unlike bench/micro_kernels (which A/Bs the deprecated on/off shim for
+// Unlike bench/micro_kernels (which A/Bs best level against scalar for
 // Figure-10 continuity), this bench pins an explicit SimdLevel per
 // registration, so the emitted BENCH_backend.json carries one entry per
 // (kernel, size, level) — the artifact the CI regression gate diffs

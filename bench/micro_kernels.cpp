@@ -1,10 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the SIMD math kernels: the
 // dispatched vector paths against their scalar references at the fan-in
 // sizes the engine actually uses (128 = hidden width; 4096 = wide-embedding
-// column strips). Drives the dispatch through the deprecated on/off shim
-// (arg 1 = best detected level, 0 = scalar) so the historical BENCH
-// metric names stay stable; bench/micro_backend sweeps the explicit
-// per-level tables.
+// column strips). Each row takes an on/off argument (1 = best detected
+// level, 0 = scalar) so the historical BENCH metric names stay stable;
+// bench/micro_backend sweeps the explicit per-level tables.
 #include <benchmark/benchmark.h>
 
 #include <vector>

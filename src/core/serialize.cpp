@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -324,7 +325,8 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
                   "load_weights: parameter block size mismatch "
                   "(incompatible architecture)");
       const Index block_rows = static_cast<Index>(wlen / fan_in);
-      SLIDE_CHECK(row + block_rows <= units,
+      // row <= units holds here; row + block_rows could wrap.
+      SLIDE_CHECK(block_rows <= units - row,
                   "load_weights: shard blocks exceed layer width");
       read_rows_into_layer(in, layer, row, block_rows, fan_in,
                            /*bias=*/false, scratch);
@@ -348,6 +350,11 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
               static_cast<std::uint32_t>(retrieval::RetrieverKind::kHnsw),
           "load_weights: unknown retriever kind");
       const std::uint64_t aux_bytes = read_u64(in);
+      // Larger lengths turn negative as a stream offset, and ignore() then
+      // skips nothing instead of failing.
+      SLIDE_CHECK(aux_bytes <= static_cast<std::uint64_t>(
+                                   std::numeric_limits<std::streamsize>::max()),
+                  "load_weights: corrupt aux block size");
       if (aux_bytes > 0 &&
           file_retriever ==
               static_cast<std::uint32_t>(layer.retriever_kind())) {

@@ -314,11 +314,13 @@ bool HnswRetriever::load_state(std::istream& in) {
     // An empty graph was saved (never built): nothing usable to restore.
     return false;
   }
+  SLIDE_CHECK(g->max_level <= kMaxLevel, "hnsw state: corrupt max level");
   SLIDE_CHECK(g->entry < rows_.count, "hnsw state: entry out of range");
+  const auto top = static_cast<std::uint32_t>(g->max_level) + 1;
   g->links.resize(count);
   for (auto& node : g->links) {
     const std::uint32_t nlevels = read_u32(in);
-    SLIDE_CHECK(nlevels <= static_cast<std::uint32_t>(kMaxLevel) + 1,
+    SLIDE_CHECK(nlevels >= 1 && nlevels <= top,
                 "hnsw state: corrupt level count");
     node.resize(nlevels);
     for (auto& level : node) {
@@ -329,6 +331,18 @@ bool HnswRetriever::load_state(std::istream& in) {
         id = read_u32(in);
         SLIDE_CHECK(id < rows_.count, "hnsw state: neighbor out of range");
       }
+    }
+  }
+  // A search enters at the top level and follows level-l links only to
+  // nodes that have level l, as build() guarantees: check both, or a
+  // corrupt graph would index past a node's links at query time.
+  SLIDE_CHECK(g->links[g->entry].size() == top,
+              "hnsw state: entry below the top level");
+  for (const auto& node : g->links) {
+    for (std::size_t l = 0; l < node.size(); ++l) {
+      for (Index id : node[l])
+        SLIDE_CHECK(g->links[id].size() > l,
+                    "hnsw state: neighbor missing a level");
     }
   }
   publish(std::move(g));

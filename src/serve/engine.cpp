@@ -156,32 +156,6 @@ bool InferenceEngine::submit_callback(SparseVector features,
   return enqueue(std::move(request));
 }
 
-// Deprecated positional shims — forward to the ServeOptions form. Their own
-// definitions may reference the deprecated declarations without warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::optional<std::future<Prediction>> InferenceEngine::submit(
-    SparseVector features, int top_k, std::optional<bool> exact,
-    int page_offset) {
-  ServeOptions options;
-  options.top_k = top_k;
-  options.exact = exact;
-  options.page_offset = page_offset;
-  return submit(std::move(features), options);
-}
-
-bool InferenceEngine::submit_callback(SparseVector features,
-                                      std::function<void(Prediction)> callback,
-                                      int top_k, std::optional<bool> exact,
-                                      int page_offset) {
-  ServeOptions options;
-  options.top_k = top_k;
-  options.exact = exact;
-  options.page_offset = page_offset;
-  return submit_callback(std::move(features), std::move(callback), options);
-}
-#pragma GCC diagnostic pop
-
 void InferenceEngine::pause() { queue_.set_paused(true); }
 
 void InferenceEngine::resume() { queue_.set_paused(false); }

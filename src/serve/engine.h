@@ -260,18 +260,6 @@ class InferenceEngine {
                        std::function<void(Prediction)> callback,
                        const ServeOptions& options = {});
 
-  /// Pre-ServeOptions positional signatures, kept as thin shims.
-  [[deprecated("use submit(features, ServeOptions{.top_k = ...})")]]
-  std::optional<std::future<Prediction>> submit(
-      SparseVector features, int top_k,
-      std::optional<bool> exact = std::nullopt, int page_offset = 0);
-  [[deprecated(
-      "use submit_callback(features, callback, ServeOptions{.top_k = ...})")]]
-  bool submit_callback(SparseVector features,
-                       std::function<void(Prediction)> callback, int top_k,
-                       std::optional<bool> exact = std::nullopt,
-                       int page_offset = 0);
-
   /// Drain control: paused workers finish their in-flight batch, then hold;
   /// admission stays open (the queue absorbs up to queue_capacity).
   void pause();

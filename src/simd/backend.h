@@ -5,7 +5,7 @@
 // module replaces that with a *dispatch table* bound at startup:
 //
 //   kernels_scalar.cpp   portable C++        (always compiled)
-//   kernels_avx2.cpp     -mavx2 -mfma        (own -march flags)
+//   kernels_avx2.cpp     -mavx2 -mfma        (own -m flags)
 //   kernels_avx512.cpp   -mavx512f -mavx512bw -mfma
 //
 // Each per-ISA translation unit compiles with exactly its own flags and

@@ -6,27 +6,6 @@
 
 namespace slide::simd {
 
-// ---- deprecated compile-time-era shims ------------------------------------
-// Defining the [[deprecated]] trio must not warn on itself.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-bool compiled_with_avx2() noexcept {
-  return level_compiled(SimdLevel::kAVX2);
-}
-
-void set_simd_enabled(bool enabled) noexcept {
-  // detected_level() and kScalar are supported by construction, so the
-  // underlying set_simd_level cannot throw here.
-  set_simd_level(enabled ? detected_level() : SimdLevel::kScalar);
-}
-
-bool simd_enabled() noexcept {
-  return active_level() != SimdLevel::kScalar;
-}
-
-#pragma GCC diagnostic pop
-
 // ---- dispatchers ----------------------------------------------------------
 
 float dot(const float* a, const float* b, std::size_t n) noexcept {

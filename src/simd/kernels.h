@@ -26,20 +26,6 @@
 
 namespace slide::simd {
 
-/// DEPRECATED compile-time-era toggles, kept as shims over the dispatch:
-///   compiled_with_avx2()   -> level_compiled(SimdLevel::kAVX2)
-///   set_simd_enabled(b)    -> set_simd_level(b ? detected_level() : scalar)
-///   simd_enabled()         -> active_level() != scalar
-/// Prefer backend.h's set_simd_level / active_level in new code: they are
-/// explicit about *which* vector level runs, not just "on/off".
-[[deprecated("use simd::level_compiled(SimdLevel::kAVX2)")]]
-bool compiled_with_avx2() noexcept;
-[[deprecated(
-    "use simd::set_simd_level(enabled ? detected_level() : kScalar)")]]
-void set_simd_enabled(bool enabled) noexcept;
-[[deprecated("use simd::active_level() != SimdLevel::kScalar")]]
-bool simd_enabled() noexcept;
-
 /// Dense dot product <a, b> over n floats.
 float dot(const float* a, const float* b, std::size_t n) noexcept;
 

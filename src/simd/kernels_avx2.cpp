@@ -1,26 +1,24 @@
 // AVX2+FMA kernel table.
 //
-// This translation unit is compiled with its own ISA flags (-mavx2 -mfma,
-// see the simd section of CMakeLists.txt) regardless of the project-wide
-// -march, and is entered only after cpuid confirms the CPU has AVX2+FMA —
-// the table pointer below is constant-initialized, so no AVX2 instruction
-// runs on a machine that lacks them. When the compiler cannot build AVX2
-// at all, the TU degrades to a null table and the dispatch skips the level.
+// This is one of the two translation units built with vector ISA flags
+// (-mavx2 -mfma, see the simd section of CMakeLists.txt; everything else
+// targets generic x86-64), and it is entered only after cpuid confirms the
+// CPU has AVX2+FMA — the table pointer below is constant-initialized, so no
+// AVX2 instruction runs on a machine that lacks them. When the compiler
+// cannot build AVX2 at all, CMake leaves SLIDE_COMPILE_AVX2 undefined, the
+// TU degrades to a null table and the dispatch skips the level.
 #include "simd/backend_registry.h"
 #include "simd/kernels.h"
 
-#if defined(SLIDE_COMPILE_AVX2) || (defined(__AVX2__) && defined(__FMA__))
-#define SLIDE_HAVE_AVX2_TU 1
+#ifdef SLIDE_COMPILE_AVX2
 #include <immintrin.h>
 
 #include <cmath>
-#else
-#define SLIDE_HAVE_AVX2_TU 0
 #endif
 
 namespace slide::simd {
 
-#if SLIDE_HAVE_AVX2_TU
+#ifdef SLIDE_COMPILE_AVX2
 namespace avx2 {
 
 inline float hsum256(__m256 v) noexcept {
@@ -351,13 +349,13 @@ const Backend* const kAvx2Backend = &kAvx2Table;
 const Backend* const kAvx2BackendNoF16c = &kAvx2TableNoF16c;
 }  // namespace detail
 
-#else  // !SLIDE_HAVE_AVX2_TU
+#else  // !SLIDE_COMPILE_AVX2
 
 namespace detail {
 const Backend* const kAvx2Backend = nullptr;
 const Backend* const kAvx2BackendNoF16c = nullptr;
 }  // namespace detail
 
-#endif  // SLIDE_HAVE_AVX2_TU
+#endif  // SLIDE_COMPILE_AVX2
 
 }  // namespace slide::simd

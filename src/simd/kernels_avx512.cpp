@@ -1,29 +1,27 @@
 // AVX-512F+BW kernel table.
 //
-// Compiled with -mavx512f -mavx512bw -mfma (its own flags, independent of
-// the project-wide -march; see CMakeLists.txt) and bound by the dispatch
-// only after cpuid confirms both features. 16-lane fp32 arithmetic with
-// fully masked tails — no scalar remainder loops on the dense kernels —
-// plus the bf16 widening loads the quantized inference path uses. The
-// table pointer is constant-initialized, so nothing here executes on a
-// host without AVX-512.
+// Compiled with -mavx512f -mavx512bw -mfma (its own flags; everything
+// outside the two kernel TUs targets generic x86-64, see CMakeLists.txt)
+// and bound by the dispatch only after cpuid confirms both features.
+// 16-lane fp32 arithmetic with fully masked tails — no scalar remainder
+// loops on the dense kernels — plus the bf16 widening loads the quantized
+// inference path uses. The table pointer is constant-initialized, so
+// nothing here executes on a host without AVX-512. Without compiler
+// support CMake leaves SLIDE_COMPILE_AVX512 undefined and the TU exports a
+// null table.
 #include "simd/backend_registry.h"
 #include "simd/kernels.h"
 
-#if defined(SLIDE_COMPILE_AVX512) || \
-    (defined(__AVX512F__) && defined(__AVX512BW__))
-#define SLIDE_HAVE_AVX512_TU 1
+#ifdef SLIDE_COMPILE_AVX512
 #include <immintrin.h>
 
 #include <cmath>
 #include <limits>
-#else
-#define SLIDE_HAVE_AVX512_TU 0
 #endif
 
 namespace slide::simd {
 
-#if SLIDE_HAVE_AVX512_TU
+#ifdef SLIDE_COMPILE_AVX512
 namespace avx512 {
 
 inline __mmask16 tail_mask(std::size_t rem) noexcept {
@@ -390,13 +388,13 @@ const Backend* const kAvx512Backend = &kAvx512Table;
 const Backend* const kAvx512BackendNoVnni = &kAvx512TableNoVnni;
 }  // namespace detail
 
-#else  // !SLIDE_HAVE_AVX512_TU
+#else  // !SLIDE_COMPILE_AVX512
 
 namespace detail {
 const Backend* const kAvx512Backend = nullptr;
 const Backend* const kAvx512BackendNoVnni = nullptr;
 }  // namespace detail
 
-#endif  // SLIDE_HAVE_AVX512_TU
+#endif  // SLIDE_COMPILE_AVX512
 
 }  // namespace slide::simd

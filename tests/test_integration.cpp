@@ -270,25 +270,18 @@ TEST(Integration, GoldenFixedSeedDigestAndAccuracyFloor) {
   EXPECT_EQ(acc, acc2);
   EXPECT_GE(acc, 0.35) << "accuracy floor breached (got " << acc << ")";
 
-  // Cross-PR drift tripwire: the digest is additionally pinned, but only
-  // in the build flavor it was recorded under — optimized -march=native on
-  // an AVX-512 host, where the compiler's FMA-contraction and
-  // auto-vectorization choices for the -O3 training loops match the
-  // reference (pinning SLIDE_SIMD_LEVEL only fixes the dispatch table, not
-  // the codegen of the surrounding loops). Debug, SLIDE_PORTABLE, and
-  // non-AVX-512 hosts legitimately produce a different — still
-  // deterministic, still floor-checked — trajectory and skip the pin.
-#if defined(NDEBUG) && defined(__FMA__) && defined(__AVX512F__)
-  const std::uint64_t kPinnedDigest = 0x661863b285ffb6eeull;
+  // Cross-PR drift tripwire: the digest is pinned in every build. Only the
+  // two vector kernel TUs get ISA flags; everything else, the scalar table
+  // the guard above selects included, compiles for generic x86-64, which
+  // has no FMA to contract a*b+c into, so Release, Debug and sanitizer
+  // builds follow one trajectory on every host. A different compiler or
+  // libm may still round differently; re-pin only for such a toolchain
+  // change or an intended change to the numerics.
+  const std::uint64_t kPinnedDigest = 0xa55aca7e2e36eebbull;
   EXPECT_EQ(digest, kPinnedDigest)
       << "golden weight digest moved: got 0x" << std::hex << digest
       << " — if the numeric trajectory changed intentionally, re-pin "
          "kPinnedDigest to this value";
-#else
-  std::printf("[golden] digest 0x%llx (pin checked only in native AVX-512 "
-              "Release builds)\n",
-              static_cast<unsigned long long>(digest));
-#endif
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Checkpointing tests: round-trip fidelity for both network kinds,
-// architecture validation, corruption rejection, and table rebuild after
-// load.
+// architecture validation, corruption rejection (including a truncation
+// and byte-flip fuzzer), and table rebuild after load.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -10,11 +10,15 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/builder.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "metrics/metrics.h"
+#include "sys/hugepages.h"
 
 namespace slide {
 namespace {
@@ -205,6 +209,128 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
     bytes.resize(bytes.size() / 2);  // truncate
     std::stringstream half(bytes);
     EXPECT_THROW(load_weights(net, half), Error);
+  }
+}
+
+/// A v5 checkpoint with every optional section present: a grown layer
+/// (appended-row word), retired units (tombstone block) and the retriever
+/// descriptor. The S=2 LSH layer writes two shard block pairs and an empty
+/// aux block; the monolithic HNSW layer writes one pair and a graph in its
+/// aux block. Each file is loaded into networks built from `reader`: the
+/// writer's config restores the aux block, an exact-retriever reader
+/// skips it. All are tiny, so fuzzing every byte stays cheap.
+struct FuzzCase {
+  const char* name;
+  NetworkConfig writer;
+  NetworkConfig reader;
+  std::size_t structural_tail;  ///< trailing bytes that are all format words
+  std::string bytes;
+};
+
+std::vector<FuzzCase> fuzz_cases(const SyntheticDataset& data) {
+  using retrieval::RetrieverKind;
+  HashFamilyConfig family;
+  family.kind = HashFamilyKind::kSimhash;
+  family.k = 2;
+  family.l = 2;
+  auto config = [&](int shards, RetrieverKind kind) {
+    NetworkBuilder b(data.train.feature_dim());
+    b.dense(4).sampled(data.train.label_dim(), family, 6);
+    b.table({.range_pow = 4, .bucket_size = 8});
+    b.retriever(kind);
+    if (kind == RetrieverKind::kHnsw)
+      b.hnsw({.m = 3, .ef_construction = 6, .ef_search = 6});
+    if (shards > 0) b.shards(shards);
+    b.max_batch(16).seed(5);
+    return b.to_config();
+  };
+  const NetworkConfig lsh = config(2, RetrieverKind::kLsh);
+  const NetworkConfig hnsw = config(0, RetrieverKind::kHnsw);
+  // Every file ends in the tombstone block (u64 count + two u32 ids); the
+  // empty aux block leaves the retriever descriptor (u32 kind + u64
+  // length) right before it.
+  std::vector<FuzzCase> cases = {
+      {"S=2 lsh", lsh, lsh, 28, {}},
+      {"S=2 lsh read as exact", lsh, config(2, RetrieverKind::kExact), 28,
+       {}},
+      {"S=1 hnsw", hnsw, hnsw, 16, {}}};
+  for (FuzzCase& c : cases) {
+    Network net(c.writer, 2);
+    train_a_bit(net, data.train, 5);
+    net.add_output_units(3);
+    net.retire_output_units(std::vector<Index>{2, 13});
+    std::stringstream out;
+    save_weights(net, out);
+    c.bytes = out.str();
+  }
+  return cases;
+}
+
+/// Loads `bytes` into a freshly built network. Returns true if it loaded
+/// (and then still answers a sampled query), false on slide::Error; any
+/// other exception is a contract violation and fails the test.
+bool load_fuzzed(const FuzzCase& c, const std::string& bytes,
+                 const SparseVector& query, const std::string& what) {
+  Network net(c.reader, 1);
+  std::stringstream in(bytes);
+  try {
+    load_weights(net, in);
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << c.name << ", " << what << ": untyped " << e.what();
+    return false;
+  }
+  InferenceContext ctx(net, 3);
+  (void)net.predict_topk(query, ctx, 3, /*exact=*/false);
+  return true;
+}
+
+TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
+  // Every truncation and every single-byte flip of a v5 checkpoint either
+  // loads or throws slide::Error: no allocation bomb from a count read off
+  // the file (std::bad_alloc, std::length_error), no crash, no hang. The
+  // frame codec has the same contract (test_dist.cpp).
+  SyntheticConfig dcfg;
+  dcfg.feature_dim = 40;
+  dcfg.label_dim = 12;
+  dcfg.num_train = 80;
+  dcfg.num_test = 4;
+  dcfg.features_per_label = 5;
+  dcfg.active_per_label = 3;
+  dcfg.seed = 17;
+  const auto data = make_synthetic_xc(dcfg);
+  const SparseVector& query = data.test[0].features;
+  constexpr std::size_t kHeaderBytes = 7 * sizeof(std::uint32_t);
+  // Thousands of networks are built below; with THP each array's first
+  // touch zeroes a whole 2 MB page. Parsing does not depend on it.
+  struct HugepagesOff {
+    bool was = hugepages_enabled();
+    HugepagesOff() { set_hugepages_enabled(false); }
+    ~HugepagesOff() { set_hugepages_enabled(was); }
+  } hugepages_off;
+
+  for (const FuzzCase& c : fuzz_cases(data)) {
+    ASSERT_TRUE(load_fuzzed(c, c.bytes, query, "unmutated")) << c.name;
+    // The file ends in tombstone ids: every proper prefix is short.
+    for (std::size_t keep = 0; keep < c.bytes.size(); ++keep) {
+      EXPECT_FALSE(load_fuzzed(c, c.bytes.substr(0, keep), query,
+                               "truncated to " + std::to_string(keep)))
+          << c.name << ": truncated to " << keep << " bytes loaded";
+    }
+    for (std::size_t i = 0; i < c.bytes.size(); ++i) {
+      std::string bytes = c.bytes;
+      bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+      const bool loaded =
+          load_fuzzed(c, bytes, query, "byte " + std::to_string(i));
+      // Header words are checked against the target network; counts, ids
+      // and kinds in the tail against the layer. Float payload flips may
+      // load: any bit pattern is a float.
+      if (i < kHeaderBytes || i >= c.bytes.size() - c.structural_tail) {
+        EXPECT_FALSE(loaded) << c.name << ": byte " << i << " of "
+                             << c.bytes.size();
+      }
+    }
   }
 }
 

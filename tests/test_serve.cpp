@@ -1099,43 +1099,6 @@ TEST(InferenceEngine, HotSwapUnderSheddingStressNeverHangsAFuture) {
   EXPECT_EQ(served.load() + failed.load(), stats.completed + stats.errors);
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(InferenceEngine, DeprecatedPositionalShimsMatchServeOptionsForm) {
-  // The old positional overloads must stay behaviorally identical to the
-  // ServeOptions form while they live out their deprecation window.
-  const auto data = planted();
-  auto store = std::make_shared<ModelStore>(trained_network(data, 60));
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  cfg.exact = true;  // deterministic: equal inputs => equal outputs
-  InferenceEngine engine(store, cfg);
-
-  for (std::size_t i = 0; i < 5; ++i) {
-    auto old_form = engine.submit(data.test[i].features, 4);
-    auto new_form = engine.submit(data.test[i].features, {.top_k = 4});
-    ASSERT_TRUE(old_form.has_value());
-    ASSERT_TRUE(new_form.has_value());
-    EXPECT_EQ(old_form->get().labels, new_form->get().labels) << i;
-  }
-  // Pagination through both forms.
-  auto old_page = engine.submit(data.test[0].features, 3, std::nullopt, 3);
-  auto new_page =
-      engine.submit(data.test[0].features, {.top_k = 3, .page_offset = 3});
-  ASSERT_TRUE(old_page.has_value());
-  ASSERT_TRUE(new_page.has_value());
-  EXPECT_EQ(old_page->get().labels, new_page->get().labels);
-  // Callback shim.
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE(engine.submit_callback(
-      data.test[0].features, [&](Prediction) { delivered.fetch_add(1); },
-      /*top_k=*/2));
-  engine.stop();
-  EXPECT_EQ(delivered.load(), 1);
-  EXPECT_EQ(engine.stats().errors, 0u);
-}
-#pragma GCC diagnostic pop
-
 #ifndef NDEBUG
 TEST(NetworkWriteEpoch, MutatorsBumpAndPredictionsDoNot) {
   const auto data = planted();

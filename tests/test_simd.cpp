@@ -5,9 +5,8 @@
 // exhaustively across lengths 0..64 — covering every tail/mask shape of
 // the 8- and 16-lane loops — plus larger sizes and unaligned base
 // pointers. The bf16 kernels get the same treatment plus round-trip
-// error-bound and rounding-semantics tests. Dispatch-level selection, the
-// deprecated set_simd_enabled shim, and env parsing are covered at the
-// end.
+// error-bound and rounding-semantics tests. Dispatch-level selection and
+// env parsing are covered at the end.
 //
 // The suite restores the entry dispatch level after every test, so it
 // composes with the CI matrix that runs it under SLIDE_SIMD_LEVEL=scalar
@@ -771,27 +770,6 @@ TEST_F(DispatchLevels, ParseRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(simd::parse_simd_level("avx1024"), Error);
   EXPECT_THROW(simd::parse_simd_level(nullptr), Error);
 }
-
-// The shims are [[deprecated]] but must keep working until removed —
-// this is intentional coverage of the deprecated surface.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(DispatchLevels, DeprecatedShimMapsOntoDispatch) {
-  EXPECT_EQ(simd::compiled_with_avx2(),
-            simd::level_compiled(SimdLevel::kAVX2));
-  simd::set_simd_enabled(false);
-  EXPECT_EQ(simd::active_level(), SimdLevel::kScalar);
-  EXPECT_FALSE(simd::simd_enabled());
-  simd::set_simd_enabled(true);
-  EXPECT_EQ(simd::active_level(), simd::detected_level());
-  EXPECT_EQ(simd::simd_enabled(),
-            simd::detected_level() != SimdLevel::kScalar);
-  // Scalar mode still computes correctly.
-  simd::set_simd_enabled(false);
-  std::vector<float> a = {1, 2, 3}, b = {4, 5, 6};
-  EXPECT_FLOAT_EQ(simd::dot(a.data(), b.data(), 3), 32.0f);
-}
-#pragma GCC diagnostic pop
 
 TEST(Softmax, StableUnderLargeLogits) {
   std::vector<float> x = {1000.0f, 1000.0f, 999.0f};
