@@ -2,11 +2,12 @@
 // kernels (dot / axpy / adam_step) and their quantized-precision variants
 // (bf16 / fp16 / int8) at EVERY dispatch level this host supports, at the
 // fan-in sizes the engine actually uses (128 = hidden width; 4096 = wide
-// strips). Row names carry the scoring precision (dot_fp32, dot_bf16,
-// dot_i8, ...) and the int8/fp16 rows additionally carry the instruction
-// path the level's table bound (vnni / maddubs-512 / f16c-256 / scalar
-// ...), so a BENCH_backend.json from a VNNI host is distinguishable from
-// the graceful-downgrade path on one without.
+// strips), plus wta_codes at the dense DWTA training shape (K*L = 400).
+// Row names carry the scoring precision (dot_fp32, dot_bf16, dot_i8, ...)
+// and the int8/fp16 rows additionally carry the instruction path the
+// level's table bound (vnni / maddubs-512 / f16c-256 / scalar ...), so a
+// BENCH_backend.json from a VNNI host is distinguishable from the
+// graceful-downgrade path on one without.
 //
 // Unlike bench/micro_kernels (which A/Bs best level against scalar for
 // Figure-10 continuity), this bench pins an explicit SimdLevel per
@@ -194,6 +195,31 @@ void bm_quantize_i8(benchmark::State& state, SimdLevel level, std::size_t n) {
   }
 }
 
+/// Dense WTA/DWTA hashing at the training shape: K*L = 400 codes over
+/// bins of 8 coordinates of a 128-wide row, cycling through 256 distinct
+/// rows so the scalar level cannot learn the winners.
+void bm_wta_codes(benchmark::State& state, SimdLevel level) {
+  const simd::Backend& be = *simd::backend_for(level);
+  constexpr std::size_t kCodes = 400, kGroup = 8, kDim = 128, kRows = 256;
+  Rng rng(24);
+  std::vector<std::int32_t> idx(kCodes * kGroup);
+  std::vector<std::uint32_t> label(idx.size());
+  for (std::size_t s = 0; s < idx.size(); ++s) {
+    idx[s] = static_cast<std::int32_t>(rng.uniform(kDim));
+    label[s] = static_cast<std::uint32_t>(s / kCodes);
+  }
+  const auto rows = vec(kRows * kDim, 25);
+  std::vector<std::uint32_t> out(kCodes);
+  std::size_t row = 0;
+  for (auto _ : state) {
+    be.wta_codes(rows.data() + row * kDim, idx.data(), label.data(), kGroup,
+                 kCodes, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    row = (row + 1) % kRows;
+  }
+}
+
 void register_all() {
   using Fn = void (*)(benchmark::State&, SimdLevel, std::size_t);
   // Every row name carries its scoring precision; int8/fp16 dot/axpy rows
@@ -239,6 +265,10 @@ void register_all() {
             });
       }
     }
+    benchmark::RegisterBenchmark(
+        (std::string("BM_backend/wta_codes/400/") + simd::to_string(level))
+            .c_str(),
+        [level](benchmark::State& state) { bm_wta_codes(state, level); });
   }
 }
 

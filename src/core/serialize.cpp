@@ -481,6 +481,18 @@ ShardFileInfo read_shard_header(std::istream& in, const std::string& path) {
   return info;
 }
 
+/// Bytes from the read position of `in` to the end of the file.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  SLIDE_CHECK(in.good() && here != std::istream::pos_type(-1) &&
+                  end >= here,
+              "load_shard_file: file not seekable");
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace
 
 ShardFileInfo load_shard_file(const std::string& path,
@@ -489,6 +501,16 @@ ShardFileInfo load_shard_file(const std::string& path,
   std::ifstream in(path, std::ios::binary);
   SLIDE_CHECK(in.good(), "load_shard_file: cannot open " + path);
   const ShardFileInfo info = read_shard_header(in, path);
+  // rows and fan_in are read off the file: the blocks they imply must fit
+  // in the bytes it has left before anything is allocated for them. The
+  // product of two u32 words plus one more cannot wrap a u64.
+  const std::uint64_t floats =
+      static_cast<std::uint64_t>(info.rows) * info.fan_in + info.rows;
+  const std::uint64_t left = bytes_left(in);
+  constexpr std::uint64_t kLengthWords = 2 * sizeof(std::uint32_t);
+  SLIDE_CHECK(left >= kLengthWords &&
+                  floats <= (left - kLengthWords) / sizeof(float),
+              "load_shard_file: " + path + " is shorter than its header says");
   weights.resize(static_cast<std::size_t>(info.rows) * info.fan_in);
   bias.resize(info.rows);
   read_floats(in, {weights.data(), weights.size()});

@@ -22,14 +22,28 @@ DwtaHash::DwtaHash(const Config& config)
   const int total_codes = k_ * l_;
   num_perms_ = (total_codes + bins_per_perm_ - 1) / bins_per_perm_;
 
+  bins_ = detail::WtaBins(total_codes, bin_size_, dim_);
   Rng rng(config.seed);
   std::vector<Index> perm(dim_);
+  std::vector<Index> bin;
   pos_.resize(static_cast<std::size_t>(num_perms_) * dim_);
   for (int p = 0; p < num_perms_; ++p) {
     std::iota(perm.begin(), perm.end(), Index{0});
     std::shuffle(perm.begin(), perm.end(), rng);
     Index* pos = pos_.data() + static_cast<std::size_t>(p) * dim_;
     for (Index q = 0; q < dim_; ++q) pos[perm[q]] = q;
+    const int first = p * bins_per_perm_;
+    for (int c = first; c < std::min(first + bins_per_perm_, total_codes);
+         ++c) {
+      const Index* slots =
+          perm.data() + static_cast<std::size_t>(c - first) * bin_size_;
+      bin.assign(slots, slots + bin_size_);
+      std::sort(bin.begin(), bin.end());
+      for (int j = 0; j < bin_size_; ++j) {
+        const Index d = bin[static_cast<std::size_t>(j)];
+        bins_.set(c, j, d, pos[d] % static_cast<Index>(bin_size_));
+      }
+    }
   }
 }
 
@@ -116,14 +130,10 @@ void DwtaHash::hash_sparse(const Index* idx, const float* val,
 }
 
 void DwtaHash::hash_dense(const float* x, std::span<std::uint32_t> keys) const {
-  // A dense vector is the nnz == dim special case; reuse the sparse path
-  // with an identity index map.
-  thread_local std::vector<Index> identity;
-  if (identity.size() != dim_) {
-    identity.resize(dim_);
-    std::iota(identity.begin(), identity.end(), Index{0});
-  }
-  hash_sparse(identity.data(), x, dim_, keys);
+  thread_local std::vector<std::uint32_t> codes;
+  codes.resize(static_cast<std::size_t>(k_) * l_);
+  bins_.codes(x, codes.data());
+  keys_from_codes(codes.data(), keys);
 }
 
 }  // namespace slide

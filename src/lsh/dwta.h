@@ -6,12 +6,20 @@
 // and repairing bins that received no nonzero coordinate ("empty bins")
 // with the densification scheme: an empty bin borrows the code of a
 // non-empty bin found by iterating a universal hash probe.
+//
+// A dense input fills every bin, so hash_dense skips the scatter loop and
+// densification: each code is the winner of its bin scanned in ascending
+// coordinate order (the order codes_sparse visits an all-nonzero input
+// in), computed by the dispatched simd::wta_codes kernel over a table
+// built once at construction. Its keys equal hash_sparse's on the same
+// vector bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "lsh/hash_function.h"
+#include "lsh/wta.h"
 #include "sys/rng.h"
 
 namespace slide {
@@ -63,6 +71,9 @@ class DwtaHash final : public HashFamily {
   std::uint64_t probe_seed_;
   // pos_[p * dim_ + d] = position of coordinate d in permutation p.
   std::vector<Index> pos_;
+  // Each bin's coordinates in ascending order, labelled with their
+  // position in the bin: the dense path's table.
+  detail::WtaBins bins_;
 };
 
 }  // namespace slide

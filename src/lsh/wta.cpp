@@ -1,9 +1,37 @@
 #include "lsh/wta.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
+#include "simd/kernels.h"
+
 namespace slide {
+
+namespace detail {
+
+WtaBins::WtaBins(int codes, int bin_size, Index dim)
+    : codes_(static_cast<std::size_t>(codes)),
+      bin_size_(static_cast<std::size_t>(bin_size)) {
+  SLIDE_CHECK(dim <= static_cast<Index>(
+                         std::numeric_limits<std::int32_t>::max()),
+              "WTA bins: dim must fit an int32 gather index");
+  coords_.resize(codes_ * bin_size_);
+  labels_.resize(codes_ * bin_size_);
+}
+
+void WtaBins::set(int c, int j, Index coord, std::uint32_t label) noexcept {
+  const std::size_t slot = static_cast<std::size_t>(j) * codes_ +
+                           static_cast<std::size_t>(c);
+  coords_[slot] = static_cast<std::int32_t>(coord);
+  labels_[slot] = label;
+}
+
+void WtaBins::codes(const float* x, std::uint32_t* out) const noexcept {
+  simd::wta_codes(x, coords_.data(), labels_.data(), bin_size_, codes_, out);
+}
+
+}  // namespace detail
 
 WtaHash::WtaHash(const Config& config)
     : k_(config.k),
@@ -19,34 +47,25 @@ WtaHash::WtaHash(const Config& config)
   const int total_codes = k_ * l_;
   num_perms_ = (total_codes + bins_per_perm_ - 1) / bins_per_perm_;
 
+  bins_ = detail::WtaBins(total_codes, bin_size_, dim_);
   Rng rng(config.seed);
-  perm_.resize(static_cast<std::size_t>(num_perms_) * dim_);
+  std::vector<Index> perm(dim_);
   for (int p = 0; p < num_perms_; ++p) {
-    Index* perm = perm_.data() + static_cast<std::size_t>(p) * dim_;
-    std::iota(perm, perm + dim_, Index{0});
-    std::shuffle(perm, perm + dim_, rng);
+    std::iota(perm.begin(), perm.end(), Index{0});
+    std::shuffle(perm.begin(), perm.end(), rng);
+    const int first = p * bins_per_perm_;
+    for (int c = first; c < std::min(first + bins_per_perm_, total_codes);
+         ++c) {
+      const Index* bin =
+          perm.data() + static_cast<std::size_t>(c - first) * bin_size_;
+      for (int q = 0; q < bin_size_; ++q)
+        bins_.set(c, q, bin[q], static_cast<std::uint32_t>(q));
+    }
   }
 }
 
 void WtaHash::codes_dense(const float* x, std::uint32_t* codes) const {
-  const int total_codes = k_ * l_;
-  for (int c = 0; c < total_codes; ++c) {
-    const int p = c / bins_per_perm_;
-    const int b = c % bins_per_perm_;
-    const Index* perm =
-        perm_.data() + static_cast<std::size_t>(p) * dim_ +
-        static_cast<std::size_t>(b) * bin_size_;
-    std::uint32_t best_offset = 0;
-    float best_val = x[perm[0]];
-    for (int q = 1; q < bin_size_; ++q) {
-      const float v = x[perm[q]];
-      if (v > best_val) {
-        best_val = v;
-        best_offset = static_cast<std::uint32_t>(q);
-      }
-    }
-    codes[c] = best_offset;
-  }
+  bins_.codes(x, codes);
 }
 
 void WtaHash::keys_from_codes(const std::uint32_t* codes,

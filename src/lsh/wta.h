@@ -17,6 +17,34 @@
 
 namespace slide {
 
+namespace detail {
+
+/// The bins of a winner-take-all family, laid out for simd::wta_codes:
+/// slot j of code c sits at [j * codes + c], so one vector lane scans one
+/// code. Shared by WTA (slots in permutation order) and DWTA's dense path
+/// (slots in ascending coordinate order).
+class WtaBins {
+ public:
+  WtaBins() = default;
+  /// Checks that every coordinate below `dim` fits the kernel's int32
+  /// gather index.
+  WtaBins(int codes, int bin_size, Index dim);
+
+  /// Slot j of code c reads x[coord] and reports `label` when it wins.
+  void set(int c, int j, Index coord, std::uint32_t label) noexcept;
+
+  /// out[c] = the label of code c's first strict maximum over x.
+  void codes(const float* x, std::uint32_t* out) const noexcept;
+
+ private:
+  std::size_t codes_ = 0;
+  std::size_t bin_size_ = 0;
+  std::vector<std::int32_t> coords_;
+  std::vector<std::uint32_t> labels_;
+};
+
+}  // namespace detail
+
 class WtaHash final : public HashFamily {
  public:
   struct Config {
@@ -58,10 +86,9 @@ class WtaHash final : public HashFamily {
   int bin_size_;
   int bins_per_perm_;
   int num_perms_;
-  // perm_[p * dim_ + q] = the coordinate at position q of permutation p.
-  std::vector<Index> perm_;
-
-  friend class DwtaHash;
+  // Slot q of code p * bins_per_perm_ + b is position b * bin_size_ + q of
+  // permutation p.
+  detail::WtaBins bins_;
 };
 
 }  // namespace slide

@@ -40,6 +40,11 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
                float bias2) noexcept {
   backend().adam_step(w, m, v, g, n, lr, beta1, beta2, eps, bias1, bias2);
 }
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept {
+  backend().wta_codes(x, idx, label, group, n, out);
+}
 
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
   return backend().dot_bf16(w, x, n);

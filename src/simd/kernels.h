@@ -64,6 +64,16 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
                float lr, float beta1, float beta2, float eps, float bias1,
                float bias2) noexcept;
 
+/// Winner-take-all codes over a transposed table of `group` slots x `n`
+/// codes (group >= 1): slot j of code c reads x[idx[j * n + c]] and
+/// carries label[j * n + c]. out[c] is the label of the first strict
+/// maximum in slot order: ties go to the earliest slot, and a NaN never
+/// wins after slot 0 (every comparison is an ordered `>`). Integer
+/// results, so every level is bit-identical to the scalar reference.
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept;
+
 // ---- BF16 mixed-precision kernels (quantized inference path) -------------
 // Weights are stored bf16 (see simd/bf16.h); activations and accumulation
 // stay fp32, so error is bounded by the weight rounding alone (~2^-8
@@ -150,6 +160,9 @@ void softmax_inplace(float* x, std::size_t n) noexcept;
 void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
                float lr, float beta1, float beta2, float eps, float bias1,
                float bias2) noexcept;
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept;
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept;
 float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
                       const Bf16* dense) noexcept;

@@ -160,6 +160,40 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
   }
 }
 
+/// One lane per code: gather slot j of 8 codes, ordered `>` compare
+/// against the running best (NaN never wins, ties keep the earlier slot),
+/// and blend in the winners' value and label. The tail runs the same loop
+/// with a lane mask on every load, gather and store.
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept {
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t c = 0; c < n; c += 8) {
+    const int rem = n - c >= 8 ? 8 : static_cast<int>(n - c);
+    const __m256i k = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), lanes);
+    const __m256 kf = _mm256_castsi256_ps(k);
+    const auto gather = [&](std::size_t slot) {
+      const __m256i vi = _mm256_maskload_epi32(idx + slot, k);
+      return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), x, vi, kf, 4);
+    };
+    const auto labels = [&](std::size_t slot) {
+      return _mm256_castsi256_ps(_mm256_maskload_epi32(
+          reinterpret_cast<const int*>(label + slot), k));
+    };
+    __m256 best = gather(c);
+    __m256 code = labels(c);
+    for (std::size_t j = 1; j < group; ++j) {
+      const std::size_t slot = j * n + c;
+      const __m256 v = gather(slot);
+      const __m256 win = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
+      best = _mm256_blendv_ps(best, v, win);
+      code = _mm256_blendv_ps(code, labels(slot), win);
+    }
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(out + c), k,
+                           _mm256_castps_si256(code));
+  }
+}
+
 /// Widens 8 bf16 values (128-bit lane) to 8 fp32 lanes: zero-extend each
 /// 16-bit value into the high half of a 32-bit lane.
 inline __m256 load_bf16x8(const Bf16* p) noexcept {
@@ -290,6 +324,7 @@ constexpr Backend kAvx2Table = {
     .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx2::softmax_inplace,
     .adam_step = avx2::adam_step,
+    .wta_codes = avx2::wta_codes,
     .dot_bf16 = avx2::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx2::axpy_bf16,
@@ -324,6 +359,7 @@ constexpr Backend kAvx2TableNoF16c = {
     .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx2::softmax_inplace,
     .adam_step = avx2::adam_step,
+    .wta_codes = avx2::wta_codes,
     .dot_bf16 = avx2::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx2::axpy_bf16,

@@ -177,6 +177,31 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
   }
 }
 
+/// One lane per code: gather slot j of 16 codes, mask-compare against the
+/// running best (ordered `>`, so NaN never wins and ties keep the earlier
+/// slot), and mask-load the winners' labels. The tail runs the same loop
+/// under a lane mask; masked-off lanes gather and store nothing.
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept {
+  for (std::size_t c = 0; c < n; c += 16) {
+    const __mmask16 k = n - c >= 16 ? __mmask16{0xFFFF} : tail_mask(n - c);
+    __m512 best = _mm512_mask_i32gather_ps(
+        _mm512_setzero_ps(), k, _mm512_maskz_loadu_epi32(k, idx + c), x, 4);
+    __m512i code = _mm512_maskz_loadu_epi32(k, label + c);
+    for (std::size_t j = 1; j < group; ++j) {
+      const std::size_t slot = j * n + c;
+      const __m512 v = _mm512_mask_i32gather_ps(
+          _mm512_setzero_ps(), k, _mm512_maskz_loadu_epi32(k, idx + slot), x,
+          4);
+      const __mmask16 win = _mm512_mask_cmp_ps_mask(k, v, best, _CMP_GT_OQ);
+      best = _mm512_mask_mov_ps(best, win, v);
+      code = _mm512_mask_loadu_epi32(code, win, label + slot);
+    }
+    _mm512_mask_storeu_epi32(out + c, k, code);
+  }
+}
+
 /// Widens 16 bf16 values (256-bit load) to 16 fp32 lanes.
 inline __m512 load_bf16x16(const Bf16* p) noexcept {
   const __m256i raw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -321,6 +346,7 @@ constexpr Backend kAvx512Table = {
     .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
+    .wta_codes = avx512::wta_codes,
     .dot_bf16 = avx512::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx512::axpy_bf16,
@@ -363,6 +389,7 @@ constexpr Backend kAvx512TableNoVnni = {
     .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
+    .wta_codes = avx512::wta_codes,
     .dot_bf16 = avx512::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx512::axpy_bf16,

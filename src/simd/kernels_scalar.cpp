@@ -82,6 +82,23 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
   }
 }
 
+void wta_codes(const float* x, const std::int32_t* idx,
+               const std::uint32_t* label, std::size_t group, std::size_t n,
+               std::uint32_t* out) noexcept {
+  for (std::size_t c = 0; c < n; ++c) {
+    float best = x[idx[c]];
+    std::uint32_t code = label[c];
+    for (std::size_t j = 1; j < group; ++j) {
+      const float v = x[idx[j * n + c]];
+      if (v > best) {
+        best = v;
+        code = label[j * n + c];
+      }
+    }
+    out[c] = code;
+  }
+}
+
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
   float acc = 0.0f;
   for (std::size_t i = 0; i < n; ++i) acc += bf16_to_float(w[i]) * x[i];
@@ -215,6 +232,7 @@ const Backend kScalarBackend = {
     .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = scalar::softmax_inplace,
     .adam_step = scalar::adam_step,
+    .wta_codes = scalar::wta_codes,
     .dot_bf16 = scalar::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = scalar::axpy_bf16,

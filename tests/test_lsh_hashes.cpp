@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "lsh/collision.h"
 #include "lsh/doph.h"
@@ -44,6 +46,49 @@ std::vector<float> perturb(const std::vector<float>& x, float cosine,
   norm = std::sqrt(norm);
   for (auto& v : y) v /= norm;
   return y;
+}
+
+/// Inputs for the winner-take-all paths: ties (small integers), signed
+/// zeros, infinities and NaN mixed with random values.
+std::vector<float> adversarial(Index dim, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float special[] = {0.0f, -0.0f, inf, -inf, nan};
+  std::vector<float> v(dim);
+  for (auto& x : v) {
+    const std::uint32_t kind = rng.uniform(3);
+    x = kind == 0   ? static_cast<float>(rng.uniform(3))
+        : kind == 1 ? special[rng.uniform(5)]
+                    : rng.normal();
+  }
+  return v;
+}
+
+/// Seeded inputs for the dense/sparse agreement tests: random normals,
+/// all zeros (every bin a tie), and two adversarial mixes.
+std::vector<std::vector<float>> wta_inputs(Index dim, Rng& rng) {
+  std::vector<std::vector<float>> inputs;
+  inputs.push_back(random_unit(dim, rng));
+  inputs.emplace_back(dim, 0.0f);
+  inputs.push_back(adversarial(dim, rng));
+  inputs.push_back(adversarial(dim, rng));
+  return inputs;
+}
+
+/// Calls fn(dim, bin, k, l) for dims that are and are not multiples of
+/// the bin size, and (K, L) shapes whose K*L fills whole 8- and 16-lane
+/// blocks (80, the training shape 400) or leaves a tail in both (13, 21,
+/// 45, 77).
+template <class Fn>
+void for_each_wta_shape(Fn fn) {
+  constexpr std::pair<int, int> kShapes[] = {{4, 20}, {8, 50}, {1, 13},
+                                             {3, 7},  {5, 9},  {7, 11}};
+  for (Index dim : {8u, 9u, 127u, 128u, 200u}) {
+    for (int bin : {2, 3, 8, 16}) {
+      if (dim < static_cast<Index>(bin)) continue;
+      for (auto [k, l] : kShapes) fn(dim, bin, k, l);
+    }
+  }
 }
 
 /// Fraction of per-table key matches between two inputs (empirical p^K).
@@ -199,6 +244,58 @@ TEST(Wta, RankSimilarInputsCollideMore) {
   EXPECT_GT(near, far);
 }
 
+TEST(Wta, DenseCodesMatchPermutationOrderScan) {
+  // The scan WtaHash::codes_dense ran before it moved onto the dispatched
+  // kernel, over permutations rebuilt from the same seeded shuffles: the
+  // first strict maximum of each bin in permutation order.
+  Rng rng(30);
+  for_each_wta_shape([&](Index dim, int bin, int k, int l) {
+    const std::uint64_t seed = 31 + dim + static_cast<std::uint64_t>(bin);
+    WtaHash h({.k = k, .l = l, .dim = dim, .bin_size = bin, .seed = seed});
+    const int bins_per_perm = static_cast<int>(dim) / bin;
+    Rng perm_rng(seed);
+    std::vector<Index> perms(
+        static_cast<std::size_t>(h.num_permutations()) * dim);
+    for (int p = 0; p < h.num_permutations(); ++p) {
+      Index* perm = perms.data() + static_cast<std::size_t>(p) * dim;
+      std::iota(perm, perm + dim, Index{0});
+      std::shuffle(perm, perm + dim, perm_rng);
+    }
+    for (const auto& x : wta_inputs(dim, rng)) {
+      std::vector<std::uint32_t> want(static_cast<std::size_t>(k * l));
+      for (int c = 0; c < k * l; ++c) {
+        const Index* perm = perms.data() +
+                            static_cast<std::size_t>(c / bins_per_perm) * dim +
+                            static_cast<std::size_t>(c % bins_per_perm) * bin;
+        std::uint32_t best_offset = 0;
+        float best_val = x[perm[0]];
+        for (int q = 1; q < bin; ++q) {
+          if (x[perm[q]] > best_val) {
+            best_val = x[perm[q]];
+            best_offset = static_cast<std::uint32_t>(q);
+          }
+        }
+        want[static_cast<std::size_t>(c)] = best_offset;
+      }
+      std::vector<std::uint32_t> got(want.size());
+      h.codes_dense(x.data(), got.data());
+      ASSERT_EQ(got, want) << "dim=" << dim << " bin=" << bin
+                           << " K*L=" << k * l;
+
+      std::vector<std::uint32_t> want_keys(static_cast<std::size_t>(l));
+      for (int t = 0; t < l; ++t) {
+        detail::FingerprintMixer mixer;
+        for (int j = 0; j < k; ++j)
+          mixer.add(want[static_cast<std::size_t>(t * k + j)]);
+        want_keys[static_cast<std::size_t>(t)] = mixer.value();
+      }
+      std::vector<std::uint32_t> keys(static_cast<std::size_t>(l));
+      h.hash_dense(x.data(), keys);
+      ASSERT_EQ(keys, want_keys);
+    }
+  });
+}
+
 TEST(Wta, MemoryOptimizedPermutationCount) {
   // Storage must be O(K*L*m), i.e. ceil(K*L/(d/m)) permutations.
   WtaHash h({.k = 6, .l = 50, .dim = 128, .bin_size = 8, .seed = 18});
@@ -210,20 +307,27 @@ TEST(Wta, MemoryOptimizedPermutationCount) {
 // ---------------------------------------------------------------------------
 
 TEST(Dwta, SparseMatchesDenseOnSameVector) {
-  DwtaHash h({.k = 4, .l = 20, .dim = 200, .bin_size = 8, .seed = 19});
+  // hash_dense runs the winner-take-all kernel over its precomputed bins;
+  // hash_sparse scatters an all-nonzero index list through the
+  // permutations. The keys must agree bit for bit on every shape: dims
+  // that are and are not multiples of the bin size, K*L with and without
+  // a tail in the vector loops, and inputs full of ties, signed zeros,
+  // infinities and NaN.
   Rng rng(20);
-  std::vector<float> dense(200, 0.0f);
-  std::vector<Index> idx;
-  std::vector<float> val;
-  for (int i = 0; i < 200; ++i) {
-    dense[static_cast<std::size_t>(i)] = rng.normal();
-    idx.push_back(static_cast<Index>(i));
-    val.push_back(dense[static_cast<std::size_t>(i)]);
-  }
-  std::vector<std::uint32_t> kd(h.l()), ks(h.l());
-  h.hash_dense(dense.data(), kd);
-  h.hash_sparse(idx.data(), val.data(), idx.size(), ks);
-  EXPECT_EQ(kd, ks);
+  for_each_wta_shape([&](Index dim, int bin, int k, int l) {
+    DwtaHash h({.k = k, .l = l, .dim = dim, .bin_size = bin,
+                .seed = 19 + dim + static_cast<std::uint64_t>(bin)});
+    std::vector<Index> idx(dim);
+    std::iota(idx.begin(), idx.end(), Index{0});
+    for (const auto& x : wta_inputs(dim, rng)) {
+      std::vector<std::uint32_t> kd(static_cast<std::size_t>(l));
+      std::vector<std::uint32_t> ks(kd.size());
+      h.hash_dense(x.data(), kd);
+      h.hash_sparse(idx.data(), x.data(), idx.size(), ks);
+      ASSERT_EQ(kd, ks) << "dim=" << dim << " bin=" << bin
+                        << " K*L=" << k * l;
+    }
+  });
 }
 
 TEST(Dwta, DensifiesEmptyBinsForVerySparseInput) {

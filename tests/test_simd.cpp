@@ -254,6 +254,80 @@ TEST_P(KernelParity, AdamStep) {
   }
 }
 
+/// Values for winner-take-all inputs: a third from a tiny pool (ties),
+/// a third adversarial (signed zeros, infinities, NaN), a third random.
+std::vector<float> wta_values(std::size_t n, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float special[] = {0.0f, -0.0f, inf, -inf, nan, -nan};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    switch (rng.uniform(3)) {
+      case 0:
+        x = static_cast<float>(rng.uniform(3)) - 1.0f;
+        break;
+      case 1:
+        x = special[rng.uniform(6)];
+        break;
+      default:
+        x = rng.uniform_float() * 2.0f - 1.0f;
+    }
+  }
+  return v;
+}
+
+TEST_P(KernelParity, WtaCodes) {
+  // The rule on hand-made codes (3 slots x 4 codes): a tie keeps the
+  // earliest slot, a NaN in slot 0 is never beaten, a later NaN never
+  // wins, and +0 does not beat -0.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float x[] = {1.0f, 2.0f, nan, -0.0f, 0.0f, -inf};
+  const std::int32_t hand_idx[] = {0, 2, 5, 3,   // slot 0
+                                   1, 1, 2, 4,   // slot 1
+                                   1, 0, 0, 3};  // slot 2
+  const std::uint32_t hand_label[] = {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2};
+  std::uint32_t hand_out[4] = {};
+  simd::wta_codes(x, hand_idx, hand_label, 3, 4, hand_out);
+  EXPECT_EQ(hand_out[0], 1u);  // 1, 2, 2: the first 2
+  EXPECT_EQ(hand_out[1], 0u);  // NaN, 2, 1
+  EXPECT_EQ(hand_out[2], 2u);  // -inf, NaN, 1
+  EXPECT_EQ(hand_out[3], 0u);  // -0, +0, -0
+
+  // Exact parity with the scalar oracle: every group size 2..16, every
+  // code count 0..64 (all tails of the 8- and 16-lane loops) plus the
+  // K*L = 400 training shape and one past it, unaligned table starts.
+  // Labels are random words, so a winner read from the wrong slot or lane
+  // shows; the sentinel past the end catches a tail that writes too far.
+  Rng rng(50);
+  const std::size_t dim = 97;
+  const auto values = wta_values(dim, rng);
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 64; ++n) counts.push_back(n);
+  counts.push_back(400);
+  counts.push_back(401);
+  for (std::size_t group = 2; group <= 16; ++group) {
+    for (std::size_t n : counts) {
+      const std::size_t len = group * n + kMaxOffset;
+      std::vector<std::int32_t> idx(len);
+      std::vector<std::uint32_t> label(len);
+      for (auto& i : idx) i = static_cast<std::int32_t>(rng.uniform(dim));
+      for (auto& l : label) l = static_cast<std::uint32_t>(rng());
+      for (std::size_t off : kOffsets) {
+        std::vector<std::uint32_t> ref(n + kMaxOffset + 1, 0xDEADBEEFu);
+        std::vector<std::uint32_t> got = ref;
+        simd::scalar::wta_codes(values.data(), idx.data() + off,
+                                label.data() + off, group, n,
+                                ref.data() + off);
+        simd::wta_codes(values.data(), idx.data() + off, label.data() + off,
+                        group, n, got.data() + off);
+        ASSERT_EQ(got, ref) << "group=" << group << " n=" << n
+                            << " off=" << off;
+      }
+    }
+  }
+}
+
 TEST_P(KernelParity, DotBf16) {
   Rng rng(21);
   for (std::size_t n : parity_sizes()) {
