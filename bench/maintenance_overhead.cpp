@@ -3,14 +3,13 @@
 // SLIDE's hash-table refresh is the dominant non-compute overhead (Chen et
 // al. §4.2 amortize it with decaying schedules; Daghaghi et al. 2021 name
 // maintenance cost as the next bottleneck after vectorization). This bench
-// trains the same model under the three MaintenancePolicy settings and two
+// trains the same model under both MaintenancePolicy settings and two
 // refresh cadences, timing end-to-end training (including a final
 // flush/quiesce, so async policies cannot hide unfinished work) plus the
 // trainer-visible rebuild stall:
 //
 //   sync        — full rebuild on the trainer thread (stalls every step)
 //   async_full  — full rebuild on the background thread (shadow + publish)
-//   async_delta — only dirty neurons re-inserted between hygiene rebuilds
 //
 // Emits BENCH_maintenance.json for the CI benchmark-regression gate
 // (tools/bench_compare.py): samples_per_sec and the async-vs-sync speedups
@@ -59,7 +58,6 @@ struct Arm {
   double samples_per_sec = 0.0;
   double rebuild_stall_seconds = 0.0;
   long rebuilds = 0;
-  long delta_reinserted = 0;
   long publishes = 0;
   double p_at_1 = 0.0;
 };
@@ -103,7 +101,6 @@ Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
       static_cast<double>(w.iterations) * w.batch / arm.total_seconds;
   arm.rebuild_stall_seconds = trainer.time_breakdown().rebuild_seconds;
   arm.rebuilds = net.output_layer().rebuild_count();
-  arm.delta_reinserted = net.output_layer().delta_reinserted();
   arm.publishes =
       static_cast<long>(net.output_layer().tables()->publish_count());
   arm.p_at_1 = evaluate_p_at_1(net, data.test, trainer.pool(),
@@ -144,8 +141,7 @@ int main() {
 
   bench::print_header(
       "BENCH maintenance_overhead — async LSH maintenance vs sync rebuilds",
-      "rebuild stall removal; delta re-insertion of dirty neurons (cf. "
-      "paper §4.2, Daghaghi et al. 2021)");
+      "rebuild stall removal (cf. paper §4.2, Daghaghi et al. 2021)");
   bench::print_env(scale, threads);
   std::printf("[cfg] features=%d labels=%d hidden=%d target=%d batch=%d "
               "iterations=%ld\n",
@@ -164,8 +160,7 @@ int main() {
   // Two cadences: "paper" is the decaying schedule of §4.2 (maintenance is
   // already amortized; async mostly removes the residual stall);
   // "aggressive" refreshes every 2 iterations (maximum table freshness —
-  // the regime where synchronous maintenance dominates the step time and
-  // delta re-insertion pays off hardest).
+  // the regime where synchronous maintenance dominates the step time).
   const RebuildSchedule paper{.enabled = true, .initial_period = 20,
                               .decay = 0.05};
   const RebuildSchedule aggressive{.enabled = true, .initial_period = 2,
@@ -175,17 +170,15 @@ int main() {
   for (const auto& [name, schedule] :
        {std::pair<const char*, RebuildSchedule>{"paper", paper},
         std::pair<const char*, RebuildSchedule>{"aggressive", aggressive}}) {
-    for (auto policy : {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull,
-                        MaintenancePolicy::kAsyncDelta}) {
+    for (auto policy :
+         {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull}) {
       arms.push_back(run_arm(name, schedule, policy, w, data, threads));
       const Arm& a = arms.back();
       std::printf(
           "[arm] schedule=%-10s policy=%-11s total=%7.3fs samples/s=%9.1f "
-          "stall=%6.3fs rebuilds=%3ld delta_reinserted=%6ld publishes=%3ld "
-          "p@1=%.3f\n",
+          "stall=%6.3fs rebuilds=%3ld publishes=%3ld p@1=%.3f\n",
           a.schedule, to_string(a.policy), a.total_seconds, a.samples_per_sec,
-          a.rebuild_stall_seconds, a.rebuilds, a.delta_reinserted,
-          a.publishes, a.p_at_1);
+          a.rebuild_stall_seconds, a.rebuilds, a.publishes, a.p_at_1);
     }
   }
 
@@ -195,16 +188,12 @@ int main() {
         return a;
     throw Error("arm not found");
   };
-  const double delta_speedup =
-      find("aggressive", MaintenancePolicy::kSync).total_seconds /
-      find("aggressive", MaintenancePolicy::kAsyncDelta).total_seconds;
   const double full_speedup =
       find("aggressive", MaintenancePolicy::kSync).total_seconds /
       find("aggressive", MaintenancePolicy::kAsyncFull).total_seconds;
-  std::printf(
-      "\n[summary] aggressive cadence: async_delta %.2fx vs sync, "
-      "async_full %.2fx vs sync (threads=%d)\n",
-      delta_speedup, full_speedup, threads);
+  std::printf("\n[summary] aggressive cadence: async_full %.2fx vs sync "
+              "(threads=%d)\n",
+              full_speedup, threads);
 
   bench::Json json;
   json.begin_object();
@@ -223,14 +212,11 @@ int main() {
     json.key("samples_per_sec").number(a.samples_per_sec);
     json.key("rebuild_stall_seconds").number(a.rebuild_stall_seconds);
     json.key("rebuilds").number(static_cast<long long>(a.rebuilds));
-    json.key("delta_reinserted")
-        .number(static_cast<long long>(a.delta_reinserted));
     json.key("publishes").number(static_cast<long long>(a.publishes));
     json.key("p_at_1").number(a.p_at_1);
     json.end_object();
   }
   json.end_array();
-  json.key("speedup_async_delta_vs_sync").number(delta_speedup);
   json.key("speedup_async_full_vs_sync").number(full_speedup);
   json.end_object();
   json.write_file(bench::json_path("BENCH_maintenance.json"));

@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the LSH substrate: hash-code
-// computation per family, table insert/query, sampling strategies, and the
+// computation per family, table build/query, sampling strategies, and the
 // incremental Simhash update path.
 #include <benchmark/benchmark.h>
 
@@ -7,6 +7,7 @@
 #include "lsh/sampling.h"
 #include "lsh/table_group.h"
 #include "sys/rng.h"
+#include "sys/thread_pool.h"
 
 namespace slide {
 namespace {
@@ -119,16 +120,24 @@ TableFixture& fixture() {
   return f;
 }
 
-void BM_TableInsert(benchmark::State& state) {
-  auto& f = fixture();
+/// A full rebuild at train-amazon's output-layer shape: 24k DWTA rows
+/// (K=8, L=50), 2^12 buckets of 128, on range(0) threads — the hashing
+/// plus the per-table counting sort a sync rebuild runs.
+void BM_TableBuild(benchmark::State& state) {
+  const Index rows_count = 24'000;
   Rng rng(6);
-  Index id = 0;
+  std::vector<float> rows(static_cast<std::size_t>(rows_count) * kDim);
+  for (auto& w : rows) w = rng.normal();
+  LshTableGroup group(make_hash_family(family_config(HashFamilyKind::kDwta)),
+                      {.range_pow = 12, .bucket_size = 128});
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    f.group.insert_dense(id++ % 50'000, f.rows.data() + (id % 50'000) * kDim,
-                         rng);
+    group.build_from_rows(rows.data(), kDim, rows_count, &pool);
+    benchmark::DoNotOptimize(group.table(0).total_stored());
   }
+  state.SetLabel("threads=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_TableInsert);
+BENCHMARK(BM_TableBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_TableQueryAndSample(benchmark::State& state) {
   auto& f = fixture();

@@ -37,15 +37,17 @@ int main() {
   family.dim = fan_in;
   const auto hasher = make_hash_family(family);
 
-  // Precompute all keys once so "Insertion to HT" excludes hashing.
+  // Precompute all keys once so "Insertion to HT" excludes hashing. The
+  // table build reads them table-major: keys[t * neurons + i].
   WallTimer hash_timer;
   std::vector<std::uint32_t> keys(static_cast<std::size_t>(neurons) * 50);
   {
     ThreadPool pool(threads);
     pool.parallel_range(neurons, [&](std::size_t b, std::size_t e, int) {
+      std::uint32_t row_keys[50];
       for (std::size_t i = b; i < e; ++i) {
-        hasher->hash_dense(rows.data() + i * fan_in,
-                           {keys.data() + i * 50, 50});
+        hasher->hash_dense(rows.data() + i * fan_in, row_keys);
+        for (std::size_t t = 0; t < 50; ++t) keys[t * neurons + i] = row_keys[t];
       }
     });
   }
@@ -57,23 +59,14 @@ int main() {
     LshTableGroup tables(make_hash_family(family),
                          {.range_pow = 12, .bucket_size = 128,
                           .policy = policy});
-    // Insertion-only: keys precomputed.
-    Rng ins_rng(7);
+    // Insertion-only: keys precomputed (the counting-sort build).
     WallTimer insert_timer;
-    for (Index i = 0; i < neurons; ++i) {
-      tables.insert(i, {keys.data() + static_cast<std::size_t>(i) * 50, 50},
-                    ins_rng);
-    }
+    tables.build_from_keys(keys, neurons);
     const double insert_seconds = insert_timer.seconds();
 
-    // Full insertion: hash + insert (single-threaded like the paper table).
-    tables.clear();
-    Rng full_rng(9);
+    // Full insertion: hash + build (single-threaded like the paper table).
     WallTimer full_timer;
-    for (Index i = 0; i < neurons; ++i) {
-      tables.insert_dense(i, rows.data() + static_cast<std::size_t>(i) * fan_in,
-                          full_rng);
-    }
+    tables.build_from_rows(rows.data(), fan_in, neurons);
     const double full_seconds = full_timer.seconds();
 
     table.add_row({policy == InsertionPolicy::kReservoir ? "Reservoir"

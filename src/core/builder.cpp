@@ -223,8 +223,6 @@ const char* to_string(MaintenancePolicy policy) {
       return "sync";
     case MaintenancePolicy::kAsyncFull:
       return "async_full";
-    case MaintenancePolicy::kAsyncDelta:
-      return "async_delta";
   }
   return "?";
 }
@@ -233,9 +231,10 @@ MaintenancePolicy parse_maintenance_policy(const char* name) {
   const std::string_view s(name == nullptr ? "" : name);
   if (s == "sync") return MaintenancePolicy::kSync;
   if (s == "async_full") return MaintenancePolicy::kAsyncFull;
-  if (s == "async_delta") return MaintenancePolicy::kAsyncDelta;
+  if (s == "async_delta")
+    throw Error("maintenance policy async_delta was removed; use async_full");
   throw Error("unknown maintenance policy: " + std::string(s) +
-              " (expected sync | async_full | async_delta)");
+              " (expected sync | async_full)");
 }
 
 const char* to_string(Precision precision) {

@@ -85,14 +85,13 @@ class NetworkBuilder {
   NetworkBuilder& incremental_rehash(bool on = true);
   NetworkBuilder& fill_random_to_target(bool on);
   /// How the layer executes the maintenance events its rebuild schedule
-  /// fires: sync (stall-the-trainers full rebuild), async_full (background
-  /// shadow rebuild + atomic publish), or async_delta (background re-insert
-  /// of dirty neurons between full rebuilds). See MaintenancePolicy.
+  /// fires: sync (stall-the-trainers full rebuild) or async_full
+  /// (background shadow rebuild + atomic publish). See MaintenancePolicy.
   NetworkBuilder& maintenance(MaintenancePolicy policy);
   /// Model-parallel sharding of the most recently added LSH-sampled layer
   /// (core/sharded_layer.h): the neuron range splits into `shards`
-  /// contiguous shards, each with its own weight block, LSH tables,
-  /// dirty-delta queue, and maintenance thread. shards(1) builds a
+  /// contiguous shards, each with its own weight block, LSH tables, and
+  /// maintenance thread. shards(1) builds a
   /// single-shard ShardedSampledLayer, bit-identical to the monolithic
   /// layer under sync maintenance; leave the knob unset for the monolithic
   /// implementation itself.

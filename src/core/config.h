@@ -34,16 +34,11 @@ struct RebuildSchedule {
 ///                 thread into the shadow table group, published with an
 ///                 atomic swap; trainer threads keep sampling from the
 ///                 active group throughout.
-///   kAsyncDelta — between full rebuilds only neurons whose weights were
-///                 updated since the last event (the dirty-neuron delta
-///                 queue) are re-inserted, on the background thread, into
-///                 the live tables (reservoir policy preserved). Escalates
-///                 to an async full rebuild when the dirty set covers most
-///                 of the layer, and periodically for table hygiene.
-enum class MaintenancePolicy { kSync, kAsyncFull, kAsyncDelta };
+enum class MaintenancePolicy { kSync, kAsyncFull };
 
 const char* to_string(MaintenancePolicy policy);
-/// Parses "sync" | "async_full" | "async_delta" (slide::Error otherwise).
+/// Parses "sync" | "async_full" (slide::Error otherwise, including the
+/// removed "async_delta").
 MaintenancePolicy parse_maintenance_policy(const char* name);
 
 /// Inference-scoring precision of a network ("Accelerating SLIDE on Modern
@@ -97,8 +92,7 @@ struct LayerSpec {
   /// seeded small-world graph (`hnsw` knobs). Requires `hashed`.
   retrieval::RetrieverKind retriever = retrieval::RetrieverKind::kLsh;
   retrieval::HnswConfig hnsw;
-  /// Where maintenance events run (background thread vs trainer stall) and
-  /// whether they re-hash everything or only dirty neurons.
+  /// Where maintenance events run: background thread or trainer stall.
   MaintenancePolicy maintenance = MaintenancePolicy::kSync;
 
   /// When LSH retrieval (plus forced labels) yields fewer than
@@ -114,7 +108,7 @@ struct LayerSpec {
   /// 0 (the default) builds the monolithic SampledLayer; any value >= 1
   /// builds a ShardedSampledLayer whose neuron range is partitioned into
   /// that many contiguous shards, each with its own weight block, LSH
-  /// tables, dirty-delta queue, and maintenance thread. shards = 1 is the
+  /// tables, and maintenance thread. shards = 1 is the
   /// parity anchor: bit-identical to the monolithic layer under sync
   /// maintenance. Requires `hashed`.
   int shards = 0;

@@ -22,11 +22,6 @@ void init_normal(float* w, std::size_t n, float stddev, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) w[i] = stddev * rng.normal();
 }
 
-/// Under async_delta, every k-th maintenance event runs a full rebuild
-/// instead of a delta pass, flushing the stale bucket entries delta passes
-/// leave behind (see SampledLayer::run_delta_reinsert).
-constexpr long kDeltaHygienePeriod = 10;
-
 // Weight-element-generic kernel selectors: the fp32 master path and the
 // bf16 mirror path share one loop body below, differing only in the weight
 // pointer type these resolve on.
@@ -451,7 +446,7 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     switch (config_.retriever) {
       case retrieval::RetrieverKind::kLsh: {
         // The retriever owns the tables; the layer keeps a raw alias so
-        // the memo-aware rebuild / delta-reinsert machinery below drives
+        // the memo-aware rebuild and the add_units splice below drive
         // them directly (bit-identical to the pre-subsystem layer).
         auto lsh = std::make_unique<retrieval::LshRetriever>(
             make_hash_family(family), config_.table, config_.sampling, rows,
@@ -481,8 +476,6 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     // async layers can construct it eagerly (no lazy-init race to manage).
     if (config_.maintenance != MaintenancePolicy::kSync)
       worker_ = std::make_unique<BackgroundWorker>();
-    if (config_.maintenance == MaintenancePolicy::kAsyncDelta)
-      dirty_flag_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
     next_rebuild_ = config_.rebuild.initial_period;
     if (tables_ != nullptr) {
       build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
@@ -906,21 +899,6 @@ void SampledLayer::apply_updates(float lr, ThreadPool* pool) {
   } else {
     for (std::size_t k = 0; k < units.size(); ++k) apply_unit(k, 0);
   }
-
-  // Feed the delta maintenance queue: these units' weight rows (and memo
-  // projections) just moved, so their table entries are stale until the
-  // next maintenance event re-inserts them (async_delta only). The flag
-  // keeps each unit queued once across batches.
-  if (config_.hashed &&
-      config_.maintenance == MaintenancePolicy::kAsyncDelta &&
-      config_.rebuild.enabled && !units.empty() &&
-      retriever_->supports_delta()) {
-    std::lock_guard lock(dirty_mutex_);
-    for (Index u : units) {
-      if (dirty_flag_[u].exchange(1, std::memory_order_relaxed) == 0)
-        dirty_.push_back(u);
-    }
-  }
 }
 
 bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
@@ -944,30 +922,6 @@ bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
     case MaintenancePolicy::kAsyncFull:
       schedule_full_rebuild();
       break;
-    case MaintenancePolicy::kAsyncDelta: {
-      if (!retriever_->supports_delta()) {
-        // Backend cannot refresh single ids (HNSW, exact): every delta
-        // event escalates to a full rebuild.
-        schedule_full_rebuild();
-        break;
-      }
-      std::size_t dirty_size;
-      {
-        std::lock_guard lock(dirty_mutex_);
-        dirty_size = dirty_.size();
-      }
-      // Delta passes leave the moved neurons' stale bucket entries behind;
-      // escalate to a full rebuild when the dirty set covers most of the
-      // layer (a delta would cost nearly as much anyway) and periodically
-      // for hygiene, so staleness cannot accumulate without bound.
-      const bool hygiene = schedule_events_ % kDeltaHygienePeriod == 0;
-      if (hygiene || 2 * dirty_size >= static_cast<std::size_t>(units_)) {
-        schedule_full_rebuild();
-      } else {
-        schedule_delta_reinsert();
-      }
-      break;
-    }
   }
   // Exponential back-off between maintenance events (paper §4.2 heuristic
   // 1), counted in events fired — identical to the pre-async schedule for
@@ -1003,33 +957,17 @@ void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
   // build; afterwards the memo is kept in sync by apply_updates, so keys
   // come straight from the memoized projections — O(K*L) per neuron instead
   // of O(K*L*d/3).
-  group.clear();
-  const int num_proj = simhash_->num_projections();
+  const std::size_t num_proj =
+      static_cast<std::size_t>(simhash_->num_projections());
   const bool have_memo = memo_initialized_.load(std::memory_order_acquire);
-  auto build_unit = [&](std::size_t begin, std::size_t end, Rng& rng) {
-    std::vector<std::uint32_t> keys(static_cast<std::size_t>(group.l()));
-    for (std::size_t u = begin; u < end; ++u) {
-      float* memo_row = projection_memo_.data() +
-                        u * static_cast<std::size_t>(num_proj);
-      if (!have_memo)
-        simhash_->project_dense(weight_row(static_cast<Index>(u)), memo_row);
-      simhash_->keys_from_projections(memo_row, keys);
-      group.insert(static_cast<Index>(u), keys, rng);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    std::vector<Rng> rngs;
-    Rng seeder(seed_ + 77);
-    for (int t = 0; t < pool->num_threads(); ++t) rngs.push_back(seeder.fork());
-    pool->parallel_range(units_,
-                         [&](std::size_t begin, std::size_t end, int tid) {
-                           build_unit(begin, end,
-                                      rngs[static_cast<std::size_t>(tid)]);
-                         });
-  } else {
-    Rng rng(seed_ + 77);
-    build_unit(0, units_, rng);
-  }
+  group.build(
+      units_,
+      [&](Index u, std::span<std::uint32_t> keys) {
+        float* memo_row = projection_memo_.data() + u * num_proj;
+        if (!have_memo) simhash_->project_dense(weight_row(u), memo_row);
+        simhash_->keys_from_projections(memo_row, keys);
+      },
+      pool);
   memo_initialized_.store(true, std::memory_order_release);
 }
 
@@ -1042,13 +980,6 @@ void SampledLayer::schedule_full_rebuild() {
   // completed-rebuild count is visible via rebuild_count()).
   if (full_pending_.exchange(true, std::memory_order_acq_rel)) return;
   worker_->submit([this] {
-    // Units queued so far are covered by this build (it hashes current
-    // weights); drop them so the next delta pass is not redundant. Units
-    // dirtied after this point re-queue via their re-armed flags.
-    if (dirty_flag_ != nullptr) {
-      thread_local std::vector<Index> discarded;
-      drain_dirty(discarded);
-    }
     if (tables_ != nullptr) {
       build_group(tables_->shadow_group(), nullptr);
       tables_->publish_shadow();
@@ -1060,83 +991,13 @@ void SampledLayer::schedule_full_rebuild() {
   });
 }
 
-void SampledLayer::schedule_delta_reinsert() {
-  if (delta_pending_.exchange(true, std::memory_order_acq_rel)) return;
-  worker_->submit([this] {
-    run_delta_reinsert();
-    delta_pending_.store(false, std::memory_order_release);
-  });
-}
-
-void SampledLayer::drain_dirty(std::vector<Index>& ids) {
-  ids.clear();
-  {
-    std::lock_guard lock(dirty_mutex_);
-    ids.swap(dirty_);
-  }
-  // Re-arm immediately, before the caller hashes: an update landing after
-  // this point re-queues the unit, so the window where a moved row could
-  // go un-requeued is only the hash-read itself (healed by the next touch
-  // or hygiene rebuild). dirty_flag_ exists iff the policy is async_delta;
-  // under async_full the queue is always empty and the loop never runs.
-  for (Index u : ids) dirty_flag_[u].store(0, std::memory_order_relaxed);
-}
-
-void SampledLayer::run_delta_reinsert() {
-  std::vector<Index> ids;
-  drain_dirty(ids);
-  if (ids.empty()) return;
-  // Distinct by construction (the dirty flag); sorted for a deterministic
-  // insertion order.
-  std::sort(ids.begin(), ids.end());
-
-  // Inserts target the LIVE active group: readers sample from it
-  // concurrently (see lsh/hash_table.h for why that is sound). The moved
-  // neurons' old bucket entries stay behind as stale-but-valid samples
-  // until the next full rebuild — the same staleness the paper's
-  // between-rebuild windows already accept.
-  LshTableGroup& group = tables_->active_group();
-  Rng rng(seed_ + 0x5EEDull +
-          static_cast<std::uint64_t>(
-              delta_reinserted_.load(std::memory_order_relaxed)));
-  const bool memo = config_.incremental_rehash && simhash_ != nullptr &&
-                    memo_initialized_.load(std::memory_order_acquire);
-  const int num_proj = memo ? simhash_->num_projections() : 0;
-  std::vector<std::uint32_t> keys(static_cast<std::size_t>(tables_->l()));
-  for (Index u : ids) {
-    if (memo) {
-      const float* memo_row =
-          projection_memo_.data() +
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(num_proj);
-      simhash_->keys_from_projections(memo_row, keys);
-      group.insert(u, keys, rng);
-    } else {
-      group.insert_dense(u, weight_row(u), rng);
-    }
-  }
-  delta_reinserted_.fetch_add(static_cast<long>(ids.size()),
-                              std::memory_order_acq_rel);
-}
-
 void SampledLayer::quiesce_maintenance() const {
   if (worker_ != nullptr) worker_->wait_idle();
 }
 
-void SampledLayer::flush_maintenance() {
-  if (worker_ == nullptr) return;
-  if (config_.maintenance == MaintenancePolicy::kAsyncDelta &&
-      dirty_pending() > 0) {
-    // Unconditional submit (no delta_pending_ gate): a pending task may
-    // already have swapped the queue out, and FIFO ordering guarantees
-    // this drain runs after it — picking up everything left behind.
-    worker_->submit([this] { run_delta_reinsert(); });
-  }
-  worker_->wait_idle();
-}
-
-std::size_t SampledLayer::dirty_pending() const {
-  std::lock_guard lock(dirty_mutex_);
-  return dirty_.size();
+TableHealth SampledLayer::table_health() const {
+  if (tables_ == nullptr) return {};
+  return tables_->pin()->health();
 }
 
 Index SampledLayer::add_units(Index n) {
@@ -1176,8 +1037,7 @@ Index SampledLayer::add_units(Index n) {
   adam_.grow(old_w, new_w, static_cast<std::size_t>(old_units),
              static_cast<std::size_t>(new_units));
 
-  // Per-unit atomic flag arrays: reallocate and carry the old flags over
-  // (a unit queued dirty before the growth stays queued exactly once).
+  // Per-unit atomic flag array: reallocate and carry the old flags over.
   auto grow_flags = [&](std::unique_ptr<std::atomic<std::uint8_t>[]>& arr) {
     if (arr == nullptr) return;
     auto grown =
@@ -1188,7 +1048,6 @@ Index SampledLayer::add_units(Index n) {
     arr = std::move(grown);
   };
   grow_flags(touched_);
-  grow_flags(dirty_flag_);
 
   // Quantized mirrors re-quantize wholesale below, so a plain (zeroing)
   // resize is fine here.
@@ -1214,23 +1073,14 @@ Index SampledLayer::add_units(Index n) {
   refresh_inference_mirror();
 
   // Re-target the retrieval index at the reallocated rows, then bring the
-  // appended ids live. Delta-capable backends (LSH) insert directly into
-  // the active tables — and additionally ride the dirty-delta queue so the
-  // next maintenance pass re-keys them from their trained weights; the
-  // rest (HNSW) escalate to a full rebuild, exactly like their delta
-  // maintenance path does.
+  // appended ids live: LSH splices them into the active tables (no reader
+  // can pin them under the writer role, and the worker is parked); the
+  // other backends rebuild.
   retriever_->resize_universe(
       retrieval::RowView{weights_.data(), fan_in_, new_units});
-  if (retriever_->supports_delta()) {
-    for (Index u = old_units; u < new_units; ++u) retriever_->insert(u);
-    if (config_.maintenance == MaintenancePolicy::kAsyncDelta &&
-        config_.rebuild.enabled && dirty_flag_ != nullptr) {
-      std::lock_guard lock(dirty_mutex_);
-      for (Index u = old_units; u < new_units; ++u) {
-        if (dirty_flag_[u].exchange(1, std::memory_order_relaxed) == 0)
-          dirty_.push_back(u);
-      }
-    }
+  if (tables_ != nullptr) {
+    tables_->active_group().splice_rows(old_units, weight_row(old_units),
+                                        fan_in_, n, rng);
   } else {
     retriever_->rebuild(nullptr);
   }

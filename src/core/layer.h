@@ -172,14 +172,14 @@ class Layer {
   // ---- LSH lifecycle (no-ops for layers without tables) ----
   virtual bool maybe_rebuild(long iteration, ThreadPool* pool) = 0;
   virtual void rebuild_tables(ThreadPool* pool) = 0;
-  /// Blocks until the layer's background maintenance (async table rebuilds,
-  /// delta re-inserts) is idle. No-op for layers without async maintenance.
+  /// Blocks until the layer's background maintenance (async table rebuilds)
+  /// is idle. No-op for layers without async maintenance.
   /// Logically const: waiting mutates nothing the caller can observe.
   virtual void quiesce_maintenance() const {}
-  /// Drains outstanding maintenance debt and waits for it: any queued
-  /// dirty neurons are re-inserted even if no schedule event is due. Call
-  /// after training before relying on table freshness (evaluation,
-  /// serialization of a "settled" model). No-op without async maintenance.
+  /// Settles the layer after training, before relying on its tables or
+  /// weights (evaluation, serialization of a "settled" model): waits for
+  /// background maintenance, and a remote shard also re-pulls its weights.
+  /// No-op without async maintenance.
   virtual void flush_maintenance() {}
 
   // ---- Inference hooks ----
@@ -276,12 +276,11 @@ class Layer {
   virtual double sampling_seconds() const { return 0.0; }
   virtual double compute_seconds() const { return 0.0; }
   /// Maintenance diagnostics: completed full table rebuilds (excluding the
-  /// initial build), neurons re-inserted by delta maintenance, and dirty
-  /// neurons queued for the next delta pass. Layers without LSH
-  /// maintenance report 0.
+  /// initial build). Layers without LSH maintenance report 0.
   virtual long rebuild_count() const { return 0; }
-  virtual long delta_reinserted() const { return 0; }
-  virtual std::size_t dirty_pending() const { return 0; }
+  /// Bucket counts of the layer's active LSH tables (summed over shards);
+  /// zeroes for layers without tables.
+  virtual TableHealth table_health() const { return {}; }
 
   // ---- Dynamic label lifecycle (online growth / retirement) ----
   // The label universe of an extreme-classification service churns while
@@ -299,8 +298,8 @@ class Layer {
     return 0;
   }
   /// Tombstones `ids` out of retrieval, top-k, and softmax normalization
-  /// WITHOUT compacting rows: surviving unit ids are stable, and a later
-  /// add-style re-insert can resurrect a retired id. Writer role required.
+  /// WITHOUT compacting rows: surviving unit ids are stable, and
+  /// Retriever::insert can resurrect a retired id. Writer role required.
   virtual void retire_units(std::span<const Index> ids) {
     (void)ids;
     SLIDE_CHECK(false,
@@ -558,18 +557,19 @@ class SampledLayer : public Layer {
   /// Blocks until no background maintenance task is queued or running
   /// (rethrows the first task error, which should never happen).
   void quiesce_maintenance() const override;
-  /// Schedules a final delta drain for any queued dirty neurons (bypassing
-  /// the rebuild schedule) and waits for the worker to go idle.
-  void flush_maintenance() override;
+  /// Same as quiesce_maintenance(): an async rebuild in flight is the only
+  /// maintenance debt a layer carries.
+  void flush_maintenance() override { quiesce_maintenance(); }
 
   // ---- Dynamic label lifecycle ----
   /// Appends `n` units: copy-grows the weight/grad arrays (HugeArray
   /// reallocation), zero-extends bias and optimizer moments (Adam::grow),
   /// re-quantizes the mirrors, and re-targets the retriever at the grown
-  /// rows (resize_universe + insert per new id; backends without delta
-  /// support escalate to a full rebuild). New rows draw from an Rng seeded
-  /// by (layer seed, growth base), so the same growth sequence reproduces
-  /// identical rows at any shard count. Writer role required.
+  /// rows (resize_universe, then one splice of the new ids into the active
+  /// LSH tables; other backends rebuild). New rows, and the splice's
+  /// reservoir draws, come from an Rng seeded by (layer seed, growth base),
+  /// so the same growth sequence reproduces identical rows at any shard
+  /// count. Writer role required.
   Index add_units(Index n) override;
   /// Tombstones `ids` in the retriever mask (the single source of truth the
   /// forward paths and checkpointing read back). Rows are not compacted.
@@ -581,12 +581,7 @@ class SampledLayer : public Layer {
   MaintenancePolicy maintenance_policy() const noexcept {
     return config_.maintenance;
   }
-  /// Neurons re-inserted by delta maintenance so far (diagnostics).
-  long delta_reinserted() const noexcept override {
-    return delta_reinserted_.load(std::memory_order_acquire);
-  }
-  /// Dirty neurons currently queued for the next delta re-insert.
-  std::size_t dirty_pending() const override;
+  TableHealth table_health() const override;
 
   ActiveSet& slot(int s) override {
     return slots_[static_cast<std::size_t>(s)];
@@ -724,21 +719,13 @@ class SampledLayer : public Layer {
     return weights_.data() + off;
   }
 
-  /// Clears `group` and re-hashes every neuron into it (memoized Simhash
+  /// Rebuilds `group` from every neuron's keys (memoized Simhash
   /// projections when incremental rehash is on). Shared by the sync
   /// in-place path and the async shadow-build path.
   void build_group(LshTableGroup& group, ThreadPool* pool);
   /// Enqueues an async full rebuild (shadow build + publish) unless one is
   /// already pending.
   void schedule_full_rebuild();
-  /// Enqueues an async delta re-insert unless one is already pending.
-  void schedule_delta_reinsert();
-  /// Atomically takes the queued dirty units into `ids` and re-arms their
-  /// flags so later updates re-queue them.
-  void drain_dirty(std::vector<Index>& ids);
-  /// Worker-thread body: drains the dirty queue and re-inserts those
-  /// neurons into the live active group under their current keys.
-  void run_delta_reinsert();
 
   Config config_;
   Index units_;
@@ -761,7 +748,7 @@ class SampledLayer : public Layer {
 
   /// Candidate generation (src/retrieval/): owns the index. For kLsh,
   /// `tables_` aliases the LshRetriever's MaintainedTables so the memoized
-  /// rebuild / delta-reinsert machinery below drives them directly; for the
+  /// rebuild and the add_units splice below drive them directly; for the
   /// other backends `tables_` is null and maintenance dispatches through
   /// the Retriever interface.
   std::unique_ptr<retrieval::Retriever> retriever_;
@@ -782,17 +769,7 @@ class SampledLayer : public Layer {
   std::atomic<long> rebuild_count_{0};
   std::atomic<bool> memo_initialized_{false};
 
-  // Async maintenance state. The dirty queue collects the DISTINCT units
-  // touched by apply_updates since the last drain (async_delta only): the
-  // per-unit flag keeps a unit queued at most once, so the escalation
-  // check in maybe_rebuild compares true dirty coverage, not a
-  // duplicate-inflated count.
-  mutable std::mutex dirty_mutex_;
-  std::vector<Index> dirty_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> dirty_flag_;
-  std::atomic<long> delta_reinserted_{0};
-  std::atomic<bool> full_pending_{false};
-  std::atomic<bool> delta_pending_{false};
+  std::atomic<bool> full_pending_{false};  // an async rebuild is queued
 
   // Diagnostics.
   std::atomic<std::uint64_t> active_sum_{0};

@@ -246,10 +246,10 @@ class Network {
   /// state (e.g. publishing it as a serving snapshot). Logically const.
   void quiesce_maintenance() const;
 
-  /// Drains outstanding maintenance debt (queued dirty neurons) and waits:
-  /// after this, every hashed layer's tables reflect the current weights of
-  /// all updated neurons. Call at the end of training before evaluating
-  /// through the sampled path (rebuild_all is the heavier alternative).
+  /// Waits for every layer's background maintenance and settles remote
+  /// shards (Layer::flush_maintenance). Call at the end of training before
+  /// evaluating or saving; tables still reflect their last rebuild
+  /// (rebuild_all re-hashes the current weights).
   void flush_maintenance();
 
   /// Top-1 prediction. `exact` scores every output neuron (dense forward);

@@ -346,15 +346,9 @@ long ShardedSampledLayer::rebuild_count() const {
   return total;
 }
 
-long ShardedSampledLayer::delta_reinserted() const {
-  long total = 0;
-  for (const auto& shard : shards_) total += shard->delta_reinserted();
-  return total;
-}
-
-std::size_t ShardedSampledLayer::dirty_pending() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->dirty_pending();
+TableHealth ShardedSampledLayer::table_health() const {
+  TableHealth total;
+  for (const auto& shard : shards_) total += shard->table_health();
   return total;
 }
 

@@ -10,8 +10,8 @@
 //
 //   global neuron range [0, units)
 //     = shard 0 rows [off_0, off_1)  — own weight block, MaintainedTables,
-//     + shard 1 rows [off_1, off_2)    dirty-delta queue, maintenance
-//     + ...                            thread, bf16 mirror, Adam state
+//     + shard 1 rows [off_1, off_2)    maintenance thread, bf16 mirror,
+//     + ...                            Adam state
 //
 // Each shard is a Layer over its contiguous row range: an in-process
 // SampledLayer, or a dist::RemoteShard that drives the same SampledLayer
@@ -144,8 +144,7 @@ class ShardedSampledLayer final : public Layer {
 
   /// Aggregated diagnostics across shards.
   long rebuild_count() const override;
-  long delta_reinserted() const override;
-  std::size_t dirty_pending() const override;
+  TableHealth table_health() const override;
   /// Summed per-shard phase timers (the Figure 6 / Table 2
   /// instrumentation; see SampledLayer::sampling_seconds).
   double sampling_seconds() const override;

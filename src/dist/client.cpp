@@ -14,17 +14,18 @@ void ShardClient::connect() {
   Frame hello = HelloMsg{}.to_frame();
   transport_->send(hello);
   const Frame resp = transport_->recv(config_.rpc_timeout_ms);
+  // A worker refuses a well-formed kHello only over its version.
   if (msg_type_of(resp) == MsgType::kErrorResp)
-    throw Error("worker " + endpoint_ +
-                " rejected handshake: " + ErrorResp::from_frame(resp).message);
+    throw VersionMismatch("worker " + endpoint_ + " rejected handshake: " +
+                          ErrorResp::from_frame(resp).message);
   SLIDE_CHECK(msg_type_of(resp) == MsgType::kHelloOk,
               "ShardClient: unexpected handshake response");
   PayloadReader r({resp.payload.data(), resp.payload.size()});
   const std::uint32_t version = r.u32();
-  SLIDE_CHECK(version == kProtocolVersion,
-              "ShardClient: worker speaks protocol version " +
-                  std::to_string(version) + ", expected " +
-                  std::to_string(kProtocolVersion));
+  if (version != kProtocolVersion)
+    throw VersionMismatch("ShardClient: worker speaks protocol version " +
+                          std::to_string(version) + ", expected " +
+                          std::to_string(kProtocolVersion));
   healthy_.store(true, std::memory_order_release);
 }
 

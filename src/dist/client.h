@@ -46,7 +46,8 @@ class ShardClient {
   ShardClient(std::string endpoint, const ClientConfig& config);
   ~ShardClient();
 
-  /// Dials and handshakes (kHello / kHelloOk, protocol version check).
+  /// Dials and handshakes (kHello / kHelloOk). Throws VersionMismatch if
+  /// the worker speaks another protocol version.
   void connect();
 
   /// One RPC exchange: send `request`, receive and validate a frame of type

@@ -164,7 +164,7 @@ SampledLayer::Config read_layer_config(PayloadReader& r) {
   c.rebuild.initial_period = r.i64();
   c.rebuild.decay = r.f64();
   c.maintenance = read_enum<MaintenancePolicy>(
-      r, static_cast<std::uint8_t>(MaintenancePolicy::kAsyncDelta),
+      r, static_cast<std::uint8_t>(MaintenancePolicy::kAsyncFull),
       "maintenance policy");
   c.fill_random_to_target = r.u8() != 0;
   c.incremental_rehash = r.u8() != 0;
@@ -510,7 +510,6 @@ Frame StatsResp::to_frame() const {
   w.f64(sampling_seconds);
   w.f64(compute_seconds);
   w.i64(rebuild_count);
-  w.i64(delta_reinserted);
   return f;
 }
 
@@ -521,7 +520,6 @@ StatsResp StatsResp::from_frame(const Frame& f) {
   m.sampling_seconds = r.f64();
   m.compute_seconds = r.f64();
   m.rebuild_count = r.i64();
-  m.delta_reinserted = r.i64();
   return m;
 }
 

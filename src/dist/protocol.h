@@ -64,7 +64,19 @@ namespace slide::dist {
 //   3 — dynamic label lifecycle: kAddUnits grows a shard's unit rows in
 //       place, kRetireUnits tombstones shard-local ids out of retrieval
 //       (both answer kAck). Workers speaking v2 reject them as unknown.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+//   4 — the async_delta maintenance policy is gone: the layer config's
+//       policy byte admits sync | async_full only, and kStatsResp drops
+//       its delta_reinserted count. Either side refuses a v3 peer at the
+//       handshake with VersionMismatch.
+inline constexpr std::uint32_t kProtocolVersion = 4;
+
+/// The peer speaks another protocol version. Thrown by the handshake on
+/// either side: by ShardClient::connect, and by the worker (which answers
+/// the refused kHello with kErrorResp).
+class VersionMismatch : public Error {
+ public:
+  using Error::Error;
+};
 
 enum class MsgType : std::uint8_t {
   kHello = 1,
@@ -275,7 +287,6 @@ struct StatsResp {
   double sampling_seconds = 0.0;
   double compute_seconds = 0.0;
   std::int64_t rebuild_count = 0;
-  std::int64_t delta_reinserted = 0;
 
   Frame to_frame() const;
   static StatsResp from_frame(const Frame& f);

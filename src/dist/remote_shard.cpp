@@ -295,10 +295,6 @@ long RemoteShard::rebuild_count() const {
   return static_cast<long>(stats().rebuild_count);
 }
 
-long RemoteShard::delta_reinserted() const {
-  return static_cast<long>(stats().delta_reinserted);
-}
-
 void RemoteShard::shutdown_worker() noexcept {
   if (client_.healthy()) client_.shutdown_worker();
   client_.close();

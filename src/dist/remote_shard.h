@@ -148,7 +148,6 @@ class RemoteShard final : public Layer {
   double sampling_seconds() const override;
   double compute_seconds() const override;
   long rebuild_count() const override;
-  long delta_reinserted() const override;
 
   // ---- Dynamic label lifecycle ----
   /// Grows the worker's shard by n rows (kAddUnits) and the cache with it;

@@ -60,10 +60,10 @@ Frame ShardWorker::dispatch(const Frame& request) {
   switch (msg_type_of(request)) {
     case MsgType::kHello: {
       const HelloMsg hello = HelloMsg::from_frame(request);
-      SLIDE_CHECK(hello.version == kProtocolVersion,
-                  "worker: protocol version mismatch (coordinator " +
-                      std::to_string(hello.version) + ", worker " +
-                      std::to_string(kProtocolVersion) + ")");
+      if (hello.version != kProtocolVersion)
+        throw VersionMismatch("worker: protocol version mismatch (coordinator " +
+                              std::to_string(hello.version) + ", worker " +
+                              std::to_string(kProtocolVersion) + ")");
       Frame ok = make_frame(MsgType::kHelloOk);
       PayloadWriter w(ok.payload);
       w.u32(kProtocolVersion);
@@ -278,7 +278,6 @@ Frame ShardWorker::handle_stats() const {
   resp.sampling_seconds = layer.sampling_seconds();
   resp.compute_seconds = layer.compute_seconds();
   resp.rebuild_count = layer.rebuild_count();
-  resp.delta_reinserted = layer.delta_reinserted();
   return resp.to_frame();
 }
 

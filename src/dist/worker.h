@@ -2,7 +2,7 @@
 //
 // A ShardWorker answers the dist/protocol.h RPCs over one connected
 // Transport. After kInitShard it owns a full SampledLayer — its own weight
-// block, MaintainedTables, dirty-delta queue, Adam state, bf16 mirror —
+// block, MaintainedTables, Adam state, bf16 mirror —
 // constructed from the per-shard config the coordinator derived (see
 // derive_shard_config), optionally booted from a per-shard checkpoint file
 // (core/serialize.h shard files).

@@ -1,6 +1,7 @@
 #include "lsh/table_group.h"
 
 #include <thread>
+#include <utility>
 
 namespace slide {
 
@@ -19,20 +20,6 @@ LshTableGroup::LshTableGroup(std::shared_ptr<const HashFamily> family,
   for (int t = 0; t < family_->l(); ++t) tables_.emplace_back(table_config);
 }
 
-void LshTableGroup::insert(Index id, std::span<const std::uint32_t> keys,
-                           Rng& rng) {
-  SLIDE_ASSERT(keys.size() == tables_.size());
-  for (std::size_t t = 0; t < tables_.size(); ++t)
-    tables_[t].insert(keys[t], id, rng);
-}
-
-void LshTableGroup::insert_dense(Index id, const float* row, Rng& rng) {
-  thread_local std::vector<std::uint32_t> keys;
-  keys.resize(tables_.size());
-  family_->hash_dense(row, keys);
-  insert(id, keys, rng);
-}
-
 void LshTableGroup::buckets(std::span<const std::uint32_t> keys,
                             std::vector<std::span<const Index>>& out) const {
   SLIDE_ASSERT(keys.size() == tables_.size());
@@ -43,31 +30,95 @@ void LshTableGroup::buckets(std::span<const std::uint32_t> keys,
 
 void LshTableGroup::build_from_rows(const float* rows, std::size_t row_stride,
                                     Index count, ThreadPool* pool) {
-  clear();
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // One RNG per thread keeps reservoir decisions uncorrelated without
-    // synchronization ("easily parallelized with multiple threads over
-    // different neurons", paper §3.1).
-    std::vector<Rng> rngs;
-    rngs.reserve(static_cast<std::size_t>(pool->num_threads()));
-    Rng seeder(seed_);
-    for (int t = 0; t < pool->num_threads(); ++t) rngs.push_back(seeder.fork());
-    pool->parallel_range(
-        count, [&](std::size_t begin, std::size_t end, int tid) {
-          Rng& rng = rngs[static_cast<std::size_t>(tid)];
-          for (std::size_t i = begin; i < end; ++i) {
-            insert_dense(static_cast<Index>(i), rows + i * row_stride, rng);
-          }
-        });
-  } else {
-    Rng rng(seed_);
-    for (Index i = 0; i < count; ++i)
-      insert_dense(i, rows + static_cast<std::size_t>(i) * row_stride, rng);
-  }
+  build(
+      count,
+      [&](Index i, std::span<std::uint32_t> keys) {
+        family_->hash_dense(rows + static_cast<std::size_t>(i) * row_stride,
+                            keys);
+      },
+      pool);
 }
 
-void LshTableGroup::clear() {
-  for (auto& table : tables_) table.clear();
+void LshTableGroup::build(Index count, const KeyFn& keys_of,
+                          ThreadPool* pool) {
+  const std::size_t l = tables_.size();
+  std::vector<std::uint32_t> keys(l * count);
+  auto hash_range = [&](std::size_t begin, std::size_t end, int) {
+    std::vector<std::uint32_t> row_keys(l);
+    for (std::size_t i = begin; i < end; ++i) {
+      keys_of(static_cast<Index>(i), row_keys);
+      for (std::size_t t = 0; t < l; ++t) keys[t * count + i] = row_keys[t];
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    // "easily parallelized with multiple threads over different neurons"
+    // (paper §3.1): each id's keys land in their own scratch cells.
+    pool->parallel_range(count, hash_range);
+  } else {
+    hash_range(0, count, 0);
+  }
+  build_from_keys(keys, count, pool);
+}
+
+void LshTableGroup::build_from_keys(std::span<const std::uint32_t> keys,
+                                    Index count, ThreadPool* pool) {
+  const std::size_t l = tables_.size();
+  SLIDE_CHECK(keys.size() == l * count,
+              "LshTableGroup: keys must hold l() keys per id");
+  std::vector<std::vector<HashTable::Overflow>> overflow(l);
+  auto build_tables = [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t t = begin; t < end; ++t)
+      tables_[t].build(keys.subspan(t * count, count), overflow[t]);
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->parallel_range(l, build_tables);
+  } else {
+    build_tables(0, l, 0);
+  }
+
+  // Reservoir replacements draw from one stream, in the order inserting
+  // ids one at a time (each into every table) would draw them: id first,
+  // then table. Each table's overflows ascend by id, so a stable counting
+  // sort by id, fed table by table, yields that order in linear time.
+  std::size_t total = 0;
+  for (const auto& o : overflow) total += o.size();
+  if (total == 0) return;
+  std::vector<std::uint32_t> next(static_cast<std::size_t>(count) + 1, 0);
+  for (const auto& o : overflow)
+    for (const HashTable::Overflow& e : o) ++next[e.id + 1];
+  for (std::size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> order(total);
+  for (std::size_t t = 0; t < l; ++t)
+    for (std::size_t k = 0; k < overflow[t].size(); ++k)
+      order[next[overflow[t][k].id]++] = {static_cast<std::uint32_t>(t),
+                                          static_cast<std::uint32_t>(k)};
+  Rng rng(seed_);
+  for (const auto& [t, k] : order) tables_[t].resolve(overflow[t][k], rng);
+}
+
+void LshTableGroup::splice_rows(Index first, const float* rows,
+                                std::size_t row_stride, Index count,
+                                Rng& rng) {
+  const std::size_t l = tables_.size();
+  std::vector<std::uint32_t> keys(l * count);
+  std::vector<std::uint32_t> row_keys(l);
+  for (Index i = 0; i < count; ++i) {
+    family_->hash_dense(rows + static_cast<std::size_t>(i) * row_stride,
+                        row_keys);
+    for (std::size_t t = 0; t < l; ++t) keys[t * count + i] = row_keys[t];
+  }
+  for (std::size_t t = 0; t < l; ++t)
+    tables_[t].splice(first, std::span(keys).subspan(t * count, count), rng);
+}
+
+TableHealth LshTableGroup::health() const noexcept {
+  TableHealth h;
+  for (const auto& table : tables_) {
+    h.buckets += table.num_buckets();
+    h.occupied += table.occupied_buckets();
+    h.saturated += table.saturated_buckets();
+  }
+  return h;
 }
 
 std::size_t LshTableGroup::memory_bytes() const {
@@ -106,13 +157,13 @@ LshTableGroup& MaintainedTables::shadow_group() {
   const int s = 1 - active_idx_.load(std::memory_order_seq_cst);
   auto& group = groups_[static_cast<std::size_t>(s)];
   if (group == nullptr) {
-    // Same seed as the active buffer: a single-threaded build produces
-    // identical tables whichever buffer it lands in, so sync and async_full
-    // policies are bit-equivalent (tested in test_maintenance.cpp).
+    // Same seed as the active buffer: a build produces identical tables
+    // whichever buffer it lands in, so sync and async_full policies are
+    // bit-equivalent (tested in test_maintenance.cpp).
     group = std::make_unique<LshTableGroup>(family_, table_config_, seed_);
   }
   // RCU grace period: readers that pinned this buffer before it was
-  // retired must drain before we clear it under them. The wait is
+  // retired must drain before it is rebuilt under them. The wait is
   // microseconds (a pin spans one bucket-sampling pass), while rebuilds
   // are many iterations apart.
   while (readers_[s].count.load(std::memory_order_seq_cst) != 0)

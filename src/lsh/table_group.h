@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,8 +25,33 @@
 
 namespace slide {
 
+/// Bucket counts of a set of tables (table health on /metrics). Tables
+/// count them whenever they are written, so reading them costs nothing.
+struct TableHealth {
+  std::size_t buckets = 0;
+  std::size_t occupied = 0;   ///< non-empty buckets
+  std::size_t saturated = 0;  ///< full buckets (the policy drops ids there)
+
+  double occupancy() const noexcept {
+    return buckets == 0 ? 0.0 : static_cast<double>(occupied) / buckets;
+  }
+  double saturation() const noexcept {
+    return buckets == 0 ? 0.0 : static_cast<double>(saturated) / buckets;
+  }
+  TableHealth& operator+=(const TableHealth& o) noexcept {
+    buckets += o.buckets;
+    occupied += o.occupied;
+    saturated += o.saturated;
+    return *this;
+  }
+};
+
 class LshTableGroup {
  public:
+  /// Writes the L fingerprint keys of id `id` into `keys` (size l()).
+  /// Called concurrently for distinct ids during a parallel build.
+  using KeyFn = std::function<void(Index id, std::span<std::uint32_t> keys)>;
+
   /// Takes ownership of the hash family. The group creates family->l()
   /// tables with the given per-table configuration.
   LshTableGroup(std::unique_ptr<HashFamily> family,
@@ -52,24 +78,36 @@ class LshTableGroup {
     family_->hash_sparse(idx, val, nnz, keys);
   }
 
-  /// Inserts id into table t's bucket for keys[t], for all t. Safe to call
-  /// concurrently from many threads (each with its own Rng).
-  void insert(Index id, std::span<const std::uint32_t> keys, Rng& rng);
-
-  /// Hash-and-insert for a dense vector (e.g. a neuron weight row).
-  void insert_dense(Index id, const float* row, Rng& rng);
-
   /// Fills out[t] with the bucket of table t for keys[t].
   void buckets(std::span<const std::uint32_t> keys,
                std::vector<std::span<const Index>>& out) const;
 
-  /// Clears all tables and re-inserts ids [0, count) with vector i at
-  /// rows + i*row_stride, parallelized over ids when a pool is given.
-  /// This is the layer (re)build of paper §3.1 / §4.2.
+  /// Rebuilds every table over ids [0, count) with vector i at
+  /// rows + i*row_stride, hashing in parallel over ids when a pool is
+  /// given. This is the layer (re)build of paper §3.1 / §4.2.
   void build_from_rows(const float* rows, std::size_t row_stride, Index count,
                        ThreadPool* pool = nullptr);
 
-  void clear();
+  /// Rebuilds every table over ids [0, count): hashes each id once with
+  /// keys_of into a table-major keys scratch, then build_from_keys.
+  void build(Index count, const KeyFn& keys_of, ThreadPool* pool = nullptr);
+
+  /// Rebuilds every table from table-major keys (keys[t * count + i] is id
+  /// i's key in table t): one counting sort per table, in parallel over
+  /// tables. Reservoir replacements then draw from one Rng seeded with the
+  /// group seed, in id-then-table order, so the result is the same for
+  /// every pool size and equals inserting ids 0, 1, ... one at a time.
+  void build_from_keys(std::span<const std::uint32_t> keys, Index count,
+                       ThreadPool* pool = nullptr);
+
+  /// Appends ids [first, first + count), vector i at rows + i*row_stride,
+  /// to their buckets with one merge pass per table (HashTable::splice).
+  /// Caller holds the writer role: no reader may pin this group meanwhile.
+  void splice_rows(Index first, const float* rows, std::size_t row_stride,
+                   Index count, Rng& rng);
+
+  /// Bucket counts summed over the tables, as of their last write.
+  TableHealth health() const noexcept;
 
   std::size_t memory_bytes() const;
   const HashTable& table(int t) const { return tables_[static_cast<std::size_t>(t)]; }
@@ -98,10 +136,9 @@ class LshTableGroup {
 /// The shadow buffer is allocated lazily on first use: synchronous-only
 /// layers keep the original single-group memory footprint.
 ///
-/// Delta maintenance inserts into active_group() *while readers sample
-/// from it*. Bucket counters are atomic; slot writes are intentionally
-/// unsynchronized (see lsh/hash_table.h) — a concurrently observed slot
-/// holds either the old or the new neuron id, both valid samples.
+/// No table is ever written while a reader can pin it. The two in-place
+/// writers of active_group() — the synchronous rebuild and the add_units
+/// splice — run under the layer's writer role, which excludes readers.
 class MaintainedTables {
  public:
   MaintainedTables(std::unique_ptr<HashFamily> family,
@@ -169,15 +206,15 @@ class MaintainedTables {
   // ---- Maintenance side (single caller at a time; see class comment) ----
 
   /// The active group, mutable: in-place rebuilds for the synchronous
-  /// policy (caller guarantees no concurrent readers) and delta re-inserts
-  /// for async_delta (concurrent readers allowed, see class comment).
+  /// policy and add_units splices. The caller guarantees no concurrent
+  /// readers.
   LshTableGroup& active_group() noexcept {
     return *groups_[static_cast<std::size_t>(
         active_idx_.load(std::memory_order_seq_cst))];
   }
 
-  /// The shadow group, cleared and ready to build into. Allocates it on
-  /// first use; waits for readers still pinning the retired buffer.
+  /// The shadow group, ready to build into. Allocates it on first use;
+  /// waits for readers still pinning the retired buffer.
   LshTableGroup& shadow_group();
 
   /// Atomically makes the shadow group the active one. The previously

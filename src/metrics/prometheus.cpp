@@ -303,6 +303,22 @@ std::string render_prometheus(const ServeStats& stats) {
     w.sample("slide_retrieval_recall", {}, stats.retrieval_recall);
   }
 
+  if (!stats.lsh_tables.empty()) {
+    w.family("slide_lsh_bucket_occupancy",
+             "Fraction of LSH buckets holding at least one id, by layer",
+             "gauge");
+    for (const ServeStats::LshTables& t : stats.lsh_tables)
+      w.sample("slide_lsh_bucket_occupancy",
+               {{"layer", std::to_string(t.layer)}}, t.occupancy);
+    w.family("slide_lsh_bucket_saturation",
+             "Fraction of LSH buckets at capacity, where the insertion "
+             "policy drops ids, by layer",
+             "gauge");
+    for (const ServeStats::LshTables& t : stats.lsh_tables)
+      w.sample("slide_lsh_bucket_saturation",
+               {{"layer", std::to_string(t.layer)}}, t.saturation);
+  }
+
   return w.str();
 }
 

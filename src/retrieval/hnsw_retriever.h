@@ -16,9 +16,7 @@
 //
 // Concurrency: the graph is immutable behind a shared_ptr; rebuild()
 // builds a fresh graph off to the side and swaps the pointer, so readers
-// (retrieve is const) stay safe during background maintenance. Single-id
-// update() defers to the next rebuild (supports_delta() is false — the
-// layer escalates delta maintenance to full rebuilds for this backend).
+// (retrieve is const) stay safe during background maintenance.
 #pragma once
 
 #include <memory>
@@ -107,8 +105,7 @@ class HnswRetriever final : public Retriever {
 
   /// The published graph indexes ids, not row addresses, so it stays valid
   /// over the grown view; appended ids are simply unreachable until the
-  /// next rebuild() (the layer escalates growth to a rebuild for HNSW —
-  /// supports_delta() is false).
+  /// next rebuild() (the layer rebuilds after growing an HNSW index).
   void do_resize(RowView rows) override { rows_ = rows; }
 
   RowView rows_;

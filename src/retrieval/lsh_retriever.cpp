@@ -8,8 +8,7 @@ LshRetriever::LshRetriever(std::unique_ptr<HashFamily> family,
                            std::uint64_t seed)
     : tables_(std::move(family), table_config, seed),
       sampling_(sampling),
-      rows_(rows),
-      mutate_rng_(seed + 0x10D5ull) {}
+      rows_(rows) {}
 
 void LshRetriever::retrieve(std::span<const Index> query_ids,
                             std::span<const float> query_act, Index budget,
@@ -53,25 +52,6 @@ void LshRetriever::rebuild(ThreadPool* pool) {
   tables_.shadow_group().build_from_rows(rows_.data, rows_.dim, rows_.count,
                                          pool);
   tables_.publish_shadow();
-}
-
-void LshRetriever::reinsert(std::span<const Index> ids) {
-  // Delta maintenance into the LIVE group (reader-safe; see the
-  // MaintainedTables class comment). Stale bucket entries from the ids'
-  // previous hashes wash out at the next full rebuild.
-  LshTableGroup& group = tables_.active_group();
-  for (Index id : ids) group.insert_dense(id, rows_.row(id), mutate_rng_);
-}
-
-void LshRetriever::do_insert(Index id) {
-  tables_.active_group().insert_dense(id, rows_.row(id), mutate_rng_);
-}
-
-void LshRetriever::do_update(Index id) {
-  // No in-place bucket eviction: re-hash into the live group and let the
-  // next full rebuild clear the superseded entries (the same contract as
-  // the async delta path).
-  tables_.active_group().insert_dense(id, rows_.row(id), mutate_rng_);
 }
 
 }  // namespace slide::retrieval

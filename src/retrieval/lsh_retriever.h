@@ -6,12 +6,11 @@
 // SampledLayer with retriever(lsh) is bit-identical to the pre-subsystem
 // layer under sync maintenance (pinned by the golden determinism test).
 //
-// The owning SampledLayer keeps driving the memo-aware rebuild and delta
-// re-insert paths directly through tables() — the incremental-rehash
+// The owning SampledLayer keeps driving the memo-aware rebuild and the
+// add_units splice directly through tables() — the incremental-rehash
 // projection memo lives in the layer, next to the weight deltas that feed
 // it. Standalone users (ANN search, benches, tests) get the same index
-// through the generic hooks: rebuild() hashes every row, reinsert()
-// refreshes single ids into the live group.
+// through the generic hook: rebuild() hashes every row.
 #pragma once
 
 #include "lsh/table_group.h"
@@ -38,22 +37,18 @@ class LshRetriever final : public Retriever {
                 bool fresh_epoch = true) const override;
 
   void rebuild(ThreadPool* pool) override;
-  bool supports_delta() const noexcept override { return true; }
-  void reinsert(std::span<const Index> ids) override;
 
   std::size_t memory_bytes() const noexcept override {
     return tables_.memory_bytes();
   }
 
   /// The underlying double-buffered tables — the owning SampledLayer's
-  /// maintenance code (memo-aware builds, delta re-inserts, publishes)
-  /// operates on them directly.
+  /// maintenance code (memo-aware builds, splices, publishes) operates on
+  /// them directly.
   MaintainedTables& tables() noexcept { return tables_; }
   const MaintainedTables& tables() const noexcept { return tables_; }
 
  private:
-  void do_insert(Index id) override;
-  void do_update(Index id) override;
   /// Buckets store ids, not row pointers, so the tables survive a grown
   /// (reallocated) weight array as-is; only the view needs re-targeting.
   void do_resize(RowView rows) override { rows_ = rows; }
@@ -61,9 +56,6 @@ class LshRetriever final : public Retriever {
   MaintainedTables tables_;
   SamplingConfig sampling_;
   RowView rows_;
-  /// Drives bucket reservoir decisions for the standalone single-id
-  /// mutation paths (the layer's own paths carry their own generators).
-  Rng mutate_rng_;
 };
 
 }  // namespace slide::retrieval

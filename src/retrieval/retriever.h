@@ -14,9 +14,9 @@
 //
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
-// rows). retrieve() is const and safe to call concurrently with the
-// maintenance hooks; mutation (insert/update/remove/rebuild) follows the
-// layer's single-writer contract.
+// rows). retrieve() is const and safe to call concurrently with rebuild();
+// mutation (insert/remove/resize_universe) follows the layer's
+// single-writer contract.
 #pragma once
 
 #include <cstdint>
@@ -70,10 +70,10 @@ struct RowView {
 /// Candidate-generation index over a fixed id universe.
 ///
 /// Lifecycle: construct over a RowView, then rebuild() to (re)index the
-/// current rows. insert/update/remove adjust single ids between rebuilds;
-/// remove(id) masks the id from retrieval until a later insert(id)
-/// resurrects it (rebuild() does NOT clear the mask). The mask lives here,
-/// in the base class, so every backend shares one tombstone semantic.
+/// current rows. remove(id) masks the id from retrieval until a later
+/// insert(id) resurrects it (rebuild() does NOT clear the mask). The mask
+/// lives here, in the base class, so every backend shares one tombstone
+/// semantic; indexes keep a masked id's entries, so unmasking is enough.
 class Retriever {
  public:
   virtual ~Retriever() = default;
@@ -113,22 +113,11 @@ class Retriever {
 
   // --- index mutation (single writer) ----------------------------------
 
-  /// (Re)indexes id from its current row and clears any remove() mask.
-  void insert(Index id) {
-    unmask(id);
-    do_insert(id);
-  }
-
-  /// Refreshes id's index entry after its row changed. Backends whose
-  /// structures cannot update in place (HNSW, and LSH between rebuilds)
-  /// may defer the refresh to the next rebuild().
-  void update(Index id) { do_update(id); }
+  /// Clears a remove() mask: the id is retrievable again.
+  void insert(Index id) { unmask(id); }
 
   /// Masks id from retrieval until a later insert(id).
-  void remove(Index id) {
-    mask(id);
-    do_remove(id);
-  }
+  void remove(Index id) { mask(id); }
 
   // --- tombstone introspection (the dynamic-label lifecycle reads these) -
 
@@ -154,7 +143,8 @@ class Retriever {
   /// layer's weight arrays were reallocated and extended by new rows).
   /// `rows` must have the same dim and count >= size(); existing ids keep
   /// their tombstone state, the appended ids start live but UNINDEXED —
-  /// the caller follows up with insert(id) (or a rebuild) for each new id.
+  /// the caller indexes them (SampledLayer::add_units splices them into
+  /// the LSH tables, or rebuilds any other backend).
   void resize_universe(RowView rows) {
     SLIDE_CHECK(rows.dim == 0 || size() == 0 || rows.count >= size(),
                 "retriever: resize_universe cannot shrink the universe");
@@ -167,16 +157,9 @@ class Retriever {
 
   /// Rebuilds the whole index from the current rows. Called synchronously
   /// (kSync, with the trainer's pool) or from a BackgroundWorker thread
-  /// (kAsync*, pool = nullptr) — implementations must keep retrieve()
+  /// (kAsyncFull, pool = nullptr) — implementations must keep retrieve()
   /// readable throughout (shadow build + atomic publish).
   virtual void rebuild(ThreadPool* pool) = 0;
-
-  /// True if reinsert() refreshes single ids cheaply (LSH delta path).
-  /// The layer escalates kAsyncDelta to full rebuilds when false.
-  virtual bool supports_delta() const noexcept { return false; }
-
-  /// Delta maintenance: re-index just these ids (rows already updated).
-  virtual void reinsert(std::span<const Index> ids) { (void)ids; }
 
   // --- serialize hooks (checkpoint v4 aux blocks) -----------------------
 
@@ -203,9 +186,6 @@ class Retriever {
   /// True once any remove() happened — lets hot paths skip the filter.
   bool any_masked() const noexcept { return !tombstone_.empty(); }
 
-  virtual void do_insert(Index id) { (void)id; }
-  virtual void do_update(Index id) { (void)id; }
-  virtual void do_remove(Index id) { (void)id; }
   /// Swaps in the grown RowView (backends store it by value). Structures
   /// built over the old storage stay valid only if they index by id, not by
   /// pointer; backends that cache derived state re-target it here.

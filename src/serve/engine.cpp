@@ -437,8 +437,8 @@ std::uint64_t InferenceEngine::update(const OnlineDelta& delta) {
   const std::uint64_t calls =
       online_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (calls % online_config_.publish_every == 0) {
-    // Settle any queued dirty-delta maintenance so the published clone
-    // checkpoints tables that reflect every trained weight.
+    // Settle background maintenance (an async rebuild in flight) before
+    // the master is cloned.
     master.flush_maintenance();
     return publish_master_locked();
   }
@@ -531,6 +531,10 @@ ServeStats InferenceEngine::stats() const {
         overlap += rs.overlap;
         oracle += rs.oracle;
       }
+      const TableHealth health = layer.table_health();
+      if (health.buckets > 0)
+        s.lsh_tables.push_back(
+            {i, health.occupancy(), health.saturation()});
       for (const dist::RemoteShard* shard : dist::remote_shards(layer)) {
         s.distributed = true;
         const dist::WireCounters wc = shard->wire_counters();
@@ -596,6 +600,11 @@ void InferenceEngine::print_stats(std::ostream& out) const {
         {"retrieval escalations",
          fmt_int(static_cast<long long>(s.retrieval_escalations))});
     table.add_row({"retrieval recall", fmt(s.retrieval_recall, 4)});
+  }
+  for (const ServeStats::LshTables& t : s.lsh_tables) {
+    const std::string layer = "layer " + std::to_string(t.layer);
+    table.add_row({layer + " bucket occupancy", fmt(t.occupancy, 4)});
+    table.add_row({layer + " bucket saturation", fmt(t.saturation, 4)});
   }
   if (s.online_updates) {
     table.add_row({"online updates",

@@ -215,6 +215,16 @@ struct ServeStats {
   std::uint64_t retrieval_escalations = 0;
   double retrieval_recall = 0.0;
 
+  /// LSH table health of the current snapshot, one entry per stack layer
+  /// that owns in-process tables (Layer::table_health). The tables count
+  /// their buckets when built, so reading these costs no table scan.
+  struct LshTables {
+    int layer = 0;            ///< index in Network::stack()
+    double occupancy = 0.0;   ///< non-empty buckets / all buckets
+    double saturation = 0.0;  ///< full buckets / all buckets
+  };
+  std::vector<LshTables> lsh_tables;
+
   // Online updates (all zero unless enable_online_updates was called).
   bool online_updates = false;
   std::uint64_t online_update_calls = 0;  // update() calls absorbed

@@ -99,10 +99,10 @@ int hardware_threads();
 /// async maintenance never pay for a thread.
 ///
 /// Tasks run strictly one at a time in submission order, which is what the
-/// maintenance logic relies on to keep full rebuilds and delta re-inserts
-/// from overlapping each other. wait_idle() blocks until the queue is empty
-/// and no task is running; it also rethrows the first exception a task
-/// raised (maintenance tasks are not expected to throw).
+/// maintenance logic relies on to keep full rebuilds from overlapping each
+/// other. wait_idle() blocks until the queue is empty and no task is
+/// running; it also rethrows the first exception a task raised
+/// (maintenance tasks are not expected to throw).
 ///
 /// Destruction discards tasks that have not started, waits for the running
 /// one to finish, and joins the thread — shutdown never blocks on a long

@@ -21,6 +21,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/remote_shard.h"
+#include "dist/transport.h"
 #include "dist/worker.h"
 #include "metrics/prometheus.h"
 #include "serve/engine.h"
@@ -122,6 +123,42 @@ TEST(Churn, AddUnitsRejectsUnhashedAndNonPositive) {
   b.dense(16).dense(data.train.label_dim(), Activation::kSoftmax);
   Network dense_net(b.to_config(), 2);
   EXPECT_THROW(dense_net.add_output_units(4), Error);
+}
+
+TEST(Churn, AddUnitsSplicesEachNewIdIntoExactlyItsBuckets) {
+  const auto data = tiny_data();
+  for (MaintenancePolicy policy :
+       {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull}) {
+    NetworkConfig cfg = net_config(data, RetrieverKind::kLsh, 0, policy);
+    cfg.layers.back().table.bucket_size = 512;  // nothing ever fills up
+    Network net(cfg, 2);
+    train(net, data, 20);
+    net.quiesce_maintenance();
+    const SampledLayer& out = net.output_layer();
+    const MaintainedTables& tables = *out.tables();
+    std::vector<std::size_t> stored(static_cast<std::size_t>(tables.l()));
+    for (int t = 0; t < tables.l(); ++t)
+      stored[static_cast<std::size_t>(t)] = tables.table(t).total_stored();
+
+    constexpr Index kNew = 8;
+    const Index first = net.add_output_units(kNew);
+    ASSERT_EQ(tables.active().health().saturated, 0u);
+    // Every table gained exactly the new ids, each in the bucket its row
+    // hashes to; so each sits there once and nowhere else.
+    std::vector<std::uint32_t> keys(static_cast<std::size_t>(tables.l()));
+    std::vector<std::span<const Index>> buckets;
+    for (int t = 0; t < tables.l(); ++t)
+      EXPECT_EQ(tables.table(t).total_stored(),
+                stored[static_cast<std::size_t>(t)] + kNew)
+          << to_string(policy);
+    for (Index u = first; u < first + kNew; ++u) {
+      tables.query_keys_dense(out.weight_row(u), keys);
+      tables.buckets(keys, buckets);
+      for (std::size_t t = 0; t < buckets.size(); ++t)
+        EXPECT_EQ(std::count(buckets[t].begin(), buckets[t].end(), u), 1)
+            << to_string(policy) << " unit " << u << " table " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +386,69 @@ TEST(Churn, PrometheusExportsMemoryFamilies) {
   EXPECT_NE(text.find("slide_memory_bytes{component=\"retriever\"}"),
             std::string::npos);
   EXPECT_NE(text.find("slide_memory_bytes{component=\"master_weights\"}"),
+            std::string::npos);
+  engine.stop();
+}
+
+/// One HTTP scrape of a MetricsServer on this host.
+std::string scrape(int port) {
+  auto conn = dist::connect_endpoint("tcp:127.0.0.1:" + std::to_string(port),
+                                     2000);
+  auto* tcp = dynamic_cast<dist::TcpTransport*>(conn.get());
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  tcp->send_raw(request.data(), request.size());
+  std::string response;
+  try {
+    char buf[4096];
+    while (true) response.append(buf, tcp->recv_raw(buf, sizeof(buf), 2000));
+  } catch (const dist::TransportClosed&) {
+    // Connection: close terminates the response.
+  }
+  return response;
+}
+
+TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
+  const auto data = tiny_data();
+  for (int bucket_size : {32, 2}) {
+    NetworkConfig cfg = net_config(data);
+    cfg.layers.back().table.bucket_size = bucket_size;
+    auto net = std::make_shared<Network>(cfg, 2);
+    InferenceEngine engine(std::make_shared<ModelStore>(net),
+                           ServeConfig{.num_workers = 1});
+    const ServeStats stats = engine.stats();
+    const int layer = net->stack_depth() - 1;
+    const TableHealth health = net->stack(layer).table_health();
+    ASSERT_EQ(stats.lsh_tables.size(), 1u);
+    EXPECT_EQ(stats.lsh_tables[0].layer, layer);
+    EXPECT_DOUBLE_EQ(stats.lsh_tables[0].occupancy, health.occupancy());
+    EXPECT_DOUBLE_EQ(stats.lsh_tables[0].saturation, health.saturation());
+    EXPECT_GT(health.occupancy(), 0.0);
+    EXPECT_LE(health.saturation(), health.occupancy());
+    // 48 labels in 16 fingerprints per table overflow 2-slot buckets.
+    if (bucket_size == 2) EXPECT_GT(health.saturation(), 0.0);
+
+    MetricsServer server(0, [&engine] {
+      return render_prometheus(engine.stats());
+    });
+    const std::string text = scrape(server.port());
+    const std::string label = "{layer=\"" + std::to_string(layer) + "\"} ";
+    EXPECT_NE(text.find("# TYPE slide_lsh_bucket_occupancy gauge"),
+              std::string::npos);
+    EXPECT_NE(text.find("slide_lsh_bucket_occupancy" + label),
+              std::string::npos);
+    EXPECT_NE(text.find("slide_lsh_bucket_saturation" + label),
+              std::string::npos);
+    server.stop();
+    engine.stop();
+  }
+  // No LSH tables (HNSW retrieval): no table-health families.
+  auto hnsw = std::make_shared<Network>(net_config(data, RetrieverKind::kHnsw),
+                                        2);
+  InferenceEngine engine(std::make_shared<ModelStore>(hnsw),
+                         ServeConfig{.num_workers = 1});
+  const ServeStats stats = engine.stats();
+  EXPECT_TRUE(stats.lsh_tables.empty());
+  EXPECT_EQ(render_prometheus(stats).find("slide_lsh_bucket"),
             std::string::npos);
   engine.stop();
 }

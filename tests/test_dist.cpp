@@ -495,11 +495,9 @@ TEST(DistProtocol, ControlMessagesRoundTrip) {
   dist::StatsResp stats;
   stats.active_fraction = 0.015;
   stats.rebuild_count = 42;
-  stats.delta_reinserted = 7;
   const dist::StatsResp s2 = dist::StatsResp::from_frame(stats.to_frame());
   EXPECT_DOUBLE_EQ(s2.active_fraction, 0.015);
   EXPECT_EQ(s2.rebuild_count, 42);
-  EXPECT_EQ(s2.delta_reinserted, 7);
 
   dist::MaybeRebuildMsg mr;
   mr.iteration = 1234;
@@ -693,6 +691,57 @@ TEST(DistClient, WorkerSideErrorsKeepTheClientHealthy) {
   worker.stop();
 }
 
+TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
+  ASSERT_EQ(dist::kProtocolVersion, 4u);
+  // A v3 coordinator's kHello reaches a v4 worker: refused with kErrorResp.
+  {
+    dist::InProcessWorker worker("tcp:127.0.0.1:0");
+    auto t = dist::connect_endpoint(worker.endpoint());
+    dist::HelloMsg hello;
+    hello.version = 3;
+    t->send(hello.to_frame());
+    const Frame resp = t->recv(5000);
+    ASSERT_EQ(dist::msg_type_of(resp), MsgType::kErrorResp);
+    EXPECT_NE(dist::ErrorResp::from_frame(resp).message.find("version"),
+              std::string::npos);
+    // Let the worker leave its serve loop before stop() closes the socket.
+    t->send(dist::make_frame(MsgType::kShutdown));
+    EXPECT_EQ(dist::msg_type_of(t->recv(5000)), MsgType::kAck);
+    t->close();
+    worker.stop();
+  }
+  // A v3 worker meets a v4 client: whether it refuses the kHello or
+  // answers with its own version, connect() throws VersionMismatch.
+  for (bool refuse : {true, false}) {
+    auto listener = dist::listen_endpoint("tcp:127.0.0.1:0");
+    std::thread fake([&listener, refuse] {
+      auto t = listener->accept(5000);
+      try {
+        (void)dist::HelloMsg::from_frame(t->recv(5000));
+        if (refuse) {
+          t->send(dist::ErrorResp{"worker: protocol version mismatch "
+                                  "(coordinator 4, worker 3)"}
+                      .to_frame());
+        } else {
+          Frame ok = dist::make_frame(MsgType::kHelloOk);
+          dist::PayloadWriter w(ok.payload);
+          w.u32(3);
+          t->send(ok);
+        }
+        (void)t->recv(5000);  // wait for the client to close
+      } catch (const dist::TransportError&) {
+        // client closed — expected
+      }
+    });
+    dist::ShardClient client(listener->endpoint(), {});
+    EXPECT_THROW(client.connect(), dist::VersionMismatch) << refuse;
+    EXPECT_FALSE(client.healthy());
+    client.close();
+    fake.join();
+    listener->close();
+  }
+}
+
 // ---- Builder wiring --------------------------------------------------------
 
 TEST(DistBuilder, DistributedAndShardsAreMutuallyExclusive) {
@@ -883,20 +932,23 @@ TEST(DistCheckpoint, ShardFilesBootFreshWorkersBitExact) {
     EXPECT_EQ(net.predict_top1(probe, ctx, /*exact=*/true), trained_top);
 
     // Serve through the engine: the stats surface the distributed wiring.
-    ServeConfig serve_cfg;
-    serve_cfg.num_workers = 1;
-    serve_cfg.exact = true;
-    InferenceEngine engine(store, serve_cfg);
-    auto f = engine.submit(probe, {.top_k = 3});
-    ASSERT_TRUE(f.has_value());
-    EXPECT_FALSE(f->get().labels.empty());
-    const ServeStats stats = engine.stats();
-    EXPECT_TRUE(stats.distributed);
-    EXPECT_GT(stats.wire_bytes_sent, 0u);
-    EXPECT_GT(stats.wire_bytes_received, 0u);
-    EXPECT_EQ(stats.unhealthy_shards, 0);
-    engine.stop();
-    // The store's Network destructor shuts the workers down (kShutdown).
+    {
+      ServeConfig serve_cfg;
+      serve_cfg.num_workers = 1;
+      serve_cfg.exact = true;
+      InferenceEngine engine(store, serve_cfg);
+      auto f = engine.submit(probe, {.top_k = 3});
+      ASSERT_TRUE(f.has_value());
+      EXPECT_FALSE(f->get().labels.empty());
+      const ServeStats stats = engine.stats();
+      EXPECT_TRUE(stats.distributed);
+      EXPECT_GT(stats.wire_bytes_sent, 0u);
+      EXPECT_GT(stats.wire_bytes_received, 0u);
+      EXPECT_EQ(stats.unhealthy_shards, 0);
+    }
+    // The engine held the store; with it gone, the store's Network
+    // destructor shuts the workers down (kShutdown) before fleet.stop()
+    // closes anything a worker could still be reading.
     store.reset();
     fleet.stop();
   }

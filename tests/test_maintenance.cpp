@@ -1,7 +1,7 @@
 // Asynchronous LSH maintenance tests: the BackgroundWorker executor, the
 // MaintainedTables double-buffer (readers never observe a half-swapped or
-// half-built group), sync-vs-async_full equivalence, delta re-insertion
-// retrievability, and train-while-rebuild stress (the TSan CI target).
+// half-built group), sync-vs-async_full equivalence, and train-while-
+// rebuild stress (the TSan CI target).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,12 +154,11 @@ TEST(MaintainedTables, ShadowIsLazyUntilFirstAsyncUse) {
 // ---- Policy plumbing ------------------------------------------------------
 
 TEST(Maintenance, PolicyNamesRoundTrip) {
-  for (auto policy :
-       {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull,
-        MaintenancePolicy::kAsyncDelta}) {
+  for (auto policy : {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull})
     EXPECT_EQ(parse_maintenance_policy(to_string(policy)), policy);
-  }
   EXPECT_THROW(parse_maintenance_policy("bogus"), Error);
+  // The removed delta policy is a typed error, not a silent fallback.
+  EXPECT_THROW(parse_maintenance_policy("async_delta"), Error);
 }
 
 SampledLayer::Config maintained_config(Index units, Index fan_in,
@@ -223,7 +222,7 @@ TEST(Maintenance, SyncAndAsyncFullRebuildsProduceIdenticalTables) {
   }
 }
 
-// ---- Delta re-insertion ---------------------------------------------------
+// ---- Network helpers --------------------------------------------------------
 
 SyntheticDataset tiny_data(Index features, Index labels) {
   SyntheticConfig cfg;
@@ -251,73 +250,13 @@ NetworkConfig maintained_network_config(const SyntheticDataset& data,
                           .maintenance(policy)
                           .max_batch(16)
                           .to_config();
-  // Buckets sized so NO insert can ever overflow (k=4 gives only 16
-  // distinct fingerprints per table, and trained rows correlate): the
-  // retrievability test below relies on reservoir eviction never firing.
+  // Buckets sized so no insert can ever overflow (k=4 gives only 16
+  // distinct fingerprints per table, and trained rows correlate).
   cfg.layers[0].table.range_pow = 6;
   cfg.layers[0].table.bucket_size = 4096;
   cfg.layers[0].rebuild.initial_period = period;
   cfg.layers[0].rebuild.decay = 0.0;
   return cfg;
-}
-
-TEST(Maintenance, DeltaReinsertKeepsEveryNeuronRetrievable) {
-  const auto data = tiny_data(200, 1024);
-  // period 1 + 8 iterations: events 1..8 are all delta passes (hygiene
-  // full rebuild fires every 10th event; dirty sets stay far below the
-  // escalation threshold of units/2 = 512).
-  NetworkConfig cfg =
-      maintained_network_config(data, MaintenancePolicy::kAsyncDelta);
-  Network net(cfg, 2);
-  TrainerConfig tc;
-  tc.batch_size = 4;
-  tc.num_threads = 2;
-  tc.learning_rate = 1e-3f;
-  Trainer trainer(net, tc);
-  trainer.train(data.train, 8);
-  // Settle the final window: any dirty neurons whose event was skipped
-  // (worker busy) get their drain pass now.
-  net.flush_maintenance();
-
-  const SampledLayer& out = net.output_layer();
-  EXPECT_EQ(out.maintenance_policy(), MaintenancePolicy::kAsyncDelta);
-  EXPECT_GT(out.delta_reinserted(), 0);
-  EXPECT_EQ(out.rebuild_count(), 0) << "expected only delta passes";
-
-  // The invariant delta maintenance preserves (and a sync full rebuild
-  // would establish): every neuron is findable under its *current* weight
-  // row's keys. Untouched neurons still match their initial-build entries;
-  // touched neurons were re-inserted by a delta pass. Buckets are far from
-  // capacity, so no reservoir eviction interferes.
-  std::vector<std::uint32_t> keys(8);
-  std::vector<std::span<const Index>> buckets;
-  for (Index u = 0; u < 1024; ++u) {
-    net.output_layer().tables()->query_keys_dense(
-        net.output_layer().weight_row(u), keys);
-    net.output_layer().tables()->buckets(keys, buckets);
-    for (std::size_t t = 0; t < buckets.size(); ++t) {
-      EXPECT_NE(std::find(buckets[t].begin(), buckets[t].end(), u),
-                buckets[t].end())
-          << "unit " << u << " missing from table " << t;
-    }
-  }
-}
-
-TEST(Maintenance, DeltaEscalatesToFullRebuildWhenMostOfTheLayerIsDirty) {
-  const auto data = tiny_data(200, 64);
-  // 64-unit output with target 16 + labels: one batch dirties well over
-  // half the layer, so the first maintenance event must escalate.
-  NetworkConfig cfg =
-      maintained_network_config(data, MaintenancePolicy::kAsyncDelta);
-  Network net(cfg, 2);
-  TrainerConfig tc;
-  tc.batch_size = 16;
-  tc.num_threads = 2;
-  tc.learning_rate = 1e-3f;
-  Trainer trainer(net, tc);
-  trainer.train(data.train, 6);
-  net.quiesce_maintenance();
-  EXPECT_GE(net.output_layer().rebuild_count(), 1);
 }
 
 // ---- Train-while-rebuild stress (the TSan CI target) ----------------------
@@ -335,15 +274,13 @@ TEST_P(MaintenanceStress, TrainingOverlapsBackgroundMaintenanceSafely) {
   tc.learning_rate = 2e-3f;
   Trainer trainer(net, tc);
   // Maintenance fires every iteration while 4 HOGWILD threads sample from
-  // the live tables — publishes, delta inserts, and weight reads all
-  // overlap training. 60 iterations is enough for dozens of swaps.
+  // the live tables — publishes and weight reads overlap training. 60
+  // iterations is enough for dozens of swaps.
   trainer.train(data.train, 60);
   net.quiesce_maintenance();
 
   EXPECT_GT(net.output_layer().tables()->publish_count() +
-                static_cast<std::uint64_t>(net.output_layer().rebuild_count()) +
-                static_cast<std::uint64_t>(
-                    net.output_layer().delta_reinserted()),
+                static_cast<std::uint64_t>(net.output_layer().rebuild_count()),
             0u);
 
   // The network must still be coherent: a final sync rebuild + exact
@@ -356,8 +293,7 @@ TEST_P(MaintenanceStress, TrainingOverlapsBackgroundMaintenanceSafely) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, MaintenanceStress,
-                         ::testing::Values(MaintenancePolicy::kAsyncFull,
-                                           MaintenancePolicy::kAsyncDelta),
+                         ::testing::Values(MaintenancePolicy::kAsyncFull),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -136,13 +136,13 @@ TEST(MipsEndToEnd, RetrievesLargeInnerProductNeurons) {
   LshTableGroup tables(make_hash_family(family),
                        {.range_pow = 10, .bucket_size = 64});
   {
-    Rng ins(10);
-    std::vector<float> aug(t.augmented_dim());
+    const Index aug_dim = t.augmented_dim();
+    std::vector<float> aug(static_cast<std::size_t>(n) * aug_dim);
     for (Index i = 0; i < n; ++i) {
       t.transform_data(rows.data() + static_cast<std::size_t>(i) * dim,
-                       aug.data());
-      tables.insert_dense(i, aug.data(), ins);
+                       aug.data() + static_cast<std::size_t>(i) * aug_dim);
     }
+    tables.build_from_rows(aug.data(), aug_dim, n);
   }
 
   int top_hits = 0, random_hits = 0;

@@ -178,7 +178,6 @@ TEST(Retrieval, RemoveMasksUntilReinsert) {
         << to_string(kind);
     // ...but insert() resurrects.
     r->insert(victim);
-    if (!r->supports_delta()) r->rebuild(nullptr);
     const auto back = retrieve_ids(*r, q.data(), kRows, visited, rng);
     EXPECT_GE(std::count(back.begin(), back.end(), victim), 0)
         << to_string(kind);

@@ -26,28 +26,6 @@ namespace {
 // Concurrency stress
 // ---------------------------------------------------------------------------
 
-TEST(Stress, ConcurrentHashTableInsertsNeverCorruptCounts) {
-  HashTable table({.range_pow = 6, .bucket_size = 16});
-  ThreadPool pool(4);
-  constexpr int kPerThread = 20'000;
-  pool.run_on_all([&](int tid) {
-    Rng rng(static_cast<std::uint64_t>(tid) + 1);
-    for (int i = 0; i < kPerThread; ++i) {
-      table.insert(rng(), static_cast<Index>(i), rng);
-    }
-  });
-  // Bucket sizes stay within capacity and total equals buckets' clamps.
-  std::size_t total = 0;
-  for (std::uint32_t key = 0; key < 64; ++key) {
-    // probe distinct buckets via distinct high bits
-    const auto bucket = table.bucket(key << 26);
-    EXPECT_LE(bucket.size(), 16u);
-    total += bucket.size();
-  }
-  EXPECT_GT(table.total_stored(), 0u);
-  EXPECT_LE(table.total_stored(), 64u * 16u);
-}
-
 TEST(Stress, ParallelRebuildsBetweenTrainingStepsStayConsistent) {
   SyntheticConfig dcfg;
   dcfg.feature_dim = 300;

@@ -8,6 +8,8 @@ invariants our renderer (src/metrics/prometheus.cpp) promises:
   * every sample's family has a # TYPE line, declared before first use
   * at most one TYPE/HELP per family; no duplicate samples (name+labels)
   * counters end in _total and are non-negative
+  * ratio gauges (names ending in _occupancy or _saturation, e.g. the
+    per-layer slide_lsh_bucket_* table-health gauges) lie in [0, 1]
   * histograms: le buckets are cumulative, +Inf bucket present,
     _count == +Inf bucket, _sum present
   * no trailing garbage lines
@@ -49,6 +51,9 @@ REQUIRED_SERVE_FAMILIES = [
     "slide_serve_ewma_service_seconds",
     "slide_serve_latency_seconds",
 ]
+
+
+RATIO_SUFFIXES = ("_occupancy", "_saturation")
 
 
 def base_family(name):
@@ -148,6 +153,9 @@ def lint(text, require_serve=False):
                 err("counter name must end in _total")
             if value < 0:
                 err("negative counter value")
+        elif kind == "gauge" and name.endswith(RATIO_SUFFIXES):
+            if not 0.0 <= value <= 1.0:
+                err("ratio gauge outside [0, 1]")
         elif kind == "histogram":
             rest = tuple(sorted((k, v) for k, v in labels if k != "le"))
             if name.endswith("_bucket"):
