@@ -66,8 +66,22 @@ inline NetworkConfig slide_config_for(const Dataset& train,
   return cfg;
 }
 
-/// Trains SLIDE, recording (iteration, seconds, accuracy) every eval_every
-/// iterations. Evaluation time is excluded from the recorded clock.
+/// The dense full-softmax baseline (TF-CPU role, DESIGN.md §3) for a
+/// dataset: the embedding slide_config_for uses, then a softmax over every
+/// label. Train it with TrainerConfig::hogwild = false.
+inline Network dense_baseline_for(const Dataset& train, int max_batch,
+                                  int threads, Index hidden = 128) {
+  return NetworkBuilder(train.feature_dim())
+      .dense(hidden)
+      .dense(train.label_dim(), Activation::kSoftmax)
+      .max_batch(max_batch)
+      .build(threads);
+}
+
+/// Trains a network — SLIDE, or the dense full-softmax baseline (TF-CPU
+/// role, trained with tcfg.hogwild = false) — recording (iteration,
+/// seconds, accuracy) every eval_every iterations. Evaluation time is
+/// excluded from the recorded clock.
 inline void run_slide_convergence(Network& network, const Dataset& train,
                                   const Dataset& test,
                                   const TrainerConfig& tcfg, long iterations,
@@ -90,27 +104,6 @@ inline void run_slide_convergence(Network& network, const Dataset& train,
                .accuracy = acc,
                .active_fraction =
                    network.output_layer().average_active_fraction()});
-    }
-  }
-}
-
-/// Same for the dense full-softmax baseline (TF-CPU role).
-inline void run_dense_convergence(DenseNetwork& network, const Dataset& train,
-                                  const Dataset& test, int batch_size,
-                                  int threads, float lr, long iterations,
-                                  long eval_every, ConvergenceRecorder& rec,
-                                  std::size_t eval_samples = 1'000) {
-  ThreadPool pool(threads);
-  Batcher batcher(train, static_cast<std::size_t>(batch_size), true, 11);
-  double train_seconds = 0.0;
-  for (long i = 1; i <= iterations; ++i) {
-    WallTimer step_timer;
-    network.step(train, batcher.next(), lr, pool);
-    train_seconds += step_timer.seconds();
-    if (i % eval_every == 0 || i == iterations) {
-      const double acc = evaluate_p_at_1(
-          network, test, pool, {.max_samples = eval_samples});
-      rec.add({.iteration = i, .seconds = train_seconds, .accuracy = acc});
     }
   }
 }

@@ -35,7 +35,7 @@ int env_reps() {
 
 /// A ForwardMsg-shaped frame with `active` sparse pairs out of a
 /// `dense_width`-unit previous layer (the hot-path payload shape).
-dist::Frame make_active_frame(Index dense_width, Index active, bool bf16) {
+dist::Frame make_active_frame(Index dense_width, Index active) {
   ActiveSet prev;  // dense shape: ids empty, act indexed by unit
   prev.dense_width = dense_width;
   prev.act.resize(static_cast<std::size_t>(dense_width), 0.0f);
@@ -47,7 +47,7 @@ dist::Frame make_active_frame(Index dense_width, Index active, bool bf16) {
   msg.slot = 0;
   msg.rng = rng.state();
   msg.prev = dist::WireActiveSet::capture(prev);
-  return msg.to_frame(bf16);
+  return msg.to_frame();
 }
 
 /// Round-trips `frames` echo exchanges over a connected transport pair
@@ -101,7 +101,7 @@ int main() {
   const Index wide_active = 656;  // ~1% of the wide layer
 
   // 1. Frame codec throughput (encode + header/CRC decode + assemble).
-  const dist::Frame frame = make_active_frame(dense_width, 96, false);
+  const dist::Frame frame = make_active_frame(dense_width, 96);
   std::vector<std::uint8_t> encoded;
   dist::encode_frame(frame, encoded);
   const double frame_kb =
@@ -159,14 +159,10 @@ int main() {
     wide.act[i] = rng.uniform_float();
   }
   const dist::WireActiveSet sparse_set = dist::WireActiveSet::capture(wide);
-  std::vector<std::uint8_t> sparse_fp32, sparse_bf16;
+  std::vector<std::uint8_t> sparse_fp32;
   {
     dist::PayloadWriter w(sparse_fp32);
-    sparse_set.write(w, /*bf16=*/false);
-  }
-  {
-    dist::PayloadWriter w(sparse_bf16);
-    sparse_set.write(w, /*bf16=*/true);
+    sparse_set.write(w);
   }
   // x2: activations out + errors back cross the wire per sample either way.
   const double sparse_bytes =
@@ -174,12 +170,10 @@ int main() {
   const double dense_bytes = 2.0 * 8.0 * static_cast<double>(wide_units);
   const double ratio = sparse_bytes / dense_bytes;
   std::printf("bytes on wire per sample (%u-unit layer, %u active = %.1f%%): "
-              "sparse %.1f KiB vs dense %.1f KiB -> %.2f%% (bf16 values: "
-              "%.1f KiB)\n",
+              "sparse %.1f KiB vs dense %.1f KiB -> %.2f%%\n",
               wide_units, wide_active,
               100.0 * wide_active / static_cast<double>(wide_units),
-              sparse_bytes / 1024.0, dense_bytes / 1024.0, 100.0 * ratio,
-              2.0 * static_cast<double>(sparse_bf16.size()) / 1024.0);
+              sparse_bytes / 1024.0, dense_bytes / 1024.0, 100.0 * ratio);
   if (ratio > 0.10) {
     std::fprintf(stderr,
                  "FAIL: sparse wire bytes %.1f%% of dense (acceptance 10%%)\n",
@@ -200,8 +194,6 @@ int main() {
   json.key("sparse_wire_bytes_info").number(sparse_bytes);
   json.key("dense_wire_bytes_info").number(dense_bytes);
   json.key("sparse_vs_dense_ratio_info").number(ratio);
-  json.key("bf16_wire_bytes_info")
-      .number(2.0 * static_cast<double>(sparse_bf16.size()));
   json.end_object();
   json.write_file(bench::json_path("BENCH_dist.json"));
   return 0;

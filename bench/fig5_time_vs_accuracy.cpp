@@ -7,7 +7,7 @@
 // level several times faster because each iteration touches <1% of the
 // output layer.
 //
-// Baseline roles (DESIGN.md §3): our DenseNetwork plays TF-CPU. No GPU
+// Baseline roles (DESIGN.md §3): a dense builder stack plays TF-CPU. No GPU
 // exists in this environment, so the TF-GPU column is reported as the
 // dense baseline with a FLOP-projection note instead of a measurement.
 #include "bench_common.h"
@@ -35,15 +35,13 @@ void run_workload(const char* name, const SyntheticDataset& data,
                                slide_rec);
 
   // Dense baseline (TF-CPU role).
-  DenseNetwork::Config dcfg;
-  dcfg.input_dim = data.train.feature_dim();
-  dcfg.output_units = data.train.label_dim();
-  dcfg.max_batch_size = batch;
-  DenseNetwork dense(dcfg, threads);
+  Network dense = bench::dense_baseline_for(data.train, batch, threads);
+  TrainerConfig dense_tcfg = tcfg;
+  dense_tcfg.hogwild = false;
   ConvergenceRecorder dense_rec("Dense-CPU(TF-role)");
-  bench::run_dense_convergence(dense, data.train, data.test, batch, threads,
-                               1e-3f, iterations,
-                               std::max<long>(1, iterations / 8), dense_rec);
+  bench::run_slide_convergence(dense, data.train, data.test, dense_tcfg,
+                               iterations, std::max<long>(1, iterations / 8),
+                               dense_rec);
 
   std::printf("%s\n",
               merge_to_markdown({&slide_rec, &dense_rec}).c_str());

@@ -67,21 +67,16 @@ int main() {
                               1)});
     }
     {
-      DenseNetwork::Config dcfg;
-      dcfg.input_dim = data.train.feature_dim();
-      dcfg.output_units = data.train.label_dim();
-      dcfg.max_batch_size = 128;
-      DenseNetwork dense(dcfg, threads);
-      ThreadPool pool(threads);
-      Batcher batcher(data.train, 128, true, 3);
-      WallTimer timer;
-      for (long i = 0; i < iterations; ++i)
-        dense.step(data.train, batcher.next(), 1e-3f, pool);
-      double busy = 0.0;
-      for (double b : pool.busy_seconds()) busy += b;
+      Network dense = bench::dense_baseline_for(data.train, 128, threads);
+      TrainerConfig tcfg;
+      tcfg.batch_size = 128;
+      tcfg.num_threads = threads;
+      tcfg.learning_rate = 1e-3f;
+      tcfg.hogwild = false;
+      Trainer trainer(dense, tcfg);
+      trainer.train(data.train, iterations);
       stalls.add_row({"Dense(TF-role)", fmt_int(threads),
-                      fmt_pct(1.0 - busy / (timer.seconds() * threads), 1),
-                      "-"});
+                      fmt_pct(1.0 - trainer.core_utilization(), 1), "-"});
     }
   }
   std::printf("%s", stalls.str().c_str());

@@ -41,14 +41,14 @@ int main() {
     // Dense baseline.
     ConvergenceRecorder dense_rec("Dense b" + std::to_string(batch));
     {
-      DenseNetwork::Config dcfg;
-      dcfg.input_dim = data.train.feature_dim();
-      dcfg.output_units = label_dim;
-      dcfg.max_batch_size = batch;
-      DenseNetwork dense(dcfg, threads);
-      bench::run_dense_convergence(dense, data.train, data.test, batch,
-                                   threads, 1e-3f, iterations, eval_every,
-                                   dense_rec, 500);
+      Network dense = bench::dense_baseline_for(data.train, batch, threads);
+      TrainerConfig tcfg;
+      tcfg.batch_size = batch;
+      tcfg.num_threads = threads;
+      tcfg.learning_rate = 1e-3f;
+      tcfg.hogwild = false;
+      bench::run_slide_convergence(dense, data.train, data.test, tcfg,
+                                   iterations, eval_every, dense_rec, 500);
     }
     // Sampled softmax at 10% budget.
     ConvergenceRecorder ssm_rec("SSM b" + std::to_string(batch));

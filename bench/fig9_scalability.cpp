@@ -69,15 +69,15 @@ int main() {
       row.slide_s = rec.seconds_to_accuracy(target);
     }
     {
-      DenseNetwork::Config dcfg;
-      dcfg.input_dim = data.train.feature_dim();
-      dcfg.output_units = data.train.label_dim();
-      dcfg.max_batch_size = 128;
-      DenseNetwork dense(dcfg, threads);
+      Network dense = bench::dense_baseline_for(data.train, 128, threads);
+      TrainerConfig tcfg;
+      tcfg.batch_size = 128;
+      tcfg.num_threads = threads;
+      tcfg.learning_rate = 1e-3f;
+      tcfg.hogwild = false;
       ConvergenceRecorder rec("dense");
-      bench::run_dense_convergence(dense, data.train, data.test, 128,
-                                   threads, 1e-3f, iterations, eval_every,
-                                   rec, 500);
+      bench::run_slide_convergence(dense, data.train, data.test, tcfg,
+                                   iterations, eval_every, rec, 500);
       row.dense_s = rec.seconds_to_accuracy(target);
     }
     rows.push_back(row);

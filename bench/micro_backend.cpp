@@ -1,11 +1,11 @@
 // Micro-benchmarks for the runtime-dispatched compute backend: the hot
 // kernels (dot / axpy / adam_step) and their quantized-precision variants
-// (bf16 / fp16 / int8) at EVERY dispatch level this host supports, at the
+// (bf16 / int8) at EVERY dispatch level this host supports, at the
 // fan-in sizes the engine actually uses (128 = hidden width; 4096 = wide
 // strips), plus wta_codes at the dense DWTA training shape (K*L = 400).
 // Row names carry the scoring precision (dot_fp32, dot_bf16, dot_i8, ...)
-// and the int8/fp16 rows additionally carry the instruction path the
-// level's table bound (vnni / maddubs-512 / f16c-256 / scalar ...), so a
+// and the int8 rows additionally carry the instruction path the level's
+// table bound (vnni / maddubs-512 / maddubs-256 / scalar), so a
 // BENCH_backend.json from a VNNI host is distinguishable from the
 // graceful-downgrade path on one without.
 //
@@ -111,13 +111,6 @@ void bm_quantize(benchmark::State& state, SimdLevel level, std::size_t n) {
   }
 }
 
-std::vector<simd::Fp16> f16_vec(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<simd::Fp16> v(n);
-  for (auto& x : v) x = simd::float_to_fp16(rng.normal());
-  return v;
-}
-
 std::vector<simd::I8> i8_vec(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<simd::I8> v(n);
@@ -131,38 +124,6 @@ std::vector<simd::U8> u8_vec(std::size_t n, std::uint64_t seed) {
   std::vector<simd::U8> v(n);
   for (auto& x : v) x = static_cast<simd::U8>(rng.uniform(128));
   return v;
-}
-
-void bm_dot_f16(benchmark::State& state, SimdLevel level, std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto w = f16_vec(n, 14);
-  const auto x = vec(n, 15);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be.dot_f16(w.data(), x.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          (sizeof(simd::Fp16) + sizeof(float)));
-}
-
-void bm_axpy_f16(benchmark::State& state, SimdLevel level, std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto x = f16_vec(n, 16);
-  auto y = vec(n, 17);
-  for (auto _ : state) {
-    be.axpy_f16(0.37f, x.data(), y.data(), n);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-
-void bm_quantize_f16(benchmark::State& state, SimdLevel level,
-                     std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto src = vec(n, 18);
-  std::vector<simd::Fp16> dst(n);
-  for (auto _ : state) {
-    be.quantize_f16(src.data(), dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
 }
 
 void bm_dot_i8(benchmark::State& state, SimdLevel level, std::size_t n) {
@@ -222,14 +183,13 @@ void bm_wta_codes(benchmark::State& state, SimdLevel level) {
 
 void register_all() {
   using Fn = void (*)(benchmark::State&, SimdLevel, std::size_t);
-  // Every row name carries its scoring precision; int8/fp16 dot/axpy rows
-  // are additionally tagged with the instruction path the level's bound
-  // table scores through (resolved from the table at registration time).
-  enum class PathTag { kNone, kI8, kF16 };
+  // Every row name carries its scoring precision; int8 dot/axpy rows are
+  // additionally tagged with the instruction path the level's bound table
+  // scores through (resolved from the table at registration time).
   struct Kernel {
     const char* name;
     Fn fn;
-    PathTag path = PathTag::kNone;
+    bool i8_path = false;
   };
   const Kernel kernels[] = {
       {"dot_fp32", bm_dot},
@@ -238,11 +198,8 @@ void register_all() {
       {"dot_bf16", bm_dot_bf16},
       {"axpy_bf16", bm_axpy_bf16},
       {"quantize_bf16", bm_quantize},
-      {"dot_f16", bm_dot_f16, PathTag::kF16},
-      {"axpy_f16", bm_axpy_f16, PathTag::kF16},
-      {"quantize_f16", bm_quantize_f16},
-      {"dot_i8", bm_dot_i8, PathTag::kI8},
-      {"axpy_i8", bm_axpy_i8, PathTag::kI8},
+      {"dot_i8", bm_dot_i8, true},
+      {"axpy_i8", bm_axpy_i8, true},
       {"quantize_i8", bm_quantize_i8},
   };
   for (SimdLevel level :
@@ -254,10 +211,7 @@ void register_all() {
         std::string name = std::string("BM_backend/") + kernel.name + "/" +
                            std::to_string(n) + "/" +
                            simd::to_string(level);
-        if (kernel.path == PathTag::kI8)
-          name += std::string("/") + table.i8_path;
-        else if (kernel.path == PathTag::kF16)
-          name += std::string("/") + table.f16_path;
+        if (kernel.i8_path) name += std::string("/") + table.i8_path;
         benchmark::RegisterBenchmark(
             name.c_str(),
             [fn = kernel.fn, level, n](benchmark::State& state) {

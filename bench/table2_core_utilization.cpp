@@ -47,23 +47,19 @@ int main() {
                      fmt(trainer.time_breakdown().total_seconds, 2),
                      threads > hardware_threads() ? "oversubscribed" : ""});
     }
-    // Dense baseline: utilization measured the same way through the pool.
+    // Dense baseline: utilization measured the same way, by its Trainer.
     {
-      DenseNetwork::Config dcfg;
-      dcfg.input_dim = data.train.feature_dim();
-      dcfg.output_units = data.train.label_dim();
-      dcfg.max_batch_size = 128;
-      DenseNetwork dense(dcfg, threads);
-      ThreadPool pool(threads);
-      Batcher batcher(data.train, 128, true, 3);
-      WallTimer timer;
-      for (long i = 0; i < iterations; ++i)
-        dense.step(data.train, batcher.next(), 1e-3f, pool);
-      const double wall = timer.seconds();
-      double busy = 0.0;
-      for (double b : pool.busy_seconds()) busy += b;
+      Network dense = bench::dense_baseline_for(data.train, 128, threads);
+      TrainerConfig tcfg;
+      tcfg.batch_size = 128;
+      tcfg.num_threads = threads;
+      tcfg.learning_rate = 1e-3f;
+      tcfg.hogwild = false;
+      Trainer trainer(dense, tcfg);
+      trainer.train(data.train, iterations);
       table.add_row({"Dense(TF-role)", fmt_int(threads),
-                     fmt_pct(busy / (wall * threads), 1), fmt(wall, 2),
+                     fmt_pct(trainer.core_utilization(), 1),
+                     fmt(trainer.time_breakdown().total_seconds, 2),
                      threads > hardware_threads() ? "oversubscribed" : ""});
     }
   }

@@ -133,8 +133,7 @@ int main() {
   json.key("thp_speedup").number(without.seconds /
                                  std::max(with.seconds, 1e-9));
   json.key("mirrors").begin_array();
-  for (const Precision p :
-       {Precision::kBF16, Precision::kFP16, Precision::kInt8}) {
+  for (const Precision p : {Precision::kBF16, Precision::kInt8}) {
     NetworkConfig cfg =
         bench::slide_config_for(data.train, HashFamilyKind::kSimhash);
     cfg.precision = p;

@@ -52,49 +52,50 @@ int main(int argc, char** argv) {
   tcfg.num_threads = threads;
   tcfg.learning_rate = 1e-3f;
 
+  // Trains one engine, printing P@1 five times along the way; returns its
+  // wall time and final P@1.
+  struct Result {
+    double seconds;
+    double p_at_1;
+  };
+  auto train_engine = [&](Network& net, const TrainerConfig& cfg) {
+    Trainer trainer(net, cfg);
+    WallTimer timer;
+    trainer.train(data.train, iterations, [&](long it) {
+      const double acc = evaluate_p_at_1(net, data.test, trainer.pool(),
+                                         {.exact = true, .max_samples = 500});
+      std::printf("  iter %5ld | %6.1fs | P@1 %.3f\n", it, timer.seconds(),
+                  acc);
+    }, std::max<long>(1, iterations / 5));
+    const double seconds = timer.seconds();
+    return Result{seconds,
+                  evaluate_p_at_1(net, data.test, trainer.pool(),
+                                  {.exact = true, .max_samples = 2000})};
+  };
+
   std::printf("\n== SLIDE: %u of %u classes active per sample (%.2f%%) ==\n",
               target, label_dim, 100.0 * target / label_dim);
   Network network(slide_cfg, threads);
-  Trainer trainer(network, tcfg);
-  WallTimer slide_timer;
-  trainer.train(data.train, iterations, [&](long it) {
-    const double acc = evaluate_p_at_1(network, data.test, trainer.pool(),
-                                       {.exact = true, .max_samples = 500});
-    std::printf("  iter %5ld | %6.1fs | P@1 %.3f\n", it, slide_timer.seconds(),
-                acc);
-  }, std::max<long>(1, iterations / 5));
-  const double slide_seconds = slide_timer.seconds();
-  const double slide_acc = evaluate_p_at_1(
-      network, data.test, trainer.pool(), {.exact = true, .max_samples = 2000});
+  const Result slide = train_engine(network, tcfg);
 
+  // The dense baseline is a builder stack with a full softmax output,
+  // trained with locked accumulation: every sample touches every weight.
   std::printf("\n== dense full-softmax baseline (TF-CPU role) ==\n");
-  DenseNetwork::Config dense_cfg;
-  dense_cfg.input_dim = data.train.feature_dim();
-  dense_cfg.output_units = label_dim;
-  dense_cfg.max_batch_size = 128;
-  DenseNetwork dense(dense_cfg, threads);
-  ThreadPool pool(threads);
-  Batcher batcher(data.train, 128, true, 11);
-  WallTimer dense_timer;
-  for (long i = 0; i < iterations; ++i) {
-    dense.step(data.train, batcher.next(), 1e-3f, pool);
-    if ((i + 1) % std::max<long>(1, iterations / 5) == 0) {
-      const double acc = evaluate_p_at_1(dense, data.test, pool,
-                                         {.max_samples = 500});
-      std::printf("  iter %5ld | %6.1fs | P@1 %.3f\n", i + 1,
-                  dense_timer.seconds(), acc);
-    }
-  }
-  const double dense_seconds = dense_timer.seconds();
-  const double dense_acc =
-      evaluate_p_at_1(dense, data.test, pool, {.max_samples = 2000});
+  Network dense_network = NetworkBuilder(data.train.feature_dim())
+                              .dense(128)
+                              .dense(label_dim, Activation::kSoftmax)
+                              .max_batch(128)
+                              .build(threads);
+  TrainerConfig dense_tcfg = tcfg;
+  dense_tcfg.hogwild = false;
+  const Result dense = train_engine(dense_network, dense_tcfg);
 
   std::printf("\n== summary (%ld iterations each) ==\n", iterations);
   std::printf("SLIDE : %7.1fs  P@1 %.3f  (%.2f%% active neurons)\n",
-              slide_seconds, slide_acc,
+              slide.seconds, slide.p_at_1,
               100.0 * network.output_layer().average_active_fraction());
-  std::printf("dense : %7.1fs  P@1 %.3f\n", dense_seconds, dense_acc);
+  std::printf("dense : %7.1fs  P@1 %.3f\n", dense.seconds, dense.p_at_1);
   std::printf("speedup: %.2fx per-iteration wall time\n",
-              dense_seconds / slide_seconds);
+              dense.seconds / slide.seconds);
   return 0;
 }

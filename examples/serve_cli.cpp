@@ -10,9 +10,9 @@
 //     --seconds S     seconds of load per phase        (default 3)
 //     --iters N       pre-serve training iterations    (default 300)
 //     --exact         exact (all-class) scoring instead of LSH sampling
-//     --precision P   serving precision: fp32 | bf16 | fp16 | int8
+//     --precision P   serving precision: fp32 | bf16 | int8
 //                     (default fp32). Quantized tiers boot the snapshot
-//                     with weight mirrors — bf16/fp16 read half the weight
+//                     with weight mirrors — bf16 reads half the weight
 //                     bytes, int8 roughly a quarter (the footprint report
 //                     below shows the exact numbers) — while
 //                     training/checkpoints stay fp32. int8 scores through
@@ -256,10 +256,10 @@ int main(int argc, char** argv) {
   {
     const CpuFeatures& cpu = cpu_features();
     std::printf(
-        "[simd] cpu: avx2=%d avx512f=%d avx512vnni=%d f16c=%d | kernel "
-        "paths: int8=%s fp16=%s\n",
+        "[simd] cpu: avx2=%d avx512f=%d avx512vnni=%d | kernel path: "
+        "int8=%s\n",
         cpu.avx2 ? 1 : 0, cpu.avx512f ? 1 : 0, cpu.avx512vnni ? 1 : 0,
-        cpu.f16c ? 1 : 0, simd::backend().i8_path, simd::backend().f16_path);
+        simd::backend().i8_path);
   }
   {
     const MemoryFootprint f =

@@ -243,8 +243,6 @@ const char* to_string(Precision precision) {
       return "fp32";
     case Precision::kBF16:
       return "bf16";
-    case Precision::kFP16:
-      return "fp16";
     case Precision::kInt8:
       return "int8";
   }
@@ -255,10 +253,17 @@ Precision parse_precision(const char* name) {
   const std::string_view s(name == nullptr ? "" : name);
   if (s == "fp32") return Precision::kFP32;
   if (s == "bf16") return Precision::kBF16;
-  if (s == "fp16") return Precision::kFP16;
   if (s == "int8") return Precision::kInt8;
+  if (s == "fp16") throw Error("precision fp16 was removed; use bf16");
   throw Error("unknown precision: " + std::string(s) +
-              " (expected fp32 | bf16 | fp16 | int8)");
+              " (expected fp32 | bf16 | int8)");
+}
+
+Precision precision_from_tag(std::uint32_t tag) {
+  if (tag == 2) throw Error("precision tag 2 (fp16) was removed; use bf16");
+  SLIDE_CHECK(tag <= static_cast<std::uint32_t>(Precision::kInt8),
+              "unknown precision tag " + std::to_string(tag));
+  return static_cast<Precision>(tag);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,21 +53,22 @@ MaintenancePolicy parse_maintenance_policy(const char* name);
 ///           the mirror is re-quantized at the publish points — network
 ///           construction, checkpoint load, and an explicit
 ///           Network::refresh_inference_mirrors().
-///   kFP16 — binary16 mirror (same bytes as bf16, 3 extra mantissa bits at
-///           the cost of range); scored via F16C/AVX-512 `vcvtph2ps`
-///           load-convert kernels where the CPU has them.
 ///   kInt8 — signed 8-bit mirror with a per-row symmetric fp32 scale
 ///           (quarter the weight bytes; see simd/int8.h for the format);
 ///           scored via AVX-512 VNNI `vpdpbusd` / AVX2 `vpmaddubsw` /
 ///           scalar, picked at dispatch-bind time from cpuid.
-/// All quantized tiers share the bf16 mirror lifecycle above. Enumerator
-/// order is a serialization contract (checkpoint + wire precision tags):
-/// append only.
-enum class Precision { kFP32, kBF16, kFP16, kInt8 };
+/// Both quantized tiers share the bf16 mirror lifecycle above. Enumerator
+/// values are a serialization contract (checkpoint + wire precision tags):
+/// append only. Tag 2 was the removed fp16 tier; readers reject it.
+enum class Precision { kFP32 = 0, kBF16 = 1, kInt8 = 3 };
 
 const char* to_string(Precision precision);
-/// Parses "fp32" | "bf16" | "fp16" | "int8" (slide::Error otherwise).
+/// Parses "fp32" | "bf16" | "int8" (slide::Error otherwise, including the
+/// removed "fp16").
 Precision parse_precision(const char* name);
+/// The Precision a checkpoint or wire precision tag names (slide::Error for
+/// any other value, including 2, the removed fp16 tier's tag).
+Precision precision_from_tag(std::uint32_t tag);
 
 /// One layer after the first hidden layer (see EmbeddingLayer for the
 /// input-facing layer). When `hashed` is set, the layer maintains LSH tables
@@ -154,7 +155,10 @@ struct TrainerConfig {
   float learning_rate = 1e-4f;
   bool shuffle = true;
   /// Lock-free gradient accumulation (paper §3.1, HOGWILD). Setting false
-  /// serializes accumulation behind per-layer mutexes (ablation only).
+  /// serializes accumulation behind per-layer mutexes. Two callers do: the
+  /// HOGWILD ablation, and the dense full-softmax baseline, whose output
+  /// layer touches every weight on every sample, so lost updates would no
+  /// longer be negligible and its loss curve would depend on thread count.
   bool hogwild = true;
   std::uint64_t seed = 99;
 };

@@ -72,28 +72,6 @@ void embedding_forward(const AlignedVector<float>& bias, const W* weights,
   simd::relu(out, units);
 }
 
-// Fp16 and Bf16 share the storage type (std::uint16_t), so the fp16 mirror
-// cannot ride the axpy_any overload set — it gets an explicit twin.
-void embedding_forward_f16(const AlignedVector<float>& bias,
-                           const simd::Fp16* weights, Index units,
-                           const SparseVector& x, float* out,
-                           [[maybe_unused]] Index input_dim) {
-  std::copy(bias.begin(), bias.end(), out);
-  const auto idx = x.indices();
-  const auto val = x.values();
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    SLIDE_ASSERT(idx[i] < input_dim);
-    if (i + kPrefetchDistance < idx.size()) {
-      prefetch_read(weights + static_cast<std::size_t>(
-                                  idx[i + kPrefetchDistance]) *
-                                  units);
-    }
-    simd::axpy_f16(val[i], weights + static_cast<std::size_t>(idx[i]) * units,
-                   out, units);
-  }
-  simd::relu(out, units);
-}
-
 /// Int8 embedding forward: each active input feature contributes one
 /// s8 row; its per-row scale folds into the axpy alpha together with the
 /// feature value, so accumulation stays fp32.
@@ -244,9 +222,6 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
     case Precision::kBF16:
       weights_bf16_.resize(weights_.size());
       break;
-    case Precision::kFP16:
-      weights_f16_.resize(weights_.size());
-      break;
     case Precision::kInt8:
       weights_i8_.resize(weights_.size());
       i8_scales_.assign(static_cast<std::size_t>(input_dim_), 0.0f);
@@ -262,10 +237,6 @@ void EmbeddingLayer::refresh_inference_mirror() noexcept {
     case Precision::kBF16:
       simd::quantize_bf16(weights_.data(), weights_bf16_.data(),
                           weights_.size());
-      return;
-    case Precision::kFP16:
-      simd::quantize_f16(weights_.data(), weights_f16_.data(),
-                         weights_.size());
       return;
     case Precision::kInt8:
       // Per-input-row symmetric quantization (rows are units_-long here:
@@ -283,8 +254,6 @@ std::size_t EmbeddingLayer::inference_weight_bytes() const noexcept {
   const std::size_t bias_bytes = bias_.size() * sizeof(float);
   if (bf16_inference())
     return weights_bf16_.size() * sizeof(simd::Bf16) + bias_bytes;
-  if (f16_inference())
-    return weights_f16_.size() * sizeof(simd::Fp16) + bias_bytes;
   if (i8_inference())
     return weights_i8_.size() * sizeof(simd::I8) +
            i8_scales_.size() * sizeof(float) + bias_bytes;
@@ -295,11 +264,9 @@ LayerMemory EmbeddingLayer::memory() const noexcept {
   LayerMemory m;
   m.master_bytes = (weights_.size() + bias_.size()) * sizeof(float);
   m.mirror_bytes = weights_bf16_.size() * sizeof(simd::Bf16) +
-                   weights_f16_.size() * sizeof(simd::Fp16) +
                    weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
-  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_f16_) +
-                            thp_bytes(weights_i8_);
+  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_i8_);
   m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
                       2 * adam_.num_params() * sizeof(float);
   return m;
@@ -321,9 +288,6 @@ void EmbeddingLayer::forward_inference(const SparseVector& x,
   if (bf16_inference()) {
     embedding_forward(bias_, weights_bf16_.data(), units_, x, out,
                       input_dim_);
-  } else if (f16_inference()) {
-    embedding_forward_f16(bias_, weights_f16_.data(), units_, x, out,
-                          input_dim_);
   } else if (i8_inference()) {
     embedding_forward_i8(bias_, weights_i8_.data(), i8_scales_.data(), units_,
                          x, out, input_dim_);
@@ -492,9 +456,6 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     case Precision::kBF16:
       weights_bf16_.resize(weights_.size());
       break;
-    case Precision::kFP16:
-      weights_f16_.resize(weights_.size());
-      break;
     case Precision::kInt8:
       weights_i8_.resize(weights_.size());
       i8_scales_.assign(static_cast<std::size_t>(units_), 0.0f);
@@ -510,10 +471,6 @@ void SampledLayer::refresh_inference_mirror() noexcept {
     case Precision::kBF16:
       simd::quantize_bf16(weights_.data(), weights_bf16_.data(),
                           weights_.size());
-      return;
-    case Precision::kFP16:
-      simd::quantize_f16(weights_.data(), weights_f16_.data(),
-                         weights_.size());
       return;
     case Precision::kInt8:
       // Per-neuron-row symmetric quantization (rows are fan_in_-long;
@@ -534,8 +491,6 @@ std::size_t SampledLayer::inference_weight_bytes() const noexcept {
   const std::size_t bias_bytes = bias_.size() * sizeof(float);
   if (bf16_inference())
     return weights_bf16_.size() * sizeof(simd::Bf16) + bias_bytes;
-  if (f16_inference())
-    return weights_f16_.size() * sizeof(simd::Fp16) + bias_bytes;
   if (i8_inference())
     return weights_i8_.size() * sizeof(simd::I8) +
            i8_scales_.size() * sizeof(float) + bias_bytes;
@@ -546,11 +501,9 @@ LayerMemory SampledLayer::memory() const noexcept {
   LayerMemory m;
   m.master_bytes = (weights_.size() + bias_.size()) * sizeof(float);
   m.mirror_bytes = weights_bf16_.size() * sizeof(simd::Bf16) +
-                   weights_f16_.size() * sizeof(simd::Fp16) +
                    weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
-  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_f16_) +
-                            thp_bytes(weights_i8_);
+  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_i8_);
   m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
                       2 * adam_.num_params() * sizeof(float);
   m.retriever_bytes =
@@ -564,19 +517,6 @@ float SampledLayer::activation_of_bf16(
   const simd::Bf16* w =
       weights_bf16_.data() + static_cast<std::size_t>(unit) * fan_in_;
   return score_unit(bias_[unit], w, prev_ids, prev_act);
-}
-
-float SampledLayer::activation_of_f16(
-    Index unit, std::span<const Index> prev_ids,
-    std::span<const float> prev_act) const {
-  // Fp16 shares Bf16's storage type (std::uint16_t), so score_unit's
-  // overload set cannot dispatch on it — call the f16 kernels directly.
-  const simd::Fp16* w =
-      weights_f16_.data() + static_cast<std::size_t>(unit) * fan_in_;
-  if (prev_ids.empty())
-    return bias_[unit] + simd::dot_f16(w, prev_act.data(), prev_act.size());
-  return bias_[unit] + simd::sparse_dot_f16(prev_ids.data(), prev_act.data(),
-                                            prev_ids.size(), w);
 }
 
 float SampledLayer::activation_of_i8(Index unit,
@@ -630,14 +570,6 @@ void SampledLayer::score_rows(std::span<const Index> ids,
       if (i + kPrefetchDistance < n)
         prefetch_read(inference_row(ids[i + kPrefetchDistance]));
       out[i] = activation_of_i8(ids[i], prev_ids, prev_act, qx, sx);
-    }
-    return;
-  }
-  if (f16_inference()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchDistance < n)
-        prefetch_read(inference_row(ids[i + kPrefetchDistance]));
-      out[i] = activation_of_f16(ids[i], prev_ids, prev_act);
     }
     return;
   }
@@ -1052,7 +984,6 @@ Index SampledLayer::add_units(Index n) {
   // Quantized mirrors re-quantize wholesale below, so a plain (zeroing)
   // resize is fine here.
   if (!weights_bf16_.empty()) weights_bf16_.resize(new_w);
-  if (!weights_f16_.empty()) weights_f16_.resize(new_w);
   if (!weights_i8_.empty()) {
     weights_i8_.resize(new_w);
     i8_scales_.resize(static_cast<std::size_t>(new_units), 0.0f);

@@ -43,7 +43,6 @@
 #include "lsh/table_group.h"
 #include "optim/adam.h"
 #include "simd/bf16.h"
-#include "simd/f16.h"
 #include "simd/int8.h"
 #include "sys/aligned.h"
 #include "sys/hugepages.h"
@@ -413,9 +412,6 @@ class EmbeddingLayer {
   bool bf16_inference() const noexcept {
     return precision_ == Precision::kBF16 && !weights_bf16_.empty();
   }
-  bool f16_inference() const noexcept {
-    return precision_ == Precision::kFP16 && !weights_f16_.empty();
-  }
   bool i8_inference() const noexcept {
     return precision_ == Precision::kInt8 && !weights_i8_.empty();
   }
@@ -433,7 +429,6 @@ class EmbeddingLayer {
   // serving path streams these rows, the TLB-bound pattern of paper
   // Table 4. i8_scales_ holds the per-input-row symmetric scale.
   HugeArrayT<simd::Bf16> weights_bf16_;
-  HugeArrayT<simd::Fp16> weights_f16_;
   HugeArrayT<simd::I8> weights_i8_;
   AlignedVector<float> i8_scales_;  // [input_dim]
   Adam adam_;  // layout: weights then bias
@@ -676,8 +671,6 @@ class SampledLayer : public Layer {
   /// Mirror-reading twins of activation_of (quantized inference scoring).
   float activation_of_bf16(Index unit, std::span<const Index> prev_ids,
                            std::span<const float> prev_act) const;
-  float activation_of_f16(Index unit, std::span<const Index> prev_ids,
-                          std::span<const float> prev_act) const;
   /// Int8 scoring: against a dense prev the caller provides the u8-quantized
   /// activations (qx, one quantize_act_u8 per query) and their scale;
   /// against a sparse prev qx is unused (fp32 values x widened s8 weights).
@@ -703,9 +696,6 @@ class SampledLayer : public Layer {
   bool bf16_inference() const noexcept {
     return config_.precision == Precision::kBF16 && !weights_bf16_.empty();
   }
-  bool f16_inference() const noexcept {
-    return config_.precision == Precision::kFP16 && !weights_f16_.empty();
-  }
   bool i8_inference() const noexcept {
     return config_.precision == Precision::kInt8 && !weights_i8_.empty();
   }
@@ -714,7 +704,6 @@ class SampledLayer : public Layer {
   const void* inference_row(Index unit) const noexcept {
     const std::size_t off = static_cast<std::size_t>(unit) * fan_in_;
     if (i8_inference()) return weights_i8_.data() + off;
-    if (f16_inference()) return weights_f16_.data() + off;
     if (bf16_inference()) return weights_bf16_.data() + off;
     return weights_.data() + off;
   }
@@ -739,7 +728,6 @@ class SampledLayer : public Layer {
   // only the one matching config_.precision is ever allocated (hugepage-
   // backed — see EmbeddingLayer). i8_scales_ is the per-neuron-row scale.
   HugeArrayT<simd::Bf16> weights_bf16_;
-  HugeArrayT<simd::Fp16> weights_f16_;
   HugeArrayT<simd::I8> weights_i8_;
   AlignedVector<float> i8_scales_;  // [units]
   Adam adam_;  // layout: weights then bias

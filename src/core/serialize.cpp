@@ -18,9 +18,9 @@ namespace slide {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x534C4944;  // "SLID"
-// Version 5 = version 4 + per-layer dynamic-label lifecycle state for
-// kind-0 stack layers (appended-row count + tombstone block); loaders
-// accept 1..5 (see serialize.h's version history).
+// Version 5 = version 4 + per-layer dynamic-label lifecycle state
+// (appended-row count + tombstone block); loaders accept 1..5 (see
+// serialize.h's version history).
 constexpr std::uint32_t kVersion = 5;
 constexpr std::uint32_t kMinVersion = 1;
 
@@ -147,12 +147,12 @@ void write_file_atomically(const std::string& path, const std::string& what,
   sync_path(dir.empty() ? "." : dir.string(), O_DIRECTORY);
 }
 
-void write_header(std::ostream& out, std::uint32_t kind,
-                  std::uint32_t input_dim, std::uint32_t hidden,
-                  std::uint32_t num_layers, Precision precision) {
+void write_header(std::ostream& out, std::uint32_t input_dim,
+                  std::uint32_t hidden, std::uint32_t num_layers,
+                  Precision precision) {
   write_u32(out, kMagic);
   write_u32(out, kVersion);
-  write_u32(out, kind);
+  write_u32(out, 0);  // kind: the unified stack, the only kind there is
   write_u32(out, input_dim);
   write_u32(out, hidden);
   write_u32(out, num_layers);
@@ -167,26 +167,19 @@ std::uint32_t read_version(std::istream& in) {
   return version;
 }
 
+/// Reads the kind word, which must be 0 (the unified stack). Kind 1 was
+/// the removed dense-baseline wrapper's layout.
+void read_kind(std::istream& in) {
+  const std::uint32_t kind = read_u32(in);
+  SLIDE_CHECK(kind != 1,
+              "load_weights: checkpoint kind 1 (legacy dense) was removed");
+  SLIDE_CHECK(kind == 0, "load_weights: unknown checkpoint kind");
+}
+
 /// Reads the optional v2 precision tag (fp32 for v1 files).
 Precision read_precision_tag(std::istream& in, std::uint32_t version) {
   if (version < 2) return Precision::kFP32;
-  const std::uint32_t tag = read_u32(in);
-  SLIDE_CHECK(tag <= static_cast<std::uint32_t>(Precision::kInt8),
-              "load_weights: unknown precision tag");
-  return static_cast<Precision>(tag);
-}
-
-void check_header(std::istream& in, std::uint32_t kind,
-                  std::uint32_t input_dim, std::uint32_t hidden,
-                  std::uint32_t num_layers) {
-  const std::uint32_t version = read_version(in);
-  SLIDE_CHECK(read_u32(in) == kind, "load_weights: checkpoint kind mismatch");
-  SLIDE_CHECK(read_u32(in) == input_dim,
-              "load_weights: input_dim mismatch");
-  SLIDE_CHECK(read_u32(in) == hidden, "load_weights: hidden width mismatch");
-  SLIDE_CHECK(read_u32(in) == num_layers,
-              "load_weights: layer count mismatch");
-  read_precision_tag(in, version);
+  return precision_from_tag(read_u32(in));
 }
 
 }  // namespace
@@ -195,9 +188,7 @@ CheckpointInfo peek_checkpoint_info(std::istream& in) {
   const std::istream::pos_type start = in.tellg();
   CheckpointInfo info;
   info.version = read_version(in);
-  info.kind = read_u32(in);
-  SLIDE_CHECK(info.kind == 0 || info.kind == 1,
-              "peek_checkpoint_info: unknown checkpoint kind");
+  read_kind(in);
   read_u32(in);  // input_dim
   read_u32(in);  // hidden
   read_u32(in);  // num_layers
@@ -215,7 +206,7 @@ CheckpointInfo peek_checkpoint_info_file(const std::string& path) {
 
 void save_weights(const Network& network, std::ostream& out) {
   const EmbeddingLayer& emb = network.embedding();
-  write_header(out, /*kind=*/0, emb.input_dim(), emb.units(),
+  write_header(out, emb.input_dim(), emb.units(),
                static_cast<std::uint32_t>(network.stack_depth()),
                network.precision());
   write_floats(out, emb.weights_span());
@@ -261,15 +252,7 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
   Network::WriteGuard guard(network);
   EmbeddingLayer& emb = network.embedding();
   const std::uint32_t version = read_version(in);
-  // Kind 0 is the unified stack; kind 1 is the pre-unification dense
-  // baseline, whose byte layout matches a one-stack-layer network exactly —
-  // accepted here so old dense checkpoints migrate into the unified stack.
-  const std::uint32_t kind = read_u32(in);
-  SLIDE_CHECK(kind == 0 || kind == 1,
-              "load_weights: checkpoint kind mismatch");
-  SLIDE_CHECK(kind == 0 || network.stack_depth() == 1,
-              "load_weights: legacy dense checkpoint needs a single-layer "
-              "stack");
+  read_kind(in);
   SLIDE_CHECK(read_u32(in) == emb.input_dim(),
               "load_weights: input_dim mismatch");
   SLIDE_CHECK(read_u32(in) == emb.units(),
@@ -300,7 +283,7 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
     // parameter blocks, so a network built from the original config loads
     // a grown checkpoint; any other width difference is still an error.
     const std::uint32_t file_appended =
-        (version >= 5 && kind == 0) ? read_u32(in) : 0;
+        version >= 5 ? read_u32(in) : 0;
     if (file_units != static_cast<std::uint32_t>(units)) {
       SLIDE_CHECK(file_units > static_cast<std::uint32_t>(units) &&
                       file_units - static_cast<std::uint32_t>(units) <=
@@ -309,13 +292,13 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
       layer.add_units(static_cast<Index>(file_units) - units);
       units = layer.units();
     }
-    // v3 kind-0 layers carry a shard count + per-shard blocks; earlier
-    // versions and kind-1 legacy files are the one-block (monolithic)
-    // layout. The file's partition need not match the target layer's —
-    // blocks are scattered by global row index, which is how a monolithic
-    // checkpoint reshards into a sharded layer (and vice versa).
+    // v3 layers carry a shard count + per-shard blocks; earlier versions
+    // are the one-block (monolithic) layout. The file's partition need not
+    // match the target layer's — blocks are scattered by global row index,
+    // which is how a monolithic checkpoint reshards into a sharded layer
+    // (and vice versa).
     const std::uint32_t file_shards =
-        (version >= 3 && kind == 0) ? read_u32(in) : 1;
+        version >= 3 ? read_u32(in) : 1;
     SLIDE_CHECK(file_shards >= 1 && file_shards <= units,
                 "load_weights: invalid shard count");
     Index row = 0;
@@ -343,7 +326,7 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
     // target layer runs the same backend the writer did (a checkpoint is
     // architecture-portable across retriever configs — mismatched blocks
     // are skipped and the index rebuilds from the weights as before).
-    if (version >= 4 && kind == 0) {
+    if (version >= 4) {
       const std::uint32_t file_retriever = read_u32(in);
       SLIDE_CHECK(
           file_retriever <=
@@ -376,7 +359,7 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
     }
     // v5: tombstone block — re-apply retired ids so they stay masked
     // across reboots (the retriever mask survives the rebuild pass below).
-    if (version >= 5 && kind == 0) {
+    if (version >= 5) {
       const std::uint64_t num_retired = read_u64(in);
       if (num_retired > 0) {
         SLIDE_CHECK(num_retired <= static_cast<std::uint64_t>(units),
@@ -412,19 +395,6 @@ void load_weights_file(Network& network, const std::string& path,
   std::ifstream in(path, std::ios::binary);
   SLIDE_CHECK(in.good(), "load_weights_file: cannot open " + path);
   load_weights(network, in, pool);
-}
-
-void save_weights(const DenseNetwork& network, std::ostream& out) {
-  const EmbeddingLayer& emb = network.embedding();
-  write_header(out, /*kind=*/1, emb.input_dim(), emb.units(), 1,
-               Precision::kFP32);
-  write_floats(out, emb.weights_span());
-  write_floats(out, emb.bias_span());
-  write_u32(out, network.output_dim());
-  write_u32(out, emb.units());
-  write_floats(out, network.output_weights_span());
-  write_floats(out, network.output_bias_span());
-  SLIDE_CHECK(out.good(), "save_weights: write failed");
 }
 
 namespace {
@@ -522,24 +492,6 @@ ShardFileInfo peek_shard_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   SLIDE_CHECK(in.good(), "peek_shard_file: cannot open " + path);
   return read_shard_header(in, path);
-}
-
-void load_weights(DenseNetwork& network, std::istream& in) {
-  EmbeddingLayer& emb = network.embedding();
-  check_header(in, /*kind=*/1, emb.input_dim(), emb.units(), 1);
-  read_floats(in, emb.weights_span());
-  read_floats(in, emb.bias_span());
-  SLIDE_CHECK(read_u32(in) == network.output_dim(),
-              "load_weights: output width mismatch");
-  SLIDE_CHECK(read_u32(in) == emb.units(),
-              "load_weights: output fan-in mismatch");
-  read_floats(in, network.output_weights_span());
-  read_floats(in, network.output_bias_span());
-  // Same post-rewrite contract as the unified loader: derived state
-  // (mirrors, memos) must track the new spans. A no-op today — the dense
-  // baseline is fp32 and unhashed — but load paths must not depend on that.
-  emb.refresh_inference_mirror();
-  network.network().stack(0).on_weights_loaded();
 }
 
 }  // namespace slide

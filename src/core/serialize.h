@@ -6,30 +6,32 @@
 // slide::Error on mismatch. One format covers every stack a NetworkBuilder
 // can produce (dense-only, multi-hashed, random-sampled): the writer and
 // loader go through the Layer serialize hooks, so layer policy never
-// changes the byte layout. Legacy dense-baseline checkpoints (kind 1,
-// written by the pre-unification DenseNetwork) load into a single-layer
-// unified stack unchanged. LSH hash tables are NOT serialized: they are a
-// function of the weights and are rebuilt after loading (load_weights does
-// this automatically). Retrieval indexes that are expensive to rebuild
-// (the HNSW graph) ride along as v4 aux blocks and skip the rebuild.
+// changes the byte layout. The header's kind word is always 0; kind 1 (the
+// removed dense-baseline wrapper's files) fails with slide::Error, and a
+// dense baseline is a builder stack saved like any other. LSH hash tables are
+// NOT serialized: they are a function of the weights and are rebuilt after
+// loading (load_weights does this automatically). Retrieval indexes that
+// are expensive to rebuild (the HNSW graph) ride along as v4 aux blocks and
+// skip the rebuild.
 //
 // Version history:
-//   1 — header {magic, version, kind, input_dim, hidden, num_layers}.
+//   1 — header {magic, version, kind, input_dim, hidden, num_layers}; kind
+//       must be 0 in every version.
 //   2 — adds a precision tag word after the header: the Precision the
 //       saving network scored inference at (provenance for serving boots;
 //       see peek_checkpoint_info). Parameter blocks are ALWAYS the fp32
-//       master weights regardless of the tag — bf16 mirrors are derived
-//       state and are re-quantized by the loading network when its own
-//       config asks for bf16. Version-1 files load unchanged (tag fp32).
-//   3 — kind-0 stack layers gain a shard-count word before their parameter
+//       master weights regardless of the tag — quantized mirrors are
+//       derived state and are re-quantized by the loading network when its
+//       own config asks for them. Version-1 files load unchanged (tag
+//       fp32). Tag 2 (the removed fp16 tier) fails with slide::Error.
+//   3 — stack layers gain a shard-count word before their parameter
 //       blocks, followed by one weights+bias block pair per shard
 //       (contiguous global row ranges in order; monolithic layers write a
 //       single "shard"). The loader scatters file blocks into the target
 //       layer's own shard partition by global row index, so a checkpoint
 //       written at one shard count loads into a network using another —
 //       including monolithic-to-sharded resharding (serve/snapshot.h,
-//       publish_clone). v1/v2 files (and kind-1 legacy dense files, which
-//       never carry shard words) load unchanged.
+//       publish_clone). v1/v2 files load unchanged.
 //   4 — each layer appends a retriever descriptor after its parameter
 //       blocks: a u32 retriever kind (retrieval::RetrieverKind) plus a
 //       u64-sized aux payload holding backend state that is expensive to
@@ -39,7 +41,7 @@
 //       block is skipped and the layer rebuilds its index from the loaded
 //       weights, so checkpoints stay portable across retriever choices.
 //       v1–v3 files load unchanged (every layer rebuilds).
-//   5 — dynamic-label lifecycle state. Each kind-0 stack layer gains (a) an
+//   5 — dynamic-label lifecycle state. Each stack layer gains (a) an
 //       appended-row count word right after its units/fan_in words — the
 //       units the layer grew by online via add_units — and (b) a trailing
 //       tombstone block (u64 count + that many u32 global unit ids) after
@@ -56,7 +58,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/dense_network.h"
 #include "core/network.h"
 
 namespace slide {
@@ -64,7 +65,6 @@ namespace slide {
 /// Header fields of a checkpoint stream (see the version history above).
 struct CheckpointInfo {
   std::uint32_t version = 0;
-  std::uint32_t kind = 0;  ///< 0 = unified stack, 1 = legacy dense baseline
   Precision precision = Precision::kFP32;  ///< tag; fp32 for version-1 files
 };
 
@@ -87,10 +87,6 @@ void load_weights(Network& network, std::istream& in,
                   ThreadPool* pool = nullptr);
 void load_weights_file(Network& network, const std::string& path,
                        ThreadPool* pool = nullptr);
-
-/// Dense-baseline counterparts (same container format).
-void save_weights(const DenseNetwork& network, std::ostream& out);
-void load_weights(DenseNetwork& network, std::istream& in);
 
 // ---------------------------------------------------------------------------
 // Per-shard checkpoint files (distributed model parallelism, src/dist/)

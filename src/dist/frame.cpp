@@ -71,7 +71,7 @@ void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   out[2] = kMagic[2];
   out[3] = kMagic[3];
   out[4] = frame.type;
-  out[5] = frame.flags;
+  out[5] = 0;
   out[6] = 0;
   out[7] = 0;
   put_u32(out.data() + 8, static_cast<std::uint32_t>(frame.payload.size()));
@@ -86,9 +86,12 @@ FrameHeader decode_frame_header(const std::uint8_t* header16) {
   if (std::memcmp(header16, kMagic.data(), kMagic.size()) != 0)
     throw FrameError(FrameErrorKind::kBadMagic,
                      "header does not start with SLFW");
+  // Bytes 5..7 are reserved (frame.h) and must read zero.
+  if (header16[5] != 0 || header16[6] != 0 || header16[7] != 0)
+    throw FrameError(FrameErrorKind::kBadFormat,
+                     "reserved header bytes are not zero");
   FrameHeader h;
   h.type = header16[4];
-  h.flags = header16[5];
   h.length = get_u32(header16 + 8);
   h.crc = get_u32(header16 + 12);
   if (h.length > kMaxFramePayload)
@@ -106,7 +109,6 @@ Frame assemble_frame(const FrameHeader& header,
     throw FrameError(FrameErrorKind::kBadCrc, "payload checksum mismatch");
   Frame frame;
   frame.type = header.type;
-  frame.flags = header.flags;
   frame.payload = std::move(payload);
   return frame;
 }

@@ -6,8 +6,7 @@
 //   offset  size  field
 //        0     4  magic  "SLFW" (0x53 0x4C 0x46 0x57, byte order fixed)
 //        4     1  type   (dist/protocol.h MsgType; opaque at this layer)
-//        5     1  flags  (bit 0: payload values are bf16-compressed)
-//        6     2  reserved (zero)
+//        5     3  reserved (zero)
 //        8     4  payload length, little-endian (<= kMaxFramePayload)
 //       12     4  CRC-32 (IEEE) of the payload bytes, little-endian
 //       16     n  payload
@@ -16,11 +15,12 @@
 // shared-memory rings that other processes write — and rejects every
 // corruption kind with a *typed* error (FrameError::kind), mirroring the
 // xc_reader malformed-input contract: truncated header/payload, bad magic,
-// oversized length, CRC mismatch. tests/test_dist.cpp fuzzes all of them.
+// non-zero reserved bytes, oversized length, CRC mismatch.
+// tests/test_dist.cpp fuzzes all of them.
 //
 // Payload contents are built with PayloadWriter / PayloadReader: explicit
 // little-endian scalar codecs plus the sparse active-set pair codec
-// ({index, value} runs, fp32 or bf16 values) that carries the activations
+// ({index, value} runs of fp32 values) that carries the activations
 // and gradients — the entire point of Distributed SLIDE (arXiv:2201.12667)
 // is that these sparse runs are small enough for low-bandwidth links.
 #pragma once
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "simd/bf16.h"
 #include "sys/common.h"
 
 namespace slide::dist {
@@ -43,7 +42,8 @@ enum class FrameErrorKind {
   kBadMagic,   ///< header does not start with "SLFW"
   kOversized,  ///< length field exceeds kMaxFramePayload
   kBadCrc,     ///< payload CRC mismatch
-  kBadFormat,  ///< payload structure invalid (reader overrun, bad counts)
+  kBadFormat,  ///< reserved header bytes set, or payload structure invalid
+               ///< (reader overrun, bad counts)
 };
 
 const char* to_string(FrameErrorKind kind);
@@ -63,23 +63,18 @@ class FrameError : public Error {
 /// fits with room to spare; anything bigger is a corrupt length field.
 inline constexpr std::size_t kMaxFramePayload = 256u * 1024u * 1024u;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-inline constexpr std::uint8_t kFlagBf16Values = 0x01;
 
 /// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) over `data`.
 std::uint32_t crc32(const void* data, std::size_t len) noexcept;
 
 struct Frame {
   std::uint8_t type = 0;
-  std::uint8_t flags = 0;
   std::vector<std::uint8_t> payload;
-
-  bool bf16_values() const noexcept { return (flags & kFlagBf16Values) != 0; }
 };
 
 /// Parsed header of an incoming frame (payload not yet read).
 struct FrameHeader {
   std::uint8_t type = 0;
-  std::uint8_t flags = 0;
   std::uint32_t length = 0;
   std::uint32_t crc = 0;
 };
@@ -88,7 +83,8 @@ struct FrameHeader {
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 
 /// Validates and parses a 16-byte header block. Throws FrameError
-/// (kBadMagic, kOversized) on corruption.
+/// (kBadMagic, kBadFormat for non-zero reserved bytes, kOversized) on
+/// corruption.
 FrameHeader decode_frame_header(const std::uint8_t* header16);
 
 /// Verifies the payload against the header CRC and materializes the Frame.
@@ -105,7 +101,6 @@ class PayloadWriter {
   explicit PayloadWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
   void i64(std::int64_t v) { raw(&v, sizeof(v)); }
@@ -124,15 +119,6 @@ class PayloadWriter {
     u32(static_cast<std::uint32_t>(v.size()));
     raw(v.data(), v.size() * sizeof(Index));
   }
-  /// Value run with optional bf16 wire compression (ids travel separately).
-  void values(std::span<const float> v, bool bf16) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    if (!bf16) {
-      raw(v.data(), v.size() * sizeof(float));
-      return;
-    }
-    for (float f : v) u16(simd::float_to_bf16(f));
-  }
 
  private:
   void raw(const void* p, std::size_t n) {
@@ -150,7 +136,6 @@ class PayloadReader {
   explicit PayloadReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   std::uint8_t u8() { std::uint8_t v; raw(&v, sizeof(v)); return v; }
-  std::uint16_t u16() { std::uint16_t v; raw(&v, sizeof(v)); return v; }
   std::uint32_t u32() { std::uint32_t v; raw(&v, sizeof(v)); return v; }
   std::uint64_t u64() { std::uint64_t v; raw(&v, sizeof(v)); return v; }
   std::int64_t i64() { std::int64_t v; raw(&v, sizeof(v)); return v; }
@@ -171,16 +156,6 @@ class PayloadReader {
     const std::uint32_t n = checked_count(u32(), sizeof(Index));
     out.resize(n);
     raw(out.data(), static_cast<std::size_t>(n) * sizeof(Index));
-  }
-  void values(std::vector<float>& out, bool bf16) {
-    if (!bf16) {
-      floats(out);
-      return;
-    }
-    const std::uint32_t n = checked_count(u32(), sizeof(std::uint16_t));
-    out.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-      out[i] = simd::bf16_to_float(u16());
   }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -4,10 +4,9 @@ namespace slide::dist {
 
 namespace {
 
-Frame begin_frame(MsgType type, bool bf16 = false) {
+Frame begin_frame(MsgType type) {
   Frame f;
   f.type = static_cast<std::uint8_t>(type);
-  if (bf16) f.flags |= kFlagBf16Values;
   return f;
 }
 
@@ -172,8 +171,7 @@ SampledLayer::Config read_layer_config(PayloadReader& r) {
   c.adam.beta1 = r.f32();
   c.adam.beta2 = r.f32();
   c.adam.epsilon = r.f32();
-  c.precision = read_enum<Precision>(
-      r, static_cast<std::uint8_t>(Precision::kInt8), "precision");
+  c.precision = precision_from_tag(r.u8());
   c.seed = r.u64();
   c.retriever = read_enum<retrieval::RetrieverKind>(
       r, static_cast<std::uint8_t>(retrieval::RetrieverKind::kHnsw),
@@ -232,16 +230,16 @@ void WireActiveSet::reconstruct(ActiveSet& out) const {
   }
 }
 
-void WireActiveSet::write(PayloadWriter& w, bool bf16) const {
+void WireActiveSet::write(PayloadWriter& w) const {
   w.u32(dense_width);
   w.indices({ids.data(), ids.size()});
-  w.values({act.data(), act.size()}, bf16);
+  w.floats({act.data(), act.size()});
 }
 
-void WireActiveSet::read(PayloadReader& r, bool bf16) {
+void WireActiveSet::read(PayloadReader& r) {
   dense_width = r.u32();
   r.indices(ids);
-  r.values(act, bf16);
+  r.floats(act);
   if (ids.size() != act.size())
     throw FrameError(FrameErrorKind::kBadFormat,
                      "active-set id/value run length mismatch");
@@ -291,13 +289,13 @@ InitShardMsg InitShardMsg::from_frame(const Frame& f) {
   return m;
 }
 
-Frame ForwardMsg::to_frame(bool bf16) const {
-  Frame f = begin_frame(MsgType::kForwardActive, bf16);
+Frame ForwardMsg::to_frame() const {
+  Frame f = begin_frame(MsgType::kForwardActive);
   PayloadWriter w(f.payload);
   w.u32(static_cast<std::uint32_t>(slot));
   write_rng_state(w, rng);
   w.indices({forced_local.data(), forced_local.size()});
-  prev.write(w, bf16);
+  prev.write(w);
   return f;
 }
 
@@ -307,16 +305,16 @@ ForwardMsg ForwardMsg::from_frame(const Frame& f) {
   m.slot = static_cast<std::int32_t>(r.u32());
   m.rng = read_rng_state(r);
   r.indices(m.forced_local);
-  m.prev.read(r, f.bf16_values());
+  m.prev.read(r);
   return m;
 }
 
-Frame ForwardResp::to_frame(bool bf16) const {
-  Frame f = begin_frame(MsgType::kForwardResp, bf16);
+Frame ForwardResp::to_frame() const {
+  Frame f = begin_frame(MsgType::kForwardResp);
   PayloadWriter w(f.payload);
   write_rng_state(w, rng);
   w.indices({ids.data(), ids.size()});
-  w.values({act.data(), act.size()}, bf16);
+  w.floats({act.data(), act.size()});
   return f;
 }
 
@@ -325,19 +323,18 @@ ForwardResp ForwardResp::from_frame(const Frame& f) {
   ForwardResp m;
   m.rng = read_rng_state(r);
   r.indices(m.ids);
-  r.values(m.act, f.bf16_values());
+  r.floats(m.act);
   if (m.ids.size() != m.act.size())
     throw FrameError(FrameErrorKind::kBadFormat,
                      "forward response id/act length mismatch");
   return m;
 }
 
-Frame BackwardMsg::to_frame(bool bf16) const {
-  Frame f = begin_frame(MsgType::kBackwardScatter, bf16);
+Frame BackwardMsg::to_frame() const {
+  Frame f = begin_frame(MsgType::kBackwardScatter);
   PayloadWriter w(f.payload);
   w.u32(static_cast<std::uint32_t>(slot));
-  w.values({err.data(), err.size()}, bf16);
-  // prev.err must survive the fold bit-exactly — never bf16-compressed.
+  w.floats({err.data(), err.size()});
   w.floats({prev_err.data(), prev_err.size()});
   return f;
 }
@@ -346,12 +343,12 @@ BackwardMsg BackwardMsg::from_frame(const Frame& f) {
   PayloadReader r = open_payload(f, MsgType::kBackwardScatter);
   BackwardMsg m;
   m.slot = static_cast<std::int32_t>(r.u32());
-  r.values(m.err, f.bf16_values());
+  r.floats(m.err);
   r.floats(m.prev_err);
   return m;
 }
 
-Frame BackwardResp::to_frame(bool /*bf16*/) const {
+Frame BackwardResp::to_frame() const {
   Frame f = begin_frame(MsgType::kBackwardResp);
   PayloadWriter w(f.payload);
   w.floats({prev_err.data(), prev_err.size()});
@@ -421,13 +418,13 @@ SetUseLocksMsg SetUseLocksMsg::from_frame(const Frame& f) {
   return m;
 }
 
-Frame QueryTopkMsg::to_frame(bool bf16) const {
-  Frame f = begin_frame(MsgType::kQueryTopk, bf16);
+Frame QueryTopkMsg::to_frame() const {
+  Frame f = begin_frame(MsgType::kQueryTopk);
   PayloadWriter w(f.payload);
   write_rng_state(w, rng);
   w.u8(exact ? 1 : 0);
   w.u32(budget);
-  prev.write(w, bf16);
+  prev.write(w);
   return f;
 }
 
@@ -437,16 +434,16 @@ QueryTopkMsg QueryTopkMsg::from_frame(const Frame& f) {
   m.rng = read_rng_state(r);
   m.exact = r.u8() != 0;
   m.budget = r.u32();
-  m.prev.read(r, f.bf16_values());
+  m.prev.read(r);
   return m;
 }
 
-Frame QueryTopkResp::to_frame(bool bf16) const {
-  Frame f = begin_frame(MsgType::kQueryTopkResp, bf16);
+Frame QueryTopkResp::to_frame() const {
+  Frame f = begin_frame(MsgType::kQueryTopkResp);
   PayloadWriter w(f.payload);
   write_rng_state(w, rng);
   w.indices({ids.data(), ids.size()});
-  w.values({act.data(), act.size()}, bf16);
+  w.floats({act.data(), act.size()});
   return f;
 }
 
@@ -455,7 +452,7 @@ QueryTopkResp QueryTopkResp::from_frame(const Frame& f) {
   QueryTopkResp m;
   m.rng = read_rng_state(r);
   r.indices(m.ids);
-  r.values(m.act, f.bf16_values());
+  r.floats(m.act);
   if (m.ids.size() != m.act.size())
     throw FrameError(FrameErrorKind::kBadFormat,
                      "topk response id/act length mismatch");

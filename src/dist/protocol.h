@@ -42,10 +42,6 @@
 //     current prev.err, the worker accumulates its contributions in the
 //     same loop order as the in-process shard, the response replaces
 //     prev.err. Shard order is fixed, so FP rounding order is identical.
-//
-// The frame codec can carry value runs as bf16 (kFlagBf16Values, halving
-// their bytes at the cost of exactness); RemoteShard always sends fp32, and
-// workers answer in the precision they were asked in.
 #pragma once
 
 #include <string>
@@ -68,6 +64,9 @@ namespace slide::dist {
 //       policy byte admits sync | async_full only, and kStatsResp drops
 //       its delta_reinserted count. Either side refuses a v3 peer at the
 //       handshake with VersionMismatch.
+//       Later v4 readers also refuse precision byte 2 (the removed fp16
+//       tier) and a frame with a non-zero header byte 5 (the removed bf16
+//       values flag, which RemoteShard never set), both as typed errors.
 inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// The peer speaks another protocol version. Thrown by the handshake on
@@ -141,8 +140,8 @@ struct WireActiveSet {
   /// Rebuilds the original dense/sparse shape into `out` (err zeroed).
   void reconstruct(ActiveSet& out) const;
 
-  void write(PayloadWriter& w, bool bf16) const;
-  void read(PayloadReader& r, bool bf16);
+  void write(PayloadWriter& w) const;
+  void read(PayloadReader& r);
 };
 
 // ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ struct ForwardMsg {
   std::vector<Index> forced_local;
   WireActiveSet prev;
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static ForwardMsg from_frame(const Frame& f);
 };
 
@@ -184,7 +183,7 @@ struct ForwardResp {
   std::vector<Index> ids;  // shard-local active ids
   std::vector<float> act;
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static ForwardResp from_frame(const Frame& f);
 };
 
@@ -193,14 +192,14 @@ struct BackwardMsg {
   std::vector<float> err;       // this shard's segment of the merged err
   std::vector<float> prev_err;  // current prev.err (dense over prev.size())
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static BackwardMsg from_frame(const Frame& f);
 };
 
 struct BackwardResp {
   std::vector<float> prev_err;  // updated prev.err, replaces the caller's
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static BackwardResp from_frame(const Frame& f);
 };
 
@@ -240,7 +239,7 @@ struct QueryTopkMsg {
   Index budget = 0;
   WireActiveSet prev;
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static QueryTopkMsg from_frame(const Frame& f);
 };
 
@@ -249,7 +248,7 @@ struct QueryTopkResp {
   std::vector<Index> ids;  // shard-local candidates
   std::vector<float> act;
 
-  Frame to_frame(bool bf16) const;
+  Frame to_frame() const;
   static QueryTopkResp from_frame(const Frame& f);
 };
 
@@ -273,7 +272,7 @@ struct FetchShardResp {
 
 /// Pushes full fp32 master weights into a worker's shard (the inverse of
 /// kFetchShard): the coordinator's checkpoint-v3 load path rewrites worker
-/// state with this. Never bf16-compressed — masters must round-trip exactly.
+/// state with this. Masters round-trip exactly.
 struct SetShardWeightsMsg {
   std::vector<float> weights;  // [rows x fan_in]
   std::vector<float> bias;     // [rows]

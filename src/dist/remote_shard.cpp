@@ -59,7 +59,7 @@ void RemoteShard::forward(int slot, const ActiveSet& prev,
   msg.forced_local.assign(forced.begin(), forced.end());
   msg.prev = WireActiveSet::capture(prev);
   ForwardResp resp = ForwardResp::from_frame(
-      client_.call(msg.to_frame(/*bf16=*/false), MsgType::kForwardResp));
+      client_.call(msg.to_frame(), MsgType::kForwardResp));
   SLIDE_CHECK(resp.ids.size() == resp.act.size(),
               "remote forward: mismatched id/act runs from shard");
   rng.set_state(resp.rng);
@@ -97,7 +97,7 @@ void RemoteShard::backward(int slot, ActiveSet& prev, int /*tid*/) {
   msg.prev_err.assign(prev.err.begin(),
                       prev.err.begin() + static_cast<std::ptrdiff_t>(pn));
   const BackwardResp resp = BackwardResp::from_frame(
-      client_.call(msg.to_frame(/*bf16=*/false), MsgType::kBackwardResp));
+      client_.call(msg.to_frame(), MsgType::kBackwardResp));
   SLIDE_CHECK(resp.prev_err.size() == pn,
               "remote backward: prev_err size changed in flight");
   std::copy(resp.prev_err.begin(), resp.prev_err.end(), prev.err.begin());
@@ -158,8 +158,7 @@ void RemoteShard::forward_inference(std::span<const Index> prev_ids,
   msg.prev = capture_spans(prev_ids, prev_act);
   Frame frame;
   try {
-    frame = client_.call(msg.to_frame(/*bf16=*/false),
-                         MsgType::kQueryTopkResp);
+    frame = client_.call(msg.to_frame(), MsgType::kQueryTopkResp);
   } catch (const TransportError&) {
     return;  // the client is now unhealthy; answer from the survivors
   }
@@ -242,8 +241,7 @@ std::size_t RemoteShard::inference_weight_bytes() const noexcept {
                                  sizeof(float);
   switch (config_.precision) {
     case Precision::kBF16:
-    case Precision::kFP16:
-      return weight_count * 2 + bias_bytes;
+      return weight_count * sizeof(simd::Bf16) + bias_bytes;
     case Precision::kInt8:
       // s8 weights + one fp32 scale per neuron row (simd/int8.h).
       return weight_count + static_cast<std::size_t>(units()) * sizeof(float) +

@@ -110,14 +110,17 @@ TcpTransport::TcpTransport(int fd) : fd_(fd) {
   set_nodelay(fd);
 }
 
-TcpTransport::~TcpTransport() { close(); }
+TcpTransport::~TcpTransport() {
+  close();
+  ::close(fd_);
+}
 
 void TcpTransport::close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  // Shut down, never close, here: a thread still in poll/recv on fd_ wakes
+  // to end-of-stream, and the fd number cannot be handed to another socket
+  // while it may still use it. The destructor closes it, once.
+  if (!closed_.exchange(true, std::memory_order_acq_rel))
+    ::shutdown(fd_, SHUT_RDWR);
 }
 
 void TcpTransport::send(const Frame& frame) {
@@ -125,9 +128,9 @@ void TcpTransport::send(const Frame& frame) {
   const std::uint8_t* p = send_buf_.data();
   std::size_t left = send_buf_.size();
   while (left > 0) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp send: transport closed");
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp send: transport closed");
+    const ssize_t n = ::send(fd_, p, left, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET || errno == EBADF)
@@ -145,9 +148,9 @@ void TcpTransport::read_exact(std::uint8_t* dst, std::size_t n,
   const auto start = Clock::now();
   std::size_t got = 0;
   while (got < n) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp recv: transport closed");
-    pollfd pfd{fd, POLLIN, 0};
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp recv: transport closed");
+    pollfd pfd{fd_, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp recv");
     const int pr = ::poll(&pfd, 1, wait);
     if (pr < 0) {
@@ -155,7 +158,7 @@ void TcpTransport::read_exact(std::uint8_t* dst, std::size_t n,
       throw_errno("tcp poll");
     }
     if (pr == 0) continue;  // loop re-checks the deadline
-    const ssize_t r = ::recv(fd, dst + got, n - got, 0);
+    const ssize_t r = ::recv(fd_, dst + got, n - got, 0);
     if (r == 0) throw TransportClosed("tcp recv: peer closed");
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
@@ -172,9 +175,9 @@ std::size_t TcpTransport::recv_raw(void* dst, std::size_t cap,
   SLIDE_CHECK(cap > 0, "tcp recv_raw: zero-capacity buffer");
   const auto start = Clock::now();
   while (true) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp recv_raw: transport closed");
-    pollfd pfd{fd, POLLIN, 0};
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp recv_raw: transport closed");
+    pollfd pfd{fd_, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp recv_raw");
     const int pr = ::poll(&pfd, 1, wait);
     if (pr < 0) {
@@ -182,7 +185,7 @@ std::size_t TcpTransport::recv_raw(void* dst, std::size_t cap,
       throw_errno("tcp poll");
     }
     if (pr == 0) continue;  // loop re-checks the deadline
-    const ssize_t r = ::recv(fd, dst, cap, 0);
+    const ssize_t r = ::recv(fd_, dst, cap, 0);
     if (r == 0) throw TransportClosed("tcp recv_raw: peer closed");
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
@@ -198,9 +201,9 @@ void TcpTransport::send_raw(const void* data, std::size_t n) {
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   std::size_t left = n;
   while (left > 0) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp send_raw: transport closed");
-    const ssize_t w = ::send(fd, p, left, MSG_NOSIGNAL);
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp send_raw: transport closed");
+    const ssize_t w = ::send(fd_, p, left, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET || errno == EBADF)
@@ -226,7 +229,7 @@ Frame TcpTransport::recv(int timeout_ms) {
 // TcpListener
 // ---------------------------------------------------------------------------
 
-TcpListener::TcpListener(const std::string& host, int port) : fd_(-1) {
+TcpListener::TcpListener(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("tcp listen socket");
   int one = 1;
@@ -243,17 +246,20 @@ TcpListener::TcpListener(const std::string& host, int port) : fd_(-1) {
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0)
     port_ = ntohs(addr.sin_port);
-  fd_.store(fd, std::memory_order_release);
+  fd_ = fd;
 }
 
-TcpListener::~TcpListener() { close(); }
+TcpListener::~TcpListener() {
+  close();
+  ::close(fd_);
+}
 
 void TcpListener::close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  // Same contract as TcpTransport::close: shutting a listening socket down
+  // wakes a concurrent poll/accept, and the fd stays ours until the
+  // destructor.
+  if (!closed_.exchange(true, std::memory_order_acq_rel))
+    ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::string TcpListener::endpoint() const {
@@ -263,9 +269,9 @@ std::string TcpListener::endpoint() const {
 std::unique_ptr<Transport> TcpListener::accept(int timeout_ms) {
   const auto start = Clock::now();
   while (true) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw TransportClosed("tcp accept: listener closed");
-    pollfd pfd{fd, POLLIN, 0};
+    if (closed_.load(std::memory_order_acquire))
+      throw TransportClosed("tcp accept: listener closed");
+    pollfd pfd{fd_, POLLIN, 0};
     const int wait = remaining_ms(start, timeout_ms, "tcp accept");
     const int pr = ::poll(&pfd, 1, wait);
     if (pr < 0) {
@@ -273,7 +279,7 @@ std::unique_ptr<Transport> TcpListener::accept(int timeout_ms) {
       throw_errno("tcp accept poll");
     }
     if (pr == 0) continue;
-    const int conn = ::accept(fd, nullptr, nullptr);
+    const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       if (errno == EBADF || errno == EINVAL)

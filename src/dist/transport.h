@@ -146,7 +146,8 @@ class TcpTransport final : public Transport {
   /// Reads exactly n bytes honoring the deadline accumulated so far.
   void read_exact(std::uint8_t* dst, std::size_t n, int timeout_ms);
 
-  std::atomic<int> fd_;
+  const int fd_;  // shut down by close(), closed by the destructor only
+  std::atomic<bool> closed_{false};
   std::vector<std::uint8_t> send_buf_;
 };
 
@@ -162,7 +163,8 @@ class TcpListener final : public Listener {
   int port() const noexcept { return port_; }
 
  private:
-  std::atomic<int> fd_;
+  int fd_ = -1;  // shut down by close(), closed by the destructor only
+  std::atomic<bool> closed_{false};
   int port_ = 0;
 };
 

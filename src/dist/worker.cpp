@@ -198,7 +198,7 @@ Frame ShardWorker::handle_forward(const Frame& f) {
   resp.ids.assign(slot.ids.begin(), slot.ids.end());
   resp.act.assign(slot.act.begin(),
                   slot.act.begin() + static_cast<std::ptrdiff_t>(n));
-  return resp.to_frame(f.bf16_values());
+  return resp.to_frame();
 }
 
 Frame ShardWorker::handle_backward(const Frame& f) {
@@ -223,7 +223,7 @@ Frame ShardWorker::handle_backward(const Frame& f) {
   resp.prev_err.assign(prev.err.begin(),
                        prev.err.begin() +
                            static_cast<std::ptrdiff_t>(prev.size()));
-  return resp.to_frame(false);
+  return resp.to_frame();
 }
 
 Frame ShardWorker::handle_query_topk(const Frame& f) {
@@ -242,7 +242,7 @@ Frame ShardWorker::handle_query_topk(const Frame& f) {
   resp.rng = rng_.state();
   resp.ids = query_ids_;
   resp.act = query_act_;
-  return resp.to_frame(f.bf16_values());
+  return resp.to_frame();
 }
 
 Frame ShardWorker::handle_checkpoint(const Frame& f) {

@@ -65,48 +65,6 @@ double evaluate_p_at_k(const Network& network, const Dataset& data,
   return hits.load() / static_cast<double>(n);
 }
 
-double evaluate_p_at_k(const DenseNetwork& network, const Dataset& data,
-                       ThreadPool& pool, int k, const EvalOptions& options) {
-  SLIDE_CHECK(k >= 1, "evaluate_p_at_k: k must be >= 1");
-  const std::size_t n = eval_count(data, options);
-  if (n == 0) return 0.0;
-  std::atomic<double> hits{0.0};
-  pool.parallel_range(n, [&](std::size_t begin, std::size_t end, int) {
-    std::vector<float> scratch;
-    double local = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Sample& sample = data[i];
-      const auto top = network.predict_topk(sample.features, scratch, k);
-      int overlap = 0;
-      for (Index p : top) overlap += hits_top1(p, sample.labels) ? 1 : 0;
-      local += static_cast<double>(overlap) / k;
-    }
-    double expected = hits.load(std::memory_order_relaxed);
-    while (!hits.compare_exchange_weak(expected, expected + local,
-                                       std::memory_order_relaxed)) {
-    }
-  });
-  return hits.load() / static_cast<double>(n);
-}
-
-double evaluate_p_at_1(const DenseNetwork& network, const Dataset& data,
-                       ThreadPool& pool, const EvalOptions& options) {
-  const std::size_t n = eval_count(data, options);
-  if (n == 0) return 0.0;
-  std::atomic<std::size_t> hits{0};
-  pool.parallel_range(n, [&](std::size_t begin, std::size_t end, int) {
-    std::vector<float> scratch;
-    std::size_t local = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Sample& sample = data[i];
-      const Index pred = network.predict_top1(sample.features, scratch);
-      if (hits_top1(pred, sample.labels)) ++local;
-    }
-    hits.fetch_add(local, std::memory_order_relaxed);
-  });
-  return static_cast<double>(hits.load()) / static_cast<double>(n);
-}
-
 double recall_at_k(std::span<const Index> retrieved,
                    std::span<const Index> exact_topk) {
   if (exact_topk.empty()) return 1.0;

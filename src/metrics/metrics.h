@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "baseline/dense_network.h"
 #include "core/network.h"
 #include "data/dataset.h"
 #include "sys/thread_pool.h"
@@ -25,16 +24,9 @@ struct EvalOptions {
 double evaluate_p_at_1(const Network& network, const Dataset& data,
                        ThreadPool& pool, const EvalOptions& options = {});
 
-/// P@1 of the dense baseline (always exact — it has no sampled mode).
-double evaluate_p_at_1(const DenseNetwork& network, const Dataset& data,
-                       ThreadPool& pool, const EvalOptions& options = {});
-
 /// Precision@k (the standard XC metric family): mean over samples of
 /// |top-k predictions ∩ true labels| / k.
 double evaluate_p_at_k(const Network& network, const Dataset& data,
-                       ThreadPool& pool, int k,
-                       const EvalOptions& options = {});
-double evaluate_p_at_k(const DenseNetwork& network, const Dataset& data,
                        ThreadPool& pool, int k,
                        const EvalOptions& options = {});
 

@@ -22,18 +22,15 @@ namespace {
 std::atomic<const Backend*> g_active{nullptr};
 
 const Backend* table_for(SimdLevel level) noexcept {
-  // Each vector level has a sub-feature variant pair (backend_registry.h):
-  // the optional extensions (F16C, AVX512-VNNI) are not implied by the
-  // level's baseline cpuid bits, so the variant is picked here, at bind
-  // time, from the live feature flags. Both variants of a level are
-  // compiled (or neither), hence one null check per pair.
+  // AVX-512 has a sub-feature variant pair (backend_registry.h): VNNI is
+  // not implied by the level's baseline cpuid bits, so the variant is
+  // picked here, at bind time, from the live feature flags. Both variants
+  // are compiled (or neither), hence one null check for the pair.
   switch (level) {
     case SimdLevel::kScalar:
       return &detail::kScalarBackend;
     case SimdLevel::kAVX2:
-      if (detail::kAvx2Backend == nullptr) return nullptr;
-      return cpu_features().f16c ? detail::kAvx2Backend
-                                 : detail::kAvx2BackendNoF16c;
+      return detail::kAvx2Backend;
     case SimdLevel::kAVX512:
       if (detail::kAvx512Backend == nullptr) return nullptr;
       return cpu_features().avx512vnni ? detail::kAvx512Backend

@@ -31,7 +31,6 @@
 #include <cstddef>
 
 #include "simd/bf16.h"
-#include "simd/f16.h"
 #include "simd/int8.h"
 #include "sys/common.h"
 
@@ -96,22 +95,11 @@ struct Backend {
   /// returns the per-query scale. Once per query (cold-ish): scalar.
   float (*quantize_act_u8)(const float*, U8*, std::size_t) noexcept = nullptr;
 
-  // FP16 tier: binary16 weights x fp32 activations, load-converted via
-  // F16C `vcvtph2ps` where available (kAvx2BackendNoF16c falls back to
-  // scalar conversion). Same shape as the bf16 slots.
-  float (*dot_f16)(const Fp16*, const float*, std::size_t) noexcept = nullptr;
-  float (*sparse_dot_f16)(const Index*, const float*, std::size_t,
-                          const Fp16*) noexcept = nullptr;
-  void (*axpy_f16)(float, const Fp16*, float*, std::size_t) noexcept = nullptr;
-  void (*quantize_f16)(const float*, Fp16*, std::size_t) noexcept = nullptr;
-  void (*dequantize_f16)(const Fp16*, float*, std::size_t) noexcept = nullptr;
-
-  // Human-readable names of the int8/fp16 code paths this table binds
-  // ("vnni", "maddubs-512", "maddubs-256", "f16c-256", "scalar", ...).
-  // BENCH_backend.json rows carry these so baselines compare like-for-like
-  // across machines with and without the optional ISA extensions.
+  // Human-readable name of the int8 code path this table binds ("vnni",
+  // "maddubs-512", "maddubs-256", "scalar"). BENCH_backend.json rows carry
+  // it so baselines compare like-for-like across machines with and without
+  // VNNI.
   const char* i8_path = "scalar";
-  const char* f16_path = "scalar";
 };
 
 /// True when this binary contains a kernel table for `level` (a build-time

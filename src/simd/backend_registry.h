@@ -9,15 +9,14 @@
 
 namespace slide::simd::detail {
 
-// Sub-feature variants: the optional ISA extensions (F16C at AVX2,
-// AVX512-VNNI at AVX-512) are compiled with per-function target attributes
-// inside the same TU, so each vector TU exports TWO const tables — the
-// full one (used when cpuid reports the extension) and a ...No* variant
-// whose affected slots point at in-level or scalar fallbacks. backend.cpp
-// picks between them at bind time; the tables themselves stay const.
+// Sub-feature variant: AVX512-VNNI is not implied by the AVX-512 level's
+// baseline cpuid bits and is compiled with a per-function target attribute
+// inside the same TU, so the AVX-512 TU exports TWO const tables — the full
+// one (used when cpuid reports VNNI) and a ...NoVnni variant whose int8 dot
+// runs on the BW baseline. backend.cpp picks between them at bind time;
+// the tables themselves stay const.
 extern const Backend kScalarBackend;        // kernels_scalar.cpp, always
 extern const Backend* const kAvx2Backend;         // kernels_avx2.cpp or null
-extern const Backend* const kAvx2BackendNoF16c;   //   dot_f16 et al scalar
 extern const Backend* const kAvx512Backend;       // kernels_avx512.cpp or null
 extern const Backend* const kAvx512BackendNoVnni; //   dot_i8 via vpmaddubsw
 

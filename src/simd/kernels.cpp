@@ -80,21 +80,4 @@ float quantize_act_u8(const float* src, U8* dst, std::size_t n) noexcept {
   return backend().quantize_act_u8(src, dst, n);
 }
 
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept {
-  return backend().dot_f16(w, x, n);
-}
-float sparse_dot_f16(const Index* idx, const float* val, std::size_t nnz,
-                     const Fp16* dense) noexcept {
-  return backend().sparse_dot_f16(idx, val, nnz, dense);
-}
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept {
-  backend().axpy_f16(alpha, x, y, n);
-}
-void quantize_f16(const float* src, Fp16* dst, std::size_t n) noexcept {
-  backend().quantize_f16(src, dst, n);
-}
-void dequantize_f16(const Fp16* src, float* dst, std::size_t n) noexcept {
-  backend().dequantize_f16(src, dst, n);
-}
-
 }  // namespace slide::simd

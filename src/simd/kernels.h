@@ -20,7 +20,6 @@
 
 #include "simd/backend.h"
 #include "simd/bf16.h"
-#include "simd/f16.h"
 #include "simd/int8.h"
 #include "sys/common.h"
 
@@ -122,27 +121,6 @@ float quantize_i8(const float* src, I8* dst, std::size_t n) noexcept;
 /// inputs clamp to 0. Returns the per-query scale (0 when max(x) <= 0).
 float quantize_act_u8(const float* src, U8* dst, std::size_t n) noexcept;
 
-// ---- FP16 mixed-precision kernels (see simd/f16.h for the format) --------
-// Same contract as the bf16 set with binary16 storage: weights fp16,
-// activations and accumulation fp32. F16C `vcvtph2ps` load-convert where
-// the CPU has it, bit-identical scalar conversion otherwise.
-
-/// <fp16 w, fp32 x> over n entries, fp32 accumulation.
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept;
-
-/// Sparse fp32 vector (idx/val) against a dense fp16 vector.
-float sparse_dot_f16(const Index* idx, const float* val, std::size_t nnz,
-                     const Fp16* dense) noexcept;
-
-/// y[i] += alpha * widen(x[i]) — fp16 source, fp32 destination.
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept;
-
-/// dst[i] = fp16(src[i]), round-to-nearest-even (vcvtps2ph semantics).
-void quantize_f16(const float* src, Fp16* dst, std::size_t n) noexcept;
-
-/// dst[i] = widen(src[i]) — exact (every fp16 value is an fp32 value).
-void dequantize_f16(const Fp16* src, float* dst, std::size_t n) noexcept;
-
 /// Scalar reference implementations (always available; used as the oracle
 /// in tests and as the table entries of the scalar dispatch level).
 namespace scalar {
@@ -175,12 +153,6 @@ float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
 void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept;
 float quantize_i8(const float* src, I8* dst, std::size_t n) noexcept;
 float quantize_act_u8(const float* src, U8* dst, std::size_t n) noexcept;
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept;
-float sparse_dot_f16(const Index* idx, const float* val, std::size_t nnz,
-                     const Fp16* dense) noexcept;
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept;
-void quantize_f16(const float* src, Fp16* dst, std::size_t n) noexcept;
-void dequantize_f16(const Fp16* src, float* dst, std::size_t n) noexcept;
 }  // namespace scalar
 
 }  // namespace slide::simd

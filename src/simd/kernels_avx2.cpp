@@ -269,48 +269,12 @@ void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept {
   for (; i < n; ++i) y[i] += alpha * static_cast<float>(x[i]);
 }
 
-// F16C is not implied by AVX2, so the fp16 kernels carry their own target
-// attribute and land only in the full kAvx2Table variant — backend.cpp
-// binds kAvx2TableNoF16c (scalar fp16 slots) when cpuid lacks f16c, and no
-// vcvtph2ps instruction ever executes there.
-#define SLIDE_TARGET_F16C __attribute__((target("avx2,fma,f16c")))
-
-SLIDE_TARGET_F16C
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    acc = _mm256_fmadd_ps(_mm256_cvtph_ps(raw), _mm256_loadu_ps(x + i), acc);
-  }
-  float s = hsum256(acc);
-  for (; i < n; ++i) s += fp16_to_float(w[i]) * x[i];
-  return s;
-}
-
-SLIDE_TARGET_F16C
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    __m256 vy = _mm256_loadu_ps(y + i);
-    vy = _mm256_fmadd_ps(va, _mm256_cvtph_ps(raw), vy);
-    _mm256_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += alpha * fp16_to_float(x[i]);
-}
-
-#undef SLIDE_TARGET_F16C
-
 }  // namespace avx2
 
 namespace {
 // sparse_axpy stays scalar (no AVX2 scatter instruction exists), the
 // quantize/dequantize family runs only on the cold publish path, and the
-// sparse i8/f16 dots stay scalar too (no byte/word gather exists).
+// sparse i8 dot stays scalar too (no byte gather exists).
 constexpr Backend kAvx2Table = {
     .level = SimdLevel::kAVX2,
     .name = "avx2",
@@ -335,61 +299,18 @@ constexpr Backend kAvx2Table = {
     .axpy_i8 = avx2::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,
-    .dot_f16 = avx2::dot_f16,
-    .sparse_dot_f16 = scalar::sparse_dot_f16,
-    .axpy_f16 = avx2::axpy_f16,
-    .quantize_f16 = scalar::quantize_f16,
-    .dequantize_f16 = scalar::dequantize_f16,
     .i8_path = "maddubs-256",
-    .f16_path = "f16c-256",
-};
-
-// Variant bound when cpuid lacks F16C: identical except the fp16 hot
-// kernels fall back to the scalar conversion path.
-constexpr Backend kAvx2TableNoF16c = {
-    .level = SimdLevel::kAVX2,
-    .name = "avx2",
-    .dot = avx2::dot,
-    .axpy = avx2::axpy,
-    .scale = avx2::scale,
-    .sum = avx2::sum,
-    .max = avx2::max,
-    .relu = avx2::relu,
-    .sparse_dot = avx2::sparse_dot,
-    .sparse_axpy = scalar::sparse_axpy,
-    .softmax_inplace = avx2::softmax_inplace,
-    .adam_step = avx2::adam_step,
-    .wta_codes = avx2::wta_codes,
-    .dot_bf16 = avx2::dot_bf16,
-    .sparse_dot_bf16 = scalar::sparse_dot_bf16,
-    .axpy_bf16 = avx2::axpy_bf16,
-    .quantize_bf16 = scalar::quantize_bf16,
-    .dequantize_bf16 = scalar::dequantize_bf16,
-    .dot_i8 = avx2::dot_i8,
-    .sparse_dot_i8 = scalar::sparse_dot_i8,
-    .axpy_i8 = avx2::axpy_i8,
-    .quantize_i8 = scalar::quantize_i8,
-    .quantize_act_u8 = scalar::quantize_act_u8,
-    .dot_f16 = scalar::dot_f16,
-    .sparse_dot_f16 = scalar::sparse_dot_f16,
-    .axpy_f16 = scalar::axpy_f16,
-    .quantize_f16 = scalar::quantize_f16,
-    .dequantize_f16 = scalar::dequantize_f16,
-    .i8_path = "maddubs-256",
-    .f16_path = "scalar",
 };
 }  // namespace
 
 namespace detail {
 const Backend* const kAvx2Backend = &kAvx2Table;
-const Backend* const kAvx2BackendNoF16c = &kAvx2TableNoF16c;
 }  // namespace detail
 
 #else  // !SLIDE_COMPILE_AVX2
 
 namespace detail {
 const Backend* const kAvx2Backend = nullptr;
-const Backend* const kAvx2BackendNoF16c = nullptr;
 }  // namespace detail
 
 #endif  // SLIDE_COMPILE_AVX2

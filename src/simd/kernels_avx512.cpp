@@ -295,38 +295,6 @@ void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept {
   for (; i < n; ++i) y[i] += alpha * static_cast<float>(x[i]);
 }
 
-// ---- fp16 ----------------------------------------------------------------
-// EVEX vcvtph2ps on zmm is plain AVX512F — no extra cpuid bit or target
-// attribute needed at this level (unlike F16C at AVX2).
-
-/// Widens 16 fp16 values (256-bit load) to 16 fp32 lanes.
-inline __m512 load_f16x16(const Fp16* p) noexcept {
-  return _mm512_cvtph_ps(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-}
-
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm512_fmadd_ps(load_f16x16(w + i), _mm512_loadu_ps(x + i), acc);
-  }
-  float s = _mm512_reduce_add_ps(acc);
-  for (; i < n; ++i) s += fp16_to_float(w[i]) * x[i];
-  return s;
-}
-
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 vy = _mm512_loadu_ps(y + i);
-    vy = _mm512_fmadd_ps(va, load_f16x16(x + i), vy);
-    _mm512_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += alpha * fp16_to_float(x[i]);
-}
-
 }  // namespace avx512
 
 namespace {
@@ -361,17 +329,11 @@ constexpr Backend kAvx512Table = {
     .axpy_i8 = avx512::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,
-    .dot_f16 = avx512::dot_f16,
-    .sparse_dot_f16 = scalar::sparse_dot_f16,
-    .axpy_f16 = avx512::axpy_f16,
-    .quantize_f16 = scalar::quantize_f16,
-    .dequantize_f16 = scalar::dequantize_f16,
 #if SLIDE_HAVE_VNNI_COMPILE
     .i8_path = "vnni",
 #else
     .i8_path = "maddubs-512",
 #endif
-    .f16_path = "cvtph2ps-512",
 };
 
 // Variant bound when cpuid lacks AVX512-VNNI: same table with the int8
@@ -400,13 +362,7 @@ constexpr Backend kAvx512TableNoVnni = {
     .axpy_i8 = avx512::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,
-    .dot_f16 = avx512::dot_f16,
-    .sparse_dot_f16 = scalar::sparse_dot_f16,
-    .axpy_f16 = avx512::axpy_f16,
-    .quantize_f16 = scalar::quantize_f16,
-    .dequantize_f16 = scalar::dequantize_f16,
     .i8_path = "maddubs-512",
-    .f16_path = "cvtph2ps-512",
 };
 }  // namespace
 

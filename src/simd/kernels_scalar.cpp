@@ -188,33 +188,6 @@ float quantize_act_u8(const float* src, U8* dst, std::size_t n) noexcept {
   return amax / 127.0f;
 }
 
-float dot_f16(const Fp16* w, const float* x, std::size_t n) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += fp16_to_float(w[i]) * x[i];
-  return acc;
-}
-
-float sparse_dot_f16(const Index* idx, const float* val, std::size_t nnz,
-                     const Fp16* dense) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < nnz; ++i) {
-    acc += val[i] * fp16_to_float(dense[idx[i]]);
-  }
-  return acc;
-}
-
-void axpy_f16(float alpha, const Fp16* x, float* y, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * fp16_to_float(x[i]);
-}
-
-void quantize_f16(const float* src, Fp16* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_fp16(src[i]);
-}
-
-void dequantize_f16(const Fp16* src, float* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = fp16_to_float(src[i]);
-}
-
 }  // namespace scalar
 
 namespace detail {
@@ -243,13 +216,7 @@ const Backend kScalarBackend = {
     .axpy_i8 = scalar::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,
-    .dot_f16 = scalar::dot_f16,
-    .sparse_dot_f16 = scalar::sparse_dot_f16,
-    .axpy_f16 = scalar::axpy_f16,
-    .quantize_f16 = scalar::quantize_f16,
-    .dequantize_f16 = scalar::dequantize_f16,
     .i8_path = "scalar",
-    .f16_path = "scalar",
 };
 
 }  // namespace detail

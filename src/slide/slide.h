@@ -6,7 +6,6 @@
 // See README.md for a quickstart and DESIGN.md for the module inventory.
 #pragma once
 
-#include "baseline/dense_network.h"    // IWYU pragma: export
 #include "baseline/sampled_softmax.h"  // IWYU pragma: export
 #include "core/activation.h"           // IWYU pragma: export
 #include "core/builder.h"              // IWYU pragma: export

@@ -15,7 +15,6 @@ CpuFeatures detect() noexcept {
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
   f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
-  f.f16c = __builtin_cpu_supports("f16c") != 0;
   f.avx512vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #endif
   return f;

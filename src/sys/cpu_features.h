@@ -14,11 +14,9 @@ struct CpuFeatures {
   bool fma = false;
   bool avx512f = false;
   bool avx512bw = false;
-  // Optional extensions below the level baselines: F16C (fp16 <-> fp32
-  // convert, used by the fp16 tier at AVX2) and AVX512-VNNI (`vpdpbusd`
+  // Optional extension below the AVX-512 baseline: AVX512-VNNI (`vpdpbusd`
   // u8xs8 MAC, used by the int8 tier). The dispatch picks a sub-feature
-  // table variant from these; they never gate a whole level.
-  bool f16c = false;
+  // table variant from it; it never gates a whole level.
   bool avx512vnni = false;
 };
 

@@ -1,10 +1,11 @@
 // Baseline tests: the dense full-softmax network and the sampled-softmax
 // configuration both learn planted data; their mechanics (full activation,
-// static sampling) differ from SLIDE exactly as designed.
+// static sampling) differ from SLIDE exactly as designed. The dense
+// baseline is a builder stack trained by Trainer with hogwild = false.
 #include <gtest/gtest.h>
 
-#include "baseline/dense_network.h"
 #include "baseline/sampled_softmax.h"
+#include "core/builder.h"
 #include "core/trainer.h"
 #include "data/batching.h"
 #include "data/synthetic.h"
@@ -27,47 +28,56 @@ SyntheticDataset tiny_data(std::uint64_t seed = 23) {
   return make_synthetic_xc(cfg);
 }
 
-TEST(DenseNetwork, LearnsPlantedStructure) {
-  const auto data = tiny_data();
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 16;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 32;
-  DenseNetwork net(cfg, 2);
-  ThreadPool pool(2);
+Network dense_baseline(Index input_dim, Index hidden, Index labels,
+                       int max_batch, int threads) {
+  return NetworkBuilder(input_dim)
+      .dense(hidden)
+      .dense(labels, Activation::kSoftmax)
+      .max_batch(max_batch)
+      .build(threads);
+}
 
-  const double before = evaluate_p_at_1(net, data.test, pool);
+TrainerConfig locked_trainer(int batch, int threads, float lr) {
+  TrainerConfig tc;
+  tc.batch_size = batch;
+  tc.num_threads = threads;
+  tc.learning_rate = lr;
+  tc.hogwild = false;
+  return tc;
+}
+
+TEST(DenseBaseline, LearnsPlantedStructure) {
+  const auto data = tiny_data();
+  Network net = dense_baseline(data.train.feature_dim(), 16,
+                               data.train.label_dim(), 32, 2);
+  Trainer trainer(net, locked_trainer(32, 2, 5e-3f));
+
+  const double before = evaluate_p_at_1(net, data.test, trainer.pool());
   Batcher batcher(data.train, 32, true, 1);
   float first = 0.0f, last = 0.0f;
   for (int i = 0; i < 100; ++i) {
-    const float loss = net.step(data.train, batcher.next(), 5e-3f, pool);
+    const float loss = trainer.step(data.train, batcher.next());
     if (i == 0) first = loss;
     last = loss;
   }
   EXPECT_LT(last, first * 0.7f);
-  const double after = evaluate_p_at_1(net, data.test, pool);
+  const double after = evaluate_p_at_1(net, data.test, trainer.pool());
   EXPECT_GT(after, before + 0.2);
   EXPECT_GT(after, 0.3);
 }
 
-TEST(DenseNetwork, SingleVsMultiThreadSameLossShape) {
-  // The dense step has no HOGWILD races by construction (unit-parallel
-  // updates), so 1-thread and N-thread runs must match to float noise.
+TEST(DenseBaseline, SingleVsMultiThreadSameLossShape) {
+  // Locked accumulation leaves no HOGWILD races, so 1-thread and N-thread
+  // runs differ only in summation order and must match to float noise.
   const auto data = tiny_data(29);
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 16;
-
   auto run = [&](int threads) {
-    DenseNetwork net(cfg, threads);
-    ThreadPool pool(threads);
+    Network net = dense_baseline(data.train.feature_dim(), 8,
+                                 data.train.label_dim(), 16, threads);
+    Trainer trainer(net, locked_trainer(16, threads, 1e-3f));
     Batcher batcher(data.train, 16, true, 2);
     std::vector<float> losses;
     for (int i = 0; i < 10; ++i)
-      losses.push_back(net.step(data.train, batcher.next(), 1e-3f, pool));
+      losses.push_back(trainer.step(data.train, batcher.next()));
     return losses;
   };
   const auto a = run(1);
@@ -77,26 +87,16 @@ TEST(DenseNetwork, SingleVsMultiThreadSameLossShape) {
     EXPECT_NEAR(a[i], b[i], 2e-2f * (1.0f + a[i])) << i;
 }
 
-TEST(DenseNetwork, ParameterCountMatchesArchitecture) {
-  DenseNetwork::Config cfg;
-  cfg.input_dim = 10;
-  cfg.hidden_units = 4;
-  cfg.output_units = 7;
-  cfg.max_batch_size = 2;
-  DenseNetwork net(cfg, 1);
+TEST(DenseBaseline, ParameterCountMatchesArchitecture) {
+  const Network net = dense_baseline(10, 4, 7, 2, 1);
   EXPECT_EQ(net.num_parameters(), 10u * 4 + 4 + 7u * 4 + 7);
 }
 
-TEST(DenseNetwork, PredictReturnsValidLabel) {
-  DenseNetwork::Config cfg;
-  cfg.input_dim = 10;
-  cfg.hidden_units = 4;
-  cfg.output_units = 7;
-  cfg.max_batch_size = 2;
-  DenseNetwork net(cfg, 1);
+TEST(DenseBaseline, PredictReturnsValidLabel) {
+  const Network net = dense_baseline(10, 4, 7, 2, 1);
+  InferenceContext ctx(net);
   SparseVector x({1, 3}, {1.0f, 0.5f});
-  std::vector<float> scratch;
-  EXPECT_LT(net.predict_top1(x, scratch), 7u);
+  EXPECT_LT(net.predict_top1(x, ctx, /*exact=*/true), 7u);
 }
 
 TEST(SampledSoftmax, ConfigBuildsRandomSampledOutput) {

@@ -1,14 +1,12 @@
 // NetworkBuilder + unified-stack tests: fluent construction of dense-only,
 // multi-hashed, and random-sampled stacks; training through the single
 // Trainer; batch inference; and checkpoint round-trips through the one
-// format — including a byte-for-byte pre-redesign checkpoint and a legacy
-// dense-baseline (kind 1) checkpoint migrating into the unified stack.
+// format — including a byte-for-byte pre-redesign checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 
-#include "baseline/dense_network.h"
 #include "core/builder.h"
 #include "core/serialize.h"
 #include "core/trainer.h"
@@ -457,53 +455,6 @@ TEST(UnifiedCheckpoint, LoadsPreRedesignCheckpointBytes) {
   EXPECT_EQ(0, std::memcmp(net.output_layer().weights_span().data(),
                            out_w.data(), out_w.size() * sizeof(float)));
   EXPECT_EQ(net.output_layer().bias(2), out_b[2]);
-}
-
-TEST(UnifiedCheckpoint, LegacyDenseKindLoadsIntoUnifiedStack) {
-  // A checkpoint written by the deprecated DenseNetwork wrapper (kind 1)
-  // loads into a builder-constructed dense stack of the same shape.
-  const auto data = tiny_data(89);
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 16;
-  DenseNetwork legacy(cfg, 2);
-  ThreadPool pool(2);
-  Batcher batcher(data.train, 16, true, 5);
-  for (int i = 0; i < 10; ++i)
-    legacy.step(data.train, batcher.next(), 5e-3f, pool);
-  std::stringstream buffer;
-  save_weights(legacy, buffer);
-
-  Network unified = NetworkBuilder(cfg.input_dim)
-                        .dense(cfg.hidden_units)
-                        .dense(cfg.output_units, Activation::kSoftmax)
-                        .max_batch(4)
-                        .seed(31337)
-                        .build(1);
-  load_weights(unified, buffer);
-
-  InferenceContext ctx(unified);
-  std::vector<float> scratch;
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(legacy.predict_top1(data.test[i].features, scratch),
-              unified.predict_top1(data.test[i].features, ctx, true))
-        << i;
-  }
-}
-
-TEST(DenseNetworkAlias, ExposesUnifiedNetworkForMigration) {
-  DenseNetwork::Config cfg;
-  cfg.input_dim = 10;
-  cfg.hidden_units = 4;
-  cfg.output_units = 7;
-  cfg.max_batch_size = 2;
-  DenseNetwork net(cfg, 1);
-  EXPECT_EQ(net.network().stack_depth(), 1);
-  EXPECT_EQ(net.network().stack(0).kind(), LayerKind::kDense);
-  EXPECT_EQ(net.network().output_dim(), 7u);
-  EXPECT_EQ(net.num_parameters(), net.network().num_parameters());
 }
 
 }  // namespace

@@ -196,14 +196,7 @@ TEST(DistFrame, RoundTripPreservesTypeFlagsAndPayload) {
 
   const Frame back = decode_buffer(encoded);
   EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.flags, f.flags);
   EXPECT_EQ(back.payload, f.payload);
-
-  // The bf16 flag survives the wire.
-  Frame flagged = f;
-  flagged.flags = dist::kFlagBf16Values;
-  dist::encode_frame(flagged, encoded);
-  EXPECT_TRUE(decode_buffer(encoded).bf16_values());
 }
 
 TEST(DistFrame, EveryCorruptionKindIsRejectedTyped) {
@@ -216,6 +209,13 @@ TEST(DistFrame, EveryCorruptionKindIsRejectedTyped) {
     std::vector<std::uint8_t> bad = good;
     bad[i] ^= 0x01;
     EXPECT_EQ(kind_of(bad), FrameErrorKind::kBadMagic) << "magic byte " << i;
+  }
+
+  // Bad format: any reserved header byte (5..7) set.
+  for (std::size_t i = 5; i < 8; ++i) {
+    std::vector<std::uint8_t> bad = good;
+    bad[i] = 0x01;
+    EXPECT_EQ(kind_of(bad), FrameErrorKind::kBadFormat) << "header byte " << i;
   }
 
   // Oversized: length field beyond kMaxFramePayload.
@@ -272,8 +272,8 @@ TEST(DistFrame, FuzzedMutationsNeverEscapeTheTypedErrorContract) {
     }
     try {
       const Frame back = decode_buffer(bytes);
-      // Survivors must be byte-exact or have mutated only type/flags
-      // (opaque at the frame layer; the message layer validates them).
+      // Survivors must be byte-exact or have mutated only the type (opaque
+      // at the frame layer; the message layer validates it).
       EXPECT_EQ(back.payload, f.payload);
     } catch (const FrameError&) {
       ++rejected;
@@ -358,7 +358,7 @@ TEST(DistProtocol, ForwardAndQueryMessagesRoundTrip) {
   EXPECT_EQ(fwd.prev.ids.size(), 2u);
 
   const dist::ForwardMsg fwd2 =
-      dist::ForwardMsg::from_frame(fwd.to_frame(/*bf16=*/false));
+      dist::ForwardMsg::from_frame(fwd.to_frame());
   EXPECT_EQ(fwd2.slot, 3);
   EXPECT_EQ(fwd2.forced_local, fwd.forced_local);
   expect_same_rng(fwd2.rng, fwd.rng);
@@ -382,7 +382,7 @@ TEST(DistProtocol, ForwardAndQueryMessagesRoundTrip) {
   q.budget = 12;
   q.prev = dist::WireActiveSet::capture(sparse);
   const dist::QueryTopkMsg q2 =
-      dist::QueryTopkMsg::from_frame(q.to_frame(false));
+      dist::QueryTopkMsg::from_frame(q.to_frame());
   EXPECT_TRUE(q2.exact);
   EXPECT_EQ(q2.budget, 12u);
   ActiveSet sback;
@@ -390,38 +390,6 @@ TEST(DistProtocol, ForwardAndQueryMessagesRoundTrip) {
   EXPECT_EQ(sback.ids, sparse.ids);
   EXPECT_EQ(sback.act, sparse.act);
   EXPECT_EQ(sback.dense_width, 0u);
-}
-
-TEST(DistProtocol, Bf16ValuesAreApproximateAndHalfTheBytes) {
-  ActiveSet prev;
-  prev.ids.resize(64);
-  prev.act.resize(64);
-  Rng rng(5);
-  for (std::size_t i = 0; i < 64; ++i) {
-    prev.ids[i] = static_cast<Index>(i);
-    prev.act[i] = rng.uniform_float() * 8.0f - 4.0f;
-  }
-  const dist::WireActiveSet set = dist::WireActiveSet::capture(prev);
-  std::vector<std::uint8_t> fp32, bf16;
-  {
-    dist::PayloadWriter w(fp32);
-    set.write(w, false);
-  }
-  {
-    dist::PayloadWriter w(bf16);
-    set.write(w, true);
-  }
-  EXPECT_LT(bf16.size(), fp32.size() - 64);  // 2 bytes/value saved
-
-  dist::WireActiveSet back;
-  dist::PayloadReader r({bf16.data(), bf16.size()});
-  back.read(r, true);
-  ASSERT_EQ(back.act.size(), 64u);
-  for (std::size_t i = 0; i < 64; ++i) {
-    // bf16 keeps 8 mantissa bits: ~0.4% relative error.
-    EXPECT_NEAR(back.act[i], prev.act[i],
-                0.01f * (1.0f + std::fabs(prev.act[i])));
-  }
 }
 
 TEST(DistProtocol, ControlMessagesRoundTrip) {
@@ -457,11 +425,27 @@ TEST(DistProtocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(i2.config.table.range_pow, init.config.table.range_pow);
   EXPECT_EQ(i2.config.seed, init.config.seed);
 
+  // Precision byte 2 (the removed fp16 tier) is refused, typed. The byte is
+  // the one place an fp32 and a bf16 config encode differently.
+  init.config.precision = Precision::kFP32;
+  const Frame fp32_init = init.to_frame();
+  init.config.precision = Precision::kBF16;
+  Frame tagged = init.to_frame();
+  ASSERT_EQ(tagged.payload.size(), fp32_init.payload.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < tagged.payload.size(); ++i)
+    if (tagged.payload[i] != fp32_init.payload[i]) differ.push_back(i);
+  ASSERT_EQ(differ.size(), 1u);
+  EXPECT_EQ(dist::InitShardMsg::from_frame(tagged).config.precision,
+            Precision::kBF16);
+  tagged.payload[differ[0]] = 2;
+  EXPECT_THROW(dist::InitShardMsg::from_frame(tagged), Error);
+
   dist::BackwardMsg bwd;
   bwd.slot = 7;
   bwd.err = {0.25f, -1.0f};
   bwd.prev_err = {0.0f, 1.0f, 2.0f};
-  const dist::BackwardMsg b2 = dist::BackwardMsg::from_frame(bwd.to_frame(false));
+  const dist::BackwardMsg b2 = dist::BackwardMsg::from_frame(bwd.to_frame());
   EXPECT_EQ(b2.slot, 7);
   EXPECT_EQ(b2.err, bwd.err);
   EXPECT_EQ(b2.prev_err, bwd.prev_err);
@@ -598,6 +582,27 @@ TEST(DistTransport, TimeoutsAndClosesAreTyped) {
   // Unknown endpoint schemes are rejected.
   EXPECT_THROW((void)dist::connect_endpoint("carrier-pigeon:coop:7"), Error);
   EXPECT_THROW((void)dist::listen_endpoint("carrier-pigeon:coop:7"), Error);
+}
+
+TEST(DistTransport, StopWithAnIdleClientShutsDownWithoutClosingTheFd) {
+  // The coordinator never sends kShutdown, so each worker's serve thread is
+  // blocked in poll/recv on its socket when stop() runs. stop() may only
+  // shut that socket down; the serve thread's transport closes the fd when
+  // it is destroyed. A close from stop() would race that recv (TSan reports
+  // it), and the kernel could hand the fd number to the next socket opened
+  // here. Repeated so a race has many chances to show.
+  for (int round = 0; round < 25; ++round) {
+    dist::InProcessWorker worker("tcp:127.0.0.1:0");
+    dist::ShardClient client(worker.endpoint(), {});
+    client.connect();
+    ASSERT_TRUE(client.healthy()) << round;
+    worker.stop();
+    EXPECT_THROW((void)client.call(dist::make_frame(MsgType::kQuiesce),
+                                   MsgType::kAck),
+                 dist::TransportError)
+        << round;
+    EXPECT_FALSE(client.healthy()) << round;
+  }
 }
 
 // ---- RPC client failure model (satellite 6) --------------------------------

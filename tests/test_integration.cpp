@@ -58,18 +58,19 @@ TEST(Integration, SlideReachesDenseAccuracyBallpark) {
   const double slide_acc =
       evaluate_p_at_1(net, data.test, trainer.pool(), {.exact = true});
 
-  // Dense baseline, same architecture/optimizer/schedule.
-  DenseNetwork::Config dcfg;
-  dcfg.input_dim = data.train.feature_dim();
-  dcfg.hidden_units = 16;
-  dcfg.output_units = data.train.label_dim();
-  dcfg.max_batch_size = 32;
-  DenseNetwork dense(dcfg, 2);
-  ThreadPool pool(2);
-  Batcher batcher(data.train, 32, true, 2);
-  for (int i = 0; i < 250; ++i)
-    dense.step(data.train, batcher.next(), 5e-3f, pool);
-  const double dense_acc = evaluate_p_at_1(dense, data.test, pool);
+  // Dense baseline, same architecture/optimizer/schedule, trained with
+  // locked accumulation.
+  Network dense = NetworkBuilder(data.train.feature_dim())
+                      .dense(16)
+                      .dense(data.train.label_dim(), Activation::kSoftmax)
+                      .max_batch(32)
+                      .build(2);
+  tc.hogwild = false;
+  Trainer dense_trainer(dense, tc);
+  dense_trainer.train(data.train, 250);
+  const double dense_acc = evaluate_p_at_1(dense, data.test,
+                                           dense_trainer.pool(),
+                                           {.exact = true});
 
   EXPECT_GT(slide_acc, 0.35);
   EXPECT_GT(dense_acc, 0.35);

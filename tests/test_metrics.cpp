@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/builder.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/transport.h"
@@ -159,12 +160,11 @@ TEST(Evaluate, DensePAtKMatchesNetworkShape) {
   dcfg.num_train = 200;
   dcfg.num_test = 60;
   const auto data = make_synthetic_xc(dcfg);
-  DenseNetwork::Config cfg;
-  cfg.input_dim = 150;
-  cfg.hidden_units = 8;
-  cfg.output_units = 30;
-  cfg.max_batch_size = 16;
-  DenseNetwork net(cfg, 2);
+  const Network net = NetworkBuilder(150)
+                          .dense(8)
+                          .dense(30, Activation::kSoftmax)
+                          .max_batch(16)
+                          .build(2);
   ThreadPool pool(2);
   const double p1 = evaluate_p_at_k(net, data.test, pool, 1);
   const double p1_ref = evaluate_p_at_1(net, data.test, pool);

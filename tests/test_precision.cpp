@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/builder.h"
 #include "core/serialize.h"
@@ -61,12 +62,25 @@ TEST(Precision, BuilderAndParseRoundTrip) {
   EXPECT_EQ(net_config(data, Precision::kBF16).precision, Precision::kBF16);
   EXPECT_EQ(parse_precision("fp32"), Precision::kFP32);
   EXPECT_EQ(parse_precision("bf16"), Precision::kBF16);
-  EXPECT_EQ(parse_precision("fp16"), Precision::kFP16);
   EXPECT_EQ(parse_precision("int8"), Precision::kInt8);
   EXPECT_STREQ(to_string(Precision::kBF16), "bf16");
-  EXPECT_STREQ(to_string(Precision::kFP16), "fp16");
   EXPECT_STREQ(to_string(Precision::kInt8), "int8");
   EXPECT_THROW(parse_precision("int4"), Error);
+  // The removed fp16 tier is a typed error that points at bf16.
+  try {
+    parse_precision("fp16");
+    ADD_FAILURE() << "fp16 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bf16"), std::string::npos)
+        << e.what();
+  }
+  // Tags are checkpoint and wire values: 2 (fp16) stays retired.
+  for (const Precision p :
+       {Precision::kFP32, Precision::kBF16, Precision::kInt8})
+    EXPECT_EQ(precision_from_tag(static_cast<std::uint32_t>(p)), p);
+  EXPECT_EQ(static_cast<std::uint32_t>(Precision::kInt8), 3u);
+  EXPECT_THROW(precision_from_tag(2), Error);
+  EXPECT_THROW(precision_from_tag(4), Error);
 }
 
 TEST(Precision, Bf16NetworkHalvesInferenceWeightBytes) {
@@ -85,21 +99,6 @@ TEST(Precision, Bf16NetworkHalvesInferenceWeightBytes) {
             f32.inference_weight_bytes / 2 + f32.inference_weight_bytes / 20);
   EXPECT_GE(f16.inference_weight_bytes, f32.inference_weight_bytes / 2);
   EXPECT_EQ(bf16.precision(), Precision::kBF16);
-}
-
-TEST(Precision, Fp16NetworkHalvesInferenceWeightBytes) {
-  const auto data = tiny_data();
-  Network fp32(net_config(data), 2);
-  Network fp16(net_config(data, Precision::kFP16), 2);
-
-  const MemoryFootprint f32 = fp32.memory_footprint();
-  const MemoryFootprint f16 = fp16.memory_footprint();
-  EXPECT_GT(f16.mirror_bytes, 0u);
-  EXPECT_EQ(f32.master_weight_bytes, f16.master_weight_bytes);
-  EXPECT_LT(f16.inference_weight_bytes,
-            f32.inference_weight_bytes / 2 + f32.inference_weight_bytes / 20);
-  EXPECT_GE(f16.inference_weight_bytes, f32.inference_weight_bytes / 2);
-  EXPECT_EQ(fp16.precision(), Precision::kFP16);
 }
 
 TEST(Precision, Int8NetworkQuartersInferenceWeightBytes) {
@@ -190,10 +189,6 @@ void expect_top1_agreement(Precision precision) {
   }
 }
 
-TEST(Precision, Fp16PredictionsAgreeWithFp32) {
-  expect_top1_agreement(Precision::kFP16);
-}
-
 TEST(Precision, Int8PredictionsAgreeWithFp32) {
   expect_top1_agreement(Precision::kInt8);
 }
@@ -262,7 +257,6 @@ TEST(Precision, CheckpointCarriesPrecisionTag) {
   buffer.seekg(0);
   const CheckpointInfo info = peek_checkpoint_info(buffer);
   EXPECT_EQ(info.version, 5u);
-  EXPECT_EQ(info.kind, 0u);
   EXPECT_EQ(info.precision, Precision::kBF16);
   // peek must not consume: a full load still works afterwards.
   Network restored(net_config(data, Precision::kFP32, 31), 2);
@@ -274,22 +268,21 @@ TEST(Precision, CheckpointCarriesPrecisionTag) {
   buffer2.seekg(0);
   EXPECT_EQ(peek_checkpoint_info(buffer2).precision, Precision::kFP32);
 
-  // The two new tiers tag and reload the same way (mirror re-derived on
+  // The int8 tier tags and reloads the same way (mirror re-derived on
   // load, never serialized).
-  for (const Precision p : {Precision::kFP16, Precision::kInt8}) {
-    Network net(net_config(data, p, 41), 2);
-    std::stringstream buf;
-    save_weights(net, buf);
-    buf.seekg(0);
-    EXPECT_EQ(peek_checkpoint_info(buf).precision, p);
-    Network reloaded(net_config(data, p, 43), 2);
-    load_weights(reloaded, buf);
-    EXPECT_GT(reloaded.memory_footprint().mirror_bytes, 0u);
-  }
+  Network int8(net_config(data, Precision::kInt8, 41), 2);
+  std::stringstream buffer3;
+  save_weights(int8, buffer3);
+  buffer3.seekg(0);
+  EXPECT_EQ(peek_checkpoint_info(buffer3).precision, Precision::kInt8);
+  Network reloaded(net_config(data, Precision::kInt8, 43), 2);
+  load_weights(reloaded, buffer3);
+  EXPECT_GT(reloaded.memory_footprint().mirror_bytes, 0u);
 }
 
-// Byte-level writer for the pre-tag (version 1) format, replicating the
-// old save_weights layout exactly.
+// Byte-level writer for the version 1 and 2 formats, replicating the old
+// save_weights layout exactly: version 2 only adds the precision tag word
+// after the header.
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -298,30 +291,34 @@ void write_block(std::ostream& out, std::span<const float> data) {
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size() * sizeof(float)));
 }
+std::string legacy_checkpoint(const Network& net, std::uint32_t version,
+                              std::uint32_t kind, std::uint32_t tag = 0) {
+  std::stringstream out;
+  write_u32(out, 0x534C4944u);  // magic
+  write_u32(out, version);
+  write_u32(out, kind);
+  write_u32(out, net.embedding().input_dim());
+  write_u32(out, net.embedding().units());
+  write_u32(out, static_cast<std::uint32_t>(net.stack_depth()));
+  if (version >= 2) write_u32(out, tag);
+  write_block(out, net.embedding().weights_span());
+  write_block(out, net.embedding().bias_span());
+  for (int i = 0; i < net.stack_depth(); ++i) {
+    const Layer& layer = net.stack(i);
+    write_u32(out, layer.units());
+    write_u32(out, layer.fan_in());
+    write_block(out, layer.weights_span());
+    write_block(out, layer.bias_span());
+  }
+  return out.str();
+}
 
 TEST(Precision, LegacyVersion1CheckpointLoadsUnchanged) {
   const auto data = tiny_data();
   Network trained(net_config(data), 2);
   train_a_bit(trained, data.train, 30);
 
-  std::stringstream v1;
-  write_u32(v1, 0x534C4944u);  // magic
-  write_u32(v1, 1u);           // version 1: no precision tag
-  write_u32(v1, 0u);           // kind 0 (unified stack)
-  write_u32(v1, trained.embedding().input_dim());
-  write_u32(v1, trained.embedding().units());
-  write_u32(v1, static_cast<std::uint32_t>(trained.stack_depth()));
-  write_block(v1, trained.embedding().weights_span());
-  write_block(v1, trained.embedding().bias_span());
-  for (int i = 0; i < trained.stack_depth(); ++i) {
-    const Layer& layer = trained.stack(i);
-    write_u32(v1, layer.units());
-    write_u32(v1, layer.fan_in());
-    write_block(v1, layer.weights_span());
-    write_block(v1, layer.bias_span());
-  }
-
-  v1.seekg(0);
+  std::stringstream v1(legacy_checkpoint(trained, 1, /*kind=*/0));
   EXPECT_EQ(peek_checkpoint_info(v1).version, 1u);
   EXPECT_EQ(peek_checkpoint_info(v1).precision, Precision::kFP32);
 
@@ -339,6 +336,24 @@ TEST(Precision, LegacyVersion1CheckpointLoadsUnchanged) {
   v1.seekg(0);
   load_weights(quantized, v1);
   EXPECT_GT(quantized.memory_footprint().mirror_bytes, 0u);
+
+  // A version-2 file from the same writer carries its tag...
+  std::stringstream v2(legacy_checkpoint(trained, 2, /*kind=*/0, /*tag=*/1));
+  EXPECT_EQ(peek_checkpoint_info(v2).precision, Precision::kBF16);
+  load_weights(restored, v2);
+
+  // ...but a kind-1 header (the removed dense-baseline wrapper's files) and
+  // precision tag 2 (the removed fp16 tier) are refused, typed, by both
+  // the peek and the load.
+  for (const std::string& bytes :
+       {legacy_checkpoint(trained, 1, /*kind=*/1),
+        legacy_checkpoint(trained, 2, /*kind=*/0, /*tag=*/2)}) {
+    std::stringstream in(bytes);
+    EXPECT_THROW(peek_checkpoint_info(in), Error);
+    in.clear();
+    in.seekg(0);
+    EXPECT_THROW(load_weights(restored, in), Error);
+  }
 }
 
 TEST(Precision, TrainingStaysOnFp32Masters) {

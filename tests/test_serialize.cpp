@@ -1,6 +1,6 @@
-// Checkpointing tests: round-trip fidelity for both network kinds,
-// architecture validation, corruption rejection (including a truncation
-// and byte-flip fuzzer), and table rebuild after load.
+// Checkpointing tests: round-trip fidelity, architecture validation,
+// corruption rejection (including a truncation and byte-flip fuzzer), and
+// table rebuild after load.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -406,10 +406,12 @@ TEST(Serialize, WritesVersion5WithPrecisionTagAndRejectsFutureVersions) {
   std::string bytes = buffer.str();
 
   // Header words: magic, version, kind, input_dim, hidden, num_layers, tag.
-  std::uint32_t version = 0, tag = 0;
+  std::uint32_t version = 0, kind = 1, tag = 0;
   std::memcpy(&version, bytes.data() + 4, 4);
+  std::memcpy(&kind, bytes.data() + 8, 4);
   std::memcpy(&tag, bytes.data() + 24, 4);
   EXPECT_EQ(version, 5u);
+  EXPECT_EQ(kind, 0u);
   EXPECT_EQ(tag, static_cast<std::uint32_t>(Precision::kFP32));
 
   // A version from the future must be rejected, not misparsed.
@@ -419,44 +421,21 @@ TEST(Serialize, WritesVersion5WithPrecisionTagAndRejectsFutureVersions) {
   EXPECT_THROW(load_weights(net, tampered), Error);
 }
 
-TEST(Serialize, DenseNetworkRoundTrip) {
-  const auto data = tiny_data();
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 16;
-  DenseNetwork a(cfg, 2);
-  ThreadPool pool(2);
-  Batcher batcher(data.train, 16, true, 5);
-  for (int i = 0; i < 20; ++i) a.step(data.train, batcher.next(), 5e-3f, pool);
-
-  std::stringstream buffer;
-  save_weights(a, buffer);
-  cfg.seed = 777;
-  DenseNetwork b(cfg, 2);
-  load_weights(b, buffer);
-
-  std::vector<float> sa, sb;
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(a.predict_top1(data.test[i].features, sa),
-              b.predict_top1(data.test[i].features, sb));
-  }
-}
-
 TEST(Serialize, KindMismatchRejected) {
+  // The kind word must read 0: kind 1 was the removed dense-baseline
+  // wrapper's layout, and any other value is not a checkpoint kind.
   const auto data = tiny_data();
   Network slide_net(net_config(data), 2);
   std::stringstream buffer;
   save_weights(slide_net, buffer);
-
-  DenseNetwork::Config cfg;
-  cfg.input_dim = data.train.feature_dim();
-  cfg.hidden_units = 8;
-  cfg.output_units = data.train.label_dim();
-  cfg.max_batch_size = 4;
-  DenseNetwork dense(cfg, 1);
-  EXPECT_THROW(load_weights(dense, buffer), Error);
+  for (const std::uint32_t kind : {1u, 2u}) {
+    std::string bytes = buffer.str();
+    std::memcpy(bytes.data() + 8, &kind, 4);
+    std::stringstream peek_in(bytes);
+    EXPECT_THROW(peek_checkpoint_info(peek_in), Error) << kind;
+    std::stringstream load_in(bytes);
+    EXPECT_THROW(load_weights(slide_net, load_in), Error) << kind;
+  }
 }
 
 TEST(Serialize, IncrementalMemoInvalidatedOnLoad) {

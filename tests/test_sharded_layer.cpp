@@ -434,7 +434,6 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
 
   const CheckpointInfo info = peek_checkpoint_info(buffer);
   EXPECT_EQ(info.version, 5u);
-  EXPECT_EQ(info.kind, 0u);
 
   InferenceContext ctx_src(src, 7);
   for (Placement placement : {Placement{0}, Placement{1}, Placement{3},

@@ -487,82 +487,6 @@ TEST_P(KernelParity, QuantizeI8MatchesScalar) {
   }
 }
 
-// ---- fp16 tier kernels ----------------------------------------------------
-
-std::vector<simd::Fp16> random_f16(std::size_t n, Rng& rng,
-                                   float scale = 1.0f) {
-  std::vector<simd::Fp16> v(n);
-  for (auto& x : v)
-    x = simd::float_to_fp16(scale * (rng.uniform_float() * 2.0f - 1.0f));
-  return v;
-}
-
-TEST_P(KernelParity, DotF16) {
-  Rng rng(41);
-  for (std::size_t n : parity_sizes()) {
-    const auto w = random_f16(n + kMaxOffset, rng);
-    const auto x = random_vec(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      const float ref =
-          simd::scalar::dot_f16(w.data() + off, x.data() + off, n);
-      const float got = simd::dot_f16(w.data() + off, x.data() + off, n);
-      ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref)))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelParity, AxpyF16) {
-  Rng rng(42);
-  for (std::size_t n : parity_sizes()) {
-    const auto x = random_f16(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      auto y1 = random_vec(n + kMaxOffset, rng);
-      auto y2 = y1;
-      simd::scalar::axpy_f16(0.29f, x.data() + off, y1.data() + off, n);
-      simd::axpy_f16(0.29f, x.data() + off, y2.data() + off, n);
-      for (std::size_t i = 0; i < y1.size(); ++i)
-        ASSERT_NEAR(y1[i], y2[i], 1e-5f) << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelParity, SparseDotF16) {
-  Rng rng(43);
-  const std::size_t dim = 3000;
-  const auto dense = random_f16(dim, rng);
-  for (std::size_t nnz : parity_sizes()) {
-    std::vector<Index> idx(nnz);
-    std::vector<float> val(nnz);
-    for (std::size_t i = 0; i < nnz; ++i) {
-      idx[i] = rng.uniform(static_cast<std::uint32_t>(dim));
-      val[i] = rng.uniform_float();
-    }
-    const float ref = simd::scalar::sparse_dot_f16(idx.data(), val.data(), nnz,
-                                                   dense.data());
-    const float got =
-        simd::sparse_dot_f16(idx.data(), val.data(), nnz, dense.data());
-    ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref))) << "nnz=" << nnz;
-  }
-}
-
-TEST_P(KernelParity, QuantizeDequantizeF16RoundTrip) {
-  Rng rng(44);
-  for (std::size_t n : parity_sizes()) {
-    const auto src = random_vec(n, rng, 10.0f);
-    std::vector<simd::Fp16> q(n), q_ref(n);
-    simd::quantize_f16(src.data(), q.data(), n);
-    simd::scalar::quantize_f16(src.data(), q_ref.data(), n);
-    ASSERT_EQ(q, q_ref) << "n=" << n;
-    std::vector<float> back(n);
-    simd::dequantize_f16(q.data(), back.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // 11-bit significand, round-to-nearest: relative error <= 2^-12.
-      ASSERT_NEAR(back[i], src[i], std::fabs(src[i]) / 2048.0f + 1e-30f);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Levels, KernelParity,
                          ::testing::ValuesIn(supported_levels()),
                          [](const auto& info) {
@@ -617,58 +541,6 @@ TEST(Bf16, MixedDotTracksFp32WithinQuantizationError) {
   for (std::size_t i = 0; i < n; ++i)
     magnitude += std::fabs(w[i]) * std::fabs(x[i]);
   EXPECT_NEAR(bf16, fp32, magnitude / 256.0f + 1e-5f);
-}
-
-// ---- fp16 scalar semantics -------------------------------------------------
-
-TEST(Fp16, ExactValuesRoundTrip) {
-  for (float f : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 2.0f, 128.0f, -0.375f,
-                  65504.0f,     // largest finite fp16
-                  6.103515625e-5f,  // smallest normal (2^-14)
-                  5.9604644775390625e-8f}) {  // smallest subnormal (2^-24)
-    EXPECT_EQ(simd::fp16_to_float(simd::float_to_fp16(f)), f) << f;
-  }
-  // Signed zero is preserved.
-  EXPECT_TRUE(std::signbit(simd::fp16_to_float(simd::float_to_fp16(-0.0f))));
-}
-
-TEST(Fp16, RoundsToNearestEven) {
-  // 1 + 2^-11 sits exactly between fp16(1.0) = 0x3C00 and 0x3C01: the tie
-  // goes to the even mantissa (0x3C00).
-  const float tie_low = std::bit_cast<float>(0x3F801000u);
-  EXPECT_EQ(simd::float_to_fp16(tie_low), 0x3C00u);
-  // 1 + 2^-10 + 2^-11 is the tie between 0x3C01 and 0x3C02 -> even.
-  const float tie_high = std::bit_cast<float>(0x3F803000u);
-  EXPECT_EQ(simd::float_to_fp16(tie_high), 0x3C02u);
-  // Just above a tie rounds up.
-  const float above = std::bit_cast<float>(0x3F801001u);
-  EXPECT_EQ(simd::float_to_fp16(above), 0x3C01u);
-}
-
-TEST(Fp16, SubnormalRounding) {
-  // 2^-25 is the exact tie between 0 and the smallest subnormal 2^-24:
-  // round-to-even picks 0.
-  EXPECT_EQ(simd::float_to_fp16(std::ldexp(1.0f, -25)), 0x0000u);
-  // 1.5 * 2^-24 is the tie between 0x0001 and 0x0002 -> even (0x0002).
-  EXPECT_EQ(simd::float_to_fp16(1.5f * std::ldexp(1.0f, -24)), 0x0002u);
-  // Anything above the tie rounds to the smallest subnormal.
-  EXPECT_EQ(simd::float_to_fp16(0.6f * std::ldexp(1.0f, -24)), 0x0001u);
-}
-
-TEST(Fp16, SpecialValuesAndOverflow) {
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(simd::fp16_to_float(simd::float_to_fp16(inf)), inf);
-  EXPECT_EQ(simd::fp16_to_float(simd::float_to_fp16(-inf)), -inf);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(simd::fp16_to_float(simd::float_to_fp16(nan))));
-  // 65520 is the exact midpoint between 65504 (max finite) and 2^16: the
-  // vcvtps2ph convention rounds it up, overflowing to +inf.
-  EXPECT_EQ(simd::float_to_fp16(65520.0f), 0x7C00u);
-  EXPECT_EQ(simd::float_to_fp16(-65520.0f), 0xFC00u);
-  // Just below the midpoint stays the largest finite value.
-  EXPECT_EQ(simd::float_to_fp16(65519.0f), 0x7BFFu);
-  // Any fp32 far beyond fp16 range saturates to inf, not garbage.
-  EXPECT_EQ(simd::float_to_fp16(3.4e38f), 0x7C00u);
 }
 
 // ---- int8 quantizer semantics ----------------------------------------------
@@ -799,8 +671,8 @@ TEST_F(DispatchLevels, BackendForReturnsFixedTables) {
 }
 
 TEST_F(DispatchLevels, KernelPathNamesAreRecorded) {
-  // Every binding names the int8/fp16 paths it scores through (these land
-  // in BENCH_backend.json rows and the serve_cli banner). Scalar is always
+  // Every binding names the int8 path it scores through (it lands in
+  // BENCH_backend.json rows and the serve_cli banner). Scalar is always
   // "scalar"; vector levels report whichever instruction path cpuid
   // selected at bind time — the graceful-downgrade contract is that the
   // slot is always callable, never that a specific ISA was picked.
@@ -808,22 +680,15 @@ TEST_F(DispatchLevels, KernelPathNamesAreRecorded) {
     simd::set_simd_level(level);
     const simd::Backend& b = simd::backend();
     ASSERT_NE(b.i8_path, nullptr);
-    ASSERT_NE(b.f16_path, nullptr);
     if (level == SimdLevel::kScalar) {
       EXPECT_STREQ(b.i8_path, "scalar");
-      EXPECT_STREQ(b.f16_path, "scalar");
     }
-    // All ten tier slots must be bound at every level.
+    // All five int8 tier slots must be bound at every level.
     EXPECT_NE(b.dot_i8, nullptr);
     EXPECT_NE(b.sparse_dot_i8, nullptr);
     EXPECT_NE(b.axpy_i8, nullptr);
     EXPECT_NE(b.quantize_i8, nullptr);
     EXPECT_NE(b.quantize_act_u8, nullptr);
-    EXPECT_NE(b.dot_f16, nullptr);
-    EXPECT_NE(b.sparse_dot_f16, nullptr);
-    EXPECT_NE(b.axpy_f16, nullptr);
-    EXPECT_NE(b.quantize_f16, nullptr);
-    EXPECT_NE(b.dequantize_f16, nullptr);
   }
 }
 
