@@ -1,16 +1,15 @@
-// Retrieval backend shoot-out: recall@10 and queries/sec for each
-// src/retrieval/ backend (exact scan, (K, L) LSH tables, HNSW graph) over
-// the same clustered vector collection.
+// Retrieval backend shoot-out: recall@10 and queries/sec of the (K, L) LSH
+// tables against the exact scan (the oracle) over the same clustered
+// vector collection.
 //
-// Not a paper figure — the paper fixes the LSH sampler; this tracks the
-// candidate-generation tradeoff surface the retrieval subsystem opens up.
-// Clustered data (points = cluster center + noise, unit-normalized) is the
-// regime ANN indexes are built for; uniform random vectors in high
-// dimension have no neighborhood structure to exploit and every backend
-// degenerates to a scan.
+// Not a paper figure — the paper fixes the LSH sampler; this tracks what
+// the sampler's candidates cost and miss. Clustered data (points = cluster
+// center + noise, unit-normalized) is the regime ANN indexes are built
+// for; uniform random vectors in high dimension have no neighborhood
+// structure to exploit and every backend degenerates to a scan.
 //
-// Gate (CI enforces via bench_compare.py on BENCH_retrieval.json): HNSW
-// must hold recall@10 >= 0.9 while beating the exact scan's qps.
+// No hard gate: CI compares the throughput keys in BENCH_retrieval.json
+// against the checked-in baseline (bench_compare.py).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -101,18 +100,14 @@ int main() {
                               {.range_pow = 14, .bucket_size = 64}, sampling,
                               rows, /*seed=*/42);
   retrieval::ExactRetriever exact(rows);
-  const retrieval::HnswConfig hnsw_cfg;  // library defaults
-  retrieval::HnswRetriever hnsw(rows, hnsw_cfg, /*seed=*/42);
 
   struct Backend {
     const char* name;
     retrieval::Retriever* index;
     Index budget;
   };
-  const Backend backends[] = {
-      {"exact", &exact, n},
-      {"lsh", &lsh, kLshBudget},
-      {"hnsw", &hnsw, static_cast<Index>(hnsw_cfg.ef_search)}};
+  const Backend backends[] = {{"exact", &exact, n},
+                               {"lsh", &lsh, kLshBudget}};
 
   bench::Json json;
   json.begin_object();
@@ -127,7 +122,7 @@ int main() {
       {"backend", "build(s)", "recall@10", "qps", "index MB"});
   VisitedSet visited(n);
   std::vector<Index> candidates;
-  double exact_qps = 0.0, hnsw_qps = 0.0, hnsw_recall = 0.0;
+  double exact_qps = 0.0, lsh_qps = 0.0, lsh_recall = 0.0;
   for (const Backend& b : backends) {
     WallTimer build_timer;
     b.index->rebuild(&pool);
@@ -170,29 +165,16 @@ int main() {
     json.key("index_mb").number(index_mb);
     json.end_object();
     if (b.index == &exact) exact_qps = qps;
-    if (b.index == &hnsw) {
-      hnsw_qps = qps;
-      hnsw_recall = recall;
+    if (b.index == &lsh) {
+      lsh_qps = qps;
+      lsh_recall = recall;
     }
   }
   json.end_array();
-  // Scale-invariant ratio: survives machine-speed changes under
-  // bench_compare.py --relative.
-  json.key("speedup_hnsw_vs_exact_qps").number(hnsw_qps / exact_qps);
   json.end_object();
   table.print(std::cout);
-  std::printf("hnsw vs exact: %.2fx qps at recall@10 %.3f\n",
-              hnsw_qps / exact_qps, hnsw_recall);
+  std::printf("lsh vs exact: %.2fx qps at recall@10 %.3f\n",
+              lsh_qps / exact_qps, lsh_recall);
   json.write_file(bench::json_path("BENCH_retrieval.json"));
-
-  if (hnsw_recall < 0.9) {
-    std::printf("FAILED: hnsw recall@10 %.3f < 0.9\n", hnsw_recall);
-    return 1;
-  }
-  if (hnsw_qps <= exact_qps) {
-    std::printf("FAILED: hnsw qps %.0f <= exact qps %.0f\n", hnsw_qps,
-                exact_qps);
-    return 1;
-  }
   return 0;
 }

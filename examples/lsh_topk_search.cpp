@@ -1,10 +1,10 @@
 // Standalone ANN vector search on the retrieval subsystem (src/retrieval/):
-// index a collection of unit vectors once per backend — the paper's (K, L)
-// LSH tables, a deterministic HNSW graph, and the brute-force oracle — then
-// sweep every backend over the same queries and report recall@10 against
-// the exact answer plus queries/second. The same Retriever interface drives
-// the sampled wide layer inside the network, so the numbers here are the
-// candidate-generation tradeoff the layer sees (paper §2's MIPS framing).
+// index a collection of unit vectors with the paper's (K, L) LSH tables and
+// the brute-force oracle, then run both over the same queries and report
+// recall@10 against the exact answer plus queries/second. The same
+// LshRetriever drives the sampled wide layer inside the network, so the
+// numbers here are the candidate-generation tradeoff the layer sees (paper
+// §2's MIPS framing).
 //
 //   ./build/examples/lsh_topk_search [num_vectors] [dim] [queries]
 #include <algorithm>
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
 
   ThreadPool pool(hardware_threads());
 
-  // The three backends over the same rows. LSH: Simhash (K=7, L=32) with
-  // frequency-ranked sampling; HNSW: library defaults.
+  // Both backends over the same rows. LSH: Simhash (K=7, L=32) with
+  // frequency-ranked sampling.
   HashFamilyConfig family;
   family.kind = HashFamilyKind::kSimhash;
   family.k = 7;
@@ -118,21 +118,15 @@ int main(int argc, char** argv) {
                               {.range_pow = 14, .bucket_size = 64}, sampling,
                               rows, /*seed=*/42);
   retrieval::ExactRetriever exact(rows);
-  retrieval::HnswRetriever hnsw(rows, retrieval::HnswConfig{}, /*seed=*/42);
 
   // Per-backend candidate budget: LSH needs a generous target (bucket
-  // frequencies are noisy), HNSW's beam already ranks — asking for more
-  // than ef_search just widens the beam and costs qps.
+  // frequencies are noisy); the exact scan ignores it.
   struct Backend {
     const char* name;
     retrieval::Retriever* index;
     Index budget;
   };
-  const Backend backends[] = {
-      {"exact", &exact, n},
-      {"lsh", &lsh, kBudget},
-      {"hnsw", &hnsw,
-       static_cast<Index>(retrieval::HnswConfig{}.ef_search)}};
+  const Backend backends[] = {{"exact", &exact, n}, {"lsh", &lsh, kBudget}};
 
   // Oracle answers once, up front.
   std::vector<std::vector<Index>> truth;
@@ -167,8 +161,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nexact is the oracle (recall 1.0 by construction); lsh and hnsw\n"
-      "trade recall for qps. Raise ef_search (hnsw) or the candidate\n"
-      "budget (lsh) to buy recall back.\n");
+      "\nexact is the oracle (recall 1.0 by construction); lsh trades\n"
+      "recall for qps. Raise the candidate budget to buy recall back.\n");
   return 0;
 }

@@ -98,25 +98,6 @@ NetworkBuilder& NetworkBuilder::sampling_config(
   return *this;
 }
 
-NetworkBuilder& NetworkBuilder::retriever(retrieval::RetrieverKind kind) {
-  LayerSpec& spec = last_layer("retriever");
-  SLIDE_CHECK(spec.hashed || kind == retrieval::RetrieverKind::kLsh,
-              "NetworkBuilder::retriever: a non-LSH retriever requires an "
-              "LSH-sampled layer (call .sampled(...) first)");
-  spec.retriever = kind;
-  return *this;
-}
-
-NetworkBuilder& NetworkBuilder::hnsw(const retrieval::HnswConfig& config) {
-  SLIDE_CHECK(config.m >= 2, "NetworkBuilder::hnsw: m must be >= 2");
-  SLIDE_CHECK(config.ef_construction >= config.m,
-              "NetworkBuilder::hnsw: ef_construction must be >= m");
-  SLIDE_CHECK(config.ef_search >= 1,
-              "NetworkBuilder::hnsw: ef_search must be >= 1");
-  last_layer("hnsw").hnsw = config;
-  return *this;
-}
-
 NetworkBuilder& NetworkBuilder::incremental_rehash(bool on) {
   last_layer("incremental_rehash").incremental_rehash = on;
   return *this;

@@ -73,15 +73,6 @@ class NetworkBuilder {
   NetworkBuilder& table(const HashTable::Config& table);
   NetworkBuilder& rebuild_schedule(const RebuildSchedule& schedule);
   NetworkBuilder& sampling_config(const SamplingConfig& sampling);
-  /// Candidate-generation backend of the most recently added LSH-sampled
-  /// layer (src/retrieval/): RetrieverKind::kLsh (default, the paper's
-  /// (K, L) tables — bit-identical to the pre-subsystem layer), kExact
-  /// (brute-force oracle), or kHnsw (seeded small-world graph; tune it
-  /// with .hnsw()).
-  NetworkBuilder& retriever(retrieval::RetrieverKind kind);
-  /// HNSW knobs for the most recent layer (implies nothing about the
-  /// backend — pair with .retriever(RetrieverKind::kHnsw)).
-  NetworkBuilder& hnsw(const retrieval::HnswConfig& config);
   NetworkBuilder& incremental_rehash(bool on = true);
   NetworkBuilder& fill_random_to_target(bool on);
   /// How the layer executes the maintenance events its rebuild schedule

@@ -10,7 +10,6 @@
 #include "lsh/hash_table.h"
 #include "lsh/sampling.h"
 #include "optim/adam.h"
-#include "retrieval/retriever.h"
 #include "sys/common.h"
 
 namespace slide {
@@ -87,12 +86,6 @@ struct LayerSpec {
   SamplingConfig sampling;
   RebuildSchedule rebuild;
 
-  /// Candidate-generation backend for a hashed layer (src/retrieval/):
-  /// kLsh keeps the paper's (K, L) tables (bit-identical to the
-  /// pre-subsystem layer), kExact scans every unit, kHnsw searches a
-  /// seeded small-world graph (`hnsw` knobs). Requires `hashed`.
-  retrieval::RetrieverKind retriever = retrieval::RetrieverKind::kLsh;
-  retrieval::HnswConfig hnsw;
   /// Where maintenance events run: background thread or trainer stall.
   MaintenancePolicy maintenance = MaintenancePolicy::kSync;
 

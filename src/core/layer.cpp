@@ -7,9 +7,6 @@
 
 #include "core/sharded_layer.h"
 #include "dist/remote_shard.h"
-#include "retrieval/exact_retriever.h"
-#include "retrieval/hnsw_retriever.h"
-#include "retrieval/lsh_retriever.h"
 #include "simd/kernels.h"
 #include "sys/prefetch.h"
 #include "sys/timer.h"
@@ -400,52 +397,27 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
   if (config_.hashed) {
     HashFamilyConfig family = config_.family;
     family.dim = fan_in_;
+    SLIDE_CHECK(!config_.incremental_rehash ||
+                    family.kind == HashFamilyKind::kSimhash,
+                "incremental_rehash requires the Simhash family");
+    retriever_ = std::make_unique<retrieval::LshRetriever>(
+        make_hash_family(family), config_.table, config_.sampling,
+        retrieval::RowView{weights_.data(), fan_in_, units_},
+        config.seed + 1);
+    tables_ = &retriever_->tables();
+    simhash_ = dynamic_cast<const Simhash*>(&tables_->family());
     if (config_.incremental_rehash) {
-      SLIDE_CHECK(family.kind == HashFamilyKind::kSimhash,
-                  "incremental_rehash requires the Simhash family");
-      SLIDE_CHECK(config_.retriever == retrieval::RetrieverKind::kLsh,
-                  "incremental_rehash requires the LSH retriever");
-    }
-    const retrieval::RowView rows{weights_.data(), fan_in_, units_};
-    switch (config_.retriever) {
-      case retrieval::RetrieverKind::kLsh: {
-        // The retriever owns the tables; the layer keeps a raw alias so
-        // the memo-aware rebuild and the add_units splice below drive
-        // them directly (bit-identical to the pre-subsystem layer).
-        auto lsh = std::make_unique<retrieval::LshRetriever>(
-            make_hash_family(family), config_.table, config_.sampling, rows,
-            config.seed + 1);
-        tables_ = &lsh->tables();
-        retriever_ = std::move(lsh);
-        break;
-      }
-      case retrieval::RetrieverKind::kExact:
-        retriever_ = std::make_unique<retrieval::ExactRetriever>(rows);
-        break;
-      case retrieval::RetrieverKind::kHnsw:
-        retriever_ = std::make_unique<retrieval::HnswRetriever>(
-            rows, config_.hnsw, config.seed + 1);
-        break;
-    }
-    if (tables_ != nullptr) {
-      simhash_ = dynamic_cast<const Simhash*>(&tables_->family());
-      if (config_.incremental_rehash) {
-        SLIDE_ASSERT(simhash_ != nullptr);
-        projection_memo_ = HugeArray(
-            static_cast<std::size_t>(units_) *
-            static_cast<std::size_t>(simhash_->num_projections()));
-      }
+      SLIDE_ASSERT(simhash_ != nullptr);
+      projection_memo_ = HugeArray(
+          static_cast<std::size_t>(units_) *
+          static_cast<std::size_t>(simhash_->num_projections()));
     }
     // The worker object is free until its first task spawns the thread, so
     // async layers can construct it eagerly (no lazy-init race to manage).
     if (config_.maintenance != MaintenancePolicy::kSync)
       worker_ = std::make_unique<BackgroundWorker>();
     next_rebuild_ = config_.rebuild.initial_period;
-    if (tables_ != nullptr) {
-      build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
-    } else {
-      retriever_->rebuild(nullptr);  // initial index build
-    }
+    build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
   }
 
   // Allocate the quantized mirror up front so later refreshes are noexcept
@@ -841,14 +813,8 @@ bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
   switch (config_.maintenance) {
     case MaintenancePolicy::kSync:
       // In-place rebuild on the calling thread: the trainer's contract says
-      // no table reader is active between batches. Non-LSH retrievers
-      // rebuild through the generic hook (shadow build + publish, so
-      // "in place" is still reader-safe).
-      if (tables_ != nullptr) {
-        build_group(tables_->active_group(), pool);
-      } else {
-        retriever_->rebuild(pool);
-      }
+      // no table reader is active between batches.
+      build_group(tables_->active_group(), pool);
       rebuild_count_.fetch_add(1, std::memory_order_acq_rel);
       break;
     case MaintenancePolicy::kAsyncFull:
@@ -871,11 +837,7 @@ void SampledLayer::rebuild_tables(ThreadPool* pool) {
   // Serialize against the background worker: the maintenance side of
   // MaintainedTables allows exactly one caller at a time.
   quiesce_maintenance();
-  if (tables_ != nullptr) {
-    build_group(tables_->active_group(), pool);
-  } else {
-    retriever_->rebuild(pool);
-  }
+  build_group(tables_->active_group(), pool);
 }
 
 void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
@@ -912,12 +874,8 @@ void SampledLayer::schedule_full_rebuild() {
   // completed-rebuild count is visible via rebuild_count()).
   if (full_pending_.exchange(true, std::memory_order_acq_rel)) return;
   worker_->submit([this] {
-    if (tables_ != nullptr) {
-      build_group(tables_->shadow_group(), nullptr);
-      tables_->publish_shadow();
-    } else {
-      retriever_->rebuild(nullptr);
-    }
+    build_group(tables_->shadow_group(), nullptr);
+    tables_->publish_shadow();
     rebuild_count_.fetch_add(1, std::memory_order_acq_rel);
     full_pending_.store(false, std::memory_order_release);
   });
@@ -1004,17 +962,12 @@ Index SampledLayer::add_units(Index n) {
   refresh_inference_mirror();
 
   // Re-target the retrieval index at the reallocated rows, then bring the
-  // appended ids live: LSH splices them into the active tables (no reader
-  // can pin them under the writer role, and the worker is parked); the
-  // other backends rebuild.
+  // appended ids live by splicing them into the active tables (no reader
+  // can pin them under the writer role, and the worker is parked).
   retriever_->resize_universe(
       retrieval::RowView{weights_.data(), fan_in_, new_units});
-  if (tables_ != nullptr) {
-    tables_->active_group().splice_rows(old_units, weight_row(old_units),
-                                        fan_in_, n, rng);
-  } else {
-    retriever_->rebuild(nullptr);
-  }
+  tables_->active_group().splice_rows(old_units, weight_row(old_units),
+                                      fan_in_, n, rng);
   return old_units;
 }
 
@@ -1157,20 +1110,6 @@ RetrievalStats SampledLayer::retrieval_stats() const {
   return s;
 }
 
-void SampledLayer::save_retriever_state(std::ostream& out) const {
-  if (retriever_ != nullptr && retriever_->has_serialized_state())
-    retriever_->save_state(out);
-}
-
-bool SampledLayer::load_retriever_state(std::istream& in,
-                                        std::uint64_t bytes) {
-  if (retriever_ == nullptr || !retriever_->has_serialized_state()) {
-    in.ignore(static_cast<std::streamsize>(bytes));
-    return false;
-  }
-  return retriever_->load_state(in);
-}
-
 double SampledLayer::average_active_fraction() const {
   const std::uint64_t events = active_events_.load();
   if (events == 0 || units_ == 0) return config_.hashed ? 0.0 : 1.0;
@@ -1246,8 +1185,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
               "(hashed) layer");
   SLIDE_CHECK(spec.endpoints.empty() || spec.shards == 0,
               "make_layer: endpoints and shards are exclusive");
-  SLIDE_CHECK(spec.retriever == retrieval::RetrieverKind::kLsh || spec.hashed,
-              "make_layer: a non-LSH retriever requires a hashed layer");
   if (spec.hashed) {
     SampledLayer::Config cfg;
     cfg.units = spec.units;
@@ -1258,8 +1195,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.table = spec.table;
     cfg.sampling = spec.sampling;
     cfg.rebuild = spec.rebuild;
-    cfg.retriever = spec.retriever;
-    cfg.hnsw = spec.hnsw;
     cfg.maintenance = spec.maintenance;
     cfg.fill_random_to_target = spec.fill_random_to_target;
     cfg.incremental_rehash = spec.incremental_rehash;

@@ -30,10 +30,8 @@
 #pragma once
 
 #include <atomic>
-#include <istream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <span>
 #include <vector>
 
@@ -42,6 +40,7 @@
 #include "data/sparse_vector.h"
 #include "lsh/table_group.h"
 #include "optim/adam.h"
+#include "retrieval/lsh_retriever.h"
 #include "simd/bf16.h"
 #include "simd/int8.h"
 #include "sys/aligned.h"
@@ -106,10 +105,9 @@ struct LayerMemory {
   std::size_t master_bytes = 0;     ///< fp32 weights + biases
   std::size_t mirror_bytes = 0;     ///< quantized inference mirror (0 at fp32)
   std::size_t optimizer_bytes = 0;  ///< gradient accumulators + Adam moments
-  /// Candidate-retrieval index (LSH buckets / HNSW graph; 0 for layers
-  /// without a retriever). Reported separately because the HNSW graph in
-  /// particular is a whole-model-sized structure the weight arrays above
-  /// do not account for.
+  /// Candidate-retrieval index (the LSH buckets; 0 for layers without
+  /// tables). Reported separately because the weight arrays above do not
+  /// account for it.
   std::size_t retriever_bytes = 0;
   /// Mirror bytes whose backing pages the kernel accepted THP advice for
   /// (<= mirror_bytes; 0 when THP is unavailable or disabled). Observability
@@ -312,24 +310,9 @@ class Layer {
   virtual Index appended_units() const noexcept { return 0; }
 
   // ---- Retrieval subsystem hooks (src/retrieval/) ----
-  /// Candidate-generation backend of a hashed layer (kLsh for everything
-  /// else — dense and random-sampled layers have no retriever).
-  virtual retrieval::RetrieverKind retriever_kind() const noexcept {
-    return retrieval::RetrieverKind::kLsh;
-  }
   /// Adaptive-retrieval counters (see RetrievalStats); zeroes for layers
   /// without the policy.
   virtual RetrievalStats retrieval_stats() const { return {}; }
-  /// Serializes the retriever's index state (checkpoint v4 aux block).
-  /// Layers whose retriever has no serialized state write nothing.
-  virtual void save_retriever_state(std::ostream& out) const { (void)out; }
-  /// Restores an aux block written by save_retriever_state. `bytes` is the
-  /// block length; implementations must consume exactly that many bytes or
-  /// skip them. Returns true if the index is usable without a rebuild.
-  virtual bool load_retriever_state(std::istream& in, std::uint64_t bytes) {
-    in.ignore(static_cast<std::streamsize>(bytes));
-    return false;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -457,10 +440,6 @@ class SampledLayer : public Layer {
     HashTable::Config table;
     SamplingConfig sampling;
     RebuildSchedule rebuild;
-    /// Candidate-generation backend (see LayerSpec::retriever). kLsh is
-    /// bit-identical to the pre-subsystem layer.
-    retrieval::RetrieverKind retriever = retrieval::RetrieverKind::kLsh;
-    retrieval::HnswConfig hnsw;
     MaintenancePolicy maintenance = MaintenancePolicy::kSync;
     bool fill_random_to_target = true;
     bool incremental_rehash = false;
@@ -561,10 +540,9 @@ class SampledLayer : public Layer {
   /// reallocation), zero-extends bias and optimizer moments (Adam::grow),
   /// re-quantizes the mirrors, and re-targets the retriever at the grown
   /// rows (resize_universe, then one splice of the new ids into the active
-  /// LSH tables; other backends rebuild). New rows, and the splice's
-  /// reservoir draws, come from an Rng seeded by (layer seed, growth base),
-  /// so the same growth sequence reproduces identical rows at any shard
-  /// count. Writer role required.
+  /// LSH tables). New rows, and the splice's reservoir draws, come from an
+  /// Rng seeded by (layer seed, growth base), so the same growth sequence
+  /// reproduces identical rows at any shard count. Writer role required.
   Index add_units(Index n) override;
   /// Tombstones `ids` in the retriever mask (the single source of truth the
   /// forward paths and checkpointing read back). Rows are not compacted.
@@ -633,22 +611,16 @@ class SampledLayer : public Layer {
   std::size_t inference_weight_bytes() const noexcept override;
   LayerMemory memory() const noexcept override;
 
-  /// The layer's (double-buffered) tables; null for unhashed layers and
-  /// for non-LSH retrievers. Query helpers and diagnostics delegate to the
-  /// active group — see MaintainedTables for what is safe under concurrent
-  /// maintenance.
+  /// The layer's (double-buffered) tables; null for unhashed layers.
+  /// Query helpers and diagnostics delegate to the active group — see
+  /// MaintainedTables for what is safe under concurrent maintenance.
   const MaintainedTables* tables() const noexcept { return tables_; }
 
   /// The layer's candidate retriever; null for unhashed layers.
-  const retrieval::Retriever* retriever() const noexcept {
+  const retrieval::LshRetriever* retriever() const noexcept {
     return retriever_.get();
   }
-  retrieval::RetrieverKind retriever_kind() const noexcept override {
-    return config_.retriever;
-  }
   RetrievalStats retrieval_stats() const override;
-  void save_retriever_state(std::ostream& out) const override;
-  bool load_retriever_state(std::istream& in, std::uint64_t bytes) override;
 
   /// Average active fraction over forwards since the last reset (diagnostic;
   /// the paper reports ~0.5% active neurons in the output layer).
@@ -734,12 +706,10 @@ class SampledLayer : public Layer {
 
   std::vector<ActiveSet> slots_;
 
-  /// Candidate generation (src/retrieval/): owns the index. For kLsh,
-  /// `tables_` aliases the LshRetriever's MaintainedTables so the memoized
-  /// rebuild and the add_units splice below drive them directly; for the
-  /// other backends `tables_` is null and maintenance dispatches through
-  /// the Retriever interface.
-  std::unique_ptr<retrieval::Retriever> retriever_;
+  /// Candidate generation (src/retrieval/): owns the LSH tables; null for
+  /// unhashed layers. `tables_` aliases its MaintainedTables so the
+  /// memoized rebuild and the add_units splice below drive them directly.
+  std::unique_ptr<retrieval::LshRetriever> retriever_;
   MaintainedTables* tables_ = nullptr;
   const Simhash* simhash_ = nullptr;  // set when family is Simhash
   HugeArray projection_memo_;         // [units x K*L] when incremental

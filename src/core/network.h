@@ -29,10 +29,9 @@ struct MemoryFootprint {
   std::size_t master_weight_bytes = 0;  ///< fp32 weights + biases
   std::size_t mirror_bytes = 0;  ///< quantized inference mirrors (any tier)
   std::size_t optimizer_bytes = 0;      ///< grad accumulators + Adam moments
-  /// Candidate-retrieval indexes (LSH buckets / HNSW graphs) across all
-  /// hashed layers. HNSW in particular carries a graph comparable in size
-  /// to the weights themselves — a footprint report without this line
-  /// under-reports the serving process by that much.
+  /// Candidate-retrieval indexes (LSH buckets) across all hashed layers —
+  /// a footprint report without this line under-reports the serving
+  /// process by that much.
   std::size_t retriever_bytes = 0;
   std::size_t inference_weight_bytes = 0;
   /// Mirror bytes actually backed by transparent hugepages (<= mirror_bytes;

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 namespace slide {
@@ -23,6 +22,10 @@ constexpr std::uint32_t kMagic = 0x534C4944;  // "SLID"
 // serialize.h's version history).
 constexpr std::uint32_t kVersion = 5;
 constexpr std::uint32_t kMinVersion = 1;
+// v4 retriever descriptor words: 0 (LSH) is the only one written; older
+// writers also emitted 1 (exact) and 2 (HNSW), which still load.
+constexpr std::uint32_t kLshRetrieverWord = 0;
+constexpr std::uint32_t kLastRetrieverWord = 2;
 
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -226,16 +229,10 @@ void save_weights(const Network& network, std::ostream& out) {
       write_floats(out, layer.shard_weights(s));
       write_floats(out, layer.shard_bias(s));
     }
-    // v4: retriever kind + length-prefixed aux block. Backends whose index
-    // is a pure function of the weights (LSH, exact) write an empty block
-    // — rebuilt on load like the hash tables always were; HNSW saves its
-    // graph so the loader can skip the (expensive, serial) rebuild.
-    write_u32(out, static_cast<std::uint32_t>(layer.retriever_kind()));
-    std::ostringstream aux(std::ios::binary);
-    layer.save_retriever_state(aux);
-    const std::string bytes = aux.str();
-    write_u64(out, static_cast<std::uint64_t>(bytes.size()));
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // v4: retriever descriptor — the LSH word and an empty aux block. The
+    // tables are a function of the weights and are rebuilt on load.
+    write_u32(out, kLshRetrieverWord);
+    write_u64(out, 0);
     // v5: tombstone block — the currently retired global unit ids, so a
     // reboot does not resurrect retired labels. Rows stay in the parameter
     // blocks (tombstoning never compacts); only the mask is persisted.
@@ -267,10 +264,6 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
   read_floats(in, emb.bias_span());
   emb.refresh_inference_mirror();
   std::vector<float> scratch;  // reshard scatter buffer (rarely used)
-  // Per-layer: true once the layer's retrieval index was restored from a
-  // v4 aux block, so the trailing rebuild pass can skip it.
-  std::vector<bool> index_loaded(
-      static_cast<std::size_t>(network.stack_depth()), false);
   for (int i = 0; i < network.stack_depth(); ++i) {
     Layer& layer = network.stack(i);
     Index units = layer.units();
@@ -322,39 +315,19 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
     SLIDE_CHECK(row == units,
                 "load_weights: shard blocks do not cover the layer");
     layer.on_weights_loaded();
-    // v4: retriever kind + aux block. The block is usable only if the
-    // target layer runs the same backend the writer did (a checkpoint is
-    // architecture-portable across retriever configs — mismatched blocks
-    // are skipped and the index rebuilds from the weights as before).
+    // v4: retriever descriptor. Whatever index the writer kept (an exact
+    // or HNSW layer of an older writer), the payload is skipped: every
+    // layer rebuilds its tables from the loaded weights below.
     if (version >= 4) {
-      const std::uint32_t file_retriever = read_u32(in);
-      SLIDE_CHECK(
-          file_retriever <=
-              static_cast<std::uint32_t>(retrieval::RetrieverKind::kHnsw),
-          "load_weights: unknown retriever kind");
+      SLIDE_CHECK(read_u32(in) <= kLastRetrieverWord,
+                  "load_weights: unknown retriever kind");
       const std::uint64_t aux_bytes = read_u64(in);
       // Larger lengths turn negative as a stream offset, and ignore() then
       // skips nothing instead of failing.
       SLIDE_CHECK(aux_bytes <= static_cast<std::uint64_t>(
                                    std::numeric_limits<std::streamsize>::max()),
                   "load_weights: corrupt aux block size");
-      if (aux_bytes > 0 &&
-          file_retriever ==
-              static_cast<std::uint32_t>(layer.retriever_kind())) {
-        // A backend may decline the block part-way through (e.g. an HNSW
-        // graph saved over a different universe size). Reposition to the
-        // end of the aux block either way so a declined block cannot
-        // desync the words that follow it.
-        const std::istream::pos_type aux_start = in.tellg();
-        index_loaded[static_cast<std::size_t>(i)] =
-            layer.load_retriever_state(in, aux_bytes);
-        if (aux_start != std::istream::pos_type(-1)) {
-          in.clear();
-          in.seekg(aux_start + static_cast<std::istream::off_type>(aux_bytes));
-        }
-      } else {
-        in.ignore(static_cast<std::streamsize>(aux_bytes));
-      }
+      in.ignore(static_cast<std::streamsize>(aux_bytes));
       SLIDE_CHECK(in.good(), "load_weights: truncated stream");
     }
     // v5: tombstone block — re-apply retired ids so they stay masked
@@ -373,14 +346,11 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
       SLIDE_CHECK(in.good(), "load_weights: truncated stream");
     }
   }
-  // Retrieval indexes are a function of the weights: refresh the ones not
-  // restored from a v4 aux block (pre-v4 behavior: rebuild everything).
+  // The hash tables are a function of the weights: rebuild them all.
   {
     Network::WriteGuard rebuild_guard(network);
-    for (int i = 0; i < network.stack_depth(); ++i) {
-      if (!index_loaded[static_cast<std::size_t>(i)])
-        network.stack(i).rebuild_tables(pool);
-    }
+    for (int i = 0; i < network.stack_depth(); ++i)
+      network.stack(i).rebuild_tables(pool);
   }
 }
 

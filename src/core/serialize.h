@@ -10,9 +10,7 @@
 // removed dense-baseline wrapper's files) fails with slide::Error, and a
 // dense baseline is a builder stack saved like any other. LSH hash tables are
 // NOT serialized: they are a function of the weights and are rebuilt after
-// loading (load_weights does this automatically). Retrieval indexes that
-// are expensive to rebuild (the HNSW graph) ride along as v4 aux blocks and
-// skip the rebuild.
+// loading (load_weights does this automatically).
 //
 // Version history:
 //   1 — header {magic, version, kind, input_dim, hidden, num_layers}; kind
@@ -33,14 +31,12 @@
 //       including monolithic-to-sharded resharding (serve/snapshot.h,
 //       publish_clone). v1/v2 files load unchanged.
 //   4 — each layer appends a retriever descriptor after its parameter
-//       blocks: a u32 retriever kind (retrieval::RetrieverKind) plus a
-//       u64-sized aux payload holding backend state that is expensive to
-//       rebuild (the HNSW graph via save_retriever_state; LSH and exact
-//       write zero bytes). The loader restores the payload only when the
-//       target layer's configured kind matches the file's — otherwise the
-//       block is skipped and the layer rebuilds its index from the loaded
-//       weights, so checkpoints stay portable across retriever choices.
-//       v1–v3 files load unchanged (every layer rebuilds).
+//       blocks: a u32 retriever word plus a u64-sized aux payload. Writers
+//       emit word 0 (LSH) and an empty payload. Readers accept words 0–2
+//       (older writers also wrote 1 for an exact layer and 2 for an HNSW
+//       layer, whose payload held its graph), skip any payload, and
+//       rebuild every layer's tables from the loaded weights; any other
+//       word fails with slide::Error. v1–v3 files load unchanged.
 //   5 — dynamic-label lifecycle state. Each stack layer gains (a) an
 //       appended-row count word right after its units/fan_in words — the
 //       units the layer grew by online via add_units — and (b) a trailing

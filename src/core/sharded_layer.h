@@ -216,10 +216,6 @@ class ShardedSampledLayer final : public Layer {
   double average_active_fraction() const override;
 
   // ---- Retrieval subsystem hooks ----
-  /// All shards share the global config's backend.
-  retrieval::RetrieverKind retriever_kind() const noexcept override {
-    return config_.retriever;
-  }
   /// Summed adaptive-retrieval counters across shards.
   RetrievalStats retrieval_stats() const override;
 

@@ -121,9 +121,14 @@ class PayloadWriter {
   }
 
  private:
+  // resize + memcpy rather than vector::insert: GCC 12 inlines the latter
+  // into every codec and warns (-Wstringop-overflow) about its empty-range
+  // memmove.
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
 
   std::vector<std::uint8_t>& out_;

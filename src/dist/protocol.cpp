@@ -124,11 +124,6 @@ void write_layer_config(PayloadWriter& w, const SampledLayer::Config& c) {
   w.f32(c.adam.epsilon);
   w.u8(static_cast<std::uint8_t>(c.precision));
   w.u64(c.seed);
-  // Protocol v2: retrieval backend selection rides at the end of the block.
-  w.u8(static_cast<std::uint8_t>(c.retriever));
-  w.u32(static_cast<std::uint32_t>(c.hnsw.m));
-  w.u32(static_cast<std::uint32_t>(c.hnsw.ef_construction));
-  w.u32(static_cast<std::uint32_t>(c.hnsw.ef_search));
   w.u32(c.sampling.escalation_floor);
 }
 
@@ -173,12 +168,6 @@ SampledLayer::Config read_layer_config(PayloadReader& r) {
   c.adam.epsilon = r.f32();
   c.precision = precision_from_tag(r.u8());
   c.seed = r.u64();
-  c.retriever = read_enum<retrieval::RetrieverKind>(
-      r, static_cast<std::uint8_t>(retrieval::RetrieverKind::kHnsw),
-      "retriever kind");
-  c.hnsw.m = static_cast<int>(r.u32());
-  c.hnsw.ef_construction = static_cast<int>(r.u32());
-  c.hnsw.ef_search = static_cast<int>(r.u32());
   c.sampling.escalation_floor = r.u32();
   return c;
 }

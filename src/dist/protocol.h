@@ -67,7 +67,11 @@ namespace slide::dist {
 //       Later v4 readers also refuse precision byte 2 (the removed fp16
 //       tier) and a frame with a non-zero header byte 5 (the removed bf16
 //       values flag, which RemoteShard never set), both as typed errors.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+//   5 — the HNSW retriever and the per-layer retriever choice are gone:
+//       the layer config drops the retriever byte and the three HNSW
+//       words, so escalation_floor follows the seed directly. Either side
+//       refuses a v4 peer at the handshake with VersionMismatch.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// The peer speaks another protocol version. Thrown by the handshake on
 /// either side: by ShardClient::connect, and by the worker (which answers

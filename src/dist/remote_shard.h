@@ -164,10 +164,6 @@ class RemoteShard final : public Layer {
   }
   Index appended_units() const noexcept override { return appended_units_; }
 
-  retrieval::RetrieverKind retriever_kind() const noexcept override {
-    return config_.retriever;
-  }
-
   // ---- Remote-only operations ----
   /// False once the worker was declared unresponsive or gone.
   bool healthy() const noexcept { return client_.healthy(); }

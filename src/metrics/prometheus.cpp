@@ -238,8 +238,8 @@ std::string render_prometheus(const ServeStats& stats) {
   }
 
   // Memory accounting of the served snapshot. Always exported: the
-  // retriever component in particular (HNSW graph, LSH buckets) was the
-  // historic blind spot of footprint reports.
+  // retriever component in particular (the LSH buckets) was the historic
+  // blind spot of footprint reports.
   w.family("slide_memory_bytes",
            "Resident bytes of the served model, by component", "gauge");
   w.sample("slide_memory_bytes", {{"component", "master_weights"}},

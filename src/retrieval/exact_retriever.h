@@ -1,7 +1,7 @@
 // Brute-force retrieval: every live id is a candidate.
 //
 // This is the `exact = true` scan expressed as a Retriever — the oracle
-// the other backends are measured against (metrics::recall_at_k), and the
+// the LSH sampler is measured against (metrics::recall_at_k), and the
 // degenerate baseline for the standalone ANN-search workloads. There is no
 // index: retrieve() appends the whole universe (minus removed ids and
 // pre-stamped exclusions), so `budget` is documented-ignored and rebuild()
@@ -16,7 +16,6 @@ class ExactRetriever final : public Retriever {
  public:
   explicit ExactRetriever(RowView rows) : rows_(rows) {}
 
-  RetrieverKind kind() const noexcept override { return RetrieverKind::kExact; }
   Index size() const noexcept override { return rows_.count; }
 
   void retrieve(std::span<const Index> query_ids,

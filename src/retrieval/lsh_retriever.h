@@ -1,10 +1,9 @@
 // (K, L) LSH retrieval — the paper's sampler behind the Retriever surface.
 //
 // Owns the layer's MaintainedTables (the double-buffered active/shadow
-// structure of core/layer.h's maintenance machinery) and reproduces the
-// historical key → pin → buckets → sample_neurons sequence VERBATIM:
-// SampledLayer with retriever(lsh) is bit-identical to the pre-subsystem
-// layer under sync maintenance (pinned by the golden determinism test).
+// structure of core/layer.h's maintenance machinery) and runs the
+// historical key → pin → buckets → sample_neurons sequence VERBATIM
+// (pinned by the golden determinism test).
 //
 // The owning SampledLayer keeps driving the memo-aware rebuild and the
 // add_units splice directly through tables() — the incremental-rehash
@@ -28,7 +27,6 @@ class LshRetriever final : public Retriever {
                const SamplingConfig& sampling, RowView rows,
                std::uint64_t seed);
 
-  RetrieverKind kind() const noexcept override { return RetrieverKind::kLsh; }
   Index size() const noexcept override { return rows_.count; }
 
   void retrieve(std::span<const Index> query_ids,

@@ -1,16 +1,15 @@
-// Pluggable candidate retrieval for the sampled wide layer.
+// Candidate retrieval for the sampled wide layer.
 //
 // SLIDE's core trick is that the wide output layer only ever *scores* a
-// candidate set; how that set is produced is an index choice, not a layer
-// property. This subsystem extracts candidate generation behind one
-// interface so the same layer (and the standalone ANN-search workloads)
-// can swap between:
+// candidate set. This subsystem puts candidate generation behind one
+// interface with two implementations:
 //
 //   LshRetriever    (K, L) hash tables — the paper's sampler, wrapping the
-//                   double-buffered MaintainedTables path unchanged.
-//   ExactRetriever  brute force: every live id is a candidate. The oracle.
-//   HnswRetriever   deterministic seeded small-world graph with a beam
-//                   (ef) search knob — the graph-ANN alternative.
+//                   double-buffered MaintainedTables. Every hashed layer
+//                   owns exactly one.
+//   ExactRetriever  brute force: every live id is a candidate. The oracle
+//                   the LSH sampler is measured against (tests, the
+//                   retrieval_backends bench, examples/lsh_topk_search).
 //
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
@@ -20,9 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "lsh/sampling.h"
@@ -34,23 +31,6 @@ namespace slide {
 class ThreadPool;
 
 namespace retrieval {
-
-enum class RetrieverKind : std::uint8_t { kLsh = 0, kExact = 1, kHnsw = 2 };
-
-const char* to_string(RetrieverKind kind);
-RetrieverKind parse_retriever_kind(const std::string& s);
-
-/// Knobs for HnswRetriever (ignored by the other backends). The defaults
-/// land ≥ 0.9 recall@10 on the bench dataset at a fraction of the exact
-/// scan's work; raise ef_search to trade qps for recall.
-struct HnswConfig {
-  /// Max neighbors per node on the upper levels; level 0 keeps 2*m.
-  int m = 16;
-  /// Beam width while building. Larger = better graph, slower rebuild.
-  int ef_construction = 128;
-  /// Beam width while searching (floored at the per-query budget).
-  int ef_search = 64;
-};
 
 /// Non-owning view of the indexed vectors: `count` rows of `dim` floats,
 /// row id at data + id * dim. The storage must stay valid and its address
@@ -78,8 +58,6 @@ class Retriever {
  public:
   virtual ~Retriever() = default;
 
-  virtual RetrieverKind kind() const noexcept = 0;
-
   /// Size of the id universe (NOT the live count; removed ids still count).
   virtual Index size() const noexcept = 0;
 
@@ -102,8 +80,8 @@ class Retriever {
   /// pre-stamp exclusions — SLIDE stamps the forced true-label ids so they
   /// are never re-retrieved.
   ///
-  /// ExactRetriever ignores `budget` (it IS the oracle scan); the others
-  /// treat it as the sampling target. Thread-safe against concurrent
+  /// ExactRetriever ignores `budget` (it IS the oracle scan); LSH treats
+  /// it as the sampling target. Thread-safe against concurrent
   /// retrieve() calls and against rebuild() running on a maintenance
   /// thread.
   virtual void retrieve(std::span<const Index> query_ids,
@@ -144,7 +122,7 @@ class Retriever {
   /// `rows` must have the same dim and count >= size(); existing ids keep
   /// their tombstone state, the appended ids start live but UNINDEXED —
   /// the caller indexes them (SampledLayer::add_units splices them into
-  /// the LSH tables, or rebuilds any other backend).
+  /// the LSH tables).
   void resize_universe(RowView rows) {
     SLIDE_CHECK(rows.dim == 0 || size() == 0 || rows.count >= size(),
                 "retriever: resize_universe cannot shrink the universe");
@@ -153,27 +131,12 @@ class Retriever {
     do_resize(rows);
   }
 
-  // --- maintenance hooks (plug into the layer's rebuild machinery) -----
+  // --- maintenance -----------------------------------------------------
 
-  /// Rebuilds the whole index from the current rows. Called synchronously
-  /// (kSync, with the trainer's pool) or from a BackgroundWorker thread
-  /// (kAsyncFull, pool = nullptr) — implementations must keep retrieve()
-  /// readable throughout (shadow build + atomic publish).
+  /// Rebuilds the whole index from the current rows, keeping retrieve()
+  /// readable throughout (shadow build + atomic publish). Standalone users
+  /// call this; a SampledLayer drives its LSH tables' rebuilds itself.
   virtual void rebuild(ThreadPool* pool) = 0;
-
-  // --- serialize hooks (checkpoint v4 aux blocks) -----------------------
-
-  /// True if save_state() emits anything. Backends whose index is cheap to
-  /// rebuild from the rows (LSH, exact) return false and checkpoint as an
-  /// empty aux block.
-  virtual bool has_serialized_state() const noexcept { return false; }
-  virtual void save_state(std::ostream& out) const { (void)out; }
-  /// Restores the index previously written by save_state() (rows already
-  /// loaded). Returns true if the index is usable without a rebuild.
-  virtual bool load_state(std::istream& in) {
-    (void)in;
-    return false;
-  }
 
   virtual std::size_t memory_bytes() const noexcept = 0;
 

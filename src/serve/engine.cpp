@@ -367,18 +367,8 @@ void InferenceEngine::enable_online_updates(std::shared_ptr<Network> master,
 
 std::uint64_t InferenceEngine::publish_master_locked() {
   const Network& master = *online_master_;
-  const Precision precision =
-      online_config_.publish_precision.value_or(master.precision());
-  std::uint64_t version;
-  if (online_config_.publish_shards >= 0) {
-    version = publish_clone_sharded(*store_, master,
-                                    online_config_.publish_shards,
-                                    online_config_.rebuild_threads,
-                                    "online-update");
-  } else {
-    version = publish_clone(*store_, master, precision,
-                            online_config_.rebuild_threads, "online-update");
-  }
+  const std::uint64_t version = publish_clone(
+      *store_, master, online_config_.rebuild_threads, "online-update");
   online_publishes_.fetch_add(1, std::memory_order_relaxed);
   // The clone is BUILT at the master's grown width (publish_clone constructs
   // from the live config), so its own appended_units() reads 0; record the

@@ -136,12 +136,6 @@ struct OnlineUpdateConfig {
   std::uint64_t publish_every = 1;
   /// Threads for the clone-side table rebuild at publish (0 = hardware).
   int rebuild_threads = 1;
-  /// Shard count of the published snapshot: -1 keeps the master's layout,
-  /// 0 forces monolithic, n > 0 re-partitions (publish_clone_sharded).
-  int publish_shards = -1;
-  /// Serving precision of published snapshots; nullopt = the master's own
-  /// precision (publish_clone re-quantizes mirrors from fp32 either way).
-  std::optional<Precision> publish_precision = std::nullopt;
   /// Seeds the update path's sampled-training RNG.
   std::uint64_t seed = 0x0511DEull;
 };
@@ -238,8 +232,8 @@ struct ServeStats {
   Index snapshot_retired_labels = 0;   // ids currently tombstoned
 
   /// Memory footprint of the current snapshot's network — the fix for the
-  /// historic under-report: retriever_bytes (HNSW graph, LSH buckets) is
-  /// now part of the accounting and the Prometheus export.
+  /// historic under-report: retriever_bytes (the LSH buckets) is now part
+  /// of the accounting and the Prometheus export.
   MemoryFootprint memory;
 };
 

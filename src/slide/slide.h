@@ -36,7 +36,6 @@
 #include "optim/adam.h"                // IWYU pragma: export
 #include "optim/sgd.h"                 // IWYU pragma: export
 #include "retrieval/exact_retriever.h"  // IWYU pragma: export
-#include "retrieval/hnsw_retriever.h"   // IWYU pragma: export
 #include "retrieval/lsh_retriever.h"    // IWYU pragma: export
 #include "retrieval/retriever.h"        // IWYU pragma: export
 #include "serve/engine.h"              // IWYU pragma: export

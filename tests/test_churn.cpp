@@ -29,11 +29,7 @@
 namespace slide {
 namespace {
 
-using retrieval::RetrieverKind;
 using namespace std::chrono_literals;
-
-const RetrieverKind kAllKinds[] = {RetrieverKind::kLsh, RetrieverKind::kExact,
-                                   RetrieverKind::kHnsw};
 
 SyntheticDataset tiny_data(std::uint64_t seed = 911) {
   SyntheticConfig cfg;
@@ -55,20 +51,23 @@ HashFamilyConfig small_family() {
   return family;
 }
 
-NetworkConfig net_config(const SyntheticDataset& data,
-                         RetrieverKind kind = RetrieverKind::kLsh,
-                         int shards = 0,
+NetworkConfig net_config(const SyntheticDataset& data, int shards = 0,
                          MaintenancePolicy policy = MaintenancePolicy::kSync) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), 16);
   b.table({.range_pow = 8, .bucket_size = 32});
-  b.retriever(kind);
-  if (kind == RetrieverKind::kHnsw)
-    b.hnsw({.m = 6, .ef_construction = 32, .ef_search = 24});
   b.maintenance(policy);
   if (shards > 0) b.shards(shards);
   b.max_batch(32).seed(123);
   return b.to_config();
+}
+
+/// The net_config shape with a dense softmax output: no hashed layer, so
+/// no LSH tables anywhere.
+NetworkConfig dense_output_config(const SyntheticDataset& data) {
+  NetworkBuilder b(data.train.feature_dim());
+  b.dense(16).dense(data.train.label_dim(), Activation::kSoftmax);
+  return b.max_batch(32).seed(123).to_config();
 }
 
 void train(Network& net, const SyntheticDataset& data, long iterations,
@@ -87,41 +86,36 @@ void train(Network& net, const SyntheticDataset& data, long iterations,
 
 TEST(Churn, AddUnitsGrowsOutputAndNewLabelsAreRetrievable) {
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network net(net_config(data, kind), 2);
-    train(net, data, 20);
-    const Index before = net.output_dim();
-    const Index first = net.add_output_units(8);
-    EXPECT_EQ(first, before) << to_string(kind);
-    EXPECT_EQ(net.output_dim(), before + 8) << to_string(kind);
-    EXPECT_EQ(net.output_layer().appended_units(), 8) << to_string(kind);
-    // The stored config tracks the live width (clones, checkpoints).
-    EXPECT_EQ(net.config().layers.back().units, before + 8);
+  Network net(net_config(data), 2);
+  train(net, data, 20);
+  const Index before = net.output_dim();
+  const Index first = net.add_output_units(8);
+  EXPECT_EQ(first, before);
+  EXPECT_EQ(net.output_dim(), before + 8);
+  EXPECT_EQ(net.output_layer().appended_units(), 8);
+  // The stored config tracks the live width (clones, checkpoints).
+  EXPECT_EQ(net.config().layers.back().units, before + 8);
 
-    // New rows must be scorable through the exact path immediately, and the
-    // sampled path must not crash on the wider universe.
-    InferenceContext ctx(net, 7);
-    const auto exact = net.predict_topk(data.test[0].features,
-                                        ctx, static_cast<int>(before + 8),
-                                        /*exact=*/true);
-    EXPECT_EQ(exact.size(), static_cast<std::size_t>(before + 8))
-        << to_string(kind);
-    const auto sampled = net.predict_topk(data.test[0].features, ctx, 5);
-    for (Index label : sampled) EXPECT_LT(label, before + 8);
+  // New rows must be scorable through the exact path immediately, and the
+  // sampled path must not crash on the wider universe.
+  InferenceContext ctx(net, 7);
+  const auto exact = net.predict_topk(data.test[0].features,
+                                      ctx, static_cast<int>(before + 8),
+                                      /*exact=*/true);
+  EXPECT_EQ(exact.size(), static_cast<std::size_t>(before + 8));
+  const auto sampled = net.predict_topk(data.test[0].features, ctx, 5);
+  for (Index label : sampled) EXPECT_LT(label, before + 8);
 
-    // Training straight through the grown width must work (labels may now
-    // reference the new units).
-    train(net, data, 5);
-  }
+  // Training straight through the grown width must work (labels may now
+  // reference the new units).
+  train(net, data, 5);
 }
 
 TEST(Churn, AddUnitsRejectsUnhashedAndNonPositive) {
   const auto data = tiny_data();
   Network net(net_config(data), 2);
   EXPECT_THROW(net.add_output_units(0), Error);
-  NetworkBuilder b(data.train.feature_dim());
-  b.dense(16).dense(data.train.label_dim(), Activation::kSoftmax);
-  Network dense_net(b.to_config(), 2);
+  Network dense_net(dense_output_config(data), 2);
   EXPECT_THROW(dense_net.add_output_units(4), Error);
 }
 
@@ -129,7 +123,7 @@ TEST(Churn, AddUnitsSplicesEachNewIdIntoExactlyItsBuckets) {
   const auto data = tiny_data();
   for (MaintenancePolicy policy :
        {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull}) {
-    NetworkConfig cfg = net_config(data, RetrieverKind::kLsh, 0, policy);
+    NetworkConfig cfg = net_config(data, 0, policy);
     cfg.layers.back().table.bucket_size = 512;  // nothing ever fills up
     Network net(cfg, 2);
     train(net, data, 20);
@@ -167,36 +161,32 @@ TEST(Churn, AddUnitsSplicesEachNewIdIntoExactlyItsBuckets) {
 
 TEST(Churn, RetiredUnitsVanishFromTopkOnEveryBackend) {
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network net(net_config(data, kind), 2);
-    train(net, data, 30);
-    InferenceContext ctx(net, 7);
-    const auto before =
-        net.predict_topk(data.test[0].features, ctx, 3, /*exact=*/true);
-    ASSERT_FALSE(before.empty());
-    const Index victim = before[0];
+  Network net(net_config(data), 2);
+  train(net, data, 30);
+  InferenceContext ctx(net, 7);
+  const auto before =
+      net.predict_topk(data.test[0].features, ctx, 3, /*exact=*/true);
+  ASSERT_FALSE(before.empty());
+  const Index victim = before[0];
 
-    net.retire_output_units(std::vector<Index>{victim});
-    EXPECT_EQ(net.output_layer().retired_count(), 1) << to_string(kind);
-    EXPECT_EQ(net.output_layer().retired_unit_ids(),
-              std::vector<Index>{victim});
+  net.retire_output_units(std::vector<Index>{victim});
+  EXPECT_EQ(net.output_layer().retired_count(), 1);
+  EXPECT_EQ(net.output_layer().retired_unit_ids(),
+            std::vector<Index>{victim});
 
-    // Exact and sampled paths both mask the tombstoned id.
-    for (std::size_t i = 0; i < 10; ++i) {
-      const auto exact =
-          net.predict_topk(data.test[i].features, ctx, 10, /*exact=*/true);
-      EXPECT_EQ(std::count(exact.begin(), exact.end(), victim), 0)
-          << to_string(kind);
-      const auto sampled = net.predict_topk(data.test[i].features, ctx, 10);
-      EXPECT_EQ(std::count(sampled.begin(), sampled.end(), victim), 0)
-          << to_string(kind);
-    }
-
-    // Rows are masked, not compacted: the other ids are unchanged.
-    EXPECT_EQ(net.output_dim(), data.train.label_dim());
-    EXPECT_THROW(
-        net.retire_output_units(std::vector<Index>{net.output_dim()}), Error);
+  // The exact scan and the LSH sampler both mask the tombstoned id.
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto exact =
+        net.predict_topk(data.test[i].features, ctx, 10, /*exact=*/true);
+    EXPECT_EQ(std::count(exact.begin(), exact.end(), victim), 0);
+    const auto sampled = net.predict_topk(data.test[i].features, ctx, 10);
+    EXPECT_EQ(std::count(sampled.begin(), sampled.end(), victim), 0);
   }
+
+  // Rows are masked, not compacted: the other ids are unchanged.
+  EXPECT_EQ(net.output_dim(), data.train.label_dim());
+  EXPECT_THROW(
+      net.retire_output_units(std::vector<Index>{net.output_dim()}), Error);
 }
 
 // A retire batch is all or nothing on every layer: an out-of-range id
@@ -258,40 +248,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Churn, RetireSaveLoadRoundTripAllBackends) {
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network net(net_config(data, kind), 2);
-    train(net, data, 30);
-    const std::vector<Index> victims = {3, 17, 40};
-    net.retire_output_units(victims);
+  Network net(net_config(data), 2);
+  train(net, data, 30);
+  const std::vector<Index> victims = {3, 17, 40};
+  net.retire_output_units(victims);
 
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    save_weights(net, buffer);
-    Network restored(net_config(data, kind), 2);
-    load_weights(restored, buffer);
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  save_weights(net, buffer);
+  Network restored(net_config(data), 2);
+  load_weights(restored, buffer);
 
-    // The mask survived the reboot: removed ids must NOT resurrect.
-    EXPECT_EQ(restored.output_layer().retired_count(), 3) << to_string(kind);
-    EXPECT_EQ(restored.output_layer().retired_unit_ids(), victims);
-    InferenceContext ctx(restored, 7);
-    for (std::size_t i = 0; i < 10; ++i) {
-      const auto exact = restored.predict_topk(data.test[i].features, ctx,
-                                               10, /*exact=*/true);
-      const auto sampled =
-          restored.predict_topk(data.test[i].features, ctx, 10);
-      for (Index victim : victims) {
-        EXPECT_EQ(std::count(exact.begin(), exact.end(), victim), 0)
-            << to_string(kind);
-        EXPECT_EQ(std::count(sampled.begin(), sampled.end(), victim), 0)
-            << to_string(kind);
-      }
+  // The mask survived the reboot: removed ids must NOT resurrect, through
+  // the exact scan or the rebuilt LSH tables.
+  EXPECT_EQ(restored.output_layer().retired_count(), 3);
+  EXPECT_EQ(restored.output_layer().retired_unit_ids(), victims);
+  InferenceContext ctx(restored, 7);
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto exact = restored.predict_topk(data.test[i].features, ctx, 10,
+                                             /*exact=*/true);
+    const auto sampled = restored.predict_topk(data.test[i].features, ctx, 10);
+    for (Index victim : victims) {
+      EXPECT_EQ(std::count(exact.begin(), exact.end(), victim), 0);
+      EXPECT_EQ(std::count(sampled.begin(), sampled.end(), victim), 0);
     }
   }
 }
 
 TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
   const auto data = tiny_data();
-  NetworkConfig cfg = net_config(data, RetrieverKind::kLsh, /*shards=*/2);
+  NetworkConfig cfg = net_config(data, /*shards=*/2);
   Network src(cfg, 2);
   train(src, data, 30);
   src.add_output_units(6);
@@ -313,7 +298,7 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
   // load; shard count of the target may differ from the writer's
   // (checkpoint-v3 scatter), and the tombstones must land either way.
   for (int shards : {0, 2, 3}) {
-    NetworkConfig target = net_config(data, RetrieverKind::kLsh, shards);
+    NetworkConfig target = net_config(data, shards);
     std::stringstream in(bytes);
     Network restored(target, 2);
     load_weights(restored, in);
@@ -350,31 +335,19 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
 
 TEST(Churn, FootprintIncludesRetrieverBytes) {
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network net(net_config(data, kind), 2);
-    const MemoryFootprint f = net.memory_footprint();
-    if (kind == RetrieverKind::kExact) {
-      // Brute force scores a borrowed row view — no index to report.
-      EXPECT_EQ(f.retriever_bytes, 0u);
-      continue;
-    }
-    // LSH buckets / the HNSW graph must show up in the footprint; a report
-    // without retriever_bytes silently drops them.
-    EXPECT_GT(f.retriever_bytes, 0u) << to_string(kind);
-    if (kind == RetrieverKind::kHnsw) {
-      // The graph holds neighbor lists for every row — it cannot be
-      // smaller than one Index per unit.
-      EXPECT_GE(f.retriever_bytes,
-                static_cast<std::size_t>(data.train.label_dim()) *
-                    sizeof(Index));
-    }
-  }
+  // The LSH buckets must show up in the footprint; a report without
+  // retriever_bytes silently drops them.
+  Network net(net_config(data), 2);
+  const MemoryFootprint f = net.memory_footprint();
+  EXPECT_GT(f.retriever_bytes, 0u);
+  // A dense output layer scores every unit: no index to report.
+  Network dense(dense_output_config(data), 2);
+  EXPECT_EQ(dense.memory_footprint().retriever_bytes, 0u);
 }
 
 TEST(Churn, PrometheusExportsMemoryFamilies) {
   const auto data = tiny_data();
-  auto net = std::make_shared<Network>(net_config(data, RetrieverKind::kHnsw),
-                                       2);
+  auto net = std::make_shared<Network>(net_config(data), 2);
   auto store = std::make_shared<ModelStore>(net);
   ServeConfig scfg;
   scfg.num_workers = 1;
@@ -441,10 +414,9 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
     server.stop();
     engine.stop();
   }
-  // No LSH tables (HNSW retrieval): no table-health families.
-  auto hnsw = std::make_shared<Network>(net_config(data, RetrieverKind::kHnsw),
-                                        2);
-  InferenceEngine engine(std::make_shared<ModelStore>(hnsw),
+  // No LSH tables (a dense output layer): no table-health families.
+  auto dense = std::make_shared<Network>(dense_output_config(data), 2);
+  InferenceEngine engine(std::make_shared<ModelStore>(dense),
                          ServeConfig{.num_workers = 1});
   const ServeStats stats = engine.stats();
   EXPECT_TRUE(stats.lsh_tables.empty());
@@ -459,7 +431,7 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
 
 TEST(Churn, PagedTopkIsStableWhenUniverseGrowsBetweenPages) {
   const auto data = tiny_data();
-  Network net(net_config(data, RetrieverKind::kExact), 2);
+  Network net(net_config(data), 2);
   train(net, data, 20);
   InferenceContext ctx(net, 7);
 
@@ -622,7 +594,7 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
 TEST(Churn, ConcurrentChurnWhileServing) {
   const auto data = tiny_data();
   auto master = std::make_shared<Network>(
-      net_config(data, RetrieverKind::kLsh, 0, MaintenancePolicy::kSync), 2);
+      net_config(data, 0, MaintenancePolicy::kSync), 2);
   train(*master, data, 20);
   auto store = std::make_shared<ModelStore>(
       std::make_shared<Network>(net_config(data), 2));

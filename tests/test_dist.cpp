@@ -697,13 +697,14 @@ TEST(DistClient, WorkerSideErrorsKeepTheClientHealthy) {
 }
 
 TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
-  ASSERT_EQ(dist::kProtocolVersion, 4u);
-  // A v3 coordinator's kHello reaches a v4 worker: refused with kErrorResp.
-  {
+  ASSERT_EQ(dist::kProtocolVersion, 5u);
+  // A v3 or v4 coordinator's kHello reaches a v5 worker: refused with
+  // kErrorResp.
+  for (std::uint32_t old : {3u, 4u}) {
     dist::InProcessWorker worker("tcp:127.0.0.1:0");
     auto t = dist::connect_endpoint(worker.endpoint());
     dist::HelloMsg hello;
-    hello.version = 3;
+    hello.version = old;
     t->send(hello.to_frame());
     const Frame resp = t->recv(5000);
     ASSERT_EQ(dist::msg_type_of(resp), MsgType::kErrorResp);
@@ -715,7 +716,7 @@ TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
     t->close();
     worker.stop();
   }
-  // A v3 worker meets a v4 client: whether it refuses the kHello or
+  // A v4 worker meets a v5 client: whether it refuses the kHello or
   // answers with its own version, connect() throws VersionMismatch.
   for (bool refuse : {true, false}) {
     auto listener = dist::listen_endpoint("tcp:127.0.0.1:0");
@@ -725,12 +726,12 @@ TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
         (void)dist::HelloMsg::from_frame(t->recv(5000));
         if (refuse) {
           t->send(dist::ErrorResp{"worker: protocol version mismatch "
-                                  "(coordinator 4, worker 3)"}
+                                  "(coordinator 5, worker 4)"}
                       .to_frame());
         } else {
           Frame ok = dist::make_frame(MsgType::kHelloOk);
           dist::PayloadWriter w(ok.payload);
-          w.u32(3);
+          w.u32(4);
           t->send(ok);
         }
         (void)t->recv(5000);  // wait for the client to close

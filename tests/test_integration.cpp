@@ -5,6 +5,7 @@
 // (fewer active neurons => less work per iteration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "slide/slide.h"
@@ -136,8 +137,14 @@ TEST(Integration, SmallerActiveSetDoesLessWorkPerIteration) {
     trainer.train(data.train, 30);
     return net.output_layer().compute_seconds();
   };
-  const double small = run(8);
-  const double large = run(200);
+  // Fastest of three interleaved runs per arm: one ~40 ms run of either
+  // can lose a scheduler quantum to the rest of the host.
+  double small = run(8);
+  double large = run(200);
+  for (int rep = 1; rep < 3; ++rep) {
+    small = std::min(small, run(8));
+    large = std::min(large, run(200));
+  }
   EXPECT_LT(small * 2.0, large);
 }
 

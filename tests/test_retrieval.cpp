@@ -1,14 +1,11 @@
-// Retrieval subsystem tests: the per-backend Retriever contract (range,
-// dedupe, tombstones, epoch disjointness), HNSW seeded-build bit-stability
-// and save/load round-trips, checkpoint-v4 aux blocks, the batch-iterator
-// page-prefix equivalence (monolithic, sharded, and through the serve
-// engine), the adaptive escalation-to-exact policy, the retriever(lsh)
-// bit-identity anchor, and the recall_at_k helper.
+// Retrieval subsystem tests: the Retriever contract on the LSH and exact
+// backends (range, dedupe, tombstones, epoch disjointness), a checkpoint
+// round trip through both, the batch-iterator page-prefix equivalence
+// (monolithic, sharded, and through the serve engine), the adaptive
+// escalation-to-exact policy, and the recall_at_k helper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -19,7 +16,6 @@
 #include "data/synthetic.h"
 #include "metrics/metrics.h"
 #include "retrieval/exact_retriever.h"
-#include "retrieval/hnsw_retriever.h"
 #include "retrieval/lsh_retriever.h"
 #include "serve/engine.h"
 
@@ -27,11 +23,8 @@ namespace slide {
 namespace {
 
 using retrieval::ExactRetriever;
-using retrieval::HnswConfig;
-using retrieval::HnswRetriever;
 using retrieval::LshRetriever;
 using retrieval::Retriever;
-using retrieval::RetrieverKind;
 using retrieval::RowView;
 
 // ---------------------------------------------------------------------------
@@ -53,10 +46,15 @@ const std::vector<float>& rows_storage() {
 
 RowView rows_view() { return {rows_storage().data(), kDim, kRows}; }
 
-std::unique_ptr<Retriever> make_backend(RetrieverKind kind,
-                                        std::uint64_t seed = 99) {
-  switch (kind) {
-    case RetrieverKind::kLsh: {
+enum class Backend { kLsh, kExact };
+
+const char* to_string(Backend backend) {
+  return backend == Backend::kLsh ? "lsh" : "exact";
+}
+
+std::unique_ptr<Retriever> make_backend(Backend backend) {
+  switch (backend) {
+    case Backend::kLsh: {
       HashFamilyConfig family;
       family.kind = HashFamilyKind::kSimhash;
       family.k = 4;
@@ -67,15 +65,10 @@ std::unique_ptr<Retriever> make_backend(RetrieverKind kind,
       return std::make_unique<LshRetriever>(
           make_hash_family(family),
           HashTable::Config{.range_pow = 8, .bucket_size = 32}, sampling,
-          rows_view(), seed);
+          rows_view(), /*seed=*/99);
     }
-    case RetrieverKind::kExact:
+    case Backend::kExact:
       return std::make_unique<ExactRetriever>(rows_view());
-    case RetrieverKind::kHnsw:
-      return std::make_unique<HnswRetriever>(
-          rows_view(), HnswConfig{.m = 8, .ef_construction = 64,
-                                  .ef_search = 32},
-          seed);
   }
   return nullptr;
 }
@@ -96,11 +89,10 @@ std::vector<Index> retrieve_ids(const Retriever& r, const float* q,
   return out;
 }
 
-const RetrieverKind kAllKinds[] = {RetrieverKind::kLsh, RetrieverKind::kExact,
-                                   RetrieverKind::kHnsw};
+const Backend kBackends[] = {Backend::kLsh, Backend::kExact};
 
 TEST(Retrieval, ContractInRangeUniqueAndStamped) {
-  for (RetrieverKind kind : kAllKinds) {
+  for (Backend kind : kBackends) {
     auto r = make_backend(kind);
     r->rebuild(nullptr);
     VisitedSet visited(kRows);
@@ -120,7 +112,7 @@ TEST(Retrieval, ContractInRangeUniqueAndStamped) {
 }
 
 TEST(Retrieval, ContractSameEpochCallsAreDisjoint) {
-  for (RetrieverKind kind : kAllKinds) {
+  for (Backend kind : kBackends) {
     auto r = make_backend(kind);
     r->rebuild(nullptr);
     VisitedSet visited(kRows);
@@ -140,7 +132,7 @@ TEST(Retrieval, ContractSameEpochCallsAreDisjoint) {
 }
 
 TEST(Retrieval, ContractPreStampedIdsAreExcluded) {
-  for (RetrieverKind kind : kAllKinds) {
+  for (Backend kind : kBackends) {
     auto r = make_backend(kind);
     r->rebuild(nullptr);
     VisitedSet visited(kRows);
@@ -157,7 +149,7 @@ TEST(Retrieval, ContractPreStampedIdsAreExcluded) {
 }
 
 TEST(Retrieval, RemoveMasksUntilReinsert) {
-  for (RetrieverKind kind : kAllKinds) {
+  for (Backend kind : kBackends) {
     auto r = make_backend(kind);
     r->rebuild(nullptr);
     VisitedSet visited(kRows);
@@ -182,13 +174,13 @@ TEST(Retrieval, RemoveMasksUntilReinsert) {
     EXPECT_GE(std::count(back.begin(), back.end(), victim), 0)
         << to_string(kind);
     // The exact scan must literally contain it again.
-    if (kind == RetrieverKind::kExact)
+    if (kind == Backend::kExact)
       EXPECT_EQ(std::count(back.begin(), back.end(), victim), 1);
   }
 }
 
 TEST(Retrieval, ExactScanReturnsWholeUniverse) {
-  auto r = make_backend(RetrieverKind::kExact);
+  auto r = make_backend(Backend::kExact);
   r->rebuild(nullptr);
   VisitedSet visited(kRows);
   Rng rng(1);
@@ -196,69 +188,6 @@ TEST(Retrieval, ExactScanReturnsWholeUniverse) {
   // budget is documented-ignored: the whole universe comes back.
   const auto ids = retrieve_ids(*r, q.data(), /*budget=*/3, visited, rng);
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kRows));
-}
-
-TEST(Retrieval, KindStringsRoundTrip) {
-  for (RetrieverKind kind : kAllKinds)
-    EXPECT_EQ(retrieval::parse_retriever_kind(to_string(kind)), kind);
-  EXPECT_THROW(retrieval::parse_retriever_kind("bogus"), Error);
-}
-
-// ---------------------------------------------------------------------------
-// HNSW determinism + serialization
-// ---------------------------------------------------------------------------
-
-std::string hnsw_state(const HnswRetriever& r) {
-  std::ostringstream out(std::ios::binary);
-  r.save_state(out);
-  return out.str();
-}
-
-TEST(Retrieval, HnswSeededBuildIsBitStable) {
-  auto a = make_backend(RetrieverKind::kHnsw, 7);
-  auto b = make_backend(RetrieverKind::kHnsw, 7);
-  a->rebuild(nullptr);
-  b->rebuild(nullptr);
-  EXPECT_EQ(hnsw_state(static_cast<const HnswRetriever&>(*a)),
-            hnsw_state(static_cast<const HnswRetriever&>(*b)));
-  // Rebuilding in place reproduces the same graph bit for bit.
-  a->rebuild(nullptr);
-  EXPECT_EQ(hnsw_state(static_cast<const HnswRetriever&>(*a)),
-            hnsw_state(static_cast<const HnswRetriever&>(*b)));
-}
-
-TEST(Retrieval, HnswSaveLoadRoundTrip) {
-  auto built = make_backend(RetrieverKind::kHnsw, 7);
-  built->rebuild(nullptr);
-  const std::string bytes =
-      hnsw_state(static_cast<const HnswRetriever&>(*built));
-
-  auto loaded = make_backend(RetrieverKind::kHnsw, 7);
-  std::istringstream in(bytes, std::ios::binary);
-  ASSERT_TRUE(loaded->load_state(in));  // usable WITHOUT a rebuild
-  EXPECT_EQ(hnsw_state(static_cast<const HnswRetriever&>(*loaded)), bytes);
-
-  VisitedSet va(kRows), vb(kRows);
-  Rng ra(1), rb(1);
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    const auto q = query_vec(s);
-    EXPECT_EQ(retrieve_ids(*built, q.data(), 32, va, ra),
-              retrieve_ids(*loaded, q.data(), 32, vb, rb));
-  }
-}
-
-TEST(Retrieval, HnswFindsPlantedNeighbor) {
-  // A query equal to a stored row must retrieve that row first.
-  auto r = make_backend(RetrieverKind::kHnsw);
-  r->rebuild(nullptr);
-  VisitedSet visited(kRows);
-  Rng rng(1);
-  for (Index id : {Index{3}, Index{77}, Index{199}}) {
-    const float* q = rows_view().row(id);
-    const auto ids = retrieve_ids(*r, q, 16, visited, rng);
-    ASSERT_FALSE(ids.empty());
-    EXPECT_EQ(ids.front(), id);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,14 +215,10 @@ HashFamilyConfig small_family() {
 }
 
 NetworkConfig net_config(const SyntheticDataset& data,
-                         RetrieverKind kind = RetrieverKind::kLsh,
                          Index escalation_floor = 0, int shards = 0) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), 16);
   b.table({.range_pow = 8, .bucket_size = 32});
-  b.retriever(kind);
-  if (kind == RetrieverKind::kHnsw)
-    b.hnsw({.m = 6, .ef_construction = 32, .ef_search = 24});
   if (escalation_floor > 0) {
     SamplingConfig sampling;
     sampling.strategy = SamplingStrategy::kTopK;
@@ -321,60 +246,22 @@ void train(Network& net, const SyntheticDataset& data, long iterations,
 // Builder + layer integration
 // ---------------------------------------------------------------------------
 
-TEST(Retrieval, BuilderRejectsNonLshRetrieverOnUnhashedLayer) {
-  NetworkBuilder b(8);
-  b.dense(4).dense(8, Activation::kSoftmax);
-  EXPECT_THROW(b.retriever(RetrieverKind::kHnsw), Error);
-  EXPECT_THROW(b.hnsw({.m = 1}), Error);  // m < 2
-}
-
 TEST(Retrieval, NetworkTrainsAndPredictsWithEachBackend) {
+  // The hashed layer samples candidates from its LSH tables; `exact`
+  // scores every unit instead.
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network net(net_config(data, kind), 2);
-    EXPECT_EQ(net.output_layer().retriever_kind(), kind);
-    train(net, data, 30);
+  Network net(net_config(data), 2);
+  ASSERT_NE(net.output_layer().retriever(), nullptr);
+  train(net, data, 30);
+  for (bool exact : {false, true}) {
     InferenceContext ctx(net, 7);
     int nonempty = 0;
     for (std::size_t i = 0; i < 10; ++i) {
-      const auto top = net.predict_topk(data.test[i].features, ctx, 5);
+      const auto top = net.predict_topk(data.test[i].features, ctx, 5, exact);
       for (Index label : top) EXPECT_LT(label, data.test.label_dim());
       nonempty += top.empty() ? 0 : 1;
     }
-    EXPECT_GT(nonempty, 0) << to_string(kind);
-  }
-}
-
-TEST(Retrieval, LshRetrieverConfigIsBitIdenticalToDefault) {
-  // retriever(lsh) is the refactored path behind the historical behavior:
-  // training from the same seed must produce bit-identical weights and
-  // predictions vs a config that never mentions the retriever knob.
-  const auto data = tiny_data();
-  // `explicit_cfg` goes through the .retriever(lsh) knob; `default_cfg`
-  // never mentions the retriever at all.
-  NetworkConfig explicit_cfg = net_config(data, RetrieverKind::kLsh);
-  NetworkBuilder b_default(data.train.feature_dim());
-  b_default.dense(16).sampled(data.train.label_dim(), small_family(), 16);
-  b_default.table({.range_pow = 8, .bucket_size = 32});
-  b_default.max_batch(32).seed(123);
-  NetworkConfig default_cfg = b_default.to_config();
-
-  // Single-threaded training: gradient application order is then
-  // deterministic, so any weight difference is a retriever-path difference.
-  Network a(explicit_cfg, 1), b(default_cfg, 1);
-  train(a, data, 40, /*threads=*/1);
-  train(b, data, 40, /*threads=*/1);
-  for (int s = 0; s < a.output_layer().num_shards(); ++s) {
-    const auto wa = a.output_layer().shard_weights(s);
-    const auto wb = b.output_layer().shard_weights(s);
-    ASSERT_EQ(wa.size(), wb.size());
-    EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(float)),
-              0);
-  }
-  InferenceContext ca(a, 7), cb(b, 7);
-  for (std::size_t i = 0; i < data.test.size(); ++i) {
-    EXPECT_EQ(a.predict_topk(data.test[i].features, ca, 5),
-              b.predict_topk(data.test[i].features, cb, 5));
+    EXPECT_GT(nonempty, 0) << (exact ? "exact" : "lsh");
   }
 }
 
@@ -383,86 +270,31 @@ TEST(Retrieval, LshRetrieverConfigIsBitIdenticalToDefault) {
 // ---------------------------------------------------------------------------
 
 TEST(Retrieval, CheckpointV4RoundTripPerBackend) {
+  // Both backends survive a save/load: the exact scan reads only the
+  // weights, and the loader rebuilds the LSH tables from them.
   const auto data = tiny_data();
-  for (RetrieverKind kind : kAllKinds) {
-    Network src(net_config(data, kind), 2);
-    train(src, data, 30);
-    // Re-index from the final weights: src's index otherwise reflects its
-    // mid-training rebuild history, which a loader (that rebuilds from the
-    // final weights) cannot reproduce.
-    src.rebuild_all(nullptr);
-    std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-    save_weights(src, buffer);
-
-    Network dst(net_config(data, kind), 2);
-    load_weights(dst, buffer);
-    // Exact scoring depends only on the weights: must match bit for bit.
-    InferenceContext cs(src, 7), cd(dst, 7);
-    for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(src.predict_topk(data.test[i].features, cs, 5, true),
-                dst.predict_topk(data.test[i].features, cd, 5, true))
-          << to_string(kind);
-    }
-    // Sampled scoring exercises the restored (or rebuilt) index.
-    InferenceContext cs2(src, 9), cd2(dst, 9);
-    for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(src.predict_topk(data.test[i].features, cs2, 5),
-                dst.predict_topk(data.test[i].features, cd2, 5))
-          << to_string(kind);
-    }
-  }
-}
-
-TEST(Retrieval, CheckpointHnswGraphSurvivesWithoutRebuild) {
-  // The v4 aux block must restore the HNSW graph byte-identically — not
-  // merely an equivalent rebuild.
-  const auto data = tiny_data();
-  Network src(net_config(data, RetrieverKind::kHnsw), 2);
+  Network src(net_config(data), 2);
   train(src, data, 30);
+  // Re-index from the final weights: src's tables otherwise reflect its
+  // mid-training rebuild history, which a loader (that rebuilds from the
+  // final weights) cannot reproduce.
+  src.rebuild_all(nullptr);
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   save_weights(src, buffer);
 
-  Network dst(net_config(data, RetrieverKind::kHnsw), 2);
+  Network dst(net_config(data), 2);
   load_weights(dst, buffer);
-  const auto* src_layer =
-      dynamic_cast<const SampledLayer*>(&src.output_layer());
-  const auto* dst_layer =
-      dynamic_cast<const SampledLayer*>(&dst.output_layer());
-  ASSERT_NE(src_layer, nullptr);
-  ASSERT_NE(dst_layer, nullptr);
-  std::ostringstream sa(std::ios::binary), sb(std::ios::binary);
-  src_layer->save_retriever_state(sa);
-  dst_layer->save_retriever_state(sb);
-  EXPECT_FALSE(sa.str().empty());
-  EXPECT_EQ(sa.str(), sb.str());
-}
-
-TEST(Retrieval, CheckpointCrossRetrieverKindSkipsAuxBlock) {
-  // A checkpoint written by an HNSW-configured network loads into an
-  // LSH-configured one (and vice versa): the weights transfer, the
-  // mismatched aux block is skipped, and the target rebuilds its own index.
-  const auto data = tiny_data();
-  Network hnsw_net(net_config(data, RetrieverKind::kHnsw), 2);
-  train(hnsw_net, data, 30);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  save_weights(hnsw_net, buffer);
-
-  Network lsh_net(net_config(data, RetrieverKind::kLsh), 2);
-  load_weights(lsh_net, buffer);
-  InferenceContext ch(hnsw_net, 7), cl(lsh_net, 7);
+  // Exact scoring depends only on the weights: must match bit for bit.
+  InferenceContext cs(src, 7), cd(dst, 7);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(hnsw_net.predict_topk(data.test[i].features, ch, 5, true),
-              lsh_net.predict_topk(data.test[i].features, cl, 5, true));
+    EXPECT_EQ(src.predict_topk(data.test[i].features, cs, 5, true),
+              dst.predict_topk(data.test[i].features, cd, 5, true));
   }
-
-  buffer.clear();
-  buffer.seekg(0);
-  Network lsh2(net_config(data, RetrieverKind::kLsh), 2);
-  load_weights(lsh2, buffer);  // idempotent reload
-  InferenceContext c2(lsh2, 7);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(hnsw_net.predict_topk(data.test[i].features, ch, 5, true),
-              lsh2.predict_topk(data.test[i].features, c2, 5, true));
+  // Sampled scoring exercises the rebuilt tables.
+  InferenceContext cs2(src, 9), cd2(dst, 9);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(src.predict_topk(data.test[i].features, cs2, 5),
+              dst.predict_topk(data.test[i].features, cd2, 5));
   }
 }
 
@@ -509,7 +341,7 @@ TEST(Retrieval, TopKIteratorPagePrefixEquivalence) {
 
 TEST(Retrieval, TopKIteratorPagePrefixEquivalenceSharded) {
   const auto data = tiny_data();
-  Network net(net_config(data, RetrieverKind::kLsh, 0, /*shards=*/3), 2);
+  Network net(net_config(data, 0, /*shards=*/3), 2);
   train(net, data, 30);
   expect_pages_equal_oneshot(net, data.test, /*exact=*/true);
   expect_pages_equal_oneshot(net, data.test, /*exact=*/false);
@@ -579,7 +411,7 @@ TEST(Retrieval, EscalationFloorTriggersExactScan) {
   // Floor above anything the sampler can deliver: every inference query
   // escalates, so sampled predictions must equal exact ones.
   const Index floor = data.train.label_dim();
-  Network net(net_config(data, RetrieverKind::kLsh, floor), 2);
+  Network net(net_config(data, floor), 2);
   train(net, data, 30);
 
   const RetrievalStats before = net.output_layer().retrieval_stats();
@@ -613,7 +445,7 @@ TEST(Retrieval, EscalationStatsSurfaceInServeStats) {
   const auto data = tiny_data();
   const Index floor = data.train.label_dim();
   auto network =
-      std::make_shared<Network>(net_config(data, RetrieverKind::kLsh, floor),
+      std::make_shared<Network>(net_config(data, floor),
                                 2);
   train(*network, data, 30);
   auto store = std::make_shared<ModelStore>(network);

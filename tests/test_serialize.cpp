@@ -213,58 +213,92 @@ TEST(Serialize, RejectsGarbageAndTruncation) {
   }
 }
 
+/// The fuzzers' tiny dataset.
+SyntheticDataset fuzz_data() {
+  SyntheticConfig dcfg;
+  dcfg.feature_dim = 40;
+  dcfg.label_dim = 12;
+  dcfg.num_train = 80;
+  dcfg.num_test = 4;
+  dcfg.features_per_label = 5;
+  dcfg.active_per_label = 3;
+  dcfg.seed = 17;
+  return make_synthetic_xc(dcfg);
+}
+
+/// A small LSH network over `data` (`shards` = 0: monolithic output).
+NetworkConfig fuzz_config(const SyntheticDataset& data, int shards) {
+  HashFamilyConfig family;
+  family.kind = HashFamilyKind::kSimhash;
+  family.k = 2;
+  family.l = 2;
+  NetworkBuilder b(data.train.feature_dim());
+  b.dense(4).sampled(data.train.label_dim(), family, 6);
+  b.table({.range_pow = 4, .bucket_size = 8});
+  if (shards > 0) b.shards(shards);
+  b.max_batch(16).seed(5);
+  return b.to_config();
+}
+
 /// A v5 checkpoint with every optional section present: a grown layer
 /// (appended-row word), retired units (tombstone block) and the retriever
-/// descriptor. The S=2 LSH layer writes two shard block pairs and an empty
-/// aux block; the monolithic HNSW layer writes one pair and a graph in its
-/// aux block. Each file is loaded into networks built from `reader`: the
-/// writer's config restores the aux block, an exact-retriever reader
-/// skips it. All are tiny, so fuzzing every byte stays cheap.
+/// descriptor. The LSH layer writes one block pair per shard (two by
+/// default), the LSH retriever word and an empty aux block.
+std::string fuzz_file(const SyntheticDataset& data, int shards = 2) {
+  Network net(fuzz_config(data, shards), 2);
+  train_a_bit(net, data.train, 5);
+  net.add_output_units(3);
+  net.retire_output_units(std::vector<Index>{2, 13});
+  std::stringstream out;
+  save_weights(net, out);
+  return out.str();
+}
+
+/// fuzz_file ends in its last layer's retriever descriptor (a u32 word
+/// and a u64 aux length, then the payload) and its tombstone block (a u64
+/// count and two u32 ids).
+constexpr std::size_t kDescriptorBytes = 12;
+constexpr std::size_t kTombstoneBytes = 16;
+
+/// fuzz_file `bytes` with the retriever descriptor rewritten to `word` and
+/// an `aux`-byte payload: what an older writer's exact (word 1) or HNSW
+/// (word 2, the graph as payload) layer left.
+std::string with_retriever_descriptor(const std::string& bytes,
+                                      std::uint32_t word, std::uint64_t aux) {
+  const std::size_t at = bytes.size() - kTombstoneBytes - kDescriptorBytes;
+  // The LSH writer's descriptor: word 0, empty payload.
+  EXPECT_EQ(bytes.substr(at, kDescriptorBytes),
+            std::string(kDescriptorBytes, '\0'));
+  std::string out = bytes.substr(0, at);
+  out.append(reinterpret_cast<const char*>(&word), sizeof(word));
+  out.append(reinterpret_cast<const char*>(&aux), sizeof(aux));
+  out.append(static_cast<std::size_t>(aux), '\xA5');
+  out.append(bytes, bytes.size() - kTombstoneBytes, kTombstoneBytes);
+  return out;
+}
+
+/// One fuzzed file and the network it is read into.
 struct FuzzCase {
   const char* name;
-  NetworkConfig writer;
   NetworkConfig reader;
   std::size_t structural_tail;  ///< trailing bytes that are all format words
   std::string bytes;
 };
 
+/// fuzz_file read back into the writer's config and into a monolithic one
+/// (the reshard scatter), and, with the descriptor an older writer's HNSW
+/// layer left (word 2 and a 64-byte graph payload), into the writer's
+/// config. All are tiny, so fuzzing every byte stays cheap.
 std::vector<FuzzCase> fuzz_cases(const SyntheticDataset& data) {
-  using retrieval::RetrieverKind;
-  HashFamilyConfig family;
-  family.kind = HashFamilyKind::kSimhash;
-  family.k = 2;
-  family.l = 2;
-  auto config = [&](int shards, RetrieverKind kind) {
-    NetworkBuilder b(data.train.feature_dim());
-    b.dense(4).sampled(data.train.label_dim(), family, 6);
-    b.table({.range_pow = 4, .bucket_size = 8});
-    b.retriever(kind);
-    if (kind == RetrieverKind::kHnsw)
-      b.hnsw({.m = 3, .ef_construction = 6, .ef_search = 6});
-    if (shards > 0) b.shards(shards);
-    b.max_batch(16).seed(5);
-    return b.to_config();
-  };
-  const NetworkConfig lsh = config(2, RetrieverKind::kLsh);
-  const NetworkConfig hnsw = config(0, RetrieverKind::kHnsw);
-  // Every file ends in the tombstone block (u64 count + two u32 ids); the
-  // empty aux block leaves the retriever descriptor (u32 kind + u64
-  // length) right before it.
-  std::vector<FuzzCase> cases = {
-      {"S=2 lsh", lsh, lsh, 28, {}},
-      {"S=2 lsh read as exact", lsh, config(2, RetrieverKind::kExact), 28,
-       {}},
-      {"S=1 hnsw", hnsw, hnsw, 16, {}}};
-  for (FuzzCase& c : cases) {
-    Network net(c.writer, 2);
-    train_a_bit(net, data.train, 5);
-    net.add_output_units(3);
-    net.retire_output_units(std::vector<Index>{2, 13});
-    std::stringstream out;
-    save_weights(net, out);
-    c.bytes = out.str();
-  }
-  return cases;
+  const NetworkConfig s2 = fuzz_config(data, 2);
+  const std::string lsh = fuzz_file(data);
+  // The descriptor and the tombstone block are all format words; a
+  // non-empty aux payload between them may hold any bytes.
+  constexpr std::size_t kLshTail = kDescriptorBytes + kTombstoneBytes;
+  return {{"S=2 lsh", s2, kLshTail, lsh},
+          {"S=2 lsh read as S=1", fuzz_config(data, 0), kLshTail, lsh},
+          {"S=2 lsh, hnsw descriptor", s2, kTombstoneBytes,
+           with_retriever_descriptor(lsh, 2, 64)}};
 }
 
 /// Loads `bytes` into a freshly built network. Returns true if it loaded
@@ -292,15 +326,7 @@ TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
   // loads or throws slide::Error: no allocation bomb from a count read off
   // the file (std::bad_alloc, std::length_error), no crash, no hang. The
   // frame codec has the same contract (test_dist.cpp).
-  SyntheticConfig dcfg;
-  dcfg.feature_dim = 40;
-  dcfg.label_dim = 12;
-  dcfg.num_train = 80;
-  dcfg.num_test = 4;
-  dcfg.features_per_label = 5;
-  dcfg.active_per_label = 3;
-  dcfg.seed = 17;
-  const auto data = make_synthetic_xc(dcfg);
+  const auto data = fuzz_data();
   const SparseVector& query = data.test[0].features;
   constexpr std::size_t kHeaderBytes = 7 * sizeof(std::uint32_t);
   // Thousands of networks are built below; with THP each array's first
@@ -332,6 +358,39 @@ TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
                              << c.bytes.size();
       }
     }
+  }
+}
+
+TEST(Serialize, OlderRetrieverDescriptorsLoadIntoLshLayers) {
+  // Older writers tagged an exact layer with retriever word 1 and an HNSW
+  // layer with word 2 and its graph as aux payload. Both load into the LSH
+  // network, sharded or monolithic: the payload is skipped and the tables
+  // are rebuilt from the weights, so it predicts as the unpatched file
+  // makes it predict. No writer ever emitted word 3.
+  const auto data = fuzz_data();
+  for (int shards : {2, 0}) {
+    const NetworkConfig cfg = fuzz_config(data, shards);
+    const std::string lsh = fuzz_file(data, shards);
+    const auto predictions = [&](const std::string& bytes) {
+      Network net(cfg, 1);
+      std::stringstream in(bytes);
+      load_weights(net, in);
+      InferenceContext ctx(net, 3);
+      std::vector<std::vector<Index>> out;
+      for (std::size_t i = 0; i < data.test.size(); ++i) {
+        out.push_back(net.predict_topk(data.test[i].features, ctx, 3));
+        out.push_back(net.predict_topk(data.test[i].features, ctx, 3, true));
+      }
+      return out;
+    };
+    const auto want = predictions(lsh);
+    EXPECT_EQ(predictions(with_retriever_descriptor(lsh, 1, 0)), want)
+        << shards << " shards";
+    EXPECT_EQ(predictions(with_retriever_descriptor(lsh, 2, 64)), want)
+        << shards << " shards";
+    Network net(cfg, 1);
+    std::stringstream in(with_retriever_descriptor(lsh, 3, 0));
+    EXPECT_THROW(load_weights(net, in), Error) << shards << " shards";
   }
 }
 
