@@ -2,7 +2,8 @@
 // kernels (dot / axpy / adam_step) and their quantized-precision variants
 // (bf16 / int8) at EVERY dispatch level this host supports, at the
 // fan-in sizes the engine actually uses (128 = hidden width; 4096 = wide
-// strips), plus wta_codes at the dense DWTA training shape (K*L = 400).
+// strips), plus wta_codes at the dense DWTA training shape (K*L = 400) and
+// sign_project at the Simhash serving shape (K*L = 450, 1 and 64 rows).
 // Row names carry the scoring precision (dot_fp32, dot_bf16, dot_i8, ...)
 // and the int8 rows additionally carry the instruction path the level's
 // table bound (vnni / maddubs-512 / maddubs-256 / scalar), so a
@@ -181,6 +182,38 @@ void bm_wta_codes(benchmark::State& state, SimdLevel level) {
   }
 }
 
+/// Dense Simhash projection at the serving shape: K*L = 450 sign
+/// projections (density 1/3) of 128-wide rows, `rows` rows per call (1 is
+/// a query, 64 a block of a table build), cycling through 256 distinct
+/// rows. items_per_second counts rows.
+void bm_sign_project(benchmark::State& state, SimdLevel level,
+                     std::size_t rows) {
+  const simd::Backend& be = *simd::backend_for(level);
+  constexpr std::size_t kProj = 450, kDim = 128, kPool = 256;
+  constexpr std::size_t kStride =
+      (kProj + simd::kSignLanes - 1) / simd::kSignLanes * simd::kSignLanes;
+  Rng rng(26);
+  std::vector<simd::I8> w(kDim * kStride, 0);
+  for (std::size_t d = 0; d < kDim; ++d) {
+    for (std::size_t p = 0; p < kProj; ++p) {
+      if (rng.uniform(3) == 0)
+        w[d * kStride + p] = rng.uniform(2) == 0 ? 1 : -1;
+    }
+  }
+  const auto x = vec(kPool * kDim, 27);
+  std::vector<float> out(rows * kProj);
+  std::size_t first = 0;
+  for (auto _ : state) {
+    be.sign_project(w.data(), kStride, kDim, kProj, x.data() + first * kDim,
+                    kDim, rows, out.data(), kProj);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    first = (first + rows) % kPool;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+
 void register_all() {
   using Fn = void (*)(benchmark::State&, SimdLevel, std::size_t);
   // Every row name carries its scoring precision; int8 dot/axpy rows are
@@ -223,6 +256,15 @@ void register_all() {
         (std::string("BM_backend/wta_codes/400/") + simd::to_string(level))
             .c_str(),
         [level](benchmark::State& state) { bm_wta_codes(state, level); });
+    for (std::size_t rows : {std::size_t{1}, std::size_t{64}}) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_backend/sign_project/450x128/") +
+           std::to_string(rows) + "/" + simd::to_string(level))
+              .c_str(),
+          [level, rows](benchmark::State& state) {
+            bm_sign_project(state, level, rows);
+          });
+    }
   }
 }
 

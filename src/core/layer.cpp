@@ -850,7 +850,7 @@ void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
   // Incremental mode: (re)fill the memo from the weights on the first
   // build; afterwards the memo is kept in sync by apply_updates, so keys
   // come straight from the memoized projections — O(K*L) per neuron instead
-  // of O(K*L*d/3).
+  // of a [d x K*L] sign-matrix projection.
   const std::size_t num_proj =
       static_cast<std::size_t>(simhash_->num_projections());
   const bool have_memo = memo_initialized_.load(std::memory_order_acquire);

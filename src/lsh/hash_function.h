@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "data/sparse_vector.h"
 #include "sys/common.h"
@@ -37,6 +38,21 @@ class HashFamily {
   /// keys.size() must equal l().
   virtual void hash_dense(const float* x,
                           std::span<std::uint32_t> keys) const = 0;
+
+  /// Computes the keys of `count` dense rows, row i at rows + i*row_stride,
+  /// writing key t of row i to keys[t * key_stride + i] (the table-major
+  /// layout LshTableGroup builds from). The default hashes row by row;
+  /// families with a blocked kernel override it with the same keys.
+  virtual void hash_dense_rows(const float* rows, std::size_t row_stride,
+                               std::size_t count, std::uint32_t* keys,
+                               std::size_t key_stride) const {
+    std::vector<std::uint32_t> row_keys(static_cast<std::size_t>(l()));
+    for (std::size_t i = 0; i < count; ++i) {
+      hash_dense(rows + i * row_stride, row_keys);
+      for (std::size_t t = 0; t < row_keys.size(); ++t)
+        keys[t * key_stride + i] = row_keys[t];
+    }
+  }
 
   /// Computes the L fingerprint keys for a sparse vector (indices must be
   /// < dim()). Families that are not natively sparse may densify into

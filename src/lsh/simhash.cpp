@@ -3,7 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simd/kernels.h"
+
 namespace slide {
+
+namespace {
+
+/// Rows hash_dense_rows projects per kernel call: enough to reuse each
+/// slab of the sign matrix across several row tiles, few enough that the
+/// projection scratch stays small.
+constexpr std::size_t kBlockRows = 16;
+
+}  // namespace
 
 Simhash::Simhash(const Config& config)
     : k_(config.k), l_(config.l), dim_(config.dim) {
@@ -16,16 +27,15 @@ Simhash::Simhash(const Config& config)
   const int num_proj = k_ * l_;
   const auto nnz_per_proj = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(config.density * dim_)));
-
-  Rng rng(config.seed);
-  proj_offsets_.reserve(static_cast<std::size_t>(num_proj) + 1);
-  proj_offsets_.push_back(0);
-  proj_indices_.reserve(num_proj * nnz_per_proj);
-  proj_signs_.reserve(num_proj * nnz_per_proj);
+  const std::size_t lanes = simd::kSignLanes;
+  stride_ = (static_cast<std::size_t>(num_proj) + lanes - 1) / lanes * lanes;
+  signs_.assign(static_cast<std::size_t>(dim_) * stride_, 0);
 
   // Draw each projection's support as exactly nnz_per_proj *distinct*
   // coordinates with Floyd's sampling algorithm (a sort-unique pass over
-  // uniform draws would undershoot the requested density by ~15% at 1/3).
+  // uniform draws would undershoot the requested density by ~15% at 1/3),
+  // then one sign per support coordinate in ascending coordinate order.
+  Rng rng(config.seed);
   std::vector<Index> support;
   std::vector<std::uint8_t> member(dim_, 0);
   for (int p = 0; p < num_proj; ++p) {
@@ -41,55 +51,31 @@ Simhash::Simhash(const Config& config)
     std::sort(support.begin(), support.end());
     for (Index d : support) {
       member[d] = 0;  // reset for the next projection
-      proj_indices_.push_back(d);
-      proj_signs_.push_back(rng.uniform(2) == 0 ? 1.0f : -1.0f);
-    }
-    proj_offsets_.push_back(proj_indices_.size());
-  }
-
-  // Build the inverted index (counting sort by coordinate).
-  inv_offsets_.assign(static_cast<std::size_t>(dim_) + 1, 0);
-  for (Index d : proj_indices_) ++inv_offsets_[d + 1];
-  for (std::size_t d = 1; d <= dim_; ++d) inv_offsets_[d] += inv_offsets_[d - 1];
-  inv_proj_.resize(proj_indices_.size());
-  inv_sign_.resize(proj_indices_.size());
-  std::vector<std::size_t> cursor(inv_offsets_.begin(), inv_offsets_.end() - 1);
-  for (int p = 0; p < num_proj; ++p) {
-    for (std::size_t e = proj_offsets_[p]; e < proj_offsets_[p + 1]; ++e) {
-      const Index d = proj_indices_[e];
-      const std::size_t slot = cursor[d]++;
-      inv_proj_[slot] = static_cast<std::uint32_t>(p);
-      inv_sign_[slot] = proj_signs_[e];
+      signs_[static_cast<std::size_t>(d) * stride_ +
+             static_cast<std::size_t>(p)] = rng.uniform(2) == 0 ? 1 : -1;
     }
   }
 }
 
 void Simhash::project_dense(const float* x, float* dots) const {
-  const int num_proj = k_ * l_;
-  for (int p = 0; p < num_proj; ++p) {
-    float acc = 0.0f;
-    for (std::size_t e = proj_offsets_[p]; e < proj_offsets_[p + 1]; ++e) {
-      // Signs are ±1, so this is adds/subtracts — the paper's
-      // multiplication-free formulation.
-      acc += proj_signs_[e] * x[proj_indices_[e]];
-    }
-    dots[p] = acc;
-  }
+  simd::sign_project(signs_.data(), stride_, dim_,
+                     static_cast<std::size_t>(num_projections()), x, dim_, 1,
+                     dots, static_cast<std::size_t>(num_projections()));
+}
+
+std::uint32_t Simhash::table_key(const float* dots, int t) const noexcept {
+  std::uint32_t bits = 0;
+  for (int j = 0; j < k_; ++j)
+    bits = (bits << 1) | (dots[t * k_ + j] >= 0.0f ? 1u : 0u);
+  detail::FingerprintMixer mixer;
+  mixer.add(bits);
+  return mixer.value();
 }
 
 void Simhash::keys_from_projections(const float* dots,
                                     std::span<std::uint32_t> keys) const {
   SLIDE_ASSERT(static_cast<int>(keys.size()) == l_);
-  int p = 0;
-  for (int t = 0; t < l_; ++t) {
-    std::uint32_t bits = 0;
-    for (int j = 0; j < k_; ++j, ++p) {
-      bits = (bits << 1) | (dots[p] >= 0.0f ? 1u : 0u);
-    }
-    detail::FingerprintMixer mixer;
-    mixer.add(bits);
-    keys[t] = mixer.value();
-  }
+  for (int t = 0; t < l_; ++t) keys[t] = table_key(dots, t);
 }
 
 void Simhash::hash_dense(const float* x, std::span<std::uint32_t> keys) const {
@@ -100,39 +86,41 @@ void Simhash::hash_dense(const float* x, std::span<std::uint32_t> keys) const {
   keys_from_projections(dots.data(), keys);
 }
 
-void Simhash::hash_sparse(const Index* idx, const float* val, std::size_t nnz,
-                          std::span<std::uint32_t> keys) const {
-  // Natively sparse path via the inverted index: cost O(nnz * K*L*density)
-  // in expectation, independent of dim.
+void Simhash::hash_dense_rows(const float* rows, std::size_t row_stride,
+                              std::size_t count, std::uint32_t* keys,
+                              std::size_t key_stride) const {
+  const auto num_proj = static_cast<std::size_t>(num_projections());
   thread_local std::vector<float> dots;
-  dots.assign(static_cast<std::size_t>(num_projections()), 0.0f);
-  for (std::size_t i = 0; i < nnz; ++i) {
-    const Index d = idx[i];
-    SLIDE_ASSERT(d < dim_);
-    for (std::size_t e = inv_offsets_[d]; e < inv_offsets_[d + 1]; ++e) {
-      dots[inv_proj_[e]] += inv_sign_[e] * val[i];
+  dots.resize(kBlockRows * num_proj);
+  for (std::size_t first = 0; first < count; first += kBlockRows) {
+    const std::size_t block = std::min(kBlockRows, count - first);
+    simd::sign_project(signs_.data(), stride_, dim_, num_proj,
+                       rows + first * row_stride, row_stride, block,
+                       dots.data(), num_proj);
+    for (std::size_t i = 0; i < block; ++i) {
+      for (int t = 0; t < l_; ++t) {
+        keys[static_cast<std::size_t>(t) * key_stride + first + i] =
+            table_key(dots.data() + i * num_proj, t);
+      }
     }
   }
+}
+
+void Simhash::hash_sparse(const Index* idx, const float* val, std::size_t nnz,
+                          std::span<std::uint32_t> keys) const {
+  // One scaled matrix row per nonzero, in nnz order: cost O(nnz * K*L),
+  // independent of dim.
+  thread_local std::vector<float> dots;
+  dots.assign(static_cast<std::size_t>(num_projections()), 0.0f);
+  for (std::size_t i = 0; i < nnz; ++i)
+    update_projections(idx[i], val[i], dots.data());
   keys_from_projections(dots.data(), keys);
 }
 
 void Simhash::update_projections(Index dim, float delta, float* dots) const {
   SLIDE_ASSERT(dim < dim_);
-  for (std::size_t e = inv_offsets_[dim]; e < inv_offsets_[dim + 1]; ++e) {
-    dots[inv_proj_[e]] += inv_sign_[e] * delta;
-  }
-}
-
-std::span<const Index> Simhash::projection_indices(int p) const {
-  SLIDE_ASSERT(p >= 0 && p < num_projections());
-  return {proj_indices_.data() + proj_offsets_[p],
-          proj_offsets_[p + 1] - proj_offsets_[p]};
-}
-
-std::span<const float> Simhash::projection_signs(int p) const {
-  SLIDE_ASSERT(p >= 0 && p < num_projections());
-  return {proj_signs_.data() + proj_offsets_[p],
-          proj_offsets_[p + 1] - proj_offsets_[p]};
+  simd::axpy_i8(delta, signs_.data() + static_cast<std::size_t>(dim) * stride_,
+                dots, static_cast<std::size_t>(num_projections()));
 }
 
 }  // namespace slide

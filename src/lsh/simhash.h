@@ -2,21 +2,30 @@
 // (paper §3.2 and appendix A).
 //
 // Each of the K*L projections is a random vector with entries in
-// {+1, 0, -1}; following the paper we keep 1/3 of the coordinates nonzero
-// and store only their indices and signs, so one code costs dim/3 additions
-// (no multiplications). The code is the sign bit of the projection; K sign
-// bits are mixed into one fingerprint per table.
+// {+1, 0, -1}; following the paper we keep 1/3 of the coordinates nonzero.
+// The code is the sign bit of the projection; K sign bits are mixed into
+// one fingerprint per table.
 //
-// The class additionally exposes the raw projection values and an inverted
-// dim→projections index to support the paper's §4.2 optimization #3:
-// memoize w·proj per neuron and, after a sparse gradient update that touches
-// d' << d coordinates, recompute codes with O(d') additions instead of O(d).
+// The projections live in one coordinate-major int8 sign matrix
+// [dim x K*L]: row d holds every projection's entry for coordinate d, and
+// each row is padded with zeros to the kernel's lane group. A dense vector
+// (or a block of them) is projected by the dispatched simd::sign_project
+// kernel, which sums each projection in increasing coordinate order; a
+// sparse vector, and the delta update below, add a scaled matrix row per
+// nonzero with simd::axpy_i8. A product with a +-1 or 0 entry is exact,
+// so every dispatch level computes the same projection values.
+//
+// The class additionally exposes the raw projection values to support the
+// paper's §4.2 optimization #3: memoize w·proj per neuron and, after a
+// sparse gradient update that touches d' << d coordinates, recompute codes
+// with d' matrix-row updates instead of a full projection.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "lsh/hash_function.h"
+#include "simd/int8.h"
 #include "sys/rng.h"
 
 namespace slide {
@@ -41,6 +50,9 @@ class Simhash final : public HashFamily {
 
   void hash_dense(const float* x,
                   std::span<std::uint32_t> keys) const override;
+  void hash_dense_rows(const float* rows, std::size_t row_stride,
+                       std::size_t count, std::uint32_t* keys,
+                       std::size_t key_stride) const override;
   void hash_sparse(const Index* idx, const float* val, std::size_t nnz,
                    std::span<std::uint32_t> keys) const override;
 
@@ -55,30 +67,20 @@ class Simhash final : public HashFamily {
   void keys_from_projections(const float* dots,
                              std::span<std::uint32_t> keys) const;
 
-  /// Applies a delta update: dots += delta * column(dim) — i.e. the change
-  /// in every projection value when coordinate `dim` of x changes by
-  /// `delta`. O(#projections containing dim) = O(K*L*density) expected.
+  /// Applies a delta update: dots += delta * row(dim) of the sign matrix —
+  /// the change in every projection value when coordinate `dim` of x
+  /// changes by `delta`. O(K*L) vector work.
   void update_projections(Index dim, float delta, float* dots) const;
 
-  /// Entries of projection p: parallel spans of coordinate indices/signs.
-  std::span<const Index> projection_indices(int p) const;
-  std::span<const float> projection_signs(int p) const;
-
  private:
+  /// Fingerprint key of table t from its K projection values.
+  std::uint32_t table_key(const float* dots, int t) const noexcept;
+
   int k_;
   int l_;
   Index dim_;
-
-  // CSR-like storage of the K*L sparse sign projections.
-  std::vector<std::size_t> proj_offsets_;  // size k*l + 1
-  std::vector<Index> proj_indices_;
-  std::vector<float> proj_signs_;  // +1 / -1
-
-  // Inverted index: for each coordinate, which projections contain it and
-  // with what sign. Used by update_projections.
-  std::vector<std::size_t> inv_offsets_;  // size dim + 1
-  std::vector<std::uint32_t> inv_proj_;
-  std::vector<float> inv_sign_;
+  std::size_t stride_;  // K*L rounded up to simd::kSignLanes
+  std::vector<simd::I8> signs_;  // [dim x stride_], entries -1 / 0 / +1
 };
 
 }  // namespace slide

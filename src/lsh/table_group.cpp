@@ -1,9 +1,26 @@
 #include "lsh/table_group.h"
 
+#include <functional>
 #include <thread>
 #include <utility>
 
 namespace slide {
+
+namespace {
+
+/// Runs work(begin, end, worker) over [0, count), split across the pool
+/// when one with more than one thread is given, inline otherwise.
+void for_ranges(std::size_t count, ThreadPool* pool,
+                const std::function<void(std::size_t, std::size_t, int)>&
+                    work) {
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->parallel_range(count, work);
+  } else {
+    work(0, count, 0);
+  }
+}
+
+}  // namespace
 
 LshTableGroup::LshTableGroup(std::unique_ptr<HashFamily> family,
                              const HashTable::Config& table_config,
@@ -30,33 +47,27 @@ void LshTableGroup::buckets(std::span<const std::uint32_t> keys,
 
 void LshTableGroup::build_from_rows(const float* rows, std::size_t row_stride,
                                     Index count, ThreadPool* pool) {
-  build(
-      count,
-      [&](Index i, std::span<std::uint32_t> keys) {
-        family_->hash_dense(rows + static_cast<std::size_t>(i) * row_stride,
-                            keys);
-      },
-      pool);
+  // "Easily parallelized with multiple threads over different neurons"
+  // (paper §3.1): each id's keys land in their own scratch cells.
+  std::vector<std::uint32_t> keys(tables_.size() * count);
+  for_ranges(count, pool, [&](std::size_t begin, std::size_t end, int) {
+    family_->hash_dense_rows(rows + begin * row_stride, row_stride,
+                             end - begin, keys.data() + begin, count);
+  });
+  build_from_keys(keys, count, pool);
 }
 
 void LshTableGroup::build(Index count, const KeyFn& keys_of,
                           ThreadPool* pool) {
   const std::size_t l = tables_.size();
   std::vector<std::uint32_t> keys(l * count);
-  auto hash_range = [&](std::size_t begin, std::size_t end, int) {
+  for_ranges(count, pool, [&](std::size_t begin, std::size_t end, int) {
     std::vector<std::uint32_t> row_keys(l);
     for (std::size_t i = begin; i < end; ++i) {
       keys_of(static_cast<Index>(i), row_keys);
       for (std::size_t t = 0; t < l; ++t) keys[t * count + i] = row_keys[t];
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // "easily parallelized with multiple threads over different neurons"
-    // (paper §3.1): each id's keys land in their own scratch cells.
-    pool->parallel_range(count, hash_range);
-  } else {
-    hash_range(0, count, 0);
-  }
+  });
   build_from_keys(keys, count, pool);
 }
 
@@ -66,15 +77,10 @@ void LshTableGroup::build_from_keys(std::span<const std::uint32_t> keys,
   SLIDE_CHECK(keys.size() == l * count,
               "LshTableGroup: keys must hold l() keys per id");
   std::vector<std::vector<HashTable::Overflow>> overflow(l);
-  auto build_tables = [&](std::size_t begin, std::size_t end, int) {
+  for_ranges(l, pool, [&](std::size_t begin, std::size_t end, int) {
     for (std::size_t t = begin; t < end; ++t)
       tables_[t].build(keys.subspan(t * count, count), overflow[t]);
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_range(l, build_tables);
-  } else {
-    build_tables(0, l, 0);
-  }
+  });
 
   // Reservoir replacements draw from one stream, in the order inserting
   // ids one at a time (each into every table) would draw them: id first,
@@ -101,12 +107,7 @@ void LshTableGroup::splice_rows(Index first, const float* rows,
                                 Rng& rng) {
   const std::size_t l = tables_.size();
   std::vector<std::uint32_t> keys(l * count);
-  std::vector<std::uint32_t> row_keys(l);
-  for (Index i = 0; i < count; ++i) {
-    family_->hash_dense(rows + static_cast<std::size_t>(i) * row_stride,
-                        row_keys);
-    for (std::size_t t = 0; t < l; ++t) keys[t * count + i] = row_keys[t];
-  }
+  family_->hash_dense_rows(rows, row_stride, count, keys.data(), count);
   for (std::size_t t = 0; t < l; ++t)
     tables_[t].splice(first, std::span(keys).subspan(t * count, count), rng);
 }

@@ -83,8 +83,9 @@ class LshTableGroup {
                std::vector<std::span<const Index>>& out) const;
 
   /// Rebuilds every table over ids [0, count) with vector i at
-  /// rows + i*row_stride, hashing in parallel over ids when a pool is
-  /// given. This is the layer (re)build of paper §3.1 / §4.2.
+  /// rows + i*row_stride, hashing blocks of rows through
+  /// family().hash_dense_rows, in parallel over ids when a pool is given.
+  /// This is the layer (re)build of paper §3.1 / §4.2.
   void build_from_rows(const float* rows, std::size_t row_stride, Index count,
                        ThreadPool* pool = nullptr);
 
@@ -101,7 +102,8 @@ class LshTableGroup {
                        ThreadPool* pool = nullptr);
 
   /// Appends ids [first, first + count), vector i at rows + i*row_stride,
-  /// to their buckets with one merge pass per table (HashTable::splice).
+  /// hashed as one block, to their buckets with one merge pass per table
+  /// (HashTable::splice).
   /// Caller holds the writer role: no reader may pin this group meanwhile.
   void splice_rows(Index first, const float* rows, std::size_t row_stride,
                    Index count, Rng& rng);

@@ -67,6 +67,11 @@ struct Backend {
   void (*wta_codes)(const float*, const std::int32_t*, const std::uint32_t*,
                     std::size_t, std::size_t, std::uint32_t*) noexcept =
       nullptr;
+  // Dense Simhash: a block of rows times a coordinate-major sign matrix,
+  // summed in coordinate order (see kernels.h).
+  void (*sign_project)(const I8*, std::size_t, std::size_t, std::size_t,
+                       const float*, std::size_t, std::size_t, float*,
+                       std::size_t) noexcept = nullptr;
 
   // Mixed-precision kernels: bf16 weights, fp32 activations/accumulation.
   float (*dot_bf16)(const Bf16*, const float*, std::size_t) noexcept = nullptr;

@@ -45,6 +45,13 @@ void wta_codes(const float* x, const std::int32_t* idx,
                std::uint32_t* out) noexcept {
   backend().wta_codes(x, idx, label, group, n, out);
 }
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept {
+  backend().sign_project(w, w_stride, dim, n, x, x_stride, rows, out,
+                         out_stride);
+}
 
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
   return backend().dot_bf16(w, x, n);

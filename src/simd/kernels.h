@@ -73,6 +73,22 @@ void wta_codes(const float* x, const std::int32_t* idx,
                const std::uint32_t* label, std::size_t group, std::size_t n,
                std::uint32_t* out) noexcept;
 
+/// Lane group of a sign_project matrix row: the vector levels load w in
+/// whole groups of this many entries.
+inline constexpr std::size_t kSignLanes = 16;
+
+/// Projects a block of rows through a coordinate-major sign matrix:
+///   out[r * out_stride + p] = sum of w[d * w_stride + p] * x[r * x_stride + d]
+/// for r < rows and p < n, each sum accumulated from +0 in increasing d.
+/// Entries of w are -1, 0 or +1, so every product is exact and every level
+/// returns the scalar reference bit for bit on finite inputs. w_stride must
+/// be at least n rounded up to kSignLanes: the lanes past n are read, never
+/// stored.
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept;
+
 // ---- BF16 mixed-precision kernels (quantized inference path) -------------
 // Weights are stored bf16 (see simd/bf16.h); activations and accumulation
 // stay fp32, so error is bounded by the weight rounding alone (~2^-8
@@ -141,6 +157,10 @@ void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
 void wta_codes(const float* x, const std::int32_t* idx,
                const std::uint32_t* label, std::size_t group, std::size_t n,
                std::uint32_t* out) noexcept;
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept;
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept;
 float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
                       const Bf16* dense) noexcept;

@@ -194,6 +194,96 @@ void wta_codes(const float* x, const std::int32_t* idx,
   }
 }
 
+/// Matrix rows ahead that a sign_project tile prefetches. A tile walks
+/// its slab at the matrix's row stride, which the hardware prefetchers
+/// follow poorly, and a query usually finds its family's matrix cold.
+constexpr std::size_t kSignPrefetchRows = 16;
+
+/// sign_project register tile: R rows x C 8-lane groups of projections.
+/// Step d widens matrix row d's C groups to fp32 once and FMAs each into
+/// every row's accumulators against that row's x[d] broadcast, so lane p
+/// of row r sums its products in increasing d, as the scalar reference
+/// does (a +-1 or 0 product is exact, so the fused add rounds the same).
+/// `last` masks the store of the final group.
+template <int R, int C>
+void sign_tile(const I8* w, std::size_t w_stride, std::size_t dim,
+               const float* x, std::size_t x_stride, float* out,
+               std::size_t out_stride, __m256i last) noexcept {
+  __m256 acc[R][C];
+  for (int r = 0; r < R; ++r)
+    for (int c = 0; c < C; ++c) acc[r][c] = _mm256_setzero_ps();
+  for (std::size_t d = 0; d < dim; ++d) {
+    const I8* wd = w + d * w_stride;
+    if (d + kSignPrefetchRows < dim) {
+      const char* ahead =
+          reinterpret_cast<const char*>(wd + kSignPrefetchRows * w_stride);
+      _mm_prefetch(ahead, _MM_HINT_T0);
+      _mm_prefetch(ahead + 8 * C - 1, _MM_HINT_T0);
+    }
+    __m256 xd[R];
+    for (int r = 0; r < R; ++r) xd[r] = _mm256_set1_ps(x[r * x_stride + d]);
+    for (int c = 0; c < C; ++c) {
+      const __m128i raw =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(wd + 8 * c));
+      const __m256 wv = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
+      for (int r = 0; r < R; ++r)
+        acc[r][c] = _mm256_fmadd_ps(wv, xd[r], acc[r][c]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* o = out + r * out_stride;
+    for (int c = 0; c + 1 < C; ++c) _mm256_storeu_ps(o + 8 * c, acc[r][c]);
+    _mm256_maskstore_ps(o + 8 * (C - 1), last, acc[r][C - 1]);
+  }
+}
+
+template <int R>
+void sign_tile_rows(int groups, const I8* w, std::size_t w_stride,
+                    std::size_t dim, const float* x, std::size_t x_stride,
+                    float* out, std::size_t out_stride,
+                    __m256i last) noexcept {
+  switch (groups) {
+    case 1:
+      return sign_tile<R, 1>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    case 2:
+      return sign_tile<R, 2>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    case 3:
+      return sign_tile<R, 3>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    default:
+      return sign_tile<R, 4>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+  }
+}
+
+/// Tiles of up to 2 rows x 32 projections (16 registers hold 8
+/// accumulators, 2 broadcasts and the widened groups). Projection blocks
+/// run outer and row tiles inner, so a block's slab of w stays in L1 while
+/// every row tile passes over it.
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t p = 0; p < n; p += 32) {
+    const std::size_t lanes = n - p < 32 ? n - p : 32;
+    const int groups = static_cast<int>((lanes + 7) / 8);
+    const __m256i last = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(lanes) - 8 * (groups - 1)), lane);
+    std::size_t r = 0;
+    for (; r + 2 <= rows; r += 2) {
+      sign_tile_rows<2>(groups, w + p, w_stride, dim, x + r * x_stride,
+                        x_stride, out + r * out_stride + p, out_stride, last);
+    }
+    if (r < rows) {
+      sign_tile_rows<1>(groups, w + p, w_stride, dim, x + r * x_stride,
+                        x_stride, out + r * out_stride + p, out_stride, last);
+    }
+  }
+}
+
 /// Widens 8 bf16 values (128-bit lane) to 8 fp32 lanes: zero-extend each
 /// 16-bit value into the high half of a 32-bit lane.
 inline __m256 load_bf16x8(const Bf16* p) noexcept {
@@ -289,6 +379,7 @@ constexpr Backend kAvx2Table = {
     .softmax_inplace = avx2::softmax_inplace,
     .adam_step = avx2::adam_step,
     .wta_codes = avx2::wta_codes,
+    .sign_project = avx2::sign_project,
     .dot_bf16 = avx2::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx2::axpy_bf16,

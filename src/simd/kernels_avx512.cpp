@@ -202,6 +202,109 @@ void wta_codes(const float* x, const std::int32_t* idx,
   }
 }
 
+/// Matrix rows ahead that a sign_project tile prefetches. A tile walks
+/// its slab at the matrix's row stride, which the hardware prefetchers
+/// follow poorly, and a query usually finds its family's matrix cold.
+constexpr std::size_t kSignPrefetchRows = 16;
+
+/// sign_project register tile: R rows x C 16-lane groups of projections.
+/// Step d widens matrix row d's C groups to fp32 once and FMAs each into
+/// every row's accumulators against that row's x[d] broadcast, so lane p
+/// of row r sums its products in increasing d, as the scalar reference
+/// does (a +-1 or 0 product is exact, so the fused add rounds the same).
+/// `last` masks the store of the final group.
+template <int R, int C>
+void sign_tile(const I8* w, std::size_t w_stride, std::size_t dim,
+               const float* x, std::size_t x_stride, float* out,
+               std::size_t out_stride, __mmask16 last) noexcept {
+  __m512 acc[R][C];
+  for (int r = 0; r < R; ++r)
+    for (int c = 0; c < C; ++c) acc[r][c] = _mm512_setzero_ps();
+  for (std::size_t d = 0; d < dim; ++d) {
+    const I8* wd = w + d * w_stride;
+    if (d + kSignPrefetchRows < dim) {
+      const char* ahead =
+          reinterpret_cast<const char*>(wd + kSignPrefetchRows * w_stride);
+      _mm_prefetch(ahead, _MM_HINT_T0);
+      _mm_prefetch(ahead + 16 * C - 1, _MM_HINT_T0);
+    }
+    __m512 wv[C];
+    for (int c = 0; c < C; ++c) {
+      const __m128i raw =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(wd + 16 * c));
+      wv[c] = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw));
+    }
+    for (int r = 0; r < R; ++r) {
+      const __m512 xd = _mm512_set1_ps(x[r * x_stride + d]);
+      for (int c = 0; c < C; ++c)
+        acc[r][c] = _mm512_fmadd_ps(wv[c], xd, acc[r][c]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* o = out + r * out_stride;
+    for (int c = 0; c + 1 < C; ++c) _mm512_storeu_ps(o + 16 * c, acc[r][c]);
+    _mm512_mask_storeu_ps(o + 16 * (C - 1), last, acc[r][C - 1]);
+  }
+}
+
+template <int R>
+void sign_tile_rows(int groups, const I8* w, std::size_t w_stride,
+                    std::size_t dim, const float* x, std::size_t x_stride,
+                    float* out, std::size_t out_stride,
+                    __mmask16 last) noexcept {
+  switch (groups) {
+    case 1:
+      return sign_tile<R, 1>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    case 2:
+      return sign_tile<R, 2>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    case 3:
+      return sign_tile<R, 3>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+    default:
+      return sign_tile<R, 4>(w, w_stride, dim, x, x_stride, out, out_stride,
+                             last);
+  }
+}
+
+/// Tiles of up to 4 rows x 64 projections. Projection blocks run outer
+/// and row tiles inner, so a block's slab of w (dim x 64 bytes) stays in
+/// L1 while every row tile passes over it.
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept {
+  for (std::size_t p = 0; p < n; p += 64) {
+    const std::size_t lanes = n - p < 64 ? n - p : 64;
+    const int groups = static_cast<int>((lanes + 15) / 16);
+    const __mmask16 last = tail_mask(lanes - 16 * (groups - 1));
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+      sign_tile_rows<4>(groups, w + p, w_stride, dim, x + r * x_stride,
+                        x_stride, out + r * out_stride + p, out_stride, last);
+    }
+    const float* xr = x + r * x_stride;
+    float* o = out + r * out_stride + p;
+    switch (rows - r) {
+      case 3:
+        sign_tile_rows<3>(groups, w + p, w_stride, dim, xr, x_stride, o,
+                          out_stride, last);
+        break;
+      case 2:
+        sign_tile_rows<2>(groups, w + p, w_stride, dim, xr, x_stride, o,
+                          out_stride, last);
+        break;
+      case 1:
+        sign_tile_rows<1>(groups, w + p, w_stride, dim, xr, x_stride, o,
+                          out_stride, last);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 /// Widens 16 bf16 values (256-bit load) to 16 fp32 lanes.
 inline __m512 load_bf16x16(const Bf16* p) noexcept {
   const __m256i raw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -315,6 +418,7 @@ constexpr Backend kAvx512Table = {
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
+    .sign_project = avx512::sign_project,
     .dot_bf16 = avx512::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx512::axpy_bf16,
@@ -352,6 +456,7 @@ constexpr Backend kAvx512TableNoVnni = {
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
+    .sign_project = avx512::sign_project,
     .dot_bf16 = avx512::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = avx512::axpy_bf16,

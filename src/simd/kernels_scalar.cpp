@@ -99,6 +99,37 @@ void wta_codes(const float* x, const std::int32_t* idx,
   }
 }
 
+void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
+                  std::size_t n, const float* x, std::size_t x_stride,
+                  std::size_t rows, float* out,
+                  std::size_t out_stride) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * x_stride;
+    float* o = out + r * out_stride;
+    for (std::size_t p = 0; p < n; ++p) o[p] = 0.0f;
+    // Runs of 8 coordinates per pass over the outputs, so each output is
+    // loaded and stored once per run; within a run it still adds one
+    // coordinate at a time, in increasing d.
+    std::size_t d = 0;
+    for (; d + 8 <= dim; d += 8) {
+      const I8* wd = w + d * w_stride;
+      const float* xd = xr + d;
+      for (std::size_t p = 0; p < n; ++p) {
+        float acc = o[p];
+        for (std::size_t j = 0; j < 8; ++j)
+          acc += static_cast<float>(wd[j * w_stride + p]) * xd[j];
+        o[p] = acc;
+      }
+    }
+    for (; d < dim; ++d) {
+      const I8* wd = w + d * w_stride;
+      const float xd = xr[d];
+      for (std::size_t p = 0; p < n; ++p)
+        o[p] += static_cast<float>(wd[p]) * xd;
+    }
+  }
+}
+
 float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
   float acc = 0.0f;
   for (std::size_t i = 0; i < n; ++i) acc += bf16_to_float(w[i]) * x[i];
@@ -206,6 +237,7 @@ const Backend kScalarBackend = {
     .softmax_inplace = scalar::softmax_inplace,
     .adam_step = scalar::adam_step,
     .wta_codes = scalar::wta_codes,
+    .sign_project = scalar::sign_project,
     .dot_bf16 = scalar::dot_bf16,
     .sparse_dot_bf16 = scalar::sparse_dot_bf16,
     .axpy_bf16 = scalar::axpy_bf16,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -191,13 +192,170 @@ TEST(Simhash, IncrementalProjectionUpdateMatchesRecompute) {
   EXPECT_EQ(ka, kb);
 }
 
+/// Simhash as a list of supports: each projection keeps its sorted
+/// coordinates and signs, drawn by the same seeded Floyd sampling as the
+/// family's constructor, and sums one gathered coordinate at a time.
+class SupportListSimhash {
+ public:
+  explicit SupportListSimhash(const Simhash::Config& c) : k_(c.k), l_(c.l) {
+    const auto nnz = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(c.density * c.dim)));
+    Rng rng(c.seed);
+    std::vector<std::uint8_t> member(c.dim, 0);
+    for (int p = 0; p < c.k * c.l; ++p) {
+      std::vector<Index> support;
+      const Index start =
+          c.dim - static_cast<Index>(std::min<std::size_t>(nnz, c.dim));
+      for (Index j = start; j < c.dim; ++j) {
+        Index t = rng.uniform(j + 1);
+        if (member[t]) t = j;
+        member[t] = 1;
+        support.push_back(t);
+      }
+      std::sort(support.begin(), support.end());
+      std::vector<float> signs;
+      for (Index d : support) {
+        member[d] = 0;
+        signs.push_back(rng.uniform(2) == 0 ? 1.0f : -1.0f);
+      }
+      indices_.push_back(std::move(support));
+      signs_.push_back(std::move(signs));
+    }
+  }
+
+  std::vector<float> project(const float* x) const {
+    std::vector<float> dots(indices_.size());
+    for (std::size_t p = 0; p < indices_.size(); ++p) {
+      float acc = 0.0f;
+      for (std::size_t e = 0; e < indices_[p].size(); ++e)
+        acc += signs_[p][e] * x[indices_[p][e]];
+      dots[p] = acc;
+    }
+    return dots;
+  }
+
+  std::vector<std::uint32_t> keys(const float* x) const {
+    const auto dots = project(x);
+    std::vector<std::uint32_t> keys(static_cast<std::size_t>(l_));
+    for (int t = 0; t < l_; ++t) {
+      std::uint32_t bits = 0;
+      for (int j = 0; j < k_; ++j)
+        bits = (bits << 1) | (dots[t * k_ + j] >= 0.0f ? 1u : 0u);
+      detail::FingerprintMixer mixer;
+      mixer.add(bits);
+      keys[t] = mixer.value();
+    }
+    return keys;
+  }
+
+ private:
+  int k_;
+  int l_;
+  std::vector<std::vector<Index>> indices_;
+  std::vector<std::vector<float>> signs_;
+};
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+TEST(Simhash, DenseKeysMatchTheSupportListLoop) {
+  // The sign matrix and its kernel must reproduce the support-list loop
+  // bit for bit: projection values through project_dense and through
+  // update_projections (hash_sparse's sums), keys through hash_dense, the
+  // block path and hash_sparse. Rows mix normals, wide magnitudes,
+  // +-2^40 (which absorbs a normal, so a sum taken in another order
+  // changes value and often sign), signed zeros and subnormals.
+  constexpr std::pair<int, int> kShapes[] = {{1, 1}, {5, 16}, {9, 50}};
+  constexpr std::size_t kRows = 9;
+  Rng rng(62);
+  for (double density : {1.0 / 3.0, 1.0}) {
+    for (auto [k, l] : kShapes) {
+      for (Index dim : {1u, 7u, 128u, 300u}) {
+        const Simhash::Config config{
+            .k = k, .l = l, .dim = dim, .density = density, .seed = 63};
+        const Simhash h(config);
+        const SupportListSimhash lists(config);
+        std::vector<float> rows(kRows * dim);
+        for (auto& v : rows) {
+          switch (rng.uniform(5)) {
+            case 0:
+              v = rng.normal();
+              break;
+            case 1:
+              v = std::ldexp(rng.normal(),
+                             static_cast<int>(rng.uniform(120)) - 60);
+              break;
+            case 2:
+              v = rng.uniform(2) == 0 ? 0x1p40f : -0x1p40f;
+              break;
+            case 3:
+              v = rng.uniform(2) == 0 ? 0.0f : -0.0f;
+              break;
+            default:
+              v = rng.uniform(2) == 0 ? 1e-40f : -3e-42f;
+          }
+        }
+        std::vector<std::uint32_t> block(static_cast<std::size_t>(l) * kRows);
+        h.hash_dense_rows(rows.data(), dim, kRows, block.data(), kRows);
+
+        for (std::size_t r = 0; r < kRows; ++r) {
+          SCOPED_TRACE(::testing::Message()
+                       << "density=" << density << " k=" << k << " l=" << l
+                       << " dim=" << dim << " row=" << r);
+          const float* x = rows.data() + r * dim;
+          std::vector<float> dots(static_cast<std::size_t>(k * l));
+          h.project_dense(x, dots.data());
+          ASSERT_EQ(float_bits(dots), float_bits(lists.project(x)));
+
+          const auto want = lists.keys(x);
+          std::vector<std::uint32_t> got(static_cast<std::size_t>(l));
+          h.hash_dense(x, got);
+          ASSERT_EQ(got, want);
+          for (int t = 0; t < l; ++t)
+            ASSERT_EQ(block[static_cast<std::size_t>(t) * kRows + r], want[t]);
+
+          std::vector<Index> idx;
+          std::vector<float> val;
+          for (Index d = 0; d < dim; ++d) {
+            if (x[d] == 0.0f) continue;
+            idx.push_back(d);
+            val.push_back(x[d]);
+          }
+          h.hash_sparse(idx.data(), val.data(), idx.size(), got);
+          ASSERT_EQ(got, want);
+          // hash_sparse's sums: one matrix-row update per nonzero.
+          std::fill(dots.begin(), dots.end(), 0.0f);
+          for (std::size_t i = 0; i < idx.size(); ++i)
+            h.update_projections(idx[i], val[i], dots.data());
+          ASSERT_EQ(float_bits(dots), float_bits(lists.project(x)));
+        }
+      }
+    }
+  }
+}
+
 TEST(Simhash, ProjectionsAreSparseAtRequestedDensity) {
-  Simhash h({.k = 4, .l = 10, .dim = 900, .density = 1.0 / 3.0, .seed = 11});
+  // Projecting basis vector e_d reads every projection's entry for
+  // coordinate d, so the nonzeros over all d count every support.
+  const Index dim = 900;
+  Simhash h({.k = 4, .l = 10, .dim = dim, .density = 1.0 / 3.0, .seed = 11});
+  std::vector<float> basis(dim, 0.0f);
+  std::vector<float> dots(static_cast<std::size_t>(h.num_projections()));
   double total = 0.0;
-  for (int p = 0; p < h.num_projections(); ++p)
-    total += static_cast<double>(h.projection_indices(p).size());
+  for (Index d = 0; d < dim; ++d) {
+    basis[d] = 1.0f;
+    h.project_dense(basis.data(), dots.data());
+    basis[d] = 0.0f;
+    for (float v : dots) {
+      ASSERT_TRUE(v == 0.0f || v == 1.0f || v == -1.0f) << v;
+      total += v != 0.0f ? 1.0 : 0.0;
+    }
+  }
   const double avg = total / h.num_projections();
-  EXPECT_NEAR(avg / 900.0, 1.0 / 3.0, 0.02);
+  EXPECT_NEAR(avg / dim, 1.0 / 3.0, 0.02);
 }
 
 TEST(Simhash, RejectsBadConfig) {

@@ -328,6 +328,73 @@ TEST_P(KernelParity, WtaCodes) {
   }
 }
 
+/// Finite values that make a float sum depend on its order: signed zeros,
+/// subnormals, +-1e30 and random magnitudes from 2^-100 to 2^99.
+std::vector<float> sign_project_values(std::size_t n, Rng& rng) {
+  const float special[] = {0.0f,    -0.0f,  1e-40f, -1e-45f,
+                           1e30f,   -1e30f, 1.0f,   -1.0f};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    if (rng.uniform(4) == 0) {
+      x = special[rng.uniform(8)];
+    } else {
+      const int exponent = static_cast<int>(rng.uniform(200)) - 100;
+      x = std::ldexp(rng.uniform_float() * 2.0f - 1.0f, exponent);
+    }
+  }
+  return v;
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+TEST_P(KernelParity, SignProject) {
+  // Exact parity with the scalar oracle on sign matrices: dims and
+  // projection counts on both sides of the 8- and 16-lane groups and the
+  // 32- and 64-lane blocks, row counts on both sides of the 2- and 4-row
+  // tiles, and values whose sums change with the order of their terms.
+  // The padding lanes of w hold signs too, so a lane past n that leaked
+  // into an output would show. Output rows sit one slot apart; the
+  // sentinel in that slot catches a tail store that writes too far.
+  Rng rng(52);
+  const float sentinel = -12345.5f;
+  for (std::size_t dim : {1, 2, 15, 16, 17, 128, 300}) {
+    for (std::size_t n : {1, 15, 16, 17, 63, 64, 65, 450}) {
+      const std::size_t stride =
+          (n + simd::kSignLanes - 1) / simd::kSignLanes * simd::kSignLanes;
+      std::vector<simd::I8> w(dim * stride);
+      for (auto& s : w)
+        s = static_cast<simd::I8>(static_cast<int>(rng.uniform(3)) - 1);
+      for (std::size_t rows : {1, 2, 3, 4, 5, 9}) {
+        const auto x = sign_project_values(rows * dim, rng);
+        // The contract spelled out: one coordinate at a time, from +0.
+        std::vector<float> want(rows * (n + 1), sentinel);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t p = 0; p < n; ++p) {
+            float acc = 0.0f;
+            for (std::size_t d = 0; d < dim; ++d)
+              acc += static_cast<float>(w[d * stride + p]) * x[r * dim + d];
+            want[r * (n + 1) + p] = acc;
+          }
+        }
+        std::vector<float> ref(rows * (n + 1), sentinel);
+        std::vector<float> got = ref;
+        simd::scalar::sign_project(w.data(), stride, dim, n, x.data(), dim,
+                                   rows, ref.data(), n + 1);
+        simd::sign_project(w.data(), stride, dim, n, x.data(), dim, rows,
+                           got.data(), n + 1);
+        ASSERT_EQ(float_bits(ref), float_bits(want))
+            << "oracle: dim=" << dim << " n=" << n << " rows=" << rows;
+        ASSERT_EQ(float_bits(got), float_bits(ref))
+            << "dim=" << dim << " n=" << n << " rows=" << rows;
+      }
+    }
+  }
+}
+
 TEST_P(KernelParity, DotBf16) {
   Rng rng(21);
   for (std::size_t n : parity_sizes()) {
