@@ -182,7 +182,8 @@ void Layer::forward_inference_topk(std::span<const Index> prev_ids,
 EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
                                float init_stddev, int batch_slots,
                                int max_threads, const AdamConfig& adam,
-                               std::uint64_t seed, Precision precision)
+                               std::uint64_t seed, Precision precision,
+                               ParamInit init)
     : input_dim_(input_dim),
       units_(units),
       precision_(precision),
@@ -195,9 +196,11 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
               "EmbeddingLayer: dimensions must be positive");
   SLIDE_CHECK(batch_slots > 0 && max_threads > 0,
               "EmbeddingLayer: slots/threads must be positive");
-  Rng rng(seed);
-  init_normal(weights_.data(), weights_.size(),
-              init_stddev > 0.0f ? init_stddev : 0.5f, rng);
+  if (!init.deferred()) {
+    Rng rng(seed);
+    init_normal(weights_.data(), weights_.size(),
+                init_stddev > 0.0f ? init_stddev : 0.5f, rng);
+  }
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
   for (auto& s : slots_) {
@@ -224,7 +227,7 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
       i8_scales_.assign(static_cast<std::size_t>(input_dim_), 0.0f);
       break;
   }
-  refresh_inference_mirror();
+  if (!init.deferred()) refresh_inference_mirror();
 }
 
 void EmbeddingLayer::refresh_inference_mirror() noexcept {
@@ -361,7 +364,7 @@ void EmbeddingLayer::apply_updates(float lr, ThreadPool* pool) {
 // ===========================================================================
 
 SampledLayer::SampledLayer(const Config& config, int batch_slots,
-                           int max_threads)
+                           int max_threads, ParamInit init)
     : config_(config),
       units_(config.units),
       fan_in_(config.fan_in),
@@ -380,11 +383,13 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
   SLIDE_CHECK(!(config_.hashed && config_.random_sampled),
               "SampledLayer: hashed and random_sampled are exclusive");
 
-  Rng rng(config.seed);
-  const float stddev = config.init_stddev > 0.0f
-                           ? config.init_stddev
-                           : 2.0f / std::sqrt(static_cast<float>(fan_in_));
-  init_normal(weights_.data(), weights_.size(), stddev, rng);
+  if (!init.deferred()) {
+    Rng rng(config.seed);
+    const float stddev = config.init_stddev > 0.0f
+                             ? config.init_stddev
+                             : 2.0f / std::sqrt(static_cast<float>(fan_in_));
+    init_normal(weights_.data(), weights_.size(), stddev, rng);
+  }
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
   touched_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
@@ -417,7 +422,8 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     if (config_.maintenance != MaintenancePolicy::kSync)
       worker_ = std::make_unique<BackgroundWorker>();
     next_rebuild_ = config_.rebuild.initial_period;
-    build_group(tables_->active_group(), nullptr);  // initial build (§3.1)
+    // Initial build (§3.1); a deferred layer builds once it is filled.
+    if (!init.deferred()) build_group(tables_->active_group(), nullptr);
   }
 
   // Allocate the quantized mirror up front so later refreshes are noexcept
@@ -433,7 +439,7 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
       i8_scales_.assign(static_cast<std::size_t>(units_), 0.0f);
       break;
   }
-  refresh_inference_mirror();
+  if (!init.deferred()) refresh_inference_mirror();
 }
 
 void SampledLayer::refresh_inference_mirror() noexcept {
@@ -1146,10 +1152,10 @@ void SampledLayer::reset_phase_timers() {
 DenseLayer::DenseLayer(Index units, Index fan_in, Activation activation,
                        float init_stddev, const AdamConfig& adam,
                        std::uint64_t seed, int batch_slots, int max_threads,
-                       Precision precision)
+                       Precision precision, ParamInit init)
     : SampledLayer(dense_layer_config(units, fan_in, activation, init_stddev,
                                       adam, seed, precision),
-                   batch_slots, max_threads) {}
+                   batch_slots, max_threads, init) {}
 
 RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
                                        Index num_sampled,
@@ -1157,7 +1163,8 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
                                        float init_stddev,
                                        const AdamConfig& adam,
                                        std::uint64_t seed, int batch_slots,
-                                       int max_threads, Precision precision)
+                                       int max_threads, Precision precision,
+                                       ParamInit init)
     : SampledLayer(
           [&] {
             SampledLayer::Config cfg = dense_layer_config(
@@ -1167,7 +1174,7 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
             cfg.sampling.target = num_sampled;
             return cfg;
           }(),
-          batch_slots, max_threads) {
+          batch_slots, max_threads, init) {
   SLIDE_CHECK(num_sampled > 0,
               "RandomSampledLayer: num_sampled must be positive");
 }
@@ -1175,7 +1182,7 @@ RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
 std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                   const AdamConfig& adam, std::uint64_t seed,
                                   int batch_slots, int max_threads,
-                                  Precision precision) {
+                                  Precision precision, ParamInit init) {
   SLIDE_CHECK(!(spec.hashed && spec.random_sampled),
               "make_layer: hashed and random_sampled are exclusive");
   SLIDE_CHECK(spec.shards == 0 || spec.hashed,
@@ -1209,19 +1216,22 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                      spec.shard_checkpoint_base));
     }
     if (spec.shards >= 1) {
-      return std::make_unique<ShardedSampledLayer>(cfg, spec.shards,
-                                                   batch_slots, max_threads);
+      return std::make_unique<ShardedSampledLayer>(
+          cfg, spec.shards, batch_slots, max_threads, init);
     }
-    return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads);
+    return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads,
+                                          init);
   }
   if (spec.random_sampled) {
     return std::make_unique<RandomSampledLayer>(
         spec.units, fan_in, spec.sampling.target, spec.activation,
-        spec.init_stddev, adam, seed, batch_slots, max_threads, precision);
+        spec.init_stddev, adam, seed, batch_slots, max_threads, precision,
+        init);
   }
   return std::make_unique<DenseLayer>(spec.units, fan_in, spec.activation,
                                       spec.init_stddev, adam, seed,
-                                      batch_slots, max_threads, precision);
+                                      batch_slots, max_threads, precision,
+                                      init);
 }
 
 }  // namespace slide

@@ -317,12 +317,29 @@ class Layer {
 
 // ---------------------------------------------------------------------------
 
+/// How a layer's parameters start. The default draws them from the layer's
+/// seed and builds the layer's LSH tables over them. The deferred form
+/// leaves them zero and the tables unbuilt: only Network can make it, for
+/// the fill functions of core/serialize, which write every parameter and
+/// build every table before the network leaves them.
+class ParamInit {
+ public:
+  ParamInit() = default;
+  bool deferred() const noexcept { return deferred_; }
+
+ private:
+  friend class Network;
+  explicit ParamInit(bool deferred) noexcept : deferred_(deferred) {}
+  bool deferred_ = false;
+};
+
 class EmbeddingLayer {
  public:
   EmbeddingLayer(Index input_dim, Index units, float init_stddev,
                  int batch_slots, int max_threads, const AdamConfig& adam,
                  std::uint64_t seed,
-                 Precision precision = Precision::kFP32);
+                 Precision precision = Precision::kFP32,
+                 ParamInit init = {});
 
   Index input_dim() const noexcept { return input_dim_; }
   Index units() const noexcept { return units_; }
@@ -450,7 +467,8 @@ class SampledLayer : public Layer {
     std::uint64_t seed = 31;
   };
 
-  SampledLayer(const Config& config, int batch_slots, int max_threads);
+  SampledLayer(const Config& config, int batch_slots, int max_threads,
+               ParamInit init = {});
 
   LayerKind kind() const noexcept override {
     if (config_.hashed) return LayerKind::kSampled;
@@ -762,7 +780,7 @@ class DenseLayer final : public SampledLayer {
   DenseLayer(Index units, Index fan_in, Activation activation,
              float init_stddev, const AdamConfig& adam, std::uint64_t seed,
              int batch_slots, int max_threads,
-             Precision precision = Precision::kFP32);
+             Precision precision = Precision::kFP32, ParamInit init = {});
 };
 
 /// Static uniform sampling (the Sampled Softmax baseline of paper §5.1):
@@ -775,15 +793,18 @@ class RandomSampledLayer final : public SampledLayer {
                      Activation activation, float init_stddev,
                      const AdamConfig& adam, std::uint64_t seed,
                      int batch_slots, int max_threads,
-                     Precision precision = Precision::kFP32);
+                     Precision precision = Precision::kFP32,
+                     ParamInit init = {});
 };
 
 /// Builds the concrete Layer for a LayerSpec (DenseLayer, SampledLayer, or
 /// RandomSampledLayer) — the single construction point used by Network.
-/// `precision` is the network-wide inference precision (config.h).
+/// `precision` is the network-wide inference precision (config.h). Remote
+/// shards ignore `init`: each worker initializes its own layer.
 std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                   const AdamConfig& adam, std::uint64_t seed,
                                   int batch_slots, int max_threads,
-                                  Precision precision = Precision::kFP32);
+                                  Precision precision = Precision::kFP32,
+                                  ParamInit init = {});
 
 }  // namespace slide

@@ -4,7 +4,8 @@
 
 namespace slide {
 
-Network::Network(const NetworkConfig& config, int max_threads)
+Network::Network(const NetworkConfig& config, int max_threads,
+                 ParamInit init)
     : config_(config) {
   SLIDE_CHECK(config_.input_dim > 0, "Network: input_dim must be positive");
   SLIDE_CHECK(config_.hidden_units > 0,
@@ -19,13 +20,13 @@ Network::Network(const NetworkConfig& config, int max_threads)
   embedding_ = std::make_unique<EmbeddingLayer>(
       config_.input_dim, config_.hidden_units, config_.hidden_init_stddev,
       config_.max_batch_size, max_threads, config_.adam, seeder(),
-      config_.precision);
+      config_.precision, init);
 
   Index fan_in = config_.hidden_units;
   for (const LayerSpec& spec : config_.layers) {
     layers_.push_back(make_layer(spec, fan_in, config_.adam, seeder(),
                                  config_.max_batch_size, max_threads,
-                                 config_.precision));
+                                 config_.precision, init));
     fan_in = spec.units;
   }
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -165,7 +166,8 @@ class Network {
  public:
   /// max_threads sizes the per-thread structures (touched lists, timers);
   /// pass the trainer's thread count (or more).
-  Network(const NetworkConfig& config, int max_threads);
+  Network(const NetworkConfig& config, int max_threads)
+      : Network(config, max_threads, ParamInit{}) {}
 
   /// Movable (the write epoch carries over); not copyable. Moving while
   /// any reader or writer is active is undefined, as for any container.
@@ -370,6 +372,25 @@ class Network {
   };
 
  private:
+  // The fill functions of core/serialize: the only callers of unfilled().
+  friend std::unique_ptr<Network> load_network(const NetworkConfig& config,
+                                               std::istream& in,
+                                               int max_threads,
+                                               ThreadPool* pool);
+  friend std::unique_ptr<Network> copy_network(const NetworkConfig& config,
+                                               const Network& source,
+                                               int max_threads,
+                                               ThreadPool* pool);
+
+  Network(const NetworkConfig& config, int max_threads, ParamInit init);
+  /// A network whose parameters are zero and whose tables are unbuilt
+  /// (ParamInit's deferred form), for a fill function to complete.
+  static std::unique_ptr<Network> unfilled(const NetworkConfig& config,
+                                           int max_threads) {
+    return std::unique_ptr<Network>(
+        new Network(config, max_threads, ParamInit(true)));
+  }
+
   NetworkConfig config_;
   std::unique_ptr<EmbeddingLayer> embedding_;
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -243,60 +243,112 @@ void save_weights(const Network& network, std::ostream& out) {
   SLIDE_CHECK(out.good(), "save_weights: write failed");
 }
 
-void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
-  // Weights change behind the layers' backs: bracket the whole load so
+namespace {
+
+/// A source's width for one stack layer and the rows it grew by online.
+struct LayerShape {
+  Index units = 0;
+  Index appended = 0;
+};
+
+/// Where a fill reads a network's parameters from, in checkpoint order:
+/// the architecture and the embedding, then per stack layer its shape,
+/// its rows and its tombstones. A checkpoint stream and a live network are
+/// the two sources.
+class FillSource {
+ public:
+  virtual ~FillSource() = default;
+  /// Checks the architecture against `network`; writes the embedding.
+  virtual void embedding(Network& network) = 0;
+  /// Stack layer i's shape at the source (checks the fan-in).
+  virtual LayerShape shape(int i, const Layer& target) = 0;
+  /// Writes every row of stack layer i into `target` by global row.
+  virtual void rows(int i, Layer& target) = 0;
+  /// Stack layer i's retired global ids (`units`: the layer's width).
+  virtual std::vector<Index> retired(int i, Index units) = 0;
+};
+
+/// The one fill path: every parameter from `source`, then the derived
+/// state — quantized mirrors (on_weights_loaded), tombstones, and one
+/// table build per layer.
+void fill(Network& network, FillSource& source, ThreadPool* pool) {
+  // Weights change behind the layers' backs: bracket the whole fill so
   // concurrent debug readers assert (see network.h thread-safety).
   Network::WriteGuard guard(network);
-  EmbeddingLayer& emb = network.embedding();
-  const std::uint32_t version = read_version(in);
-  read_kind(in);
-  SLIDE_CHECK(read_u32(in) == emb.input_dim(),
-              "load_weights: input_dim mismatch");
-  SLIDE_CHECK(read_u32(in) == emb.units(),
-              "load_weights: hidden width mismatch");
-  SLIDE_CHECK(read_u32(in) ==
-                  static_cast<std::uint32_t>(network.stack_depth()),
-              "load_weights: layer count mismatch");
-  // The tag is provenance only: parameter blocks are fp32 masters either
-  // way, and the network below re-derives its own mirrors per its config.
-  read_precision_tag(in, version);
-  read_floats(in, emb.weights_span());
-  read_floats(in, emb.bias_span());
-  emb.refresh_inference_mirror();
-  std::vector<float> scratch;  // reshard scatter buffer (rarely used)
+  source.embedding(network);
+  network.embedding().refresh_inference_mirror();
   for (int i = 0; i < network.stack_depth(); ++i) {
     Layer& layer = network.stack(i);
-    Index units = layer.units();
-    const Index fan_in = layer.fan_in();
-    const std::uint32_t file_units = read_u32(in);
-    SLIDE_CHECK(read_u32(in) == fan_in,
-                "load_weights: layer fan-in mismatch");
-    // v5: rows the writer appended online (add_units). A target narrower
-    // than the file re-grows by that recorded count before reading the
-    // parameter blocks, so a network built from the original config loads
-    // a grown checkpoint; any other width difference is still an error.
-    const std::uint32_t file_appended =
-        version >= 5 ? read_u32(in) : 0;
-    if (file_units != static_cast<std::uint32_t>(units)) {
-      SLIDE_CHECK(file_units > static_cast<std::uint32_t>(units) &&
-                      file_units - static_cast<std::uint32_t>(units) <=
-                          file_appended,
-                  "load_weights: layer width mismatch");
-      layer.add_units(static_cast<Index>(file_units) - units);
-      units = layer.units();
+    const LayerShape shape = source.shape(i, layer);
+    // A target narrower than the source re-grows by up to the rows the
+    // source appended online (add_units), so a network built from the
+    // original config takes a grown model; any other width difference is
+    // an error.
+    const Index units = layer.units();
+    if (shape.units != units) {
+      SLIDE_CHECK(shape.units > units && shape.units - units <= shape.appended,
+                  "layer width mismatch: the source is narrower than the "
+                  "target or wider by more than its appended rows");
+      layer.add_units(shape.units - units);
     }
+    source.rows(i, layer);
+    layer.on_weights_loaded();
+    // Retired ids stay retired: the retriever mask survives the build below.
+    const std::vector<Index> retired = source.retired(i, layer.units());
+    if (!retired.empty()) layer.retire_units(retired);
+  }
+  // The hash tables are a function of the weights: build each layer's once.
+  for (int i = 0; i < network.stack_depth(); ++i)
+    network.stack(i).rebuild_tables(pool);
+}
+
+/// A core/serialize checkpoint stream, any version from 1 to 5.
+class StreamSource final : public FillSource {
+ public:
+  explicit StreamSource(std::istream& in) : in_(in) {}
+
+  void embedding(Network& network) override {
+    EmbeddingLayer& emb = network.embedding();
+    version_ = read_version(in_);
+    read_kind(in_);
+    SLIDE_CHECK(read_u32(in_) == emb.input_dim(),
+                "load_weights: input_dim mismatch");
+    SLIDE_CHECK(read_u32(in_) == emb.units(),
+                "load_weights: hidden width mismatch");
+    SLIDE_CHECK(read_u32(in_) ==
+                    static_cast<std::uint32_t>(network.stack_depth()),
+                "load_weights: layer count mismatch");
+    // The tag is provenance only: parameter blocks are fp32 masters either
+    // way, and the network re-derives its own mirrors per its config.
+    read_precision_tag(in_, version_);
+    read_floats(in_, emb.weights_span());
+    read_floats(in_, emb.bias_span());
+  }
+
+  LayerShape shape(int /*i*/, const Layer& target) override {
+    LayerShape shape;
+    shape.units = static_cast<Index>(read_u32(in_));
+    SLIDE_CHECK(read_u32(in_) == target.fan_in(),
+                "load_weights: layer fan-in mismatch");
+    // v5: rows the writer appended online (add_units).
+    shape.appended = version_ >= 5 ? static_cast<Index>(read_u32(in_)) : 0;
+    return shape;
+  }
+
+  void rows(int /*i*/, Layer& layer) override {
     // v3 layers carry a shard count + per-shard blocks; earlier versions
     // are the one-block (monolithic) layout. The file's partition need not
     // match the target layer's — blocks are scattered by global row index,
     // which is how a monolithic checkpoint reshards into a sharded layer
     // (and vice versa).
-    const std::uint32_t file_shards =
-        version >= 3 ? read_u32(in) : 1;
+    const Index units = layer.units();
+    const Index fan_in = layer.fan_in();
+    const std::uint32_t file_shards = version_ >= 3 ? read_u32(in_) : 1;
     SLIDE_CHECK(file_shards >= 1 && file_shards <= units,
                 "load_weights: invalid shard count");
     Index row = 0;
     for (std::uint32_t fs = 0; fs < file_shards; ++fs) {
-      const std::uint32_t wlen = read_u32(in);
+      const std::uint32_t wlen = read_u32(in_);
       SLIDE_CHECK(wlen > 0 && wlen % fan_in == 0,
                   "load_weights: parameter block size mismatch "
                   "(incompatible architecture)");
@@ -304,54 +356,126 @@ void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
       // row <= units holds here; row + block_rows could wrap.
       SLIDE_CHECK(block_rows <= units - row,
                   "load_weights: shard blocks exceed layer width");
-      read_rows_into_layer(in, layer, row, block_rows, fan_in,
-                           /*bias=*/false, scratch);
-      SLIDE_CHECK(read_u32(in) == static_cast<std::uint32_t>(block_rows),
+      read_rows_into_layer(in_, layer, row, block_rows, fan_in,
+                           /*bias=*/false, scratch_);
+      SLIDE_CHECK(read_u32(in_) == static_cast<std::uint32_t>(block_rows),
                   "load_weights: bias block size mismatch");
-      read_rows_into_layer(in, layer, row, block_rows, /*row_width=*/1,
-                           /*bias=*/true, scratch);
+      read_rows_into_layer(in_, layer, row, block_rows, /*row_width=*/1,
+                           /*bias=*/true, scratch_);
       row += block_rows;
     }
     SLIDE_CHECK(row == units,
                 "load_weights: shard blocks do not cover the layer");
-    layer.on_weights_loaded();
+  }
+
+  std::vector<Index> retired(int /*i*/, Index units) override {
     // v4: retriever descriptor. Whatever index the writer kept (an exact
     // or HNSW layer of an older writer), the payload is skipped: every
-    // layer rebuilds its tables from the loaded weights below.
-    if (version >= 4) {
-      SLIDE_CHECK(read_u32(in) <= kLastRetrieverWord,
+    // layer rebuilds its tables from the loaded weights.
+    if (version_ >= 4) {
+      SLIDE_CHECK(read_u32(in_) <= kLastRetrieverWord,
                   "load_weights: unknown retriever kind");
-      const std::uint64_t aux_bytes = read_u64(in);
+      const std::uint64_t aux_bytes = read_u64(in_);
       // Larger lengths turn negative as a stream offset, and ignore() then
       // skips nothing instead of failing.
       SLIDE_CHECK(aux_bytes <= static_cast<std::uint64_t>(
                                    std::numeric_limits<std::streamsize>::max()),
                   "load_weights: corrupt aux block size");
-      in.ignore(static_cast<std::streamsize>(aux_bytes));
-      SLIDE_CHECK(in.good(), "load_weights: truncated stream");
+      in_.ignore(static_cast<std::streamsize>(aux_bytes));
+      SLIDE_CHECK(in_.good(), "load_weights: truncated stream");
     }
-    // v5: tombstone block — re-apply retired ids so they stay masked
-    // across reboots (the retriever mask survives the rebuild pass below).
-    if (version >= 5) {
-      const std::uint64_t num_retired = read_u64(in);
-      if (num_retired > 0) {
-        SLIDE_CHECK(num_retired <= static_cast<std::uint64_t>(units),
-                    "load_weights: tombstone count exceeds layer width");
-        std::vector<Index> retired;
-        retired.reserve(static_cast<std::size_t>(num_retired));
-        for (std::uint64_t r = 0; r < num_retired; ++r)
-          retired.push_back(static_cast<Index>(read_u32(in)));
-        layer.retire_units(retired);
-      }
-      SLIDE_CHECK(in.good(), "load_weights: truncated stream");
+    // v5: tombstone block — the ids retired when the file was written.
+    std::vector<Index> ids;
+    if (version_ >= 5) {
+      const std::uint64_t num_retired = read_u64(in_);
+      SLIDE_CHECK(num_retired <= static_cast<std::uint64_t>(units),
+                  "load_weights: tombstone count exceeds layer width");
+      ids.reserve(static_cast<std::size_t>(num_retired));
+      for (std::uint64_t r = 0; r < num_retired; ++r)
+        ids.push_back(static_cast<Index>(read_u32(in_)));
+    }
+    return ids;
+  }
+
+ private:
+  std::istream& in_;
+  std::uint32_t version_ = 0;
+  std::vector<float> scratch_;  // reshard scatter buffer (rarely used)
+};
+
+/// A live network, read through the same Layer surface a checkpoint
+/// writer uses: shard spans, appended count, retired ids.
+class NetworkSource final : public FillSource {
+ public:
+  explicit NetworkSource(const Network& source) : src_(source) {}
+
+  void embedding(Network& network) override {
+    const EmbeddingLayer& from = src_.embedding();
+    EmbeddingLayer& to = network.embedding();
+    SLIDE_CHECK(from.input_dim() == to.input_dim(),
+                "copy_network: input_dim mismatch");
+    SLIDE_CHECK(from.units() == to.units(),
+                "copy_network: hidden width mismatch");
+    SLIDE_CHECK(src_.stack_depth() == network.stack_depth(),
+                "copy_network: layer count mismatch");
+    std::ranges::copy(from.weights_span(), to.weights_span().begin());
+    std::ranges::copy(from.bias_span(), to.bias_span().begin());
+  }
+
+  LayerShape shape(int i, const Layer& target) override {
+    const Layer& from = src_.stack(i);
+    SLIDE_CHECK(from.fan_in() == target.fan_in(),
+                "copy_network: layer fan-in mismatch");
+    return {from.units(), from.appended_units()};
+  }
+
+  void rows(int i, Layer& target) override {
+    // Each source shard lands by global row in whichever target shards
+    // own it, so the target's partition need not match the source's.
+    const Layer& from = src_.stack(i);
+    const std::size_t fan_in = from.fan_in();
+    for (int s = 0; s < from.num_shards(); ++s) {
+      const std::span<const float> bias = from.shard_bias(s);
+      const Index first = from.shard_row_offset(s);
+      const Index rows = static_cast<Index>(bias.size());
+      scatter_rows(target, from.shard_weights(s).data(), first, rows, fan_in,
+                   /*bias=*/false);
+      scatter_rows(target, bias.data(), first, rows, /*row_width=*/1,
+                   /*bias=*/true);
     }
   }
-  // The hash tables are a function of the weights: rebuild them all.
-  {
-    Network::WriteGuard rebuild_guard(network);
-    for (int i = 0; i < network.stack_depth(); ++i)
-      network.stack(i).rebuild_tables(pool);
+
+  std::vector<Index> retired(int i, Index /*units*/) override {
+    return src_.stack(i).retired_unit_ids();
   }
+
+ private:
+  const Network& src_;
+};
+
+}  // namespace
+
+void load_weights(Network& network, std::istream& in, ThreadPool* pool) {
+  StreamSource source(in);
+  fill(network, source, pool);
+}
+
+std::unique_ptr<Network> load_network(const NetworkConfig& config,
+                                      std::istream& in, int max_threads,
+                                      ThreadPool* pool) {
+  std::unique_ptr<Network> network = Network::unfilled(config, max_threads);
+  StreamSource source(in);
+  fill(*network, source, pool);
+  return network;
+}
+
+std::unique_ptr<Network> copy_network(const NetworkConfig& config,
+                                      const Network& source, int max_threads,
+                                      ThreadPool* pool) {
+  std::unique_ptr<Network> network = Network::unfilled(config, max_threads);
+  NetworkSource from(source);
+  fill(*network, from, pool);
+  return network;
 }
 
 void save_weights_file(const Network& network, const std::string& path) {

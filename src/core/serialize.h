@@ -50,6 +50,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,6 +84,36 @@ void load_weights(Network& network, std::istream& in,
                   ThreadPool* pool = nullptr);
 void load_weights_file(Network& network, const std::string& path,
                        ThreadPool* pool = nullptr);
+
+// ---------------------------------------------------------------------------
+// Fill functions: build a network once, from a checkpoint or from a live one
+// ---------------------------------------------------------------------------
+//
+// Network(config) draws random parameters and builds tables over them, and
+// load_weights then overwrites both. The two functions below construct the
+// layers with neither, write every parameter through load_weights' own
+// fill path, re-apply the tombstones and build each layer's tables once.
+// Since a build is a pure function of the hash family, the weights and the
+// group seed, the result equals Network(config) + load_weights bit for bit
+// at a fraction of the cost. Nothing escapes half-built: on slide::Error
+// the network is discarded. `max_threads` is Network's; a pool with more
+// than one thread builds the tables in parallel.
+
+/// Network(config) + load_weights(in) in one pass (any checkpoint version).
+std::unique_ptr<Network> load_network(const NetworkConfig& config,
+                                      std::istream& in, int max_threads,
+                                      ThreadPool* pool);
+
+/// A network of `config` holding `source`'s parameters: the embedding, then
+/// each stack layer by global row, so a target with another shard count, or
+/// one built narrower than a source grown online (within its appended
+/// rows), gets exactly the source's rows. The tombstones carry over and the
+/// quantized mirrors follow config.precision. Equals save_weights(source)
+/// + load_network(config) without the stream. `source` must not be
+/// mutated meanwhile (the save_weights contract).
+std::unique_ptr<Network> copy_network(const NetworkConfig& config,
+                                      const Network& source, int max_threads,
+                                      ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // Per-shard checkpoint files (distributed model parallelism, src/dist/)

@@ -73,12 +73,12 @@ SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
 
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
                                          int shards, int batch_slots,
-                                         int max_threads)
+                                         int max_threads, ParamInit init)
     : ShardedSampledLayer(
           config, shards, batch_slots,
           [&](int, const SampledLayer::Config& shard_config, Index) {
             return std::make_unique<SampledLayer>(shard_config, batch_slots,
-                                                  max_threads);
+                                                  max_threads, init);
           }) {}
 
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,

@@ -75,9 +75,9 @@ class ShardedSampledLayer final : public Layer {
   /// units % shards shards get one extra row), per-shard sampling target
   /// ceil(target * shard_units / units), and per-shard seeds (shard 0
   /// keeps config.seed, so shards = 1 reproduces the monolithic layer bit
-  /// for bit). Requires config.hashed.
+  /// for bit). Requires config.hashed. `init` reaches every shard.
   ShardedSampledLayer(const SampledLayer::Config& config, int shards,
-                      int batch_slots, int max_threads);
+                      int batch_slots, int max_threads, ParamInit init = {});
   /// Same partition and per-shard configs, with every shard built by
   /// `make_shard`.
   ShardedSampledLayer(const SampledLayer::Config& config, int shards,

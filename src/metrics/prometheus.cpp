@@ -268,6 +268,12 @@ std::string render_prometheus(const ServeStats& stats) {
              "counter");
     w.sample("slide_online_publishes_total", {},
              static_cast<double>(stats.online_publishes));
+    w.family("slide_online_publish_seconds_total",
+             "Wall seconds spent copying the master into published "
+             "snapshots and building their tables",
+             "counter");
+    w.sample("slide_online_publish_seconds_total", {},
+             stats.online_publish_seconds);
     w.family("slide_online_labels_total",
              "Output labels changed online, by kind", "counter");
     w.sample("slide_online_labels_total", {{"kind", "added"}},

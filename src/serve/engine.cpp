@@ -366,6 +366,7 @@ void InferenceEngine::enable_online_updates(std::shared_ptr<Network> master,
 }
 
 std::uint64_t InferenceEngine::publish_master_locked() {
+  const auto start = std::chrono::steady_clock::now();
   const Network& master = *online_master_;
   const std::uint64_t version = publish_clone(
       *store_, master, online_config_.rebuild_threads, "online-update");
@@ -377,6 +378,12 @@ std::uint64_t InferenceEngine::publish_master_locked() {
   published_appended_.store(
       master.stack(master.stack_depth() - 1).appended_units(),
       std::memory_order_release);
+  online_publish_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()),
+      std::memory_order_relaxed);
   return version;
 }
 
@@ -493,6 +500,10 @@ ServeStats InferenceEngine::stats() const {
   s.online_updates = online_enabled_.load(std::memory_order_acquire);
   s.online_update_calls = online_updates_.load(std::memory_order_relaxed);
   s.online_publishes = online_publishes_.load(std::memory_order_relaxed);
+  s.online_publish_seconds =
+      static_cast<double>(
+          online_publish_ns_.load(std::memory_order_relaxed)) *
+      1e-9;
   s.labels_added = labels_added_.load(std::memory_order_relaxed);
   s.labels_retired = labels_retired_.load(std::memory_order_relaxed);
   const std::shared_ptr<const ModelSnapshot> snapshot = store_->current();
@@ -601,6 +612,8 @@ void InferenceEngine::print_stats(std::ostream& out) const {
                    fmt_int(static_cast<long long>(s.online_update_calls))});
     table.add_row({"online publishes",
                    fmt_int(static_cast<long long>(s.online_publishes))});
+    table.add_row({"online publish seconds",
+                   fmt(s.online_publish_seconds, 3)});
     table.add_row({"labels added",
                    fmt_int(static_cast<long long>(s.labels_added))});
     table.add_row({"labels retired",

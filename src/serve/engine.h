@@ -223,6 +223,9 @@ struct ServeStats {
   bool online_updates = false;
   std::uint64_t online_update_calls = 0;  // update() calls absorbed
   std::uint64_t online_publishes = 0;     // snapshots published by cadence
+  /// Wall seconds spent publishing them: the copy of the master and the
+  /// tables' build (publish_master_locked), summed over every publish.
+  double online_publish_seconds = 0.0;
   std::uint64_t labels_added = 0;         // output units appended, lifetime
   std::uint64_t labels_retired = 0;       // retire requests applied, lifetime
 
@@ -379,6 +382,7 @@ class InferenceEngine {
   std::atomic<bool> online_enabled_{false};
   std::atomic<std::uint64_t> online_updates_{0};
   std::atomic<std::uint64_t> online_publishes_{0};
+  std::atomic<std::uint64_t> online_publish_ns_{0};
   std::atomic<std::uint64_t> labels_added_{0};
   std::atomic<std::uint64_t> labels_retired_{0};
   /// Master's appended_units() at the last online publish — published

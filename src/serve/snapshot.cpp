@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -25,18 +24,38 @@ std::shared_ptr<ModelSnapshot> make_snapshot(
   return snap;
 }
 
-/// Builds + loads + rebuilds a serving-ready network off the serving path.
-std::shared_ptr<const Network> network_from_checkpoint(
-    const NetworkConfig& config, std::istream& in, int rebuild_threads) {
+/// Runs a core/serialize fill function with `rebuild_threads` (0 =
+/// hardware) as its thread count, on a pool of that many when more than
+/// one.
+template <typename Fill>
+std::shared_ptr<const Network> build_serving(int rebuild_threads,
+                                             const Fill& fill) {
   if (rebuild_threads <= 0) rebuild_threads = hardware_threads();
-  auto network = std::make_shared<Network>(config, rebuild_threads);
   if (rebuild_threads > 1) {
     ThreadPool pool(rebuild_threads);
-    load_weights(*network, in, &pool);
-  } else {
-    load_weights(*network, in, nullptr);
+    return fill(rebuild_threads, &pool);
   }
-  return network;
+  return fill(1, nullptr);
+}
+
+/// Builds a serving-ready network from a checkpoint off the serving path.
+std::shared_ptr<const Network> network_from_checkpoint(
+    const NetworkConfig& config, std::istream& in, int rebuild_threads) {
+  return build_serving(rebuild_threads, [&](int threads, ThreadPool* pool) {
+    return load_network(config, in, threads, pool);
+  });
+}
+
+/// Copies `trained` into a fresh network of `config` and publishes it.
+std::uint64_t publish_copy(ModelStore& store, const Network& trained,
+                           const NetworkConfig& config, int rebuild_threads,
+                           const std::string& source) {
+  return store.publish(
+      build_serving(rebuild_threads,
+                    [&](int threads, ThreadPool* pool) {
+                      return copy_network(config, trained, threads, pool);
+                    }),
+      source);
 }
 
 }  // namespace
@@ -151,32 +170,26 @@ std::uint64_t publish_clone(ModelStore& store, const Network& trained,
 std::uint64_t publish_clone(ModelStore& store, const Network& trained,
                             Precision precision, int rebuild_threads,
                             const std::string& source) {
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  save_weights(trained, buffer);
-  buffer.seekg(0);
-  // The fresh network re-derives its bf16 mirrors from the fp32 parameter
-  // blocks during the load, so the override needs nothing but the config.
+  // The copy re-derives its quantized mirrors from the fp32 masters, so
+  // the override needs nothing but the config.
   NetworkConfig config = trained.config();
   config.precision = precision;
-  return store.load_checkpoint(config, buffer, source, rebuild_threads);
+  return publish_copy(store, trained, config, rebuild_threads, source);
 }
 
 std::uint64_t publish_clone_sharded(ModelStore& store, const Network& trained,
                                     int shards, int rebuild_threads,
                                     const std::string& source) {
   SLIDE_CHECK(shards >= 0, "publish_clone_sharded: shards must be >= 0");
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  save_weights(trained, buffer);
-  buffer.seekg(0);
-  // Retarget every hashed layer at the requested shard count; the v3
-  // checkpoint loader scatters the trainer's blocks into the new partition
-  // by global row index, so the served weights are exactly the trainer's
-  // regardless of either side's sharding.
+  // Retarget every hashed layer at the requested shard count; the copy
+  // scatters the trainer's shards into the new partition by global row,
+  // so the served weights are exactly the trainer's regardless of either
+  // side's sharding.
   NetworkConfig config = trained.config();
   for (LayerSpec& spec : config.layers) {
     if (spec.hashed) spec.shards = shards;
   }
-  return store.load_checkpoint(config, buffer, source, rebuild_threads);
+  return publish_copy(store, trained, config, rebuild_threads, source);
 }
 
 }  // namespace slide

@@ -11,11 +11,15 @@
 // reader-side locking beyond the pointer copy, and no torn state: a
 // snapshot is either fully visible or not yet published.
 //
-// Checkpoint loads (core/serialize format) construct the fresh Network and
-// rebuild its tables *before* the swap, off the serving path — the
-// building block for train-and-serve loops where a trainer periodically
-// checkpoints and the server picks the weights up with zero pause
-// (cf. the parameter-exchange motivation in "Distributed SLIDE", 2022).
+// Checkpoint loads and clones of a live trainer build the fresh Network
+// *before* the swap, off the serving path, through the fill functions of
+// core/serialize: the layers are constructed without a random init, every
+// parameter is written from the checkpoint stream or copied from the
+// trainer by global row, and each layer's tables are built once. This is
+// the building block for train-and-serve loops where a trainer publishes
+// and the server picks the weights up with zero pause (cf. the
+// parameter-exchange motivation in "Distributed SLIDE", 2022, where
+// trained parameters travel as raw row blocks, not re-parsed checkpoints).
 #pragma once
 
 #include <atomic>
@@ -48,7 +52,9 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
                       std::string source = "initial");
 
   /// Boots a store directly from a checkpoint (version 1) — the standalone
-  /// server path, with no placeholder network to build and discard.
+  /// server path, with no placeholder network to build and discard: the
+  /// network is built by load_network (core/serialize.h), so its layers
+  /// draw no random init and build their tables once.
   static std::shared_ptr<ModelStore> from_checkpoint_file(
       const NetworkConfig& config, const std::string& path,
       int rebuild_threads = 0);
@@ -78,11 +84,11 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
   std::uint64_t publish(std::shared_ptr<const Network> network,
                         std::string source = "published");
 
-  /// Builds a fresh Network(config), loads a core/serialize checkpoint into
-  /// it, rebuilds its hash tables (`rebuild_threads`, 0 = hardware), then
-  /// publishes. All heavy work happens on the calling thread before the
-  /// O(1) swap. The config must match the checkpoint architecture
-  /// (slide::Error otherwise, store unchanged).
+  /// Builds a network of `config` from a core/serialize checkpoint
+  /// (load_network: no random init, tables built once on `rebuild_threads`,
+  /// 0 = hardware), then publishes it. All heavy work happens on the
+  /// calling thread before the O(1) swap. The config must match the
+  /// checkpoint architecture (slide::Error otherwise, store unchanged).
   std::uint64_t load_checkpoint(const NetworkConfig& config, std::istream& in,
                                 const std::string& source = "stream",
                                 int rebuild_threads = 0);
@@ -116,11 +122,15 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
   std::uint64_t publish_count_ = 0;
 };
 
-/// Convenience for the common train-and-serve handoff: serialize `trained`
-/// through an in-memory checkpoint into a fresh network with the same
-/// config and publish it. (A direct shared_ptr publish is cheaper when the
-/// caller can relinquish ownership; this path clones, so the trainer can
-/// keep mutating its own network.)
+/// Convenience for the common train-and-serve handoff: copy `trained` into
+/// a fresh network with the same config (copy_network, core/serialize.h:
+/// every parameter block by global row, the tombstones, then one table
+/// build on `rebuild_threads`) and publish it. The snapshot equals a
+/// save_weights + load_checkpoint round trip bit for bit, without the
+/// stream. (A direct shared_ptr publish is cheaper when the caller can
+/// relinquish ownership; this path clones, so the trainer can keep
+/// mutating its own network once the call returns.) A failed copy throws
+/// and leaves the store unchanged.
 std::uint64_t publish_clone(ModelStore& store, const Network& trained,
                             int rebuild_threads = 0,
                             const std::string& source = "clone");
@@ -139,8 +149,9 @@ std::uint64_t publish_clone(ModelStore& store, const Network& trained,
 /// publish_clone with a shard-count override: every hashed layer of the
 /// published snapshot is re-partitioned into `shards` model-parallel LSH
 /// shards (core/sharded_layer.h) regardless of how the trainer's network is
-/// laid out — the checkpoint-v3 loader reshards the weight blocks by global
-/// row index, so the served parameters are bit-identical to the trainer's.
+/// laid out — the copy scatters the trainer's shard blocks into the new
+/// partition by global row index, so the served parameters are
+/// bit-identical to the trainer's.
 /// `shards` = 0 publishes the monolithic layout; this is how a v2-era
 /// monolithic model is re-published as a sharded serving snapshot (and how
 /// a sharded trainer publishes a monolithic one).

@@ -540,6 +540,36 @@ TEST(Churn, PublishNowForcesSnapshotOffCadence) {
   engine.stop();
 }
 
+TEST(Churn, PublishSecondsGrowOnEveryPublish) {
+  const auto data = tiny_data();
+  auto master = std::make_shared<Network>(net_config(data, /*shards=*/2), 2);
+  auto store = std::make_shared<ModelStore>(
+      std::make_shared<Network>(net_config(data, 2), 2));
+  InferenceEngine engine(store, ServeConfig{.num_workers = 1});
+  OnlineUpdateConfig ocfg;
+  ocfg.publish_every = 1000;  // only publish_now publishes
+  engine.enable_online_updates(master, ocfg);
+  EXPECT_EQ(engine.stats().online_publish_seconds, 0.0);
+  double last = 0.0;
+  for (int k = 1; k <= 3; ++k) {
+    OnlineDelta delta;
+    delta.add_units = 2;
+    engine.update(delta);
+    engine.publish_now();
+    const ServeStats stats = engine.stats();
+    EXPECT_EQ(stats.online_publishes, static_cast<std::uint64_t>(k));
+    EXPECT_GT(stats.online_publish_seconds, last) << "publish " << k;
+    last = stats.online_publish_seconds;
+  }
+  // Exported beside the publish count, as a counter.
+  const std::string text = render_prometheus(engine.stats());
+  EXPECT_NE(text.find("# TYPE slide_online_publish_seconds_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("slide_online_publish_seconds_total "),
+            std::string::npos);
+  engine.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Distributed grow/retire RPCs (protocol v3)
 // ---------------------------------------------------------------------------
@@ -582,6 +612,34 @@ TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
       EXPECT_EQ(std::count(top.begin(), top.end(), before + 1), 0);
       for (Index label : top) EXPECT_LT(label, before + 4);
     }
+
+    // A copy reads the remote shards through the Layer surface a
+    // checkpoint writer uses, so an in-process S=3 copy holds what a
+    // save/load round trip into the same layout holds.
+    net.flush_maintenance();
+    NetworkConfig local = net.config();
+    local.layers.back().endpoints.clear();
+    local.layers.back().shards = 3;
+    std::stringstream checkpoint(std::ios::in | std::ios::out |
+                                 std::ios::binary);
+    save_weights(net, checkpoint);
+    Network round_trip(local, 1);
+    load_weights(round_trip, checkpoint);
+    const auto copy = copy_network(local, net, 1, nullptr);
+    const Layer& want = round_trip.stack(round_trip.stack_depth() - 1);
+    const Layer& got = copy->stack(copy->stack_depth() - 1);
+    ASSERT_EQ(got.num_shards(), 3);
+    for (int s = 0; s < 3; ++s) {
+      EXPECT_TRUE(std::ranges::equal(want.shard_weights(s),
+                                     got.shard_weights(s)));
+      EXPECT_TRUE(std::ranges::equal(want.shard_bias(s), got.shard_bias(s)));
+    }
+    EXPECT_EQ(got.retired_unit_ids(), (std::vector<Index>{0, before + 1}));
+    InferenceContext ctx_a(round_trip, 7);
+    InferenceContext ctx_b(*copy, 7);
+    for (std::size_t i = 0; i < 20; ++i)
+      EXPECT_EQ(round_trip.predict_topk(data.test[i].features, ctx_a, 5),
+                copy->predict_topk(data.test[i].features, ctx_b, 5));
     dist::shutdown_workers(*layer);
   }
   for (auto& w : workers) w->stop();

@@ -47,10 +47,12 @@ NetworkConfig net_config(const SyntheticDataset& data,
   return cfg;
 }
 
+/// Trains on one thread: HOGWILD updates on two would make the fixture
+/// model, and the agreement counts the tiers are held to, vary run to run.
 void train_a_bit(Network& net, const Dataset& train, int iters = 80) {
   TrainerConfig tc;
   tc.batch_size = 16;
-  tc.num_threads = 2;
+  tc.num_threads = 1;
   tc.learning_rate = 5e-3f;
   Trainer trainer(net, tc);
   trainer.train(train, iters);

@@ -7,12 +7,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "core/builder.h"
 #include "core/serialize.h"
+#include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "serve/engine.h"
@@ -48,12 +51,14 @@ NetworkConfig planted_config(const SyntheticDataset& data) {
   return cfg;
 }
 
+/// Trains on one thread: HOGWILD updates on two would make the model, and
+/// the agreement counts tests hold it to, vary from run to run.
 std::shared_ptr<const Network> trained_network(const SyntheticDataset& data,
                                                long iterations = 100) {
   auto net = std::make_shared<Network>(planted_config(data), 2);
   TrainerConfig tc;
   tc.batch_size = 32;
-  tc.num_threads = 2;
+  tc.num_threads = 1;
   tc.learning_rate = 5e-3f;
   Trainer trainer(*net, tc);
   trainer.train(data.train, iterations);
@@ -388,6 +393,260 @@ TEST(ModelStore, LoadCheckpointRejectsArchitectureMismatch) {
   EXPECT_THROW(store->load_checkpoint(wrong, checkpoint, "mismatch", 1),
                Error);
   EXPECT_EQ(store->version(), 1u);  // store unchanged on failure
+}
+
+// ---- Publish and boot by copy ----------------------------------------------
+
+/// The planted task with a ReLU mid-stack layer and an output layer split
+/// into `shards` (0 = monolithic). Buckets are small enough to saturate,
+/// so the tables' reservoir draws are part of what the tests compare.
+NetworkConfig churn_config(const SyntheticDataset& data, int shards) {
+  HashFamilyConfig family;
+  family.kind = HashFamilyKind::kSimhash;
+  family.k = 3;
+  family.l = 8;
+  NetworkBuilder b(data.train.feature_dim());
+  b.dense(16).dense(24).sampled(data.train.label_dim(), family, 20);
+  b.table({.range_pow = 5, .bucket_size = 3});
+  if (shards > 0) b.shards(shards);
+  return b.max_batch(32).seed(77).to_config();
+}
+
+/// One single-threaded training pass over `samples` in max-batch chunks.
+void train_samples(Network& net, std::span<const Sample> samples, Rng& rng,
+                   long& iteration) {
+  VisitedSet visited(net.max_sampled_units());
+  const std::size_t batch = static_cast<std::size_t>(net.max_batch_size());
+  for (std::size_t done = 0; done < samples.size(); done += batch) {
+    const std::size_t n = std::min(batch, samples.size() - done);
+    for (std::size_t s = 0; s < n; ++s)
+      net.train_sample(static_cast<int>(s), samples[done + s],
+                       1.0f / static_cast<float>(n), rng, visited, 0);
+    net.apply_updates(5e-3f, nullptr);
+    net.maybe_rebuild(++iteration, nullptr);
+  }
+}
+
+/// A master trained, then put through three churn ticks (grow 8, retire
+/// the 8 grown two ticks earlier, train 64 samples, a quarter of them on
+/// the new labels). Its output layer ends wider than its config was
+/// built, with its growth all on the last shard, so its partition differs
+/// from the one a network built from its config would have.
+std::shared_ptr<Network> churned_master(const SyntheticDataset& data,
+                                        int shards) {
+  auto master = std::make_shared<Network>(churn_config(data, shards), 1);
+  Rng rng(5);
+  long iteration = 0;
+  const auto train = data.train.samples();
+  train_samples(*master, train, rng, iteration);
+  master->retire_output_units(std::vector<Index>{3, 17});
+  std::vector<std::vector<Index>> grown;
+  std::size_t cursor = 0;
+  for (int tick = 0; tick < 3; ++tick) {
+    const Index first = master->add_output_units(8);
+    grown.emplace_back();
+    for (Index u = 0; u < 8; ++u) grown.back().push_back(first + u);
+    if (grown.size() >= 3) master->retire_output_units(grown[grown.size() - 3]);
+    std::vector<Sample> samples;
+    for (std::size_t s = 0; s < 64; ++s) {
+      Sample sample = train[cursor++ % train.size()];
+      if (s % 4 == 0) sample.labels = {first + rng.uniform(8)};
+      samples.push_back(std::move(sample));
+    }
+    train_samples(*master, samples, rng, iteration);
+  }
+  master->flush_maintenance();
+  return master;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The in-process table sets of a stack layer, one per shard.
+std::vector<const MaintainedTables*> tables_of(const Layer& layer) {
+  std::vector<const MaintainedTables*> out;
+  if (const auto* sharded = dynamic_cast<const ShardedSampledLayer*>(&layer)) {
+    for (int s = 0; s < sharded->shards(); ++s)
+      out.push_back(sharded->shard(s).tables());
+  } else if (const auto* sampled = dynamic_cast<const SampledLayer*>(&layer)) {
+    if (sampled->tables() != nullptr) out.push_back(sampled->tables());
+  }
+  return out;
+}
+
+/// Asserts that `got` holds and serves exactly the model `want` does: every
+/// parameter bit for bit, the partition, tombstones and table health, the
+/// bucket contents for 200 probe queries, and the sampled top-5 answers
+/// over the test split from one context seed.
+void expect_same_snapshot(const Network& want, const Network& got,
+                          const Dataset& test) {
+  ASSERT_EQ(want.precision(), got.precision());
+  EXPECT_TRUE(same_bits(want.embedding().weights_span(),
+                        got.embedding().weights_span()));
+  EXPECT_TRUE(
+      same_bits(want.embedding().bias_span(), got.embedding().bias_span()));
+  ASSERT_EQ(want.stack_depth(), got.stack_depth());
+  for (int i = 0; i < want.stack_depth(); ++i) {
+    SCOPED_TRACE("stack layer " + std::to_string(i));
+    const Layer& a = want.stack(i);
+    const Layer& b = got.stack(i);
+    ASSERT_EQ(a.units(), b.units());
+    ASSERT_EQ(a.num_shards(), b.num_shards());
+    for (int s = 0; s < a.num_shards(); ++s) {
+      EXPECT_EQ(a.shard_row_offset(s), b.shard_row_offset(s)) << "shard " << s;
+      EXPECT_TRUE(same_bits(a.shard_weights(s), b.shard_weights(s)))
+          << "shard " << s;
+      EXPECT_TRUE(same_bits(a.shard_bias(s), b.shard_bias(s)))
+          << "shard " << s;
+    }
+    EXPECT_EQ(a.retired_unit_ids(), b.retired_unit_ids());
+    EXPECT_EQ(a.appended_units(), b.appended_units());
+    EXPECT_EQ(a.inference_weight_bytes(), b.inference_weight_bytes());
+    const TableHealth ha = a.table_health();
+    const TableHealth hb = b.table_health();
+    EXPECT_EQ(ha.buckets, hb.buckets);
+    EXPECT_EQ(ha.occupied, hb.occupied);
+    EXPECT_EQ(ha.saturated, hb.saturated);
+
+    const std::vector<const MaintainedTables*> ta = tables_of(a);
+    const std::vector<const MaintainedTables*> tb = tables_of(b);
+    ASSERT_EQ(ta.size(), tb.size());
+    Rng rng(99);
+    std::vector<float> query(a.fan_in());
+    std::vector<std::span<const Index>> ba, bb;
+    for (int q = 0; q < 200; ++q) {
+      for (float& v : query) v = rng.normal();
+      for (std::size_t t = 0; t < ta.size(); ++t) {
+        std::vector<std::uint32_t> keys(static_cast<std::size_t>(ta[t]->l()));
+        ta[t]->query_keys_dense(query.data(), keys);
+        ta[t]->buckets(keys, ba);
+        tb[t]->buckets(keys, bb);
+        ASSERT_EQ(ba.size(), bb.size());
+        for (std::size_t k = 0; k < ba.size(); ++k)
+          ASSERT_TRUE(std::ranges::equal(ba[k], bb[k]))
+              << "query " << q << ", shard " << t << ", table " << k;
+      }
+    }
+  }
+  InferenceContext ctx_a(want, 7);
+  InferenceContext ctx_b(got, 7);
+  for (const Sample& s : test.samples())
+    ASSERT_EQ(want.predict_topk(s.features, ctx_a, 5),
+              got.predict_topk(s.features, ctx_b, 5));
+}
+
+TEST(ModelStore, PublishCloneEqualsCheckpointRoundTrip) {
+  const auto data = planted();
+  struct Case {
+    const char* name;
+    int master_shards;
+    int publish_shards;  // -1: publish_clone at the master's layout
+    Precision precision;
+  };
+  const Case cases[] = {
+      {"monolithic", 0, -1, Precision::kFP32},
+      {"S=1", 1, -1, Precision::kFP32},
+      {"S=4", 4, -1, Precision::kFP32},
+      {"reshard 0->4", 0, 4, Precision::kFP32},
+      {"reshard 4->0", 4, 0, Precision::kFP32},
+      {"reshard 4->2", 4, 2, Precision::kFP32},
+      {"S=4 as bf16", 4, -1, Precision::kBF16},
+      {"S=4 as int8", 4, -1, Precision::kInt8},
+  };
+  std::map<int, std::shared_ptr<Network>> masters;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto& master = masters[c.master_shards];
+    if (master == nullptr) master = churned_master(data, c.master_shards);
+
+    // The round trip publish_clone used to take: the config the publish
+    // serves, a randomly initialized Network of it, then a reload.
+    NetworkConfig config = master->config();
+    config.precision = c.precision;
+    if (c.publish_shards >= 0) {
+      for (LayerSpec& spec : config.layers)
+        if (spec.hashed) spec.shards = c.publish_shards;
+    }
+    std::stringstream checkpoint(std::ios::in | std::ios::out |
+                                 std::ios::binary);
+    save_weights(*master, checkpoint);
+    const std::string bytes = checkpoint.str();
+    Network round_trip(config, 1);
+    load_weights(round_trip, checkpoint);
+    // What the comparison covers: tombstones, saturated buckets, and for
+    // S=4 a master partition the published layout does not share.
+    const Layer& out = round_trip.stack(round_trip.stack_depth() - 1);
+    EXPECT_EQ(out.retired_count(), 10);
+    EXPECT_GT(out.table_health().saturated, 0u);
+    if (c.master_shards == 4 && out.num_shards() == 4)
+      EXPECT_NE(out.shard_row_offset(3),
+                master->stack(master->stack_depth() - 1).shard_row_offset(3));
+
+    auto store = std::make_shared<ModelStore>(trained_network(data, 5));
+    if (c.publish_shards >= 0) {
+      publish_clone_sharded(*store, *master, c.publish_shards, 2);
+    } else {
+      publish_clone(*store, *master, c.precision, 2);
+    }
+    expect_same_snapshot(round_trip, *store->current()->network, data.test);
+
+    // A boot of the same bytes builds the same network too.
+    std::stringstream in(bytes);
+    store->load_checkpoint(config, in, "boot", 1);
+    expect_same_snapshot(round_trip, *store->current()->network, data.test);
+  }
+}
+
+TEST(ModelStore, BootOfGrownCheckpointEqualsLoadWeights) {
+  const auto data = planted();
+  const std::string path =
+      testing::TempDir() + "slide_test_serve_grown_checkpoint.bin";
+  for (int shards : {0, 4}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const auto master = churned_master(data, shards);
+    save_weights_file(*master, path);
+    // The original config is 24 rows narrower than the file: the boot
+    // re-grows its output layer with add_units before any table is built.
+    const NetworkConfig original = churn_config(data, shards);
+    Network reference(original, 1);
+    load_weights_file(reference, path);
+    auto store = ModelStore::from_checkpoint_file(original, path, 1);
+    EXPECT_EQ(store->current()->network->output_dim(), master->output_dim());
+    expect_same_snapshot(reference, *store->current()->network, data.test);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ModelStore, FailedPublishOrBootLeavesStoreUnchanged) {
+  const auto data = planted();
+  const auto master = churned_master(data, 4);
+  std::stringstream checkpoint(std::ios::in | std::ios::out |
+                               std::ios::binary);
+  save_weights(*master, checkpoint);
+  const std::string bytes = checkpoint.str();
+  auto store = std::make_shared<ModelStore>(trained_network(data, 5));
+  const auto before = store->current();
+  auto expect_unchanged = [&] {
+    EXPECT_EQ(store->version(), before->version);
+    EXPECT_EQ(store->current(), before);
+  };
+  // A boot cut inside the output layer's parameter blocks (a mismatched
+  // boot: LoadCheckpointRejectsArchitectureMismatch).
+  std::stringstream in(bytes.substr(0, bytes.size() - 1000));
+  EXPECT_THROW(store->load_checkpoint(master->config(), in, "cut", 1), Error);
+  expect_unchanged();
+  // A copy into a mismatched architecture, and a publish into more shards
+  // than the layer has rows.
+  NetworkConfig wrong = master->config();
+  wrong.hidden_units += 1;
+  EXPECT_THROW(copy_network(wrong, *master, 1, nullptr), Error);
+  EXPECT_THROW(publish_clone_sharded(*store, *master,
+                                     static_cast<int>(master->output_dim()) + 1,
+                                     1),
+               Error);
+  expect_unchanged();
 }
 
 // ---- InferenceEngine ------------------------------------------------------
