@@ -3,13 +3,18 @@
 // sizes the engine actually uses (128 = hidden width; 4096 = wide-embedding
 // column strips). Each row takes an on/off argument (1 = best detected
 // level, 0 = scalar) so the historical BENCH metric names stay stable;
-// bench/micro_backend sweeps the explicit per-level tables.
+// bench/micro_backend sweeps the explicit per-level tables. BM_ApplyUpdates
+// times the whole lazy-Adam stage of a layer, the step these kernels feed.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "core/layer.h"
 #include "simd/kernels.h"
 #include "sys/rng.h"
+#include "sys/thread_pool.h"
 
 namespace slide {
 namespace {
@@ -100,6 +105,50 @@ void BM_AdamStep(benchmark::State& state) {
   simd::set_simd_level(simd::detected_level());
 }
 BENCHMARK(BM_AdamStep)->Args({128, 1})->Args({128, 0});
+
+// One SampledLayer::apply_updates at train-amazon's output shape (24k
+// labels x 128 hidden) on a pool of range(0) threads. A batch of 256
+// samples x 480 sampled rows touches each row with probability
+// 1 - (1 - 480/24000)^256, about 99%, first in sampled (random) order; the
+// backward that re-accumulates those rows' gradients runs outside the
+// timed region.
+void BM_ApplyUpdates(benchmark::State& state) {
+  constexpr Index kUnits = 24'000;
+  constexpr Index kFanIn = 128;
+  SampledLayer::Config cfg;
+  cfg.units = kUnits;
+  cfg.fan_in = kFanIn;
+  cfg.hashed = false;
+  SampledLayer layer(cfg, /*batch_slots=*/1, /*max_threads=*/1);
+  ThreadPool pool(static_cast<int>(state.range(0)));
+
+  Rng rng(12);
+  ActiveSet& active = layer.slot(0);
+  for (Index u = 0; u < kUnits; ++u) {
+    if (rng.uniform_double() < 0.994) active.ids.push_back(u);
+  }
+  std::shuffle(active.ids.begin(), active.ids.end(), rng);
+  active.err.resize(active.ids.size());
+  for (auto& e : active.err) e = 1e-3f * rng.normal();
+  ActiveSet prev;  // the dense hidden layer below
+  prev.dense_width = kFanIn;
+  prev.act.resize(kFanIn);
+  prev.err.resize(kFanIn);
+  for (auto& a : prev.act) a = std::abs(rng.normal());
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::fill(prev.err.begin(), prev.err.end(), 0.0f);
+    layer.backward(0, prev, 0);
+    state.ResumeTiming();
+    layer.apply_updates(1e-3f, &pool);
+    benchmark::DoNotOptimize(layer.weight_row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(active.ids.size()));
+}
+BENCHMARK(BM_ApplyUpdates)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace slide

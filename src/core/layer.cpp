@@ -181,9 +181,8 @@ void Layer::forward_inference_topk(std::span<const Index> prev_ids,
 
 EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
                                float init_stddev, int batch_slots,
-                               int max_threads, const AdamConfig& adam,
-                               std::uint64_t seed, Precision precision,
-                               ParamInit init)
+                               const AdamConfig& adam, std::uint64_t seed,
+                               Precision precision, ParamInit init)
     : input_dim_(input_dim),
       units_(units),
       precision_(precision),
@@ -194,8 +193,7 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
       adam_(adam, static_cast<std::size_t>(input_dim) * units + units) {
   SLIDE_CHECK(input_dim_ > 0 && units_ > 0,
               "EmbeddingLayer: dimensions must be positive");
-  SLIDE_CHECK(batch_slots > 0 && max_threads > 0,
-              "EmbeddingLayer: slots/threads must be positive");
+  SLIDE_CHECK(batch_slots > 0, "EmbeddingLayer: slots must be positive");
   if (!init.deferred()) {
     Rng rng(seed);
     init_normal(weights_.data(), weights_.size(),
@@ -211,7 +209,6 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
   // C++20 value-initializes atomics: the array starts zeroed.
   column_touched_ =
       std::make_unique<std::atomic<std::uint8_t>[]>(input_dim_);
-  touched_lists_.resize(static_cast<std::size_t>(max_threads));
 
   // Allocate the quantized mirror up front so later refreshes are noexcept
   // (re-quantize in place, no reallocation). Exactly one mirror exists,
@@ -296,7 +293,7 @@ void EmbeddingLayer::forward_inference(const SparseVector& x,
   }
 }
 
-void EmbeddingLayer::backward(int slot, const SparseVector& x, int tid) {
+void EmbeddingLayer::backward(int slot, const SparseVector& x) {
   ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
   // ReLU': activations are post-ReLU, so act > 0 <=> pre-activation > 0.
   for (Index j = 0; j < units_; ++j) {
@@ -311,7 +308,6 @@ void EmbeddingLayer::backward(int slot, const SparseVector& x, int tid) {
 
   const auto idx = x.indices();
   const auto val = x.values();
-  auto& touched = touched_lists_[static_cast<std::size_t>(tid)];
   for (std::size_t i = 0; i < idx.size(); ++i) {
     const Index c = idx[i];
     float* g = grads_.data() + static_cast<std::size_t>(c) * units_;
@@ -321,8 +317,9 @@ void EmbeddingLayer::backward(int slot, const SparseVector& x, int tid) {
                          units_);
     }
     simd::axpy(val[i], s.err.data(), g, units_);
-    if (column_touched_[c].exchange(1, std::memory_order_relaxed) == 0)
-      touched.push_back(c);
+    // Load before store: no locked exchange, and a set flag stays shared.
+    if (column_touched_[c].load(std::memory_order_relaxed) == 0)
+      column_touched_[c].store(1, std::memory_order_relaxed);
   }
 }
 
@@ -334,29 +331,23 @@ void EmbeddingLayer::apply_updates(float lr, ThreadPool* pool) {
   adam_.update_span(bias_.data(), bias_grad_.data(), bias_base, units_, lr);
   std::fill(bias_grad_.begin(), bias_grad_.end(), 0.0f);
 
-  // Note: must NOT be thread_local — the lambda below runs on pool workers,
-  // and thread_locals are not captured (each worker would see its own,
-  // empty, instance).
-  std::vector<Index>& cols = apply_scratch_;
-  cols.clear();
-  for (auto& list : touched_lists_) {
-    cols.insert(cols.end(), list.begin(), list.end());
-    list.clear();
-  }
-
-  auto apply_column = [&](std::size_t k, int) {
-    const Index c = cols[k];
-    float* w = weight_column(c);
-    float* g = grads_.data() + static_cast<std::size_t>(c) * units_;
-    adam_.update_span(w, g, static_cast<std::size_t>(c) * units_, units_, lr);
-    std::fill(g, g + units_, 0.0f);
-    column_touched_[c].store(0, std::memory_order_relaxed);
+  // Columns are independent, so each thread walks one contiguous slice of
+  // the touch flags in ascending order, and w, g and the Adam moments
+  // stream forward.
+  auto apply_columns = [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t c = begin; c < end; ++c) {
+      if (column_touched_[c].load(std::memory_order_relaxed) == 0) continue;
+      float* g = grads_.data() + c * units_;
+      adam_.update_span(weights_.data() + c * units_, g, c * units_, units_,
+                        lr);
+      std::fill(g, g + units_, 0.0f);
+      column_touched_[c].store(0, std::memory_order_relaxed);
+    }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && cols.size() > 64) {
-    pool->parallel_for(cols.size(), apply_column);
-  } else {
-    for (std::size_t k = 0; k < cols.size(); ++k) apply_column(k, 0);
-  }
+  if (pool != nullptr)
+    pool->parallel_range(input_dim_, apply_columns);
+  else
+    apply_columns(0, input_dim_, 0);
 }
 
 // ===========================================================================
@@ -393,7 +384,6 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
   touched_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
-  touched_lists_.resize(static_cast<std::size_t>(max_threads));
   sampling_time_ = std::vector<PaddedDouble>(
       static_cast<std::size_t>(max_threads));
   compute_time_ = std::vector<PaddedDouble>(
@@ -636,9 +626,13 @@ void SampledLayer::compute_activations(ActiveSet& s,
   const std::size_t n = s.ids.size();
   s.act.resize(n);
   s.err.assign(n, 0.0f);
+  // A dense prev reads every line of a candidate row; a sparse one reads a
+  // few scattered entries, and fetching the row's first line serves it.
+  const std::size_t ahead = prev.dense() ? fan_in_ * sizeof(float) : 1;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n)
-      prefetch_read(weight_row(s.ids[i + kPrefetchDistance]));
+      prefetch_span</*write=*/false>(weight_row(s.ids[i + kPrefetchDistance]),
+                                     ahead);
     s.act[i] = activation_of(s.ids[i], prev_ids, prev_act);
   }
   if (config_.activation == Activation::kReLU)
@@ -732,9 +726,16 @@ void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
   std::unique_lock<std::mutex> lock;
   if (use_locks_) lock = std::unique_lock(accum_mutex_);
 
-  auto& touched = touched_lists_[static_cast<std::size_t>(tid)];
   const std::size_t prev_n = prev.size();
+  // Against a dense prev each sampled row's gradient is written whole.
+  const bool prefetch_rows = !s.dense() && prev.dense();
   for (std::size_t i = 0; i < n; ++i) {
+    if (prefetch_rows && i + kPrefetchDistance < n) {
+      const std::size_t next = s.ids[i + kPrefetchDistance];
+      prefetch_span</*write=*/true>(grads_.data() + next * fan_in_,
+                                    fan_in_ * sizeof(float));
+      prefetch_write(&bias_grad_[next]);
+    }
     const float delta = s.err[i];
     if (delta == 0.0f) continue;
     const Index u = s.dense() ? static_cast<Index>(i) : s.ids[i];
@@ -753,8 +754,8 @@ void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
         g[j] += delta * prev.act[p];
       }
     }
-    if (touched_[u].exchange(1, std::memory_order_relaxed) == 0)
-      touched.push_back(u);
+    if (touched_[u].load(std::memory_order_relaxed) == 0)
+      touched_[u].store(1, std::memory_order_relaxed);
   }
   auto& acc = compute_time_[static_cast<std::size_t>(tid)].value;
   acc.store(acc.load(std::memory_order_relaxed) + timer.seconds(),
@@ -764,51 +765,41 @@ void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
 void SampledLayer::apply_updates(float lr, ThreadPool* pool) {
   adam_.step_begin();
 
-  // Member scratch, not thread_local: the lambda runs on pool workers and
-  // thread_locals are not captured across threads.
-  std::vector<Index>& units = apply_scratch_;
-  units.clear();
-  for (auto& list : touched_lists_) {
-    units.insert(units.end(), list.begin(), list.end());
-    list.clear();
-  }
-
   const std::size_t bias_base = static_cast<std::size_t>(units_) * fan_in_;
   const bool memo = config_.incremental_rehash && simhash_ != nullptr;
 
-  auto apply_unit = [&](std::size_t k, int) {
-    const Index u = units[k];
-    float* w = weight_row(u);
-    float* g = grads_.data() + static_cast<std::size_t>(u) * fan_in_;
+  // Ascending rows, one contiguous slice per thread, as in the embedding.
+  auto apply_rows = [&](std::size_t begin, std::size_t end, int) {
     thread_local std::vector<float> old_row;
-    if (memo) old_row.assign(w, w + fan_in_);
+    for (std::size_t u = begin; u < end; ++u) {
+      if (touched_[u].load(std::memory_order_relaxed) == 0) continue;
+      float* w = weights_.data() + u * fan_in_;
+      float* g = grads_.data() + u * fan_in_;
+      if (memo) old_row.assign(w, w + fan_in_);
 
-    adam_.update_span(w, g, static_cast<std::size_t>(u) * fan_in_, fan_in_,
-                      lr);
-    std::fill(g, g + fan_in_, 0.0f);
-    adam_.update_at(&bias_[u], bias_grad_[u], bias_base + u, lr);
-    bias_grad_[u] = 0.0f;
-    touched_[u].store(0, std::memory_order_relaxed);
+      adam_.update_span(w, g, u * fan_in_, fan_in_, lr);
+      std::fill(g, g + fan_in_, 0.0f);
+      adam_.update_at(&bias_[u], bias_grad_[u], bias_base + u, lr);
+      bias_grad_[u] = 0.0f;
+      touched_[u].store(0, std::memory_order_relaxed);
 
-    if (memo) {
-      // Paper §4.2 heuristic 3: propagate only the changed coordinates into
-      // the memoized projection values.
-      float* memo_row = projection_memo_.data() +
-                        static_cast<std::size_t>(u) *
-                            static_cast<std::size_t>(
-                                simhash_->num_projections());
-      for (Index d = 0; d < fan_in_; ++d) {
-        const float delta = w[d] - old_row[d];
-        if (delta != 0.0f) simhash_->update_projections(d, delta, memo_row);
+      if (memo) {
+        // Paper §4.2 heuristic 3: propagate only the changed coordinates
+        // into the memoized projection values.
+        float* memo_row = projection_memo_.data() +
+                          u * static_cast<std::size_t>(
+                                  simhash_->num_projections());
+        for (Index d = 0; d < fan_in_; ++d) {
+          const float delta = w[d] - old_row[d];
+          if (delta != 0.0f) simhash_->update_projections(d, delta, memo_row);
+        }
       }
     }
   };
-
-  if (pool != nullptr && pool->num_threads() > 1 && units.size() > 16) {
-    pool->parallel_for(units.size(), apply_unit);
-  } else {
-    for (std::size_t k = 0; k < units.size(); ++k) apply_unit(k, 0);
-  }
+  if (pool != nullptr)
+    pool->parallel_range(units_, apply_rows);
+  else
+    apply_rows(0, units_, 0);
 }
 
 bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {

@@ -336,8 +336,7 @@ class ParamInit {
 class EmbeddingLayer {
  public:
   EmbeddingLayer(Index input_dim, Index units, float init_stddev,
-                 int batch_slots, int max_threads, const AdamConfig& adam,
-                 std::uint64_t seed,
+                 int batch_slots, const AdamConfig& adam, std::uint64_t seed,
                  Precision precision = Precision::kFP32,
                  ParamInit init = {});
 
@@ -355,10 +354,10 @@ class EmbeddingLayer {
 
   /// Consumes the error accumulated in the slot by upper layers: applies
   /// ReLU', accumulates weight/bias gradients, marks touched columns.
-  void backward(int slot, const SparseVector& x, int tid);
+  void backward(int slot, const SparseVector& x);
 
-  /// Applies lazy Adam to all touched columns (+ the bias row) and clears
-  /// gradients and touch marks. Single caller at a time.
+  /// Applies lazy Adam to all touched columns (+ the bias row) in column
+  /// order and clears gradients and touch marks. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool);
 
   ActiveSet& slot(int s) { return slots_[static_cast<std::size_t>(s)]; }
@@ -436,8 +435,6 @@ class EmbeddingLayer {
   std::vector<ActiveSet> slots_;
 
   std::unique_ptr<std::atomic<std::uint8_t>[]> column_touched_;
-  std::vector<std::vector<Index>> touched_lists_;  // per thread
-  std::vector<Index> apply_scratch_;  // merged touched list (apply_updates)
   bool use_locks_ = false;
   std::mutex accum_mutex_;
 };
@@ -525,8 +522,8 @@ class SampledLayer : public Layer {
   /// the slot's active neurons; marks them touched.
   void backward(int slot, ActiveSet& prev, int tid) override;
 
-  /// Lazy Adam over touched neurons; keeps the Simhash memo in sync when
-  /// incremental rehash is on. Single caller at a time.
+  /// Lazy Adam over touched neurons in row order; keeps the Simhash memo in
+  /// sync when incremental rehash is on. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool) override;
 
   /// Fires a maintenance event when the schedule (paper §4.2) is due;
@@ -733,8 +730,6 @@ class SampledLayer : public Layer {
   HugeArray projection_memo_;         // [units x K*L] when incremental
 
   std::unique_ptr<std::atomic<std::uint8_t>[]> touched_;
-  std::vector<std::vector<Index>> touched_lists_;
-  std::vector<Index> apply_scratch_;  // merged touched list (apply_updates)
   bool use_locks_ = false;
   std::mutex accum_mutex_;
 

@@ -19,8 +19,8 @@ Network::Network(const NetworkConfig& config, int max_threads,
   Rng seeder(config_.seed);
   embedding_ = std::make_unique<EmbeddingLayer>(
       config_.input_dim, config_.hidden_units, config_.hidden_init_stddev,
-      config_.max_batch_size, max_threads, config_.adam, seeder(),
-      config_.precision, init);
+      config_.max_batch_size, config_.adam, seeder(), config_.precision,
+      init);
 
   Index fan_in = config_.hidden_units;
   for (const LayerSpec& spec : config_.layers) {
@@ -84,7 +84,7 @@ float Network::train_sample(int slot, const Sample& sample, float inv_batch,
       layers_[static_cast<std::size_t>(i)]->compute_relu_deltas(slot);
     layers_[static_cast<std::size_t>(i)]->backward(slot, below, tid);
   }
-  embedding_->backward(slot, sample.features, tid);
+  embedding_->backward(slot, sample.features);
   return loss;
 }
 

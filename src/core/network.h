@@ -164,7 +164,7 @@ class TopKIterator {
 /// out.
 class Network {
  public:
-  /// max_threads sizes the per-thread structures (touched lists, timers);
+  /// max_threads sizes the per-thread structures (phase timers);
   /// pass the trainer's thread count (or more).
   Network(const NetworkConfig& config, int max_threads)
       : Network(config, max_threads, ParamInit{}) {}

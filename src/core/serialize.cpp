@@ -281,15 +281,17 @@ void fill(Network& network, FillSource& source, ThreadPool* pool) {
     Layer& layer = network.stack(i);
     const LayerShape shape = source.shape(i, layer);
     // A target narrower than the source re-grows by up to the rows the
-    // source appended online (add_units), so a network built from the
-    // original config takes a grown model; any other width difference is
-    // an error.
+    // source appended online (add_output_units), so a network built from
+    // the original config takes a grown model; any other width difference
+    // is an error. Growing through the network keeps its config at the
+    // grown width, which later publishes and checkpoints read.
     const Index units = layer.units();
     if (shape.units != units) {
-      SLIDE_CHECK(shape.units > units && shape.units - units <= shape.appended,
+      SLIDE_CHECK(i + 1 == network.stack_depth() && shape.units > units &&
+                      shape.units - units <= shape.appended,
                   "layer width mismatch: the source is narrower than the "
-                  "target or wider by more than its appended rows");
-      layer.add_units(shape.units - units);
+                  "target or wider by more than its appended output rows");
+      network.add_output_units(shape.units - units);
     }
     source.rows(i, layer);
     layer.on_weights_loaded();

@@ -151,8 +151,8 @@ Frame ShardWorker::handle_init(const Frame& f) {
   num_shards_ = m.num_shards;
   row_offset_ = m.row_offset;
   global_units_ = m.global_units;
-  // max_threads = 1: RPCs arrive sequentially, so one HOGWILD touched list
-  // suffices (tid is always 0 below).
+  // max_threads = 1: RPCs arrive sequentially, so one set of per-thread
+  // phase timers suffices (tid is always 0 below).
   layer_ = std::make_unique<SampledLayer>(m.config, m.batch_slots,
                                           /*max_threads=*/1);
   visited_ = std::make_unique<VisitedSet>(m.config.units);

@@ -3,6 +3,8 @@
 // Prefetching" — prefetch weight W[i+d] while updating W[i]).
 #pragma once
 
+#include "sys/common.h"
+
 namespace slide {
 
 /// Depth of the software pipeline: how many items ahead to prefetch while
@@ -26,6 +28,18 @@ inline void prefetch_write(const void* addr) noexcept {
 #else
   (void)addr;
 #endif
+}
+
+/// Prefetch every cache line of the `bytes` bytes at `addr`: a whole weight
+/// row that a loop reads (or, with `kWrite`, writes) all of.
+template <bool kWrite>
+inline void prefetch_span(const void* addr, std::size_t bytes) noexcept {
+  const auto start = reinterpret_cast<std::uintptr_t>(addr);
+  for (auto line = start & ~(kCacheLineSize - 1); line < start + bytes;
+       line += kCacheLineSize) {
+    if constexpr (kWrite) prefetch_write(reinterpret_cast<const void*>(line));
+    else prefetch_read(reinterpret_cast<const void*>(line));
+  }
 }
 
 }  // namespace slide

@@ -1,6 +1,6 @@
 // Layer-level tests: forward correctness against manual computation,
 // numerical gradient checks through the full embedding->softmax stack,
-// active-set construction (forced labels, random fill), touched-unit
+// active-set construction (forced labels, random fill), touched-row
 // tracking, and the lazy-update contract.
 #include <gtest/gtest.h>
 
@@ -20,8 +20,7 @@ SparseVector make_input() {
 
 EmbeddingLayer make_embedding(Index input_dim = 6, Index units = 4) {
   return EmbeddingLayer(input_dim, units, /*init_stddev=*/0.4f,
-                        /*batch_slots=*/4, /*max_threads=*/2, AdamConfig{},
-                        /*seed=*/101);
+                        /*batch_slots=*/4, AdamConfig{}, /*seed=*/101);
 }
 
 SampledLayer::Config dense_softmax_config(Index units, Index fan_in) {
@@ -69,7 +68,7 @@ TEST(EmbeddingLayer, BackwardAccumulatesGradOnlyAtInputSupport) {
   layer.forward(0, x);
   auto& s = layer.slot(0);
   for (Index j = 0; j < layer.units(); ++j) s.err[j] = 1.0f;
-  layer.backward(0, x, /*tid=*/0);
+  layer.backward(0, x);
   const std::set<Index> support(x.indices().begin(), x.indices().end());
   for (Index c = 0; c < layer.input_dim(); ++c) {
     const float* g = layer.gradient_column(c);
@@ -90,7 +89,7 @@ TEST(EmbeddingLayer, ReluGateZeroesDeadDeltas) {
   auto& s = layer.slot(0);
   // Find a dead unit (act == 0) if any; force one by biasing err.
   for (Index j = 0; j < layer.units(); ++j) s.err[j] = 2.0f;
-  layer.backward(0, x, 0);
+  layer.backward(0, x);
   for (Index j = 0; j < layer.units(); ++j) {
     if (s.act[j] <= 0.0f) {
       EXPECT_EQ(s.err[j], 0.0f);
@@ -104,7 +103,7 @@ TEST(EmbeddingLayer, ApplyClearsGradientsAndMovesWeights) {
   layer.forward(0, x);
   auto& s = layer.slot(0);
   for (Index j = 0; j < layer.units(); ++j) s.err[j] = 1.0f;
-  layer.backward(0, x, 0);
+  layer.backward(0, x);
   const float w_before = layer.weight_column(0)[0];
   const bool had_grad = std::fabs(layer.gradient_column(0)[0]) > 0.0f;
   layer.apply_updates(0.01f, nullptr);
@@ -181,7 +180,7 @@ TEST(SampledLayer, SoftmaxLossIsCrossEntropy) {
 
 struct TinyNet {
   TinyNet()
-      : embedding(6, 4, 0.6f, 1, 1, AdamConfig{}, 77),
+      : embedding(6, 4, 0.6f, 1, AdamConfig{}, 77),
         output(dense_softmax_config(5, 4), 1, 1) {}
 
   float loss(const SparseVector& x, const std::vector<Index>& labels) {
@@ -195,7 +194,7 @@ struct TinyNet {
 
   void backward(const SparseVector& x) {
     output.backward(0, embedding.slot(0), 0);
-    embedding.backward(0, x, 0);
+    embedding.backward(0, x);
   }
 
   EmbeddingLayer embedding;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "core/network.h"
 
@@ -34,6 +37,35 @@ Sample make_sample(std::initializer_list<Index> feat,
   s.features.l2_normalize();
   s.labels = labels;
   return s;
+}
+
+/// Everything lazy Adam writes, the output layer gathered shard by shard
+/// into its logical [units x fan_in] and [units] arrays.
+struct Params {
+  std::vector<float> embedding_w, embedding_b, output_w, output_b;
+};
+
+Params params_of(const Network& net) {
+  Params p;
+  const auto ew = net.embedding().weights_span();
+  const auto eb = net.embedding().bias_span();
+  p.embedding_w.assign(ew.begin(), ew.end());
+  p.embedding_b.assign(eb.begin(), eb.end());
+  const Layer& out = net.stack(net.stack_depth() - 1);
+  for (int s = 0; s < out.num_shards(); ++s) {
+    const auto w = out.shard_weights(s);
+    const auto b = out.shard_bias(s);
+    p.output_w.insert(p.output_w.end(), w.begin(), w.end());
+    p.output_b.insert(p.output_b.end(), b.begin(), b.end());
+  }
+  return p;
+}
+
+void expect_same_bits(const std::vector<float>& a, const std::vector<float>& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
 }
 
 TEST(Network, ConstructionAndShapes) {
@@ -206,6 +238,93 @@ TEST(Network, IncrementalRehashKeepsTablesConsistent) {
     Sample probe = make_sample({f, f + 5}, {0});
     EXPECT_EQ(a.predict_top1(probe.features, ca, true),
               b.predict_top1(probe.features, cb, true));
+  }
+}
+
+TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
+  // A row's lazy Adam step reads and writes only that row's state, so how
+  // the rows split over threads cannot change the weights. Identical nets
+  // accumulate the same batch on one thread, then apply it without a pool
+  // and on pools of 1, 2 and 3 threads, for two steps so that the moments
+  // matter.
+  const std::vector<int> pool_sizes = {0, 1, 2, 3};  // 0: no pool
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int threads : pool_sizes)
+    pools.push_back(threads > 0 ? std::make_unique<ThreadPool>(threads)
+                                : nullptr);
+  // Features 12, 14, 15, 17 and 18 appear in no sample.
+  std::vector<Sample> batch;
+  for (Index s = 0; s < 6; ++s)
+    batch.push_back(make_sample({2 * s, 2 * s + 1, 3 * s + 4}, {7 * s}));
+  const float inv_batch = 1.0f / static_cast<float>(batch.size());
+
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    NetworkConfig cfg = tiny_config(20, 200);
+    cfg.layers[0].shards = shards;
+    std::vector<std::unique_ptr<Network>> nets;
+    for (std::size_t k = 0; k < pool_sizes.size(); ++k)
+      nets.push_back(std::make_unique<Network>(cfg, 1));
+    const Params initial = params_of(*nets[0]);
+    const int out = nets[0]->stack_depth() - 1;
+
+    std::set<Index> active;  // output rows some sample made active
+    for (int step = 0; step < 2; ++step) {
+      for (std::size_t k = 0; k < nets.size(); ++k) {
+        Network& net = *nets[k];
+        VisitedSet visited(net.max_sampled_units());
+        for (std::size_t s = 0; s < batch.size(); ++s) {
+          Rng rng(100 * static_cast<std::uint64_t>(step) + s);
+          net.train_sample(static_cast<int>(s), batch[s], inv_batch, rng,
+                           visited, 0);
+          const auto& ids = net.stack(out).slot(static_cast<int>(s)).ids;
+          active.insert(ids.begin(), ids.end());
+        }
+        net.apply_updates(0.05f, pools[k].get());
+      }
+      const Params ref = params_of(*nets[0]);
+      for (std::size_t k = 1; k < nets.size(); ++k) {
+        SCOPED_TRACE(std::to_string(pool_sizes[k]) + " pool threads");
+        const Params p = params_of(*nets[k]);
+        expect_same_bits(p.embedding_w, ref.embedding_w, "embedding weights");
+        expect_same_bits(p.embedding_b, ref.embedding_b, "embedding bias");
+        expect_same_bits(p.output_w, ref.output_w, "output weights");
+        expect_same_bits(p.output_b, ref.output_b, "output bias");
+      }
+    }
+
+    // Rows and columns no sample touched kept their initial values. Both
+    // matrices store hidden_units-wide rows (output fan-in, embedding width).
+    const Params after = params_of(*nets[0]);
+    const std::size_t width = cfg.hidden_units;
+    auto row_unchanged = [&](const std::vector<float>& now,
+                             const std::vector<float>& then, Index row) {
+      return std::memcmp(now.data() + row * width, then.data() + row * width,
+                         width * sizeof(float)) == 0;
+    };
+    ASSERT_LT(active.size(), std::size_t{200});
+    for (Index u = 0; u < 200; ++u) {
+      if (active.count(u) != 0) continue;
+      EXPECT_TRUE(row_unchanged(after.output_w, initial.output_w, u))
+          << "output row " << u;
+      EXPECT_EQ(after.output_b[u], initial.output_b[u]) << "output row " << u;
+    }
+    for (Index c : {12u, 14u, 15u, 17u, 18u}) {
+      EXPECT_TRUE(row_unchanged(after.embedding_w, initial.embedding_w, c))
+          << "embedding column " << c;
+    }
+
+    // With no backward in between, a third apply finds every touch flag
+    // cleared and moves no row. (The embedding bias steps densely.)
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      SCOPED_TRACE(std::to_string(pool_sizes[k]) + " pool threads");
+      const Params before = params_of(*nets[k]);
+      nets[k]->apply_updates(0.05f, pools[k].get());
+      const Params p = params_of(*nets[k]);
+      expect_same_bits(p.embedding_w, before.embedding_w, "embedding weights");
+      expect_same_bits(p.output_w, before.output_w, "output weights");
+      expect_same_bits(p.output_b, before.output_b, "output bias");
+    }
   }
 }
 

@@ -613,8 +613,14 @@ TEST(ModelStore, BootOfGrownCheckpointEqualsLoadWeights) {
     Network reference(original, 1);
     load_weights_file(reference, path);
     auto store = ModelStore::from_checkpoint_file(original, path, 1);
-    EXPECT_EQ(store->current()->network->output_dim(), master->output_dim());
-    expect_same_snapshot(reference, *store->current()->network, data.test);
+    const auto snap = store->current();
+    const Network& booted = *snap->network;
+    EXPECT_EQ(booted.output_dim(), master->output_dim());
+    // Both re-grown networks keep their config at the grown width, so a
+    // publish of either copies rows without growing again.
+    EXPECT_EQ(booted.config().layers.back().units, booted.output_dim());
+    EXPECT_EQ(reference.config().layers.back().units, reference.output_dim());
+    expect_same_snapshot(reference, booted, data.test);
   }
   std::remove(path.c_str());
 }
