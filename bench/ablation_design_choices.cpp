@@ -2,10 +2,9 @@
 // §4 "Reducing Overhead" heuristics and §3 data-structure choices):
 //   1. sampling strategy (vanilla / topk / hard-threshold) — accuracy cost
 //   2. bucket replacement policy (reservoir / fifo) — end-to-end effect
-//   3. hash family (simhash / wta / dwta / doph) on the same workload
+//   3. hash family (simhash / dwta) on the same workload
 //   4. rebuild schedule (exponential decay / fixed period / never)
 //   5. HOGWILD vs mutex-locked gradient accumulation
-//   6. incremental Simhash re-hash vs full re-hash — rebuild cost
 #include "bench_common.h"
 
 using namespace slide;
@@ -101,8 +100,7 @@ int main() {
   // 3. Hash family.
   {
     std::vector<Arm> arms;
-    for (auto kind : {HashFamilyKind::kSimhash, HashFamilyKind::kWta,
-                      HashFamilyKind::kDwta, HashFamilyKind::kDoph}) {
+    for (auto kind : {HashFamilyKind::kSimhash, HashFamilyKind::kDwta}) {
       NetworkConfig cfg = bench::slide_config_for(data.train, kind);
       arms.push_back(run_arm(to_string(kind), data, cfg, threads,
                              iterations));
@@ -147,32 +145,6 @@ int main() {
     print_arms("gradient accumulation (paper §3.1, HOGWILD)", arms);
     std::printf("expectation: same accuracy; locking adds serialization "
                 "cost that grows with threads\n");
-  }
-
-  // 6. Incremental Simhash re-hash: isolate the rebuild cost.
-  {
-    std::vector<Arm> arms;
-    {
-      NetworkConfig cfg = base();
-      cfg.layers[0].rebuild.initial_period = 10;  // rebuild often
-      cfg.layers[0].rebuild.decay = 0.0;
-      arms.push_back(run_arm("full re-hash, period 10", data, cfg, threads,
-                             iterations));
-    }
-    {
-      NetworkConfig cfg = base();
-      cfg.layers[0].rebuild.initial_period = 10;
-      cfg.layers[0].rebuild.decay = 0.0;
-      cfg.layers[0].incremental_rehash = true;
-      arms.push_back(run_arm("incremental re-hash, period 10", data, cfg,
-                             threads, iterations));
-    }
-    print_arms("incremental Simhash re-hash (paper §4.2 heuristic 3)", arms);
-    std::printf(
-        "expectation: same accuracy; incremental shifts cost from rebuild "
-        "(O(K*L*d/3) per neuron)\nto update time (O(d') per changed weight) "
-        "— it wins when upstream activations are sparse,\nand is ~neutral "
-        "here where every fan-in weight of a touched neuron changes\n");
   }
   return 0;
 }

@@ -157,7 +157,7 @@ void bm_quantize_i8(benchmark::State& state, SimdLevel level, std::size_t n) {
   }
 }
 
-/// Dense WTA/DWTA hashing at the training shape: K*L = 400 codes over
+/// Dense DWTA hashing at the training shape: K*L = 400 codes over
 /// bins of 8 coordinates of a 128-wide row, cycling through 256 distinct
 /// rows so the scalar level cannot learn the winners.
 void bm_wta_codes(benchmark::State& state, SimdLevel level) {

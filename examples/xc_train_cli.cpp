@@ -3,8 +3,8 @@
 // Delicious-200K / Amazon-670K downloads.
 //
 //   ./build/examples/xc_train_cli TRAIN.txt TEST.txt [options]
-//     --hash simhash|wta|dwta|doph   (default simhash; paper: simhash for
-//                                     Delicious, dwta for Amazon)
+//     --hash simhash|dwta   (default simhash; paper: simhash for
+//                            Delicious, dwta for Amazon)
 //     --k N          meta-hash width                    (default 9)
 //     --tables N     number of hash tables L            (default 50)
 //     --active N     target active neurons per sample   (default labels/200)
@@ -46,10 +46,8 @@ struct Options {
 
 HashFamilyKind parse_hash(const std::string& name) {
   if (name == "simhash") return HashFamilyKind::kSimhash;
-  if (name == "wta") return HashFamilyKind::kWta;
   if (name == "dwta") return HashFamilyKind::kDwta;
-  if (name == "doph") return HashFamilyKind::kDoph;
-  throw Error("unknown hash family: " + name);
+  throw Error("unknown hash family: " + name + " (expected simhash|dwta)");
 }
 
 Options parse(int argc, char** argv) {

@@ -98,11 +98,6 @@ NetworkBuilder& NetworkBuilder::sampling_config(
   return *this;
 }
 
-NetworkBuilder& NetworkBuilder::incremental_rehash(bool on) {
-  last_layer("incremental_rehash").incremental_rehash = on;
-  return *this;
-}
-
 NetworkBuilder& NetworkBuilder::fill_random_to_target(bool on) {
   last_layer("fill_random_to_target").fill_random_to_target = on;
   return *this;

@@ -17,7 +17,7 @@
 //                       Activation::kReLU).sampled(labels, fam, t2)
 //
 // Per-layer knobs (.table(), .rebuild_schedule(), .sampling_config(),
-// .incremental_rehash(), ...) apply to the most recently added stack layer.
+// .maintenance(), ...) apply to the most recently added stack layer.
 // to_config() yields the equivalent NetworkConfig (the serializable
 // architecture description the serving ModelStore consumes); build() is
 // to_config() + Network construction.
@@ -73,7 +73,6 @@ class NetworkBuilder {
   NetworkBuilder& table(const HashTable::Config& table);
   NetworkBuilder& rebuild_schedule(const RebuildSchedule& schedule);
   NetworkBuilder& sampling_config(const SamplingConfig& sampling);
-  NetworkBuilder& incremental_rehash(bool on = true);
   NetworkBuilder& fill_random_to_target(bool on);
   /// How the layer executes the maintenance events its rebuild schedule
   /// fires: sync (stall-the-trainers full rebuild) or async_full

@@ -94,10 +94,6 @@ struct LayerSpec {
   /// reference implementation's random fill-in).
   bool fill_random_to_target = true;
 
-  /// Memoize w·proj per neuron and re-hash incrementally after sparse
-  /// updates (paper §4.2 heuristic 3; Simhash only).
-  bool incremental_rehash = false;
-
   /// Model-parallel sharding of a hashed layer (core/sharded_layer.h).
   /// 0 (the default) builds the monolithic SampledLayer; any value >= 1
   /// builds a ShardedSampledLayer whose neuron range is partitioned into

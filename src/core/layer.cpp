@@ -392,21 +392,11 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
   if (config_.hashed) {
     HashFamilyConfig family = config_.family;
     family.dim = fan_in_;
-    SLIDE_CHECK(!config_.incremental_rehash ||
-                    family.kind == HashFamilyKind::kSimhash,
-                "incremental_rehash requires the Simhash family");
     retriever_ = std::make_unique<retrieval::LshRetriever>(
         make_hash_family(family), config_.table, config_.sampling,
         retrieval::RowView{weights_.data(), fan_in_, units_},
         config.seed + 1);
     tables_ = &retriever_->tables();
-    simhash_ = dynamic_cast<const Simhash*>(&tables_->family());
-    if (config_.incremental_rehash) {
-      SLIDE_ASSERT(simhash_ != nullptr);
-      projection_memo_ = HugeArray(
-          static_cast<std::size_t>(units_) *
-          static_cast<std::size_t>(simhash_->num_projections()));
-    }
     // The worker object is free until its first task spawns the thread, so
     // async layers can construct it eagerly (no lazy-init race to manage).
     if (config_.maintenance != MaintenancePolicy::kSync)
@@ -766,34 +756,18 @@ void SampledLayer::apply_updates(float lr, ThreadPool* pool) {
   adam_.step_begin();
 
   const std::size_t bias_base = static_cast<std::size_t>(units_) * fan_in_;
-  const bool memo = config_.incremental_rehash && simhash_ != nullptr;
 
   // Ascending rows, one contiguous slice per thread, as in the embedding.
   auto apply_rows = [&](std::size_t begin, std::size_t end, int) {
-    thread_local std::vector<float> old_row;
     for (std::size_t u = begin; u < end; ++u) {
       if (touched_[u].load(std::memory_order_relaxed) == 0) continue;
       float* w = weights_.data() + u * fan_in_;
       float* g = grads_.data() + u * fan_in_;
-      if (memo) old_row.assign(w, w + fan_in_);
-
       adam_.update_span(w, g, u * fan_in_, fan_in_, lr);
       std::fill(g, g + fan_in_, 0.0f);
       adam_.update_at(&bias_[u], bias_grad_[u], bias_base + u, lr);
       bias_grad_[u] = 0.0f;
       touched_[u].store(0, std::memory_order_relaxed);
-
-      if (memo) {
-        // Paper §4.2 heuristic 3: propagate only the changed coordinates
-        // into the memoized projection values.
-        float* memo_row = projection_memo_.data() +
-                          u * static_cast<std::size_t>(
-                                  simhash_->num_projections());
-        for (Index d = 0; d < fan_in_; ++d) {
-          const float delta = w[d] - old_row[d];
-          if (delta != 0.0f) simhash_->update_projections(d, delta, memo_row);
-        }
-      }
     }
   };
   if (pool != nullptr)
@@ -838,28 +812,7 @@ void SampledLayer::rebuild_tables(ThreadPool* pool) {
 }
 
 void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
-  const bool memo = config_.incremental_rehash && simhash_ != nullptr;
-  if (!memo) {
-    group.build_from_rows(weights_.data(), fan_in_, units_, pool);
-    return;
-  }
-
-  // Incremental mode: (re)fill the memo from the weights on the first
-  // build; afterwards the memo is kept in sync by apply_updates, so keys
-  // come straight from the memoized projections — O(K*L) per neuron instead
-  // of a [d x K*L] sign-matrix projection.
-  const std::size_t num_proj =
-      static_cast<std::size_t>(simhash_->num_projections());
-  const bool have_memo = memo_initialized_.load(std::memory_order_acquire);
-  group.build(
-      units_,
-      [&](Index u, std::span<std::uint32_t> keys) {
-        float* memo_row = projection_memo_.data() + u * num_proj;
-        if (!have_memo) simhash_->project_dense(weight_row(u), memo_row);
-        simhash_->keys_from_projections(memo_row, keys);
-      },
-      pool);
-  memo_initialized_.store(true, std::memory_order_release);
+  group.build_from_rows(weights_.data(), fan_in_, units_, pool);
 }
 
 void SampledLayer::schedule_full_rebuild() {
@@ -942,15 +895,6 @@ Index SampledLayer::add_units(Index n) {
   if (!weights_i8_.empty()) {
     weights_i8_.resize(new_w);
     i8_scales_.resize(static_cast<std::size_t>(new_units), 0.0f);
-  }
-
-  // The incremental-rehash memo is sized [units x projections]; reallocate
-  // and let the next rebuild re-project everything from the grown weights.
-  if (!projection_memo_.empty() && simhash_ != nullptr) {
-    projection_memo_ = HugeArray(
-        static_cast<std::size_t>(new_units) *
-        static_cast<std::size_t>(simhash_->num_projections()));
-    memo_initialized_.store(false, std::memory_order_release);
   }
 
   units_ = new_units;
@@ -1195,7 +1139,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.rebuild = spec.rebuild;
     cfg.maintenance = spec.maintenance;
     cfg.fill_random_to_target = spec.fill_random_to_target;
-    cfg.incremental_rehash = spec.incremental_rehash;
     cfg.init_stddev = spec.init_stddev;
     cfg.adam = adam;
     cfg.precision = precision;

@@ -212,7 +212,7 @@ class Layer {
   virtual std::span<float> bias_span() noexcept = 0;
   virtual std::span<const float> bias_span() const noexcept = 0;
   /// Called after an external writer (checkpoint load) rewrote the spans;
-  /// derived state (hash memos, quantized mirrors) must be refreshed.
+  /// derived state (quantized mirrors) must be refreshed.
   virtual void on_weights_loaded() noexcept = 0;
   virtual std::size_t num_parameters() const noexcept = 0;
 
@@ -456,7 +456,6 @@ class SampledLayer : public Layer {
     RebuildSchedule rebuild;
     MaintenancePolicy maintenance = MaintenancePolicy::kSync;
     bool fill_random_to_target = true;
-    bool incremental_rehash = false;
     float init_stddev = 0.0f;  // 0 -> 2/sqrt(fan_in)
     AdamConfig adam;
     /// Inference-scoring precision (network-wide knob; see config.h).
@@ -522,8 +521,7 @@ class SampledLayer : public Layer {
   /// the slot's active neurons; marks them touched.
   void backward(int slot, ActiveSet& prev, int tid) override;
 
-  /// Lazy Adam over touched neurons in row order; keeps the Simhash memo in
-  /// sync when incremental rehash is on. Single caller at a time.
+  /// Lazy Adam over touched neurons in row order. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool) override;
 
   /// Fires a maintenance event when the schedule (paper §4.2) is due;
@@ -607,13 +605,7 @@ class SampledLayer : public Layer {
     return {bias_.data(), bias_.size()};
   }
 
-  /// Marks the incremental-rehash memo stale (weights changed externally,
-  /// e.g. by a checkpoint load); the next rebuild re-projects from weights.
-  void invalidate_memo() noexcept { memo_initialized_ = false; }
-  void on_weights_loaded() noexcept override {
-    invalidate_memo();
-    refresh_inference_mirror();
-  }
+  void on_weights_loaded() noexcept override { refresh_inference_mirror(); }
 
   std::size_t num_parameters() const noexcept override {
     return static_cast<std::size_t>(units_) * fan_in_ + units_;
@@ -695,8 +687,7 @@ class SampledLayer : public Layer {
     return weights_.data() + off;
   }
 
-  /// Rebuilds `group` from every neuron's keys (memoized Simhash
-  /// projections when incremental rehash is on). Shared by the sync
+  /// Rebuilds `group` from every neuron's weight row. Shared by the sync
   /// in-place path and the async shadow-build path.
   void build_group(LshTableGroup& group, ThreadPool* pool);
   /// Enqueues an async full rebuild (shadow build + publish) unless one is
@@ -723,11 +714,9 @@ class SampledLayer : public Layer {
 
   /// Candidate generation (src/retrieval/): owns the LSH tables; null for
   /// unhashed layers. `tables_` aliases its MaintainedTables so the
-  /// memoized rebuild and the add_units splice below drive them directly.
+  /// rebuilds and the add_units splice below drive them directly.
   std::unique_ptr<retrieval::LshRetriever> retriever_;
   MaintainedTables* tables_ = nullptr;
-  const Simhash* simhash_ = nullptr;  // set when family is Simhash
-  HugeArray projection_memo_;         // [units x K*L] when incremental
 
   std::unique_ptr<std::atomic<std::uint8_t>[]> touched_;
   bool use_locks_ = false;
@@ -738,7 +727,6 @@ class SampledLayer : public Layer {
   long next_rebuild_ = 0;
   long schedule_events_ = 0;  // maintenance events fired (drives the decay)
   std::atomic<long> rebuild_count_{0};
-  std::atomic<bool> memo_initialized_{false};
 
   std::atomic<bool> full_pending_{false};  // an async rebuild is queued
 
@@ -761,7 +749,7 @@ class SampledLayer : public Layer {
   Index appended_units_ = 0;
 
   // Declared last: its destructor joins the maintenance thread before any
-  // state that thread touches (weights, tables, memo) is torn down.
+  // state that thread touches (weights, tables) is torn down.
   std::unique_ptr<BackgroundWorker> worker_;
 };
 

@@ -1,8 +1,18 @@
 #include "core/trainer.h"
 
 #include <atomic>
+#include <numeric>
 
 namespace slide {
+
+namespace {
+
+double total_busy_seconds(const ThreadPool& pool) {
+  const std::vector<double> busy = pool.busy_seconds();
+  return std::accumulate(busy.begin(), busy.end(), 0.0);
+}
+
+}  // namespace
 
 TrainTimeBreakdown TrainTimeBreakdown::operator-(
     const TrainTimeBreakdown& earlier) const {
@@ -43,6 +53,7 @@ float Trainer::step(const Dataset& data,
               "Trainer::step: batch larger than the network's slot count");
   const float inv_batch = 1.0f / static_cast<float>(indices.size());
 
+  const double busy_before = total_busy_seconds(*pool_);
   WallTimer total;
   // Fan the batch out: one sample per slot, slots statically partitioned
   // over threads. Loss accumulates per-thread to avoid contention.
@@ -78,6 +89,7 @@ float Trainer::step(const Dataset& data,
     breakdown_.rebuild_seconds += rebuild.seconds();
   }
   breakdown_.total_seconds += total.seconds();
+  step_busy_seconds_ += total_busy_seconds(*pool_) - busy_before;
   return loss_sum.load() * inv_batch;
 }
 
@@ -96,12 +108,9 @@ void Trainer::train(const Dataset& data, long iterations,
 }
 
 double Trainer::core_utilization() const {
-  const auto busy = pool_->busy_seconds();
-  double busy_total = 0.0;
-  for (double b : busy) busy_total += b;
   const double denom =
       breakdown_.total_seconds * static_cast<double>(pool_->num_threads());
-  return denom > 0.0 ? busy_total / denom : 0.0;
+  return denom > 0.0 ? step_busy_seconds_ / denom : 0.0;
 }
 
 }  // namespace slide

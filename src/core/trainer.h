@@ -57,9 +57,10 @@ class Trainer {
     return breakdown_;
   }
 
-  /// Fraction of (threads x wall-time) actually spent executing batch work
-  /// since construction — the in-container stand-in for the paper's VTune
-  /// core-utilization numbers (Table 2).
+  /// Fraction of (threads x step() wall time) the pool spent executing
+  /// loop bodies inside step(), since construction — the in-container
+  /// stand-in for the paper's VTune core-utilization numbers (Table 2).
+  /// Work callers run on pool() between steps counts in neither term.
   double core_utilization() const;
 
  private:
@@ -70,7 +71,7 @@ class Trainer {
   std::vector<std::unique_ptr<VisitedSet>> visited_;  // one per thread
   long iteration_ = 0;
   TrainTimeBreakdown breakdown_;
-  double wall_seconds_ = 0.0;
+  double step_busy_seconds_ = 0.0;  // pool busy time accrued inside step()
 };
 
 }  // namespace slide

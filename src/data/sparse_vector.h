@@ -3,8 +3,8 @@
 // Inputs in extreme classification are extremely sparse (paper Table 1:
 // 0.038-0.055 % density, ~75 nonzeros per sample), so features, layer
 // inputs and LSH queries are all index/value pair lists. Indices are kept
-// sorted and unique — several hash functions (DWTA, DOPH) and the readers
-// rely on that invariant.
+// sorted and unique — DWTA's sparse path and the readers rely on that
+// invariant.
 #pragma once
 
 #include <span>

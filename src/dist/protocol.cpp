@@ -103,7 +103,6 @@ void write_layer_config(PayloadWriter& w, const SampledLayer::Config& c) {
   w.u32(c.family.dim);
   w.f64(c.family.simhash_density);
   w.u32(static_cast<std::uint32_t>(c.family.bin_size));
-  w.u32(static_cast<std::uint32_t>(c.family.doph_top_k));
   w.u64(c.family.seed);
   w.u32(static_cast<std::uint32_t>(c.table.range_pow));
   w.u32(static_cast<std::uint32_t>(c.table.bucket_size));
@@ -117,7 +116,6 @@ void write_layer_config(PayloadWriter& w, const SampledLayer::Config& c) {
   w.f64(c.rebuild.decay);
   w.u8(static_cast<std::uint8_t>(c.maintenance));
   w.u8(c.fill_random_to_target ? 1 : 0);
-  w.u8(c.incremental_rehash ? 1 : 0);
   w.f32(c.init_stddev);
   w.f32(c.adam.beta1);
   w.f32(c.adam.beta2);
@@ -136,13 +134,12 @@ SampledLayer::Config read_layer_config(PayloadReader& r) {
   c.hashed = r.u8() != 0;
   c.random_sampled = r.u8() != 0;
   c.family.kind = read_enum<HashFamilyKind>(
-      r, static_cast<std::uint8_t>(HashFamilyKind::kDoph), "hash family");
+      r, static_cast<std::uint8_t>(HashFamilyKind::kDwta), "hash family");
   c.family.k = static_cast<int>(r.u32());
   c.family.l = static_cast<int>(r.u32());
   c.family.dim = r.u32();
   c.family.simhash_density = r.f64();
   c.family.bin_size = static_cast<int>(r.u32());
-  c.family.doph_top_k = static_cast<int>(r.u32());
   c.family.seed = r.u64();
   c.table.range_pow = static_cast<int>(r.u32());
   c.table.bucket_size = static_cast<int>(r.u32());
@@ -161,7 +158,6 @@ SampledLayer::Config read_layer_config(PayloadReader& r) {
       r, static_cast<std::uint8_t>(MaintenancePolicy::kAsyncFull),
       "maintenance policy");
   c.fill_random_to_target = r.u8() != 0;
-  c.incremental_rehash = r.u8() != 0;
   c.init_stddev = r.f32();
   c.adam.beta1 = r.f32();
   c.adam.beta2 = r.f32();

@@ -71,7 +71,13 @@ namespace slide::dist {
 //       the layer config drops the retriever byte and the three HNSW
 //       words, so escalation_floor follows the seed directly. Either side
 //       refuses a v4 peer at the handshake with VersionMismatch.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+//   6 — the WTA and DOPH families and the incremental-rehash memo are
+//       gone: the layer config drops the doph_top_k word and the
+//       incremental_rehash byte, and its family byte admits simhash (0) |
+//       dwta (1) only (any other value is FrameError kBadFormat). DWTA's
+//       byte was 2 in v5. Either side refuses a v5 peer at the handshake
+//       with VersionMismatch.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// The peer speaks another protocol version. Thrown by the handshake on
 /// either side: by ShardClient::connect, and by the worker (which answers

@@ -4,7 +4,34 @@
 #include <limits>
 #include <numeric>
 
+#include "simd/kernels.h"
+
 namespace slide {
+
+namespace detail {
+
+WtaBins::WtaBins(int codes, int bin_size, Index dim)
+    : codes_(static_cast<std::size_t>(codes)),
+      bin_size_(static_cast<std::size_t>(bin_size)) {
+  SLIDE_CHECK(dim <= static_cast<Index>(
+                         std::numeric_limits<std::int32_t>::max()),
+              "WTA bins: dim must fit an int32 gather index");
+  coords_.resize(codes_ * bin_size_);
+  labels_.resize(codes_ * bin_size_);
+}
+
+void WtaBins::set(int c, int j, Index coord, std::uint32_t label) noexcept {
+  const std::size_t slot = static_cast<std::size_t>(j) * codes_ +
+                           static_cast<std::size_t>(c);
+  coords_[slot] = static_cast<std::int32_t>(coord);
+  labels_[slot] = label;
+}
+
+void WtaBins::codes(const float* x, std::uint32_t* out) const noexcept {
+  simd::wta_codes(x, coords_.data(), labels_.data(), bin_size_, codes_, out);
+}
+
+}  // namespace detail
 
 DwtaHash::DwtaHash(const Config& config)
     : k_(config.k),
@@ -129,10 +156,14 @@ void DwtaHash::hash_sparse(const Index* idx, const float* val,
   keys_from_codes(codes.data(), keys);
 }
 
+void DwtaHash::codes_dense(const float* x, std::uint32_t* codes) const {
+  bins_.codes(x, codes);
+}
+
 void DwtaHash::hash_dense(const float* x, std::span<std::uint32_t> keys) const {
   thread_local std::vector<std::uint32_t> codes;
   codes.resize(static_cast<std::size_t>(k_) * l_);
-  bins_.codes(x, codes.data());
+  codes_dense(x, codes.data());
   keys_from_codes(codes.data(), keys);
 }
 

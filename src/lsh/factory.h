@@ -1,28 +1,23 @@
-// Config-driven construction of the four built-in hash families
-// (paper §3.2: Simhash, WTA, DWTA, DOPH). Header-only.
+// Config-driven construction of the built-in hash families: Simhash and
+// DWTA, the two the paper's experiments hash with (§3.2, §5). Other
+// families plug in through the HashFamily interface. Header-only.
 #pragma once
 
 #include <memory>
 
-#include "lsh/doph.h"
 #include "lsh/dwta.h"
 #include "lsh/simhash.h"
-#include "lsh/wta.h"
 
 namespace slide {
 
-enum class HashFamilyKind { kSimhash, kWta, kDwta, kDoph };
+enum class HashFamilyKind { kSimhash, kDwta };
 
 inline const char* to_string(HashFamilyKind kind) {
   switch (kind) {
     case HashFamilyKind::kSimhash:
       return "simhash";
-    case HashFamilyKind::kWta:
-      return "wta";
     case HashFamilyKind::kDwta:
       return "dwta";
-    case HashFamilyKind::kDoph:
-      return "doph";
   }
   return "?";
 }
@@ -34,10 +29,8 @@ struct HashFamilyConfig {
   Index dim = 0;  // set by the layer to its fan-in
   /// Simhash: fraction of nonzero projection coordinates.
   double simhash_density = 1.0 / 3.0;
-  /// WTA/DWTA bin size m.
+  /// DWTA bin size m.
   int bin_size = 8;
-  /// DOPH top-k binarization threshold.
-  int doph_top_k = 32;
   std::uint64_t seed = 11;
 };
 
@@ -53,15 +46,6 @@ inline std::unique_ptr<HashFamily> make_hash_family(
       c.seed = cfg.seed;
       return std::make_unique<Simhash>(c);
     }
-    case HashFamilyKind::kWta: {
-      WtaHash::Config c;
-      c.k = cfg.k;
-      c.l = cfg.l;
-      c.dim = cfg.dim;
-      c.bin_size = cfg.bin_size;
-      c.seed = cfg.seed;
-      return std::make_unique<WtaHash>(c);
-    }
     case HashFamilyKind::kDwta: {
       DwtaHash::Config c;
       c.k = cfg.k;
@@ -70,15 +54,6 @@ inline std::unique_ptr<HashFamily> make_hash_family(
       c.bin_size = cfg.bin_size;
       c.seed = cfg.seed;
       return std::make_unique<DwtaHash>(c);
-    }
-    case HashFamilyKind::kDoph: {
-      DophHash::Config c;
-      c.k = cfg.k;
-      c.l = cfg.l;
-      c.dim = cfg.dim;
-      c.binarize_top_k = cfg.doph_top_k;
-      c.seed = cfg.seed;
-      return std::make_unique<DophHash>(c);
     }
   }
   throw Error("make_hash_family: unknown kind");

@@ -31,7 +31,7 @@ class HashFamily {
   virtual int l() const noexcept = 0;
   /// Dimension of the vectors this family hashes.
   virtual Index dim() const noexcept = 0;
-  /// Family name for logging ("simhash", "wta", "dwta", "doph").
+  /// Family name for logging ("simhash", "dwta").
   virtual std::string name() const = 0;
 
   /// Computes the L fingerprint keys for a dense vector of length dim().

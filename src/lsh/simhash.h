@@ -11,14 +11,9 @@
 // each row is padded with zeros to the kernel's lane group. A dense vector
 // (or a block of them) is projected by the dispatched simd::sign_project
 // kernel, which sums each projection in increasing coordinate order; a
-// sparse vector, and the delta update below, add a scaled matrix row per
-// nonzero with simd::axpy_i8. A product with a +-1 or 0 entry is exact,
-// so every dispatch level computes the same projection values.
-//
-// The class additionally exposes the raw projection values to support the
-// paper's §4.2 optimization #3: memoize w·proj per neuron and, after a
-// sparse gradient update that touches d' << d coordinates, recompute codes
-// with d' matrix-row updates instead of a full projection.
+// sparse vector adds a scaled matrix row per nonzero with simd::axpy_i8.
+// A product with a +-1 or 0 entry is exact, so every dispatch level
+// computes the same projection values.
 #pragma once
 
 #include <cstdint>
@@ -56,23 +51,22 @@ class Simhash final : public HashFamily {
   void hash_sparse(const Index* idx, const float* val, std::size_t nnz,
                    std::span<std::uint32_t> keys) const override;
 
-  // --- Incremental-rehash support (paper §4.2, optimization 3) -----------
+  // --- Raw projection values (the hash paths above, tests, benches) -----
 
   int num_projections() const noexcept { return k_ * l_; }
 
   /// Fills dots[p] = <x, projection_p> for all K*L projections.
   void project_dense(const float* x, float* dots) const;
 
-  /// Converts memoized projection values into the L fingerprint keys.
-  void keys_from_projections(const float* dots,
-                             std::span<std::uint32_t> keys) const;
-
-  /// Applies a delta update: dots += delta * row(dim) of the sign matrix —
-  /// the change in every projection value when coordinate `dim` of x
-  /// changes by `delta`. O(K*L) vector work.
+  /// dots += delta * row(dim) of the sign matrix: the change in every
+  /// projection value when coordinate `dim` of x changes by `delta`.
+  /// hash_sparse sums one such row per nonzero. O(K*L) vector work.
   void update_projections(Index dim, float delta, float* dots) const;
 
  private:
+  /// Converts projection values into the L fingerprint keys.
+  void keys_from_projections(const float* dots,
+                             std::span<std::uint32_t> keys) const;
   /// Fingerprint key of table t from its K projection values.
   std::uint32_t table_key(const float* dots, int t) const noexcept;
 

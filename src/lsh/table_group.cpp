@@ -57,20 +57,6 @@ void LshTableGroup::build_from_rows(const float* rows, std::size_t row_stride,
   build_from_keys(keys, count, pool);
 }
 
-void LshTableGroup::build(Index count, const KeyFn& keys_of,
-                          ThreadPool* pool) {
-  const std::size_t l = tables_.size();
-  std::vector<std::uint32_t> keys(l * count);
-  for_ranges(count, pool, [&](std::size_t begin, std::size_t end, int) {
-    std::vector<std::uint32_t> row_keys(l);
-    for (std::size_t i = begin; i < end; ++i) {
-      keys_of(static_cast<Index>(i), row_keys);
-      for (std::size_t t = 0; t < l; ++t) keys[t * count + i] = row_keys[t];
-    }
-  });
-  build_from_keys(keys, count, pool);
-}
-
 void LshTableGroup::build_from_keys(std::span<const std::uint32_t> keys,
                                     Index count, ThreadPool* pool) {
   const std::size_t l = tables_.size();

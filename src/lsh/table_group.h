@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,10 +47,6 @@ struct TableHealth {
 
 class LshTableGroup {
  public:
-  /// Writes the L fingerprint keys of id `id` into `keys` (size l()).
-  /// Called concurrently for distinct ids during a parallel build.
-  using KeyFn = std::function<void(Index id, std::span<std::uint32_t> keys)>;
-
   /// Takes ownership of the hash family. The group creates family->l()
   /// tables with the given per-table configuration.
   LshTableGroup(std::unique_ptr<HashFamily> family,
@@ -88,10 +83,6 @@ class LshTableGroup {
   /// This is the layer (re)build of paper §3.1 / §4.2.
   void build_from_rows(const float* rows, std::size_t row_stride, Index count,
                        ThreadPool* pool = nullptr);
-
-  /// Rebuilds every table over ids [0, count): hashes each id once with
-  /// keys_of into a table-major keys scratch, then build_from_keys.
-  void build(Index count, const KeyFn& keys_of, ThreadPool* pool = nullptr);
 
   /// Rebuilds every table from table-major keys (keys[t * count + i] is id
   /// i's key in table t): one counting sort per table, in parallel over

@@ -5,11 +5,10 @@
 // historical key → pin → buckets → sample_neurons sequence VERBATIM
 // (pinned by the golden determinism test).
 //
-// The owning SampledLayer keeps driving the memo-aware rebuild and the
-// add_units splice directly through tables() — the incremental-rehash
-// projection memo lives in the layer, next to the weight deltas that feed
-// it. Standalone users (ANN search, benches, tests) get the same index
-// through the generic hook: rebuild() hashes every row.
+// The owning SampledLayer keeps driving its rebuilds (in place or into
+// the shadow group) and the add_units splice directly through tables().
+// Standalone users (ANN search, benches, tests) get the same index through
+// the generic hook: rebuild() hashes every row.
 #pragma once
 
 #include "lsh/table_group.h"
@@ -41,7 +40,7 @@ class LshRetriever final : public Retriever {
   }
 
   /// The underlying double-buffered tables — the owning SampledLayer's
-  /// maintenance code (memo-aware builds, splices, publishes) operates on
+  /// maintenance code (shadow builds, splices, publishes) operates on
   /// them directly.
   MaintainedTables& tables() noexcept { return tables_; }
   const MaintainedTables& tables() const noexcept { return tables_; }

@@ -62,7 +62,7 @@ struct Backend {
   void (*softmax_inplace)(float*, std::size_t) noexcept = nullptr;
   void (*adam_step)(float*, float*, float*, const float*, std::size_t, float,
                     float, float, float, float, float) noexcept = nullptr;
-  // Dense WTA/DWTA hashing: gather one slot per code, ordered compare,
+  // Dense DWTA hashing: gather one slot per code, ordered compare,
   // blend the winner's label (see kernels.h for the exact rule).
   void (*wta_codes)(const float*, const std::int32_t*, const std::uint32_t*,
                     std::size_t, std::size_t, std::uint32_t*) noexcept =

@@ -497,6 +497,39 @@ TEST(DistProtocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(dist::CheckpointShardMsg::from_frame(cs.to_frame()).path, "/tmp/base");
 }
 
+TEST(DistProtocol, FamilyBytePastDwtaIsRejectedTyped) {
+  // The layer config's family byte admits simhash (0) and dwta (1) only;
+  // 2 was DWTA's byte in v5. The byte is the one place a simhash and a
+  // dwta config encode differently.
+  dist::InitShardMsg init;
+  init.num_shards = 1;
+  init.global_units = 40;
+  init.batch_slots = 8;
+  init.config.units = 40;
+  init.config.fan_in = 16;
+  init.config.family = small_family();
+  const Frame simhash = init.to_frame();
+  init.config.family.kind = HashFamilyKind::kDwta;
+  Frame dwta = init.to_frame();
+  ASSERT_EQ(dwta.payload.size(), simhash.payload.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < dwta.payload.size(); ++i)
+    if (dwta.payload[i] != simhash.payload[i]) differ.push_back(i);
+  ASSERT_EQ(differ.size(), 1u);
+  EXPECT_EQ(dwta.payload[differ[0]], 1u);
+  EXPECT_EQ(dist::InitShardMsg::from_frame(dwta).config.family.kind,
+            HashFamilyKind::kDwta);
+  for (const std::uint8_t bad : {2, 255}) {
+    dwta.payload[differ[0]] = bad;
+    try {
+      (void)dist::InitShardMsg::from_frame(dwta);
+      ADD_FAILURE() << "family byte " << int{bad} << " decoded cleanly";
+    } catch (const FrameError& e) {
+      EXPECT_EQ(e.kind(), FrameErrorKind::kBadFormat) << int{bad};
+    }
+  }
+}
+
 // ---- Transports ------------------------------------------------------------
 
 struct Pair {
@@ -697,10 +730,10 @@ TEST(DistClient, WorkerSideErrorsKeepTheClientHealthy) {
 }
 
 TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
-  ASSERT_EQ(dist::kProtocolVersion, 5u);
-  // A v3 or v4 coordinator's kHello reaches a v5 worker: refused with
+  ASSERT_EQ(dist::kProtocolVersion, 6u);
+  // A v3, v4 or v5 coordinator's kHello reaches a v6 worker: refused with
   // kErrorResp.
-  for (std::uint32_t old : {3u, 4u}) {
+  for (std::uint32_t old : {3u, 4u, 5u}) {
     dist::InProcessWorker worker("tcp:127.0.0.1:0");
     auto t = dist::connect_endpoint(worker.endpoint());
     dist::HelloMsg hello;
@@ -716,7 +749,7 @@ TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
     t->close();
     worker.stop();
   }
-  // A v4 worker meets a v5 client: whether it refuses the kHello or
+  // A v5 worker meets a v6 client: whether it refuses the kHello or
   // answers with its own version, connect() throws VersionMismatch.
   for (bool refuse : {true, false}) {
     auto listener = dist::listen_endpoint("tcp:127.0.0.1:0");
@@ -726,12 +759,12 @@ TEST(DistClient, V3PeersAreRefusedAtTheHandshake) {
         (void)dist::HelloMsg::from_frame(t->recv(5000));
         if (refuse) {
           t->send(dist::ErrorResp{"worker: protocol version mismatch "
-                                  "(coordinator 5, worker 4)"}
+                                  "(coordinator 6, worker 5)"}
                       .to_frame());
         } else {
           Frame ok = dist::make_frame(MsgType::kHelloOk);
           dist::PayloadWriter w(ok.payload);
-          w.u32(4);
+          w.u32(5);
           t->send(ok);
         }
         (void)t->recv(5000);  // wait for the client to close

@@ -1,6 +1,6 @@
 // Hash-family tests: the LSH property (collision probability increases with
-// similarity) for every family, dense/sparse path agreement, incremental
-// Simhash updates, DWTA densification, DOPH binarization.
+// similarity) for both families, dense/sparse path agreement, Simhash's
+// projection values, DWTA's winner-take-all dense path and densification.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +11,9 @@
 #include <utility>
 
 #include "lsh/collision.h"
-#include "lsh/doph.h"
 #include "lsh/dwta.h"
 #include "lsh/factory.h"
 #include "lsh/simhash.h"
-#include "lsh/wta.h"
 #include "sys/rng.h"
 
 namespace slide {
@@ -165,31 +163,6 @@ TEST(Simhash, SparseAndDensePathsAgree) {
   h.hash_dense(dense.data(), kd);
   h.hash_sparse(idx.data(), val.data(), idx.size(), ks);
   EXPECT_EQ(kd, ks);
-}
-
-TEST(Simhash, IncrementalProjectionUpdateMatchesRecompute) {
-  Simhash h({.k = 5, .l = 10, .dim = 64, .density = 1.0 / 3.0, .seed = 9});
-  Rng rng(10);
-  auto x = random_unit(64, rng);
-  std::vector<float> dots(static_cast<std::size_t>(h.num_projections()));
-  h.project_dense(x.data(), dots.data());
-
-  // Apply 7 coordinate deltas through the incremental path.
-  for (int step = 0; step < 7; ++step) {
-    const Index d = rng.uniform(64);
-    const float delta = rng.normal() * 0.1f;
-    x[d] += delta;
-    h.update_projections(d, delta, dots.data());
-  }
-  std::vector<float> fresh(dots.size());
-  h.project_dense(x.data(), fresh.data());
-  for (std::size_t p = 0; p < dots.size(); ++p)
-    ASSERT_NEAR(dots[p], fresh[p], 1e-4f) << p;
-
-  std::vector<std::uint32_t> ka(h.l()), kb(h.l());
-  h.keys_from_projections(dots.data(), ka);
-  h.keys_from_projections(fresh.data(), kb);
-  EXPECT_EQ(ka, kb);
 }
 
 /// Simhash as a list of supports: each projection keeps its sorted
@@ -366,11 +339,11 @@ TEST(Simhash, RejectsBadConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// WTA
+// Winner-take-all: DWTA's dense path (DwtaHash::hash_dense over WtaBins)
 // ---------------------------------------------------------------------------
 
 TEST(Wta, DeterministicAndInvariantToPositiveScaling) {
-  WtaHash h({.k = 4, .l = 10, .dim = 64, .bin_size = 8, .seed = 12});
+  DwtaHash h({.k = 4, .l = 10, .dim = 64, .bin_size = 8, .seed = 12});
   Rng rng(13);
   const auto x = random_unit(64, rng);
   auto scaled = x;
@@ -382,7 +355,7 @@ TEST(Wta, DeterministicAndInvariantToPositiveScaling) {
 }
 
 TEST(Wta, CodesAreWithinBinRange) {
-  WtaHash h({.k = 3, .l = 7, .dim = 40, .bin_size = 5, .seed = 14});
+  DwtaHash h({.k = 3, .l = 7, .dim = 40, .bin_size = 5, .seed = 14});
   Rng rng(15);
   const auto x = random_unit(40, rng);
   std::vector<std::uint32_t> codes(static_cast<std::size_t>(h.k() * h.l()));
@@ -391,7 +364,7 @@ TEST(Wta, CodesAreWithinBinRange) {
 }
 
 TEST(Wta, RankSimilarInputsCollideMore) {
-  WtaHash h({.k = 2, .l = 100, .dim = 128, .bin_size = 8, .seed = 16});
+  DwtaHash h({.k = 2, .l = 100, .dim = 128, .bin_size = 8, .seed = 16});
   Rng rng(17);
   double near = 0.0, far = 0.0;
   for (int i = 0; i < 10; ++i) {
@@ -402,66 +375,14 @@ TEST(Wta, RankSimilarInputsCollideMore) {
   EXPECT_GT(near, far);
 }
 
-TEST(Wta, DenseCodesMatchPermutationOrderScan) {
-  // The scan WtaHash::codes_dense ran before it moved onto the dispatched
-  // kernel, over permutations rebuilt from the same seeded shuffles: the
-  // first strict maximum of each bin in permutation order.
-  Rng rng(30);
-  for_each_wta_shape([&](Index dim, int bin, int k, int l) {
-    const std::uint64_t seed = 31 + dim + static_cast<std::uint64_t>(bin);
-    WtaHash h({.k = k, .l = l, .dim = dim, .bin_size = bin, .seed = seed});
-    const int bins_per_perm = static_cast<int>(dim) / bin;
-    Rng perm_rng(seed);
-    std::vector<Index> perms(
-        static_cast<std::size_t>(h.num_permutations()) * dim);
-    for (int p = 0; p < h.num_permutations(); ++p) {
-      Index* perm = perms.data() + static_cast<std::size_t>(p) * dim;
-      std::iota(perm, perm + dim, Index{0});
-      std::shuffle(perm, perm + dim, perm_rng);
-    }
-    for (const auto& x : wta_inputs(dim, rng)) {
-      std::vector<std::uint32_t> want(static_cast<std::size_t>(k * l));
-      for (int c = 0; c < k * l; ++c) {
-        const Index* perm = perms.data() +
-                            static_cast<std::size_t>(c / bins_per_perm) * dim +
-                            static_cast<std::size_t>(c % bins_per_perm) * bin;
-        std::uint32_t best_offset = 0;
-        float best_val = x[perm[0]];
-        for (int q = 1; q < bin; ++q) {
-          if (x[perm[q]] > best_val) {
-            best_val = x[perm[q]];
-            best_offset = static_cast<std::uint32_t>(q);
-          }
-        }
-        want[static_cast<std::size_t>(c)] = best_offset;
-      }
-      std::vector<std::uint32_t> got(want.size());
-      h.codes_dense(x.data(), got.data());
-      ASSERT_EQ(got, want) << "dim=" << dim << " bin=" << bin
-                           << " K*L=" << k * l;
-
-      std::vector<std::uint32_t> want_keys(static_cast<std::size_t>(l));
-      for (int t = 0; t < l; ++t) {
-        detail::FingerprintMixer mixer;
-        for (int j = 0; j < k; ++j)
-          mixer.add(want[static_cast<std::size_t>(t * k + j)]);
-        want_keys[static_cast<std::size_t>(t)] = mixer.value();
-      }
-      std::vector<std::uint32_t> keys(static_cast<std::size_t>(l));
-      h.hash_dense(x.data(), keys);
-      ASSERT_EQ(keys, want_keys);
-    }
-  });
-}
-
 TEST(Wta, MemoryOptimizedPermutationCount) {
   // Storage must be O(K*L*m), i.e. ceil(K*L/(d/m)) permutations.
-  WtaHash h({.k = 6, .l = 50, .dim = 128, .bin_size = 8, .seed = 18});
+  DwtaHash h({.k = 6, .l = 50, .dim = 128, .bin_size = 8, .seed = 18});
   EXPECT_EQ(h.num_permutations(), (6 * 50 + (128 / 8) - 1) / (128 / 8));
 }
 
 // ---------------------------------------------------------------------------
-// DWTA
+// DWTA: the sparse path and densification
 // ---------------------------------------------------------------------------
 
 TEST(Dwta, SparseMatchesDenseOnSameVector) {
@@ -543,75 +464,11 @@ TEST(Dwta, OverlappingSparseSupportsCollideMore) {
 }
 
 // ---------------------------------------------------------------------------
-// DOPH
-// ---------------------------------------------------------------------------
-
-TEST(Doph, IdenticalSetsProduceIdenticalKeys) {
-  DophHash h({.k = 3, .l = 20, .dim = 1'000, .binarize_top_k = 16,
-              .seed = 24});
-  std::vector<Index> set = {1, 50, 200, 999};
-  std::vector<std::uint32_t> k1(h.l()), k2(h.l());
-  h.hash_set(set, k1);
-  h.hash_set(set, k2);
-  EXPECT_EQ(k1, k2);
-}
-
-TEST(Doph, JaccardSimilarSetsCollideMore) {
-  DophHash h({.k = 1, .l = 400, .dim = 10'000, .binarize_top_k = 64,
-              .seed = 25});
-  Rng rng(26);
-  std::vector<Index> base;
-  for (int i = 0; i < 60; ++i) base.push_back(rng.uniform(10'000));
-  std::sort(base.begin(), base.end());
-  base.erase(std::unique(base.begin(), base.end()), base.end());
-
-  auto mutate = [&](int replace) {
-    std::vector<Index> s = base;
-    for (int i = 0; i < replace && !s.empty(); ++i)
-      s[rng.uniform(static_cast<std::uint32_t>(s.size()))] =
-          rng.uniform(10'000);
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-    return s;
-  };
-  std::vector<std::uint32_t> kb(h.l()), knear(h.l()), kfar(h.l());
-  h.hash_set(base, kb);
-  h.hash_set(mutate(5), knear);
-  h.hash_set(mutate(50), kfar);
-  int near = 0, far = 0;
-  for (int t = 0; t < h.l(); ++t) {
-    near += kb[t] == knear[t] ? 1 : 0;
-    far += kb[t] == kfar[t] ? 1 : 0;
-  }
-  EXPECT_GT(near, far);
-}
-
-TEST(Doph, BinarizeSelectsTopKIndices) {
-  DophHash h({.k = 2, .l = 4, .dim = 10, .binarize_top_k = 3, .seed = 27});
-  const std::vector<float> x = {0.1f, 5.0f, 0.2f, 4.0f, 0.0f,
-                                3.0f, 0.3f, 0.0f, 0.1f, 0.2f};
-  const auto set = h.binarize_dense(x.data());
-  EXPECT_EQ(set, (std::vector<Index>{1, 3, 5}));
-}
-
-TEST(Doph, SparseInputUsesSupportAsSet) {
-  DophHash h({.k = 2, .l = 30, .dim = 1'000, .binarize_top_k = 32,
-              .seed = 28});
-  std::vector<Index> idx = {5, 100, 900};
-  std::vector<float> val = {1.0f, 2.0f, 3.0f};
-  std::vector<std::uint32_t> ks(h.l()), kset(h.l());
-  h.hash_sparse(idx.data(), val.data(), idx.size(), ks);
-  h.hash_set(idx, kset);
-  EXPECT_EQ(ks, kset);
-}
-
-// ---------------------------------------------------------------------------
 // Factory
 // ---------------------------------------------------------------------------
 
 TEST(Factory, BuildsEveryKind) {
-  for (auto kind : {HashFamilyKind::kSimhash, HashFamilyKind::kWta,
-                    HashFamilyKind::kDwta, HashFamilyKind::kDoph}) {
+  for (auto kind : {HashFamilyKind::kSimhash, HashFamilyKind::kDwta}) {
     HashFamilyConfig cfg;
     cfg.kind = kind;
     cfg.k = 3;

@@ -211,36 +211,6 @@ TEST(Network, MultiLayerSampledStackTrains) {
   EXPECT_EQ(net.predict_top1(s.features, ctx, true), 5u);
 }
 
-TEST(Network, IncrementalRehashKeepsTablesConsistent) {
-  // Train two identical nets, one with incremental Simhash re-hashing; after
-  // a rebuild, both table sets must place each neuron in the same buckets
-  // (the memo path is exact, not approximate).
-  NetworkConfig base = tiny_config(20, 30, 8, 10);
-  base.layers[0].rebuild.initial_period = 1'000'000;  // manual rebuilds only
-  NetworkConfig incremental = base;
-  incremental.layers[0].incremental_rehash = true;
-
-  Network a(base, 1), b(incremental, 1);
-  const Sample s = make_sample({2, 9}, {3});
-  Rng rng_a(6), rng_b(6);
-  VisitedSet va(a.max_sampled_units()), vb(b.max_sampled_units());
-  for (int step = 0; step < 10; ++step) {
-    a.train_sample(0, s, 1.0f, rng_a, va, 0);
-    b.train_sample(0, s, 1.0f, rng_b, vb, 0);
-    a.apply_updates(0.01f, nullptr);
-    b.apply_updates(0.01f, nullptr);
-  }
-  a.rebuild_all(nullptr);
-  b.rebuild_all(nullptr);
-  // Same seeds -> identical weights; exact-mode predictions must agree.
-  InferenceContext ca(a.max_sampled_units()), cb(b.max_sampled_units());
-  for (Index f = 0; f < 10; ++f) {
-    Sample probe = make_sample({f, f + 5}, {0});
-    EXPECT_EQ(a.predict_top1(probe.features, ca, true),
-              b.predict_top1(probe.features, cb, true));
-  }
-}
-
 TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
   // A row's lazy Adam step reads and writes only that row's state, so how
   // the rows split over threads cannot change the weights. Identical nets

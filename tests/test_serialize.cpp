@@ -497,26 +497,5 @@ TEST(Serialize, KindMismatchRejected) {
   }
 }
 
-TEST(Serialize, IncrementalMemoInvalidatedOnLoad) {
-  // A network with incremental rehash must re-project after a load; the
-  // sampled predictions of two identically-loaded networks must agree.
-  const auto data = tiny_data();
-  NetworkConfig cfg = net_config(data);
-  cfg.layers[0].incremental_rehash = true;
-  Network trained(cfg, 2);
-  train_a_bit(trained, data.train, 20);
-  std::stringstream buffer;
-  save_weights(trained, buffer);
-
-  Network restored(cfg, 2);
-  load_weights(restored, buffer);
-  InferenceContext ca(trained.max_sampled_units(), 5);
-  InferenceContext cb(restored.max_sampled_units(), 5);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(trained.predict_top1(data.test[i].features, ca, true),
-              restored.predict_top1(data.test[i].features, cb, true));
-  }
-}
-
 }  // namespace
 }  // namespace slide

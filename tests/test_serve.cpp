@@ -580,9 +580,10 @@ TEST(ModelStore, PublishCloneEqualsCheckpointRoundTrip) {
     const Layer& out = round_trip.stack(round_trip.stack_depth() - 1);
     EXPECT_EQ(out.retired_count(), 10);
     EXPECT_GT(out.table_health().saturated, 0u);
-    if (c.master_shards == 4 && out.num_shards() == 4)
+    if (c.master_shards == 4 && out.num_shards() == 4) {
       EXPECT_NE(out.shard_row_offset(3),
                 master->stack(master->stack_depth() - 1).shard_row_offset(3));
+    }
 
     auto store = std::make_shared<ModelStore>(trained_network(data, 5));
     if (c.publish_shards >= 0) {

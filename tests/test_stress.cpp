@@ -1,12 +1,10 @@
 // Stress and extended property tests: concurrency hammering of the shared
-// structures, statistical LSH laws (match rate vs p^K, DOPH vs Jaccard),
+// structures, the statistical LSH law (Simhash match rate vs p^K),
 // round-trip fuzzing of the XC format, and checkpoint-resume training.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "core/serialize.h"
@@ -14,7 +12,6 @@
 #include "data/synthetic.h"
 #include "data/xc_reader.h"
 #include "lsh/collision.h"
-#include "lsh/doph.h"
 #include "lsh/simhash.h"
 #include "lsh/table_group.h"
 #include "metrics/metrics.h"
@@ -116,47 +113,6 @@ TEST_P(SimhashKLaw, TableMatchRateApproximatesPToTheK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, SimhashKLaw, ::testing::Values(1, 2, 4, 6, 9));
-
-TEST(DophLaw, MatchRateTracksJaccardSimilarity) {
-  // One-bin DOPH codes are minwise hashes: Pr[match] ~ Jaccard(A, B).
-  DophHash h({.k = 1, .l = 1'000, .dim = 50'000, .binarize_top_k = 512,
-              .seed = 77});
-  Rng rng(78);
-  for (double target_jaccard : {0.33, 0.6, 0.82}) {
-    // Build two sets with the desired overlap: shared core + disjoint tails.
-    const int total = 300;
-    const int shared = static_cast<int>(
-        std::lround(total * 2 * target_jaccard / (1 + target_jaccard)));
-    std::set<Index> a_set, b_set;
-    while (static_cast<int>(a_set.size()) < shared) {
-      const Index e = rng.uniform(50'000);
-      a_set.insert(e);
-      b_set.insert(e);
-    }
-    while (static_cast<int>(a_set.size()) < total)
-      a_set.insert(rng.uniform(50'000));
-    while (static_cast<int>(b_set.size()) < total)
-      b_set.insert(rng.uniform(50'000));
-    std::vector<Index> a(a_set.begin(), a_set.end());
-    std::vector<Index> b(b_set.begin(), b_set.end());
-
-    // True Jaccard of the realized sets.
-    std::vector<Index> inter;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(inter));
-    const double jaccard =
-        static_cast<double>(inter.size()) /
-        static_cast<double>(a.size() + b.size() - inter.size());
-
-    std::vector<std::uint32_t> ka(h.l()), kb(h.l());
-    h.hash_set(a, ka);
-    h.hash_set(b, kb);
-    int match = 0;
-    for (int i = 0; i < h.l(); ++i) match += ka[i] == kb[i] ? 1 : 0;
-    const double rate = static_cast<double>(match) / h.l();
-    EXPECT_NEAR(rate, jaccard, 0.08) << "target=" << target_jaccard;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // XC round-trip fuzz (parameterized over dataset shapes)

@@ -181,6 +181,30 @@ TEST(Trainer, TimeBreakdownAndUtilizationArePopulated) {
   EXPECT_GT(net.output_layer().compute_seconds(), 0.0);
 }
 
+TEST(Trainer, CoreUtilizationIgnoresPoolWorkBetweenSteps) {
+  // Callers may run their own work on pool() between steps (an evaluation,
+  // say); its busy time must not count against step() wall time.
+  const auto data = tiny_data(18);
+  NetworkConfig net_cfg = tiny_net_config(data);
+  Network net(net_cfg, 2);
+  TrainerConfig cfg;
+  cfg.batch_size = 32;
+  cfg.num_threads = 2;
+  Trainer trainer(net, cfg);
+  Batcher batcher(data.train, 32, true, 1);
+  for (int i = 0; i < 10; ++i) {
+    trainer.step(data.train, batcher.next());
+    trainer.pool().run_on_all([](int) {
+      WallTimer spin;
+      while (spin.seconds() < 0.01) {
+      }
+    });
+  }
+  const double util = trainer.core_utilization();
+  EXPECT_GT(util, 0.0);
+  EXPECT_LE(util, 1.0);
+}
+
 TEST(Trainer, BatchSizeValidation) {
   const auto data = tiny_data(19);
   NetworkConfig net_cfg = tiny_net_config(data);
