@@ -89,12 +89,12 @@ Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
   tc.learning_rate = 1e-3f;
   Trainer trainer(net, tc);
 
-  // End-to-end clock: training plus the final settle. flush_maintenance
+  // End-to-end clock: training plus the final settle. quiesce_maintenance
   // inside the timed region keeps the comparison honest — an async policy
   // gets no credit for work it merely deferred past the finish line.
   WallTimer total;
   trainer.train(data.train, w.iterations);
-  net.flush_maintenance();
+  net.quiesce_maintenance();
   arm.total_seconds = total.seconds();
 
   arm.samples_per_sec =

@@ -18,8 +18,8 @@
 // support simply produce no entries; bench_compare treats the missing
 // metrics as non-fatal.
 //
-//   ./build/bench/micro_backend --benchmark_out=BENCH_backend.json \
-//       --benchmark_out_format=json
+//   ./build/bench/micro_backend --benchmark_out=BENCH_backend.json
+//                               --benchmark_out_format=json   (one line)
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -257,7 +257,9 @@ int main() {
   json.key("configs").begin_array();
   for (const Row& r : rows) {
     json.begin_object();
-    json.key("name").string(("s" + std::to_string(r.shards)).c_str());
+    std::string name(1, 's');
+    name += std::to_string(r.shards);
+    json.key("name").string(name.c_str());
     json.key("shards").number(static_cast<long long>(r.shards));
     json.key("qps").number(r.qps);
     json.key("async_rebuild_ms").number(r.async_rebuild_ms);
@@ -274,7 +276,8 @@ int main() {
   json.key("speedup_async_rebuild_s4_vs_s1").number(s4);
   json.key("speedup_async_rebuild_s8_vs_s1").number(s8);
   json.key("speedup_qps_s4_vs_s1").number(qps4);
-  // Oversampling contract (also asserted in tests/test_dist DistBudget):
+  // Oversampling contract (also asserted in tests/test_sharded_layer
+  // ShardBudget):
   // the unbudgeted ratio witnesses the sum-of-ceils creep above 1.0 as S
   // grows; the budgeted ratio must hold ~1.0 because the global budget
   // caps the merged count regardless of shard count. Absolute budgeted

@@ -19,20 +19,13 @@
 //                     AVX-512 VNNI when the CPU has it (the banner shows
 //                     the active kernel path) and downgrades gracefully
 //                     to vpmaddubsw / scalar otherwise.
-//     --dist N        serve the wide output layer from N shard worker
-//                     threads over loopback TCP (src/dist/): the snapshot
-//                     boots a sharded layer of remote shards that pushes
-//                     the checkpoint weights to the workers, and the stats
-//                     table grows bytes-on-wire + shard-health rows
 //     --churn         phase 2 churns the label space through the engine's
 //                     online-update API instead of the train-and-swap:
 //                     every ~200ms a delta appends fresh output labels,
 //                     tombstones the ones appended two ticks earlier,
 //                     trains a few live samples against the fp32 master,
 //                     and republishes — all while the closed-loop load
-//                     keeps running (incompatible with --dist: the shard
-//                     fleet accepts one coordinator connection, so the
-//                     publish-clone path cannot re-dial it)
+//                     keeps running
 //     --metrics-port P  serve Prometheus text-format metrics on
 //                     http://127.0.0.1:P/metrics while load runs (P = 0
 //                     picks an ephemeral port; the bound port is printed)
@@ -74,7 +67,6 @@ struct Options {
   long iters = 300;
   bool exact = false;
   Precision precision = Precision::kFP32;
-  int dist = 0;
   bool churn = false;
   int metrics_port = -1;  // -1 = no metrics listener
   bool metrics_dump = false;
@@ -98,7 +90,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--iters") opt.iters = std::stol(next());
     else if (arg == "--exact") opt.exact = true;
     else if (arg == "--precision") opt.precision = parse_precision(next().c_str());
-    else if (arg == "--dist") opt.dist = std::stoi(next());
     else if (arg == "--churn") opt.churn = true;
     else if (arg == "--metrics-port") opt.metrics_port = std::stoi(next());
     else if (arg == "--metrics-dump") opt.metrics_dump = true;
@@ -112,9 +103,6 @@ Options parse(int argc, char** argv) {
   SLIDE_CHECK(opt.topk > 0, "--topk must be positive");
   SLIDE_CHECK(opt.seconds > 0, "--seconds must be positive");
   SLIDE_CHECK(opt.iters >= 0, "--iters must be non-negative");
-  SLIDE_CHECK(opt.dist >= 0, "--dist must be non-negative");
-  SLIDE_CHECK(!(opt.churn && opt.dist > 0),
-              "--churn is incompatible with --dist (see usage comment)");
   SLIDE_CHECK(opt.metrics_port >= -1 && opt.metrics_port <= 65535,
               "--metrics-port must be a port number (0 = ephemeral)");
   return opt;
@@ -226,27 +214,6 @@ int main(int argc, char** argv) {
   // bytes); the trainer's network is untouched either way.
   NetworkConfig serve_net_cfg = net_cfg;
   serve_net_cfg.precision = opt.precision;
-  // --dist N: host N shard workers on background threads and point the
-  // serving config's wide layer at them. The checkpoint loader then builds
-  // a sharded layer of RemoteShards and pushes each shard's weights to its
-  // worker (kSetShardWeights) — the trainer's parameters, served
-  // model-parallel.
-  // Declared before the store so the workers outlive the layer's shutdown.
-  std::vector<std::unique_ptr<dist::InProcessWorker>> shard_workers;
-  if (opt.dist > 0) {
-    std::vector<std::string> endpoints;
-    for (int s = 0; s < opt.dist; ++s) {
-      shard_workers.push_back(
-          std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
-      endpoints.push_back(shard_workers.back()->endpoint());
-    }
-    for (LayerSpec& spec : serve_net_cfg.layers) {
-      if (!spec.hashed) continue;
-      spec.shards = 0;
-      spec.endpoints = endpoints;
-    }
-    std::printf("[dist] %d shard workers on loopback TCP\n", opt.dist);
-  }
   auto store = ModelStore::from_checkpoint_file(serve_net_cfg, checkpoint);
   std::printf("[store] loaded %s (version %llu, precision %s, simd %s)\n",
               checkpoint.c_str(),
@@ -356,13 +323,6 @@ int main(int argc, char** argv) {
       std::printf("  [churn] %d online-update ticks "
                   "(add 1 / retire 1 / train 8 / republish each)\n",
                   ticks);
-      return;
-    }
-    // The shard workers accept exactly one coordinator connection, so the
-    // distributed snapshot cannot be hot-swapped from here — phase 2 then
-    // measures steady-state under the same load instead.
-    if (opt.dist > 0) {
-      std::printf("  [swap] skipped (--dist serves a fixed worker fleet)\n");
       return;
     }
     std::this_thread::sleep_for(

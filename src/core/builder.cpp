@@ -116,36 +116,7 @@ NetworkBuilder& NetworkBuilder::shards(int shards) {
               "layer (call .sampled(...) first)");
   SLIDE_CHECK(static_cast<Index>(shards) <= spec.units,
               "NetworkBuilder::shards: more shards than units");
-  SLIDE_CHECK(spec.endpoints.empty(),
-              "NetworkBuilder::shards: mutually exclusive with "
-              ".distributed()");
   spec.shards = shards;
-  return *this;
-}
-
-NetworkBuilder& NetworkBuilder::distributed(
-    std::vector<std::string> endpoints) {
-  SLIDE_CHECK(!endpoints.empty(),
-              "NetworkBuilder::distributed: at least one worker endpoint");
-  LayerSpec& spec = last_layer("distributed");
-  SLIDE_CHECK(spec.hashed,
-              "NetworkBuilder::distributed: requires an LSH-sampled layer "
-              "(call .sampled(...) first)");
-  SLIDE_CHECK(spec.shards == 0,
-              "NetworkBuilder::distributed: mutually exclusive with "
-              ".shards()");
-  SLIDE_CHECK(static_cast<Index>(endpoints.size()) <= spec.units,
-              "NetworkBuilder::distributed: more workers than units");
-  spec.endpoints = std::move(endpoints);
-  return *this;
-}
-
-NetworkBuilder& NetworkBuilder::shard_checkpoint(std::string base) {
-  LayerSpec& spec = last_layer("shard_checkpoint");
-  SLIDE_CHECK(!spec.endpoints.empty(),
-              "NetworkBuilder::shard_checkpoint: call .distributed(...) "
-              "first");
-  spec.shard_checkpoint_base = std::move(base);
   return *this;
 }
 

@@ -33,8 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/config.h"
 #include "core/network.h"
@@ -86,17 +84,6 @@ class NetworkBuilder {
   /// layer under sync maintenance; leave the knob unset for the monolithic
   /// implementation itself.
   NetworkBuilder& shards(int shards);
-  /// Multi-process model parallelism of the most recently added LSH-sampled
-  /// layer (src/dist/): a ShardedSampledLayer partitioned exactly like
-  /// .shards(endpoints.size()), whose shards are dist::RemoteShards — one
-  /// worker process per endpoint ("tcp:host:port" or "shm:path") reached
-  /// over the sparse active-set RPC protocol, bit-identical to the
-  /// in-process shards. Mutually exclusive with .shards().
-  NetworkBuilder& distributed(std::vector<std::string> endpoints);
-  /// Workers of the most recent .distributed() layer boot from per-shard
-  /// checkpoint files "<base>.shard<s>of<n>" on their own filesystem (the
-  /// cluster restart path; see dist::checkpoint_shards).
-  NetworkBuilder& shard_checkpoint(std::string base);
 
   // ---- Network-wide knobs ----
 

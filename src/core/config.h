@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/activation.h"
@@ -102,16 +101,6 @@ struct LayerSpec {
   /// parity anchor: bit-identical to the monolithic layer under sync
   /// maintenance. Requires `hashed`.
   int shards = 0;
-
-  /// Multi-process model parallelism (src/dist/): non-empty builds the
-  /// ShardedSampledLayer of `shards = endpoints.size()` with every shard a
-  /// dist::RemoteShard in its own worker ("tcp:host:port" or "shm:path").
-  /// Requires `hashed`; mutually exclusive with `shards`.
-  std::vector<std::string> endpoints;
-  /// Non-empty (distributed only): workers boot their weights from
-  /// per-shard checkpoint files "<base>.shard<s>of<n>" on their own
-  /// filesystem instead of random init.
-  std::string shard_checkpoint_base;
 
   /// Weight init stddev; 0 selects 2/sqrt(fan_in).
   float init_stddev = 0.0f;

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "core/sharded_layer.h"
-#include "dist/remote_shard.h"
 #include "simd/kernels.h"
 #include "sys/prefetch.h"
 #include "sys/timer.h"
@@ -937,14 +936,6 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
                                      VisitedSet& visited,
                                      std::vector<Index>& ids_out,
                                      std::vector<float>& act_out) const {
-  forward_inference_budgeted(prev_ids, prev_act, exact, rng, visited,
-                             /*budget_override=*/0, ids_out, act_out);
-}
-
-void SampledLayer::forward_inference_budgeted(
-    std::span<const Index> prev_ids, std::span<const float> prev_act,
-    bool exact, Rng& rng, VisitedSet& visited, Index budget_override,
-    std::vector<Index>& ids_out, std::vector<float>& act_out) const {
   ids_out.clear();
   bool scored = false;  // escalation fills act_out itself
   const bool tombstoned =
@@ -963,12 +954,9 @@ void SampledLayer::forward_inference_budgeted(
     }
   } else {
     Index target = std::min<Index>(config_.sampling.target, units_);
-    // Candidate budget: the per-query override (distributed coordinator)
-    // wins over the configured knob; either caps the sampling target.
-    const Index budget = budget_override > 0
-                             ? budget_override
-                             : config_.sampling.inference_budget;
-    if (budget > 0) target = std::min(target, budget);
+    // The inference candidate budget caps the sampling target (0 = off).
+    if (config_.sampling.inference_budget > 0)
+      target = std::min(target, config_.sampling.inference_budget);
     retriever_->retrieve(prev_ids, prev_act, target, rng, visited, ids_out);
     const Index floor =
         std::min<Index>(config_.sampling.escalation_floor, units_);
@@ -1122,11 +1110,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
               "make_layer: hashed and random_sampled are exclusive");
   SLIDE_CHECK(spec.shards == 0 || spec.hashed,
               "make_layer: shards requires an LSH-sampled (hashed) layer");
-  SLIDE_CHECK(spec.endpoints.empty() || spec.hashed,
-              "make_layer: distributed endpoints require an LSH-sampled "
-              "(hashed) layer");
-  SLIDE_CHECK(spec.endpoints.empty() || spec.shards == 0,
-              "make_layer: endpoints and shards are exclusive");
   if (spec.hashed) {
     SampledLayer::Config cfg;
     cfg.units = spec.units;
@@ -1143,12 +1126,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.adam = adam;
     cfg.precision = precision;
     cfg.seed = seed;
-    if (!spec.endpoints.empty()) {
-      return std::make_unique<ShardedSampledLayer>(
-          cfg, static_cast<int>(spec.endpoints.size()), batch_slots,
-          dist::remote_shard_factory(spec.endpoints, cfg.units, batch_slots,
-                                     spec.shard_checkpoint_base));
-    }
     if (spec.shards >= 1) {
       return std::make_unique<ShardedSampledLayer>(
           cfg, spec.shards, batch_slots, max_threads, init);

@@ -173,11 +173,6 @@ class Layer {
   /// is idle. No-op for layers without async maintenance.
   /// Logically const: waiting mutates nothing the caller can observe.
   virtual void quiesce_maintenance() const {}
-  /// Settles the layer after training, before relying on its tables or
-  /// weights (evaluation, serialization of a "settled" model): waits for
-  /// background maintenance, and a remote shard also re-pulls its weights.
-  /// No-op without async maintenance.
-  virtual void flush_maintenance() {}
 
   // ---- Inference hooks ----
   /// Single-sample inference forward into caller buffers. `exact` scores
@@ -495,18 +490,6 @@ class SampledLayer : public Layer {
                          std::vector<Index>& ids_out,
                          std::vector<float>& act_out) const override;
 
-  /// forward_inference with a per-query candidate-budget override: when
-  /// `budget_override` > 0 it caps the sampling target for this query (the
-  /// distributed coordinator's per-shard split of a global budget);
-  /// 0 falls back to config().sampling.inference_budget, then the target.
-  /// Exact mode ignores the budget (all units are scored by request).
-  void forward_inference_budgeted(std::span<const Index> prev_ids,
-                                  std::span<const float> prev_act, bool exact,
-                                  Rng& rng, VisitedSet& visited,
-                                  Index budget_override,
-                                  std::vector<Index>& ids_out,
-                                  std::vector<float>& act_out) const;
-
   /// Softmax + cross-entropy over the slot's active neurons with the given
   /// true labels (which must be the first entries of the active set, i.e.
   /// the `forced` ids of forward()). Fills err with deltas scaled by
@@ -544,9 +527,6 @@ class SampledLayer : public Layer {
   /// Blocks until no background maintenance task is queued or running
   /// (rethrows the first task error, which should never happen).
   void quiesce_maintenance() const override;
-  /// Same as quiesce_maintenance(): an async rebuild in flight is the only
-  /// maintenance debt a layer carries.
-  void flush_maintenance() override { quiesce_maintenance(); }
 
   // ---- Dynamic label lifecycle ----
   /// Appends `n` units: copy-grows the weight/grad arrays (HugeArray
@@ -660,7 +640,7 @@ class SampledLayer : public Layer {
   /// through whichever precision tier is active, prefetching the candidate
   /// rows kPrefetchDistance ahead (the rows are LSH-sampled, i.e. scattered
   /// — exactly the access pattern the software prefetch pays for). Shared
-  /// by forward_inference_budgeted and escalate_to_exact.
+  /// by forward_inference and escalate_to_exact.
   void score_rows(std::span<const Index> ids, std::span<const Index> prev_ids,
                   std::span<const float> prev_act, float* out) const;
   /// Adaptive-policy escalation: scores every unit into act_out (ids_out
@@ -782,8 +762,7 @@ class RandomSampledLayer final : public SampledLayer {
 
 /// Builds the concrete Layer for a LayerSpec (DenseLayer, SampledLayer, or
 /// RandomSampledLayer) — the single construction point used by Network.
-/// `precision` is the network-wide inference precision (config.h). Remote
-/// shards ignore `init`: each worker initializes its own layer.
+/// `precision` is the network-wide inference precision (config.h).
 std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
                                   const AdamConfig& adam, std::uint64_t seed,
                                   int batch_slots, int max_threads,

@@ -108,10 +108,6 @@ void Network::quiesce_maintenance() const {
   for (const auto& layer : layers_) layer->quiesce_maintenance();
 }
 
-void Network::flush_maintenance() {
-  for (auto& layer : layers_) layer->flush_maintenance();
-}
-
 void Network::predict_topk(const SparseVector& x, InferenceContext& ctx,
                            int k, bool exact, std::vector<Index>& out) const {
   SLIDE_CHECK(k >= 1, "predict_topk: k must be >= 1");

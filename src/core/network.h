@@ -247,12 +247,6 @@ class Network {
   /// state (e.g. publishing it as a serving snapshot). Logically const.
   void quiesce_maintenance() const;
 
-  /// Waits for every layer's background maintenance and settles remote
-  /// shards (Layer::flush_maintenance). Call at the end of training before
-  /// evaluating or saving; tables still reflect their last rebuild
-  /// (rebuild_all re-hashes the current weights).
-  void flush_maintenance();
-
   /// Top-1 prediction. `exact` scores every output neuron (dense forward);
   /// otherwise the output layer is sampled through the hash tables exactly
   /// as in training (without label forcing). Safe for concurrent callers

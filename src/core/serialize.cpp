@@ -493,101 +493,4 @@ void load_weights_file(Network& network, const std::string& path,
   load_weights(network, in, pool);
 }
 
-namespace {
-
-constexpr std::uint32_t kShardMagic = 0x534C5348;  // "SLSH"
-constexpr std::uint32_t kShardVersion = 1;
-
-}  // namespace
-
-std::string shard_file_path(const std::string& base, int shard_index,
-                            int num_shards) {
-  return base + ".shard" + std::to_string(shard_index) + "of" +
-         std::to_string(num_shards);
-}
-
-void save_shard_file(const std::string& path, const ShardFileInfo& info,
-                     std::span<const float> weights,
-                     std::span<const float> bias) {
-  SLIDE_CHECK(weights.size() ==
-                  static_cast<std::size_t>(info.rows) * info.fan_in,
-              "save_shard_file: weight block does not match rows x fan_in");
-  SLIDE_CHECK(bias.size() == info.rows,
-              "save_shard_file: bias block does not match rows");
-  write_file_atomically(path, "save_shard_file", [&](std::ostream& out) {
-    write_u32(out, kShardMagic);
-    write_u32(out, kShardVersion);
-    write_u32(out, info.shard_index);
-    write_u32(out, info.num_shards);
-    write_u32(out, info.row_offset);
-    write_u32(out, info.rows);
-    write_u32(out, info.fan_in);
-    write_floats(out, weights);
-    write_floats(out, bias);
-  });
-}
-
-namespace {
-
-ShardFileInfo read_shard_header(std::istream& in, const std::string& path) {
-  SLIDE_CHECK(read_u32(in) == kShardMagic,
-              "load_shard_file: " + path + " is not a SLIDE shard file");
-  SLIDE_CHECK(read_u32(in) == kShardVersion,
-              "load_shard_file: unsupported shard file version");
-  ShardFileInfo info;
-  info.shard_index = read_u32(in);
-  info.num_shards = read_u32(in);
-  info.row_offset = read_u32(in);
-  info.rows = read_u32(in);
-  info.fan_in = read_u32(in);
-  SLIDE_CHECK(info.num_shards >= 1 && info.shard_index < info.num_shards,
-              "load_shard_file: invalid shard index/count");
-  SLIDE_CHECK(info.rows > 0 && info.fan_in > 0,
-              "load_shard_file: empty shard block");
-  return info;
-}
-
-/// Bytes from the read position of `in` to the end of the file.
-std::uint64_t bytes_left(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  SLIDE_CHECK(in.good() && here != std::istream::pos_type(-1) &&
-                  end >= here,
-              "load_shard_file: file not seekable");
-  return static_cast<std::uint64_t>(end - here);
-}
-
-}  // namespace
-
-ShardFileInfo load_shard_file(const std::string& path,
-                              std::vector<float>& weights,
-                              std::vector<float>& bias) {
-  std::ifstream in(path, std::ios::binary);
-  SLIDE_CHECK(in.good(), "load_shard_file: cannot open " + path);
-  const ShardFileInfo info = read_shard_header(in, path);
-  // rows and fan_in are read off the file: the blocks they imply must fit
-  // in the bytes it has left before anything is allocated for them. The
-  // product of two u32 words plus one more cannot wrap a u64.
-  const std::uint64_t floats =
-      static_cast<std::uint64_t>(info.rows) * info.fan_in + info.rows;
-  const std::uint64_t left = bytes_left(in);
-  constexpr std::uint64_t kLengthWords = 2 * sizeof(std::uint32_t);
-  SLIDE_CHECK(left >= kLengthWords &&
-                  floats <= (left - kLengthWords) / sizeof(float),
-              "load_shard_file: " + path + " is shorter than its header says");
-  weights.resize(static_cast<std::size_t>(info.rows) * info.fan_in);
-  bias.resize(info.rows);
-  read_floats(in, {weights.data(), weights.size()});
-  read_floats(in, {bias.data(), bias.size()});
-  return info;
-}
-
-ShardFileInfo peek_shard_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SLIDE_CHECK(in.good(), "peek_shard_file: cannot open " + path);
-  return read_shard_header(in, path);
-}
-
 }  // namespace slide

@@ -115,47 +115,4 @@ std::unique_ptr<Network> copy_network(const NetworkConfig& config,
                                       const Network& source, int max_threads,
                                       ThreadPool* pool);
 
-// ---------------------------------------------------------------------------
-// Per-shard checkpoint files (distributed model parallelism, src/dist/)
-// ---------------------------------------------------------------------------
-//
-// A shard file holds exactly one checkpoint-v3 shard block pair — the same
-// weights+bias bytes that shard contributes to a whole-network checkpoint —
-// plus the topology needed to validate it standalone ("SLSH" magic). A
-// distributed worker writes its own file on checkpoint_shard and reads it
-// back at boot, so the wide layer's parameters never transit the
-// coordinator; serve/snapshot.h boots a serving network from the per-shard
-// files plus the coordinator-side checkpoint of the other layers.
-
-/// Identity and shape of one shard block (validated against the owning
-/// layer on load).
-struct ShardFileInfo {
-  std::uint32_t shard_index = 0;
-  std::uint32_t num_shards = 1;
-  Index row_offset = 0;
-  Index rows = 0;
-  Index fan_in = 0;
-};
-
-/// Writes one shard's weight/bias blocks (`weights` is [rows x fan_in],
-/// `bias` is [rows]) with the ShardFileInfo header, crash-safely like
-/// save_weights_file.
-void save_shard_file(const std::string& path, const ShardFileInfo& info,
-                     std::span<const float> weights,
-                     std::span<const float> bias);
-
-/// Reads a shard file into `weights`/`bias` (resized) and returns its
-/// header. Throws slide::Error on corruption or shape inconsistency.
-ShardFileInfo load_shard_file(const std::string& path,
-                              std::vector<float>& weights,
-                              std::vector<float>& bias);
-
-/// Reads only the header (cheap boot-time validation).
-ShardFileInfo peek_shard_file(const std::string& path);
-
-/// Canonical shard-file name for shard s of n next to `base`:
-/// "<base>.shard<s>of<n>".
-std::string shard_file_path(const std::string& base, int shard_index,
-                            int num_shards);
-
 }  // namespace slide

@@ -74,16 +74,6 @@ SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
 ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
                                          int shards, int batch_slots,
                                          int max_threads, ParamInit init)
-    : ShardedSampledLayer(
-          config, shards, batch_slots,
-          [&](int, const SampledLayer::Config& shard_config, Index) {
-            return std::make_unique<SampledLayer>(shard_config, batch_slots,
-                                                  max_threads, init);
-          }) {}
-
-ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
-                                         int shards, int batch_slots,
-                                         const ShardFactory& make_shard)
     : config_(config), units_(config.units), fan_in_(config.fan_in) {
   SLIDE_CHECK(config.hashed,
               "ShardedSampledLayer: sharding requires an LSH (hashed) layer");
@@ -93,21 +83,11 @@ ShardedSampledLayer::ShardedSampledLayer(const SampledLayer::Config& config,
   for (int s = 0; s < shards; ++s) {
     const Index lo = offsets_[static_cast<std::size_t>(s)];
     const Index size = offsets_[static_cast<std::size_t>(s) + 1] - lo;
-    shards_.push_back(
-        make_shard(s, derive_shard_config(config, size, s), lo));
-    SLIDE_CHECK(shards_.back()->units() == size &&
-                    shards_.back()->fan_in() == fan_in_,
-                "ShardedSampledLayer: shard shape does not match its row "
-                "range");
+    shards_.push_back(std::make_unique<SampledLayer>(
+        derive_shard_config(config, size, s), batch_slots, max_threads,
+        init));
   }
   slots_.resize(static_cast<std::size_t>(batch_slots));
-}
-
-const SampledLayer& ShardedSampledLayer::shard(int s) const {
-  const auto* local = dynamic_cast<const SampledLayer*>(&shard_layer(s));
-  SLIDE_CHECK(local != nullptr,
-              "ShardedSampledLayer::shard: shard is not in process");
-  return *local;
 }
 
 int ShardedSampledLayer::shard_of(Index unit) const noexcept {
@@ -281,10 +261,6 @@ void ShardedSampledLayer::rebuild_tables(ThreadPool* pool) {
 
 void ShardedSampledLayer::quiesce_maintenance() const {
   for (const auto& shard : shards_) shard->quiesce_maintenance();
-}
-
-void ShardedSampledLayer::flush_maintenance() {
-  for (auto& shard : shards_) shard->flush_maintenance();
 }
 
 // ---------------------------------------------------------------------------

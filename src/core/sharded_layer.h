@@ -1,27 +1,20 @@
-// Model-parallel sharding of a wide LSH-sampled layer, in process or
-// across worker processes.
+// Model-parallel sharding of a wide LSH-sampled layer within one process.
 //
 // SLIDE's win grows with the width of the output layer, but a monolithic
 // SampledLayer owns one neuron array and one LSH table group, so its
 // rebuilds serialize on a single maintenance thread and its class count is
 // capped by what one table group can hold comfortably. Distributed SLIDE
 // (Yan et al., 2022) shards the output layer via model parallelism with
-// per-shard LSH sampling; ShardedSampledLayer is that design:
+// per-shard LSH sampling; ShardedSampledLayer is that design on one host:
 //
 //   global neuron range [0, units)
 //     = shard 0 rows [off_0, off_1)  — own weight block, MaintainedTables,
 //     + shard 1 rows [off_1, off_2)    maintenance thread, bf16 mirror,
 //     + ...                            Adam state
 //
-// Each shard is a Layer over its contiguous row range: an in-process
-// SampledLayer, or a dist::RemoteShard that drives the same SampledLayer
-// inside a worker process over the dist/protocol.h RPCs. Nothing below
-// asks which — partition, forced-label routing, merged-set softmax,
-// backward scatter, k-way top-k, grow/retire routing and the checkpoint
-// surface all go through the shard's Layer interface. In process, S
-// background maintenance threads rebuild concurrently where the
-// monolithic layer has one, and sync rebuilds fan the shards out across
-// the ThreadPool.
+// Each shard is a SampledLayer over its contiguous row range. S background
+// maintenance threads rebuild concurrently where the monolithic layer has
+// one, and sync rebuilds fan the shards out across the ThreadPool.
 //
 // Forward queries every shard's tables and merges the per-shard candidate
 // sets into one global active set (ids globalized by the shard row
@@ -32,15 +25,12 @@
 // per-shard candidate runs through a bounded heap in InferenceContext
 // scratch (no allocation; see Layer::forward_inference_topk).
 //
-// Parity anchors: with shards = 1 the layer is bit-identical to the
+// Parity anchor: with shards = 1 the layer is bit-identical to the
 // monolithic SampledLayer under sync maintenance — same weight init
 // stream, same sampling target, same RNG consumption order, same Adam
-// trajectory (tests/test_sharded_layer.cpp). S remote shards are
-// bit-identical to S in-process shards under single-threaded sync
-// training (tests/test_dist.cpp).
+// trajectory (tests/test_sharded_layer.cpp).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,18 +48,13 @@ std::vector<Index> shard_partition(Index units, int shards);
 /// units, proportional sampling target and inference budget (rounded up),
 /// per-bucket-occupancy-preserving range_pow shrink, and the golden-ratio
 /// seed stride (shard 0 keeps config.seed — the S = 1 bit-identity anchor).
-/// Every shard, in process or remote, is constructed from this config.
+/// Every shard is constructed from this config.
 SampledLayer::Config derive_shard_config(const SampledLayer::Config& global,
                                          Index shard_size, int shard_index);
 
 class ShardedSampledLayer final : public Layer {
  public:
-  /// Builds shard `index` from its derived config and its first global
-  /// row (e.g. a dist::RemoteShard dialing one worker).
-  using ShardFactory = std::function<std::unique_ptr<Layer>(
-      int index, const SampledLayer::Config& shard_config, Index row_offset)>;
-
-  /// In-process shards. `config` describes the GLOBAL layer (total units,
+  /// `config` describes the GLOBAL layer (total units,
   /// global sampling target, one seed); the constructor derives the
   /// per-shard configs: near-equal contiguous row ranges (the first
   /// units % shards shards get one extra row), per-shard sampling target
@@ -78,10 +63,6 @@ class ShardedSampledLayer final : public Layer {
   /// for bit). Requires config.hashed. `init` reaches every shard.
   ShardedSampledLayer(const SampledLayer::Config& config, int shards,
                       int batch_slots, int max_threads, ParamInit init = {});
-  /// Same partition and per-shard configs, with every shard built by
-  /// `make_shard`.
-  ShardedSampledLayer(const SampledLayer::Config& config, int shards,
-                      int batch_slots, const ShardFactory& make_shard);
 
   // ---- Identity ----
   LayerKind kind() const noexcept override { return LayerKind::kSharded; }
@@ -94,15 +75,9 @@ class ShardedSampledLayer final : public Layer {
 
   /// Shard topology accessors (tests, benches, serialization).
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
-  /// Shard s through its Layer interface, in process or remote.
-  Layer& shard_layer(int s) noexcept {
+  const SampledLayer& shard(int s) const noexcept {
     return *shards_[static_cast<std::size_t>(s)];
   }
-  const Layer& shard_layer(int s) const noexcept {
-    return *shards_[static_cast<std::size_t>(s)];
-  }
-  /// Shard s as an in-process SampledLayer; throws for a remote shard.
-  const SampledLayer& shard(int s) const;
   /// Global row range of shard s: [shard_offset(s), shard_offset(s + 1)).
   Index shard_offset(int s) const noexcept {
     return offsets_[static_cast<std::size_t>(s)];
@@ -127,7 +102,6 @@ class ShardedSampledLayer final : public Layer {
   bool maybe_rebuild(long iteration, ThreadPool* pool) override;
   void rebuild_tables(ThreadPool* pool) override;
   void quiesce_maintenance() const override;
-  void flush_maintenance() override;
 
   // ---- Dynamic label lifecycle ----
   /// Appends `n` units to the LAST shard (every other shard's row offset
@@ -189,16 +163,16 @@ class ShardedSampledLayer final : public Layer {
     return shard_offset(s);
   }
   std::span<float> shard_weights(int s) noexcept override {
-    return shard_layer(s).weights_span();
+    return shards_[static_cast<std::size_t>(s)]->weights_span();
   }
   std::span<const float> shard_weights(int s) const noexcept override {
-    return shard_layer(s).weights_span();
+    return shard(s).weights_span();
   }
   std::span<float> shard_bias(int s) noexcept override {
-    return shard_layer(s).bias_span();
+    return shards_[static_cast<std::size_t>(s)]->bias_span();
   }
   std::span<const float> shard_bias(int s) const noexcept override {
-    return shard_layer(s).bias_span();
+    return shard(s).bias_span();
   }
 
   void on_weights_loaded() noexcept override;
@@ -228,7 +202,7 @@ class ShardedSampledLayer final : public Layer {
   Index units_;
   Index fan_in_;
   std::vector<Index> offsets_;  // size shards() + 1; offsets_[0] == 0
-  std::vector<std::unique_ptr<Layer>> shards_;
+  std::vector<std::unique_ptr<SampledLayer>> shards_;
   std::vector<ActiveSet> slots_;  // merged active sets, global ids
 };
 

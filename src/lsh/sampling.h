@@ -33,7 +33,7 @@ struct SamplingConfig {
   /// Minimum bucket-frequency m for HardThreshold.
   int hard_threshold_m = 2;
   /// Optional cap on INFERENCE candidates (training sampling untouched).
-  /// On a sharded/distributed layer this is a GLOBAL budget, split across
+  /// On a sharded layer this is a GLOBAL budget, split across
   /// shards proportionally to their width — the fix for per-shard candidate
   /// oversampling, where S shards each sampling the full target produce
   /// S x target candidates per query. 0 (default) disables the cap, which

@@ -1,10 +1,18 @@
 #include "metrics/prometheus.h"
 
-#include <atomic>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
-#include "dist/transport.h"
 #include "serve/engine.h"
 
 namespace slide {
@@ -223,20 +231,6 @@ std::string render_prometheus(const ServeStats& stats) {
                    stats.lanes[lane].buckets);
   }
 
-  if (stats.distributed) {
-    w.family("slide_dist_wire_bytes_total",
-             "Bytes moved on the distributed shard wire, by direction",
-             "counter");
-    w.sample("slide_dist_wire_bytes_total", {{"direction", "sent"}},
-             static_cast<double>(stats.wire_bytes_sent));
-    w.sample("slide_dist_wire_bytes_total", {{"direction", "received"}},
-             static_cast<double>(stats.wire_bytes_received));
-    w.family("slide_dist_unhealthy_shards",
-             "Shards currently skipped in degraded mode", "gauge");
-    w.sample("slide_dist_unhealthy_shards", {},
-             static_cast<double>(stats.unhealthy_shards));
-  }
-
   // Memory accounting of the served snapshot. Always exported: the
   // retriever component in particular (the LSH buckets) was the historic
   // blind spot of footprint reports.
@@ -332,69 +326,125 @@ std::string render_prometheus(const ServeStats& stats) {
 // MetricsServer
 // ---------------------------------------------------------------------------
 
-class MetricsServerImpl {
- public:
-  explicit MetricsServerImpl(int port) : listener_("", port) {}
+namespace {
 
-  dist::TcpListener listener_;
-  std::atomic<bool> stopping_{false};
-};
+using Clock = std::chrono::steady_clock;
+
+/// Time one client gets to send its request head and read the reply.
+constexpr auto kClientDeadline = std::chrono::seconds(2);
+/// The serving thread re-checks stop() at least this often.
+constexpr int kStopCheckMs = 100;
+/// Request heads are read up to this size; the rest is ignored.
+constexpr std::size_t kMaxHeadBytes = 16 * 1024;
+
+/// Waits until `fd` is ready for `events`. False once `deadline` passes,
+/// `stopping` is set, or poll fails.
+bool wait_ready(int fd, short events, Clock::time_point deadline,
+                const std::atomic<bool>& stopping) {
+  while (!stopping.load(std::memory_order_acquire)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    if (left <= 0) return false;
+    pollfd pfd{fd, events, 0};
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>(std::min<long long>(left, kStopCheckMs)));
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) return false;
+  }
+  return false;
+}
+
+}  // namespace
 
 MetricsServer::MetricsServer(int port, std::function<std::string()> renderer)
-    : renderer_(std::move(renderer)),
-      impl_(std::make_unique<MetricsServerImpl>(port)) {
+    : renderer_(std::move(renderer)) {
   SLIDE_CHECK(renderer_ != nullptr, "MetricsServer: renderer must be set");
-  port_ = impl_->listener_.port();
-  thread_ = std::thread([this] { serve_loop(); });
+  SLIDE_CHECK(port >= 0 && port <= 65535,
+              "MetricsServer: port must be in [0, 65535]");
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  SLIDE_CHECK(listen_fd_ >= 0, std::string("MetricsServer: socket: ") +
+                                   std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  socklen_t len = sizeof(addr);
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, 16) != 0 ||
+      ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    const std::string why = std::strerror(errno);
+    ::close(listen_fd_);
+    throw Error("MetricsServer: cannot listen on port " +
+                std::to_string(port) + ": " + why);
+  }
+  port_ = ntohs(addr.sin_port);
+  try {
+    thread_ = std::thread([this] { serve_loop(); });
+  } catch (...) {
+    ::close(listen_fd_);
+    throw;
+  }
 }
 
 MetricsServer::~MetricsServer() { stop(); }
 
 void MetricsServer::stop() {
-  if (impl_->stopping_.exchange(true)) return;
-  impl_->listener_.close();  // unblocks a concurrent accept
+  if (stopping_.exchange(true)) return;
   if (thread_.joinable()) thread_.join();
+  ::close(listen_fd_);
 }
 
 void MetricsServer::serve_loop() {
-  while (!impl_->stopping_.load(std::memory_order_relaxed)) {
-    std::unique_ptr<dist::Transport> conn;
-    try {
-      conn = impl_->listener_.accept(/*timeout_ms=*/250);
-    } catch (const dist::TransportTimeout&) {
-      continue;  // periodic stop check
-    } catch (const dist::TransportClosed&) {
-      return;  // stop() closed the listener
-    } catch (const dist::TransportError&) {
-      continue;  // transient accept failure; keep serving
-    }
-    auto* tcp = dynamic_cast<dist::TcpTransport*>(conn.get());
-    if (tcp == nullptr) continue;
-    try {
-      // Read until the end of the request head. The request line and
-      // headers are ignored — every path serves the same scrape body.
-      std::string head;
-      char buf[1024];
-      while (head.find("\r\n\r\n") == std::string::npos &&
-             head.size() < 16 * 1024) {
-        const std::size_t n = tcp->recv_raw(buf, sizeof(buf), 2000);
-        head.append(buf, n);
-      }
-      const std::string body = renderer_();
-      std::string response =
-          "HTTP/1.0 200 OK\r\n"
-          "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-          "Content-Length: " + std::to_string(body.size()) + "\r\n"
-          "Connection: close\r\n"
-          "\r\n";
-      response += body;
-      tcp->send_raw(response.data(), response.size());
-    } catch (const dist::TransportError&) {
-      // Slow, closed, or misbehaving client: drop the connection and keep
-      // the scrape endpoint alive.
-    } catch (const Error&) {
-      // Renderer failure must not kill the listener thread.
-    }
+  while (!stopping_.load(std::memory_order_acquire)) {
+    if (!wait_ready(listen_fd_, POLLIN, Clock::time_point::max(), stopping_))
+      continue;
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) continue;  // the client left first, or a transient error
+    serve_client(fd);
+    ::close(fd);
+  }
+}
+
+void MetricsServer::serve_client(int fd) {
+  // One deadline covers the whole exchange: a client that trickles its
+  // request, or reads the reply slowly, is dropped when it passes.
+  const Clock::time_point deadline = Clock::now() + kClientDeadline;
+  // Read until the end of the request head. The request line and headers
+  // are ignored — every path serves the same scrape body.
+  std::string head;
+  char buf[1024];
+  while (head.find("\r\n\r\n") == std::string::npos &&
+         head.size() < kMaxHeadBytes) {
+    if (!wait_ready(fd, POLLIN, deadline, stopping_)) return;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0 || (n < 0 && errno != EINTR)) return;  // closed or reset
+    if (n > 0) head.append(buf, static_cast<std::size_t>(n));
+  }
+  std::string response;
+  try {
+    const std::string body = renderer_();
+    response =
+        "HTTP/1.0 200 OK\r\n"
+        "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+        "Content-Length: " + std::to_string(body.size()) + "\r\n"
+        "Connection: close\r\n"
+        "\r\n";
+    response += body;
+  } catch (const Error&) {
+    return;  // a renderer failure must not kill the serving thread
+  }
+  std::size_t sent = 0;
+  while (sent < response.size()) {
+    if (!wait_ready(fd, POLLOUT, deadline, stopping_)) return;
+    const ssize_t n = ::send(fd, response.data() + sent,
+                             response.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno != EINTR) return;  // the client went away
+    if (n > 0) sent += static_cast<std::size_t>(n);
   }
 }
 

@@ -7,15 +7,15 @@
 //   render_prometheus()  — the serve engine's metric surface: one call
 //                          renders a ServeStats reading (lane counters,
 //                          shed/deadline-miss counters, latency histograms,
-//                          PR 6 wire counters, PR 7 retrieval stats) as a
-//                          complete scrape body. Pure function of its
+//                          retrieval stats, memory and LSH table health)
+//                          as a complete scrape body. Pure function of its
 //                          input, so tests can assert on the text without
 //                          a socket.
-//   MetricsServer        — a minimal blocking HTTP/1.0 listener (reusing
-//                          the src/dist tcp plumbing) that answers every
-//                          GET with the renderer's current output. One
-//                          connection at a time, Connection: close — a
-//                          scrape endpoint, not a web server.
+//   MetricsServer        — a minimal HTTP/1.0 listener on a POSIX socket
+//                          that answers every GET with the renderer's
+//                          current output. One connection at a time,
+//                          Connection: close — a scrape endpoint, not a
+//                          web server.
 //
 // Histogram mapping: LatencyHistogram's 4-per-octave geometric buckets
 // collapse to octave boundaries on export (le = 2us, 4us, ... in seconds,
@@ -26,9 +26,9 @@
 // internally consistent under concurrent record() traffic.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -76,14 +76,16 @@ class PromWriter {
 /// Renders one ServeStats reading as a complete Prometheus scrape body.
 std::string render_prometheus(const ServeStats& stats);
 
-/// Minimal blocking HTTP listener for `serve_cli --metrics-port`: answers
-/// every GET on the port with `renderer()` as text/plain; version=0.0.4.
-/// Runs a single background thread; stop() (or destruction) closes the
-/// listener and joins.
+/// Minimal HTTP listener for `serve_cli --metrics-port`: answers every GET
+/// on the port with `renderer()` as text/plain; version=0.0.4. Runs a
+/// single background thread that serves one client at a time; a client
+/// gets 2 s in all to send its request head and read the reply, so a slow
+/// one cannot hold the thread. stop() (or destruction) joins the thread
+/// within ~100 ms, even mid-request, and closes the listener.
 class MetricsServer {
  public:
-  /// Binds immediately (port 0 = ephemeral; see port()). Throws
-  /// slide::dist::TransportError when the port is taken.
+  /// Binds all interfaces immediately (port 0 = ephemeral; see port()).
+  /// Throws slide::Error when the port is taken.
   MetricsServer(int port, std::function<std::string()> renderer);
   ~MetricsServer();
 
@@ -93,14 +95,17 @@ class MetricsServer {
   /// The bound port (kernel-assigned when constructed with 0).
   int port() const noexcept { return port_; }
 
-  /// Closes the listener and joins the serving thread. Idempotent.
+  /// Joins the serving thread and closes the listener. Idempotent.
   void stop();
 
  private:
   void serve_loop();
+  /// Answers one connection: reads the request head, sends the scrape.
+  void serve_client(int fd);
 
   std::function<std::string()> renderer_;
-  std::unique_ptr<class MetricsServerImpl> impl_;  // owns the dist listener
+  int listen_fd_ = -1;
+  std::atomic<bool> stopping_{false};
   std::thread thread_;
   int port_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <ostream>
 #include <utility>
 
-#include "dist/remote_shard.h"
 #include "metrics/table_printer.h"
 
 namespace slide {
@@ -436,7 +435,7 @@ std::uint64_t InferenceEngine::update(const OnlineDelta& delta) {
   if (calls % online_config_.publish_every == 0) {
     // Settle background maintenance (an async rebuild in flight) before
     // the master is cloned.
-    master.flush_maintenance();
+    master.quiesce_maintenance();
     return publish_master_locked();
   }
   return store_->version();
@@ -447,7 +446,7 @@ std::uint64_t InferenceEngine::publish_now() {
   SLIDE_CHECK(online_master_ != nullptr,
               "InferenceEngine::publish_now: call enable_online_updates "
               "first");
-  online_master_->flush_maintenance();
+  online_master_->quiesce_maintenance();
   return publish_master_locked();
 }
 
@@ -536,13 +535,6 @@ ServeStats InferenceEngine::stats() const {
       if (health.buckets > 0)
         s.lsh_tables.push_back(
             {i, health.occupancy(), health.saturation()});
-      for (const dist::RemoteShard* shard : dist::remote_shards(layer)) {
-        s.distributed = true;
-        const dist::WireCounters wc = shard->wire_counters();
-        s.wire_bytes_sent += wc.bytes_sent;
-        s.wire_bytes_received += wc.bytes_received;
-        if (!shard->healthy()) ++s.unhealthy_shards;
-      }
     }
     if (oracle > 0)
       s.retrieval_recall =
@@ -587,14 +579,6 @@ void InferenceEngine::print_stats(std::ostream& out) const {
     table.add_row({prefix + " deadline misses",
                    fmt_int(static_cast<long long>(ls.deadline_misses))});
     table.add_row({prefix + " p99", fmt_latency_us(ls.latency.p99_us)});
-  }
-  if (s.distributed) {
-    table.add_row({"wire bytes sent",
-                   fmt_int(static_cast<long long>(s.wire_bytes_sent))});
-    table.add_row({"wire bytes received",
-                   fmt_int(static_cast<long long>(s.wire_bytes_received))});
-    table.add_row({"unhealthy shards",
-                   fmt_int(static_cast<long long>(s.unhealthy_shards))});
   }
   if (s.adaptive_retrieval) {
     table.add_row(

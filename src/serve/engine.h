@@ -193,13 +193,6 @@ struct ServeStats {
   /// the first batch completes.
   double ewma_service_us = 0.0;
 
-  // Distributed model parallelism (all zero unless the served network has
-  // remote shards, dist::RemoteShard; see src/dist/).
-  bool distributed = false;
-  std::uint64_t wire_bytes_sent = 0;      // coordinator -> workers
-  std::uint64_t wire_bytes_received = 0;  // workers -> coordinator
-  int unhealthy_shards = 0;  // degraded-mode health flag (skipped shards)
-
   // Per-query adaptive retrieval (all zero unless a served layer runs with
   // sampling.escalation_floor > 0; see src/retrieval/). Escalated queries
   // fall back to exact scoring; `retrieval_recall` is the measured
@@ -210,8 +203,8 @@ struct ServeStats {
   double retrieval_recall = 0.0;
 
   /// LSH table health of the current snapshot, one entry per stack layer
-  /// that owns in-process tables (Layer::table_health). The tables count
-  /// their buckets when built, so reading these costs no table scan.
+  /// that owns tables (Layer::table_health). The tables count their
+  /// buckets when built, so reading these costs no table scan.
   struct LshTables {
     int layer = 0;            ///< index in Network::stack()
     double occupancy = 0.0;   ///< non-empty buckets / all buckets

@@ -77,27 +77,6 @@ std::shared_ptr<ModelStore> ModelStore::from_checkpoint_file(
       network_from_checkpoint(config, in, rebuild_threads), path);
 }
 
-std::shared_ptr<ModelStore> ModelStore::from_shard_checkpoints(
-    NetworkConfig config, const std::string& base,
-    const std::string& coordinator_checkpoint) {
-  bool any = false;
-  for (LayerSpec& spec : config.layers) {
-    if (spec.endpoints.empty()) continue;
-    spec.shard_checkpoint_base = base;
-    any = true;
-  }
-  SLIDE_CHECK(any,
-              "ModelStore::from_shard_checkpoints: no distributed layer in "
-              "the config (set LayerSpec::endpoints)");
-  // Workers load their own shard files (and rebuild their tables) inside
-  // Network construction, via kInitShard's checkpoint_path.
-  auto network = std::make_shared<Network>(config, /*max_threads=*/1);
-  if (!coordinator_checkpoint.empty())
-    load_weights_file(*network, coordinator_checkpoint);
-  return std::make_shared<ModelStore>(std::move(network),
-                                      base + ".shard*of*");
-}
-
 std::shared_ptr<const ModelSnapshot> ModelStore::current() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return current_;

@@ -59,18 +59,6 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
       const NetworkConfig& config, const std::string& path,
       int rebuild_threads = 0);
 
-  /// Boots a store whose distributed layers load from per-shard checkpoint
-  /// files "<base>.shard<s>of<n>" (core/serialize.h shard files, written by
-  /// dist::checkpoint_shards): each shard worker reads
-  /// its OWN file during kInitShard — the wide layer's weights never cross
-  /// the wire. A non-empty `coordinator_checkpoint` then restores the other
-  /// layers (embedding, dense mid-stack) from a standard core/serialize
-  /// checkpoint. The config must have at least one layer with distributed
-  /// endpoints.
-  static std::shared_ptr<ModelStore> from_shard_checkpoints(
-      NetworkConfig config, const std::string& base,
-      const std::string& coordinator_checkpoint = "");
-
   ModelStore(const ModelStore&) = delete;
   ModelStore& operator=(const ModelStore&) = delete;
 

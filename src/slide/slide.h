@@ -20,9 +20,6 @@
 #include "data/sparse_vector.h"        // IWYU pragma: export
 #include "data/synthetic.h"            // IWYU pragma: export
 #include "data/xc_reader.h"            // IWYU pragma: export
-#include "dist/remote_shard.h"         // IWYU pragma: export
-#include "dist/transport.h"            // IWYU pragma: export
-#include "dist/worker.h"               // IWYU pragma: export
 #include "lsh/collision.h"             // IWYU pragma: export
 #include "lsh/factory.h"               // IWYU pragma: export
 #include "lsh/sampling.h"              // IWYU pragma: export

@@ -91,25 +91,6 @@ class Rng {
   /// Derive an independent stream (for per-thread / per-table generators).
   Rng fork() { return Rng(operator()()); }
 
-  /// Full generator state, for serialization (src/dist/ round-trips it over
-  /// the wire so a remote shard consumes the coordinator's stream exactly
-  /// where an in-process shard would). 4 xoshiro words + the Marsaglia
-  /// cached-normal pair.
-  struct State {
-    std::uint64_t s[4];
-    float cached;
-    bool has_cached;
-  };
-  State state() const noexcept {
-    return {{state_[0], state_[1], state_[2], state_[3]}, cached_,
-            has_cached_};
-  }
-  void set_state(const State& st) noexcept {
-    for (int i = 0; i < 4; ++i) state_[i] = st.s[i];
-    cached_ = st.cached;
-    has_cached_ = st.has_cached;
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

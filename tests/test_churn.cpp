@@ -1,6 +1,6 @@
 // Dynamic label lifecycle tests: online growth (add_units) and retirement
-// (retire_units tombstones) of output neurons in monolithic, sharded, and
-// distributed layers; checkpoint-v5 round-trips (appended rows + tombstone
+// (retire_units tombstones) of output neurons in monolithic and sharded
+// layers; checkpoint-v5 round-trips (appended rows + tombstone
 // persistence, shard-count invariance); retriever memory accounting in
 // Network::memory_footprint; paged top-k stability across growth; the
 // InferenceEngine online-update API; and churn-while-serving stress (the
@@ -20,9 +20,7 @@
 #include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "dist/remote_shard.h"
-#include "dist/transport.h"
-#include "dist/worker.h"
+#include "http_client.h"
 #include "metrics/prometheus.h"
 #include "serve/engine.h"
 
@@ -191,7 +189,7 @@ TEST(Churn, RetiredUnitsVanishFromTopkOnEveryBackend) {
 
 // A retire batch is all or nothing on every layer: an out-of-range id
 // anywhere in it throws before a single id is tombstoned.
-enum class RetireLayout { kMonolithic, kShardedS2, kRemoteS2 };
+enum class RetireLayout { kMonolithic, kShardedS2 };
 
 class ChurnRetireBatch : public ::testing::TestWithParam<RetireLayout> {};
 
@@ -199,45 +197,29 @@ TEST_P(ChurnRetireBatch, OutOfRangeIdRetiresNothing) {
   NetworkBuilder b(/*input_dim=*/64);
   b.dense(16).sampled(/*units=*/61, small_family(), 16);
   b.table({.range_pow = 8, .bucket_size = 32});
-  std::vector<std::unique_ptr<dist::InProcessWorker>> workers;
   if (GetParam() == RetireLayout::kShardedS2) b.shards(2);
-  if (GetParam() == RetireLayout::kRemoteS2) {
-    std::vector<std::string> endpoints;
-    for (int s = 0; s < 2; ++s) {
-      workers.push_back(
-          std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
-      endpoints.push_back(workers.back()->endpoint());
-    }
-    b.distributed(endpoints);
-  }
-  {
-    Network net(b.max_batch(8).seed(123).to_config(), 1);
-    const Layer& out = net.stack(net.stack_depth() - 1);
-    EXPECT_THROW(net.retire_output_units(
-                     std::vector<Index>{3, 40, Index{1} << 30}),
-                 Error);
-    EXPECT_EQ(out.retired_count(), 0);
-    EXPECT_TRUE(out.retired_unit_ids().empty());
+  Network net(b.max_batch(8).seed(123).to_config(), 1);
+  const Layer& out = net.stack(net.stack_depth() - 1);
+  EXPECT_THROW(
+      net.retire_output_units(std::vector<Index>{3, 40, Index{1} << 30}),
+      Error);
+  EXPECT_EQ(out.retired_count(), 0);
+  EXPECT_TRUE(out.retired_unit_ids().empty());
 
-    // The same ids without the bad one still retire.
-    net.retire_output_units(std::vector<Index>{3, 40});
-    EXPECT_EQ(out.retired_unit_ids(), (std::vector<Index>{3, 40}));
-  }
-  for (auto& w : workers) w->stop();
+  // The same ids without the bad one still retire.
+  net.retire_output_units(std::vector<Index>{3, 40});
+  EXPECT_EQ(out.retired_unit_ids(), (std::vector<Index>{3, 40}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, ChurnRetireBatch,
-    ::testing::Values(RetireLayout::kMonolithic, RetireLayout::kShardedS2,
-                      RetireLayout::kRemoteS2),
+    ::testing::Values(RetireLayout::kMonolithic, RetireLayout::kShardedS2),
     [](const ::testing::TestParamInfo<RetireLayout>& info) {
       switch (info.param) {
         case RetireLayout::kMonolithic:
           return std::string("Monolithic");
         case RetireLayout::kShardedS2:
           return std::string("ShardedS2");
-        case RetireLayout::kRemoteS2:
-          return std::string("RemoteS2");
       }
       return std::string("Unknown");
     });
@@ -282,7 +264,7 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
   src.add_output_units(6);
   src.retire_output_units(std::vector<Index>{5, 11});
   train(src, data, 5);
-  src.flush_maintenance();
+  src.quiesce_maintenance();
 
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   save_weights(src, buffer);
@@ -363,23 +345,6 @@ TEST(Churn, PrometheusExportsMemoryFamilies) {
   engine.stop();
 }
 
-/// One HTTP scrape of a MetricsServer on this host.
-std::string scrape(int port) {
-  auto conn = dist::connect_endpoint("tcp:127.0.0.1:" + std::to_string(port),
-                                     2000);
-  auto* tcp = dynamic_cast<dist::TcpTransport*>(conn.get());
-  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-  tcp->send_raw(request.data(), request.size());
-  std::string response;
-  try {
-    char buf[4096];
-    while (true) response.append(buf, tcp->recv_raw(buf, sizeof(buf), 2000));
-  } catch (const dist::TransportClosed&) {
-    // Connection: close terminates the response.
-  }
-  return response;
-}
-
 TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
   const auto data = tiny_data();
   for (int bucket_size : {32, 2}) {
@@ -398,12 +363,14 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
     EXPECT_GT(health.occupancy(), 0.0);
     EXPECT_LE(health.saturation(), health.occupancy());
     // 48 labels in 16 fingerprints per table overflow 2-slot buckets.
-    if (bucket_size == 2) EXPECT_GT(health.saturation(), 0.0);
+    if (bucket_size == 2) {
+      EXPECT_GT(health.saturation(), 0.0);
+    }
 
     MetricsServer server(0, [&engine] {
       return render_prometheus(engine.stats());
     });
-    const std::string text = scrape(server.port());
+    const std::string text = test_http::scrape(server.port());
     const std::string label = "{layer=\"" + std::to_string(layer) + "\"} ";
     EXPECT_NE(text.find("# TYPE slide_lsh_bucket_occupancy gauge"),
               std::string::npos);
@@ -568,81 +535,6 @@ TEST(Churn, PublishSecondsGrowOnEveryPublish) {
   EXPECT_NE(text.find("slide_online_publish_seconds_total "),
             std::string::npos);
   engine.stop();
-}
-
-// ---------------------------------------------------------------------------
-// Distributed grow/retire RPCs (protocol v3)
-// ---------------------------------------------------------------------------
-
-TEST(Churn, DistributedLayerGrowsAndRetiresThroughRpc) {
-  const auto data = tiny_data();
-  std::vector<std::unique_ptr<dist::InProcessWorker>> workers;
-  std::vector<std::string> endpoints;
-  for (int s = 0; s < 2; ++s) {
-    workers.push_back(
-        std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
-    endpoints.push_back(workers.back()->endpoint());
-  }
-  {
-    NetworkBuilder b(data.train.feature_dim());
-    b.dense(16).sampled(data.train.label_dim(), small_family(), 16);
-    b.table({.range_pow = 8, .bucket_size = 32});
-    b.distributed(endpoints);
-    b.max_batch(32).seed(123);
-    Network net(b.to_config(), 1);
-    auto* layer = dynamic_cast<ShardedSampledLayer*>(
-        &net.stack(net.stack_depth() - 1));
-    ASSERT_NE(layer, nullptr);
-
-    const Index before = net.output_dim();
-    EXPECT_EQ(net.add_output_units(4), before);
-    EXPECT_EQ(net.output_dim(), before + 4);
-    EXPECT_EQ(layer->appended_units(), 4);
-
-    net.retire_output_units(std::vector<Index>{0, before + 1});
-    EXPECT_EQ(layer->retired_count(), 2);
-    EXPECT_EQ(layer->retired_unit_ids(),
-              (std::vector<Index>{0, before + 1}));
-
-    InferenceContext ctx(net, 7);
-    for (std::size_t i = 0; i < 5; ++i) {
-      const auto top = net.predict_topk(data.test[i].features, ctx, 10,
-                                        /*exact=*/true);
-      EXPECT_EQ(std::count(top.begin(), top.end(), Index{0}), 0);
-      EXPECT_EQ(std::count(top.begin(), top.end(), before + 1), 0);
-      for (Index label : top) EXPECT_LT(label, before + 4);
-    }
-
-    // A copy reads the remote shards through the Layer surface a
-    // checkpoint writer uses, so an in-process S=3 copy holds what a
-    // save/load round trip into the same layout holds.
-    net.flush_maintenance();
-    NetworkConfig local = net.config();
-    local.layers.back().endpoints.clear();
-    local.layers.back().shards = 3;
-    std::stringstream checkpoint(std::ios::in | std::ios::out |
-                                 std::ios::binary);
-    save_weights(net, checkpoint);
-    Network round_trip(local, 1);
-    load_weights(round_trip, checkpoint);
-    const auto copy = copy_network(local, net, 1, nullptr);
-    const Layer& want = round_trip.stack(round_trip.stack_depth() - 1);
-    const Layer& got = copy->stack(copy->stack_depth() - 1);
-    ASSERT_EQ(got.num_shards(), 3);
-    for (int s = 0; s < 3; ++s) {
-      EXPECT_TRUE(std::ranges::equal(want.shard_weights(s),
-                                     got.shard_weights(s)));
-      EXPECT_TRUE(std::ranges::equal(want.shard_bias(s), got.shard_bias(s)));
-    }
-    EXPECT_EQ(got.retired_unit_ids(), (std::vector<Index>{0, before + 1}));
-    InferenceContext ctx_a(round_trip, 7);
-    InferenceContext ctx_b(*copy, 7);
-    for (std::size_t i = 0; i < 20; ++i)
-      EXPECT_EQ(round_trip.predict_topk(data.test[i].features, ctx_a, 5),
-                copy->predict_topk(data.test[i].features, ctx_b, 5));
-    dist::shutdown_workers(*layer);
-  }
-  for (auto& w : workers) w->stop();
 }
 
 // ---------------------------------------------------------------------------

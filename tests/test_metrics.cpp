@@ -2,12 +2,18 @@
 // markdown table printer and the CPU-efficiency probe plumbing.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "core/builder.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "dist/transport.h"
+#include "http_client.h"
 #include "metrics/convergence.h"
 #include "metrics/instrumentation.h"
 #include "metrics/metrics.h"
@@ -316,17 +322,11 @@ TEST(RenderPrometheus, ExposesServeFamiliesWithAllLaneSeries) {
       text.find("slide_serve_latency_seconds_bucket{lane=\"default\",le="),
       std::string::npos);
   // Gated families stay out when the served model has no such layers.
-  EXPECT_EQ(text.find("slide_dist_wire_bytes_total"), std::string::npos);
   EXPECT_EQ(text.find("slide_retrieval_"), std::string::npos);
   // ...and in when flagged.
-  stats.distributed = true;
-  stats.wire_bytes_sent = 12;
   stats.adaptive_retrieval = true;
-  const std::string dist_text = render_prometheus(stats);
-  EXPECT_NE(
-      dist_text.find("slide_dist_wire_bytes_total{direction=\"sent\"} 12"),
-      std::string::npos);
-  EXPECT_NE(dist_text.find("slide_retrieval_escalations_total"),
+  const std::string adaptive_text = render_prometheus(stats);
+  EXPECT_NE(adaptive_text.find("slide_retrieval_escalations_total"),
             std::string::npos);
 }
 
@@ -362,25 +362,60 @@ TEST(MetricsServer, ServesScrapeOverHttp) {
     return render_prometheus(stats);
   });
   ASSERT_GT(server.port(), 0);
-  // Scrape it with a raw tcp client through the same dist plumbing.
-  auto conn = dist::connect_endpoint(
-      "tcp:127.0.0.1:" + std::to_string(server.port()), 2000);
-  auto* tcp = dynamic_cast<dist::TcpTransport*>(conn.get());
-  ASSERT_NE(tcp, nullptr);
-  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-  tcp->send_raw(request.data(), request.size());
-  std::string response;
-  try {
-    char buf[4096];
-    while (true) response.append(buf, tcp->recv_raw(buf, sizeof(buf), 2000));
-  } catch (const dist::TransportClosed&) {
-    // Connection: close terminates the response.
-  }
+  const std::string response = test_http::scrape(server.port());
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("slide_serve_submitted_total 5"),
             std::string::npos);
   server.stop();  // idempotent with the destructor
+}
+
+
+TEST(MetricsServer, StopAndScrapesDoNotWaitForATricklingClient) {
+  using Clock = std::chrono::steady_clock;
+  MetricsServer server(0, [] {
+    ServeStats stats;
+    stats.submitted = 5;
+    return render_prometheus(stats);
+  });
+  // A client that sends its request head one byte every 100 ms and never
+  // finishes it, for up to 10 s.
+  auto trickle = [&server](std::atomic<bool>& quit) {
+    const int fd = test_http::connect_local(server.port());
+    return std::thread([fd, &quit] {
+      const std::string head = "GET /metrics HTTP/1.0\r\nX-Slow: ";
+      for (std::size_t i = 0; i < 100 && !quit.load(); ++i) {
+        const char c = i < head.size() ? head[i] : 'x';
+        if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      if (fd >= 0) ::close(fd);
+    });
+  };
+  auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+
+  // The server takes the trickling client first; a second scrape is still
+  // answered once the trickler's deadline passes.
+  std::atomic<bool> quit{false};
+  std::thread first = trickle(quit);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto t0 = Clock::now();
+  const std::string response = test_http::scrape(server.port());
+  EXPECT_LT(seconds_since(t0), 3.0);
+  EXPECT_NE(response.find("slide_serve_submitted_total 5"),
+            std::string::npos);
+
+  // stop() leaves a trickling client at once.
+  std::thread second = trickle(quit);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  t0 = Clock::now();
+  server.stop();
+  EXPECT_LT(seconds_since(t0), 3.0);
+  quit.store(true);
+  first.join();
+  second.join();
 }
 
 }  // namespace

@@ -174,8 +174,9 @@ TEST(Retrieval, RemoveMasksUntilReinsert) {
     EXPECT_GE(std::count(back.begin(), back.end(), victim), 0)
         << to_string(kind);
     // The exact scan must literally contain it again.
-    if (kind == Backend::kExact)
+    if (kind == Backend::kExact) {
       EXPECT_EQ(std::count(back.begin(), back.end(), victim), 1);
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 // table rebuild after load.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include <csignal>
 #include <cstring>
@@ -167,20 +166,6 @@ TEST(Serialize, FailedSaveLeavesThePreviousCheckpointIntact) {
                         r.size() * sizeof(float)),
             0);
   std::remove(path.c_str());
-
-  // Per-shard files go through the same writer.
-  const std::string shard = (dir / "slide_test_crash_safe.shard").string();
-  const ShardFileInfo info{.rows = 2, .fan_in = 3};
-  const std::vector<float> weights(6, 1.0f), bias(2, 2.0f);
-  save_shard_file(shard, info, weights, bias);
-  const std::string shard_saved = file_bytes(shard);
-  const std::vector<float> newer(6, 3.0f);
-  with_file_size_limit(shard_saved.size() / 2, [&] {
-    EXPECT_THROW(save_shard_file(shard, info, newer, bias), Error);
-  });
-  EXPECT_FALSE(std::filesystem::exists(shard + ".tmp"));
-  EXPECT_EQ(file_bytes(shard), shard_saved);
-  std::remove(shard.c_str());
 }
 
 TEST(Serialize, RejectsArchitectureMismatch) {
@@ -324,8 +309,7 @@ bool load_fuzzed(const FuzzCase& c, const std::string& bytes,
 TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
   // Every truncation and every single-byte flip of a v5 checkpoint either
   // loads or throws slide::Error: no allocation bomb from a count read off
-  // the file (std::bad_alloc, std::length_error), no crash, no hang. The
-  // frame codec has the same contract (test_dist.cpp).
+  // the file (std::bad_alloc, std::length_error), no crash, no hang.
   const auto data = fuzz_data();
   const SparseVector& query = data.test[0].features;
   constexpr std::size_t kHeaderBytes = 7 * sizeof(std::uint32_t);
@@ -392,69 +376,6 @@ TEST(Serialize, OlderRetrieverDescriptorsLoadIntoLshLayers) {
     std::stringstream in(with_retriever_descriptor(lsh, 3, 0));
     EXPECT_THROW(load_weights(net, in), Error) << shards << " shards";
   }
-}
-
-TEST(Serialize, FuzzedShardFilesFailWithTypedErrors) {
-  // A per-shard SLSH file sizes its blocks from the rows and fan_in words
-  // of its header. Every truncation and every single-byte flip of one must
-  // load or throw slide::Error: a flipped high byte must not become a
-  // many-GB allocation (std::bad_alloc).
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("slide_test_fuzz_" + std::to_string(getpid()) + ".shard"))
-          .string();
-  const ShardFileInfo info{
-      .shard_index = 1, .num_shards = 2, .row_offset = 4, .rows = 4,
-      .fan_in = 8};
-  std::vector<float> weights(32), bias(4);
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    weights[i] = 0.25f * static_cast<float>(i);
-  for (std::size_t i = 0; i < bias.size(); ++i)
-    bias[i] = -static_cast<float>(i);
-  save_shard_file(path, info, weights, bias);
-  const std::string bytes = file_bytes(path);
-  // Header (7 words), weight length word + 32 floats, bias length word +
-  // 4 floats.
-  ASSERT_EQ(bytes.size(), 180u);
-
-  const auto loads = [&](const std::string& content, const std::string& what) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    }
-    std::vector<float> w, b;
-    try {
-      load_shard_file(path, w, b);
-    } catch (const Error&) {
-      return false;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << what << ": untyped " << e.what();
-      return false;
-    }
-    return true;
-  };
-  ASSERT_TRUE(loads(bytes, "unmutated"));
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    EXPECT_FALSE(loads(bytes.substr(0, keep),
-                       "truncated to " + std::to_string(keep)))
-        << "truncated to " << keep << " bytes loaded";
-  }
-  // Bytes that must be rejected when flipped: magic, version, shard index
-  // (any flip makes it >= num_shards), rows, fan_in and the two length
-  // words. num_shards, row_offset and the floats may load; the owning
-  // layer checks placement.
-  const auto structural = [](std::size_t i) {
-    return i < 12 || (i >= 20 && i < 32) || (i >= 160 && i < 164);
-  };
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::string flipped = bytes;
-    flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
-    const bool loaded = loads(flipped, "byte " + std::to_string(i));
-    if (structural(i)) {
-      EXPECT_FALSE(loaded) << "byte " << i;
-    }
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, WritesVersion5WithPrecisionTagAndRejectsFutureVersions) {

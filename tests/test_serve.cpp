@@ -455,7 +455,7 @@ std::shared_ptr<Network> churned_master(const SyntheticDataset& data,
     }
     train_samples(*master, samples, rng, iteration);
   }
-  master->flush_maintenance();
+  master->quiesce_maintenance();
   return master;
 }
 

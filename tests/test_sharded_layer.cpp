@@ -3,8 +3,8 @@
 // single-table path on exhaustive nets, gradient routing, checkpoint-v3
 // round-trips and resharding (including legacy v2 monolithic files),
 // train-while-rebuild stress at S=4 (the TSan CI target), and sharded
-// snapshot hot-swap under serving load. The merge, top-k and checkpoint
-// tests also run with the shards in worker threads (dist::RemoteShard).
+// snapshot hot-swap under serving load, and the global inference
+// candidate budget's per-shard split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include "core/sharded_layer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "dist/worker.h"
 #include "metrics/metrics.h"
 #include "serve/engine.h"
 
@@ -65,37 +64,6 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards,
   b.max_batch(32).precision(precision).seed(123);
   return b.to_config();
 }
-
-/// Where a test network's output layer lives: `shards` in-process shards
-/// (0 = monolithic) or, when `remote`, that many shard workers on loopback.
-struct Placement {
-  int shards = 0;
-  bool remote = false;
-};
-
-std::ostream& operator<<(std::ostream& out, const Placement& placement) {
-  return out << "shards=" << placement.shards
-             << (placement.remote ? " remote" : "");
-}
-
-/// A net_config network at `placement`, owning the workers its remote
-/// shards dial (declared first, so they outlive the network).
-struct PlacedNetwork {
-  std::vector<std::unique_ptr<dist::InProcessWorker>> workers;
-  std::unique_ptr<Network> net;
-
-  PlacedNetwork(const SyntheticDataset& data, Placement placement,
-                Index target, int max_threads) {
-    NetworkConfig cfg =
-        net_config(data, placement.remote ? 0 : placement.shards, target);
-    for (int s = 0; placement.remote && s < placement.shards; ++s) {
-      workers.push_back(
-          std::make_unique<dist::InProcessWorker>("tcp:127.0.0.1:0"));
-      cfg.layers.back().endpoints.push_back(workers.back()->endpoint());
-    }
-    net = std::make_unique<Network>(cfg, max_threads);
-  }
-};
 
 /// The sharded output layer of a network built with net_config(shards>=1).
 const ShardedSampledLayer& sharded_output(const Network& net) {
@@ -275,10 +243,8 @@ TEST(ShardedLayer, ShardMergedTopKEqualsSingleTableTopKWhenExhaustive) {
   train(mono, data, 40, 2);
   mono.rebuild_all(nullptr);
 
-  for (Placement placement : {Placement{2}, Placement{3}, Placement{5},
-                              Placement{2, /*remote=*/true}}) {
-    PlacedNetwork placed(data, placement, /*target=*/61, 2);
-    Network& sharded = *placed.net;
+  for (int shards : {2, 3, 5}) {
+    Network sharded(net_config(data, shards, /*target=*/61), 2);
     clone_weights(mono, sharded);
     expect_same_parameters(mono.stack(0), sharded.stack(0));
 
@@ -290,7 +256,7 @@ TEST(ShardedLayer, ShardMergedTopKEqualsSingleTableTopKWhenExhaustive) {
       // including tie-breaks (lower unit id first).
       EXPECT_EQ(mono.predict_topk(x, ctx_a, 7, true),
                 sharded.predict_topk(x, ctx_b, 7, true))
-          << placement << " sample=" << i;
+          << "shards=" << shards << " sample=" << i;
       EXPECT_EQ(mono.predict_top1(x, ctx_a, true),
                 sharded.predict_top1(x, ctx_b, true));
     }
@@ -302,41 +268,38 @@ TEST(ShardedLayer, HeapMergeMatchesRankingTheMergedCandidates) {
   // top-k the bounded heap produces must equal ranking the full merged
   // candidate list, for identical RNG streams.
   const auto data = planted();
-  for (Placement placement : {Placement{4}, Placement{2, /*remote=*/true}}) {
-    PlacedNetwork placed(data, placement, /*target=*/24, 2);
-    Network& net = *placed.net;
-    train(net, data, 30, 2);
-    net.rebuild_all(nullptr);
-    const ShardedSampledLayer& out = sharded_output(net);
+  Network net(net_config(data, 4, /*target=*/24), 2);
+  train(net, data, 30, 2);
+  net.rebuild_all(nullptr);
+  const ShardedSampledLayer& out = sharded_output(net);
 
-    InferenceContext ctx(net, 5);
-    VisitedSet visited_a(net.max_sampled_units());
-    VisitedSet visited_b(net.max_sampled_units());
-    TopKScratch scratch;
-    std::vector<Index> ids, merged_topk;
-    std::vector<float> act;
-    for (std::size_t i = 0; i < 40; ++i) {
-      ctx.dense.resize(net.embedding().units());
-      net.embedding().forward_inference(data.test[i].features,
-                                        ctx.dense.data());
-      Rng rng_a(1000 + i), rng_b(1000 + i);
-      out.forward_inference({}, ctx.dense, false, rng_a, visited_a, ids, act);
-      out.forward_inference_topk({}, ctx.dense, 6, false, rng_b, visited_b,
-                                 scratch, merged_topk);
+  InferenceContext ctx(net, 5);
+  VisitedSet visited_a(net.max_sampled_units());
+  VisitedSet visited_b(net.max_sampled_units());
+  TopKScratch scratch;
+  std::vector<Index> ids, merged_topk;
+  std::vector<float> act;
+  for (std::size_t i = 0; i < 40; ++i) {
+    ctx.dense.resize(net.embedding().units());
+    net.embedding().forward_inference(data.test[i].features,
+                                      ctx.dense.data());
+    Rng rng_a(1000 + i), rng_b(1000 + i);
+    out.forward_inference({}, ctx.dense, false, rng_a, visited_a, ids, act);
+    out.forward_inference_topk({}, ctx.dense, 6, false, rng_b, visited_b,
+                               scratch, merged_topk);
 
-      std::vector<std::size_t> order(act.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      const std::size_t take = std::min<std::size_t>(6, order.size());
-      std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                        [&](std::size_t a, std::size_t b) {
-                          return act[a] > act[b] ||
-                                 (act[a] == act[b] && a < b);
-                        });
-      ASSERT_EQ(merged_topk.size(), take);
-      for (std::size_t j = 0; j < take; ++j)
-        EXPECT_EQ(merged_topk[j], ids[order[j]]) << placement << " sample "
-                                                 << i << " pos " << j;
-    }
+    std::vector<std::size_t> order(act.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const std::size_t take = std::min<std::size_t>(6, order.size());
+    std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        return act[a] > act[b] ||
+                               (act[a] == act[b] && a < b);
+                      });
+    ASSERT_EQ(merged_topk.size(), take);
+    for (std::size_t j = 0; j < take; ++j)
+      EXPECT_EQ(merged_topk[j], ids[order[j]])
+          << "sample " << i << " pos " << j;
   }
 }
 
@@ -436,11 +399,9 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
   EXPECT_EQ(info.version, 5u);
 
   InferenceContext ctx_src(src, 7);
-  for (Placement placement : {Placement{0}, Placement{1}, Placement{3},
-                              Placement{5}, Placement{2, /*remote=*/true}}) {
+  for (int shards : {0, 1, 3, 5}) {
     buffer.seekg(0);
-    PlacedNetwork placed(data, placement, /*target=*/20, 2);
-    Network& dst = *placed.net;
+    Network dst(net_config(data, shards, /*target=*/20), 2);
     load_weights(dst, buffer);
     expect_same_parameters(src.stack(0), dst.stack(0));
     ASSERT_TRUE(bytes_equal(src.embedding().weights_span(),
@@ -449,7 +410,7 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
     for (std::size_t i = 0; i < 25; ++i) {
       EXPECT_EQ(src.predict_topk(data.test[i].features, ctx_src, 5, true),
                 dst.predict_topk(data.test[i].features, ctx_dst, 5, true))
-          << placement;
+          << "shards=" << shards;
     }
   }
 }
@@ -656,6 +617,123 @@ TEST(ShardedLayer, HotSwapShardedSnapshotUnderLoadZeroFailures) {
               snap->network->predict_topk(data.test[i].features, ctx_b, 3,
                                           true));
   }
+}
+
+
+// ---- Global inference budget ----------------------------------------------
+
+TEST(ShardBudget, DeriveShardConfigSplitsBudgetProportionally) {
+  SampledLayer::Config global;
+  global.units = 100;
+  global.fan_in = 8;
+  global.family = small_family();
+  global.sampling.target = 40;
+  global.sampling.inference_budget = 32;
+  global.seed = 9;
+
+  const std::vector<Index> offsets = shard_partition(100, 3);
+  ASSERT_EQ(offsets.size(), 4u);
+  EXPECT_EQ(offsets.front(), 0u);
+  EXPECT_EQ(offsets.back(), 100u);
+
+  Index budget_sum = 0, target_sum = 0;
+  for (int s = 0; s < 3; ++s) {
+    const Index size = offsets[s + 1] - offsets[s];
+    const SampledLayer::Config sc = derive_shard_config(global, size, s);
+    EXPECT_EQ(sc.units, size);
+    EXPECT_GT(sc.sampling.inference_budget, 0u);
+    EXPECT_GT(sc.sampling.target, 0u);
+    budget_sum += sc.sampling.inference_budget;
+    target_sum += sc.sampling.target;
+    if (s == 0) {
+      EXPECT_EQ(sc.seed, global.seed);  // bit-identity anchor
+    }
+  }
+  // Ceil rounding: the sums land at the global knob, +< S slack.
+  EXPECT_GE(budget_sum, 32u);
+  EXPECT_LT(budget_sum, 32u + 3u);
+  EXPECT_GE(target_sum, 40u);
+  EXPECT_LT(target_sum, 40u + 3u);
+
+  // budget = 0 keeps the knob off in every shard.
+  global.sampling.inference_budget = 0;
+  EXPECT_EQ(derive_shard_config(global, 34, 0).sampling.inference_budget, 0u);
+}
+
+TEST(ShardBudget, BudgetCapsSampledCandidatesButNotExactScoring) {
+  SampledLayer::Config cfg;
+  cfg.units = 64;
+  cfg.fan_in = 16;
+  cfg.family = small_family();
+  cfg.table.range_pow = 8;
+  cfg.sampling.target = 48;
+  cfg.seed = 7;
+  SampledLayer layer(cfg, /*batch_slots=*/1, /*max_threads=*/1);
+  layer.rebuild_tables(nullptr);
+
+  Rng init(3);
+  std::vector<float> prev(16);
+  for (float& v : prev) v = init.uniform_float();
+  VisitedSet visited(64);
+  std::vector<Index> ids;
+  std::vector<float> act;
+
+  // Unbudgeted: fill_random_to_target tops the candidates up to target.
+  Rng r1(11);
+  layer.forward_inference({}, prev, false, r1, visited, ids, act);
+  EXPECT_EQ(ids.size(), 48u);
+
+  // The configured knob caps the candidate count.
+  SampledLayer::Config capped = cfg;
+  capped.sampling.inference_budget = 8;
+  SampledLayer capped_layer(capped, 1, 1);
+  capped_layer.rebuild_tables(nullptr);
+  Rng r2(11);
+  capped_layer.forward_inference({}, prev, false, r2, visited, ids, act);
+  EXPECT_LE(ids.size(), 8u);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_EQ(ids.size(), act.size());
+
+  // Exact mode ignores the budget: every unit is scored by request.
+  Rng r3(11);
+  capped_layer.forward_inference({}, prev, true, r3, visited, ids, act);
+  EXPECT_EQ(ids.size(), 64u);
+}
+
+TEST(ShardBudget, GlobalBudgetFixesShardCandidateOversampling) {
+  const auto data = planted();
+  // S shards each sampling toward their own target can return far more
+  // merged candidates than the monolithic layer would. With the global
+  // budget set, the merged candidate count lands at ~budget (+ceil slack
+  // per shard) regardless of S.
+  NetworkConfig plain = net_config(data, 4);
+  NetworkConfig budgeted = net_config(data, 4);
+  budgeted.layers[0].sampling.inference_budget = 10;
+  Network plain_net(plain, 1);
+  Network budget_net(budgeted, 1);
+  train(plain_net, data, 10, 1);
+  plain_net.rebuild_all(nullptr);
+  train(budget_net, data, 10, 1);
+  budget_net.rebuild_all(nullptr);
+
+  Rng probe(29);
+  std::vector<float> hidden(16);
+  VisitedSet visited(data.train.label_dim());
+  std::vector<Index> ids;
+  std::vector<float> act;
+  std::size_t plain_total = 0, budget_total = 0;
+  Rng ra(41), rb(41);
+  for (int q = 0; q < 50; ++q) {
+    for (float& v : hidden) v = probe.uniform_float();
+    plain_net.stack(0).forward_inference({}, hidden, false, ra, visited, ids,
+                                         act);
+    plain_total += ids.size();
+    budget_net.stack(0).forward_inference({}, hidden, false, rb, visited, ids,
+                                          act);
+    budget_total += ids.size();
+    EXPECT_LE(ids.size(), 10u + 4u) << "query " << q;  // budget + S slack
+  }
+  EXPECT_LT(budget_total, plain_total);
 }
 
 }  // namespace
