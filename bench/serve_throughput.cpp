@@ -284,9 +284,10 @@ int main() {
                  running.load(std::memory_order_relaxed)) {
             auto f = eng.submit(
                 data.test[i++ % data.test.size()].features,
-                ServeOptions{.top_k = 5, .priority = Priority::kBatch}
-                    .with_deadline_in(
-                        std::chrono::microseconds(slo_deadline_us)));
+                {.top_k = 5,
+                 .priority = Priority::kBatch,
+                 .deadline = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(slo_deadline_us)});
             if (!f.has_value()) break;  // backpressure: drain first
             window.push_back(std::move(*f));
           }

@@ -61,7 +61,6 @@ NetworkBuilder& NetworkBuilder::random_sampled(Index units, Index num_sampled,
   spec.hashed = false;
   spec.random_sampled = true;
   spec.sampling.target = num_sampled;
-  spec.fill_random_to_target = true;
   return layer(spec);
 }
 
@@ -95,11 +94,6 @@ NetworkBuilder& NetworkBuilder::rebuild_schedule(
 NetworkBuilder& NetworkBuilder::sampling_config(
     const SamplingConfig& sampling) {
   last_layer("sampling_config").sampling = sampling;
-  return *this;
-}
-
-NetworkBuilder& NetworkBuilder::fill_random_to_target(bool on) {
-  last_layer("fill_random_to_target").fill_random_to_target = on;
   return *this;
 }
 

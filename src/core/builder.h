@@ -71,7 +71,6 @@ class NetworkBuilder {
   NetworkBuilder& table(const HashTable::Config& table);
   NetworkBuilder& rebuild_schedule(const RebuildSchedule& schedule);
   NetworkBuilder& sampling_config(const SamplingConfig& sampling);
-  NetworkBuilder& fill_random_to_target(bool on);
   /// How the layer executes the maintenance events its rebuild schedule
   /// fires: sync (stall-the-trainers full rebuild) or async_full
   /// (background shadow rebuild + atomic publish). See MaintenancePolicy.

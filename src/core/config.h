@@ -88,11 +88,6 @@ struct LayerSpec {
   /// Where maintenance events run: background thread or trainer stall.
   MaintenancePolicy maintenance = MaintenancePolicy::kSync;
 
-  /// When LSH retrieval (plus forced labels) yields fewer than
-  /// sampling.target ids, top up with uniformly random neurons (the
-  /// reference implementation's random fill-in).
-  bool fill_random_to_target = true;
-
   /// Model-parallel sharding of a hashed layer (core/sharded_layer.h).
   /// 0 (the default) builds the monolithic SampledLayer; any value >= 1
   /// builds a ShardedSampledLayer whose neuron range is partitioned into

@@ -583,7 +583,7 @@ void SampledLayer::select_active(int slot, const ActiveSet& prev,
                        target, rng, visited, s.ids,
                        /*fresh_epoch=*/false);
 
-  if (config_.fill_random_to_target && s.ids.size() < target) {
+  if (s.ids.size() < target) {
     // Uniform random top-up (the reference implementation's fill-in). The
     // attempt cap guards against the coupon-collector tail when target is
     // close to the layer width.
@@ -937,7 +937,6 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
                                      std::vector<Index>& ids_out,
                                      std::vector<float>& act_out) const {
   ids_out.clear();
-  bool scored = false;  // escalation fills act_out itself
   const bool tombstoned =
       retriever_ != nullptr && retriever_->has_removed();
   if (exact || !config_.hashed) {
@@ -958,85 +957,18 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
     if (config_.sampling.inference_budget > 0)
       target = std::min(target, config_.sampling.inference_budget);
     retriever_->retrieve(prev_ids, prev_act, target, rng, visited, ids_out);
-    const Index floor =
-        std::min<Index>(config_.sampling.escalation_floor, units_);
-    if (floor > 0 && ids_out.size() < static_cast<std::size_t>(floor)) {
-      // Adaptive recall floor (SamplingConfig::escalation_floor): too few
-      // candidates to trust the sample — escalate this query to an exact
-      // scan instead of padding with random ids, and measure how much the
-      // candidate set would have missed (overlap with the exact top-k).
-      escalate_to_exact(prev_ids, prev_act, visited, ids_out, act_out);
-      scored = true;
-    } else if (config_.fill_random_to_target && ids_out.size() < target) {
-      long attempts = 20L * static_cast<long>(target);
-      while (ids_out.size() < target && attempts-- > 0) {
-        const Index id = rng.uniform(units_);
-        if (tombstoned && retriever_->is_removed(id)) continue;
-        if (visited.insert(id)) ids_out.push_back(id);
-      }
+    // The same uniform top-up as training's select_active.
+    long attempts = 20L * static_cast<long>(target);
+    while (ids_out.size() < target && attempts-- > 0) {
+      const Index id = rng.uniform(units_);
+      if (tombstoned && retriever_->is_removed(id)) continue;
+      if (visited.insert(id)) ids_out.push_back(id);
     }
-  }
-  if (!scored) {
-    act_out.resize(ids_out.size());
-    score_rows(ids_out, prev_ids, prev_act, act_out.data());
-  }
-  if (config_.activation == Activation::kReLU)
-    simd::relu(act_out.data(), act_out.size());
-}
-
-void SampledLayer::escalate_to_exact(std::span<const Index> prev_ids,
-                                     std::span<const float> prev_act,
-                                     const VisitedSet& visited,
-                                     std::vector<Index>& ids_out,
-                                     std::vector<float>& act_out) const {
-  const bool tombstoned =
-      retriever_ != nullptr && retriever_->has_removed();
-  if (tombstoned) {
-    ids_out.clear();
-    ids_out.reserve(static_cast<std::size_t>(units_));
-    for (Index u = 0; u < units_; ++u) {
-      if (!retriever_->is_removed(u)) ids_out.push_back(u);
-    }
-  } else {
-    ids_out.resize(static_cast<std::size_t>(units_));
-    std::iota(ids_out.begin(), ids_out.end(), Index{0});
   }
   act_out.resize(ids_out.size());
   score_rows(ids_out, prev_ids, prev_act, act_out.data());
-
-  // Recall accounting: how many of the exact top-k did the (undersized)
-  // candidate set cover? The candidates are exactly the ids stamped in
-  // `visited` this epoch (the retrieve() post-condition). Indices below are
-  // positions into ids_out/act_out; with no tombstones position == id, so
-  // the tie-break matches the historical by-id rule bit for bit (and with
-  // tombstones, ascending position still means ascending id).
-  const Index k = std::min<Index>(10, static_cast<Index>(ids_out.size()));
-  thread_local std::vector<Index> order;
-  order.resize(ids_out.size());
-  std::iota(order.begin(), order.end(), Index{0});
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(k),
-                    order.end(), [&](Index a, Index b) {
-                      return act_out[a] > act_out[b] ||
-                             (act_out[a] == act_out[b] && a < b);
-                    });
-  long overlap = 0;
-  for (Index i = 0; i < k; ++i) {
-    if (visited.contains(ids_out[order[static_cast<std::size_t>(i)]]))
-      ++overlap;
-  }
-  escalations_.fetch_add(1, std::memory_order_relaxed);
-  escalation_overlap_.fetch_add(overlap, std::memory_order_relaxed);
-  escalation_oracle_.fetch_add(k, std::memory_order_relaxed);
-}
-
-RetrievalStats SampledLayer::retrieval_stats() const {
-  RetrievalStats s;
-  s.adaptive = config_.hashed && config_.sampling.escalation_floor > 0;
-  s.escalations = escalations_.load(std::memory_order_relaxed);
-  s.overlap = escalation_overlap_.load(std::memory_order_relaxed);
-  s.oracle = escalation_oracle_.load(std::memory_order_relaxed);
-  return s;
+  if (config_.activation == Activation::kReLU)
+    simd::relu(act_out.data(), act_out.size());
 }
 
 double SampledLayer::average_active_fraction() const {
@@ -1121,7 +1053,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.sampling = spec.sampling;
     cfg.rebuild = spec.rebuild;
     cfg.maintenance = spec.maintenance;
-    cfg.fill_random_to_target = spec.fill_random_to_target;
     cfg.init_stddev = spec.init_stddev;
     cfg.adam = adam;
     cfg.precision = precision;

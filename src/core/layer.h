@@ -115,25 +115,6 @@ struct LayerMemory {
   std::size_t mirror_hugepage_bytes = 0;
 };
 
-/// Cumulative adaptive-retrieval diagnostics of one layer (see
-/// SamplingConfig::escalation_floor). Only meaningful when the policy is
-/// on (`adaptive`); every escalated query contributes its candidate set's
-/// overlap with the exact top-k oracle, so recall() is the measured
-/// retrieval recall over escalated queries. Surfaced per-snapshot in
-/// ServeStats.
-struct RetrievalStats {
-  bool adaptive = false;  ///< escalation_floor > 0 on some hashed layer
-  long escalations = 0;   ///< inference queries escalated to an exact scan
-  long overlap = 0;       ///< sum of |candidates ∩ exact top-k|
-  long oracle = 0;        ///< sum of |exact top-k|
-
-  double recall() const noexcept {
-    return oracle > 0 ? static_cast<double>(overlap) /
-                            static_cast<double>(oracle)
-                      : 0.0;
-  }
-};
-
 /// Abstract interface of one stack layer (everything after the input-facing
 /// EmbeddingLayer). Network, Trainer, and core/serialize drive the stack
 /// exclusively through this interface, so dense, LSH-sampled, and
@@ -303,11 +284,6 @@ class Layer {
   /// Units appended by add_units since construction (checkpoint v5 records
   /// this so a loader can re-grow a config-sized layer to the file's size).
   virtual Index appended_units() const noexcept { return 0; }
-
-  // ---- Retrieval subsystem hooks (src/retrieval/) ----
-  /// Adaptive-retrieval counters (see RetrievalStats); zeroes for layers
-  /// without the policy.
-  virtual RetrievalStats retrieval_stats() const { return {}; }
 };
 
 // ---------------------------------------------------------------------------
@@ -450,7 +426,6 @@ class SampledLayer : public Layer {
     SamplingConfig sampling;
     RebuildSchedule rebuild;
     MaintenancePolicy maintenance = MaintenancePolicy::kSync;
-    bool fill_random_to_target = true;
     float init_stddev = 0.0f;  // 0 -> 2/sqrt(fan_in)
     AdamConfig adam;
     /// Inference-scoring precision (network-wide knob; see config.h).
@@ -607,7 +582,6 @@ class SampledLayer : public Layer {
   const retrieval::LshRetriever* retriever() const noexcept {
     return retriever_.get();
   }
-  RetrievalStats retrieval_stats() const override;
 
   /// Average active fraction over forwards since the last reset (diagnostic;
   /// the paper reports ~0.5% active neurons in the output layer).
@@ -639,19 +613,9 @@ class SampledLayer : public Layer {
   /// Scores `ids` against the previous active set into out[0..ids.size())
   /// through whichever precision tier is active, prefetching the candidate
   /// rows kPrefetchDistance ahead (the rows are LSH-sampled, i.e. scattered
-  /// — exactly the access pattern the software prefetch pays for). Shared
-  /// by forward_inference and escalate_to_exact.
+  /// — exactly the access pattern the software prefetch pays for).
   void score_rows(std::span<const Index> ids, std::span<const Index> prev_ids,
                   std::span<const float> prev_act, float* out) const;
-  /// Adaptive-policy escalation: scores every unit into act_out (ids_out
-  /// becomes 0..units-1), and records the escaped query's candidate recall
-  /// against the exact top-k (the candidates are the ids stamped in
-  /// `visited`). See SamplingConfig::escalation_floor.
-  void escalate_to_exact(std::span<const Index> prev_ids,
-                         std::span<const float> prev_act,
-                         const VisitedSet& visited,
-                         std::vector<Index>& ids_out,
-                         std::vector<float>& act_out) const;
   bool bf16_inference() const noexcept {
     return config_.precision == Precision::kBF16 && !weights_bf16_.empty();
   }
@@ -713,11 +677,6 @@ class SampledLayer : public Layer {
   // Diagnostics.
   std::atomic<std::uint64_t> active_sum_{0};
   std::atomic<std::uint64_t> active_events_{0};
-  // Adaptive-retrieval counters (escalation_floor > 0 only); mutable:
-  // bumped on the const inference path.
-  mutable std::atomic<long> escalations_{0};
-  mutable std::atomic<long> escalation_overlap_{0};
-  mutable std::atomic<long> escalation_oracle_{0};
   struct alignas(kCacheLineSize) PaddedDouble {
     std::atomic<double> value{0.0};
   };

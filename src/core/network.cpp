@@ -150,86 +150,6 @@ std::vector<Index> Network::predict_topk(const SparseVector& x,
   return out;
 }
 
-bool TopKIterator::next(int k, std::vector<Index>& out) {
-  out.clear();
-  if (k < 1) return false;
-  TopKScratch& t = *scratch_;
-  const std::size_t take =
-      std::min<std::size_t>(static_cast<std::size_t>(k),
-                            t.order.size() - cursor_);
-  if (take == 0) return false;
-  // Rank the next `take` of the REMAINING candidates. The comparator (score
-  // desc, earlier candidate position first) is a total order independent of
-  // how previous pages left the suffix permuted, so page boundaries are
-  // invisible: concatenated pages equal the one-shot top-k ranking.
-  const std::vector<float>& act = t.act;
-  const auto begin = t.order.begin() + static_cast<std::ptrdiff_t>(cursor_);
-  std::partial_sort(begin, begin + static_cast<std::ptrdiff_t>(take),
-                    t.order.end(), [&](std::size_t a, std::size_t b) {
-                      return act[a] > act[b] || (act[a] == act[b] && a < b);
-                    });
-  out.reserve(take);
-  for (std::size_t i = cursor_; i < cursor_ + take; ++i) {
-    out.push_back(t.ids.empty() ? static_cast<Index>(t.order[i])
-                                : t.ids[t.order[i]]);
-  }
-  cursor_ += take;
-  return true;
-}
-
-TopKIterator Network::topk_iterator(const SparseVector& x,
-                                    InferenceContext& ctx, bool exact) const {
-#ifndef NDEBUG
-  SLIDE_ASSERT(writers_active() == 0);
-  const std::uint64_t epoch_at_entry = write_epoch();
-#endif
-  // Same forward as predict_topk, but the output layer's candidates stay in
-  // the scratch unranked — the iterator ranks them page by page.
-  ctx.dense.resize(embedding_->units());
-  embedding_->forward_inference(x, ctx.dense.data());
-  std::vector<Index>* prev_ids = &ctx.ids_a;
-  std::vector<float>* prev_act = &ctx.act_a;
-  prev_ids->clear();
-  prev_act->assign(ctx.dense.begin(), ctx.dense.end());
-  std::vector<Index>* next_ids = &ctx.ids_b;
-  std::vector<float>* next_act = &ctx.act_b;
-  const std::size_t last = layers_.size() - 1;
-  for (std::size_t i = 0; i < last; ++i) {
-    layers_[i]->forward_inference(*prev_ids, *prev_act, exact, ctx.rng,
-                                  ctx.visited, *next_ids, *next_act);
-    std::swap(prev_ids, next_ids);
-    std::swap(prev_act, next_act);
-  }
-  layers_[last]->forward_inference(*prev_ids, *prev_act, exact, ctx.rng,
-                                   ctx.visited, ctx.topk.ids, ctx.topk.act);
-  ctx.topk.order.resize(ctx.topk.act.size());
-  for (std::size_t i = 0; i < ctx.topk.order.size(); ++i)
-    ctx.topk.order[i] = i;
-  SLIDE_ASSERT(write_epoch() == epoch_at_entry && writers_active() == 0);
-  return TopKIterator(ctx.topk);
-}
-
-void Network::predict_topk_page(const SparseVector& x, InferenceContext& ctx,
-                                int k, int offset, bool exact,
-                                std::vector<Index>& out) const {
-  SLIDE_CHECK(k >= 1, "predict_topk_page: k must be >= 1");
-  SLIDE_CHECK(offset >= 0, "predict_topk_page: offset must be >= 0");
-  TopKIterator it = topk_iterator(x, ctx, exact);
-  // Skip whole pages up to the offset — the ranking work is the same as
-  // one partial_sort of offset + k elements.
-  thread_local std::vector<Index> skipped;
-  int remaining = offset;
-  while (remaining > 0) {
-    const int step = std::min(remaining, k);
-    if (!it.next(step, skipped)) {
-      out.clear();
-      return;
-    }
-    remaining -= static_cast<int>(skipped.size());
-  }
-  it.next(k, out);
-}
-
 void Network::predict_batch(std::span<const SparseVector> inputs,
                             BatchOutput& out, ThreadPool* pool, int top_k,
                             bool exact) const {

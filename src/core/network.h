@@ -105,35 +105,6 @@ class BatchOutput {
   std::uint64_t seed_ = 1;
 };
 
-/// Resumable pagination over one query's ranked output-layer candidates
-/// (Network::topk_iterator). Each next(k) call ranks and emits the next k
-/// results in descending score, reusing the InferenceContext's TopKScratch
-/// — the candidates are scored ONCE at iterator creation; paging is just
-/// incremental partial sorting. Concatenating successive pages yields
-/// exactly the one-shot predict_topk ranking (same comparator, same
-/// tie-break toward the earlier candidate position), with no overlaps —
-/// the page-prefix equivalence the serve pagination path relies on.
-///
-/// The iterator borrows the context: it is invalidated by any other
-/// predict_* / topk_iterator call on the same context.
-class TopKIterator {
- public:
-  /// Emits the next page of up to `k` result ids into `out` (descending
-  /// score). Returns false — with `out` empty — once exhausted.
-  bool next(int k, std::vector<Index>& out);
-
-  /// Results emitted so far / total candidates available.
-  std::size_t position() const noexcept { return cursor_; }
-  std::size_t total() const noexcept { return scratch_->act.size(); }
-
- private:
-  friend class Network;
-  explicit TopKIterator(TopKScratch& scratch) : scratch_(&scratch) {}
-
-  TopKScratch* scratch_;
-  std::size_t cursor_ = 0;
-};
-
 /// Thread-safety contract
 /// -----------------------
 /// Readers: predict_top1 / predict_topk are const and safe for any number
@@ -264,20 +235,6 @@ class Network {
   /// (clearing previous contents). The batch path below loops over this.
   void predict_topk(const SparseVector& x, InferenceContext& ctx, int k,
                     bool exact, std::vector<Index>& out) const;
-
-  /// Scores the query once and returns a resumable pager over the ranked
-  /// output-layer results (see TopKIterator). Same thread-safety contract
-  /// as predict_topk; the iterator borrows `ctx` and is invalidated by any
-  /// other inference call on it.
-  TopKIterator topk_iterator(const SparseVector& x, InferenceContext& ctx,
-                             bool exact = false) const;
-
-  /// One page of the ranked results: ids [offset, offset + k) of the full
-  /// predict_topk ordering (fewer at the tail; empty past the end). The
-  /// serve engine's pagination path (ServeRequest::page_offset) dispatches
-  /// through this.
-  void predict_topk_page(const SparseVector& x, InferenceContext& ctx, int k,
-                         int offset, bool exact, std::vector<Index>& out) const;
 
   /// Whole-batch inference: top_k labels per input into `out`, parallelized
   /// over inputs when a pool is given (per-thread contexts live inside

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <vector>
 
 namespace slide {
@@ -17,15 +16,10 @@ namespace slide {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x534C4944;  // "SLID"
-// Version 5 = version 4 + per-layer dynamic-label lifecycle state
-// (appended-row count + tombstone block); loaders accept 1..5 (see
-// serialize.h's version history).
+// The one layout written and read (see serialize.h).
 constexpr std::uint32_t kVersion = 5;
-constexpr std::uint32_t kMinVersion = 1;
-// v4 retriever descriptor words: 0 (LSH) is the only one written; older
-// writers also emitted 1 (exact) and 2 (HNSW), which still load.
+// The retriever descriptor's word: the LSH tables, rebuilt on load.
 constexpr std::uint32_t kLshRetrieverWord = 0;
-constexpr std::uint32_t kLastRetrieverWord = 2;
 
 void write_u32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -159,15 +153,14 @@ void write_header(std::ostream& out, std::uint32_t input_dim,
   write_u32(out, input_dim);
   write_u32(out, hidden);
   write_u32(out, num_layers);
-  write_u32(out, static_cast<std::uint32_t>(precision));  // v2 tag
+  write_u32(out, static_cast<std::uint32_t>(precision));
 }
 
-std::uint32_t read_version(std::istream& in) {
+void read_version(std::istream& in) {
   SLIDE_CHECK(read_u32(in) == kMagic, "load_weights: not a SLIDE checkpoint");
-  const std::uint32_t version = read_u32(in);
-  SLIDE_CHECK(version >= kMinVersion && version <= kVersion,
-              "load_weights: unsupported checkpoint version");
-  return version;
+  SLIDE_CHECK(read_u32(in) == kVersion,
+              "load_weights: unsupported checkpoint version (only version "
+              "5 is read)");
 }
 
 /// Reads the kind word, which must be 0 (the unified stack). Kind 1 was
@@ -179,23 +172,18 @@ void read_kind(std::istream& in) {
   SLIDE_CHECK(kind == 0, "load_weights: unknown checkpoint kind");
 }
 
-/// Reads the optional v2 precision tag (fp32 for v1 files).
-Precision read_precision_tag(std::istream& in, std::uint32_t version) {
-  if (version < 2) return Precision::kFP32;
-  return precision_from_tag(read_u32(in));
-}
-
 }  // namespace
 
 CheckpointInfo peek_checkpoint_info(std::istream& in) {
   const std::istream::pos_type start = in.tellg();
   CheckpointInfo info;
-  info.version = read_version(in);
+  read_version(in);
+  info.version = kVersion;
   read_kind(in);
   read_u32(in);  // input_dim
   read_u32(in);  // hidden
   read_u32(in);  // num_layers
-  info.precision = read_precision_tag(in, info.version);
+  info.precision = precision_from_tag(read_u32(in));
   in.seekg(start);
   SLIDE_CHECK(in.good(), "peek_checkpoint_info: stream not seekable");
   return info;
@@ -218,22 +206,22 @@ void save_weights(const Network& network, std::ostream& out) {
     const Layer& layer = network.stack(i);
     write_u32(out, layer.units());
     write_u32(out, layer.fan_in());
-    // v5: units the layer grew by online (add_units). A loader built from
-    // the original config re-grows its layer by up to this much to reach
-    // the file width before reading the parameter blocks.
+    // Units the layer grew by online (add_units). A loader built from the
+    // original config re-grows its layer by up to this much to reach the
+    // file width before reading the parameter blocks.
     write_u32(out, layer.appended_units());
-    // v3: one weights+bias block pair per shard, contiguous global row
-    // ranges in order (monolithic layers are the single-shard case).
+    // One weights+bias block pair per shard, contiguous global row ranges
+    // in order (monolithic layers are the single-shard case).
     write_u32(out, static_cast<std::uint32_t>(layer.num_shards()));
     for (int s = 0; s < layer.num_shards(); ++s) {
       write_floats(out, layer.shard_weights(s));
       write_floats(out, layer.shard_bias(s));
     }
-    // v4: retriever descriptor — the LSH word and an empty aux block. The
+    // Retriever descriptor — the LSH word and an empty aux block. The
     // tables are a function of the weights and are rebuilt on load.
     write_u32(out, kLshRetrieverWord);
     write_u64(out, 0);
-    // v5: tombstone block — the currently retired global unit ids, so a
+    // Tombstone block — the currently retired global unit ids, so a
     // reboot does not resurrect retired labels. Rows stay in the parameter
     // blocks (tombstoning never compacts); only the mask is persisted.
     const std::vector<Index> retired = layer.retired_unit_ids();
@@ -304,14 +292,14 @@ void fill(Network& network, FillSource& source, ThreadPool* pool) {
     network.stack(i).rebuild_tables(pool);
 }
 
-/// A core/serialize checkpoint stream, any version from 1 to 5.
+/// A core/serialize checkpoint stream (the version 5 layout).
 class StreamSource final : public FillSource {
  public:
   explicit StreamSource(std::istream& in) : in_(in) {}
 
   void embedding(Network& network) override {
     EmbeddingLayer& emb = network.embedding();
-    version_ = read_version(in_);
+    read_version(in_);
     read_kind(in_);
     SLIDE_CHECK(read_u32(in_) == emb.input_dim(),
                 "load_weights: input_dim mismatch");
@@ -322,7 +310,7 @@ class StreamSource final : public FillSource {
                 "load_weights: layer count mismatch");
     // The tag is provenance only: parameter blocks are fp32 masters either
     // way, and the network re-derives its own mirrors per its config.
-    read_precision_tag(in_, version_);
+    precision_from_tag(read_u32(in_));
     read_floats(in_, emb.weights_span());
     read_floats(in_, emb.bias_span());
   }
@@ -332,20 +320,18 @@ class StreamSource final : public FillSource {
     shape.units = static_cast<Index>(read_u32(in_));
     SLIDE_CHECK(read_u32(in_) == target.fan_in(),
                 "load_weights: layer fan-in mismatch");
-    // v5: rows the writer appended online (add_units).
-    shape.appended = version_ >= 5 ? static_cast<Index>(read_u32(in_)) : 0;
+    shape.appended = static_cast<Index>(read_u32(in_));
     return shape;
   }
 
   void rows(int /*i*/, Layer& layer) override {
-    // v3 layers carry a shard count + per-shard blocks; earlier versions
-    // are the one-block (monolithic) layout. The file's partition need not
+    // A shard count + per-shard blocks. The file's partition need not
     // match the target layer's — blocks are scattered by global row index,
     // which is how a monolithic checkpoint reshards into a sharded layer
     // (and vice versa).
     const Index units = layer.units();
     const Index fan_in = layer.fan_in();
-    const std::uint32_t file_shards = version_ >= 3 ? read_u32(in_) : 1;
+    const std::uint32_t file_shards = read_u32(in_);
     SLIDE_CHECK(file_shards >= 1 && file_shards <= units,
                 "load_weights: invalid shard count");
     Index row = 0;
@@ -371,37 +357,25 @@ class StreamSource final : public FillSource {
   }
 
   std::vector<Index> retired(int /*i*/, Index units) override {
-    // v4: retriever descriptor. Whatever index the writer kept (an exact
-    // or HNSW layer of an older writer), the payload is skipped: every
-    // layer rebuilds its tables from the loaded weights.
-    if (version_ >= 4) {
-      SLIDE_CHECK(read_u32(in_) <= kLastRetrieverWord,
-                  "load_weights: unknown retriever kind");
-      const std::uint64_t aux_bytes = read_u64(in_);
-      // Larger lengths turn negative as a stream offset, and ignore() then
-      // skips nothing instead of failing.
-      SLIDE_CHECK(aux_bytes <= static_cast<std::uint64_t>(
-                                   std::numeric_limits<std::streamsize>::max()),
-                  "load_weights: corrupt aux block size");
-      in_.ignore(static_cast<std::streamsize>(aux_bytes));
-      SLIDE_CHECK(in_.good(), "load_weights: truncated stream");
-    }
-    // v5: tombstone block — the ids retired when the file was written.
+    // Retriever descriptor: the LSH word and no aux payload. The tables
+    // are rebuilt from the loaded weights.
+    SLIDE_CHECK(read_u32(in_) == kLshRetrieverWord,
+                "load_weights: unknown retriever kind");
+    SLIDE_CHECK(read_u64(in_) == 0,
+                "load_weights: unexpected retriever aux block");
+    // Tombstone block — the ids retired when the file was written.
+    const std::uint64_t num_retired = read_u64(in_);
+    SLIDE_CHECK(num_retired <= static_cast<std::uint64_t>(units),
+                "load_weights: tombstone count exceeds layer width");
     std::vector<Index> ids;
-    if (version_ >= 5) {
-      const std::uint64_t num_retired = read_u64(in_);
-      SLIDE_CHECK(num_retired <= static_cast<std::uint64_t>(units),
-                  "load_weights: tombstone count exceeds layer width");
-      ids.reserve(static_cast<std::size_t>(num_retired));
-      for (std::uint64_t r = 0; r < num_retired; ++r)
-        ids.push_back(static_cast<Index>(read_u32(in_)));
-    }
+    ids.reserve(static_cast<std::size_t>(num_retired));
+    for (std::uint64_t r = 0; r < num_retired; ++r)
+      ids.push_back(static_cast<Index>(read_u32(in_)));
     return ids;
   }
 
  private:
   std::istream& in_;
-  std::uint32_t version_ = 0;
   std::vector<float> scratch_;  // reshard scatter buffer (rarely used)
 };
 

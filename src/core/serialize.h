@@ -6,47 +6,39 @@
 // slide::Error on mismatch. One format covers every stack a NetworkBuilder
 // can produce (dense-only, multi-hashed, random-sampled): the writer and
 // loader go through the Layer serialize hooks, so layer policy never
-// changes the byte layout. The header's kind word is always 0; kind 1 (the
-// removed dense-baseline wrapper's files) fails with slide::Error, and a
-// dense baseline is a builder stack saved like any other. LSH hash tables are
-// NOT serialized: they are a function of the weights and are rebuilt after
-// loading (load_weights does this automatically).
+// changes the byte layout. LSH hash tables are NOT serialized: they are a
+// function of the weights and are rebuilt after loading (load_weights does
+// this automatically).
 //
-// Version history:
-//   1 — header {magic, version, kind, input_dim, hidden, num_layers}; kind
-//       must be 0 in every version.
-//   2 — adds a precision tag word after the header: the Precision the
-//       saving network scored inference at (provenance for serving boots;
-//       see peek_checkpoint_info). Parameter blocks are ALWAYS the fp32
-//       master weights regardless of the tag — quantized mirrors are
-//       derived state and are re-quantized by the loading network when its
-//       own config asks for them. Version-1 files load unchanged (tag
-//       fp32). Tag 2 (the removed fp16 tier) fails with slide::Error.
-//   3 — stack layers gain a shard-count word before their parameter
-//       blocks, followed by one weights+bias block pair per shard
-//       (contiguous global row ranges in order; monolithic layers write a
-//       single "shard"). The loader scatters file blocks into the target
-//       layer's own shard partition by global row index, so a checkpoint
-//       written at one shard count loads into a network using another —
-//       including monolithic-to-sharded resharding (serve/snapshot.h,
-//       publish_clone). v1/v2 files load unchanged.
-//   4 — each layer appends a retriever descriptor after its parameter
-//       blocks: a u32 retriever word plus a u64-sized aux payload. Writers
-//       emit word 0 (LSH) and an empty payload. Readers accept words 0–2
-//       (older writers also wrote 1 for an exact layer and 2 for an HNSW
-//       layer, whose payload held its graph), skip any payload, and
-//       rebuild every layer's tables from the loaded weights; any other
-//       word fails with slide::Error. v1–v3 files load unchanged.
-//   5 — dynamic-label lifecycle state. Each stack layer gains (a) an
-//       appended-row count word right after its units/fan_in words — the
-//       units the layer grew by online via add_units — and (b) a trailing
-//       tombstone block (u64 count + that many u32 global unit ids) after
-//       the retriever descriptor. A loader whose target layer is NARROWER
-//       than the file re-grows it by the appended count before reading the
-//       parameter blocks (so a config-built network loads a grown
-//       checkpoint), then re-applies the tombstones through retire_units —
-//       retired ids stay retired across save/load instead of resurrecting.
-//       v1–v4 files load unchanged (no growth, no tombstones).
+// Layout, version 5 (words are u32 unless noted; a block is a u32 length
+// followed by that many floats):
+//   header       magic "SLID", version 5, kind 0, input_dim, hidden,
+//                num_layers, precision tag
+//   embedding    weights block, bias block
+//   per stack layer:
+//     shape      units, fan_in, appended (the rows the layer grew by
+//                online through add_units)
+//     rows       shard count S, then S weights+bias block pairs covering
+//                contiguous global row ranges in order (a monolithic layer
+//                writes S = 1)
+//     retriever  word 0 (LSH) and a u64 aux length of 0
+//     tombstones u64 count, then that many u32 global unit ids
+//
+// The precision tag is the Precision the saving network scored inference
+// at (provenance for serving boots; see peek_checkpoint_info). Parameter
+// blocks are always the fp32 master weights: quantized mirrors are derived
+// state, re-quantized by the loading network when its own config asks for
+// them. The loader scatters the row blocks by global row, so a file written
+// at one shard count loads into a network using another. A target layer
+// narrower than the file re-grows by up to the appended count before
+// reading the blocks (so a config-built network loads a grown checkpoint),
+// then re-applies the tombstones through retire_units, so retired ids stay
+// retired across save/load.
+//
+// Only this layout is read. Any other version, a kind other than 0 (kind 1
+// was the removed dense-baseline wrapper's), tag 2 (the removed fp16 tier),
+// a retriever word other than 0 or a non-empty aux block fails with
+// slide::Error.
 #pragma once
 
 #include <iosfwd>
@@ -59,10 +51,10 @@
 
 namespace slide {
 
-/// Header fields of a checkpoint stream (see the version history above).
+/// Header fields of a checkpoint stream (see the layout above).
 struct CheckpointInfo {
   std::uint32_t version = 0;
-  Precision precision = Precision::kFP32;  ///< tag; fp32 for version-1 files
+  Precision precision = Precision::kFP32;  ///< the precision tag
 };
 
 /// Reads the checkpoint header without consuming the stream (the stream is
@@ -99,7 +91,7 @@ void load_weights_file(Network& network, const std::string& path,
 // the network is discarded. `max_threads` is Network's; a pool with more
 // than one thread builds the tables in parallel.
 
-/// Network(config) + load_weights(in) in one pass (any checkpoint version).
+/// Network(config) + load_weights(in) in one pass.
 std::unique_ptr<Network> load_network(const NetworkConfig& config,
                                       std::istream& in, int max_threads,
                                       ThreadPool* pool);

@@ -340,18 +340,6 @@ double ShardedSampledLayer::compute_seconds() const {
   return total;
 }
 
-RetrievalStats ShardedSampledLayer::retrieval_stats() const {
-  RetrievalStats total;
-  for (const auto& shard : shards_) {
-    const RetrievalStats s = shard->retrieval_stats();
-    total.adaptive = total.adaptive || s.adaptive;
-    total.escalations += s.escalations;
-    total.overlap += s.overlap;
-    total.oracle += s.oracle;
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // Inference path
 // ---------------------------------------------------------------------------

@@ -189,10 +189,6 @@ class ShardedSampledLayer final : public Layer {
   void set_use_locks(bool locks) noexcept override;
   double average_active_fraction() const override;
 
-  // ---- Retrieval subsystem hooks ----
-  /// Summed adaptive-retrieval counters across shards.
-  RetrievalStats retrieval_stats() const override;
-
  private:
   /// Scatters the merged per-slot deltas back into the shard slots (the
   /// inverse of the forward merge); called by backward.

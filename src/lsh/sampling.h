@@ -28,7 +28,9 @@ const char* to_string(SamplingStrategy strategy);
 struct SamplingConfig {
   SamplingStrategy strategy = SamplingStrategy::kVanilla;
   /// Target number of active neurons β (Vanilla / TopK). TopK returns at
-  /// most this many; Vanilla stops adding once reached.
+  /// most this many; Vanilla stops adding once reached. A sampled layer
+  /// tops a shorter candidate set up to the target with uniformly random
+  /// ids (the reference implementation's fill-in).
   Index target = 1024;
   /// Minimum bucket-frequency m for HardThreshold.
   int hard_threshold_m = 2;
@@ -39,13 +41,6 @@ struct SamplingConfig {
   /// S x target candidates per query. 0 (default) disables the cap, which
   /// preserves the historical behavior and the S = 1 bit-identity anchor.
   Index inference_budget = 0;
-  /// Adaptive recall floor for INFERENCE: when the retriever returns fewer
-  /// than this many candidates the layer escalates the query to an exact
-  /// scan (scores every unit) instead of padding with random ids, and
-  /// records the escalation + the candidate set's recall against the exact
-  /// top-k in Layer::retrieval_stats() (surfaced in ServeStats). 0
-  /// (default) disables the policy — bit-identical to the historical path.
-  Index escalation_floor = 0;
 };
 
 /// Epoch-stamped visited-set + frequency counters over a fixed id universe.

@@ -291,18 +291,6 @@ std::string render_prometheus(const ServeStats& stats) {
              static_cast<double>(stats.snapshot_retired_labels));
   }
 
-  if (stats.adaptive_retrieval) {
-    w.family("slide_retrieval_escalations_total",
-             "Queries escalated to exact scoring below the recall floor",
-             "counter");
-    w.sample("slide_retrieval_escalations_total", {},
-             static_cast<double>(stats.retrieval_escalations));
-    w.family("slide_retrieval_recall",
-             "Measured recall@10 of sampled retrieval on escalated queries",
-             "gauge");
-    w.sample("slide_retrieval_recall", {}, stats.retrieval_recall);
-  }
-
   if (!stats.lsh_tables.empty()) {
     w.family("slide_lsh_bucket_occupancy",
              "Fraction of LSH buckets holding at least one id, by layer",

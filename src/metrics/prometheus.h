@@ -7,7 +7,7 @@
 //   render_prometheus()  — the serve engine's metric surface: one call
 //                          renders a ServeStats reading (lane counters,
 //                          shed/deadline-miss counters, latency histograms,
-//                          retrieval stats, memory and LSH table health)
+//                          memory and LSH table health)
 //                          as a complete scrape body. Pure function of its
 //                          input, so tests can assert on the text without
 //                          a socket.

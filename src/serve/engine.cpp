@@ -21,9 +21,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ModelStore> store,
               "InferenceEngine: max_wait_us must be non-negative");
   SLIDE_CHECK(config_.default_top_k > 0,
               "InferenceEngine: default_top_k must be positive");
-  SLIDE_CHECK(config_.service_ewma_alpha > 0.0 &&
-                  config_.service_ewma_alpha <= 1.0,
-              "InferenceEngine: service_ewma_alpha must be in (0, 1]");
   worker_state_.resize(static_cast<std::size_t>(config_.num_workers));
   workers_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (int w = 0; w < config_.num_workers; ++w) {
@@ -31,8 +28,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ModelStore> store,
     // worker's BatchOutput contexts.
     worker_state_[static_cast<std::size_t>(w)].out = BatchOutput(
         config_.seed + 0x9E37u * static_cast<std::uint64_t>(w + 1));
-    worker_state_[static_cast<std::size_t>(w)].page_ctx = InferenceContext(
-        1, config_.seed + 0xA11CEull * static_cast<std::uint64_t>(w + 1));
     workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
@@ -49,13 +44,12 @@ ServeRequest InferenceEngine::prepare_request(SparseVector features,
   SLIDE_CHECK(features.min_dim() <= store_->input_dim(),
               "InferenceEngine: feature index out of range for the served "
               "model");
-  SLIDE_CHECK(options.page_offset >= 0,
-              "InferenceEngine: page_offset must be non-negative");
+  SLIDE_CHECK(options.top_k >= 0,
+              "InferenceEngine: top_k must be non-negative");
   ServeRequest request;
   request.features = std::move(features);
   request.top_k = options.top_k > 0 ? options.top_k : config_.default_top_k;
   request.exact = options.exact.value_or(config_.exact);
-  request.page_offset = options.page_offset;
   request.priority = options.priority;
   request.deadline = options.deadline;
   request.enqueue_time = std::chrono::steady_clock::now();
@@ -201,7 +195,8 @@ void InferenceEngine::worker_main(int worker_id) {
 }
 
 void InferenceEngine::update_service_ewma(double per_request_us) noexcept {
-  const double alpha = config_.service_ewma_alpha;
+  // Smoothing: higher reacts faster to the latest batch.
+  constexpr double alpha = 0.2;
   double prev = ewma_service_us_.load(std::memory_order_relaxed);
   double next;
   do {
@@ -224,9 +219,7 @@ void InferenceEngine::serve_batch(std::vector<ServeRequest>& batch,
     state.snapshot = snap;
     // The BatchOutput's context scratch is sized by the snapshot's
     // architecture; predict_batch rebuilds it automatically when the
-    // max-units signature changes. The pagination context is ours to
-    // re-target (reset keeps the worker's RNG stream).
-    state.page_ctx.reset(*snap->network);
+    // max-units signature changes.
   }
   // Batch composition is final here; count it before fulfilling any
   // promise so stats() read after a future resolves always sees the batch.
@@ -291,37 +284,21 @@ void InferenceEngine::serve_batch(std::vector<ServeRequest>& batch,
   }
 
   // Dispatch the micro-batch whole: group requests that share
-  // (top_k, exact, page_offset) — those parameters shape the answer — and
-  // run each group through Network::predict_batch in one call. Paged
-  // groups (offset > 0) have no batch entry point; they run per-row
-  // through predict_topk_page on the worker's own context.
+  // (top_k, exact) — those parameters shape the answer — and run each
+  // group through Network::predict_batch in one call.
   for (std::size_t i = 0; i < n; ++i) {
     if (state.served[i]) continue;
     const int top_k = batch[i].top_k;
     const bool exact = batch[i].exact;
-    const int page_offset = batch[i].page_offset;
     state.group_features.clear();
     state.group_members.clear();
     for (std::size_t j = i; j < n; ++j) {
       if (state.served[j] || batch[j].top_k != top_k ||
-          batch[j].exact != exact || batch[j].page_offset != page_offset)
+          batch[j].exact != exact)
         continue;
       state.group_features.push_back(&batch[j].features);
       state.group_members.push_back(j);
       state.served[j] = 1;
-    }
-    if (page_offset > 0) {
-      for (std::size_t member : state.group_members) {
-        try {
-          network.predict_topk_page(batch[member].features, state.page_ctx,
-                                    top_k, page_offset, exact,
-                                    state.page_out);
-          fulfill(batch[member], state.page_out);
-        } catch (...) {
-          fail(batch[member], std::current_exception());
-        }
-      }
-      continue;
     }
     try {
       network.predict_batch(
@@ -520,25 +497,12 @@ ServeStats InferenceEngine::stats() const {
       if (published > s.snapshot_appended_labels)
         s.snapshot_appended_labels = published;
     }
-    long overlap = 0;
-    long oracle = 0;
     for (int i = 0; i < net.stack_depth(); ++i) {
-      const Layer& layer = net.stack(i);
-      const RetrievalStats rs = layer.retrieval_stats();
-      if (rs.adaptive) {
-        s.adaptive_retrieval = true;
-        s.retrieval_escalations += static_cast<std::uint64_t>(rs.escalations);
-        overlap += rs.overlap;
-        oracle += rs.oracle;
-      }
-      const TableHealth health = layer.table_health();
+      const TableHealth health = net.stack(i).table_health();
       if (health.buckets > 0)
         s.lsh_tables.push_back(
             {i, health.occupancy(), health.saturation()});
     }
-    if (oracle > 0)
-      s.retrieval_recall =
-          static_cast<double>(overlap) / static_cast<double>(oracle);
   }
   return s;
 }
@@ -579,12 +543,6 @@ void InferenceEngine::print_stats(std::ostream& out) const {
     table.add_row({prefix + " deadline misses",
                    fmt_int(static_cast<long long>(ls.deadline_misses))});
     table.add_row({prefix + " p99", fmt_latency_us(ls.latency.p99_us)});
-  }
-  if (s.adaptive_retrieval) {
-    table.add_row(
-        {"retrieval escalations",
-         fmt_int(static_cast<long long>(s.retrieval_escalations))});
-    table.add_row({"retrieval recall", fmt(s.retrieval_recall, 4)});
   }
   for (const ServeStats::LshTables& t : s.lsh_tables) {
     const std::string layer = "layer " + std::to_string(t.layer);

@@ -75,55 +75,22 @@ struct ServeConfig {
   bool exact = false;
   /// Seeds the per-worker RNGs driving sampled inference.
   std::uint64_t seed = 0x51CE;
-  /// Smoothing of the per-request service-time EWMA behind deadline
-  /// admission control (higher = more reactive to the latest batch).
-  double service_ewma_alpha = 0.2;
 };
 
 /// Per-request serving options — everything submit() accepts beyond the
-/// feature vector. Designated initializers read best at call sites:
+/// feature vector, set by designated initializers:
 ///   engine.submit(x, {.top_k = 3, .priority = Priority::kInteractive});
-/// the fluent with_* setters exist for call sites built incrementally.
 struct ServeOptions {
-  /// 0 = ServeConfig::default_top_k.
+  /// 0 = ServeConfig::default_top_k; negative is rejected at admission.
   int top_k = 0;
   /// Overrides ServeConfig::exact when set.
   std::optional<bool> exact = std::nullopt;
-  /// Ranks [page_offset, page_offset + top_k) of the full ranking instead
-  /// of the head (pagination; see Network::topk_iterator).
-  int page_offset = 0;
   /// Priority lane (strict: interactive > default > batch).
   Priority priority = Priority::kDefault;
   /// Absolute SLO deadline; kNoDeadline = serve no matter how long it
   /// takes. A request that cannot meet its deadline is shed with the typed
   /// ShedError instead of served late.
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
-
-  ServeOptions& with_top_k(int k) {
-    top_k = k;
-    return *this;
-  }
-  ServeOptions& with_exact(bool e) {
-    exact = e;
-    return *this;
-  }
-  ServeOptions& with_page_offset(int offset) {
-    page_offset = offset;
-    return *this;
-  }
-  ServeOptions& with_priority(Priority p) {
-    priority = p;
-    return *this;
-  }
-  ServeOptions& with_deadline(std::chrono::steady_clock::time_point d) {
-    deadline = d;
-    return *this;
-  }
-  /// Deadline relative to now — the common client idiom.
-  ServeOptions& with_deadline_in(std::chrono::microseconds budget) {
-    deadline = std::chrono::steady_clock::now() + budget;
-    return *this;
-  }
 };
 
 /// Policy knobs for the online-update path (enable_online_updates).
@@ -193,15 +160,6 @@ struct ServeStats {
   /// the first batch completes.
   double ewma_service_us = 0.0;
 
-  // Per-query adaptive retrieval (all zero unless a served layer runs with
-  // sampling.escalation_floor > 0; see src/retrieval/). Escalated queries
-  // fall back to exact scoring; `retrieval_recall` is the measured
-  // recall@10 of the sampled candidate set against the exact answer on
-  // those queries — a live estimate of how much the index is missing.
-  bool adaptive_retrieval = false;
-  std::uint64_t retrieval_escalations = 0;
-  double retrieval_recall = 0.0;
-
   /// LSH table health of the current snapshot, one entry per stack layer
   /// that owns tables (Layer::table_health). The tables count their
   /// buckets when built, so reading these costs no table scan.
@@ -248,7 +206,7 @@ class InferenceEngine {
   /// nullopt = rejected by backpressure (queue full of same-or-higher
   /// priority work, or engine stopped). Throws slide::Error at admission
   /// when a feature index exceeds the served model's input dimension or
-  /// page_offset is negative.
+  /// top_k is negative.
   std::optional<std::future<Prediction>> submit(
       SparseVector features, const ServeOptions& options = {});
 
@@ -311,8 +269,9 @@ class InferenceEngine {
   const ModelStore& store() const noexcept { return *store_; }
 
  private:
-  /// Shared admission path: validates features (throws slide::Error on an
-  /// out-of-range index) and stamps defaults + enqueue time.
+  /// Shared admission path: validates features and top_k (throws
+  /// slide::Error on an out-of-range index or a negative top_k) and stamps
+  /// defaults + enqueue time.
   ServeRequest prepare_request(SparseVector features,
                                const ServeOptions& options);
   /// Deadline admission control: true when the request should be shed
@@ -345,14 +304,10 @@ class InferenceEngine {
   struct WorkerState {
     std::shared_ptr<const ModelSnapshot> snapshot;
     BatchOutput out;  // predict_batch result + reused context scratch
-    // Dispatch-group scratch (requests sharing top_k/exact/page_offset).
+    // Dispatch-group scratch (requests sharing top_k/exact).
     std::vector<const SparseVector*> group_features;
     std::vector<std::size_t> group_members;
     std::vector<char> served;
-    // Pagination path (page_offset > 0): single-sample context + result
-    // scratch, re-targeted on snapshot swaps.
-    InferenceContext page_ctx{1};
-    std::vector<Index> page_out;
   };
   std::vector<WorkerState> worker_state_;
 

@@ -96,10 +96,6 @@ struct ServeRequest {
   SparseVector features;
   int top_k = 1;
   bool exact = false;
-  /// Results [page_offset, page_offset + top_k) of the full ranking — the
-  /// pagination surface over Network::topk_iterator. 0 = first page (the
-  /// ordinary batched top-k path).
-  int page_offset = 0;
   /// SLO contract: absolute steady-clock deadline (kNoDeadline = none).
   /// Expired requests are shed at admission or pop time, never served.
   std::chrono::steady_clock::time_point deadline = kNoDeadline;

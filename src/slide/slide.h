@@ -31,7 +31,6 @@
 #include "metrics/prometheus.h"        // IWYU pragma: export
 #include "metrics/table_printer.h"     // IWYU pragma: export
 #include "optim/adam.h"                // IWYU pragma: export
-#include "optim/sgd.h"                 // IWYU pragma: export
 #include "retrieval/exact_retriever.h"  // IWYU pragma: export
 #include "retrieval/lsh_retriever.h"    // IWYU pragma: export
 #include "retrieval/retriever.h"        // IWYU pragma: export

@@ -1,11 +1,13 @@
 // NetworkBuilder + unified-stack tests: fluent construction of dense-only,
 // multi-hashed, and random-sampled stacks; training through the single
 // Trainer; batch inference; and checkpoint round-trips through the one
-// format — including a byte-for-byte pre-redesign checkpoint.
+// format — including a hand-written checkpoint read and written back byte
+// for byte.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/builder.h"
 #include "core/serialize.h"
@@ -400,11 +402,14 @@ TEST(UnifiedCheckpoint, MixedStackRejectsWrongShape) {
   EXPECT_THROW(load_weights(deeper, buffer), Error);
 }
 
-// The exact byte stream the pre-redesign writer produced (magic, version 1,
-// kind 0, dims, then [count]float blocks with u32 units/fan_in prefixes per
-// layer), written by hand here: loading it into a builder-constructed
-// network proves old checkpoints survive the API redesign.
+// The version 5 layout documented in core/serialize.h, written by hand
+// here: a builder-constructed network must load it and write it back byte
+// for byte.
 void write_u32(std::ostream& out, std::uint32_t v) {
+  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+void write_u64(std::ostream& out, std::uint64_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
@@ -414,7 +419,7 @@ void write_block(std::ostream& out, const std::vector<float>& data) {
             static_cast<std::streamsize>(data.size() * sizeof(float)));
 }
 
-TEST(UnifiedCheckpoint, LoadsPreRedesignCheckpointBytes) {
+TEST(UnifiedCheckpoint, LoadsAndWritesHandWrittenVersion5Bytes) {
   const Index input_dim = 12, hidden = 4, labels = 9;
   std::vector<float> emb_w(static_cast<std::size_t>(input_dim) * hidden);
   std::vector<float> emb_b(hidden);
@@ -431,17 +436,24 @@ TEST(UnifiedCheckpoint, LoadsPreRedesignCheckpointBytes) {
 
   std::stringstream buffer;
   write_u32(buffer, 0x534C4944);  // "SLID"
-  write_u32(buffer, 1);           // version
+  write_u32(buffer, 5);           // version
   write_u32(buffer, 0);           // kind: slide network
   write_u32(buffer, input_dim);
   write_u32(buffer, hidden);
   write_u32(buffer, 1);  // num stack layers
+  write_u32(buffer, 0);  // precision tag: fp32
   write_block(buffer, emb_w);
   write_block(buffer, emb_b);
   write_u32(buffer, labels);
   write_u32(buffer, hidden);
+  write_u32(buffer, 0);  // appended rows
+  write_u32(buffer, 1);  // one row block pair
   write_block(buffer, out_w);
   write_block(buffer, out_b);
+  write_u32(buffer, 0);  // retriever word: LSH
+  write_u64(buffer, 0);  // aux bytes
+  write_u64(buffer, 0);  // tombstones
+  const std::string bytes = buffer.str();
 
   Network net = NetworkBuilder(input_dim)
                     .dense(hidden)
@@ -455,6 +467,9 @@ TEST(UnifiedCheckpoint, LoadsPreRedesignCheckpointBytes) {
   EXPECT_EQ(0, std::memcmp(net.output_layer().weights_span().data(),
                            out_w.data(), out_w.size() * sizeof(float)));
   EXPECT_EQ(net.output_layer().bias(2), out_b[2]);
+  std::stringstream written;
+  save_weights(net, written);
+  EXPECT_EQ(written.str(), bytes);
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // (retire_units tombstones) of output neurons in monolithic and sharded
 // layers; checkpoint-v5 round-trips (appended rows + tombstone
 // persistence, shard-count invariance); retriever memory accounting in
-// Network::memory_footprint; paged top-k stability across growth; the
+// Network::memory_footprint; exact top-k over the grown label set; the
 // InferenceEngine online-update API; and churn-while-serving stress (the
 // TSan CI target).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -393,38 +394,29 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
 }
 
 // ---------------------------------------------------------------------------
-// Paged top-k across growth (satellite 3)
+// Inference across growth
 // ---------------------------------------------------------------------------
 
-TEST(Churn, PagedTopkIsStableWhenUniverseGrowsBetweenPages) {
+TEST(Churn, FreshContextRanksTheGrownLabelSet) {
   const auto data = tiny_data();
   Network net(net_config(data), 2);
   train(net, data, 20);
   InferenceContext ctx(net, 7);
-
-  // The one-shot ranking before any churn.
-  const auto whole = net.predict_topk(data.test[0].features, ctx, 20,
-                                      /*exact=*/true);
-
-  // Page 1, then grow the universe, then page 2: the iterator scored its
-  // candidates at creation, so the pages must still concatenate to the
-  // pre-growth ranking with no overlap and no phantom new ids.
-  TopKIterator it = net.topk_iterator(data.test[0].features, ctx,
-                                      /*exact=*/true);
-  std::vector<Index> page1, page2;
-  ASSERT_TRUE(it.next(10, page1));
+  const Index before = net.output_dim();
   net.add_output_units(4);
-  ASSERT_TRUE(it.next(10, page2));
-  std::vector<Index> paged = page1;
-  paged.insert(paged.end(), page2.begin(), page2.end());
-  EXPECT_EQ(paged, whole);
+  ASSERT_EQ(net.output_dim(), before + 4);
 
-  // A FRESH context sized for the grown net sees the new universe.
+  // A context re-targeted at the grown net ranks every label, the four new
+  // ones included, once each.
   ctx.reset(net);
   const auto grown = net.predict_topk(data.test[0].features, ctx,
                                       static_cast<int>(net.output_dim()),
                                       /*exact=*/true);
-  EXPECT_EQ(grown.size(), static_cast<std::size_t>(net.output_dim()));
+  std::vector<Index> sorted = grown;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Index> all(static_cast<std::size_t>(net.output_dim()));
+  std::iota(all.begin(), all.end(), Index{0});
+  EXPECT_EQ(sorted, all);
 }
 
 // ---------------------------------------------------------------------------

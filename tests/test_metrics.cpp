@@ -321,13 +321,6 @@ TEST(RenderPrometheus, ExposesServeFamiliesWithAllLaneSeries) {
   EXPECT_NE(
       text.find("slide_serve_latency_seconds_bucket{lane=\"default\",le="),
       std::string::npos);
-  // Gated families stay out when the served model has no such layers.
-  EXPECT_EQ(text.find("slide_retrieval_"), std::string::npos);
-  // ...and in when flagged.
-  stats.adaptive_retrieval = true;
-  const std::string adaptive_text = render_prometheus(stats);
-  EXPECT_NE(adaptive_text.find("slide_retrieval_escalations_total"),
-            std::string::npos);
 }
 
 TEST(RenderPrometheus, CountersAreMonotonicAcrossReadings) {

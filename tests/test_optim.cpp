@@ -1,12 +1,11 @@
 // Optimizer tests: Adam against a hand-rolled reference, bias correction,
-// lazy sparse updates, and SGD momentum.
+// and lazy sparse updates.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "optim/adam.h"
-#include "optim/sgd.h"
 #include "sys/rng.h"
 
 namespace slide {
@@ -117,37 +116,6 @@ TEST(Adam, ZeroGradientStillDecaysMoments) {
   adam.step_begin();
   adam.update_span(&w, &g, 0, 1, 0.01f);
   EXPECT_LT(w, after_first);  // still moving in -g direction
-}
-
-TEST(Sgd, PlainStepWithoutMomentum) {
-  Sgd sgd({.momentum = 0.0f}, 2);
-  float w[2] = {1.0f, 2.0f};
-  const float g[2] = {0.5f, -0.5f};
-  sgd.update_span(w, g, 0, 2, 0.1f);
-  EXPECT_NEAR(w[0], 0.95f, 1e-6f);
-  EXPECT_NEAR(w[1], 2.05f, 1e-6f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Sgd sgd({.momentum = 0.9f}, 1);
-  float w = 0.0f;
-  const float g = 1.0f;
-  sgd.update_span(&w, &g, 0, 1, 0.1f);
-  EXPECT_NEAR(w, -0.1f, 1e-6f);  // v = 1
-  sgd.update_span(&w, &g, 0, 1, 0.1f);
-  EXPECT_NEAR(w, -0.29f, 1e-6f);  // v = 1.9
-}
-
-TEST(Sgd, UpdateAtMatchesSpan) {
-  Sgd a({.momentum = 0.5f}, 2), b({.momentum = 0.5f}, 2);
-  float wa[2] = {1, 1}, wb[2] = {1, 1};
-  const float g[2] = {0.3f, 0.6f};
-  for (int s = 0; s < 4; ++s) {
-    a.update_span(wa, g, 0, 2, 0.1f);
-    for (std::size_t i = 0; i < 2; ++i) b.update_at(&wb[i], g[i], i, 0.1f);
-  }
-  EXPECT_NEAR(wa[0], wb[0], 1e-6f);
-  EXPECT_NEAR(wa[1], wb[1], 1e-6f);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // BF16 quantized-inference contract: builder knob, weight mirrors, memory
 // accounting, fp32-vs-bf16 prediction agreement, checkpoint precision tags
-// (v2) and legacy v1 compatibility.
+// and the rejection of legacy checkpoint headers.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/builder.h"
 #include "core/serialize.h"
@@ -282,79 +283,32 @@ TEST(Precision, CheckpointCarriesPrecisionTag) {
   EXPECT_GT(reloaded.memory_footprint().mirror_bytes, 0u);
 }
 
-// Byte-level writer for the version 1 and 2 formats, replicating the old
-// save_weights layout exactly: version 2 only adds the precision tag word
-// after the header.
-void write_u32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void write_block(std::ostream& out, std::span<const float> data) {
-  write_u32(out, static_cast<std::uint32_t>(data.size()));
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-}
-std::string legacy_checkpoint(const Network& net, std::uint32_t version,
-                              std::uint32_t kind, std::uint32_t tag = 0) {
-  std::stringstream out;
-  write_u32(out, 0x534C4944u);  // magic
-  write_u32(out, version);
-  write_u32(out, kind);
-  write_u32(out, net.embedding().input_dim());
-  write_u32(out, net.embedding().units());
-  write_u32(out, static_cast<std::uint32_t>(net.stack_depth()));
-  if (version >= 2) write_u32(out, tag);
-  write_block(out, net.embedding().weights_span());
-  write_block(out, net.embedding().bias_span());
-  for (int i = 0; i < net.stack_depth(); ++i) {
-    const Layer& layer = net.stack(i);
-    write_u32(out, layer.units());
-    write_u32(out, layer.fan_in());
-    write_block(out, layer.weights_span());
-    write_block(out, layer.bias_span());
-  }
-  return out.str();
-}
-
-TEST(Precision, LegacyVersion1CheckpointLoadsUnchanged) {
+TEST(Precision, LegacyCheckpointHeadersAreRejected) {
+  // Only version 5 is read. A v5 file patched to an earlier version, to
+  // kind 1 (the removed dense-baseline wrapper's files) or to precision tag
+  // 2 (the removed fp16 tier) is refused, typed, by the peek and the load.
   const auto data = tiny_data();
-  Network trained(net_config(data), 2);
-  train_a_bit(trained, data.train, 30);
-
-  std::stringstream v1(legacy_checkpoint(trained, 1, /*kind=*/0));
-  EXPECT_EQ(peek_checkpoint_info(v1).version, 1u);
-  EXPECT_EQ(peek_checkpoint_info(v1).precision, Precision::kFP32);
-
-  // Loads into an fp32 network bit-identically...
-  Network restored(net_config(data, Precision::kFP32, 999), 2);
-  load_weights(restored, v1);
-  const auto tw = trained.output_layer().weights_span();
-  const auto rw = restored.output_layer().weights_span();
-  ASSERT_EQ(tw.size(), rw.size());
-  for (std::size_t i = 0; i < tw.size(); ++i) ASSERT_EQ(tw[i], rw[i]);
-
-  // ...and into a bf16 network, which derives its mirror on load.
-  Network quantized(net_config(data, Precision::kBF16, 1000), 2);
-  v1.clear();
-  v1.seekg(0);
-  load_weights(quantized, v1);
-  EXPECT_GT(quantized.memory_footprint().mirror_bytes, 0u);
-
-  // A version-2 file from the same writer carries its tag...
-  std::stringstream v2(legacy_checkpoint(trained, 2, /*kind=*/0, /*tag=*/1));
-  EXPECT_EQ(peek_checkpoint_info(v2).precision, Precision::kBF16);
-  load_weights(restored, v2);
-
-  // ...but a kind-1 header (the removed dense-baseline wrapper's files) and
-  // precision tag 2 (the removed fp16 tier) are refused, typed, by both
-  // the peek and the load.
-  for (const std::string& bytes :
-       {legacy_checkpoint(trained, 1, /*kind=*/1),
-        legacy_checkpoint(trained, 2, /*kind=*/0, /*tag=*/2)}) {
+  Network net(net_config(data), 2);
+  std::stringstream buffer;
+  save_weights(net, buffer);
+  const std::string v5 = buffer.str();
+  // Header words: magic, version, kind, input_dim, hidden, num_layers, tag.
+  const auto patched = [&](std::size_t word, std::uint32_t value) {
+    std::string bytes = v5;
+    std::memcpy(bytes.data() + 4 * word, &value, sizeof(value));
+    return bytes;
+  };
+  std::vector<std::string> files;
+  for (std::uint32_t version = 1; version <= 4; ++version)
+    files.push_back(patched(1, version));
+  files.push_back(patched(2, /*kind=*/1));
+  files.push_back(patched(6, /*tag=*/2));
+  for (const std::string& bytes : files) {
     std::stringstream in(bytes);
     EXPECT_THROW(peek_checkpoint_info(in), Error);
     in.clear();
     in.seekg(0);
-    EXPECT_THROW(load_weights(restored, in), Error);
+    EXPECT_THROW(load_weights(net, in), Error);
   }
 }
 

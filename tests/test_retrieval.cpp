@@ -1,8 +1,6 @@
 // Retrieval subsystem tests: the Retriever contract on the LSH and exact
 // backends (range, dedupe, tombstones, epoch disjointness), a checkpoint
-// round trip through both, the batch-iterator page-prefix equivalence
-// (monolithic, sharded, and through the serve engine), the adaptive
-// escalation-to-exact policy, and the recall_at_k helper.
+// round trip through both, and the recall_at_k helper.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +15,6 @@
 #include "metrics/metrics.h"
 #include "retrieval/exact_retriever.h"
 #include "retrieval/lsh_retriever.h"
-#include "serve/engine.h"
 
 namespace slide {
 namespace {
@@ -215,20 +212,10 @@ HashFamilyConfig small_family() {
   return family;
 }
 
-NetworkConfig net_config(const SyntheticDataset& data,
-                         Index escalation_floor = 0, int shards = 0) {
+NetworkConfig net_config(const SyntheticDataset& data) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), 16);
   b.table({.range_pow = 8, .bucket_size = 32});
-  if (escalation_floor > 0) {
-    SamplingConfig sampling;
-    sampling.strategy = SamplingStrategy::kTopK;
-    sampling.target = 16;
-    sampling.escalation_floor = escalation_floor;
-    b.sampling_config(sampling);
-    b.fill_random_to_target(false);
-  }
-  if (shards > 0) b.shards(shards);
   b.max_batch(32).seed(123);
   return b.to_config();
 }
@@ -267,7 +254,7 @@ TEST(Retrieval, NetworkTrainsAndPredictsWithEachBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint v4
+// Checkpoint round trip
 // ---------------------------------------------------------------------------
 
 TEST(Retrieval, CheckpointV4RoundTripPerBackend) {
@@ -297,178 +284,6 @@ TEST(Retrieval, CheckpointV4RoundTripPerBackend) {
     EXPECT_EQ(src.predict_topk(data.test[i].features, cs2, 5),
               dst.predict_topk(data.test[i].features, cd2, 5));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Batch iterator / pagination
-// ---------------------------------------------------------------------------
-
-void expect_pages_equal_oneshot(const Network& net, const Dataset& test,
-                                bool exact) {
-  // Equal-seeded contexts: the sampled path consumes RNG during the
-  // forward pass, so the one-shot and paged runs must start from the same
-  // stream to see the same candidate set.
-  InferenceContext one_ctx(net, 42);
-  InferenceContext page_ctx(net, 42);
-  for (std::size_t i = 0; i < 10; ++i) {
-    const auto oneshot =
-        net.predict_topk(test[i].features, one_ctx, 20, exact);
-    TopKIterator it = net.topk_iterator(test[i].features, page_ctx, exact);
-    EXPECT_EQ(it.position(), 0u);
-    std::vector<Index> paged, page;
-    while (it.next(5, page)) {
-      EXPECT_LE(page.size(), 5u);
-      paged.insert(paged.end(), page.begin(), page.end());
-      EXPECT_EQ(it.position(), paged.size());
-    }
-    EXPECT_EQ(it.total(), paged.size());
-    // No duplicates across pages.
-    std::set<Index> unique(paged.begin(), paged.end());
-    EXPECT_EQ(unique.size(), paged.size());
-    // Concatenated pages = the one-shot ranking, element for element.
-    ASSERT_GE(paged.size(), oneshot.size());
-    for (std::size_t k = 0; k < oneshot.size(); ++k)
-      EXPECT_EQ(paged[k], oneshot[k]) << "sample " << i << " rank " << k;
-  }
-}
-
-TEST(Retrieval, TopKIteratorPagePrefixEquivalence) {
-  const auto data = tiny_data();
-  Network net(net_config(data), 2);
-  train(net, data, 30);
-  expect_pages_equal_oneshot(net, data.test, /*exact=*/true);
-  expect_pages_equal_oneshot(net, data.test, /*exact=*/false);
-}
-
-TEST(Retrieval, TopKIteratorPagePrefixEquivalenceSharded) {
-  const auto data = tiny_data();
-  Network net(net_config(data, 0, /*shards=*/3), 2);
-  train(net, data, 30);
-  expect_pages_equal_oneshot(net, data.test, /*exact=*/true);
-  expect_pages_equal_oneshot(net, data.test, /*exact=*/false);
-}
-
-TEST(Retrieval, PredictTopkPageOffsets) {
-  const auto data = tiny_data();
-  Network net(net_config(data), 2);
-  train(net, data, 30);
-  InferenceContext ctx(net, 42);
-  const auto full = net.predict_topk(data.test[0].features, ctx, 15, true);
-  ASSERT_GE(full.size(), 10u);
-  std::vector<Index> page;
-  InferenceContext pctx(net, 42);
-  net.predict_topk_page(data.test[0].features, pctx, 5, 5, true, page);
-  ASSERT_EQ(page.size(), 5u);
-  for (std::size_t k = 0; k < 5; ++k) EXPECT_EQ(page[k], full[5 + k]);
-  // A page entirely past the end is empty.
-  net.predict_topk_page(data.test[0].features, pctx, 5,
-                        static_cast<int>(net.output_dim()), true, page);
-  EXPECT_TRUE(page.empty());
-  EXPECT_THROW(
-      net.predict_topk_page(data.test[0].features, pctx, 0, 0, true, page),
-      Error);
-  EXPECT_THROW(
-      net.predict_topk_page(data.test[0].features, pctx, 5, -1, true, page),
-      Error);
-}
-
-TEST(Retrieval, ServePaginationMatchesOneShot) {
-  const auto data = tiny_data();
-  auto network = std::make_shared<Network>(net_config(data), 2);
-  train(*network, data, 30);
-  auto store = std::make_shared<ModelStore>(network);
-  ServeConfig cfg;
-  cfg.num_workers = 2;
-  cfg.exact = true;  // deterministic across workers
-  InferenceEngine engine(store, cfg);
-
-  InferenceContext ctx(*network, 42);
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto full =
-        network->predict_topk(data.test[i].features, ctx, 10, true);
-    auto first = engine.submit(data.test[i].features, {.top_k = 5});
-    auto second = engine.submit(data.test[i].features,
-                                {.top_k = 5, .page_offset = 5});
-    ASSERT_TRUE(first.has_value() && second.has_value());
-    const Prediction head = first->get();
-    const Prediction tail = second->get();
-    std::vector<Index> stitched = head.labels;
-    stitched.insert(stitched.end(), tail.labels.begin(), tail.labels.end());
-    ASSERT_EQ(stitched.size(), full.size());
-    EXPECT_EQ(stitched, full);
-  }
-  EXPECT_THROW(engine.submit(data.test[0].features,
-                             {.top_k = 5, .page_offset = -1}),
-               Error);
-  engine.stop();
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive escalation policy
-// ---------------------------------------------------------------------------
-
-TEST(Retrieval, EscalationFloorTriggersExactScan) {
-  const auto data = tiny_data();
-  // Floor above anything the sampler can deliver: every inference query
-  // escalates, so sampled predictions must equal exact ones.
-  const Index floor = data.train.label_dim();
-  Network net(net_config(data, floor), 2);
-  train(net, data, 30);
-
-  const RetrievalStats before = net.output_layer().retrieval_stats();
-  EXPECT_TRUE(before.adaptive);
-
-  InferenceContext sampled_ctx(net, 7), exact_ctx(net, 7);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(net.predict_topk(data.test[i].features, sampled_ctx, 5),
-              net.predict_topk(data.test[i].features, exact_ctx, 5, true));
-  }
-  const RetrievalStats after = net.output_layer().retrieval_stats();
-  EXPECT_GE(after.escalations - before.escalations, 10);
-  EXPECT_GT(after.oracle, before.oracle);
-  EXPECT_GE(after.recall(), 0.0);
-  EXPECT_LE(after.recall(), 1.0);
-}
-
-TEST(Retrieval, EscalationOffByDefault) {
-  const auto data = tiny_data();
-  Network net(net_config(data), 2);
-  train(net, data, 30);
-  InferenceContext ctx(net, 7);
-  for (std::size_t i = 0; i < 10; ++i)
-    net.predict_topk(data.test[i].features, ctx, 5);
-  const RetrievalStats s = net.output_layer().retrieval_stats();
-  EXPECT_FALSE(s.adaptive);
-  EXPECT_EQ(s.escalations, 0);
-}
-
-TEST(Retrieval, EscalationStatsSurfaceInServeStats) {
-  const auto data = tiny_data();
-  const Index floor = data.train.label_dim();
-  auto network =
-      std::make_shared<Network>(net_config(data, floor),
-                                2);
-  train(*network, data, 30);
-  auto store = std::make_shared<ModelStore>(network);
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  InferenceEngine engine(store, cfg);
-  std::vector<std::future<Prediction>> futures;
-  for (std::size_t i = 0; i < 10; ++i) {
-    auto f = engine.submit(data.test[i].features, {.top_k = 5});
-    ASSERT_TRUE(f.has_value());
-    futures.push_back(std::move(*f));
-  }
-  for (auto& f : futures) f.get();
-  const ServeStats stats = engine.stats();
-  EXPECT_TRUE(stats.adaptive_retrieval);
-  EXPECT_GE(stats.retrieval_escalations, 10u);
-  EXPECT_GE(stats.retrieval_recall, 0.0);
-  EXPECT_LE(stats.retrieval_recall, 1.0);
-  std::ostringstream table;
-  engine.print_stats(table);
-  EXPECT_NE(table.str().find("retrieval escalations"), std::string::npos);
-  engine.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
@@ -240,14 +241,14 @@ std::string fuzz_file(const SyntheticDataset& data, int shards = 2) {
 }
 
 /// fuzz_file ends in its last layer's retriever descriptor (a u32 word
-/// and a u64 aux length, then the payload) and its tombstone block (a u64
-/// count and two u32 ids).
+/// and a u64 aux length) and its tombstone block (a u64 count and two u32
+/// ids). All of it is format words.
 constexpr std::size_t kDescriptorBytes = 12;
 constexpr std::size_t kTombstoneBytes = 16;
 
 /// fuzz_file `bytes` with the retriever descriptor rewritten to `word` and
-/// an `aux`-byte payload: what an older writer's exact (word 1) or HNSW
-/// (word 2, the graph as payload) layer left.
+/// an `aux`-byte payload, as older writers left for their exact (word 1)
+/// and HNSW (word 2, the graph as payload) layers.
 std::string with_retriever_descriptor(const std::string& bytes,
                                       std::uint32_t word, std::uint64_t aux) {
   const std::size_t at = bytes.size() - kTombstoneBytes - kDescriptorBytes;
@@ -266,24 +267,15 @@ std::string with_retriever_descriptor(const std::string& bytes,
 struct FuzzCase {
   const char* name;
   NetworkConfig reader;
-  std::size_t structural_tail;  ///< trailing bytes that are all format words
   std::string bytes;
 };
 
 /// fuzz_file read back into the writer's config and into a monolithic one
-/// (the reshard scatter), and, with the descriptor an older writer's HNSW
-/// layer left (word 2 and a 64-byte graph payload), into the writer's
-/// config. All are tiny, so fuzzing every byte stays cheap.
+/// (the reshard scatter). Both are tiny, so fuzzing every byte stays cheap.
 std::vector<FuzzCase> fuzz_cases(const SyntheticDataset& data) {
-  const NetworkConfig s2 = fuzz_config(data, 2);
   const std::string lsh = fuzz_file(data);
-  // The descriptor and the tombstone block are all format words; a
-  // non-empty aux payload between them may hold any bytes.
-  constexpr std::size_t kLshTail = kDescriptorBytes + kTombstoneBytes;
-  return {{"S=2 lsh", s2, kLshTail, lsh},
-          {"S=2 lsh read as S=1", fuzz_config(data, 0), kLshTail, lsh},
-          {"S=2 lsh, hnsw descriptor", s2, kTombstoneBytes,
-           with_retriever_descriptor(lsh, 2, 64)}};
+  return {{"S=2 lsh", fuzz_config(data, 2), lsh},
+          {"S=2 lsh read as S=1", fuzz_config(data, 0), lsh}};
 }
 
 /// Loads `bytes` into a freshly built network. Returns true if it loaded
@@ -313,6 +305,7 @@ TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
   const auto data = fuzz_data();
   const SparseVector& query = data.test[0].features;
   constexpr std::size_t kHeaderBytes = 7 * sizeof(std::uint32_t);
+  constexpr std::size_t kTailBytes = kDescriptorBytes + kTombstoneBytes;
   // Thousands of networks are built below; with THP each array's first
   // touch zeroes a whole 2 MB page. Parsing does not depend on it.
   struct HugepagesOff {
@@ -337,7 +330,7 @@ TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
       // Header words are checked against the target network; counts, ids
       // and kinds in the tail against the layer. Float payload flips may
       // load: any bit pattern is a float.
-      if (i < kHeaderBytes || i >= c.bytes.size() - c.structural_tail) {
+      if (i < kHeaderBytes || i >= c.bytes.size() - kTailBytes) {
         EXPECT_FALSE(loaded) << c.name << ": byte " << i << " of "
                              << c.bytes.size();
       }
@@ -345,36 +338,28 @@ TEST(Serialize, FuzzedCheckpointsFailWithTypedErrors) {
   }
 }
 
-TEST(Serialize, OlderRetrieverDescriptorsLoadIntoLshLayers) {
-  // Older writers tagged an exact layer with retriever word 1 and an HNSW
-  // layer with word 2 and its graph as aux payload. Both load into the LSH
-  // network, sharded or monolithic: the payload is skipped and the tables
-  // are rebuilt from the weights, so it predicts as the unpatched file
-  // makes it predict. No writer ever emitted word 3.
+TEST(Serialize, RetrieverDescriptorsOtherThanLshAreRejected) {
+  // The loader reads only the LSH descriptor: word 0 and no aux payload.
+  // Older writers' exact (word 1) and HNSW (word 2) descriptors, a word no
+  // writer emitted (3) and any aux payload fail, typed, sharded or
+  // monolithic.
   const auto data = fuzz_data();
   for (int shards : {2, 0}) {
     const NetworkConfig cfg = fuzz_config(data, shards);
     const std::string lsh = fuzz_file(data, shards);
-    const auto predictions = [&](const std::string& bytes) {
+    {
       Network net(cfg, 1);
-      std::stringstream in(bytes);
-      load_weights(net, in);
-      InferenceContext ctx(net, 3);
-      std::vector<std::vector<Index>> out;
-      for (std::size_t i = 0; i < data.test.size(); ++i) {
-        out.push_back(net.predict_topk(data.test[i].features, ctx, 3));
-        out.push_back(net.predict_topk(data.test[i].features, ctx, 3, true));
-      }
-      return out;
-    };
-    const auto want = predictions(lsh);
-    EXPECT_EQ(predictions(with_retriever_descriptor(lsh, 1, 0)), want)
-        << shards << " shards";
-    EXPECT_EQ(predictions(with_retriever_descriptor(lsh, 2, 64)), want)
-        << shards << " shards";
-    Network net(cfg, 1);
-    std::stringstream in(with_retriever_descriptor(lsh, 3, 0));
-    EXPECT_THROW(load_weights(net, in), Error) << shards << " shards";
+      std::stringstream in(lsh);
+      EXPECT_NO_THROW(load_weights(net, in)) << shards << " shards";
+    }
+    const std::pair<std::uint32_t, std::uint64_t> descriptors[] = {
+        {1, 0}, {2, 0}, {3, 0}, {0, 64}};
+    for (const auto& [word, aux] : descriptors) {
+      Network net(cfg, 1);
+      std::stringstream in(with_retriever_descriptor(lsh, word, aux));
+      EXPECT_THROW(load_weights(net, in), Error)
+          << shards << " shards, word " << word << ", aux " << aux;
+    }
   }
 }
 

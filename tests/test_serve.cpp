@@ -949,7 +949,12 @@ TEST(InferenceEngine, RejectsOutOfRangeFeaturesAtAdmission) {
   SparseVector bad({network->input_dim() + 7}, {1.0f});
   EXPECT_THROW(engine.submit(bad), Error);
   EXPECT_THROW(engine.submit_callback(bad, [](Prediction) {}), Error);
-  // The malformed request never reached a worker; the engine still serves.
+  // A negative top_k is refused too, not served at default_top_k.
+  EXPECT_THROW(engine.submit(data.test[0].features, {.top_k = -3}), Error);
+  EXPECT_THROW(engine.submit_callback(data.test[0].features,
+                                      [](Prediction) {}, {.top_k = -3}),
+               Error);
+  // The malformed requests never reached a worker; the engine still serves.
   auto ok = engine.submit(data.test[0].features);
   ASSERT_TRUE(ok.has_value());
   EXPECT_LT(ok->get().labels[0], network->output_dim());

@@ -1,8 +1,8 @@
 // ShardedSampledLayer tests: partition topology, the S=1 bit-identity
 // anchor against the monolithic SampledLayer, shard-merged top-k vs the
-// single-table path on exhaustive nets, gradient routing, checkpoint-v3
-// round-trips and resharding (including legacy v2 monolithic files),
-// train-while-rebuild stress at S=4 (the TSan CI target), and sharded
+// single-table path on exhaustive nets, gradient routing, checkpoint
+// round-trips and resharding across shard counts, train-while-rebuild
+// stress at S=4 (the TSan CI target), and sharded
 // snapshot hot-swap under serving load, and the global inference
 // candidate budget's per-shard split.
 #include <gtest/gtest.h>
@@ -349,14 +349,13 @@ TEST(ShardedLayer, GradientsMatchMonolithicWhenExhaustive) {
 
 TEST(ShardedLayer, BackwardRoutesGradientsOnlyToActiveShards) {
   const auto data = planted(300, 60);
-  // No random fill: the active set is exactly forced labels + LSH hits, so
-  // inactive units — and whole shards without candidates — must see zero
-  // gradient traffic.
+  // The active set is forced labels + LSH hits + the random top-up to
+  // target; every unit outside it — and every shard without candidates —
+  // must see zero gradient traffic.
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16)
       .sampled(60, small_family(), 8)
       .table({.range_pow = 9, .bucket_size = 64})
-      .fill_random_to_target(false)
       .shards(4)
       .max_batch(8)
       .seed(123);
@@ -412,50 +411,6 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
                 dst.predict_topk(data.test[i].features, ctx_dst, 5, true))
           << "shards=" << shards;
     }
-  }
-}
-
-TEST(ShardedLayer, LegacyV2MonolithicCheckpointReshardsIntoShardedStack) {
-  const auto data = planted();
-  Network mono(net_config(data, 0), 2);
-  train(mono, data, 30, 2);
-
-  // Hand-write the pre-shard (version 2) byte layout: header + precision
-  // tag, then one monolithic weights+bias block pair per layer, no shard
-  // words. This is exactly what a v2-era binary produced.
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  auto put_u32 = [&](std::uint32_t v) {
-    buffer.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto put_block = [&](std::span<const float> block) {
-    put_u32(static_cast<std::uint32_t>(block.size()));
-    buffer.write(reinterpret_cast<const char*>(block.data()),
-                 static_cast<std::streamsize>(block.size() * sizeof(float)));
-  };
-  put_u32(0x534C4944);  // magic
-  put_u32(2);           // version
-  put_u32(0);           // kind
-  put_u32(mono.embedding().input_dim());
-  put_u32(mono.embedding().units());
-  put_u32(1);  // num_layers
-  put_u32(0);  // precision tag: fp32
-  put_block(mono.embedding().weights_span());
-  put_block(mono.embedding().bias_span());
-  put_u32(mono.stack(0).units());
-  put_u32(mono.stack(0).fan_in());
-  put_block(mono.stack(0).weights_span());
-  put_block(mono.stack(0).bias_span());
-
-  buffer.seekg(0);
-  EXPECT_EQ(peek_checkpoint_info(buffer).version, 2u);
-  Network sharded(net_config(data, 4), 2);
-  load_weights(sharded, buffer);
-  expect_same_parameters(mono.stack(0), sharded.stack(0));
-
-  InferenceContext ctx_a(mono, 7), ctx_b(sharded, 7);
-  for (std::size_t i = 0; i < 25; ++i) {
-    EXPECT_EQ(mono.predict_topk(data.test[i].features, ctx_a, 5, true),
-              sharded.predict_topk(data.test[i].features, ctx_b, 5, true));
   }
 }
 
@@ -678,7 +633,7 @@ TEST(ShardBudget, BudgetCapsSampledCandidatesButNotExactScoring) {
   std::vector<Index> ids;
   std::vector<float> act;
 
-  // Unbudgeted: fill_random_to_target tops the candidates up to target.
+  // Unbudgeted: the random top-up fills the candidates to target.
   Rng r1(11);
   layer.forward_inference({}, prev, false, r1, visited, ids, act);
   EXPECT_EQ(ids.size(), 48u);
