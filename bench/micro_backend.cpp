@@ -1,12 +1,12 @@
 // Micro-benchmarks for the runtime-dispatched compute backend: the hot
-// kernels (dot / axpy / adam_step) and their quantized-precision variants
-// (bf16 / int8) at EVERY dispatch level this host supports, at the
-// fan-in sizes the engine actually uses (128 = hidden width; 4096 = wide
-// strips), plus wta_codes at the dense DWTA training shape (K*L = 400) and
-// sign_project at the Simhash serving shape (K*L = 450, 1 and 64 rows).
-// Row names carry the scoring precision (dot_fp32, dot_bf16, dot_i8, ...)
-// and the int8 rows additionally carry the instruction path the level's
-// table bound (vnni / maddubs-512 / maddubs-256 / scalar), so a
+// kernels (dot / axpy / adam_step) and their int8 variants at EVERY
+// dispatch level this host supports, at the fan-in sizes the engine
+// actually uses (128 = hidden width; 4096 = wide strips), plus wta_codes
+// at the dense DWTA training shape (K*L = 400) and sign_project at the
+// Simhash serving shape (K*L = 450, 1 and 64 rows). Row names carry the
+// scoring precision (dot_fp32, dot_i8, ...) and the int8 rows additionally
+// carry the instruction path the level's table bound (vnni / maddubs-512 /
+// maddubs-256 / scalar), so a
 // BENCH_backend.json from a VNNI host is distinguishable from the
 // graceful-downgrade path on one without.
 //
@@ -32,20 +32,12 @@
 namespace slide {
 namespace {
 
-using simd::Bf16;
 using simd::SimdLevel;
 
 std::vector<float> vec(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
   for (auto& x : v) x = rng.normal();
-  return v;
-}
-
-std::vector<Bf16> bf16_vec(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Bf16> v(n);
-  for (auto& x : v) x = simd::float_to_bf16(rng.normal());
   return v;
 }
 
@@ -78,37 +70,6 @@ void bm_adam(benchmark::State& state, SimdLevel level, std::size_t n) {
     be.adam_step(w.data(), m.data(), v.data(), g.data(), n, 1e-3f, 0.9f,
                  0.999f, 1e-8f, 0.1f, 0.001f);
     benchmark::DoNotOptimize(w.data());
-  }
-}
-
-void bm_dot_bf16(benchmark::State& state, SimdLevel level, std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto w = bf16_vec(n, 5);
-  const auto x = vec(n, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(be.dot_bf16(w.data(), x.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          (sizeof(Bf16) + sizeof(float)));
-}
-
-void bm_axpy_bf16(benchmark::State& state, SimdLevel level, std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto x = bf16_vec(n, 7);
-  auto y = vec(n, 12);
-  for (auto _ : state) {
-    be.axpy_bf16(0.37f, x.data(), y.data(), n);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-
-void bm_quantize(benchmark::State& state, SimdLevel level, std::size_t n) {
-  const simd::Backend& be = *simd::backend_for(level);
-  const auto src = vec(n, 13);
-  std::vector<Bf16> dst(n);
-  for (auto _ : state) {
-    be.quantize_bf16(src.data(), dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
   }
 }
 
@@ -228,9 +189,6 @@ void register_all() {
       {"dot_fp32", bm_dot},
       {"axpy_fp32", bm_axpy},
       {"adam_step_fp32", bm_adam},
-      {"dot_bf16", bm_dot_bf16},
-      {"axpy_bf16", bm_axpy_bf16},
-      {"quantize_bf16", bm_quantize},
       {"dot_i8", bm_dot_i8, true},
       {"axpy_i8", bm_axpy_i8, true},
       {"quantize_i8", bm_quantize_i8},

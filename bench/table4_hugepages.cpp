@@ -101,9 +101,9 @@ int main() {
       "class scale; grows with footprint).\n",
       without.seconds / with.seconds);
 
-  // The quantized inference mirrors share the hugepage allocator: report
-  // how many mirror bytes THP actually backs per precision tier (the
-  // all-or-nothing madvise verdict surfaced through memory_footprint).
+  // The int8 inference mirror shares the hugepage allocator: report how
+  // many mirror bytes THP actually backs (the all-or-nothing madvise
+  // verdict surfaced through memory_footprint).
   std::printf("\nInference-mirror THP adoption:\n");
   bench::Json json;
   json.begin_object();
@@ -133,17 +133,17 @@ int main() {
   json.key("thp_speedup").number(without.seconds /
                                  std::max(with.seconds, 1e-9));
   json.key("mirrors").begin_array();
-  for (const Precision p : {Precision::kBF16, Precision::kInt8}) {
+  {
     NetworkConfig cfg =
         bench::slide_config_for(data.train, HashFamilyKind::kSimhash);
-    cfg.precision = p;
+    cfg.precision = Precision::kInt8;
     Network net(cfg, threads);
     const MemoryFootprint f = net.memory_footprint();
-    std::printf("  %s: %.1f MB mirrors, %.1f MB THP-backed\n", to_string(p),
+    std::printf("  int8: %.1f MB mirrors, %.1f MB THP-backed\n",
                 static_cast<double>(f.mirror_bytes) / (1 << 20),
                 static_cast<double>(f.mirror_hugepage_bytes) / (1 << 20));
     json.begin_object();
-    json.key("precision").string(to_string(p));
+    json.key("precision").string(to_string(cfg.precision));
     json.key("mirror_bytes").number(static_cast<long long>(f.mirror_bytes));
     json.key("mirror_hugepage_bytes")
         .number(static_cast<long long>(f.mirror_hugepage_bytes));

@@ -10,15 +10,14 @@
 //     --seconds S     seconds of load per phase        (default 3)
 //     --iters N       pre-serve training iterations    (default 300)
 //     --exact         exact (all-class) scoring instead of LSH sampling
-//     --precision P   serving precision: fp32 | bf16 | int8
-//                     (default fp32). Quantized tiers boot the snapshot
-//                     with weight mirrors — bf16 reads half the weight
-//                     bytes, int8 roughly a quarter (the footprint report
-//                     below shows the exact numbers) — while
-//                     training/checkpoints stay fp32. int8 scores through
-//                     AVX-512 VNNI when the CPU has it (the banner shows
-//                     the active kernel path) and downgrades gracefully
-//                     to vpmaddubsw / scalar otherwise.
+//     --precision P   serving precision: fp32 | int8
+//                     (default fp32). int8 boots the snapshot with weight
+//                     mirrors that read roughly a quarter of the weight
+//                     bytes (the footprint report below shows the exact
+//                     numbers) while training/checkpoints stay fp32. It
+//                     scores through AVX-512 VNNI when the CPU has it (the
+//                     banner shows the active kernel path) and downgrades
+//                     gracefully to vpmaddubsw / scalar otherwise.
 //     --churn         phase 2 churns the label space through the engine's
 //                     online-update API instead of the train-and-swap:
 //                     every ~200ms a delta appends fresh output labels,
@@ -210,8 +209,8 @@ int main(int argc, char** argv) {
           .string();
   save_weights_file(network, checkpoint);
   // The serve-side precision knob: the same fp32 checkpoint boots either
-  // an fp32 snapshot or a bf16-quantized one (half the scored weight
-  // bytes); the trainer's network is untouched either way.
+  // an fp32 snapshot or an int8-quantized one (about a quarter of the
+  // scored weight bytes); the trainer's network is untouched either way.
   NetworkConfig serve_net_cfg = net_cfg;
   serve_net_cfg.precision = opt.precision;
   auto store = ModelStore::from_checkpoint_file(serve_net_cfg, checkpoint);

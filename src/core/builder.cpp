@@ -182,8 +182,6 @@ const char* to_string(Precision precision) {
   switch (precision) {
     case Precision::kFP32:
       return "fp32";
-    case Precision::kBF16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
@@ -193,18 +191,16 @@ const char* to_string(Precision precision) {
 Precision parse_precision(const char* name) {
   const std::string_view s(name == nullptr ? "" : name);
   if (s == "fp32") return Precision::kFP32;
-  if (s == "bf16") return Precision::kBF16;
   if (s == "int8") return Precision::kInt8;
-  if (s == "fp16") throw Error("precision fp16 was removed; use bf16");
   throw Error("unknown precision: " + std::string(s) +
-              " (expected fp32 | bf16 | int8)");
+              " (expected fp32 | int8)");
 }
 
 Precision precision_from_tag(std::uint32_t tag) {
-  if (tag == 2) throw Error("precision tag 2 (fp16) was removed; use bf16");
-  SLIDE_CHECK(tag <= static_cast<std::uint32_t>(Precision::kInt8),
-              "unknown precision tag " + std::to_string(tag));
-  return static_cast<Precision>(tag);
+  for (const Precision p : {Precision::kFP32, Precision::kInt8})
+    if (tag == static_cast<std::uint32_t>(p)) return p;
+  throw Error("unknown precision tag " + std::to_string(tag) +
+              " (expected 0 = fp32 | 3 = int8)");
 }
 
 // ---------------------------------------------------------------------------

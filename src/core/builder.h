@@ -90,9 +90,9 @@ class NetworkBuilder {
   NetworkBuilder& max_batch(int max_batch_size);
   NetworkBuilder& adam(const AdamConfig& adam);
   NetworkBuilder& seed(std::uint64_t seed);
-  /// Inference-scoring precision: Precision::kBF16 gives every layer a
-  /// bfloat16 weight mirror (half the serving weight bytes) scored through
-  /// the dispatch's mixed-precision kernels; training stays fp32. See
+  /// Inference-scoring precision: Precision::kInt8 gives every layer an
+  /// int8 weight mirror (a quarter of the serving weight bytes) scored
+  /// through the dispatch's int8 kernels; training stays fp32. See
   /// core/config.h for the quantize-on-publish contract.
   NetworkBuilder& precision(Precision precision);
 

@@ -39,33 +39,30 @@ const char* to_string(MaintenancePolicy policy);
 /// removed "async_delta").
 MaintenancePolicy parse_maintenance_policy(const char* name);
 
-/// Inference-scoring precision of a network ("Accelerating SLIDE on Modern
-/// CPUs", Daghaghi et al.):
+/// Inference-scoring precision of a network:
 ///
 ///   kFP32 — weights are read as stored; no mirror, no extra memory.
-///   kBF16 — every layer keeps a bfloat16 mirror of its weight matrix
-///           (half the bytes; biases stay fp32) and the inference path
-///           scores through the backend's mixed bf16xfp32 kernels.
-///           Training is untouched: forward/backward/Adam run on the fp32
-///           master weights (HOGWILD updates never touch the mirror), and
-///           the mirror is re-quantized at the publish points — network
+///   kInt8 — every layer keeps a signed 8-bit mirror of its weight matrix
+///           with a per-row symmetric fp32 scale (a quarter of the weight
+///           bytes; biases stay fp32; see simd/int8.h for the format),
+///           scored via AVX-512 VNNI `vpdpbusd` / AVX2 `vpmaddubsw` /
+///           scalar, picked at dispatch-bind time from cpuid. Training is
+///           untouched: forward/backward/Adam run on the fp32 master
+///           weights (HOGWILD updates never touch the mirror), and the
+///           mirror is re-quantized at the publish points — network
 ///           construction, checkpoint load, and an explicit
 ///           Network::refresh_inference_mirrors().
-///   kInt8 — signed 8-bit mirror with a per-row symmetric fp32 scale
-///           (quarter the weight bytes; see simd/int8.h for the format);
-///           scored via AVX-512 VNNI `vpdpbusd` / AVX2 `vpmaddubsw` /
-///           scalar, picked at dispatch-bind time from cpuid.
-/// Both quantized tiers share the bf16 mirror lifecycle above. Enumerator
-/// values are a serialization contract (checkpoint + wire precision tags):
-/// append only. Tag 2 was the removed fp16 tier; readers reject it.
-enum class Precision { kFP32 = 0, kBF16 = 1, kInt8 = 3 };
+/// Enumerator values are a serialization contract (the checkpoint's
+/// precision tag): append only. Tags 1 and 2 named removed 16-bit tiers;
+/// readers reject them.
+enum class Precision { kFP32 = 0, kInt8 = 3 };
 
 const char* to_string(Precision precision);
-/// Parses "fp32" | "bf16" | "int8" (slide::Error otherwise, including the
-/// removed "fp16").
+/// Parses "fp32" | "int8" (slide::Error otherwise, including the names of
+/// the removed 16-bit tiers).
 Precision parse_precision(const char* name);
-/// The Precision a checkpoint or wire precision tag names (slide::Error for
-/// any other value, including 2, the removed fp16 tier's tag).
+/// The Precision a checkpoint precision tag names (slide::Error for any
+/// other value, including 1 and 2, the removed tiers' tags).
 Precision precision_from_tag(std::uint32_t tag);
 
 /// One layer after the first hidden layer (see EmbeddingLayer for the
@@ -113,7 +110,7 @@ struct NetworkConfig {
   /// Batch slots to preallocate (max batch size the network can train on).
   int max_batch_size = 256;
 
-  /// Inference-scoring precision (see Precision). bf16 halves the weight
+  /// Inference-scoring precision (see Precision). int8 quarters the weight
   /// bytes the serving path reads; fp32 master weights remain authoritative
   /// for training and checkpoints.
   Precision precision = Precision::kFP32;

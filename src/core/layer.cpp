@@ -18,38 +18,9 @@ void init_normal(float* w, std::size_t n, float stddev, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) w[i] = stddev * rng.normal();
 }
 
-// Weight-element-generic kernel selectors: the fp32 master path and the
-// bf16 mirror path share one loop body below, differing only in the weight
-// pointer type these resolve on.
-inline void axpy_any(float alpha, const float* x, float* y,
-                     std::size_t n) noexcept {
-  simd::axpy(alpha, x, y, n);
-}
-inline void axpy_any(float alpha, const simd::Bf16* x, float* y,
-                     std::size_t n) noexcept {
-  simd::axpy_bf16(alpha, x, y, n);
-}
-inline float dot_any(const float* w, const float* x, std::size_t n) noexcept {
-  return simd::dot(w, x, n);
-}
-inline float dot_any(const simd::Bf16* w, const float* x,
-                     std::size_t n) noexcept {
-  return simd::dot_bf16(w, x, n);
-}
-inline float sparse_dot_any(const Index* idx, const float* val,
-                            std::size_t nnz, const float* w) noexcept {
-  return simd::sparse_dot(idx, val, nnz, w);
-}
-inline float sparse_dot_any(const Index* idx, const float* val,
-                            std::size_t nnz, const simd::Bf16* w) noexcept {
-  return simd::sparse_dot_bf16(idx, val, nnz, w);
-}
-
-/// The embedding forward body shared by the fp32 master path and the bf16
-/// mirror path: out = ReLU(W^T x + b) with W input-major [input_dim x
-/// units].
-template <typename W>
-void embedding_forward(const AlignedVector<float>& bias, const W* weights,
+/// The embedding forward through the fp32 master weights: out = ReLU(W^T x
+/// + b) with W input-major [input_dim x units].
+void embedding_forward(const AlignedVector<float>& bias, const float* weights,
                        Index units, const SparseVector& x, float* out,
                        [[maybe_unused]] Index input_dim) {
   std::copy(bias.begin(), bias.end(), out);
@@ -62,8 +33,8 @@ void embedding_forward(const AlignedVector<float>& bias, const W* weights,
                                   idx[i + kPrefetchDistance]) *
                                   units);
     }
-    axpy_any(val[i], weights + static_cast<std::size_t>(idx[i]) * units, out,
-             units);
+    simd::axpy(val[i], weights + static_cast<std::size_t>(idx[i]) * units,
+               out, units);
   }
   simd::relu(out, units);
 }
@@ -93,22 +64,21 @@ void embedding_forward_i8(const AlignedVector<float>& bias,
   simd::relu(out, units);
 }
 
-/// Bytes of one quantized mirror actually backed by THP (all-or-nothing
-/// per allocation: HugeBuffer records whether the kernel accepted the
-/// madvise for the whole range).
-template <typename T>
-std::size_t thp_bytes(const HugeArrayT<T>& mirror) noexcept {
-  return mirror.uses_thp() ? mirror.size() * sizeof(T) : 0;
+/// Bytes of the int8 mirror actually backed by THP (all-or-nothing per
+/// allocation: HugeBuffer records whether the kernel accepted the madvise
+/// for the whole range).
+std::size_t thp_bytes(const HugeArrayT<simd::I8>& mirror) noexcept {
+  return mirror.uses_thp() ? mirror.size() * sizeof(simd::I8) : 0;
 }
 
 /// One unit's pre-activation against the previous layer's active set,
-/// generic over the weight element type (fp32 masters / bf16 mirror).
-template <typename W>
-float score_unit(float bias, const W* w, std::span<const Index> prev_ids,
+/// through its fp32 weight row.
+float score_unit(float bias, const float* w, std::span<const Index> prev_ids,
                  std::span<const float> prev_act) noexcept {
-  if (prev_ids.empty()) return bias + dot_any(w, prev_act.data(), prev_act.size());
-  return bias + sparse_dot_any(prev_ids.data(), prev_act.data(),
-                               prev_ids.size(), w);
+  if (prev_ids.empty())
+    return bias + simd::dot(w, prev_act.data(), prev_act.size());
+  return bias + simd::sparse_dot(prev_ids.data(), prev_act.data(),
+                                 prev_ids.size(), w);
 }
 
 SampledLayer::Config dense_layer_config(Index units, Index fan_in,
@@ -209,47 +179,29 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
   column_touched_ =
       std::make_unique<std::atomic<std::uint8_t>[]>(input_dim_);
 
-  // Allocate the quantized mirror up front so later refreshes are noexcept
-  // (re-quantize in place, no reallocation). Exactly one mirror exists,
-  // matching the precision; all are hugepage-backed (HugeArrayT).
-  switch (precision_) {
-    case Precision::kFP32:
-      break;
-    case Precision::kBF16:
-      weights_bf16_.resize(weights_.size());
-      break;
-    case Precision::kInt8:
-      weights_i8_.resize(weights_.size());
-      i8_scales_.assign(static_cast<std::size_t>(input_dim_), 0.0f);
-      break;
+  // Allocate the int8 mirror up front so later refreshes are noexcept
+  // (re-quantize in place, no reallocation). It exists only at kInt8 and
+  // is hugepage-backed (HugeArrayT).
+  if (precision_ == Precision::kInt8) {
+    weights_i8_.resize(weights_.size());
+    i8_scales_.assign(static_cast<std::size_t>(input_dim_), 0.0f);
   }
   if (!init.deferred()) refresh_inference_mirror();
 }
 
 void EmbeddingLayer::refresh_inference_mirror() noexcept {
-  switch (precision_) {
-    case Precision::kFP32:
-      return;
-    case Precision::kBF16:
-      simd::quantize_bf16(weights_.data(), weights_bf16_.data(),
-                          weights_.size());
-      return;
-    case Precision::kInt8:
-      // Per-input-row symmetric quantization (rows are units_-long here:
-      // the layout is input-major).
-      for (Index r = 0; r < input_dim_; ++r) {
-        const std::size_t off = static_cast<std::size_t>(r) * units_;
-        i8_scales_[r] = simd::quantize_i8(weights_.data() + off,
-                                          weights_i8_.data() + off, units_);
-      }
-      return;
+  if (precision_ != Precision::kInt8) return;
+  // Per-input-row symmetric quantization (rows are units_-long here: the
+  // layout is input-major).
+  for (Index r = 0; r < input_dim_; ++r) {
+    const std::size_t off = static_cast<std::size_t>(r) * units_;
+    i8_scales_[r] = simd::quantize_i8(weights_.data() + off,
+                                      weights_i8_.data() + off, units_);
   }
 }
 
 std::size_t EmbeddingLayer::inference_weight_bytes() const noexcept {
   const std::size_t bias_bytes = bias_.size() * sizeof(float);
-  if (bf16_inference())
-    return weights_bf16_.size() * sizeof(simd::Bf16) + bias_bytes;
   if (i8_inference())
     return weights_i8_.size() * sizeof(simd::I8) +
            i8_scales_.size() * sizeof(float) + bias_bytes;
@@ -259,10 +211,9 @@ std::size_t EmbeddingLayer::inference_weight_bytes() const noexcept {
 LayerMemory EmbeddingLayer::memory() const noexcept {
   LayerMemory m;
   m.master_bytes = (weights_.size() + bias_.size()) * sizeof(float);
-  m.mirror_bytes = weights_bf16_.size() * sizeof(simd::Bf16) +
-                   weights_i8_.size() * sizeof(simd::I8) +
+  m.mirror_bytes = weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
-  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_i8_);
+  m.mirror_hugepage_bytes = thp_bytes(weights_i8_);
   m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
                       2 * adam_.num_params() * sizeof(float);
   return m;
@@ -281,10 +232,7 @@ void EmbeddingLayer::forward_master(const SparseVector& x,
 
 void EmbeddingLayer::forward_inference(const SparseVector& x,
                                        float* out) const {
-  if (bf16_inference()) {
-    embedding_forward(bias_, weights_bf16_.data(), units_, x, out,
-                      input_dim_);
-  } else if (i8_inference()) {
+  if (i8_inference()) {
     embedding_forward_i8(bias_, weights_i8_.data(), i8_scales_.data(), units_,
                          x, out, input_dim_);
   } else {
@@ -405,49 +353,31 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
     if (!init.deferred()) build_group(tables_->active_group(), nullptr);
   }
 
-  // Allocate the quantized mirror up front so later refreshes are noexcept
+  // Allocate the int8 mirror up front so later refreshes are noexcept
   // (re-quantize in place, no reallocation).
-  switch (config_.precision) {
-    case Precision::kFP32:
-      break;
-    case Precision::kBF16:
-      weights_bf16_.resize(weights_.size());
-      break;
-    case Precision::kInt8:
-      weights_i8_.resize(weights_.size());
-      i8_scales_.assign(static_cast<std::size_t>(units_), 0.0f);
-      break;
+  if (config_.precision == Precision::kInt8) {
+    weights_i8_.resize(weights_.size());
+    i8_scales_.assign(static_cast<std::size_t>(units_), 0.0f);
   }
   if (!init.deferred()) refresh_inference_mirror();
 }
 
 void SampledLayer::refresh_inference_mirror() noexcept {
-  switch (config_.precision) {
-    case Precision::kFP32:
-      return;
-    case Precision::kBF16:
-      simd::quantize_bf16(weights_.data(), weights_bf16_.data(),
-                          weights_.size());
-      return;
-    case Precision::kInt8:
-      // Per-neuron-row symmetric quantization (rows are fan_in_-long;
-      // neuron-major layout). Row-local and deterministic, so reloading the
-      // same masters under any shard partition reproduces identical scales.
-      for (Index u = 0; u < units_; ++u) {
-        const std::size_t off =
-            static_cast<std::size_t>(u) * static_cast<std::size_t>(fan_in_);
-        i8_scales_[u] = simd::quantize_i8(weights_.data() + off,
-                                          weights_i8_.data() + off,
-                                          static_cast<std::size_t>(fan_in_));
-      }
-      return;
+  if (config_.precision != Precision::kInt8) return;
+  // Per-neuron-row symmetric quantization (rows are fan_in_-long;
+  // neuron-major layout). Row-local and deterministic, so reloading the
+  // same masters under any shard partition reproduces identical scales.
+  for (Index u = 0; u < units_; ++u) {
+    const std::size_t off =
+        static_cast<std::size_t>(u) * static_cast<std::size_t>(fan_in_);
+    i8_scales_[u] = simd::quantize_i8(weights_.data() + off,
+                                      weights_i8_.data() + off,
+                                      static_cast<std::size_t>(fan_in_));
   }
 }
 
 std::size_t SampledLayer::inference_weight_bytes() const noexcept {
   const std::size_t bias_bytes = bias_.size() * sizeof(float);
-  if (bf16_inference())
-    return weights_bf16_.size() * sizeof(simd::Bf16) + bias_bytes;
   if (i8_inference())
     return weights_i8_.size() * sizeof(simd::I8) +
            i8_scales_.size() * sizeof(float) + bias_bytes;
@@ -457,23 +387,14 @@ std::size_t SampledLayer::inference_weight_bytes() const noexcept {
 LayerMemory SampledLayer::memory() const noexcept {
   LayerMemory m;
   m.master_bytes = (weights_.size() + bias_.size()) * sizeof(float);
-  m.mirror_bytes = weights_bf16_.size() * sizeof(simd::Bf16) +
-                   weights_i8_.size() * sizeof(simd::I8) +
+  m.mirror_bytes = weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
-  m.mirror_hugepage_bytes = thp_bytes(weights_bf16_) + thp_bytes(weights_i8_);
+  m.mirror_hugepage_bytes = thp_bytes(weights_i8_);
   m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
                       2 * adam_.num_params() * sizeof(float);
   m.retriever_bytes =
       retriever_ != nullptr ? retriever_->memory_bytes() : 0;
   return m;
-}
-
-float SampledLayer::activation_of_bf16(
-    Index unit, std::span<const Index> prev_ids,
-    std::span<const float> prev_act) const {
-  const simd::Bf16* w =
-      weights_bf16_.data() + static_cast<std::size_t>(unit) * fan_in_;
-  return score_unit(bias_[unit], w, prev_ids, prev_act);
 }
 
 float SampledLayer::activation_of_i8(Index unit,
@@ -527,14 +448,6 @@ void SampledLayer::score_rows(std::span<const Index> ids,
       if (i + kPrefetchDistance < n)
         prefetch_read(inference_row(ids[i + kPrefetchDistance]));
       out[i] = activation_of_i8(ids[i], prev_ids, prev_act, qx, sx);
-    }
-    return;
-  }
-  if (bf16_inference()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchDistance < n)
-        prefetch_read(inference_row(ids[i + kPrefetchDistance]));
-      out[i] = activation_of_bf16(ids[i], prev_ids, prev_act);
     }
     return;
   }
@@ -888,9 +801,8 @@ Index SampledLayer::add_units(Index n) {
   };
   grow_flags(touched_);
 
-  // Quantized mirrors re-quantize wholesale below, so a plain (zeroing)
+  // The int8 mirror re-quantizes wholesale below, so a plain (zeroing)
   // resize is fine here.
-  if (!weights_bf16_.empty()) weights_bf16_.resize(new_w);
   if (!weights_i8_.empty()) {
     weights_i8_.resize(new_w);
     i8_scales_.resize(static_cast<std::size_t>(new_units), 0.0f);

@@ -41,7 +41,6 @@
 #include "lsh/table_group.h"
 #include "optim/adam.h"
 #include "retrieval/lsh_retriever.h"
-#include "simd/bf16.h"
 #include "simd/int8.h"
 #include "sys/aligned.h"
 #include "sys/hugepages.h"
@@ -219,7 +218,7 @@ class Layer {
     return bias_span();
   }
 
-  // ---- Quantized inference (bf16 weight mirrors) ----
+  // ---- Quantized inference (int8 weight mirrors) ----
   /// The precision the layer's *inference* scoring path reads weights at.
   /// Training always runs on the fp32 masters regardless.
   virtual Precision inference_precision() const noexcept {
@@ -230,7 +229,7 @@ class Layer {
   /// the writer role (no concurrent readers), like any weight mutation.
   virtual void refresh_inference_mirror() noexcept {}
   /// Bytes of weight + bias data the inference scoring path reads (the
-  /// mirror at bf16, the masters at fp32).
+  /// mirror at int8, the masters at fp32).
   virtual std::size_t inference_weight_bytes() const noexcept {
     return num_parameters() * sizeof(float);
   }
@@ -320,7 +319,7 @@ class EmbeddingLayer {
   void forward(int slot, const SparseVector& x);
 
   /// Dense single-sample forward into a caller buffer (inference path).
-  /// Scores through the bf16 mirror when the layer is quantized.
+  /// Scores through the int8 mirror when the layer is quantized.
   void forward_inference(const SparseVector& x, float* out) const;
 
   /// Consumes the error accumulated in the slot by upper layers: applies
@@ -368,7 +367,7 @@ class EmbeddingLayer {
     return static_cast<std::size_t>(input_dim_) * units_ + units_;
   }
 
-  /// Re-quantizes the bf16 mirror from the masters (no-op at fp32); see
+  /// Re-quantizes the int8 mirror from the masters (no-op at fp32); see
   /// Layer::refresh_inference_mirror for the writer-role contract.
   void refresh_inference_mirror() noexcept;
   std::size_t inference_weight_bytes() const noexcept;
@@ -379,9 +378,6 @@ class EmbeddingLayer {
   /// unquantized inference path).
   void forward_master(const SparseVector& x, float* out) const;
 
-  bool bf16_inference() const noexcept {
-    return precision_ == Precision::kBF16 && !weights_bf16_.empty();
-  }
   bool i8_inference() const noexcept {
     return precision_ == Precision::kInt8 && !weights_i8_.empty();
   }
@@ -394,11 +390,10 @@ class EmbeddingLayer {
   HugeArray grads_;
   AlignedVector<float> bias_;
   AlignedVector<float> bias_grad_;
-  // Quantized inference mirrors, same input-major layout as weights_; only
-  // the one matching precision_ is ever allocated. Hugepage-backed: the
-  // serving path streams these rows, the TLB-bound pattern of paper
-  // Table 4. i8_scales_ holds the per-input-row symmetric scale.
-  HugeArrayT<simd::Bf16> weights_bf16_;
+  // Int8 inference mirror, same input-major layout as weights_; allocated
+  // only at Precision::kInt8. Hugepage-backed: the serving path streams
+  // these rows, the TLB-bound pattern of paper Table 4. i8_scales_ holds
+  // the per-input-row symmetric scale.
   HugeArrayT<simd::I8> weights_i8_;
   AlignedVector<float> i8_scales_;  // [input_dim]
   Adam adam_;  // layout: weights then bias
@@ -601,12 +596,10 @@ class SampledLayer : public Layer {
   void compute_activations(ActiveSet& set, const ActiveSet& prev) const;
   float activation_of(Index unit, std::span<const Index> prev_ids,
                       std::span<const float> prev_act) const;
-  /// Mirror-reading twins of activation_of (quantized inference scoring).
-  float activation_of_bf16(Index unit, std::span<const Index> prev_ids,
-                           std::span<const float> prev_act) const;
-  /// Int8 scoring: against a dense prev the caller provides the u8-quantized
-  /// activations (qx, one quantize_act_u8 per query) and their scale;
-  /// against a sparse prev qx is unused (fp32 values x widened s8 weights).
+  /// Mirror-reading twin of activation_of (int8 inference scoring): against
+  /// a dense prev the caller provides the u8-quantized activations (qx, one
+  /// quantize_act_u8 per query) and their scale; against a sparse prev qx
+  /// is unused (fp32 values x widened s8 weights).
   float activation_of_i8(Index unit, std::span<const Index> prev_ids,
                          std::span<const float> prev_act, const simd::U8* qx,
                          float act_scale) const;
@@ -616,9 +609,6 @@ class SampledLayer : public Layer {
   /// — exactly the access pattern the software prefetch pays for).
   void score_rows(std::span<const Index> ids, std::span<const Index> prev_ids,
                   std::span<const float> prev_act, float* out) const;
-  bool bf16_inference() const noexcept {
-    return config_.precision == Precision::kBF16 && !weights_bf16_.empty();
-  }
   bool i8_inference() const noexcept {
     return config_.precision == Precision::kInt8 && !weights_i8_.empty();
   }
@@ -627,7 +617,6 @@ class SampledLayer : public Layer {
   const void* inference_row(Index unit) const noexcept {
     const std::size_t off = static_cast<std::size_t>(unit) * fan_in_;
     if (i8_inference()) return weights_i8_.data() + off;
-    if (bf16_inference()) return weights_bf16_.data() + off;
     return weights_.data() + off;
   }
 
@@ -646,10 +635,9 @@ class SampledLayer : public Layer {
   HugeArray grads_;
   AlignedVector<float> bias_;
   AlignedVector<float> bias_grad_;
-  // Quantized inference mirrors, same neuron-major layout as weights_;
-  // only the one matching config_.precision is ever allocated (hugepage-
-  // backed — see EmbeddingLayer). i8_scales_ is the per-neuron-row scale.
-  HugeArrayT<simd::Bf16> weights_bf16_;
+  // Int8 inference mirror, same neuron-major layout as weights_; allocated
+  // only at Precision::kInt8 (hugepage-backed — see EmbeddingLayer).
+  // i8_scales_ is the per-neuron-row scale.
   HugeArrayT<simd::I8> weights_i8_;
   AlignedVector<float> i8_scales_;  // [units]
   Adam adam_;  // layout: weights then bias

@@ -23,12 +23,12 @@ class Network;
 
 /// Whole-network memory accounting (sums the per-layer LayerMemory plus the
 /// embedding). `inference_weight_bytes` is what the serving scoring path
-/// actually reads — the bf16 mirrors when quantized, the fp32 masters
-/// otherwise — and is the number the "bf16 halves serving weight memory"
+/// actually reads — the int8 mirrors when quantized, the fp32 masters
+/// otherwise — and is the number the "int8 quarters serving weight memory"
 /// contract is asserted on.
 struct MemoryFootprint {
   std::size_t master_weight_bytes = 0;  ///< fp32 weights + biases
-  std::size_t mirror_bytes = 0;  ///< quantized inference mirrors (any tier)
+  std::size_t mirror_bytes = 0;  ///< int8 inference mirrors
   std::size_t optimizer_bytes = 0;      ///< grad accumulators + Adam moments
   /// Candidate-retrieval indexes (LSH buckets) across all hashed layers —
   /// a footprint report without this line under-reports the serving
@@ -264,7 +264,7 @@ class Network {
   /// Serializes gradient accumulation (HOGWILD ablation).
   void set_use_locks(bool locks) noexcept;
 
-  /// Re-quantizes every layer's bf16 inference mirror from the current fp32
+  /// Re-quantizes every layer's int8 inference mirror from the current fp32
   /// master weights (no-op at fp32 precision). Writer-role call: run it at
   /// the quantize-on-publish points — after training, before handing the
   /// network to readers. Checkpoint loads do it automatically.

@@ -174,27 +174,6 @@ void read_kind(std::istream& in) {
 
 }  // namespace
 
-CheckpointInfo peek_checkpoint_info(std::istream& in) {
-  const std::istream::pos_type start = in.tellg();
-  CheckpointInfo info;
-  read_version(in);
-  info.version = kVersion;
-  read_kind(in);
-  read_u32(in);  // input_dim
-  read_u32(in);  // hidden
-  read_u32(in);  // num_layers
-  info.precision = precision_from_tag(read_u32(in));
-  in.seekg(start);
-  SLIDE_CHECK(in.good(), "peek_checkpoint_info: stream not seekable");
-  return info;
-}
-
-CheckpointInfo peek_checkpoint_info_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SLIDE_CHECK(in.good(), "peek_checkpoint_info_file: cannot open " + path);
-  return peek_checkpoint_info(in);
-}
-
 void save_weights(const Network& network, std::ostream& out) {
   const EmbeddingLayer& emb = network.embedding();
   write_header(out, emb.input_dim(), emb.units(),

@@ -25,20 +25,21 @@
 //     tombstones u64 count, then that many u32 global unit ids
 //
 // The precision tag is the Precision the saving network scored inference
-// at (provenance for serving boots; see peek_checkpoint_info). Parameter
-// blocks are always the fp32 master weights: quantized mirrors are derived
-// state, re-quantized by the loading network when its own config asks for
-// them. The loader scatters the row blocks by global row, so a file written
-// at one shard count loads into a network using another. A target layer
+// at (provenance only: the loader validates it, and a loading network
+// takes its precision from its own config). Parameter blocks are always
+// the fp32 master weights: the int8 mirrors are derived state,
+// re-quantized by the loading network when its config asks for them. The
+// loader scatters the row blocks by global row, so a file written at one
+// shard count loads into a network using another. A target layer
 // narrower than the file re-grows by up to the appended count before
 // reading the blocks (so a config-built network loads a grown checkpoint),
 // then re-applies the tombstones through retire_units, so retired ids stay
 // retired across save/load.
 //
 // Only this layout is read. Any other version, a kind other than 0 (kind 1
-// was the removed dense-baseline wrapper's), tag 2 (the removed fp16 tier),
-// a retriever word other than 0 or a non-empty aux block fails with
-// slide::Error.
+// was the removed dense-baseline wrapper's), a precision tag other than 0
+// or 3 (tags 1 and 2 named removed 16-bit tiers), a retriever word other
+// than 0 or a non-empty aux block fails with slide::Error.
 #pragma once
 
 #include <iosfwd>
@@ -50,18 +51,6 @@
 #include "core/network.h"
 
 namespace slide {
-
-/// Header fields of a checkpoint stream (see the layout above).
-struct CheckpointInfo {
-  std::uint32_t version = 0;
-  Precision precision = Precision::kFP32;  ///< the precision tag
-};
-
-/// Reads the checkpoint header without consuming the stream (the stream is
-/// rewound to where it was). Lets a serving boot decide its precision from
-/// the tag before constructing the network.
-CheckpointInfo peek_checkpoint_info(std::istream& in);
-CheckpointInfo peek_checkpoint_info_file(const std::string& path);
 
 /// Serializes all weights and biases of the network.
 void save_weights(const Network& network, std::ostream& out);

@@ -9,7 +9,7 @@
 //
 //   global neuron range [0, units)
 //     = shard 0 rows [off_0, off_1)  — own weight block, MaintainedTables,
-//     + shard 1 rows [off_1, off_2)    maintenance thread, bf16 mirror,
+//     + shard 1 rows [off_1, off_2)    maintenance thread, int8 mirror,
 //     + ...                            Adam state
 //
 // Each shard is a SampledLayer over its contiguous row range. S background

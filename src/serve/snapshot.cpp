@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <fstream>
-#include <thread>
 #include <utility>
 
 #include "core/serialize.h"
@@ -121,18 +120,6 @@ std::uint64_t ModelStore::load_checkpoint_file(const NetworkConfig& config,
   std::ifstream in(path, std::ios::binary);
   SLIDE_CHECK(in.good(), "ModelStore: cannot open checkpoint " + path);
   return load_checkpoint(config, in, path, rebuild_threads);
-}
-
-std::future<std::uint64_t> ModelStore::load_checkpoint_file_async(
-    NetworkConfig config, std::string path, int rebuild_threads) {
-  // The task co-owns the store: dropping the caller's last reference while
-  // the load is in flight must not free the store under the loader.
-  return std::async(std::launch::async,
-                    [self = shared_from_this(), config = std::move(config),
-                     path = std::move(path), rebuild_threads] {
-                      return self->load_checkpoint_file(config, path,
-                                                        rebuild_threads);
-                    });
 }
 
 std::uint64_t ModelStore::publish_count() const {

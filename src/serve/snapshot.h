@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <future>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -44,7 +43,7 @@ struct ModelSnapshot {
   Index input_dim = 0;
 };
 
-class ModelStore : public std::enable_shared_from_this<ModelStore> {
+class ModelStore {
  public:
   /// Seeds the store with an already-built network (version 1). The network
   /// must have its hash tables current (e.g. rebuild_all after training).
@@ -84,14 +83,6 @@ class ModelStore : public std::enable_shared_from_this<ModelStore> {
                                      const std::string& path,
                                      int rebuild_threads = 0);
 
-  /// load_checkpoint_file on a background thread; the future resolves to
-  /// the published version (or rethrows the load error). The task holds a
-  /// shared_ptr to the store, so the store outlives the load even if the
-  /// caller drops its reference — requires the store to be owned by a
-  /// shared_ptr (it always is via make_shared / from_checkpoint_file).
-  std::future<std::uint64_t> load_checkpoint_file_async(
-      NetworkConfig config, std::string path, int rebuild_threads = 0);
-
   /// Input dimension of the current snapshot (lock-free; updated at
   /// publish). Admission-time request validation reads this on every
   /// submit, so it must not take the snapshot mutex.
@@ -125,11 +116,11 @@ std::uint64_t publish_clone(ModelStore& store, const Network& trained,
 
 /// publish_clone with a serving-precision override: the published snapshot
 /// scores inference at `precision` regardless of how the trainer's network
-/// is configured. Precision::kBF16 emits a quantized snapshot whose
-/// scoring path reads half the weight bytes (Network::memory_footprint);
-/// the trainer keeps its fp32 masters untouched. The checkpoint-loading
-/// boot paths (from_checkpoint_file / load_checkpoint*) get the same knob
-/// through NetworkConfig::precision.
+/// is configured. Precision::kInt8 emits a quantized snapshot whose
+/// scoring path reads a quarter of the weight bytes
+/// (Network::memory_footprint); the trainer keeps its fp32 masters
+/// untouched. The checkpoint-loading boot paths (from_checkpoint_file /
+/// load_checkpoint*) get the same knob through NetworkConfig::precision.
 std::uint64_t publish_clone(ModelStore& store, const Network& trained,
                             Precision precision, int rebuild_threads = 0,
                             const std::string& source = "clone");

@@ -23,14 +23,13 @@
 //                                    stderr note on clamp or typo
 //   3. cpuid                       — widest compiled-in level the CPU has
 //
-// The table also carries the BF16 mixed-precision kernels (bf16 weights x
-// fp32 activations) used by the quantized inference path; see simd/bf16.h
-// for the format and core/layer.h for the weight-mirror contract.
+// The table also carries the int8 kernels (s8 weights x u8 activations)
+// used by the quantized inference path; see simd/int8.h for the format and
+// core/layer.h for the weight-mirror contract.
 #pragma once
 
 #include <cstddef>
 
-#include "simd/bf16.h"
 #include "simd/int8.h"
 #include "sys/common.h"
 
@@ -72,16 +71,6 @@ struct Backend {
   void (*sign_project)(const I8*, std::size_t, std::size_t, std::size_t,
                        const float*, std::size_t, std::size_t, float*,
                        std::size_t) noexcept = nullptr;
-
-  // Mixed-precision kernels: bf16 weights, fp32 activations/accumulation.
-  float (*dot_bf16)(const Bf16*, const float*, std::size_t) noexcept = nullptr;
-  float (*sparse_dot_bf16)(const Index*, const float*, std::size_t,
-                           const Bf16*) noexcept = nullptr;
-  void (*axpy_bf16)(float, const Bf16*, float*, std::size_t) noexcept =
-      nullptr;
-  // Quantization runs on the publish path (cold); scalar in every table.
-  void (*quantize_bf16)(const float*, Bf16*, std::size_t) noexcept = nullptr;
-  void (*dequantize_bf16)(const Bf16*, float*, std::size_t) noexcept = nullptr;
 
   // Int8 tier: s8 weights (per-row symmetric scale) x u8 activations in
   // [0,127]; see simd/int8.h for the full contract. dot_i8 returns the raw

@@ -53,23 +53,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
                          out_stride);
 }
 
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
-  return backend().dot_bf16(w, x, n);
-}
-float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
-                      const Bf16* dense) noexcept {
-  return backend().sparse_dot_bf16(idx, val, nnz, dense);
-}
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept {
-  backend().axpy_bf16(alpha, x, y, n);
-}
-void quantize_bf16(const float* src, Bf16* dst, std::size_t n) noexcept {
-  backend().quantize_bf16(src, dst, n);
-}
-void dequantize_bf16(const Bf16* src, float* dst, std::size_t n) noexcept {
-  backend().dequantize_bf16(src, dst, n);
-}
-
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept {
   return backend().dot_i8(w, x, n);
 }

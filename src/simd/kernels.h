@@ -3,13 +3,13 @@
 // The paper's appendix D attributes ~1.3x of SLIDE's final speedup to
 // platform micro-optimization: AVX SIMD for the dense inner loops
 // (activation dot products, weight updates) plus software prefetching, and
-// the follow-up "Accelerating SLIDE on Modern CPUs" adds AVX-512 and BF16
-// on the same loops. Every call below lands in the kernel table the
-// dispatch bound at startup (scalar / AVX2+FMA / AVX-512F+BW), so one
-// binary runs at full width on every machine; see backend.h for level
-// selection and overrides. Every vector kernel has a scalar twin in
-// simd::scalar used both as the dispatch fallback and as the oracle in the
-// test suite.
+// the follow-up "Accelerating SLIDE on Modern CPUs" adds AVX-512 and
+// reduced-precision weights on the same loops. Every call below lands in
+// the kernel table the dispatch bound at startup (scalar / AVX2+FMA /
+// AVX-512F+BW), so one binary runs at full width on every machine; see
+// backend.h for level selection and overrides. Every vector kernel has a
+// scalar twin in simd::scalar used both as the dispatch fallback and as
+// the oracle in the test suite.
 //
 // All pointers may be unaligned; kernels handle the tail per-element (or
 // with masked loads on AVX-512).
@@ -19,7 +19,6 @@
 #include <cstdint>
 
 #include "simd/backend.h"
-#include "simd/bf16.h"
 #include "simd/int8.h"
 #include "sys/common.h"
 
@@ -89,28 +88,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
                   std::size_t rows, float* out,
                   std::size_t out_stride) noexcept;
 
-// ---- BF16 mixed-precision kernels (quantized inference path) -------------
-// Weights are stored bf16 (see simd/bf16.h); activations and accumulation
-// stay fp32, so error is bounded by the weight rounding alone (~2^-8
-// relative per weight).
-
-/// <bf16 w, fp32 x> over n entries, fp32 accumulation.
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept;
-
-/// Sparse fp32 vector (idx/val) against a dense bf16 vector.
-float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
-                      const Bf16* dense) noexcept;
-
-/// y[i] += alpha * widen(x[i]) — bf16 source, fp32 destination.
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept;
-
-/// dst[i] = bf16(src[i]), round-to-nearest-even (the quantize-on-publish
-/// step building a layer's weight mirror).
-void quantize_bf16(const float* src, Bf16* dst, std::size_t n) noexcept;
-
-/// dst[i] = widen(src[i]) — exact (bf16 is a float subset).
-void dequantize_bf16(const Bf16* src, float* dst, std::size_t n) noexcept;
-
 // ---- Int8 quantized kernels (see simd/int8.h for the format) -------------
 // Weights s8 with a per-row symmetric scale, activations u8 in [0,127] with
 // a per-query scale. The raw dot stays in int32 and is exact on every path
@@ -161,12 +138,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
                   std::size_t n, const float* x, std::size_t x_stride,
                   std::size_t rows, float* out,
                   std::size_t out_stride) noexcept;
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept;
-float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
-                      const Bf16* dense) noexcept;
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept;
-void quantize_bf16(const float* src, Bf16* dst, std::size_t n) noexcept;
-void dequantize_bf16(const Bf16* src, float* dst, std::size_t n) noexcept;
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept;
 float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
                     const I8* dense) noexcept;

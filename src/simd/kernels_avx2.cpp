@@ -284,36 +284,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
   }
 }
 
-/// Widens 8 bf16 values (128-bit lane) to 8 fp32 lanes: zero-extend each
-/// 16-bit value into the high half of a 32-bit lane.
-inline __m256 load_bf16x8(const Bf16* p) noexcept {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i wide = _mm256_cvtepu16_epi32(raw);
-  return _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16));
-}
-
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_fmadd_ps(load_bf16x8(w + i), _mm256_loadu_ps(x + i), acc);
-  }
-  float s = hsum256(acc);
-  for (; i < n; ++i) s += bf16_to_float(w[i]) * x[i];
-  return s;
-}
-
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 vy = _mm256_loadu_ps(y + i);
-    vy = _mm256_fmadd_ps(va, load_bf16x8(x + i), vy);
-    _mm256_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += alpha * bf16_to_float(x[i]);
-}
-
 inline std::int32_t hsum256_epi32(__m256i v) noexcept {
   __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -380,11 +350,6 @@ constexpr Backend kAvx2Table = {
     .adam_step = avx2::adam_step,
     .wta_codes = avx2::wta_codes,
     .sign_project = avx2::sign_project,
-    .dot_bf16 = avx2::dot_bf16,
-    .sparse_dot_bf16 = scalar::sparse_dot_bf16,
-    .axpy_bf16 = avx2::axpy_bf16,
-    .quantize_bf16 = scalar::quantize_bf16,
-    .dequantize_bf16 = scalar::dequantize_bf16,
     .dot_i8 = avx2::dot_i8,
     .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = avx2::axpy_i8,

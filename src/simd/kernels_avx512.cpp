@@ -4,7 +4,7 @@
 // outside the two kernel TUs targets generic x86-64, see CMakeLists.txt)
 // and bound by the dispatch only after cpuid confirms both features.
 // 16-lane fp32 arithmetic with fully masked tails — no scalar remainder
-// loops on the dense kernels — plus the bf16 widening loads the quantized
+// loops on the dense kernels — plus the int8 dot kernels the quantized
 // inference path uses. The table pointer is constant-initialized, so
 // nothing here executes on a host without AVX-512. Without compiler
 // support CMake leaves SLIDE_COMPILE_AVX512 undefined and the TU exports a
@@ -305,37 +305,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
   }
 }
 
-/// Widens 16 bf16 values (256-bit load) to 16 fp32 lanes.
-inline __m512 load_bf16x16(const Bf16* p) noexcept {
-  const __m256i raw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m512i wide = _mm512_cvtepu16_epi32(raw);
-  return _mm512_castsi512_ps(_mm512_slli_epi32(wide, 16));
-}
-
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm512_fmadd_ps(load_bf16x16(w + i), _mm512_loadu_ps(x + i), acc);
-  }
-  float s = _mm512_reduce_add_ps(acc);
-  // Masked 256-bit bf16 loads need AVX512VL, which this TU deliberately
-  // does not require — the tail stays scalar.
-  for (; i < n; ++i) s += bf16_to_float(w[i]) * x[i];
-  return s;
-}
-
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 vy = _mm512_loadu_ps(y + i);
-    vy = _mm512_fmadd_ps(va, load_bf16x16(x + i), vy);
-    _mm512_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += alpha * bf16_to_float(x[i]);
-}
-
 // ---- int8 ----------------------------------------------------------------
 
 /// BW-baseline int8 dot: vpmaddubsw pairs u8 x s8 into int16 (exact — the
@@ -419,11 +388,6 @@ constexpr Backend kAvx512Table = {
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
     .sign_project = avx512::sign_project,
-    .dot_bf16 = avx512::dot_bf16,
-    .sparse_dot_bf16 = scalar::sparse_dot_bf16,
-    .axpy_bf16 = avx512::axpy_bf16,
-    .quantize_bf16 = scalar::quantize_bf16,
-    .dequantize_bf16 = scalar::dequantize_bf16,
 #if SLIDE_HAVE_VNNI_COMPILE
     .dot_i8 = avx512::dot_i8_vnni,
 #else
@@ -457,11 +421,6 @@ constexpr Backend kAvx512TableNoVnni = {
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
     .sign_project = avx512::sign_project,
-    .dot_bf16 = avx512::dot_bf16,
-    .sparse_dot_bf16 = scalar::sparse_dot_bf16,
-    .axpy_bf16 = avx512::axpy_bf16,
-    .quantize_bf16 = scalar::quantize_bf16,
-    .dequantize_bf16 = scalar::dequantize_bf16,
     .dot_i8 = avx512::dot_i8_maddubs,
     .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = avx512::axpy_i8,

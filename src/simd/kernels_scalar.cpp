@@ -130,32 +130,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
   }
 }
 
-float dot_bf16(const Bf16* w, const float* x, std::size_t n) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += bf16_to_float(w[i]) * x[i];
-  return acc;
-}
-
-float sparse_dot_bf16(const Index* idx, const float* val, std::size_t nnz,
-                      const Bf16* dense) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < nnz; ++i)
-    acc += val[i] * bf16_to_float(dense[idx[i]]);
-  return acc;
-}
-
-void axpy_bf16(float alpha, const Bf16* x, float* y, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * bf16_to_float(x[i]);
-}
-
-void quantize_bf16(const float* src, Bf16* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_bf16(src[i]);
-}
-
-void dequantize_bf16(const Bf16* src, float* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = bf16_to_float(src[i]);
-}
-
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept {
   std::int32_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -238,11 +212,6 @@ const Backend kScalarBackend = {
     .adam_step = scalar::adam_step,
     .wta_codes = scalar::wta_codes,
     .sign_project = scalar::sign_project,
-    .dot_bf16 = scalar::dot_bf16,
-    .sparse_dot_bf16 = scalar::sparse_dot_bf16,
-    .axpy_bf16 = scalar::axpy_bf16,
-    .quantize_bf16 = scalar::quantize_bf16,
-    .dequantize_bf16 = scalar::dequantize_bf16,
     .dot_i8 = scalar::dot_i8,
     .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = scalar::axpy_i8,

@@ -58,9 +58,9 @@ class HugeBuffer {
 
 /// A fixed-size array of trivially-copyable T in (optionally)
 /// hugepage-backed storage. This is the storage type for layer weight
-/// matrices, optimizer state, and every quantized inference weight mirror
-/// (fp32 / bf16 / int8) — the serving hot path streams these rows,
-/// which is exactly the TLB-bound access pattern Table 4 measures.
+/// matrices, optimizer state, and the int8 inference weight mirror — the
+/// serving hot path streams these rows, which is exactly the TLB-bound
+/// access pattern Table 4 measures.
 template <typename T>
 class HugeArrayT {
   static_assert(std::is_trivially_copyable_v<T>,

@@ -1,5 +1,5 @@
-// BF16 quantized-inference contract: builder knob, weight mirrors, memory
-// accounting, fp32-vs-bf16 prediction agreement, checkpoint precision tags
+// Int8 quantized-inference contract: builder knob, weight mirrors, memory
+// accounting, fp32-vs-int8 prediction agreement, checkpoint precision tags
 // and the rejection of legacy checkpoint headers.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "core/serialize.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "simd/bf16.h"
 
 namespace slide {
 namespace {
@@ -27,6 +26,14 @@ SyntheticDataset tiny_data() {
   cfg.active_per_label = 6;
   cfg.seed = 91;
   return make_synthetic_xc(cfg);
+}
+
+/// Header word `word` of a saved checkpoint: magic, version, kind,
+/// input_dim, hidden, num_layers, precision tag.
+std::uint32_t header_word(const std::string& bytes, std::size_t word) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + 4 * word, sizeof(value));
+  return value;
 }
 
 NetworkConfig net_config(const SyntheticDataset& data,
@@ -62,46 +69,28 @@ void train_a_bit(Network& net, const Dataset& train, int iters = 80) {
 TEST(Precision, BuilderAndParseRoundTrip) {
   const auto data = tiny_data();
   EXPECT_EQ(net_config(data).precision, Precision::kFP32);
-  EXPECT_EQ(net_config(data, Precision::kBF16).precision, Precision::kBF16);
+  EXPECT_EQ(net_config(data, Precision::kInt8).precision, Precision::kInt8);
   EXPECT_EQ(parse_precision("fp32"), Precision::kFP32);
-  EXPECT_EQ(parse_precision("bf16"), Precision::kBF16);
   EXPECT_EQ(parse_precision("int8"), Precision::kInt8);
-  EXPECT_STREQ(to_string(Precision::kBF16), "bf16");
+  EXPECT_STREQ(to_string(Precision::kFP32), "fp32");
   EXPECT_STREQ(to_string(Precision::kInt8), "int8");
   EXPECT_THROW(parse_precision("int4"), Error);
-  // The removed fp16 tier is a typed error that points at bf16.
-  try {
-    parse_precision("fp16");
-    ADD_FAILURE() << "fp16 parsed";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("bf16"), std::string::npos)
-        << e.what();
+  // The removed 16-bit tiers are typed errors that name the two left.
+  for (const char* removed : {"bf16", "fp16"}) {
+    try {
+      parse_precision(removed);
+      ADD_FAILURE() << removed << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("fp32 | int8"), std::string::npos)
+          << e.what();
+    }
   }
-  // Tags are checkpoint and wire values: 2 (fp16) stays retired.
-  for (const Precision p :
-       {Precision::kFP32, Precision::kBF16, Precision::kInt8})
+  // Tags are checkpoint values: 1 and 2 (the removed tiers) stay retired.
+  for (const Precision p : {Precision::kFP32, Precision::kInt8})
     EXPECT_EQ(precision_from_tag(static_cast<std::uint32_t>(p)), p);
   EXPECT_EQ(static_cast<std::uint32_t>(Precision::kInt8), 3u);
-  EXPECT_THROW(precision_from_tag(2), Error);
-  EXPECT_THROW(precision_from_tag(4), Error);
-}
-
-TEST(Precision, Bf16NetworkHalvesInferenceWeightBytes) {
-  const auto data = tiny_data();
-  Network fp32(net_config(data), 2);
-  Network bf16(net_config(data, Precision::kBF16), 2);
-
-  const MemoryFootprint f32 = fp32.memory_footprint();
-  const MemoryFootprint f16 = bf16.memory_footprint();
-  EXPECT_EQ(f32.mirror_bytes, 0u);
-  EXPECT_GT(f16.mirror_bytes, 0u);
-  EXPECT_EQ(f32.master_weight_bytes, f16.master_weight_bytes);
-  // The scoring path reads bf16 mirrors + fp32 biases: strictly more than
-  // half only by the (tiny) bias term.
-  EXPECT_LT(f16.inference_weight_bytes,
-            f32.inference_weight_bytes / 2 + f32.inference_weight_bytes / 20);
-  EXPECT_GE(f16.inference_weight_bytes, f32.inference_weight_bytes / 2);
-  EXPECT_EQ(bf16.precision(), Precision::kBF16);
+  for (const std::uint32_t tag : {1u, 2u, 4u})
+    EXPECT_THROW(precision_from_tag(tag), Error) << tag;
 }
 
 TEST(Precision, Int8NetworkQuartersInferenceWeightBytes) {
@@ -122,15 +111,16 @@ TEST(Precision, Int8NetworkQuartersInferenceWeightBytes) {
   EXPECT_GT(i8.mirror_bytes, 0u);
   EXPECT_EQ(f32.master_weight_bytes, i8.master_weight_bytes);
   // s8 weights are a quarter of fp32; the per-row fp32 scales and biases
-  // add a small per-unit overhead on top (same slack shape as bf16's bias
-  // term above).
+  // add a small per-unit overhead on top.
   EXPECT_LT(i8.inference_weight_bytes,
             f32.inference_weight_bytes / 4 + f32.inference_weight_bytes / 20);
   EXPECT_GE(i8.inference_weight_bytes, f32.inference_weight_bytes / 4);
   EXPECT_EQ(int8.precision(), Precision::kInt8);
 }
 
-TEST(Precision, Bf16PredictionsAgreeWithFp32) {
+TEST(Precision, Int8PredictionsAgreeWithFp32) {
+  // Train fp32, reload the checkpoint at int8, and require >= 99% top-1
+  // agreement (the acceptance bound of the quantized tier).
   const auto data = tiny_data();
   Network trained(net_config(data), 2);
   train_a_bit(trained, data.train);
@@ -140,60 +130,26 @@ TEST(Precision, Bf16PredictionsAgreeWithFp32) {
   Network fp32(net_config(data, Precision::kFP32, 999), 2);
   buffer.seekg(0);
   load_weights(fp32, buffer);
-  Network bf16(net_config(data, Precision::kBF16, 555), 2);
+  Network int8(net_config(data, Precision::kInt8, 555), 2);
   buffer.seekg(0);
-  load_weights(bf16, buffer);
+  load_weights(int8, buffer);
 
-  InferenceContext ctx_a(fp32), ctx_b(bf16);
+  InferenceContext ctx_a(fp32), ctx_b(int8);
   int agree = 0, total = 0;
   for (const Sample& s : data.test.samples()) {
     const Index a = fp32.predict_top1(s.features, ctx_a, /*exact=*/true);
-    const Index b = bf16.predict_top1(s.features, ctx_b, /*exact=*/true);
+    const Index b = int8.predict_top1(s.features, ctx_b, /*exact=*/true);
     agree += a == b;
     ++total;
   }
-  // Acceptance bar: >= 99% top-1 agreement on the fixture net.
   EXPECT_GE(agree, (total * 99) / 100) << agree << "/" << total;
-}
-
-// Shared body for the quantized-tier agreement bar: train fp32, reload the
-// checkpoint at `precision`, and require >= 99% top-1 agreement (the
-// acceptance bound of every tier in the precision table).
-void expect_top1_agreement(Precision precision) {
-  const auto data = tiny_data();
-  Network trained(net_config(data), 2);
-  train_a_bit(trained, data.train);
-  std::stringstream buffer;
-  save_weights(trained, buffer);
-
-  Network fp32(net_config(data, Precision::kFP32, 999), 2);
-  buffer.seekg(0);
-  load_weights(fp32, buffer);
-  Network quant(net_config(data, precision, 555), 2);
-  buffer.seekg(0);
-  load_weights(quant, buffer);
-
-  InferenceContext ctx_a(fp32), ctx_b(quant);
-  int agree = 0, total = 0;
-  for (const Sample& s : data.test.samples()) {
-    const Index a = fp32.predict_top1(s.features, ctx_a, /*exact=*/true);
-    const Index b = quant.predict_top1(s.features, ctx_b, /*exact=*/true);
-    agree += a == b;
-    ++total;
-  }
-  EXPECT_GE(agree, (total * 99) / 100)
-      << to_string(precision) << ": " << agree << "/" << total;
 
   // The sampled (LSH) serving path must run through the same tier without
   // incident — smoke the non-exact scoring loop too.
   for (int i = 0; i < 20; ++i) {
     const Sample& s = data.test.samples()[static_cast<std::size_t>(i)];
-    (void)quant.predict_top1(s.features, ctx_b, /*exact=*/false);
+    (void)int8.predict_top1(s.features, ctx_b, /*exact=*/false);
   }
-}
-
-TEST(Precision, Int8PredictionsAgreeWithFp32) {
-  expect_top1_agreement(Precision::kInt8);
 }
 
 TEST(Precision, Int8ScalesRederiveBitExactAcrossShardCounts) {
@@ -229,12 +185,12 @@ TEST(Precision, Int8ScalesRederiveBitExactAcrossShardCounts) {
 
 TEST(Precision, RefreshMirrorsTracksTrainedWeights) {
   const auto data = tiny_data();
-  Network net(net_config(data, Precision::kBF16), 2);
+  Network net(net_config(data, Precision::kInt8), 2);
   InferenceContext ctx(net);
   // Mutate the masters (training); the mirror is stale until refreshed.
   train_a_bit(net, data.train, 40);
   net.refresh_inference_mirrors();
-  // After the refresh, predictions through the bf16 path must agree with an
+  // After the refresh, predictions through the int8 path must agree with an
   // fp32 clone of the same (trained) weights — i.e. the mirror reflects the
   // post-training masters, not the initialization.
   std::stringstream buffer;
@@ -254,39 +210,40 @@ TEST(Precision, RefreshMirrorsTracksTrainedWeights) {
 
 TEST(Precision, CheckpointCarriesPrecisionTag) {
   const auto data = tiny_data();
-  Network bf16(net_config(data, Precision::kBF16), 2);
+  Network int8(net_config(data, Precision::kInt8, 41), 2);
   std::stringstream buffer;
-  save_weights(bf16, buffer);
-  buffer.seekg(0);
-  const CheckpointInfo info = peek_checkpoint_info(buffer);
-  EXPECT_EQ(info.version, 5u);
-  EXPECT_EQ(info.precision, Precision::kBF16);
-  // peek must not consume: a full load still works afterwards.
-  Network restored(net_config(data, Precision::kFP32, 31), 2);
-  load_weights(restored, buffer);
+  save_weights(int8, buffer);
+  EXPECT_EQ(header_word(buffer.str(), 1), 5u);
+  EXPECT_EQ(header_word(buffer.str(), 6),
+            static_cast<std::uint32_t>(Precision::kInt8));
 
   Network fp32(net_config(data), 2);
   std::stringstream buffer2;
   save_weights(fp32, buffer2);
-  buffer2.seekg(0);
-  EXPECT_EQ(peek_checkpoint_info(buffer2).precision, Precision::kFP32);
+  EXPECT_EQ(header_word(buffer2.str(), 6),
+            static_cast<std::uint32_t>(Precision::kFP32));
 
-  // The int8 tier tags and reloads the same way (mirror re-derived on
-  // load, never serialized).
-  Network int8(net_config(data, Precision::kInt8, 41), 2);
-  std::stringstream buffer3;
-  save_weights(int8, buffer3);
-  buffer3.seekg(0);
-  EXPECT_EQ(peek_checkpoint_info(buffer3).precision, Precision::kInt8);
+  // The tag is provenance: an fp32 network loads the int8 file without a
+  // mirror, and an int8 network re-derives its mirror from the loaded
+  // masters (it is never serialized), so it serves what the saver served.
+  buffer.seekg(0);
+  Network restored(net_config(data, Precision::kFP32, 31), 2);
+  load_weights(restored, buffer);
+  EXPECT_EQ(restored.memory_footprint().mirror_bytes, 0u);
+  buffer.clear();
+  buffer.seekg(0);
   Network reloaded(net_config(data, Precision::kInt8, 43), 2);
-  load_weights(reloaded, buffer3);
-  EXPECT_GT(reloaded.memory_footprint().mirror_bytes, 0u);
+  load_weights(reloaded, buffer);
+  InferenceContext ctx_a(int8), ctx_b(reloaded);
+  for (const Sample& s : data.test.samples())
+    ASSERT_EQ(int8.predict_topk(s.features, ctx_a, 5, /*exact=*/true),
+              reloaded.predict_topk(s.features, ctx_b, 5, /*exact=*/true));
 }
 
 TEST(Precision, LegacyCheckpointHeadersAreRejected) {
   // Only version 5 is read. A v5 file patched to an earlier version, to
   // kind 1 (the removed dense-baseline wrapper's files) or to precision tag
-  // 2 (the removed fp16 tier) is refused, typed, by the peek and the load.
+  // 1 or 2 (the removed 16-bit tiers) is refused, typed, by the load.
   const auto data = tiny_data();
   Network net(net_config(data), 2);
   std::stringstream buffer;
@@ -302,23 +259,21 @@ TEST(Precision, LegacyCheckpointHeadersAreRejected) {
   for (std::uint32_t version = 1; version <= 4; ++version)
     files.push_back(patched(1, version));
   files.push_back(patched(2, /*kind=*/1));
+  files.push_back(patched(6, /*tag=*/1));
   files.push_back(patched(6, /*tag=*/2));
   for (const std::string& bytes : files) {
     std::stringstream in(bytes);
-    EXPECT_THROW(peek_checkpoint_info(in), Error);
-    in.clear();
-    in.seekg(0);
     EXPECT_THROW(load_weights(net, in), Error);
   }
 }
 
 TEST(Precision, TrainingStaysOnFp32Masters) {
-  // A bf16 network and an fp32 network with identical seeds must train to
+  // An int8 network and an fp32 network with identical seeds must train to
   // bit-identical master weights: the mirror never feeds back into
   // training math.
   const auto data = tiny_data();
   Network a(net_config(data, Precision::kFP32), 2);
-  Network b(net_config(data, Precision::kBF16), 2);
+  Network b(net_config(data, Precision::kInt8), 2);
   TrainerConfig tc;
   tc.batch_size = 16;
   tc.num_threads = 1;  // deterministic accumulation order

@@ -53,9 +53,10 @@ NetworkConfig planted_config(const SyntheticDataset& data) {
 
 /// Trains on one thread: HOGWILD updates on two would make the model, and
 /// the agreement counts tests hold it to, vary from run to run.
-std::shared_ptr<const Network> trained_network(const SyntheticDataset& data,
-                                               long iterations = 100) {
-  auto net = std::make_shared<Network>(planted_config(data), 2);
+std::shared_ptr<const Network> trained_network(const NetworkConfig& config,
+                                               const SyntheticDataset& data,
+                                               long iterations) {
+  auto net = std::make_shared<Network>(config, 2);
   TrainerConfig tc;
   tc.batch_size = 32;
   tc.num_threads = 1;
@@ -64,6 +65,11 @@ std::shared_ptr<const Network> trained_network(const SyntheticDataset& data,
   trainer.train(data.train, iterations);
   net->rebuild_all(&trainer.pool());
   return net;
+}
+
+std::shared_ptr<const Network> trained_network(const SyntheticDataset& data,
+                                               long iterations = 100) {
+  return trained_network(planted_config(data), data, iterations);
 }
 
 ServeRequest make_request(const SparseVector& x, int k = 3,
@@ -307,53 +313,41 @@ TEST(ModelStore, BootsDirectlyFromCheckpointFile) {
   std::remove(path.c_str());
 }
 
-TEST(ModelStore, AsyncLoadSurvivesCallerDroppingTheStore) {
+TEST(ModelStore, Int8BootQuartersWeightMemoryAndKeepsTop1Agreement) {
   const auto data = planted();
+  // Rows as wide as Precision.Int8NetworkQuartersInferenceWeightBytes': the
+  // per-row fp32 scale amortizes over the row length.
+  NetworkConfig fp32_cfg = planted_config(data);
+  fp32_cfg.hidden_units = 64;
+  auto trained = trained_network(fp32_cfg, data, 150);
   const std::string path =
-      testing::TempDir() + "slide_test_serve_async_checkpoint.bin";
-  save_weights_file(*trained_network(data, 5), path);
-  std::future<std::uint64_t> pending;
-  {
-    auto store = std::make_shared<ModelStore>(trained_network(data, 5));
-    pending = store->load_checkpoint_file_async(planted_config(data), path, 1);
-    // The caller's reference dies here; the load task co-owns the store.
-  }
-  EXPECT_EQ(pending.get(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(ModelStore, Bf16PublishHalvesWeightMemoryAndKeepsTop1Agreement) {
-  const auto data = planted();
-  auto trained = trained_network(data, 150);
-  const std::string path =
-      testing::TempDir() + "slide_test_serve_bf16_checkpoint.bin";
+      testing::TempDir() + "slide_test_serve_int8_checkpoint.bin";
   save_weights_file(*trained, path);
 
   // Same checkpoint booted at both precisions — the serve-side knob is
   // NetworkConfig::precision.
-  auto fp32_store =
-      ModelStore::from_checkpoint_file(planted_config(data), path, 1);
-  NetworkConfig bf16_cfg = planted_config(data);
-  bf16_cfg.precision = Precision::kBF16;
-  auto bf16_store = ModelStore::from_checkpoint_file(bf16_cfg, path, 1);
+  auto fp32_store = ModelStore::from_checkpoint_file(fp32_cfg, path, 1);
+  NetworkConfig int8_cfg = fp32_cfg;
+  int8_cfg.precision = Precision::kInt8;
+  auto int8_store = ModelStore::from_checkpoint_file(int8_cfg, path, 1);
 
   const auto fp32_snap = fp32_store->current();
-  const auto bf16_snap = bf16_store->current();
+  const auto int8_snap = int8_store->current();
   const MemoryFootprint f32 = fp32_snap->network->memory_footprint();
-  const MemoryFootprint f16 = bf16_snap->network->memory_footprint();
-  // The quantized snapshot's scoring path reads half the weight bytes
-  // (plus the tiny fp32 bias term).
-  EXPECT_GE(f16.inference_weight_bytes, f32.inference_weight_bytes / 2);
-  EXPECT_LT(f16.inference_weight_bytes,
-            f32.inference_weight_bytes / 2 + f32.inference_weight_bytes / 20);
-  EXPECT_GT(f16.mirror_bytes, 0u);
+  const MemoryFootprint i8 = int8_snap->network->memory_footprint();
+  // The quantized snapshot's scoring path reads a quarter of the weight
+  // bytes, plus the fp32 row scales and biases.
+  EXPECT_GE(i8.inference_weight_bytes, f32.inference_weight_bytes / 4);
+  EXPECT_LT(i8.inference_weight_bytes,
+            f32.inference_weight_bytes / 4 + f32.inference_weight_bytes / 20);
+  EXPECT_GT(i8.mirror_bytes, 0u);
 
   // Acceptance bar: >= 99% top-1 agreement with the fp32 snapshot.
-  InferenceContext ctx_a(fp32_snap->max_units), ctx_b(bf16_snap->max_units);
+  InferenceContext ctx_a(fp32_snap->max_units), ctx_b(int8_snap->max_units);
   int agree = 0, total = 0;
   for (const Sample& s : data.test.samples()) {
     agree += fp32_snap->network->predict_top1(s.features, ctx_a, true) ==
-             bf16_snap->network->predict_top1(s.features, ctx_b, true);
+             int8_snap->network->predict_top1(s.features, ctx_b, true);
     ++total;
   }
   EXPECT_GE(agree, (total * 99) / 100) << agree << "/" << total;
@@ -364,10 +358,10 @@ TEST(ModelStore, PublishClonePrecisionOverrideQuantizesTheSnapshot) {
   const auto data = planted();
   auto trained = trained_network(data, 60);
   auto store = std::make_shared<ModelStore>(trained_network(data, 5));
-  // The trainer's network stays fp32; the published clone serves bf16.
-  publish_clone(*store, *trained, Precision::kBF16, 1, "bf16-clone");
+  // The trainer's network stays fp32; the published clone serves int8.
+  publish_clone(*store, *trained, Precision::kInt8, 1, "int8-clone");
   const auto snap = store->current();
-  EXPECT_EQ(snap->network->precision(), Precision::kBF16);
+  EXPECT_EQ(snap->network->precision(), Precision::kInt8);
   EXPECT_GT(snap->network->memory_footprint().mirror_bytes, 0u);
   EXPECT_EQ(trained->precision(), Precision::kFP32);
   // Serving through the engine works on the quantized snapshot.
@@ -552,7 +546,6 @@ TEST(ModelStore, PublishCloneEqualsCheckpointRoundTrip) {
       {"reshard 0->4", 0, 4, Precision::kFP32},
       {"reshard 4->0", 4, 0, Precision::kFP32},
       {"reshard 4->2", 4, 2, Precision::kFP32},
-      {"S=4 as bf16", 4, -1, Precision::kBF16},
       {"S=4 as int8", 4, -1, Precision::kInt8},
   };
   std::map<int, std::shared_ptr<Network>> masters;

@@ -55,13 +55,12 @@ HashFamilyConfig small_family() {
 /// Builder-backed config; shards = 0 keeps the monolithic layer.
 NetworkConfig net_config(const SyntheticDataset& data, int shards,
                          Index target = 20,
-                         MaintenancePolicy policy = MaintenancePolicy::kSync,
-                         Precision precision = Precision::kFP32) {
+                         MaintenancePolicy policy = MaintenancePolicy::kSync) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), target);
   b.table({.range_pow = 9, .bucket_size = 64}).maintenance(policy);
   if (shards > 0) b.shards(shards);
-  b.max_batch(32).precision(precision).seed(123);
+  b.max_batch(32).seed(123);
   return b.to_config();
 }
 
@@ -394,8 +393,10 @@ TEST(ShardedLayer, CheckpointV3RoundTripAcrossShardCounts) {
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   save_weights(src, buffer);
 
-  const CheckpointInfo info = peek_checkpoint_info(buffer);
-  EXPECT_EQ(info.version, 5u);
+  // Header word 1 is the format version; the writer only writes 5.
+  std::uint32_t version = 0;
+  std::memcpy(&version, buffer.str().data() + 4, sizeof(version));
+  EXPECT_EQ(version, 5u);
 
   InferenceContext ctx_src(src, 7);
   for (int shards : {0, 1, 3, 5}) {
@@ -425,35 +426,6 @@ TEST(ShardedLayer, TruncatedShardBlocksAreRejected) {
   std::stringstream truncated(bytes.substr(0, bytes.size() - 64));
   Network dst(net_config(data, 3), 1);
   EXPECT_THROW(load_weights(dst, truncated), Error);
-}
-
-// ---- bf16 mirrors per shard ------------------------------------------------
-
-TEST(ShardedLayer, Bf16MirrorsQuantizePerShard) {
-  const auto data = planted();
-  Network fp32(net_config(data, 4), 2);
-  Network bf16(net_config(data, 4, 20, MaintenancePolicy::kSync,
-                          Precision::kBF16),
-               2);
-  clone_weights(fp32, bf16);
-
-  const MemoryFootprint f32 = fp32.memory_footprint();
-  const MemoryFootprint f16 = bf16.memory_footprint();
-  EXPECT_EQ(f32.mirror_bytes, 0u);
-  EXPECT_GT(f16.mirror_bytes, 0u);
-  EXPECT_LT(f16.inference_weight_bytes, f32.inference_weight_bytes);
-
-  // Quantized exact predictions agree with fp32 on the vast majority of
-  // samples (same contract the monolithic bf16 path is held to).
-  InferenceContext ctx_a(fp32, 7), ctx_b(bf16, 7);
-  int agree = 0;
-  const int n = 100;
-  for (int i = 0; i < n; ++i) {
-    const SparseVector& x = data.test[static_cast<std::size_t>(i)].features;
-    agree += fp32.predict_top1(x, ctx_a, true) ==
-             bf16.predict_top1(x, ctx_b, true);
-  }
-  EXPECT_GE(agree, 95) << "bf16 sharded top-1 agreement too low";
 }
 
 // ---- Maintenance: per-shard async rebuilds --------------------------------

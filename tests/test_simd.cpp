@@ -4,9 +4,9 @@
 // EVERY dispatch level this host supports (scalar / AVX2 / AVX-512),
 // exhaustively across lengths 0..64 — covering every tail/mask shape of
 // the 8- and 16-lane loops — plus larger sizes and unaligned base
-// pointers. The bf16 kernels get the same treatment plus round-trip
-// error-bound and rounding-semantics tests. Dispatch-level selection and
-// env parsing are covered at the end.
+// pointers. The int8 kernels get the same treatment plus the quantizers'
+// rounding and saturation semantics. Dispatch-level selection and env
+// parsing are covered at the end.
 //
 // The suite restores the entry dispatch level after every test, so it
 // composes with the CI matrix that runs it under SLIDE_SIMD_LEVEL=scalar
@@ -19,14 +19,12 @@
 #include <vector>
 
 #include "simd/backend.h"
-#include "simd/bf16.h"
 #include "simd/kernels.h"
 #include "sys/rng.h"
 
 namespace slide {
 namespace {
 
-using simd::Bf16;
 using simd::SimdLevel;
 
 std::vector<SimdLevel> supported_levels() {
@@ -41,13 +39,6 @@ std::vector<SimdLevel> supported_levels() {
 std::vector<float> random_vec(std::size_t n, Rng& rng, float scale = 1.0f) {
   std::vector<float> v(n);
   for (auto& x : v) x = scale * (rng.uniform_float() * 2.0f - 1.0f);
-  return v;
-}
-
-std::vector<Bf16> random_bf16(std::size_t n, Rng& rng, float scale = 1.0f) {
-  std::vector<Bf16> v(n);
-  for (auto& x : v)
-    x = simd::float_to_bf16(scale * (rng.uniform_float() * 2.0f - 1.0f));
   return v;
 }
 
@@ -395,73 +386,6 @@ TEST_P(KernelParity, SignProject) {
   }
 }
 
-TEST_P(KernelParity, DotBf16) {
-  Rng rng(21);
-  for (std::size_t n : parity_sizes()) {
-    const auto w = random_bf16(n + kMaxOffset, rng);
-    const auto x = random_vec(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      const float ref =
-          simd::scalar::dot_bf16(w.data() + off, x.data() + off, n);
-      const float got = simd::dot_bf16(w.data() + off, x.data() + off, n);
-      ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref)))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelParity, AxpyBf16) {
-  Rng rng(22);
-  for (std::size_t n : parity_sizes()) {
-    const auto x = random_bf16(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      auto y1 = random_vec(n + kMaxOffset, rng);
-      auto y2 = y1;
-      simd::scalar::axpy_bf16(0.41f, x.data() + off, y1.data() + off, n);
-      simd::axpy_bf16(0.41f, x.data() + off, y2.data() + off, n);
-      for (std::size_t i = 0; i < y1.size(); ++i)
-        ASSERT_NEAR(y1[i], y2[i], 1e-5f) << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelParity, SparseDotBf16) {
-  Rng rng(23);
-  const std::size_t dim = 3000;
-  const auto dense = random_bf16(dim, rng);
-  for (std::size_t nnz : parity_sizes()) {
-    std::vector<Index> idx(nnz);
-    std::vector<float> val(nnz);
-    for (std::size_t i = 0; i < nnz; ++i) {
-      idx[i] = rng.uniform(static_cast<std::uint32_t>(dim));
-      val[i] = rng.uniform_float();
-    }
-    const float ref = simd::scalar::sparse_dot_bf16(idx.data(), val.data(),
-                                                    nnz, dense.data());
-    const float got =
-        simd::sparse_dot_bf16(idx.data(), val.data(), nnz, dense.data());
-    ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref))) << "nnz=" << nnz;
-  }
-}
-
-TEST_P(KernelParity, QuantizeDequantizeRoundTrip) {
-  Rng rng(24);
-  for (std::size_t n : parity_sizes()) {
-    const auto src = random_vec(n, rng, 10.0f);
-    std::vector<Bf16> q(n), q_ref(n);
-    simd::quantize_bf16(src.data(), q.data(), n);
-    simd::scalar::quantize_bf16(src.data(), q_ref.data(), n);
-    ASSERT_EQ(q, q_ref) << "n=" << n;  // quantization is exact per element
-    std::vector<float> back(n);
-    simd::dequantize_bf16(q.data(), back.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // 8-bit significand, round-to-nearest: relative error <= 2^-9 for
-      // normal values; 1/256 gives headroom for the denormal edge.
-      ASSERT_NEAR(back[i], src[i], std::fabs(src[i]) / 256.0f + 1e-30f);
-    }
-  }
-}
-
 // ---- int8 tier kernels ----------------------------------------------------
 
 std::vector<simd::I8> random_i8(std::size_t n, Rng& rng) {
@@ -559,56 +483,6 @@ INSTANTIATE_TEST_SUITE_P(Levels, KernelParity,
                          [](const auto& info) {
                            return std::string(simd::to_string(info.param));
                          });
-
-// ---- bf16 scalar semantics -------------------------------------------------
-
-TEST(Bf16, ExactValuesRoundTrip) {
-  for (float f : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 2.0f, 128.0f, -0.375f}) {
-    EXPECT_EQ(simd::bf16_to_float(simd::float_to_bf16(f)), f) << f;
-  }
-}
-
-TEST(Bf16, RoundsToNearestEven) {
-  // 1 + 2^-8 sits exactly between bf16(1.0) = 0x3F80 and 0x3F81: the tie
-  // goes to the even mantissa (0x3F80).
-  const float tie_low = std::bit_cast<float>(0x3F808000u);
-  EXPECT_EQ(simd::float_to_bf16(tie_low), 0x3F80u);
-  // 1 + 2^-7 + 2^-8 is the tie between 0x3F81 and 0x3F82 -> even (0x3F82).
-  const float tie_high = std::bit_cast<float>(0x3F818000u);
-  EXPECT_EQ(simd::float_to_bf16(tie_high), 0x3F82u);
-  // Just above a tie rounds up.
-  const float above = std::bit_cast<float>(0x3F808001u);
-  EXPECT_EQ(simd::float_to_bf16(above), 0x3F81u);
-}
-
-TEST(Bf16, SpecialValues) {
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(simd::bf16_to_float(simd::float_to_bf16(inf)), inf);
-  EXPECT_EQ(simd::bf16_to_float(simd::float_to_bf16(-inf)), -inf);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(simd::bf16_to_float(simd::float_to_bf16(nan))));
-  // Rounding must not overflow the largest finite bf16 into infinity for
-  // values that are finite in bf16 range.
-  const float big = 3.3e38f;
-  EXPECT_TRUE(std::isinf(simd::bf16_to_float(simd::float_to_bf16(big))) ||
-              simd::bf16_to_float(simd::float_to_bf16(big)) > 3e38f);
-}
-
-TEST(Bf16, MixedDotTracksFp32WithinQuantizationError) {
-  Rng rng(25);
-  const std::size_t n = 512;
-  const auto w = random_vec(n, rng);
-  const auto x = random_vec(n, rng);
-  std::vector<Bf16> q(n);
-  simd::quantize_bf16(w.data(), q.data(), n);
-  const float fp32 = simd::scalar::dot(w.data(), x.data(), n);
-  const float bf16 = simd::scalar::dot_bf16(q.data(), x.data(), n);
-  // Each term errs by <= |w_i x_i| / 512; the sum of magnitudes bounds it.
-  float magnitude = 0.0f;
-  for (std::size_t i = 0; i < n; ++i)
-    magnitude += std::fabs(w[i]) * std::fabs(x[i]);
-  EXPECT_NEAR(bf16, fp32, magnitude / 256.0f + 1e-5f);
-}
 
 // ---- int8 quantizer semantics ----------------------------------------------
 
