@@ -1,19 +1,15 @@
-// Maintenance-overhead bench: sync vs async LSH table maintenance.
+// Maintenance-overhead bench: what LSH table rebuilds cost the trainer.
 //
 // SLIDE's hash-table refresh is the dominant non-compute overhead (Chen et
 // al. §4.2 amortize it with decaying schedules; Daghaghi et al. 2021 name
 // maintenance cost as the next bottleneck after vectorization). This bench
-// trains the same model under both MaintenancePolicy settings and two
-// refresh cadences, timing end-to-end training (including a final
-// flush/quiesce, so async policies cannot hide unfinished work) plus the
-// trainer-visible rebuild stall:
-//
-//   sync        — full rebuild on the trainer thread (stalls every step)
-//   async_full  — full rebuild on the background thread (shadow + publish)
+// trains the same model at two refresh cadences, timing end-to-end
+// training plus the rebuild stall: every rebuild runs in place on the
+// trainer's calling thread, spread over its pool, and stalls the step.
 //
 // Emits BENCH_maintenance.json for the CI benchmark-regression gate
-// (tools/bench_compare.py): samples_per_sec and the async-vs-sync speedups
-// are the gated, higher-is-better metrics.
+// (tools/bench_compare.py): samples_per_sec (higher is better) and the
+// seconds (lower is better) are the gated metrics.
 #include <cstdio>
 #include <vector>
 
@@ -53,19 +49,17 @@ Workload workload_for(Scale scale) {
 
 struct Arm {
   const char* schedule;
-  MaintenancePolicy policy;
   double total_seconds = 0.0;
   double samples_per_sec = 0.0;
   double rebuild_stall_seconds = 0.0;
   long rebuilds = 0;
-  long publishes = 0;
   double p_at_1 = 0.0;
 };
 
 Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
-                 MaintenancePolicy policy, const Workload& w,
-                 const SyntheticDataset& data, int threads) {
-  Arm arm{.schedule = schedule, .policy = policy};
+                 const Workload& w, const SyntheticDataset& data,
+                 int threads) {
+  Arm arm{.schedule = schedule};
 
   HashFamilyConfig family;
   family.kind = HashFamilyKind::kSimhash;
@@ -75,7 +69,6 @@ Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
                           .dense(w.hidden)
                           .sampled(w.labels, family, w.target)
                           .rebuild_schedule(rebuild)
-                          .maintenance(policy)
                           .max_batch(w.batch)
                           .seed(7)
                           .to_config();
@@ -89,20 +82,14 @@ Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
   tc.learning_rate = 1e-3f;
   Trainer trainer(net, tc);
 
-  // End-to-end clock: training plus the final settle. quiesce_maintenance
-  // inside the timed region keeps the comparison honest — an async policy
-  // gets no credit for work it merely deferred past the finish line.
   WallTimer total;
   trainer.train(data.train, w.iterations);
-  net.quiesce_maintenance();
   arm.total_seconds = total.seconds();
 
   arm.samples_per_sec =
       static_cast<double>(w.iterations) * w.batch / arm.total_seconds;
   arm.rebuild_stall_seconds = trainer.time_breakdown().rebuild_seconds;
   arm.rebuilds = net.output_layer().rebuild_count();
-  arm.publishes =
-      static_cast<long>(net.output_layer().tables()->publish_count());
   arm.p_at_1 = evaluate_p_at_1(net, data.test, trainer.pool(),
                                {.exact = true, .max_samples = 500});
   return arm;
@@ -112,13 +99,12 @@ Arm run_arm_once(const char* schedule, const RebuildSchedule& rebuild,
 /// shared runners only ever adds time, so the minimum is the stable
 /// estimate the CI regression gate compares.
 Arm run_arm(const char* schedule, const RebuildSchedule& rebuild,
-            MaintenancePolicy policy, const Workload& w,
-            const SyntheticDataset& data, int threads) {
+            const Workload& w, const SyntheticDataset& data, int threads) {
   const char* env = std::getenv("SLIDE_BENCH_REPS");
   const int reps = env != nullptr && std::atoi(env) > 0 ? std::atoi(env) : 3;
   Arm best;
   for (int r = 0; r < reps; ++r) {
-    Arm arm = run_arm_once(schedule, rebuild, policy, w, data, threads);
+    Arm arm = run_arm_once(schedule, rebuild, w, data, threads);
     if (r == 0 || arm.total_seconds < best.total_seconds) best = arm;
   }
   return best;
@@ -140,8 +126,8 @@ int main() {
   const Workload w = workload_for(scale);
 
   bench::print_header(
-      "BENCH maintenance_overhead — async LSH maintenance vs sync rebuilds",
-      "rebuild stall removal (cf. paper §4.2, Daghaghi et al. 2021)");
+      "BENCH maintenance_overhead — LSH rebuild stall at two cadences",
+      "rebuild cost (cf. paper §4.2, Daghaghi et al. 2021)");
   bench::print_env(scale, threads);
   std::printf("[cfg] features=%d labels=%d hidden=%d target=%d batch=%d "
               "iterations=%ld\n",
@@ -158,9 +144,8 @@ int main() {
   const auto data = make_synthetic_xc(dcfg);
 
   // Two cadences: "paper" is the decaying schedule of §4.2 (maintenance is
-  // already amortized; async mostly removes the residual stall);
-  // "aggressive" refreshes every 2 iterations (maximum table freshness —
-  // the regime where synchronous maintenance dominates the step time).
+  // already amortized); "aggressive" refreshes every 2 iterations (maximum
+  // table freshness — the regime where rebuilds dominate the step time).
   const RebuildSchedule paper{.enabled = true, .initial_period = 20,
                               .decay = 0.05};
   const RebuildSchedule aggressive{.enabled = true, .initial_period = 2,
@@ -170,30 +155,14 @@ int main() {
   for (const auto& [name, schedule] :
        {std::pair<const char*, RebuildSchedule>{"paper", paper},
         std::pair<const char*, RebuildSchedule>{"aggressive", aggressive}}) {
-    for (auto policy :
-         {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull}) {
-      arms.push_back(run_arm(name, schedule, policy, w, data, threads));
-      const Arm& a = arms.back();
-      std::printf(
-          "[arm] schedule=%-10s policy=%-11s total=%7.3fs samples/s=%9.1f "
-          "stall=%6.3fs rebuilds=%3ld publishes=%3ld p@1=%.3f\n",
-          a.schedule, to_string(a.policy), a.total_seconds, a.samples_per_sec,
-          a.rebuild_stall_seconds, a.rebuilds, a.publishes, a.p_at_1);
-    }
+    arms.push_back(run_arm(name, schedule, w, data, threads));
+    const Arm& a = arms.back();
+    std::printf(
+        "[arm] schedule=%-10s total=%7.3fs samples/s=%9.1f stall=%6.3fs "
+        "rebuilds=%3ld p@1=%.3f\n",
+        a.schedule, a.total_seconds, a.samples_per_sec,
+        a.rebuild_stall_seconds, a.rebuilds, a.p_at_1);
   }
-
-  auto find = [&](const char* schedule, MaintenancePolicy policy) -> const Arm& {
-    for (const auto& a : arms)
-      if (std::string_view(a.schedule) == schedule && a.policy == policy)
-        return a;
-    throw Error("arm not found");
-  };
-  const double full_speedup =
-      find("aggressive", MaintenancePolicy::kSync).total_seconds /
-      find("aggressive", MaintenancePolicy::kAsyncFull).total_seconds;
-  std::printf("\n[summary] aggressive cadence: async_full %.2fx vs sync "
-              "(threads=%d)\n",
-              full_speedup, threads);
 
   bench::Json json;
   json.begin_object();
@@ -207,17 +176,14 @@ int main() {
   for (const auto& a : arms) {
     json.begin_object();
     json.key("schedule").string(a.schedule);
-    json.key("policy").string(to_string(a.policy));
     json.key("total_seconds").number(a.total_seconds);
     json.key("samples_per_sec").number(a.samples_per_sec);
     json.key("rebuild_stall_seconds").number(a.rebuild_stall_seconds);
     json.key("rebuilds").number(static_cast<long long>(a.rebuilds));
-    json.key("publishes").number(static_cast<long long>(a.publishes));
     json.key("p_at_1").number(a.p_at_1);
     json.end_object();
   }
   json.end_array();
-  json.key("speedup_async_full_vs_sync").number(full_speedup);
   json.end_object();
   json.write_file(bench::json_path("BENCH_maintenance.json"));
   return 0;

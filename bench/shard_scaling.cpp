@@ -1,24 +1,21 @@
 // Shard-scaling bench: serving throughput and LSH rebuild latency of the
 // model-parallel ShardedSampledLayer at S = 1, 2, 4, 8 shards.
 //
-// What sharding buys (core/sharded_layer.h): each shard owns its own table
-// group and maintenance thread, so an asynchronous full rebuild of the
-// whole output layer runs as S concurrent single-shard builds instead of
-// one serialized pass — wall-clock rebuild latency falls roughly like
-// 1/min(S, cores) when cores are available, and holds ~flat (same total
-// hashing work, same total table memory thanks to per-shard range
-// scaling) when they are not. The qps column prices the serve-side trade:
-// every query hashes against S independent families, a fixed per-query
-// cost that the per-candidate scoring work amortizes as the layer widens
-// — expect qps to dip with S at small widths and converge at paper scale.
+// Each shard owns its own table group (core/sharded_layer.h). rebuild_all
+// over the pool builds the S groups one shard per pool thread, where S=1
+// spreads its one build over the pool; the rebuild column is therefore
+// context, not a sharding effect, and is not gated. The qps column prices
+// the serve-side trade: every query hashes against S independent
+// families, a fixed per-query cost that the per-candidate scoring work
+// amortizes as the layer widens — expect qps to dip with S at small
+// widths and converge at paper scale.
 //
 //   ./build/bench/shard_scaling
 //
 // Environment: SLIDE_BENCH_SCALE (tiny|small|medium|paper),
 // SLIDE_BENCH_THREADS, SLIDE_BENCH_REPS, SLIDE_BENCH_JSON_DIR. Emits
-// BENCH_shard.json (gated by tools/bench_compare.py in CI): per-S qps and
-// async rebuild latency, plus scale-invariant within-run speedup ratios —
-// the monotone-improvement contract lives in those.
+// BENCH_shard.json (gated by tools/bench_compare.py in CI): per-S qps
+// plus the scale-invariant within-run ratio speedup_qps_s4_vs_s1.
 #include <cstdio>
 #include <vector>
 
@@ -57,9 +54,7 @@ Workload workload_for(Scale scale) {
 struct Row {
   int shards = 0;
   double qps = 0.0;
-  double async_rebuild_ms = 0.0;
   double sync_rebuild_info = 0.0;  // ms; informational (not gated)
-  long rebuilds = 0;
   /// Mean merged candidates per sampled-inference query. Each shard fills
   /// toward its ceil-rounded proportional target, so the merged count
   /// creeps above the monolithic target as S grows (sum of ceils — the
@@ -107,16 +102,10 @@ Row run_config(int shards, const Workload& w, const Dataset& queries,
   family.kind = HashFamilyKind::kSimhash;
   family.k = 9;
   family.l = 50;
-  // Aggressive schedule so maybe_rebuild(iteration) fires on demand: the
-  // bench drives maintenance events explicitly, it does not train.
   NetworkConfig cfg = NetworkBuilder(w.features)
                           .dense(w.hidden)
                           .sampled(w.labels, family, w.target)
                           .table({.range_pow = 12, .bucket_size = 128})
-                          .rebuild_schedule({.enabled = true,
-                                             .initial_period = 1,
-                                             .decay = 0.0})
-                          .maintenance(MaintenancePolicy::kAsyncFull)
                           .shards(shards)
                           .max_batch(64)
                           .seed(7)
@@ -124,24 +113,9 @@ Row run_config(int shards, const Workload& w, const Dataset& queries,
   Network net(cfg, threads);
   ThreadPool pool(threads);
 
-  // Async rebuild latency: fire one maintenance event (S concurrent
-  // shard rebuilds on the per-shard workers) and wait for the publish.
-  long iteration = 0;
-  double best_async = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    net.quiesce_maintenance();
-    WallTimer timer;
-    net.maybe_rebuild(++iteration, nullptr);
-    net.quiesce_maintenance();
-    best_async = std::min(best_async, timer.seconds());
-  }
-  row.async_rebuild_ms = best_async * 1e3;
-  row.rebuilds = dynamic_cast<const ShardedSampledLayer&>(net.stack(0))
-                     .rebuild_count();
-
-  // Sync rebuild (rebuild_all: shards fan out across the pool) — context
+  // Rebuild (rebuild_all: shards fan out across the pool) — context
   // number, not gated: at S=1 it parallelizes *within* the single group,
-  // so it does not isolate the sharding effect the async number shows.
+  // so it does not isolate a sharding effect.
   double best_sync = 1e100;
   for (int r = 0; r < reps; ++r) {
     WallTimer timer;
@@ -196,19 +170,12 @@ int main() {
   bench::print_header(
       "BENCH_shard — sharded wide-output layer scaling (qps + rebuild "
       "latency vs shard count)",
-      "model-parallel LSH shards (cf. Distributed SLIDE, Yan et al. 2022); "
-      "per-shard maintenance threads rebuild concurrently");
+      "model-parallel LSH shards (cf. Distributed SLIDE, Yan et al. 2022)");
   bench::print_env(scale, threads);
   const int cores = hardware_threads();
   std::printf("[workload] labels=%u hidden=%u target=%u queries=%zu "
               "reps=%d cores=%d\n\n",
               w.labels, w.hidden, w.target, w.queries, reps, cores);
-  if (cores < 4) {
-    std::printf("[note] %d hardware core(s): S concurrent shard rebuilds "
-                "serialize, so expect ~flat (not improving) rebuild "
-                "latency in this run's numbers\n\n",
-                cores);
-  }
 
   SyntheticConfig dcfg;
   dcfg.feature_dim = w.features;
@@ -222,10 +189,8 @@ int main() {
   for (int shards : {1, 2, 4, 8}) {
     rows.push_back(run_config(shards, w, data.test, threads, reps));
     const Row& r = rows.back();
-    std::printf("  S=%d  qps %10.0f | async rebuild %8.2f ms | sync "
-                "rebuild %8.2f ms | rebuilds %ld\n",
-                r.shards, r.qps, r.async_rebuild_ms, r.sync_rebuild_info,
-                r.rebuilds);
+    std::printf("  S=%d  qps %10.0f | rebuild %8.2f ms\n", r.shards, r.qps,
+                r.sync_rebuild_info);
     std::printf("       candidates/query %8.1f unbudgeted -> %8.1f "
                 "budgeted (budget=%u) | budgeted qps %10.0f\n",
                 r.mean_candidates, r.mean_candidates_budgeted, w.target / 2,
@@ -237,14 +202,8 @@ int main() {
       if (r.shards == shards) return r;
     std::abort();
   };
-  const double s2 = at(1).async_rebuild_ms / at(2).async_rebuild_ms;
-  const double s4 = at(1).async_rebuild_ms / at(4).async_rebuild_ms;
-  const double s8 = at(1).async_rebuild_ms / at(8).async_rebuild_ms;
   const double qps4 = at(4).qps / at(1).qps;
-  std::printf("\n[summary] async rebuild speedup vs S=1: S=2 %.2fx, S=4 "
-              "%.2fx, S=8 %.2fx | qps S=4/S=1 %.2fx (cores matter: expect "
-              "~min(S, cores)x for rebuilds)\n",
-              s2, s4, s8, qps4);
+  std::printf("\n[summary] qps S=4/S=1 %.2fx\n", qps4);
 
   bench::Json json;
   json.begin_object();
@@ -262,7 +221,6 @@ int main() {
     json.key("name").string(name.c_str());
     json.key("shards").number(static_cast<long long>(r.shards));
     json.key("qps").number(r.qps);
-    json.key("async_rebuild_ms").number(r.async_rebuild_ms);
     json.key("sync_rebuild_info").number(r.sync_rebuild_info);
     json.key("qps_budgeted").number(r.qps_budgeted);
     json.key("candidates_info").number(r.mean_candidates);
@@ -270,11 +228,7 @@ int main() {
     json.end_object();
   }
   json.end_array();
-  // Scale-invariant within-run ratios: these carry the monotone-
-  // improvement contract through the CI gate regardless of runner speed.
-  json.key("speedup_async_rebuild_s2_vs_s1").number(s2);
-  json.key("speedup_async_rebuild_s4_vs_s1").number(s4);
-  json.key("speedup_async_rebuild_s8_vs_s1").number(s8);
+  // Scale-invariant within-run ratio: gated regardless of runner speed.
   json.key("speedup_qps_s4_vs_s1").number(qps4);
   // Oversampling contract (also asserted in tests/test_sharded_layer
   // ShardBudget):

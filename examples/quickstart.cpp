@@ -20,7 +20,7 @@ int main() {
 
   // SLIDE_SHARDS=N (default 0 = monolithic) splits the output layer into N
   // model-parallel LSH shards (core/sharded_layer.h) — same API, same
-  // training loop, per-shard table maintenance. CI runs this smoke at
+  // training loop, per-shard LSH tables. CI runs this smoke at
   // shards={1,4}.
   const char* shards_env = std::getenv("SLIDE_SHARDS");
   const int shards = shards_env == nullptr ? 0 : std::atoi(shards_env);

@@ -97,11 +97,6 @@ NetworkBuilder& NetworkBuilder::sampling_config(
   return *this;
 }
 
-NetworkBuilder& NetworkBuilder::maintenance(MaintenancePolicy policy) {
-  last_layer("maintenance").maintenance = policy;
-  return *this;
-}
-
 NetworkBuilder& NetworkBuilder::shards(int shards) {
   SLIDE_CHECK(shards >= 1, "NetworkBuilder::shards: must be >= 1");
   LayerSpec& spec = last_layer("shards");
@@ -157,26 +152,6 @@ std::shared_ptr<Network> NetworkBuilder::build_shared(int max_threads) const {
 }
 
 // ---------------------------------------------------------------------------
-
-const char* to_string(MaintenancePolicy policy) {
-  switch (policy) {
-    case MaintenancePolicy::kSync:
-      return "sync";
-    case MaintenancePolicy::kAsyncFull:
-      return "async_full";
-  }
-  return "?";
-}
-
-MaintenancePolicy parse_maintenance_policy(const char* name) {
-  const std::string_view s(name == nullptr ? "" : name);
-  if (s == "sync") return MaintenancePolicy::kSync;
-  if (s == "async_full") return MaintenancePolicy::kAsyncFull;
-  if (s == "async_delta")
-    throw Error("maintenance policy async_delta was removed; use async_full");
-  throw Error("unknown maintenance policy: " + std::string(s) +
-              " (expected sync | async_full)");
-}
 
 const char* to_string(Precision precision) {
   switch (precision) {

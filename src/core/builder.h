@@ -17,7 +17,7 @@
 //                       Activation::kReLU).sampled(labels, fam, t2)
 //
 // Per-layer knobs (.table(), .rebuild_schedule(), .sampling_config(),
-// .maintenance(), ...) apply to the most recently added stack layer.
+// .shards()) apply to the most recently added stack layer.
 // to_config() yields the equivalent NetworkConfig (the serializable
 // architecture description the serving ModelStore consumes); build() is
 // to_config() + Network construction.
@@ -71,16 +71,11 @@ class NetworkBuilder {
   NetworkBuilder& table(const HashTable::Config& table);
   NetworkBuilder& rebuild_schedule(const RebuildSchedule& schedule);
   NetworkBuilder& sampling_config(const SamplingConfig& sampling);
-  /// How the layer executes the maintenance events its rebuild schedule
-  /// fires: sync (stall-the-trainers full rebuild) or async_full
-  /// (background shadow rebuild + atomic publish). See MaintenancePolicy.
-  NetworkBuilder& maintenance(MaintenancePolicy policy);
   /// Model-parallel sharding of the most recently added LSH-sampled layer
   /// (core/sharded_layer.h): the neuron range splits into `shards`
-  /// contiguous shards, each with its own weight block, LSH tables, and
-  /// maintenance thread. shards(1) builds a
-  /// single-shard ShardedSampledLayer, bit-identical to the monolithic
-  /// layer under sync maintenance; leave the knob unset for the monolithic
+  /// contiguous shards, each with its own weight block and LSH tables.
+  /// shards(1) builds a single-shard ShardedSampledLayer, bit-identical to
+  /// the monolithic layer; leave the knob unset for the monolithic
   /// implementation itself.
   NetworkBuilder& shards(int shards);
 

@@ -16,28 +16,14 @@ namespace slide {
 /// Hash-table refresh schedule (paper §4.2, heuristic 1): the first rebuild
 /// happens after `initial_period` iterations (paper uses N0 = 50) and the
 /// t-th gap grows exponentially, gap_t = N0 * e^(decay * t) — early training
-/// moves weights a lot, late training barely at all.
+/// moves weights a lot, late training barely at all. A due rebuild runs in
+/// place on the trainer's calling thread, spread over its pool, and stalls
+/// the step for its duration.
 struct RebuildSchedule {
   bool enabled = true;
   long initial_period = 50;
   double decay = 0.05;
 };
-
-/// How a hashed layer executes the maintenance events its RebuildSchedule
-/// fires (the schedule decides *when*, the policy decides *what and where*):
-///
-///   kSync       — full rebuild on the trainer thread; every HOGWILD batch
-///                 thread stalls for its duration (the paper's baseline).
-///   kAsyncFull  — full rebuild on the layer's background maintenance
-///                 thread into the shadow table group, published with an
-///                 atomic swap; trainer threads keep sampling from the
-///                 active group throughout.
-enum class MaintenancePolicy { kSync, kAsyncFull };
-
-const char* to_string(MaintenancePolicy policy);
-/// Parses "sync" | "async_full" (slide::Error otherwise, including the
-/// removed "async_delta").
-MaintenancePolicy parse_maintenance_policy(const char* name);
 
 /// Inference-scoring precision of a network:
 ///
@@ -82,16 +68,12 @@ struct LayerSpec {
   SamplingConfig sampling;
   RebuildSchedule rebuild;
 
-  /// Where maintenance events run: background thread or trainer stall.
-  MaintenancePolicy maintenance = MaintenancePolicy::kSync;
-
   /// Model-parallel sharding of a hashed layer (core/sharded_layer.h).
   /// 0 (the default) builds the monolithic SampledLayer; any value >= 1
   /// builds a ShardedSampledLayer whose neuron range is partitioned into
-  /// that many contiguous shards, each with its own weight block, LSH
-  /// tables, and maintenance thread. shards = 1 is the
-  /// parity anchor: bit-identical to the monolithic layer under sync
-  /// maintenance. Requires `hashed`.
+  /// that many contiguous shards, each with its own weight block and LSH
+  /// tables. shards = 1 is the parity anchor: bit-identical to the
+  /// monolithic layer. Requires `hashed`.
   int shards = 0;
 
   /// Weight init stddev; 0 selects 2/sqrt(fan_in).

@@ -344,13 +344,9 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
         retrieval::RowView{weights_.data(), fan_in_, units_},
         config.seed + 1);
     tables_ = &retriever_->tables();
-    // The worker object is free until its first task spawns the thread, so
-    // async layers can construct it eagerly (no lazy-init race to manage).
-    if (config_.maintenance != MaintenancePolicy::kSync)
-      worker_ = std::make_unique<BackgroundWorker>();
     next_rebuild_ = config_.rebuild.initial_period;
     // Initial build (§3.1); a deferred layer builds once it is filled.
-    if (!init.deferred()) build_group(tables_->active_group(), nullptr);
+    if (!init.deferred()) rebuild_tables(nullptr);
   }
 
   // Allocate the int8 mirror up front so later refreshes are noexcept
@@ -489,7 +485,7 @@ void SampledLayer::select_active(int slot, const ActiveSet& prev,
   WallTimer timer;
   // Candidate generation through the retriever (fresh_epoch = false: the
   // forced labels above are pre-stamped so they are never re-retrieved).
-  // For the LSH backend this is the historical key → pin → buckets →
+  // For the LSH backend this is the historical key → buckets →
   // sample_neurons sequence, bit for bit.
   retriever_->retrieve(prev.ids,
                        std::span<const float>(prev.act.data(), prev.size()),
@@ -692,73 +688,33 @@ bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
   if (!config_.hashed || !config_.rebuild.enabled) return false;
   if (iteration < next_rebuild_) return false;
 
-  ++schedule_events_;
-  switch (config_.maintenance) {
-    case MaintenancePolicy::kSync:
-      // In-place rebuild on the calling thread: the trainer's contract says
-      // no table reader is active between batches.
-      build_group(tables_->active_group(), pool);
-      rebuild_count_.fetch_add(1, std::memory_order_acq_rel);
-      break;
-    case MaintenancePolicy::kAsyncFull:
-      schedule_full_rebuild();
-      break;
-  }
-  // Exponential back-off between maintenance events (paper §4.2 heuristic
-  // 1), counted in events fired — identical to the pre-async schedule for
-  // the sync policy.
+  // In place on the calling thread: the trainer's contract says no table
+  // reader is active between batches.
+  rebuild_tables(pool);
+  ++rebuild_count_;
+  // Exponential back-off between rebuilds (paper §4.2 heuristic 1).
   const double gap = static_cast<double>(config_.rebuild.initial_period) *
                      std::exp(config_.rebuild.decay *
-                              static_cast<double>(schedule_events_));
+                              static_cast<double>(rebuild_count_));
   next_rebuild_ =
       iteration + std::max<long>(1, static_cast<long>(std::llround(gap)));
   return true;
 }
 
 void SampledLayer::rebuild_tables(ThreadPool* pool) {
-  if (!config_.hashed) return;
-  // Serialize against the background worker: the maintenance side of
-  // MaintainedTables allows exactly one caller at a time.
-  quiesce_maintenance();
-  build_group(tables_->active_group(), pool);
-}
-
-void SampledLayer::build_group(LshTableGroup& group, ThreadPool* pool) {
-  group.build_from_rows(weights_.data(), fan_in_, units_, pool);
-}
-
-void SampledLayer::schedule_full_rebuild() {
-  // At most one queued full rebuild: if the worker is still on the
-  // previous one, this event's request coalesces into it rather than
-  // stacking up. Under a cadence faster than a rebuild takes, the layer
-  // therefore degrades table freshness instead of growing a backlog —
-  // the same graceful staleness the paper's decay schedule trades on (the
-  // completed-rebuild count is visible via rebuild_count()).
-  if (full_pending_.exchange(true, std::memory_order_acq_rel)) return;
-  worker_->submit([this] {
-    build_group(tables_->shadow_group(), nullptr);
-    tables_->publish_shadow();
-    rebuild_count_.fetch_add(1, std::memory_order_acq_rel);
-    full_pending_.store(false, std::memory_order_release);
-  });
-}
-
-void SampledLayer::quiesce_maintenance() const {
-  if (worker_ != nullptr) worker_->wait_idle();
+  if (config_.hashed)
+    tables_->build_from_rows(weights_.data(), fan_in_, units_, pool);
 }
 
 TableHealth SampledLayer::table_health() const {
   if (tables_ == nullptr) return {};
-  return tables_->pin()->health();
+  return tables_->health();
 }
 
 Index SampledLayer::add_units(Index n) {
   SLIDE_CHECK(config_.hashed,
               "add_units: only hashed (retriever-backed) layers grow");
   SLIDE_CHECK(n > 0, "add_units: unit count must be positive");
-  // The maintenance thread reads weights_ and the retriever; park it before
-  // the reallocation pulls the storage out from under it.
-  quiesce_maintenance();
 
   const Index old_units = units_;
   const Index new_units = old_units + n;
@@ -814,12 +770,11 @@ Index SampledLayer::add_units(Index n) {
   refresh_inference_mirror();
 
   // Re-target the retrieval index at the reallocated rows, then bring the
-  // appended ids live by splicing them into the active tables (no reader
-  // can pin them under the writer role, and the worker is parked).
+  // appended ids live by splicing them into the tables (no reader can
+  // query them under the writer role).
   retriever_->resize_universe(
       retrieval::RowView{weights_.data(), fan_in_, new_units});
-  tables_->active_group().splice_rows(old_units, weight_row(old_units),
-                                      fan_in_, n, rng);
+  tables_->splice_rows(old_units, weight_row(old_units), fan_in_, n, rng);
   return old_units;
 }
 
@@ -964,7 +919,6 @@ std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
     cfg.table = spec.table;
     cfg.sampling = spec.sampling;
     cfg.rebuild = spec.rebuild;
-    cfg.maintenance = spec.maintenance;
     cfg.init_stddev = spec.init_stddev;
     cfg.adam = adam;
     cfg.precision = precision;

@@ -27,6 +27,9 @@
 // per-neuron batch arrays, stored struct-of-arrays) so every training
 // instance in a batch runs on its own thread without synchronization, and
 // accumulate gradients HOGWILD-style into shared per-weight accumulators.
+// A hashed layer rebuilds its LSH tables in place, between batches, on the
+// schedule of paper §4.2; like every other mutation, the rebuild holds the
+// writer role (core/network.h), so no reader is in flight meanwhile.
 #pragma once
 
 #include <atomic>
@@ -149,10 +152,6 @@ class Layer {
   // ---- LSH lifecycle (no-ops for layers without tables) ----
   virtual bool maybe_rebuild(long iteration, ThreadPool* pool) = 0;
   virtual void rebuild_tables(ThreadPool* pool) = 0;
-  /// Blocks until the layer's background maintenance (async table rebuilds)
-  /// is idle. No-op for layers without async maintenance.
-  /// Logically const: waiting mutates nothing the caller can observe.
-  virtual void quiesce_maintenance() const {}
 
   // ---- Inference hooks ----
   /// Single-sample inference forward into caller buffers. `exact` scores
@@ -247,10 +246,10 @@ class Layer {
   /// without phase timers report 0.
   virtual double sampling_seconds() const { return 0.0; }
   virtual double compute_seconds() const { return 0.0; }
-  /// Maintenance diagnostics: completed full table rebuilds (excluding the
-  /// initial build). Layers without LSH maintenance report 0.
+  /// Scheduled full table rebuilds (excluding the initial build). Layers
+  /// without LSH tables report 0.
   virtual long rebuild_count() const { return 0; }
-  /// Bucket counts of the layer's active LSH tables (summed over shards);
+  /// Bucket counts of the layer's LSH tables (summed over shards);
   /// zeroes for layers without tables.
   virtual TableHealth table_health() const { return {}; }
 
@@ -420,7 +419,6 @@ class SampledLayer : public Layer {
     HashTable::Config table;
     SamplingConfig sampling;
     RebuildSchedule rebuild;
-    MaintenancePolicy maintenance = MaintenancePolicy::kSync;
     float init_stddev = 0.0f;  // 0 -> 2/sqrt(fan_in)
     AdamConfig adam;
     /// Inference-scoring precision (network-wide knob; see config.h).
@@ -477,26 +475,16 @@ class SampledLayer : public Layer {
   /// Lazy Adam over touched neurons in row order. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool) override;
 
-  /// Fires a maintenance event when the schedule (paper §4.2) is due;
-  /// returns true if one fired. What the event does depends on
-  /// config().maintenance: kSync rebuilds in place on the calling thread
-  /// (the caller guarantees no concurrent table readers); the async
-  /// policies schedule the work on the layer's background maintenance
-  /// thread and return immediately — trainer threads keep sampling from
-  /// the active table group throughout (see lsh/table_group.h).
+  /// Rebuilds the tables in place, over the pool, when the schedule
+  /// (paper §4.2) is due; returns true if it rebuilt. Caller holds the
+  /// writer role: no concurrent table readers.
   bool maybe_rebuild(long iteration, ThreadPool* pool) override;
-  /// Synchronous full rebuild of the active group. Quiesces background
-  /// maintenance first, so it is safe on any policy (checkpoint loads,
-  /// rebuild_all). Caller guarantees no concurrent table readers.
+  /// Rebuilds the tables from every neuron's weight row, in place, off the
+  /// schedule (construction, checkpoint loads, rebuild_all). Caller holds
+  /// the writer role.
   void rebuild_tables(ThreadPool* pool) override;
-  /// Completed full rebuilds (sync + async; excludes the initial build).
-  long rebuild_count() const noexcept override {
-    return rebuild_count_.load(std::memory_order_acquire);
-  }
-
-  /// Blocks until no background maintenance task is queued or running
-  /// (rethrows the first task error, which should never happen).
-  void quiesce_maintenance() const override;
+  /// Scheduled rebuilds so far (excludes the initial build).
+  long rebuild_count() const noexcept override { return rebuild_count_; }
 
   // ---- Dynamic label lifecycle ----
   /// Appends `n` units: copy-grows the weight/grad arrays (HugeArray
@@ -514,9 +502,6 @@ class SampledLayer : public Layer {
   std::vector<Index> retired_unit_ids() const override;
   Index appended_units() const noexcept override { return appended_units_; }
 
-  MaintenancePolicy maintenance_policy() const noexcept {
-    return config_.maintenance;
-  }
   TableHealth table_health() const override;
 
   ActiveSet& slot(int s) override {
@@ -568,10 +553,8 @@ class SampledLayer : public Layer {
   std::size_t inference_weight_bytes() const noexcept override;
   LayerMemory memory() const noexcept override;
 
-  /// The layer's (double-buffered) tables; null for unhashed layers.
-  /// Query helpers and diagnostics delegate to the active group — see
-  /// MaintainedTables for what is safe under concurrent maintenance.
-  const MaintainedTables* tables() const noexcept { return tables_; }
+  /// The layer's tables; null for unhashed layers.
+  const LshTableGroup* tables() const noexcept { return tables_; }
 
   /// The layer's candidate retriever; null for unhashed layers.
   const retrieval::LshRetriever* retriever() const noexcept {
@@ -620,12 +603,6 @@ class SampledLayer : public Layer {
     return weights_.data() + off;
   }
 
-  /// Rebuilds `group` from every neuron's weight row. Shared by the sync
-  /// in-place path and the async shadow-build path.
-  void build_group(LshTableGroup& group, ThreadPool* pool);
-  /// Enqueues an async full rebuild (shadow build + publish) unless one is
-  /// already pending.
-  void schedule_full_rebuild();
 
   Config config_;
   Index units_;
@@ -645,22 +622,18 @@ class SampledLayer : public Layer {
   std::vector<ActiveSet> slots_;
 
   /// Candidate generation (src/retrieval/): owns the LSH tables; null for
-  /// unhashed layers. `tables_` aliases its MaintainedTables so the
+  /// unhashed layers. `tables_` aliases its LshTableGroup so the
   /// rebuilds and the add_units splice below drive them directly.
   std::unique_ptr<retrieval::LshRetriever> retriever_;
-  MaintainedTables* tables_ = nullptr;
+  LshTableGroup* tables_ = nullptr;
 
   std::unique_ptr<std::atomic<std::uint8_t>[]> touched_;
   bool use_locks_ = false;
   std::mutex accum_mutex_;
 
-  // Rebuild schedule state (single maintenance-driving thread: the
-  // trainer's maybe_rebuild caller).
+  // Rebuild schedule state, written only by the maybe_rebuild caller.
   long next_rebuild_ = 0;
-  long schedule_events_ = 0;  // maintenance events fired (drives the decay)
-  std::atomic<long> rebuild_count_{0};
-
-  std::atomic<bool> full_pending_{false};  // an async rebuild is queued
+  long rebuild_count_ = 0;  // scheduled rebuilds (drives the decay)
 
   // Diagnostics.
   std::atomic<std::uint64_t> active_sum_{0};
@@ -674,10 +647,6 @@ class SampledLayer : public Layer {
   std::uint64_t seed_;
   /// Units appended by add_units since construction (checkpoint v5).
   Index appended_units_ = 0;
-
-  // Declared last: its destructor joins the maintenance thread before any
-  // state that thread touches (weights, tables) is torn down.
-  std::unique_ptr<BackgroundWorker> worker_;
 };
 
 // ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ void Network::rebuild_all(ThreadPool* pool) {
   for (auto& layer : layers_) layer->rebuild_tables(pool);
 }
 
-void Network::quiesce_maintenance() const {
-  for (const auto& layer : layers_) layer->quiesce_maintenance();
-}
-
 void Network::predict_topk(const SparseVector& x, InferenceContext& ctx,
                            int k, bool exact, std::vector<Index>& out) const {
   SLIDE_CHECK(k >= 1, "predict_topk: k must be >= 1");

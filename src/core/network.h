@@ -117,15 +117,9 @@ class BatchOutput {
 /// checkpoint loads mutate shared state and must never overlap a reader.
 /// The supported patterns are (a) a frozen network serving concurrent
 /// readers, or (b) RCU-style snapshots (serve/snapshot.h) where writers
-/// build a fresh network off to the side and swap it in whole.
-///
-/// Background LSH maintenance is the one sanctioned exception: a layer
-/// with an async MaintenancePolicy republishes its hash tables from a
-/// background thread while readers keep sampling — reader safety comes
-/// from the pinned double-buffer in lsh/table_group.h, not from this
-/// contract, and the write-epoch detector deliberately ignores it. Table
-/// swaps never touch weights, so predictions stay valid throughout; call
-/// quiesce_maintenance() when a fully quiescent network is required.
+/// build a fresh network off to the side and swap it in whole. LSH table
+/// rebuilds are writes like any other: they run in place, on the writer's
+/// thread and its pool, with no reader in flight.
 ///
 /// Debug builds enforce the contract with a write-epoch counter plus an
 /// active-writer count: every mutating entry point bumps the epoch and
@@ -205,18 +199,11 @@ class Network {
   /// Applies lazy Adam on every layer (parallelized over touched units).
   void apply_updates(float lr, ThreadPool* pool);
 
-  /// Triggers the per-layer rebuild schedules (paper §4.2). Layers with an
-  /// async MaintenancePolicy schedule the work on their background
-  /// maintenance thread and return immediately.
+  /// Triggers the per-layer rebuild schedules (paper §4.2): a due layer
+  /// rebuilds its tables in place, over the pool, before this returns.
   void maybe_rebuild(long iteration, ThreadPool* pool);
-  /// Forces a synchronous rebuild of every hashed layer (quiescing any
-  /// background maintenance first).
+  /// Rebuilds every hashed layer's tables now, off the schedule.
   void rebuild_all(ThreadPool* pool);
-
-  /// Blocks until every layer's background LSH maintenance is idle. Call
-  /// before handing the network to a context that expects fully immutable
-  /// state (e.g. publishing it as a serving snapshot). Logically const.
-  void quiesce_maintenance() const;
 
   /// Top-1 prediction. `exact` scores every output neuron (dense forward);
   /// otherwise the output layer is sampled through the hash tables exactly

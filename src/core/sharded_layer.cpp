@@ -229,14 +229,9 @@ void ShardedSampledLayer::apply_updates(float lr, ThreadPool* pool) {
 // ---------------------------------------------------------------------------
 
 bool ShardedSampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
-  // Sync maintenance does the rebuild work inline, so fan the shards out
-  // across the pool (each shard builds its own table group on one worker).
-  // Async policies only *schedule* here — the work itself already runs on
-  // the S per-shard maintenance threads — so the loop stays sequential.
-  const bool parallel_sync = config_.maintenance == MaintenancePolicy::kSync &&
-                             pool != nullptr && pool->num_threads() > 1 &&
-                             shards() > 1;
-  if (parallel_sync) {
+  // Fan the shards out across the pool (each shard builds its own table
+  // group on one thread).
+  if (pool != nullptr && pool->num_threads() > 1 && shards() > 1) {
     std::atomic<bool> fired{false};
     pool->parallel_for(shards_.size(), [&](std::size_t s, int) {
       if (shards_[s]->maybe_rebuild(iteration, nullptr))
@@ -257,10 +252,6 @@ void ShardedSampledLayer::rebuild_tables(ThreadPool* pool) {
     return;
   }
   for (auto& shard : shards_) shard->rebuild_tables(pool);
-}
-
-void ShardedSampledLayer::quiesce_maintenance() const {
-  for (const auto& shard : shards_) shard->quiesce_maintenance();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 // Model-parallel sharding of a wide LSH-sampled layer within one process.
 //
 // SLIDE's win grows with the width of the output layer, but a monolithic
-// SampledLayer owns one neuron array and one LSH table group, so its
-// rebuilds serialize on a single maintenance thread and its class count is
-// capped by what one table group can hold comfortably. Distributed SLIDE
-// (Yan et al., 2022) shards the output layer via model parallelism with
-// per-shard LSH sampling; ShardedSampledLayer is that design on one host:
+// SampledLayer owns one neuron array and one LSH table group, so its class
+// count is capped by what one table group can hold comfortably.
+// Distributed SLIDE (Yan et al., 2022) shards the output layer via model
+// parallelism with per-shard LSH sampling; ShardedSampledLayer is that
+// design on one host:
 //
 //   global neuron range [0, units)
-//     = shard 0 rows [off_0, off_1)  — own weight block, MaintainedTables,
-//     + shard 1 rows [off_1, off_2)    maintenance thread, int8 mirror,
-//     + ...                            Adam state
+//     = shard 0 rows [off_0, off_1)  — own weight block, LshTableGroup,
+//     + shard 1 rows [off_1, off_2)    int8 mirror, Adam state
+//     + ...
 //
-// Each shard is a SampledLayer over its contiguous row range. S background
-// maintenance threads rebuild concurrently where the monolithic layer has
-// one, and sync rebuilds fan the shards out across the ThreadPool.
+// Each shard is a SampledLayer over its contiguous row range. Rebuilds fan
+// the shards out across the ThreadPool, one shard per pool thread.
 //
 // Forward queries every shard's tables and merges the per-shard candidate
 // sets into one global active set (ids globalized by the shard row
@@ -26,9 +25,9 @@
 // scratch (no allocation; see Layer::forward_inference_topk).
 //
 // Parity anchor: with shards = 1 the layer is bit-identical to the
-// monolithic SampledLayer under sync maintenance — same weight init
-// stream, same sampling target, same RNG consumption order, same Adam
-// trajectory (tests/test_sharded_layer.cpp).
+// monolithic SampledLayer — same weight init stream, same sampling target,
+// same RNG consumption order, same Adam trajectory
+// (tests/test_sharded_layer.cpp).
 #pragma once
 
 #include <memory>
@@ -95,13 +94,11 @@ class ShardedSampledLayer final : public Layer {
   void apply_updates(float lr, ThreadPool* pool) override;
 
   // ---- LSH lifecycle ----
-  /// Fires each shard's schedule. Under sync maintenance with a
-  /// multi-thread pool the shards rebuild in parallel (one pool worker per
-  /// shard, each building its own table group); async policies schedule on
-  /// the S per-shard maintenance threads and return immediately.
+  /// Fires each shard's schedule. With a multi-thread pool the shards
+  /// rebuild in parallel (one pool thread per shard, each building its own
+  /// table group).
   bool maybe_rebuild(long iteration, ThreadPool* pool) override;
   void rebuild_tables(ThreadPool* pool) override;
-  void quiesce_maintenance() const override;
 
   // ---- Dynamic label lifecycle ----
   /// Appends `n` units to the LAST shard (every other shard's row offset

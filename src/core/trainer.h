@@ -3,13 +3,10 @@
 // slot; gradients accumulate HOGWILD-style; lazy Adam applies once per
 // batch; hash tables refresh on the exponential-decay schedule.
 //
-// With a synchronous MaintenancePolicy the refresh stalls the whole step
-// for its duration — that stall is what `rebuild_seconds` in the
-// breakdown measures. Async policies move the refresh onto per-layer
-// background maintenance threads (core/layer.h): maybe_rebuild only
-// *schedules* work, rebuild_seconds collapses to scheduling overhead, and
-// trainer threads keep sampling from the live tables throughout
-// (bench/maintenance_overhead.cpp quantifies the difference).
+// The refresh rebuilds each due layer's tables in place, spread over the
+// trainer's pool, and stalls the whole step for its duration — that stall
+// is what `rebuild_seconds` in the breakdown measures
+// (bench/maintenance_overhead.cpp times it at two cadences).
 #pragma once
 
 #include <functional>

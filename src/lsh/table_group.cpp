@@ -1,7 +1,6 @@
 #include "lsh/table_group.h"
 
 #include <functional>
-#include <thread>
 #include <utility>
 
 namespace slide {
@@ -23,12 +22,6 @@ void for_ranges(std::size_t count, ThreadPool* pool,
 }  // namespace
 
 LshTableGroup::LshTableGroup(std::unique_ptr<HashFamily> family,
-                             const HashTable::Config& table_config,
-                             std::uint64_t seed)
-    : LshTableGroup(std::shared_ptr<const HashFamily>(std::move(family)),
-                    table_config, seed) {}
-
-LshTableGroup::LshTableGroup(std::shared_ptr<const HashFamily> family,
                              const HashTable::Config& table_config,
                              std::uint64_t seed)
     : family_(std::move(family)), seed_(seed) {
@@ -111,65 +104,6 @@ TableHealth LshTableGroup::health() const noexcept {
 std::size_t LshTableGroup::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& table : tables_) total += table.memory_bytes();
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// MaintainedTables
-// ---------------------------------------------------------------------------
-
-MaintainedTables::MaintainedTables(std::unique_ptr<HashFamily> family,
-                                   const HashTable::Config& table_config,
-                                   std::uint64_t seed)
-    : family_(std::move(family)), table_config_(table_config), seed_(seed) {
-  SLIDE_CHECK(family_ != nullptr, "MaintainedTables: null hash family");
-  groups_[0] = std::make_unique<LshTableGroup>(family_, table_config_, seed_);
-}
-
-MaintainedTables::Pin MaintainedTables::pin() const {
-  // Increment-then-recheck (the classic double-buffer RCU entry): if the
-  // active index moved between the load and the increment, the maintenance
-  // side may already have skipped our count — back out and retry. seq_cst
-  // everywhere: the publish/drain handshake is a store-load (Dekker)
-  // pattern, and rebuilds are far too rare for the fence to matter.
-  for (;;) {
-    const int i = active_idx_.load(std::memory_order_seq_cst);
-    readers_[i].count.fetch_add(1, std::memory_order_seq_cst);
-    if (active_idx_.load(std::memory_order_seq_cst) == i) return Pin(this, i);
-    readers_[i].count.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
-LshTableGroup& MaintainedTables::shadow_group() {
-  const int s = 1 - active_idx_.load(std::memory_order_seq_cst);
-  auto& group = groups_[static_cast<std::size_t>(s)];
-  if (group == nullptr) {
-    // Same seed as the active buffer: a build produces identical tables
-    // whichever buffer it lands in, so sync and async_full policies are
-    // bit-equivalent (tested in test_maintenance.cpp).
-    group = std::make_unique<LshTableGroup>(family_, table_config_, seed_);
-  }
-  // RCU grace period: readers that pinned this buffer before it was
-  // retired must drain before it is rebuilt under them. The wait is
-  // microseconds (a pin spans one bucket-sampling pass), while rebuilds
-  // are many iterations apart.
-  while (readers_[s].count.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::yield();
-  return *group;
-}
-
-void MaintainedTables::publish_shadow() {
-  const int s = 1 - active_idx_.load(std::memory_order_seq_cst);
-  SLIDE_CHECK(groups_[static_cast<std::size_t>(s)] != nullptr,
-              "MaintainedTables: publish_shadow without a built shadow");
-  active_idx_.store(s, std::memory_order_seq_cst);
-  publish_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t MaintainedTables::memory_bytes() const {
-  std::size_t total = 0;
-  for (const auto& group : groups_)
-    if (group != nullptr) total += group->memory_bytes();
   return total;
 }
 

@@ -15,7 +15,7 @@ void LshRetriever::retrieve(std::span<const Index> query_ids,
                             Rng& rng, VisitedSet& visited,
                             std::vector<Index>& out, bool fresh_epoch) const {
   // The historical SampledLayer hot path, moved here verbatim: hash the
-  // query once per table, pin the active group, union/select bucket ids.
+  // query once per table, then union/select bucket ids.
   // sample_neurons stamps each selected id into `visited` — that is where
   // the retrieve() dedupe post-condition is enforced for this backend.
   thread_local std::vector<std::uint32_t> keys;
@@ -28,15 +28,10 @@ void LshRetriever::retrieve(std::span<const Index> query_ids,
   }
   thread_local std::vector<std::span<const Index>> buckets;
   thread_local std::vector<Index> sampled;
-  {
-    // Bucket spans point into the pinned group; consume them before the
-    // pin drops (a concurrent publish_shadow would recycle the buffer).
-    const MaintainedTables::Pin pin = tables_.pin();
-    pin->buckets(keys, buckets);
-    SamplingConfig sampling = sampling_;
-    sampling.target = budget;
-    sample_neurons(sampling, buckets, visited, rng, sampled, fresh_epoch);
-  }
+  tables_.buckets(keys, buckets);
+  SamplingConfig sampling = sampling_;
+  sampling.target = budget;
+  sample_neurons(sampling, buckets, visited, rng, sampled, fresh_epoch);
   if (!any_masked()) {
     out.insert(out.end(), sampled.begin(), sampled.end());
   } else {
@@ -47,11 +42,7 @@ void LshRetriever::retrieve(std::span<const Index> query_ids,
 }
 
 void LshRetriever::rebuild(ThreadPool* pool) {
-  // Shadow build + atomic publish: readable throughout, correct from both
-  // the sync (trainer) and async (BackgroundWorker) call sites.
-  tables_.shadow_group().build_from_rows(rows_.data, rows_.dim, rows_.count,
-                                         pool);
-  tables_.publish_shadow();
+  tables_.build_from_rows(rows_.data, rows_.dim, rows_.count, pool);
 }
 
 }  // namespace slide::retrieval

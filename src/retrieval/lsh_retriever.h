@@ -1,14 +1,12 @@
 // (K, L) LSH retrieval — the paper's sampler behind the Retriever surface.
 //
-// Owns the layer's MaintainedTables (the double-buffered active/shadow
-// structure of core/layer.h's maintenance machinery) and runs the
-// historical key → pin → buckets → sample_neurons sequence VERBATIM
-// (pinned by the golden determinism test).
+// Owns the layer's LshTableGroup and runs the historical key → buckets →
+// sample_neurons sequence VERBATIM (pinned by the golden determinism test).
 //
-// The owning SampledLayer keeps driving its rebuilds (in place or into
-// the shadow group) and the add_units splice directly through tables().
-// Standalone users (ANN search, benches, tests) get the same index through
-// the generic hook: rebuild() hashes every row.
+// The owning SampledLayer keeps driving its in-place rebuilds and the
+// add_units splice directly through tables(). Standalone users (ANN
+// search, benches, tests) get the same index through the generic hook:
+// rebuild() hashes every row.
 #pragma once
 
 #include "lsh/table_group.h"
@@ -39,18 +37,17 @@ class LshRetriever final : public Retriever {
     return tables_.memory_bytes();
   }
 
-  /// The underlying double-buffered tables — the owning SampledLayer's
-  /// maintenance code (shadow builds, splices, publishes) operates on
-  /// them directly.
-  MaintainedTables& tables() noexcept { return tables_; }
-  const MaintainedTables& tables() const noexcept { return tables_; }
+  /// The underlying tables — the owning SampledLayer's rebuilds and
+  /// splices operate on them directly.
+  LshTableGroup& tables() noexcept { return tables_; }
+  const LshTableGroup& tables() const noexcept { return tables_; }
 
  private:
   /// Buckets store ids, not row pointers, so the tables survive a grown
   /// (reallocated) weight array as-is; only the view needs re-targeting.
   void do_resize(RowView rows) override { rows_ = rows; }
 
-  MaintainedTables tables_;
+  LshTableGroup tables_;
   SamplingConfig sampling_;
   RowView rows_;
 };

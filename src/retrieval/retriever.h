@@ -4,18 +4,17 @@
 // candidate set. This subsystem puts candidate generation behind one
 // interface with two implementations:
 //
-//   LshRetriever    (K, L) hash tables — the paper's sampler, wrapping the
-//                   double-buffered MaintainedTables. Every hashed layer
-//                   owns exactly one.
+//   LshRetriever    (K, L) hash tables — the paper's sampler, wrapping one
+//                   LshTableGroup. Every hashed layer owns exactly one.
 //   ExactRetriever  brute force: every live id is a candidate. The oracle
 //                   the LSH sampler is measured against (tests, the
 //                   retrieval_backends bench, examples/lsh_topk_search).
 //
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
-// rows). retrieve() is const and safe to call concurrently with rebuild();
-// mutation (insert/remove/resize_universe) follows the layer's
-// single-writer contract.
+// rows). retrieve() is const and safe to call concurrently with other
+// retrieve() calls; mutation (rebuild/insert/remove/resize_universe)
+// follows the layer's single-writer contract.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +81,7 @@ class Retriever {
   ///
   /// ExactRetriever ignores `budget` (it IS the oracle scan); LSH treats
   /// it as the sampling target. Thread-safe against concurrent
-  /// retrieve() calls and against rebuild() running on a maintenance
-  /// thread.
+  /// retrieve() calls, not against any mutation.
   virtual void retrieve(std::span<const Index> query_ids,
                         std::span<const float> query_act, Index budget,
                         Rng& rng, VisitedSet& visited, std::vector<Index>& out,
@@ -133,9 +131,9 @@ class Retriever {
 
   // --- maintenance -----------------------------------------------------
 
-  /// Rebuilds the whole index from the current rows, keeping retrieve()
-  /// readable throughout (shadow build + atomic publish). Standalone users
-  /// call this; a SampledLayer drives its LSH tables' rebuilds itself.
+  /// Rebuilds the whole index from the current rows, in place (a writer:
+  /// no retrieve() may overlap it). Standalone users call this; a
+  /// SampledLayer drives its LSH tables' rebuilds itself.
   virtual void rebuild(ThreadPool* pool) = 0;
 
   virtual std::size_t memory_bytes() const noexcept = 0;

@@ -409,12 +409,7 @@ std::uint64_t InferenceEngine::update(const OnlineDelta& delta) {
 
   const std::uint64_t calls =
       online_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (calls % online_config_.publish_every == 0) {
-    // Settle background maintenance (an async rebuild in flight) before
-    // the master is cloned.
-    master.quiesce_maintenance();
-    return publish_master_locked();
-  }
+  if (calls % online_config_.publish_every == 0) return publish_master_locked();
   return store_->version();
 }
 
@@ -423,7 +418,6 @@ std::uint64_t InferenceEngine::publish_now() {
   SLIDE_CHECK(online_master_ != nullptr,
               "InferenceEngine::publish_now: call enable_online_updates "
               "first");
-  online_master_->quiesce_maintenance();
   return publish_master_locked();
 }
 

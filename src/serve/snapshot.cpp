@@ -88,13 +88,6 @@ std::uint64_t ModelStore::version() const {
 
 std::uint64_t ModelStore::publish(std::shared_ptr<const Network> network,
                                   std::string source) {
-  // A snapshot promises fully settled tables: if the network was trained
-  // with an async MaintenancePolicy, a background rebuild may still be in
-  // flight — let it finish (and publish its table swap) before the serving
-  // swap, so every worker that resolves this snapshot sees the same final
-  // tables. Reader-safety never depended on this (the table double-buffer
-  // handles that); snapshot determinism does.
-  if (network != nullptr) network->quiesce_maintenance();
   auto snap = make_snapshot(std::move(network), 0, std::move(source));
   std::lock_guard<std::mutex> lock(mutex_);
   snap->version = next_version_++;

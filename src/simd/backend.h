@@ -42,8 +42,8 @@ const char* to_string(SimdLevel level) noexcept;
 SimdLevel parse_simd_level(const char* name);
 
 /// One ISA's kernel set. Entries an ISA does not specialize point at the
-/// scalar reference implementation (e.g. sparse_axpy, where scatter does
-/// not pay), so a table is always total.
+/// scalar reference implementation (e.g. sparse_dot_i8, for which no byte
+/// gather exists), so a table is always total.
 struct Backend {
   SimdLevel level = SimdLevel::kScalar;
   const char* name = "scalar";
@@ -51,13 +51,9 @@ struct Backend {
   float (*dot)(const float*, const float*, std::size_t) noexcept = nullptr;
   void (*axpy)(float, const float*, float*, std::size_t) noexcept = nullptr;
   void (*scale)(float*, float, std::size_t) noexcept = nullptr;
-  float (*sum)(const float*, std::size_t) noexcept = nullptr;
-  float (*max)(const float*, std::size_t) noexcept = nullptr;
   void (*relu)(float*, std::size_t) noexcept = nullptr;
   float (*sparse_dot)(const Index*, const float*, std::size_t,
                       const float*) noexcept = nullptr;
-  void (*sparse_axpy)(float, const Index*, const float*, std::size_t,
-                      float*) noexcept = nullptr;
   void (*softmax_inplace)(float*, std::size_t) noexcept = nullptr;
   void (*adam_step)(float*, float*, float*, const float*, std::size_t, float,
                     float, float, float, float, float) noexcept = nullptr;

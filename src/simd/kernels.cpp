@@ -17,20 +17,10 @@ void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept {
 void scale(float* x, float alpha, std::size_t n) noexcept {
   backend().scale(x, alpha, n);
 }
-float sum(const float* x, std::size_t n) noexcept {
-  return backend().sum(x, n);
-}
-float max(const float* x, std::size_t n) noexcept {
-  return backend().max(x, n);
-}
 void relu(float* x, std::size_t n) noexcept { backend().relu(x, n); }
 float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
                  const float* dense) noexcept {
   return backend().sparse_dot(idx, val, nnz, dense);
-}
-void sparse_axpy(float alpha, const Index* idx, const float* val,
-                 std::size_t nnz, float* dense) noexcept {
-  backend().sparse_axpy(alpha, idx, val, nnz, dense);
 }
 void softmax_inplace(float* x, std::size_t n) noexcept {
   backend().softmax_inplace(x, n);

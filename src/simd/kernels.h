@@ -33,12 +33,6 @@ void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept;
 /// x[i] *= alpha.
 void scale(float* x, float alpha, std::size_t n) noexcept;
 
-/// Sum of x[0..n).
-float sum(const float* x, std::size_t n) noexcept;
-
-/// Max of x[0..n); returns -inf for n == 0.
-float max(const float* x, std::size_t n) noexcept;
-
 /// x[i] = max(x[i], 0).
 void relu(float* x, std::size_t n) noexcept;
 
@@ -46,10 +40,6 @@ void relu(float* x, std::size_t n) noexcept;
 /// vector. Indices must be < the dense vector's length.
 float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
                  const float* dense) noexcept;
-
-/// dense[idx[i]] += alpha * val[i] — scatter-accumulate of a sparse vector.
-void sparse_axpy(float alpha, const Index* idx, const float* val,
-                 std::size_t nnz, float* dense) noexcept;
 
 /// Numerically-stable in-place softmax over x[0..n).
 void softmax_inplace(float* x, std::size_t n) noexcept;
@@ -120,13 +110,11 @@ namespace scalar {
 float dot(const float* a, const float* b, std::size_t n) noexcept;
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept;
 void scale(float* x, float alpha, std::size_t n) noexcept;
-float sum(const float* x, std::size_t n) noexcept;
+/// Max of x[0..n); returns -inf for n == 0 (softmax_inplace's shift).
 float max(const float* x, std::size_t n) noexcept;
 void relu(float* x, std::size_t n) noexcept;
 float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
                  const float* dense) noexcept;
-void sparse_axpy(float alpha, const Index* idx, const float* val,
-                 std::size_t nnz, float* dense) noexcept;
 void softmax_inplace(float* x, std::size_t n) noexcept;
 void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
                float lr, float beta1, float beta2, float eps, float bias1,

@@ -69,15 +69,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept {
   for (; i < n; ++i) x[i] *= alpha;
 }
 
-float sum(const float* x, std::size_t n) noexcept {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) acc = _mm256_add_ps(acc, _mm256_loadu_ps(x + i));
-  float s = hsum256(acc);
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
 float max(const float* x, std::size_t n) noexcept {
   if (n < 8) return scalar::max(x, n);
   __m256 vm = _mm256_loadu_ps(x);
@@ -332,20 +323,16 @@ void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept {
 }  // namespace avx2
 
 namespace {
-// sparse_axpy stays scalar (no AVX2 scatter instruction exists), the
-// quantize/dequantize family runs only on the cold publish path, and the
-// sparse i8 dot stays scalar too (no byte gather exists).
+// The quantize family runs only on the cold publish path, and the sparse
+// i8 dot stays scalar (no byte gather exists).
 constexpr Backend kAvx2Table = {
     .level = SimdLevel::kAVX2,
     .name = "avx2",
     .dot = avx2::dot,
     .axpy = avx2::axpy,
     .scale = avx2::scale,
-    .sum = avx2::sum,
-    .max = avx2::max,
     .relu = avx2::relu,
     .sparse_dot = avx2::sparse_dot,
-    .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx2::softmax_inplace,
     .adam_step = avx2::adam_step,
     .wta_codes = avx2::wta_codes,

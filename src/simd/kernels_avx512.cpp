@@ -79,18 +79,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept {
   }
 }
 
-float sum(const float* x, std::size_t n) noexcept {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm512_add_ps(acc, _mm512_loadu_ps(x + i));
-  }
-  if (i < n) {
-    acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(tail_mask(n - i), x + i));
-  }
-  return _mm512_reduce_add_ps(acc);
-}
-
 float max(const float* x, std::size_t n) noexcept {
   const __m512 vminf = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
   __m512 vm = vminf;
@@ -376,14 +364,8 @@ constexpr Backend kAvx512Table = {
     .dot = avx512::dot,
     .axpy = avx512::axpy,
     .scale = avx512::scale,
-    .sum = avx512::sum,
-    .max = avx512::max,
     .relu = avx512::relu,
     .sparse_dot = avx512::sparse_dot,
-    // Scatter exists in AVX-512 but is unsafe for repeated indices
-    // (read-modify-write batches would drop duplicate accumulations), and
-    // the kernel contract allows them — the scalar loop stays.
-    .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
@@ -412,11 +394,8 @@ constexpr Backend kAvx512TableNoVnni = {
     .dot = avx512::dot,
     .axpy = avx512::axpy,
     .scale = avx512::scale,
-    .sum = avx512::sum,
-    .max = avx512::max,
     .relu = avx512::relu,
     .sparse_dot = avx512::sparse_dot,
-    .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,

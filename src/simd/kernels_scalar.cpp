@@ -28,12 +28,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-float sum(const float* x, std::size_t n) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
 float max(const float* x, std::size_t n) noexcept {
   float m = -std::numeric_limits<float>::infinity();
   for (std::size_t i = 0; i < n; ++i) m = x[i] > m ? x[i] : m;
@@ -49,11 +43,6 @@ float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
   float acc = 0.0f;
   for (std::size_t i = 0; i < nnz; ++i) acc += val[i] * dense[idx[i]];
   return acc;
-}
-
-void sparse_axpy(float alpha, const Index* idx, const float* val,
-                 std::size_t nnz, float* dense) noexcept {
-  for (std::size_t i = 0; i < nnz; ++i) dense[idx[i]] += alpha * val[i];
 }
 
 void softmax_inplace(float* x, std::size_t n) noexcept {
@@ -203,11 +192,8 @@ const Backend kScalarBackend = {
     .dot = scalar::dot,
     .axpy = scalar::axpy,
     .scale = scalar::scale,
-    .sum = scalar::sum,
-    .max = scalar::max,
     .relu = scalar::relu,
     .sparse_dot = scalar::sparse_dot,
-    .sparse_axpy = scalar::sparse_axpy,
     .softmax_inplace = scalar::softmax_inplace,
     .adam_step = scalar::adam_step,
     .wta_codes = scalar::wta_codes,

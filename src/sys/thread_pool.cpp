@@ -125,79 +125,4 @@ void ThreadPool::reset_busy() {
   for (auto& b : busy_) b.value.store(0.0);
 }
 
-// ---------------------------------------------------------------------------
-// BackgroundWorker
-// ---------------------------------------------------------------------------
-
-BackgroundWorker::~BackgroundWorker() {
-  {
-    std::lock_guard lock(mutex_);
-    shutting_down_ = true;
-    queue_.clear();  // unstarted maintenance work is worthless at shutdown
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void BackgroundWorker::submit(std::function<void()> task) {
-  SLIDE_CHECK(task != nullptr, "BackgroundWorker: null task");
-  {
-    std::lock_guard lock(mutex_);
-    SLIDE_CHECK(!shutting_down_, "BackgroundWorker: submit after shutdown");
-    queue_.push_back(std::move(task));
-    if (!started_) {
-      started_ = true;
-      thread_ = std::thread([this] { worker_main(); });
-    }
-  }
-  wake_cv_.notify_one();
-}
-
-void BackgroundWorker::worker_main() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      wake_cv_.wait(lock, [&] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutting down
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      running_task_ = true;
-    }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      running_task_ = false;
-      ++completed_;
-      if (queue_.empty()) idle_cv_.notify_all();
-      if (shutting_down_) return;
-    }
-  }
-}
-
-std::size_t BackgroundWorker::pending() const {
-  std::lock_guard lock(mutex_);
-  return queue_.size() + (running_task_ ? 1 : 0);
-}
-
-void BackgroundWorker::wait_idle() const {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [&] { return queue_.empty() && !running_task_; });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-std::uint64_t BackgroundWorker::completed() const {
-  std::lock_guard lock(mutex_);
-  return completed_;
-}
-
 }  // namespace slide

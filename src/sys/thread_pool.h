@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -89,60 +88,5 @@ class ThreadPool {
 
 /// Number of hardware threads, never less than 1.
 int hardware_threads();
-
-// ---------------------------------------------------------------------------
-
-/// A single background thread executing submitted tasks in FIFO order — the
-/// maintenance executor behind asynchronous LSH table rebuilds (see
-/// core/layer.h, MaintenancePolicy). Constructing the object is free: the
-/// thread is spawned lazily on the first submit, so layers that never use
-/// async maintenance never pay for a thread.
-///
-/// Tasks run strictly one at a time in submission order, which is what the
-/// maintenance logic relies on to keep full rebuilds from overlapping each
-/// other. wait_idle() blocks until the queue is empty and no task is
-/// running; it also rethrows the first exception a task raised
-/// (maintenance tasks are not expected to throw).
-///
-/// Destruction discards tasks that have not started, waits for the running
-/// one to finish, and joins the thread — shutdown never blocks on a long
-/// queue of stale maintenance work.
-class BackgroundWorker {
- public:
-  BackgroundWorker() = default;
-  ~BackgroundWorker();
-
-  BackgroundWorker(const BackgroundWorker&) = delete;
-  BackgroundWorker& operator=(const BackgroundWorker&) = delete;
-
-  /// Enqueues a task (spawning the thread on first use).
-  void submit(std::function<void()> task);
-
-  /// Tasks queued or currently running.
-  std::size_t pending() const;
-  bool idle() const { return pending() == 0; }
-
-  /// Blocks until no task is queued or running, then rethrows the first
-  /// task exception if any. Logically const: observers may wait without
-  /// mutating the worker.
-  void wait_idle() const;
-
-  /// Tasks that have finished running (monotonic).
-  std::uint64_t completed() const;
-
- private:
-  void worker_main();
-
-  mutable std::mutex mutex_;
-  mutable std::condition_variable wake_cv_;
-  mutable std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> queue_;
-  std::thread thread_;
-  bool started_ = false;
-  bool running_task_ = false;
-  bool shutting_down_ = false;
-  std::uint64_t completed_ = 0;
-  mutable std::exception_ptr first_error_;
-};
 
 }  // namespace slide

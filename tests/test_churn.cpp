@@ -50,12 +50,10 @@ HashFamilyConfig small_family() {
   return family;
 }
 
-NetworkConfig net_config(const SyntheticDataset& data, int shards = 0,
-                         MaintenancePolicy policy = MaintenancePolicy::kSync) {
+NetworkConfig net_config(const SyntheticDataset& data, int shards = 0) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), 16);
   b.table({.range_pow = 8, .bucket_size = 32});
-  b.maintenance(policy);
   if (shards > 0) b.shards(shards);
   b.max_batch(32).seed(123);
   return b.to_config();
@@ -120,37 +118,32 @@ TEST(Churn, AddUnitsRejectsUnhashedAndNonPositive) {
 
 TEST(Churn, AddUnitsSplicesEachNewIdIntoExactlyItsBuckets) {
   const auto data = tiny_data();
-  for (MaintenancePolicy policy :
-       {MaintenancePolicy::kSync, MaintenancePolicy::kAsyncFull}) {
-    NetworkConfig cfg = net_config(data, 0, policy);
-    cfg.layers.back().table.bucket_size = 512;  // nothing ever fills up
-    Network net(cfg, 2);
-    train(net, data, 20);
-    net.quiesce_maintenance();
-    const SampledLayer& out = net.output_layer();
-    const MaintainedTables& tables = *out.tables();
-    std::vector<std::size_t> stored(static_cast<std::size_t>(tables.l()));
-    for (int t = 0; t < tables.l(); ++t)
-      stored[static_cast<std::size_t>(t)] = tables.table(t).total_stored();
+  NetworkConfig cfg = net_config(data);
+  cfg.layers.back().table.bucket_size = 512;  // nothing ever fills up
+  Network net(cfg, 2);
+  train(net, data, 20);
+  const SampledLayer& out = net.output_layer();
+  const LshTableGroup& tables = *out.tables();
+  std::vector<std::size_t> stored(static_cast<std::size_t>(tables.l()));
+  for (int t = 0; t < tables.l(); ++t)
+    stored[static_cast<std::size_t>(t)] = tables.table(t).total_stored();
 
-    constexpr Index kNew = 8;
-    const Index first = net.add_output_units(kNew);
-    ASSERT_EQ(tables.active().health().saturated, 0u);
-    // Every table gained exactly the new ids, each in the bucket its row
-    // hashes to; so each sits there once and nowhere else.
-    std::vector<std::uint32_t> keys(static_cast<std::size_t>(tables.l()));
-    std::vector<std::span<const Index>> buckets;
-    for (int t = 0; t < tables.l(); ++t)
-      EXPECT_EQ(tables.table(t).total_stored(),
-                stored[static_cast<std::size_t>(t)] + kNew)
-          << to_string(policy);
-    for (Index u = first; u < first + kNew; ++u) {
-      tables.query_keys_dense(out.weight_row(u), keys);
-      tables.buckets(keys, buckets);
-      for (std::size_t t = 0; t < buckets.size(); ++t)
-        EXPECT_EQ(std::count(buckets[t].begin(), buckets[t].end(), u), 1)
-            << to_string(policy) << " unit " << u << " table " << t;
-    }
+  constexpr Index kNew = 8;
+  const Index first = net.add_output_units(kNew);
+  ASSERT_EQ(tables.health().saturated, 0u);
+  // Every table gained exactly the new ids, each in the bucket its row
+  // hashes to; so each sits there once and nowhere else.
+  std::vector<std::uint32_t> keys(static_cast<std::size_t>(tables.l()));
+  std::vector<std::span<const Index>> buckets;
+  for (int t = 0; t < tables.l(); ++t)
+    EXPECT_EQ(tables.table(t).total_stored(),
+              stored[static_cast<std::size_t>(t)] + kNew);
+  for (Index u = first; u < first + kNew; ++u) {
+    tables.query_keys_dense(out.weight_row(u), keys);
+    tables.buckets(keys, buckets);
+    for (std::size_t t = 0; t < buckets.size(); ++t)
+      EXPECT_EQ(std::count(buckets[t].begin(), buckets[t].end(), u), 1)
+          << "unit " << u << " table " << t;
   }
 }
 
@@ -265,7 +258,6 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
   src.add_output_units(6);
   src.retire_output_units(std::vector<Index>{5, 11});
   train(src, data, 5);
-  src.quiesce_maintenance();
 
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   save_weights(src, buffer);
@@ -535,8 +527,7 @@ TEST(Churn, PublishSecondsGrowOnEveryPublish) {
 
 TEST(Churn, ConcurrentChurnWhileServing) {
   const auto data = tiny_data();
-  auto master = std::make_shared<Network>(
-      net_config(data, 0, MaintenancePolicy::kSync), 2);
+  auto master = std::make_shared<Network>(net_config(data), 2);
   train(*master, data, 20);
   auto store = std::make_shared<ModelStore>(
       std::make_shared<Network>(net_config(data), 2));

@@ -209,8 +209,8 @@ TEST(Integration, SimdToggleKeepsTrainingCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden end-to-end determinism: a fixed-seed, single-threaded, sync-
-// maintenance, scalar-kernel 2-epoch train must reproduce the exact same
+// Golden end-to-end determinism: a fixed-seed, single-threaded,
+// scalar-kernel 2-epoch train must reproduce the exact same
 // weights (FNV-1a digest) and clear an accuracy floor. This is the
 // regression tripwire that catches refactors which change numerics or RNG
 // consumption anywhere in the stack — beyond what unit-level parity tests

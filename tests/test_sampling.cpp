@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "lsh/collision.h"
@@ -169,6 +170,13 @@ struct ThresholdCase {
   double q;  // per-table collision probability p^K
   int m;
 };
+
+// Names each case by its values (e.g. "q0.2_m1"). Without it gtest prints
+// the struct's raw bytes into the test name, padding included, so the
+// names would differ from build to build.
+void PrintTo(const ThresholdCase& c, std::ostream* os) {
+  *os << "q" << c.q << "_m" << c.m;
+}
 
 class ThresholdProperty : public ::testing::TestWithParam<ThresholdCase> {};
 

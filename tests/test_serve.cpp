@@ -449,7 +449,6 @@ std::shared_ptr<Network> churned_master(const SyntheticDataset& data,
     }
     train_samples(*master, samples, rng, iteration);
   }
-  master->quiesce_maintenance();
   return master;
 }
 
@@ -459,8 +458,8 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
 }
 
 /// The in-process table sets of a stack layer, one per shard.
-std::vector<const MaintainedTables*> tables_of(const Layer& layer) {
-  std::vector<const MaintainedTables*> out;
+std::vector<const LshTableGroup*> tables_of(const Layer& layer) {
+  std::vector<const LshTableGroup*> out;
   if (const auto* sharded = dynamic_cast<const ShardedSampledLayer*>(&layer)) {
     for (int s = 0; s < sharded->shards(); ++s)
       out.push_back(sharded->shard(s).tables());
@@ -504,8 +503,8 @@ void expect_same_snapshot(const Network& want, const Network& got,
     EXPECT_EQ(ha.occupied, hb.occupied);
     EXPECT_EQ(ha.saturated, hb.saturated);
 
-    const std::vector<const MaintainedTables*> ta = tables_of(a);
-    const std::vector<const MaintainedTables*> tb = tables_of(b);
+    const std::vector<const LshTableGroup*> ta = tables_of(a);
+    const std::vector<const LshTableGroup*> tb = tables_of(b);
     ASSERT_EQ(ta.size(), tb.size());
     Rng rng(99);
     std::vector<float> query(a.fan_in());
@@ -682,73 +681,6 @@ TEST(InferenceEngine, ExactResultsMatchDirectPredictTopk) {
   EXPECT_EQ(stats.completed, 40u);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.latency.count, 40u);
-}
-
-TEST(InferenceEngine, PredictionsNeverObserveHalfSwappedTables) {
-  // The serving-side guarantee of asynchronous LSH maintenance: while a
-  // background thread republishes the served network's hash tables (shadow
-  // build + atomic swap, lsh/table_group.h), engine workers keep predicting
-  // and every result stays a valid label. Weights are never touched here,
-  // so this is TSan-clean without suppressions — it isolates the swap path.
-  const auto data = planted();
-  NetworkConfig cfg = planted_config(data);
-  cfg.layers[0].maintenance = MaintenancePolicy::kAsyncFull;
-  cfg.layers[0].rebuild.initial_period = 1;
-  cfg.layers[0].rebuild.decay = 0.0;
-  auto net = std::make_shared<Network>(cfg, 2);
-  {
-    TrainerConfig tc;
-    tc.batch_size = 32;
-    tc.num_threads = 2;
-    tc.learning_rate = 5e-3f;
-    Trainer trainer(*net, tc);
-    trainer.train(data.train, 30);
-  }
-  net->quiesce_maintenance();
-
-  auto store = std::make_shared<ModelStore>(net);
-  ServeConfig scfg;
-  scfg.num_workers = 2;
-  scfg.max_batch = 4;
-  scfg.max_wait_us = 100;
-  InferenceEngine engine(store, scfg);
-
-  // Hammer maintenance events: every maybe_rebuild call is due (period 1,
-  // no decay), so the background worker rebuilds + publishes continuously.
-  // Driven at the layer level: Network::maybe_rebuild brackets itself with
-  // the debug write-epoch detector (it is a writer for the sync policy),
-  // while the async mechanism being tested here is exactly the part that
-  // is exempt from that contract.
-  std::atomic<bool> stop{false};
-  std::thread maintenance([&] {
-    long iteration = 1;
-    while (!stop.load(std::memory_order_acquire)) {
-      net->output_layer().maybe_rebuild(iteration++, nullptr);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::future<Prediction>> futures;
-  for (int round = 0; round < 20; ++round) {
-    for (std::size_t i = 0; i < 25; ++i) {
-      auto f = engine.submit(data.test[i].features, {.top_k = 3});
-      ASSERT_TRUE(f.has_value());
-      futures.push_back(std::move(*f));
-    }
-  }
-  for (auto& f : futures) {
-    const Prediction p = f.get();
-    ASSERT_FALSE(p.labels.empty());
-    for (Index label : p.labels) ASSERT_LT(label, data.train.label_dim());
-  }
-  stop.store(true, std::memory_order_release);
-  maintenance.join();
-  net->quiesce_maintenance();
-
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.completed, futures.size());
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_GT(net->output_layer().tables()->publish_count(), 0u);
 }
 
 TEST(InferenceEngine, BatchingDeadlineDispatchesPartialBatch) {

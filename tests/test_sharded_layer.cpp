@@ -54,11 +54,10 @@ HashFamilyConfig small_family() {
 
 /// Builder-backed config; shards = 0 keeps the monolithic layer.
 NetworkConfig net_config(const SyntheticDataset& data, int shards,
-                         Index target = 20,
-                         MaintenancePolicy policy = MaintenancePolicy::kSync) {
+                         Index target = 20) {
   NetworkBuilder b(data.train.feature_dim());
   b.dense(16).sampled(data.train.label_dim(), small_family(), target);
-  b.table({.range_pow = 9, .bucket_size = 64}).maintenance(policy);
+  b.table({.range_pow = 9, .bucket_size = 64});
   if (shards > 0) b.shards(shards);
   b.max_batch(32).seed(123);
   return b.to_config();
@@ -428,39 +427,25 @@ TEST(ShardedLayer, TruncatedShardBlocksAreRejected) {
   EXPECT_THROW(load_weights(dst, truncated), Error);
 }
 
-// ---- Maintenance: per-shard async rebuilds --------------------------------
+// ---- Rebuilds: per-shard tables rebuilt over the pool ---------------------
 
-NetworkConfig stress_config(const SyntheticDataset& data, int shards,
-                            MaintenancePolicy policy) {
-  NetworkConfig cfg = net_config(data, shards, 20, policy);
-  cfg.layers[0].rebuild.initial_period = 1;  // fire every iteration
-  cfg.layers[0].rebuild.decay = 0.0;
-  return cfg;
-}
-
-class ShardedMaintenanceStress
-    : public ::testing::TestWithParam<MaintenancePolicy> {};
-
-TEST_P(ShardedMaintenanceStress, TrainWhileRebuildAtS4IsSafe) {
+TEST(ShardedMaintenanceStress, TrainWhileRebuildAtS4IsSafe) {
   const auto data = planted(300, 512);
-  Network net(stress_config(data, 4, GetParam()), 4);
+  NetworkConfig cfg = net_config(data, 4);
+  cfg.layers[0].rebuild.initial_period = 1;  // rebuild every iteration
+  cfg.layers[0].rebuild.decay = 0.0;
+  Network net(cfg, 4);
   TrainerConfig tc;
   tc.batch_size = 16;
   tc.num_threads = 4;
   tc.learning_rate = 2e-3f;
   Trainer trainer(net, tc);
-  // Four HOGWILD trainer threads sample from four live table groups while
-  // four per-shard maintenance threads publish rebuilt shadows underneath
-  // them, every iteration, for dozens of swaps.
+  // Between every two HOGWILD batches on four trainer threads, the four
+  // shards rebuild their tables in place, one shard per pool thread.
   trainer.train(data.train, 60);
-  net.quiesce_maintenance();
 
   const ShardedSampledLayer& out = sharded_output(net);
-  std::uint64_t publishes = 0;
-  for (int s = 0; s < out.shards(); ++s)
-    publishes += out.shard(s).tables()->publish_count();
-  EXPECT_GT(publishes + static_cast<std::uint64_t>(out.rebuild_count()),
-            0u);
+  EXPECT_EQ(out.rebuild_count(), 4 * 60);
 
   // Still coherent end to end.
   net.rebuild_all(&trainer.pool());
@@ -469,12 +454,6 @@ TEST_P(ShardedMaintenanceStress, TrainWhileRebuildAtS4IsSafe) {
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, ShardedMaintenanceStress,
-                         ::testing::Values(MaintenancePolicy::kAsyncFull),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 // ---- Serving: sharded snapshot hot-swap under load ------------------------
 

@@ -113,32 +113,6 @@ TEST_P(KernelParity, Scale) {
   }
 }
 
-TEST_P(KernelParity, Sum) {
-  Rng rng(14);
-  for (std::size_t n : parity_sizes()) {
-    const auto x = random_vec(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      ASSERT_NEAR(simd::sum(x.data() + off, n),
-                  simd::scalar::sum(x.data() + off, n),
-                  1e-4f * (1.0f + static_cast<float>(n) * 0.01f))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelParity, Max) {
-  Rng rng(15);
-  for (std::size_t n : parity_sizes()) {
-    const auto x = random_vec(n + kMaxOffset, rng);
-    for (std::size_t off : kOffsets) {
-      // Exact: max never rounds. n == 0 must yield -inf on every level.
-      ASSERT_EQ(simd::max(x.data() + off, n),
-                simd::scalar::max(x.data() + off, n))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
 TEST_P(KernelParity, Relu) {
   Rng rng(16);
   for (std::size_t n : parity_sizes()) {
@@ -175,25 +149,6 @@ TEST_P(KernelParity, SparseDot) {
       ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref)))
           << "nnz=" << nnz << " off=" << off;
     }
-  }
-}
-
-TEST_P(KernelParity, SparseAxpy) {
-  Rng rng(18);
-  const std::size_t dim = 500;
-  for (std::size_t nnz : parity_sizes()) {
-    std::vector<Index> idx(nnz);
-    std::vector<float> val(nnz);
-    for (std::size_t i = 0; i < nnz; ++i) {
-      idx[i] = rng.uniform(static_cast<std::uint32_t>(dim));
-      val[i] = rng.uniform_float();
-    }
-    auto d1 = random_vec(dim, rng);
-    auto d2 = d1;
-    simd::scalar::sparse_axpy(0.7f, idx.data(), val.data(), nnz, d1.data());
-    simd::sparse_axpy(0.7f, idx.data(), val.data(), nnz, d2.data());
-    for (std::size_t i = 0; i < dim; ++i)
-      ASSERT_NEAR(d1[i], d2[i], 1e-5f) << "nnz=" << nnz;
   }
 }
 

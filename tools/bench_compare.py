@@ -24,9 +24,11 @@ Comparison modes:
     sustained throughput (frequency scaling, noisy neighbors); the median
     tracks that machine factor, so what remains is the *shape* change —
     one kernel regressing while its siblings hold still. The blind spot
-    (a perfectly uniform slowdown of every metric in a file) is covered by
-    the maintenance bench's within-run speedup ratios, which are
-    scale-invariant and gated in every mode. CI uses --relative.
+    is a perfectly uniform slowdown of every metric in a file. Only
+    within-run ratios ("speedup_*", e.g. shard_scaling's
+    speedup_qps_s4_vs_s1) are scale-invariant and gated in every mode;
+    a file without one, such as BENCH_maintenance.json, cannot show a
+    uniform slowdown under --relative. CI uses --relative.
 
 Baselines are machine-specific: regenerate with --update on the machine
 class that runs the gate (CI does this implicitly by uploading the current
@@ -58,7 +60,7 @@ def flatten(node, path, out):
         for i, value in enumerate(node):
             label = str(i)
             if isinstance(value, dict):
-                parts = [str(value[k]) for k in ("schedule", "policy", "name", "label") if k in value]
+                parts = [str(value[k]) for k in ("schedule", "name", "label") if k in value]
                 if parts:
                     label = "/".join(parts)
             flatten(value, f"{path}[{label}]", out)
@@ -122,8 +124,7 @@ def compare_file(name, baseline_doc, current_doc, threshold, relative):
         cur_value = cur[metric][0]
         if base_value <= 0 or cur_value <= 0:
             continue
-        # Sub-5ms wall-clock readings (e.g. the ~0.2ms scheduling overhead
-        # an async arm reports as its "stall") are pure noise — skip them.
+        # Sub-5ms wall-clock readings are pure noise — skip them.
         if "seconds" in metric.lower() and base_value < 5e-3:
             continue
         slowdowns[metric] = (cur_value / base_value if direction == "lower"
