@@ -8,7 +8,6 @@
 // "Accelerating SLIDE Deep Learning on Modern CPUs" (2021): on CPUs,
 // batching policy is a first-order term for inference throughput.
 #include <atomic>
-#include <deque>
 #include <future>
 #include <iostream>
 #include <thread>
@@ -207,211 +206,6 @@ int main() {
   json.key("swaps_observed").number(
       static_cast<long long>(stats.swaps_observed));
   json.end_object();
-
-  // ---- SLO phase: lane isolation + load shedding under batch overload ----
-  // 2 interactive closed-loop clients (no deadline) share the engine with
-  // windowed kBatch clients carrying a tight deadline. Strict-priority
-  // lanes must keep the interactive p99 near its uncontended baseline
-  // while the batch lane absorbs the shedding. This is the PR's SLO
-  // acceptance criterion, gated here (hard exit 1) rather than in
-  // bench_compare.py: the shed/latency split is a correctness property of
-  // the policy, not a machine-speed metric.
-  const long slo_deadline_us = 3000;
-  const int slo_window = 48;  // outstanding requests per batch client
-  std::printf("\nSLO phase: 2 interactive clients vs windowed batch "
-              "overload (batch deadline %ldms, window %d)\n",
-              slo_deadline_us / 1000, slo_window);
-
-  struct SloResult {
-    double interactive_p99_us = 0.0;
-    double batch_p99_us = 0.0;
-    std::uint64_t completed = 0;
-    std::uint64_t shed_interactive = 0;
-    std::uint64_t shed_batch = 0;
-    std::uint64_t deadline_miss = 0;
-    std::uint64_t failed = 0;
-  };
-  auto slo_run = [&](int batch_clients) {
-    auto slo_store = std::make_shared<ModelStore>(model);
-    ServeConfig slo_cfg;
-    slo_cfg.num_workers = 2;
-    slo_cfg.max_batch = 8;  // bounds head-of-line blocking of interactive
-    slo_cfg.max_wait_us = 200;
-    slo_cfg.queue_capacity = 1 << 10;
-    InferenceEngine eng(slo_store, slo_cfg);
-    std::atomic<bool> running{true};
-    std::atomic<std::uint64_t> failed{0};
-    std::vector<std::thread> threads;
-    // Interactive: closed loop, latency read from the engine's per-lane
-    // histogram afterwards.
-    for (int c = 0; c < 2; ++c) {
-      threads.emplace_back([&, c] {
-        std::size_t i = static_cast<std::size_t>(c) * 31;
-        while (running.load(std::memory_order_relaxed)) {
-          auto f = eng.submit(data.test[i++ % data.test.size()].features,
-                              {.top_k = 5, .priority = Priority::kInteractive});
-          if (!f.has_value()) continue;
-          try {
-            (void)f->get();
-          } catch (const ShedError&) {
-          } catch (const std::exception&) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    // Batch: windowed semi-open loop so the queue actually backs up.
-    for (int c = 0; c < batch_clients; ++c) {
-      threads.emplace_back([&, c] {
-        std::size_t i = static_cast<std::size_t>(c) * 977 + 7;
-        std::deque<std::future<Prediction>> window;
-        // A shed is the engine telling this client to slow down; honor it
-        // with a short backoff. Without it the shed->resubmit loop spins,
-        // and 8 spinning clients starve the worker threads of CPU --
-        // which shows up as an interactive p99 SLO violation.
-        auto harvest = [&](std::future<Prediction>& f) {
-          try {
-            (void)f.get();
-          } catch (const ShedError&) {
-            return true;
-          } catch (const std::exception&) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-          return false;
-        };
-        while (running.load(std::memory_order_relaxed)) {
-          while (window.size() < static_cast<std::size_t>(slo_window) &&
-                 running.load(std::memory_order_relaxed)) {
-            auto f = eng.submit(
-                data.test[i++ % data.test.size()].features,
-                {.top_k = 5,
-                 .priority = Priority::kBatch,
-                 .deadline = std::chrono::steady_clock::now() +
-                             std::chrono::microseconds(slo_deadline_us)});
-            if (!f.has_value()) break;  // backpressure: drain first
-            window.push_back(std::move(*f));
-          }
-          if (window.empty()) {
-            std::this_thread::yield();
-            continue;
-          }
-          const bool was_shed = harvest(window.front());
-          window.pop_front();
-          if (was_shed)
-            std::this_thread::sleep_for(std::chrono::microseconds(500));
-        }
-        for (auto& f : window) harvest(f);
-      });
-    }
-    WallTimer slo_timer;
-    while (slo_timer.seconds() < phase_seconds)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    running.store(false);
-    for (auto& t : threads) t.join();
-    const ServeStats s = eng.stats();
-    eng.stop();
-    SloResult r;
-    const auto& inter = s.lanes[lane_index(Priority::kInteractive)];
-    const auto& batch = s.lanes[lane_index(Priority::kBatch)];
-    r.interactive_p99_us = inter.latency.p99_us;
-    r.batch_p99_us = batch.latency.p99_us;
-    r.completed = s.completed;
-    r.shed_interactive =
-        inter.shed_admission + inter.shed_evicted + inter.shed_expired;
-    r.shed_batch =
-        batch.shed_admission + batch.shed_evicted + batch.shed_expired;
-    r.deadline_miss = s.deadline_misses;
-    r.failed = failed.load();
-    return r;
-  };
-
-  const SloResult baseline = slo_run(/*batch_clients=*/0);
-  MarkdownTable slo_table({"load", "batch clients", "interactive p99",
-                           "batch p99", "shed batch", "shed interactive",
-                           "deadline miss", "completed"});
-  slo_table.add_row({"baseline", "0",
-                     fmt_latency_us(baseline.interactive_p99_us), "-", "0",
-                     "0", "0",
-                     fmt_int(static_cast<long long>(baseline.completed))});
-  json.key("slo").begin_object();
-  json.key("deadline_micros").number(
-      static_cast<long long>(slo_deadline_us));
-  json.key("window").number(static_cast<long long>(slo_window));
-  json.key("baseline_interactive_p99_micros")
-      .number(baseline.interactive_p99_us);
-  json.key("levels").begin_array();
-
-  bool slo_ok = baseline.failed == 0;
-  std::uint64_t shed_at_top_level = 0;
-  for (int level : {1, 2}) {
-    const int batch_clients = 4 * level;
-    const SloResult r = slo_run(batch_clients);
-    const double denom =
-        static_cast<double>(r.completed + r.shed_batch + r.shed_interactive);
-    const double shed_rate =
-        denom > 0 ? static_cast<double>(r.shed_batch + r.shed_interactive) /
-                        denom
-                  : 0.0;
-    const double miss_rate =
-        r.completed > 0
-            ? static_cast<double>(r.deadline_miss) / r.completed
-            : 0.0;
-    slo_table.add_row(
-        {fmt_int(level) + "x", fmt_int(batch_clients),
-         fmt_latency_us(r.interactive_p99_us),
-         fmt_latency_us(r.batch_p99_us),
-         fmt_int(static_cast<long long>(r.shed_batch)),
-         fmt_int(static_cast<long long>(r.shed_interactive)),
-         fmt_int(static_cast<long long>(r.deadline_miss)),
-         fmt_int(static_cast<long long>(r.completed))});
-    json.begin_object();
-    json.key("level").number(static_cast<long long>(level));
-    json.key("batch_clients").number(static_cast<long long>(batch_clients));
-    json.key("interactive_p99_micros").number(r.interactive_p99_us);
-    json.key("batch_p99_micros").number(r.batch_p99_us);
-    json.key("completed").number(static_cast<long long>(r.completed));
-    json.key("shed_batch").number(static_cast<long long>(r.shed_batch));
-    json.key("shed_interactive")
-        .number(static_cast<long long>(r.shed_interactive));
-    json.key("deadline_miss").number(
-        static_cast<long long>(r.deadline_miss));
-    json.key("shed_rate").number(shed_rate);
-    json.key("deadline_miss_rate").number(miss_rate);
-    json.end_object();
-
-    // Hard SLO gate. 5ms slack absorbs scheduler jitter on shared CI
-    // runners; the 1.5x factor is the real criterion.
-    const double p99_budget_us = 1.5 * baseline.interactive_p99_us + 5000.0;
-    if (r.failed != 0) {
-      std::printf("SLO FAILED: %llu failed requests at load %dx\n",
-                  static_cast<unsigned long long>(r.failed), level);
-      slo_ok = false;
-    }
-    if (r.interactive_p99_us > p99_budget_us) {
-      std::printf("SLO FAILED: interactive p99 %.0fus exceeds budget %.0fus "
-                  "(1.5x baseline %.0fus + 5ms) at load %dx\n",
-                  r.interactive_p99_us, p99_budget_us,
-                  baseline.interactive_p99_us, level);
-      slo_ok = false;
-    }
-    if (r.shed_interactive > r.shed_batch) {
-      std::printf("SLO FAILED: interactive lane shed more than batch "
-                  "(%llu > %llu) at load %dx\n",
-                  static_cast<unsigned long long>(r.shed_interactive),
-                  static_cast<unsigned long long>(r.shed_batch), level);
-      slo_ok = false;
-    }
-    if (level == 2) shed_at_top_level = r.shed_batch + r.shed_interactive;
-  }
-  json.end_array();
-  json.end_object();
-  slo_table.print(std::cout);
-  if (shed_at_top_level == 0) {
-    std::printf("SLO FAILED: no shedding observed at 2x overload — "
-                "admission control is not engaging\n");
-    slo_ok = false;
-  }
-
   json.end_object();
   json.write_file(bench::json_path("BENCH_serve.json"));
   if (load.failed != 0) {
@@ -420,8 +214,5 @@ int main() {
     return 1;
   }
   std::printf("  zero failed requests across swaps: OK\n");
-  if (!slo_ok) return 1;
-  std::printf("SLO gates: OK (interactive p99 protected, batch lane "
-              "absorbed shedding)\n");
   return 0;
 }

@@ -30,9 +30,6 @@
 //                     picks an ephemeral port; the bound port is printed)
 //     --metrics-dump  print the Prometheus scrape body to stdout at exit
 //
-// Clients rotate through the priority lanes (interactive/default/batch),
-// so the per-lane serving metrics are live in the scrape.
-//
 // The driver trains a SLIDE model on a synthetic Delicious-like XC
 // dataset (SLIDE_BENCH_SCALE widens it), checkpoints it, boots a
 // ModelStore + InferenceEngine from the checkpoint, then runs two load
@@ -113,7 +110,6 @@ Options parse(int argc, char** argv) {
 struct LoadResult {
   std::uint64_t completed = 0;
   std::uint64_t retried = 0;  // backpressure rejections (resubmitted)
-  std::uint64_t shed = 0;     // typed ShedError resolutions (lane eviction)
   std::uint64_t invalid = 0;  // empty/out-of-range results (must stay 0)
   double wall_seconds = 0.0;
 };
@@ -124,33 +120,25 @@ LoadResult run_load(InferenceEngine& engine, const Dataset& queries,
                     int clients, double seconds, int topk,
                     const std::atomic<Index>& output_dim) {
   std::atomic<bool> running{true};
-  std::atomic<std::uint64_t> completed{0}, retried{0}, shed{0}, invalid{0};
+  std::atomic<std::uint64_t> completed{0}, retried{0}, invalid{0};
   std::vector<std::thread> threads;
   WallTimer timer;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       std::size_t i = static_cast<std::size_t>(c);
-      // Rotate lanes across clients so per-lane metrics carry real traffic.
-      const Priority lane = static_cast<Priority>(c % kNumLanes);
       while (running.load(std::memory_order_relaxed)) {
         auto f = engine.submit(queries[i % queries.size()].features,
-                               {.top_k = topk, .priority = lane});
+                               {.top_k = topk});
         ++i;
         if (!f.has_value()) {
           retried.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        try {
-          const Prediction p = f->get();
-          const bool ok =
-              !p.labels.empty() &&
-              p.labels[0] < output_dim.load(std::memory_order_relaxed);
-          (ok ? completed : invalid).fetch_add(1, std::memory_order_relaxed);
-        } catch (const ShedError&) {
-          // Policy, not failure: a tiny --queue with mixed lanes evicts
-          // lower-priority requests. Count it and resubmit.
-          shed.fetch_add(1, std::memory_order_relaxed);
-        }
+        const Prediction p = f->get();
+        const bool ok =
+            !p.labels.empty() &&
+            p.labels[0] < output_dim.load(std::memory_order_relaxed);
+        (ok ? completed : invalid).fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -158,8 +146,7 @@ LoadResult run_load(InferenceEngine& engine, const Dataset& queries,
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   running.store(false);
   for (auto& t : threads) t.join();
-  return {completed.load(), retried.load(), shed.load(), invalid.load(),
-          timer.seconds()};
+  return {completed.load(), retried.load(), invalid.load(), timer.seconds()};
 }
 
 }  // namespace
@@ -273,11 +260,9 @@ int main(int argc, char** argv) {
               opt.clients, opt.seconds);
   LoadResult steady = run_load(engine, data.test, opt.clients, opt.seconds,
                                opt.topk, output_bound);
-  std::printf("  %.0f qps, %llu retried (backpressure), %llu shed, "
-              "%llu invalid\n",
+  std::printf("  %.0f qps, %llu retried (backpressure), %llu invalid\n",
               static_cast<double>(steady.completed) / steady.wall_seconds,
               static_cast<unsigned long long>(steady.retried),
-              static_cast<unsigned long long>(steady.shed),
               static_cast<unsigned long long>(steady.invalid));
 
   // 4. Phase 2: the same load with either a train-and-serve hot-swap in
@@ -339,11 +324,9 @@ int main(int argc, char** argv) {
                                 opt.topk, output_bound);
   churning.store(false);
   swapper.join();
-  std::printf("  %.0f qps, %llu retried, %llu shed, "
-              "%llu invalid (must be 0)\n",
+  std::printf("  %.0f qps, %llu retried, %llu invalid (must be 0)\n",
               static_cast<double>(swapped.completed) / swapped.wall_seconds,
               static_cast<unsigned long long>(swapped.retried),
-              static_cast<unsigned long long>(swapped.shed),
               static_cast<unsigned long long>(swapped.invalid));
 
   // 5. Report.

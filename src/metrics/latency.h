@@ -1,11 +1,13 @@
 // Thread-safe latency histogram for the serving path.
 //
 // Geometric buckets (4 per factor-of-two octave) over microseconds give
-// <~19% relative error on any reported percentile while keeping record()
-// a single relaxed atomic increment — cheap enough to sit on the
-// per-request hot path of the inference engine. Percentiles interpolate
-// inside the winning bucket, and exact min/max are tracked separately so
-// the tails never read outside the observed range.
+// <~19% relative error on any reported percentile. record() takes no lock:
+// three relaxed read-modify-writes (the bucket and count increments, the
+// floating-point add to the sum) and, for min and max, a load followed by
+// a CAS loop only when the observation is a new extreme. The inference
+// engine records each served request once. Percentiles interpolate inside
+// the winning bucket, and exact min/max are tracked separately so the
+// tails never read outside the observed range.
 #pragma once
 
 #include <array>

@@ -34,8 +34,8 @@ double evaluate_p_at_k(const Network& network, const Dataset& data,
 /// |retrieved ∩ exact_topk| / |exact_topk| (1.0 for an empty oracle —
 /// nothing to recall). Pure set overlap: `retrieved` may be any size (the
 /// caller picks its own k by truncating), duplicates in either span count
-/// once. The ANN-search example, the retrieval bench, and the serve-side
-/// adaptive-retrieval stats all report this number.
+/// once. The ANN-search example (examples/lsh_topk_search) and the
+/// retrieval bench (bench/retrieval_backends) report this number.
 double recall_at_k(std::span<const Index> retrieved,
                    std::span<const Index> exact_topk);
 

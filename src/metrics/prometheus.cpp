@@ -146,13 +146,10 @@ std::string render_prometheus(const ServeStats& stats) {
   w.sample("slide_serve_rejected_total", {},
            static_cast<double>(stats.rejected));
 
-  w.family("slide_serve_completed_total",
-           "Requests served to completion, by priority lane", "counter");
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    w.sample("slide_serve_completed_total",
-             {{"lane", to_string(static_cast<Priority>(lane))}},
-             static_cast<double>(stats.lanes[lane].completed));
-  }
+  w.family("slide_serve_completed_total", "Requests served to completion",
+           "counter");
+  w.sample("slide_serve_completed_total", {},
+           static_cast<double>(stats.completed));
 
   w.family("slide_serve_errors_total",
            "Requests failed with an exception routed into the future",
@@ -160,41 +157,9 @@ std::string render_prometheus(const ServeStats& stats) {
   w.sample("slide_serve_errors_total", {},
            static_cast<double>(stats.errors));
 
-  w.family("slide_serve_shed_total",
-           "Requests shed by deadline/overload policy, by lane and reason",
-           "counter");
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    const char* lane_name = to_string(static_cast<Priority>(lane));
-    const ServeStats::LaneStats& ls = stats.lanes[lane];
-    // All lane x reason combinations are always exported (zeros included)
-    // so rate() never sees a series appear mid-query.
-    w.sample("slide_serve_shed_total",
-             {{"lane", lane_name}, {"reason", "admission"}},
-             static_cast<double>(ls.shed_admission));
-    w.sample("slide_serve_shed_total",
-             {{"lane", lane_name}, {"reason", "evicted"}},
-             static_cast<double>(ls.shed_evicted));
-    w.sample("slide_serve_shed_total",
-             {{"lane", lane_name}, {"reason", "expired"}},
-             static_cast<double>(ls.shed_expired));
-  }
-
-  w.family("slide_serve_deadline_miss_total",
-           "Requests served to completion but past their deadline, by lane",
-           "counter");
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    w.sample("slide_serve_deadline_miss_total",
-             {{"lane", to_string(static_cast<Priority>(lane))}},
-             static_cast<double>(stats.lanes[lane].deadline_misses));
-  }
-
-  w.family("slide_serve_queue_depth",
-           "Requests currently queued, by priority lane", "gauge");
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    w.sample("slide_serve_queue_depth",
-             {{"lane", to_string(static_cast<Priority>(lane))}},
-             static_cast<double>(stats.lanes[lane].queue_depth));
-  }
+  w.family("slide_serve_queue_depth", "Requests currently queued", "gauge");
+  w.sample("slide_serve_queue_depth", {},
+           static_cast<double>(stats.queue_depth));
 
   w.family("slide_serve_batches_total", "Micro-batches dispatched",
            "counter");
@@ -216,20 +181,14 @@ std::string render_prometheus(const ServeStats& stats) {
            static_cast<double>(stats.swaps_observed));
 
   w.family("slide_serve_ewma_service_seconds",
-           "EWMA of per-request service time feeding deadline admission "
-           "control",
+           "EWMA of per-request service time, updated once per micro-batch",
            "gauge");
   w.sample("slide_serve_ewma_service_seconds", {},
            stats.ewma_service_us * 1e-6);
 
   w.family("slide_serve_latency_seconds",
-           "End-to-end request latency (submit to completion), by lane",
-           "histogram");
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    w.histogram_us("slide_serve_latency_seconds",
-                   {{"lane", to_string(static_cast<Priority>(lane))}},
-                   stats.lanes[lane].buckets);
-  }
+           "End-to-end request latency (submit to completion)", "histogram");
+  w.histogram_us("slide_serve_latency_seconds", {}, stats.latency_buckets);
 
   // Memory accounting of the served snapshot. Always exported: the
   // retriever component in particular (the LSH buckets) was the historic

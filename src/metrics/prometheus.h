@@ -5,12 +5,11 @@
 //   PromWriter           — low-level escaping/formatting writer producing
 //                          well-formed families, samples, and histograms.
 //   render_prometheus()  — the serve engine's metric surface: one call
-//                          renders a ServeStats reading (lane counters,
-//                          shed/deadline-miss counters, latency histograms,
-//                          memory and LSH table health)
-//                          as a complete scrape body. Pure function of its
-//                          input, so tests can assert on the text without
-//                          a socket.
+//                          renders a ServeStats reading (request counters,
+//                          queue depth, the latency histogram, memory and
+//                          LSH table health) as a complete scrape body.
+//                          Pure function of its input, so tests can assert
+//                          on the text without a socket.
 //   MetricsServer        — a minimal HTTP/1.0 listener on a POSIX socket
 //                          that answers every GET with the renderer's
 //                          current output. One connection at a time,

@@ -50,66 +50,12 @@ ServeRequest InferenceEngine::prepare_request(SparseVector features,
   request.features = std::move(features);
   request.top_k = options.top_k > 0 ? options.top_k : config_.default_top_k;
   request.exact = options.exact.value_or(config_.exact);
-  request.priority = options.priority;
-  request.deadline = options.deadline;
   request.enqueue_time = std::chrono::steady_clock::now();
   return request;
 }
 
-bool InferenceEngine::should_shed_at_admission(
-    const ServeRequest& request) const {
-  if (!request.has_deadline()) return false;
-  const auto now = std::chrono::steady_clock::now();
-  if (request.expired(now)) return true;
-  // Estimated queue wait: requests that will be served before this one
-  // (its lane and above), at the EWMA per-request service rate, spread
-  // across the worker pool. Until the first batch lands (ewma = 0) admit
-  // optimistically — pop-time shedding still backstops the deadline.
-  const double ewma = ewma_service_us_.load(std::memory_order_relaxed);
-  if (ewma <= 0.0) return false;
-  const double ahead =
-      static_cast<double>(queue_.depth_ahead_of(request.priority));
-  const double est_wait_us = ewma * ahead / config_.num_workers;
-  return now + std::chrono::microseconds(static_cast<long>(est_wait_us)) >=
-         request.deadline;
-}
-
-void InferenceEngine::shed(ServeRequest& request, ShedReason reason) noexcept {
-  auto& lane = lane_counters_[lane_index(request.priority)];
-  switch (reason) {
-    case ShedReason::kAdmission:
-      lane.shed_admission.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ShedReason::kQueueEvicted:
-      lane.shed_evicted.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ShedReason::kDeadlineExpired:
-      lane.shed_expired.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-  if (request.callback) return;  // documented: callback never invoked
-  try {
-    request.promise.set_exception(std::make_exception_ptr(ShedError(
-        reason, std::string("request shed (") + to_string(reason) +
-                    "): deadline/overload policy on lane " +
-                    to_string(request.priority))));
-  } catch (const std::future_error&) {
-    // Promise already satisfied — cannot happen on the shed paths (a
-    // request is shed before any fulfill), but set_exception must not
-    // throw out of a noexcept member.
-  }
-}
-
 bool InferenceEngine::enqueue(ServeRequest&& request) {
-  RequestQueue::PushOutcome outcome = queue_.try_push(std::move(request));
-  if (outcome.evicted) {
-    // A lower-priority request was bumped to make room: its future gets
-    // the typed shed error, and it stays counted as submitted (it *was*
-    // admitted; the accounting identity is
-    // completed + errors + shed_evicted + shed_expired == submitted).
-    shed(*outcome.evicted, ShedReason::kQueueEvicted);
-  }
-  if (!outcome.admitted) {
+  if (!queue_.try_push(std::move(request))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -121,13 +67,6 @@ std::optional<std::future<Prediction>> InferenceEngine::submit(
     SparseVector features, const ServeOptions& options) {
   ServeRequest request = prepare_request(std::move(features), options);
   std::future<Prediction> future = request.promise.get_future();
-  if (should_shed_at_admission(request)) {
-    // Shed, not rejected: the caller gets a future that resolves
-    // immediately with ShedError{kAdmission} — distinguishable from both
-    // backpressure (nullopt) and serving failure (other exceptions).
-    shed(request, ShedReason::kAdmission);
-    return future;
-  }
   if (!enqueue(std::move(request))) return std::nullopt;
   return future;
 }
@@ -139,13 +78,6 @@ bool InferenceEngine::submit_callback(SparseVector features,
               "InferenceEngine: callback must not be empty");
   ServeRequest request = prepare_request(std::move(features), options);
   request.callback = std::move(callback);
-  if (should_shed_at_admission(request)) {
-    // The callback path has no future to carry ShedError: the callback is
-    // simply never invoked, the shed is counted, and false tells the
-    // caller the request will not be served.
-    shed(request, ShedReason::kAdmission);
-    return false;
-  }
   return enqueue(std::move(request));
 }
 
@@ -155,8 +87,7 @@ void InferenceEngine::resume() { queue_.set_paused(false); }
 
 void InferenceEngine::stop() {
   if (stopped_.exchange(true)) return;
-  queue_.close();        // admission off; queued items still drain
-  queue_.set_paused(false);
+  queue_.close();  // admission off, pause cleared; queued items drain
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -167,13 +98,6 @@ void InferenceEngine::worker_main(int worker_id) {
   batch.reserve(static_cast<std::size_t>(config_.max_batch));
   ServeRequest request;
   while (queue_.pop(request)) {
-    // Pop-time shedding: a deadline that expired while the request sat in
-    // the queue means serving it now is pure waste — the client has given
-    // up. Shed and take the next one.
-    if (request.expired(std::chrono::steady_clock::now())) {
-      shed(request, ShedReason::kDeadlineExpired);
-      continue;
-    }
     batch.clear();
     batch.push_back(std::move(request));
     // Window closes at max_batch requests or max_wait_us after the oldest
@@ -184,10 +108,6 @@ void InferenceEngine::worker_main(int worker_id) {
     while (static_cast<int>(batch.size()) < config_.max_batch) {
       ServeRequest next;
       if (!queue_.pop_until(next, deadline)) break;
-      if (next.expired(std::chrono::steady_clock::now())) {
-        shed(next, ShedReason::kDeadlineExpired);
-        continue;
-      }
       batch.push_back(std::move(next));
     }
     serve_batch(batch, worker_id);
@@ -237,28 +157,19 @@ void InferenceEngine::serve_batch(std::vector<ServeRequest>& batch,
       Prediction result;
       result.snapshot_version = snap->version;
       result.labels.assign(labels.begin(), labels.end());
-      const auto done = std::chrono::steady_clock::now();
       result.latency_us = std::chrono::duration<double, std::micro>(
-                              done - r.enqueue_time)
+                              std::chrono::steady_clock::now() -
+                              r.enqueue_time)
                               .count();
       latency_.record(result.latency_us);
-      const int lane = lane_index(r.priority);
-      lane_latency_[lane].record(result.latency_us);
-      // Served, but late: the admission estimate under-shot. Counted so
-      // operators can see the SLO leak the shedding did not catch.
-      if (r.has_deadline() && done > r.deadline)
-        lane_counters_[lane].deadline_misses.fetch_add(
-            1, std::memory_order_relaxed);
       if (r.callback) {
         r.callback(std::move(result));
         completed_.fetch_add(1, std::memory_order_relaxed);
-        lane_counters_[lane].completed.fetch_add(1, std::memory_order_relaxed);
       } else {
         // Counted before set_value so stats() observed after the future
         // resolves always includes this request; set_value runs no user
         // code, so it cannot fail past this point.
         completed_.fetch_add(1, std::memory_order_relaxed);
-        lane_counters_[lane].completed.fetch_add(1, std::memory_order_relaxed);
         r.promise.set_value(std::move(result));
       }
     } catch (...) {
@@ -313,8 +224,7 @@ void InferenceEngine::serve_batch(std::vector<ServeRequest>& batch,
     }
   }
 
-  // Feed admission control: per-request service time of this batch folds
-  // into the EWMA behind should_shed_at_admission's queue-wait estimate.
+  // Per-request service time of this batch folds into the reported EWMA.
   const double elapsed_us = std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() -
                                 service_start)
@@ -453,20 +363,6 @@ ServeStats InferenceEngine::stats() const {
   s.latency = latency_.summary();
   s.latency_buckets = latency_.snapshot();
   s.ewma_service_us = ewma_service_us_.load(std::memory_order_relaxed);
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    ServeStats::LaneStats& ls = s.lanes[lane];
-    const LaneCounters& c = lane_counters_[lane];
-    ls.queue_depth = queue_.lane_depth(static_cast<Priority>(lane));
-    ls.completed = c.completed.load(std::memory_order_relaxed);
-    ls.shed_admission = c.shed_admission.load(std::memory_order_relaxed);
-    ls.shed_evicted = c.shed_evicted.load(std::memory_order_relaxed);
-    ls.shed_expired = c.shed_expired.load(std::memory_order_relaxed);
-    ls.deadline_misses = c.deadline_misses.load(std::memory_order_relaxed);
-    ls.latency = lane_latency_[lane].summary();
-    ls.buckets = lane_latency_[lane].snapshot();
-    s.shed_total += ls.shed_admission + ls.shed_evicted + ls.shed_expired;
-    s.deadline_misses += ls.deadline_misses;
-  }
   s.online_updates = online_enabled_.load(std::memory_order_acquire);
   s.online_update_calls = online_updates_.load(std::memory_order_relaxed);
   s.online_publishes = online_publishes_.load(std::memory_order_relaxed);
@@ -507,9 +403,6 @@ void InferenceEngine::print_stats(std::ostream& out) const {
   table.add_row({"submitted", fmt_int(static_cast<long long>(s.submitted))});
   table.add_row({"completed", fmt_int(static_cast<long long>(s.completed))});
   table.add_row({"rejected", fmt_int(static_cast<long long>(s.rejected))});
-  table.add_row({"shed", fmt_int(static_cast<long long>(s.shed_total))});
-  table.add_row({"deadline misses",
-                 fmt_int(static_cast<long long>(s.deadline_misses))});
   table.add_row({"errors", fmt_int(static_cast<long long>(s.errors))});
   table.add_row({"queue depth", fmt_int(static_cast<long long>(s.queue_depth))});
   table.add_row({"batches", fmt_int(static_cast<long long>(s.batches))});
@@ -524,20 +417,6 @@ void InferenceEngine::print_stats(std::ostream& out) const {
   table.add_row({"latency p99", fmt_latency_us(s.latency.p99_us)});
   table.add_row({"latency mean", fmt_latency_us(s.latency.mean_us)});
   table.add_row({"latency max", fmt_latency_us(s.latency.max_us)});
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    const ServeStats::LaneStats& ls = s.lanes[lane];
-    const std::uint64_t shed =
-        ls.shed_admission + ls.shed_evicted + ls.shed_expired;
-    if (ls.completed == 0 && shed == 0 && ls.queue_depth == 0) continue;
-    const std::string prefix = std::string("lane ") +
-                               to_string(static_cast<Priority>(lane));
-    table.add_row({prefix + " completed",
-                   fmt_int(static_cast<long long>(ls.completed))});
-    table.add_row({prefix + " shed", fmt_int(static_cast<long long>(shed))});
-    table.add_row({prefix + " deadline misses",
-                   fmt_int(static_cast<long long>(ls.deadline_misses))});
-    table.add_row({prefix + " p99", fmt_latency_us(ls.latency.p99_us)});
-  }
   for (const ServeStats::LshTables& t : s.lsh_tables) {
     const std::string layer = "layer " + std::to_string(t.layer);
     table.add_row({layer + " bucket occupancy", fmt(t.occupancy, 4)});

@@ -1,18 +1,18 @@
 // Concurrent inference engine: bounded admission, adaptive micro-batching,
-// hot-swappable snapshots, SLO-aware shedding.
+// hot-swappable snapshots.
 //
 // Shape of the system (cf. "Accelerating SLIDE Deep Learning on Modern
 // CPUs", 2021 — on CPUs, batching and memory placement decide serving
 // throughput):
 //
-//   clients --> submit --> [3-lane RequestQueue] --> N workers
-//                 |          interactive>default>batch  |  drain up to
-//                 |  (full)        |                    |  max_batch, or
-//                 +--> rejected    | (deadline passed   |  until the oldest
-//                 |  (hopeless     |  while queued)     |  waits max_wait_us
-//                 |   deadline)    v                    v
-//                 +--> shed      shed       snapshot = store->current()
-//                                           predict_topk per request
+//   clients --> submit --> [FIFO RequestQueue] --> N workers
+//                 |                                  |  drain up to
+//                 |  (full)                          |  max_batch, or
+//                 +--> rejected                      |  until the oldest
+//                                                    |  waits max_wait_us
+//                                                    v
+//                                           snapshot = store->current()
+//                                           predict_batch per group
 //                                           fulfill future / callback
 //
 // Adaptive micro-batching: a worker takes one request (blocking), then
@@ -27,16 +27,6 @@
 // requested top_k/exact, since those change the shape of the answer), and
 // the per-worker BatchOutput scratch is reused across batches (its
 // contexts are rebuilt only when a swap changes the architecture).
-//
-// SLO awareness: every request may carry an absolute deadline and a
-// priority lane (ServeOptions). The queue pops strict-priority; a full
-// queue evicts batch work to admit interactive work. Requests whose
-// deadline cannot be met are shed — at admission (deadline already past,
-// or the EWMA of recent per-request service times says the queue wait
-// alone exceeds it) or at pop time (deadline expired while queued). A
-// shed request's future resolves with the typed ShedError (never hangs),
-// distinct from a serving failure; sheds are counted per lane and reason,
-// never as errors.
 //
 // Thread-safety contract with the model: predict_batch is safe for any
 // number of concurrent readers while no writer is active (see
@@ -79,18 +69,12 @@ struct ServeConfig {
 
 /// Per-request serving options — everything submit() accepts beyond the
 /// feature vector, set by designated initializers:
-///   engine.submit(x, {.top_k = 3, .priority = Priority::kInteractive});
+///   engine.submit(x, {.top_k = 3, .exact = true});
 struct ServeOptions {
   /// 0 = ServeConfig::default_top_k; negative is rejected at admission.
   int top_k = 0;
   /// Overrides ServeConfig::exact when set.
   std::optional<bool> exact = std::nullopt;
-  /// Priority lane (strict: interactive > default > batch).
-  Priority priority = Priority::kDefault;
-  /// Absolute SLO deadline; kNoDeadline = serve no matter how long it
-  /// takes. A request that cannot meet its deadline is shed with the typed
-  /// ShedError instead of served late.
-  std::chrono::steady_clock::time_point deadline = kNoDeadline;
 };
 
 /// Policy knobs for the online-update path (enable_online_updates).
@@ -134,30 +118,12 @@ struct ServeStats {
   std::uint64_t swaps_observed = 0;    // version changes seen by workers
   LatencyHistogram::Summary latency;   // end-to-end, microseconds
   LatencyHistogram::Snapshot latency_buckets;  // full distribution
-
-  /// Per-lane SLO accounting. Indexed by lane_index(Priority).
-  struct LaneStats {
-    std::size_t queue_depth = 0;
-    std::uint64_t completed = 0;
-    /// Shed at admission: deadline already past, or the EWMA queue-wait
-    /// estimate said it could not be met. Never enqueued, never counted
-    /// as submitted.
-    std::uint64_t shed_admission = 0;
-    /// Evicted from the full queue by a higher-priority admission.
-    std::uint64_t shed_evicted = 0;
-    /// Deadline expired while queued; dropped at pop time.
-    std::uint64_t shed_expired = 0;
-    /// Served to completion, but past the deadline (the SLO leak the
-    /// admission estimate did not catch).
-    std::uint64_t deadline_misses = 0;
-    LatencyHistogram::Summary latency;
-    LatencyHistogram::Snapshot buckets;
-  };
-  LaneStats lanes[kNumLanes];
-  std::uint64_t shed_total = 0;      // all lanes, all reasons
-  std::uint64_t deadline_misses = 0; // all lanes
-  /// EWMA of per-request service time feeding admission control; 0 until
-  /// the first batch completes.
+  /// Always 0: the engine sheds nothing (a full queue rejects at
+  /// admission, counted in `rejected`). Kept for readers that still
+  /// report it.
+  std::uint64_t shed_total = 0;
+  /// EWMA of per-request service time, folded in once per micro-batch; 0
+  /// until the first batch completes. Reported only: admission ignores it.
   double ewma_service_us = 0.0;
 
   /// LSH table health of the current snapshot, one entry per stack layer
@@ -200,20 +166,16 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Submits a request; the future resolves when a worker completes it
-  /// (with the result, or with the exception the worker hit serving it,
-  /// or — when the request is shed by deadline/overload policy — with a
-  /// slide::ShedError carrying the shed reason; shed futures never hang).
-  /// nullopt = rejected by backpressure (queue full of same-or-higher
-  /// priority work, or engine stopped). Throws slide::Error at admission
-  /// when a feature index exceeds the served model's input dimension or
-  /// top_k is negative.
+  /// (with the result, or with the exception the worker hit serving it).
+  /// nullopt = rejected by backpressure (queue full, or engine stopped).
+  /// Throws slide::Error at admission when a feature index exceeds the
+  /// served model's input dimension or top_k is negative.
   std::optional<std::future<Prediction>> submit(
       SparseVector features, const ServeOptions& options = {});
 
   /// Callback flavor: `callback` runs on the worker thread that served the
-  /// request (keep it light). False = not served: rejected by backpressure
-  /// OR shed at admission (stats() distinguishes). A shed callback request
-  /// never invokes the callback.
+  /// request (keep it light). False = rejected by backpressure; the
+  /// callback is then never invoked.
   bool submit_callback(SparseVector features,
                        std::function<void(Prediction)> callback,
                        const ServeOptions& options = {});
@@ -274,16 +236,8 @@ class InferenceEngine {
   /// defaults + enqueue time.
   ServeRequest prepare_request(SparseVector features,
                                const ServeOptions& options);
-  /// Deadline admission control: true when the request should be shed
-  /// before enqueueing (deadline already past, or EWMA queue-wait estimate
-  /// exceeds the remaining budget).
-  bool should_shed_at_admission(const ServeRequest& request) const;
-  /// Pushes or rejects (backpressure), keeping the counters in step and
-  /// shedding any lower-priority request the push evicted.
+  /// Pushes or rejects (backpressure), keeping the counters in step.
   bool enqueue(ServeRequest&& request);
-  /// Resolves a shed request's future with ShedError and counts it per
-  /// lane/reason. Sheds are policy, not failure: errors_ is untouched.
-  void shed(ServeRequest& request, ShedReason reason) noexcept;
 
   void worker_main(int worker_id);
   void serve_batch(std::vector<ServeRequest>& batch, int worker_id);
@@ -292,7 +246,7 @@ class InferenceEngine {
   std::uint64_t publish_master_locked();
   /// Routes an error into the request's future and counts it.
   void fail(ServeRequest& request, std::exception_ptr error) noexcept;
-  /// Folds one batch's per-request service time into the admission EWMA.
+  /// Folds one batch's per-request service time into the reported EWMA.
   void update_service_ewma(double per_request_us) noexcept;
 
   ServeConfig config_;
@@ -310,14 +264,6 @@ class InferenceEngine {
     std::vector<char> served;
   };
   std::vector<WorkerState> worker_state_;
-
-  struct LaneCounters {
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> shed_admission{0};
-    std::atomic<std::uint64_t> shed_evicted{0};
-    std::atomic<std::uint64_t> shed_expired{0};
-    std::atomic<std::uint64_t> deadline_misses{0};
-  };
 
   // Online-update state, all behind online_mutex_ except the atomics
   // (read lock-free by stats()).
@@ -339,8 +285,6 @@ class InferenceEngine {
   std::atomic<Index> published_appended_{0};
 
   LatencyHistogram latency_;
-  LatencyHistogram lane_latency_[kNumLanes];
-  LaneCounters lane_counters_[kNumLanes];
   std::atomic<double> ewma_service_us_{0.0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_{0};

@@ -2,76 +2,18 @@
 
 namespace slide {
 
-const char* to_string(Priority p) noexcept {
-  switch (p) {
-    case Priority::kInteractive:
-      return "interactive";
-    case Priority::kDefault:
-      return "default";
-    case Priority::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
-const char* to_string(ShedReason r) noexcept {
-  switch (r) {
-    case ShedReason::kAdmission:
-      return "admission";
-    case ShedReason::kQueueEvicted:
-      return "evicted";
-    case ShedReason::kDeadlineExpired:
-      return "expired";
-  }
-  return "unknown";
-}
-
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
   SLIDE_CHECK(capacity > 0, "RequestQueue: capacity must be positive");
 }
 
-RequestQueue::PushOutcome RequestQueue::try_push(ServeRequest&& request) {
-  PushOutcome outcome;
+bool RequestQueue::try_push(ServeRequest&& request) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) return outcome;
-    if (size_ >= capacity_) {
-      // Full. A higher-priority arrival may still be admitted by bumping
-      // the *youngest* request of the *lowest*-priority occupied lane:
-      // youngest because it has the least sunk queue time, lowest lane
-      // because strict priority would serve it last anyway.
-      int victim = -1;
-      for (int lane = kNumLanes - 1; lane > lane_index(request.priority);
-           --lane) {
-        if (!lanes_[lane].empty()) {
-          victim = lane;
-          break;
-        }
-      }
-      if (victim < 0) return outcome;  // backpressure
-      outcome.evicted.emplace(std::move(lanes_[victim].back()));
-      lanes_[victim].pop_back();
-      --size_;
-    }
-    lanes_[lane_index(request.priority)].push_back(std::move(request));
-    ++size_;
-    outcome.admitted = true;
+    if (closed_ || items_.size() >= capacity_) return false;
+    items_.push_back(std::move(request));
   }
   not_empty_.notify_one();
-  return outcome;
-}
-
-ServeRequest RequestQueue::pop_front_locked() {
-  for (int lane = 0; lane < kNumLanes; ++lane) {
-    if (!lanes_[lane].empty()) {
-      ServeRequest item = std::move(lanes_[lane].front());
-      lanes_[lane].pop_front();
-      --size_;
-      return item;
-    }
-  }
-  SLIDE_CHECK(false, "RequestQueue: pop from empty queue");
-  return {};  // unreachable
+  return true;
 }
 
 bool RequestQueue::pop(ServeRequest& out) {
@@ -79,8 +21,9 @@ bool RequestQueue::pop(ServeRequest& out) {
   not_empty_.wait(lock, [&] { return poppable_locked() || closed_; });
   // On close, remaining items still drain (close() clears pause so
   // shutdown cannot deadlock behind a paused queue).
-  if (size_ == 0 || paused_) return false;
-  out = pop_front_locked();
+  if (items_.empty() || paused_) return false;
+  out = std::move(items_.front());
+  items_.pop_front();
   return true;
 }
 
@@ -89,8 +32,9 @@ bool RequestQueue::pop_until(ServeRequest& out,
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait_until(lock, deadline,
                         [&] { return poppable_locked() || closed_; });
-  if (paused_ || size_ == 0) return false;  // timed out, paused, or drained
-  out = pop_front_locked();
+  if (paused_ || items_.empty()) return false;  // timed out, paused, or drained
+  out = std::move(items_.front());
+  items_.pop_front();
   return true;
 }
 
@@ -104,11 +48,6 @@ void RequestQueue::close() {
   not_empty_.notify_all();
 }
 
-bool RequestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 void RequestQueue::set_paused(bool paused) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -120,21 +59,7 @@ void RequestQueue::set_paused(bool paused) {
 
 std::size_t RequestQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return size_;
-}
-
-std::size_t RequestQueue::lane_depth(Priority lane) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lanes_[lane_index(lane)].size();
-}
-
-std::size_t RequestQueue::depth_ahead_of(Priority priority) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t ahead = 0;
-  for (int lane = 0; lane <= lane_index(priority); ++lane) {
-    ahead += lanes_[lane].size();
-  }
-  return ahead;
+  return items_.size();
 }
 
 }  // namespace slide

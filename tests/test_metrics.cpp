@@ -288,39 +288,36 @@ TEST(PromWriter, HistogramBucketsAreCumulativeAndCountMatchesInf) {
               1e-6);
 }
 
-TEST(RenderPrometheus, ExposesServeFamiliesWithAllLaneSeries) {
+TEST(RenderPrometheus, ExposesServeFamiliesWithoutLanes) {
   ServeStats stats;
   stats.submitted = 100;
   stats.rejected = 3;
+  stats.completed = 60;
   stats.errors = 1;
-  stats.lanes[lane_index(Priority::kInteractive)].completed = 60;
-  stats.lanes[lane_index(Priority::kBatch)].shed_expired = 7;
-  stats.lanes[lane_index(Priority::kBatch)].queue_depth = 4;
-  stats.lanes[lane_index(Priority::kDefault)].deadline_misses = 2;
+  stats.queue_depth = 4;
+  LatencyHistogram hist;
+  hist.record(150.0);
+  hist.record(900.0);
+  stats.latency_buckets = hist.snapshot();
   const std::string text = render_prometheus(stats);
 
   EXPECT_NE(text.find("# TYPE slide_serve_submitted_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("slide_serve_submitted_total 100"), std::string::npos);
-  EXPECT_NE(
-      text.find("slide_serve_completed_total{lane=\"interactive\"} 60"),
-      std::string::npos);
-  EXPECT_NE(text.find(
-                "slide_serve_shed_total{lane=\"batch\",reason=\"expired\"} 7"),
+  EXPECT_NE(text.find("\nslide_serve_completed_total 60\n"),
             std::string::npos);
-  // Zero-valued series are exported too (no appearing-mid-query gaps).
-  EXPECT_NE(
-      text.find(
-          "slide_serve_shed_total{lane=\"interactive\",reason=\"admission\"} 0"),
-      std::string::npos);
-  EXPECT_NE(text.find("slide_serve_queue_depth{lane=\"batch\"} 4"),
+  EXPECT_NE(text.find("\nslide_serve_queue_depth 4\n"), std::string::npos);
+  // The one latency histogram is the engine's latency_buckets.
+  EXPECT_NE(text.find("# TYPE slide_serve_latency_seconds histogram"),
             std::string::npos);
   EXPECT_NE(
-      text.find("slide_serve_deadline_miss_total{lane=\"default\"} 2"),
+      text.find("\nslide_serve_latency_seconds_bucket{le=\"+Inf\"} 2\n"),
       std::string::npos);
-  EXPECT_NE(
-      text.find("slide_serve_latency_seconds_bucket{lane=\"default\",le="),
-      std::string::npos);
+  EXPECT_NE(text.find("\nslide_serve_latency_seconds_count 2\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("lane="), std::string::npos);
+  EXPECT_EQ(text.find("slide_serve_shed_total"), std::string::npos);
+  EXPECT_EQ(text.find("slide_serve_deadline_miss_total"), std::string::npos);
 }
 
 TEST(RenderPrometheus, CountersAreMonotonicAcrossReadings) {
@@ -330,10 +327,10 @@ TEST(RenderPrometheus, CountersAreMonotonicAcrossReadings) {
   // relies on.
   ServeStats before;
   before.submitted = 10;
-  before.lanes[0].completed = 5;
+  before.completed = 5;
   ServeStats after = before;
   after.submitted = 25;
-  after.lanes[0].completed = 11;
+  after.completed = 11;
   const std::string t0 = render_prometheus(before);
   const std::string t1 = render_prometheus(after);
   auto value_of = [](const std::string& text, const std::string& series) {
@@ -344,8 +341,8 @@ TEST(RenderPrometheus, CountersAreMonotonicAcrossReadings) {
   };
   EXPECT_LE(value_of(t0, "slide_serve_submitted_total"),
             value_of(t1, "slide_serve_submitted_total"));
-  EXPECT_LE(value_of(t0, "slide_serve_completed_total{lane=\"interactive\"}"),
-            value_of(t1, "slide_serve_completed_total{lane=\"interactive\"}"));
+  EXPECT_LE(value_of(t0, "slide_serve_completed_total"),
+            value_of(t1, "slide_serve_completed_total"));
 }
 
 TEST(MetricsServer, ServesScrapeOverHttp) {

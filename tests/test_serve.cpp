@@ -72,32 +72,12 @@ std::shared_ptr<const Network> trained_network(const SyntheticDataset& data,
   return trained_network(planted_config(data), data, iterations);
 }
 
-ServeRequest make_request(const SparseVector& x, int k = 3,
-                          Priority priority = Priority::kDefault,
-                          std::chrono::steady_clock::time_point deadline =
-                              kNoDeadline) {
+ServeRequest make_request(const SparseVector& x, int k = 3) {
   ServeRequest r;
   r.features = x;
   r.top_k = k;
-  r.priority = priority;
-  r.deadline = deadline;
   r.enqueue_time = std::chrono::steady_clock::now();
   return r;
-}
-
-/// future.get() wrapped so tests can assert on the shed taxonomy.
-enum class Outcome { kServed, kShed, kFailed };
-Outcome outcome_of(std::future<Prediction>& f,
-                   ShedReason* reason = nullptr) {
-  try {
-    f.get();
-    return Outcome::kServed;
-  } catch (const ShedError& e) {
-    if (reason != nullptr) *reason = e.reason();
-    return Outcome::kShed;
-  } catch (...) {
-    return Outcome::kFailed;
-  }
 }
 
 // ---- RequestQueue ---------------------------------------------------------
@@ -148,68 +128,26 @@ TEST(RequestQueue, PauseHoldsPopsButAdmits) {
       queue.pop_until(out, std::chrono::steady_clock::now() + 100ms));
 }
 
-TEST(RequestQueue, StrictPriorityPopOrder) {
+TEST(RequestQueue, FifoPopOrder) {
   const auto data = planted();
   RequestQueue queue(8);
-  // Enqueue in inverse priority order; pops must come out strict-priority,
-  // FIFO within a lane.
-  ASSERT_TRUE(queue.try_push(make_request(data.test[0].features, 1,
-                                          Priority::kBatch)));
-  ASSERT_TRUE(queue.try_push(make_request(data.test[1].features, 2,
-                                          Priority::kDefault)));
-  ASSERT_TRUE(queue.try_push(make_request(data.test[2].features, 3,
-                                          Priority::kInteractive)));
-  ASSERT_TRUE(queue.try_push(make_request(data.test[3].features, 4,
-                                          Priority::kInteractive)));
-  EXPECT_EQ(queue.lane_depth(Priority::kInteractive), 2u);
-  EXPECT_EQ(queue.lane_depth(Priority::kDefault), 1u);
-  EXPECT_EQ(queue.lane_depth(Priority::kBatch), 1u);
-  // A new interactive arrival waits behind its own lane only; a batch
-  // arrival waits behind everything.
-  EXPECT_EQ(queue.depth_ahead_of(Priority::kInteractive), 2u);
-  EXPECT_EQ(queue.depth_ahead_of(Priority::kDefault), 3u);
-  EXPECT_EQ(queue.depth_ahead_of(Priority::kBatch), 4u);
+  // Pops come out in arrival order, through pop and pop_until alike, and
+  // a push between pops joins the back of the line.
+  for (int k = 1; k <= 3; ++k)
+    ASSERT_TRUE(queue.try_push(
+        make_request(data.test[static_cast<std::size_t>(k)].features, k)));
+  EXPECT_EQ(queue.depth(), 3u);
   ServeRequest out;
   ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.top_k, 3);  // interactive, oldest first
+  EXPECT_EQ(out.top_k, 1);
+  ASSERT_TRUE(queue.try_push(make_request(data.test[4].features, 4)));
+  ASSERT_TRUE(queue.pop_until(out, std::chrono::steady_clock::now()));
+  EXPECT_EQ(out.top_k, 2);
+  ASSERT_TRUE(queue.pop(out));
+  EXPECT_EQ(out.top_k, 3);
   ASSERT_TRUE(queue.pop(out));
   EXPECT_EQ(out.top_k, 4);
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.top_k, 2);  // then default
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.top_k, 1);  // batch last
-}
-
-TEST(RequestQueue, FullQueueEvictsLowestPriorityForHigherArrival) {
-  const auto data = planted();
-  RequestQueue queue(2);
-  ASSERT_TRUE(queue.try_push(make_request(data.test[0].features, 1,
-                                          Priority::kBatch)));
-  ASSERT_TRUE(queue.try_push(make_request(data.test[1].features, 2,
-                                          Priority::kBatch)));
-  // Same priority does not evict: backpressure.
-  auto same = queue.try_push(make_request(data.test[2].features, 3,
-                                          Priority::kBatch));
-  EXPECT_FALSE(same);
-  EXPECT_FALSE(same.evicted.has_value());
-  // Higher priority bumps the *youngest* batch request (top_k 2).
-  auto bumped = queue.try_push(make_request(data.test[3].features, 4,
-                                            Priority::kInteractive));
-  EXPECT_TRUE(bumped);
-  ASSERT_TRUE(bumped.evicted.has_value());
-  EXPECT_EQ(bumped.evicted->top_k, 2);
-  EXPECT_EQ(queue.depth(), 2u);
-  EXPECT_EQ(queue.lane_depth(Priority::kInteractive), 1u);
-  EXPECT_EQ(queue.lane_depth(Priority::kBatch), 1u);
-  // With {interactive, batch} queued, a default arrival evicts the batch
-  // one; once only same-or-higher work remains, it is backpressure again.
-  auto def = queue.try_push(make_request(data.test[4].features, 5,
-                                         Priority::kDefault));
-  EXPECT_TRUE(def);
-  ASSERT_TRUE(def.evicted.has_value());
-  EXPECT_EQ(def.evicted->top_k, 1);
-  EXPECT_FALSE(queue.try_push(make_request(data.test[5].features, 6,
-                                           Priority::kDefault)));
+  EXPECT_EQ(queue.depth(), 0u);
 }
 
 // ---- LatencyHistogram -----------------------------------------------------
@@ -946,7 +884,7 @@ TEST(InferenceEngine, HotSwapUnderLoadReturnsOnlyValidResults) {
   InferenceEngine engine(store, cfg);
 
   std::atomic<bool> running{true};
-  std::atomic<std::uint64_t> ok{0}, bad{0};
+  std::atomic<std::uint64_t> ok{0}, bad{0}, hung{0};
   std::set<std::uint64_t> versions_seen;
   std::mutex versions_mutex;
   std::vector<std::thread> clients;
@@ -959,6 +897,10 @@ TEST(InferenceEngine, HotSwapUnderLoadReturnsOnlyValidResults) {
                           {.top_k = 3});
         ++i;
         if (!f.has_value()) continue;  // backpressure: retry
+        if (f->wait_for(10s) != std::future_status::ready) {
+          hung.fetch_add(1);  // a future that never resolves is fatal
+          return;
+        }
         Prediction p = f->get();
         const bool valid =
             !p.labels.empty() &&
@@ -980,12 +922,16 @@ TEST(InferenceEngine, HotSwapUnderLoadReturnsOnlyValidResults) {
   for (auto& t : clients) t.join();
   engine.stop();
 
+  EXPECT_EQ(hung.load(), 0u);
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_GT(ok.load(), 0u);
   EXPECT_EQ(store->version(), 4u);
   // Traffic spanned at least one swap boundary.
   EXPECT_GE(versions_seen.size(), 2u);
-  EXPECT_GE(engine.stats().swaps_observed, 1u);
+  const ServeStats stats = engine.stats();
+  EXPECT_GE(stats.swaps_observed, 1u);
+  // Drained: every admitted request was either served or failed.
+  EXPECT_EQ(stats.completed + stats.errors, stats.submitted);
 }
 
 TEST(InferenceEngine, SwapPreservingWeightsPreservesExactResults) {
@@ -1011,206 +957,16 @@ TEST(InferenceEngine, SwapPreservingWeightsPreservesExactResults) {
   EXPECT_EQ(p.snapshot_version, 2u);
 }
 
-// ---- SLO-aware serving: deadlines, lanes, shedding ------------------------
-
-TEST(InferenceEngine, PastDeadlineIsShedAtAdmissionWithTypedError) {
+TEST(InferenceEngine, WorkerRevalidatesAgainstTheServingSnapshot) {
+  // Admission validates against the snapshot current at submit; a hot-swap
+  // to a narrower model before the worker picks the request up must fail
+  // it with slide::Error instead of reading past the new model's input.
   const auto data = planted();
   auto store = std::make_shared<ModelStore>(trained_network(data, 20));
   ServeConfig cfg;
   cfg.num_workers = 1;
   InferenceEngine engine(store, cfg);
 
-  ServeOptions opts;
-  opts.deadline = std::chrono::steady_clock::now() - 1ms;  // already hopeless
-  auto f = engine.submit(data.test[0].features, opts);
-  ASSERT_TRUE(f.has_value());  // shed != backpressure: the future exists...
-  ASSERT_EQ(f->wait_for(0s), std::future_status::ready);  // ...and never hangs
-  ShedReason reason{};
-  EXPECT_EQ(outcome_of(*f, &reason), Outcome::kShed);
-  EXPECT_EQ(reason, ShedReason::kAdmission);
-
-  // The callback flavor reports the shed as false and never calls back.
-  std::atomic<int> called{0};
-  EXPECT_FALSE(engine.submit_callback(
-      data.test[1].features, [&](Prediction) { called.fetch_add(1); },
-      opts));
-  engine.stop();
-  EXPECT_EQ(called.load(), 0);
-
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 0u);  // never admitted
-  EXPECT_EQ(stats.rejected, 0u);   // and not backpressure either
-  EXPECT_EQ(stats.errors, 0u);     // sheds are policy, not failure
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kDefault)].shed_admission, 2u);
-  EXPECT_EQ(stats.shed_total, 2u);
-}
-
-TEST(InferenceEngine, EwmaAdmissionShedsWhenQueueWaitExceedsDeadline) {
-  const auto data = planted();
-  auto store = std::make_shared<ModelStore>(trained_network(data, 20));
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  cfg.max_batch = 16;
-  InferenceEngine engine(store, cfg);
-
-  // Train the service-time EWMA on real traffic first.
-  std::vector<std::future<Prediction>> warmup;
-  for (int i = 0; i < 20; ++i) {
-    auto f = engine.submit(data.test[static_cast<std::size_t>(i)].features);
-    ASSERT_TRUE(f.has_value());
-    warmup.push_back(std::move(*f));
-  }
-  for (auto& f : warmup) f.get();
-  const double ewma = engine.stats().ewma_service_us;
-  EXPECT_GT(ewma, 0.0);        // sanity: the estimate exists...
-  EXPECT_LT(ewma, 10'000'000.0);  // ...and is not absurd (< 10s/request)
-
-  // Stack up a backlog the deadline cannot possibly clear: with >= 1000
-  // requests ahead at >= ewma us each, a 1ms budget is hopeless.
-  engine.pause();
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(
-        engine.submit(data.test[static_cast<std::size_t>(i % 100)].features)
-            .has_value());
-  }
-  ServeOptions tight;
-  tight.deadline = std::chrono::steady_clock::now() + 1ms;
-  auto f = engine.submit(data.test[0].features, tight);
-  ASSERT_TRUE(f.has_value());
-  ASSERT_EQ(f->wait_for(0s), std::future_status::ready);
-  ShedReason reason{};
-  EXPECT_EQ(outcome_of(*f, &reason), Outcome::kShed);
-  EXPECT_EQ(reason, ShedReason::kAdmission);
-  engine.stop();  // drains the backlog
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.completed, 1020u);
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kDefault)].shed_admission, 1u);
-}
-
-TEST(InferenceEngine, DeadlineExpiringInQueueIsShedAtPopTime) {
-  const auto data = planted();
-  auto store = std::make_shared<ModelStore>(trained_network(data, 20));
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  InferenceEngine engine(store, cfg);
-
-  engine.pause();  // hold the worker so the deadline expires *in the queue*
-  ServeOptions opts;
-  opts.deadline = std::chrono::steady_clock::now() + 5ms;
-  auto f = engine.submit(data.test[0].features, opts);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_NE(f->wait_for(0s), std::future_status::ready);  // admitted, queued
-  std::this_thread::sleep_for(20ms);
-  engine.resume();
-  ASSERT_EQ(f->wait_for(5s), std::future_status::ready);
-  ShedReason reason{};
-  EXPECT_EQ(outcome_of(*f, &reason), Outcome::kShed);
-  EXPECT_EQ(reason, ShedReason::kDeadlineExpired);
-  engine.stop();
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 1u);  // it *was* admitted
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kDefault)].shed_expired, 1u);
-  EXPECT_EQ(stats.deadline_misses, 0u);  // shed, not served late
-}
-
-TEST(InferenceEngine, StrictLaneOrderingUnderSaturatedQueue) {
-  const auto data = planted();
-  auto store = std::make_shared<ModelStore>(trained_network(data, 20));
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  cfg.max_batch = 1;    // serve strictly one at a time...
-  cfg.max_wait_us = 0;  // ...with no batching window
-  InferenceEngine engine(store, cfg);
-
-  std::mutex order_mutex;
-  std::vector<Priority> order;
-  auto record = [&](Priority p) {
-    return [&, p](Prediction) {
-      std::lock_guard<std::mutex> lock(order_mutex);
-      order.push_back(p);
-    };
-  };
-  engine.pause();
-  // Enqueued worst-first; a saturated queue must still drain interactive >
-  // default > batch.
-  for (Priority p : {Priority::kBatch, Priority::kBatch, Priority::kDefault,
-                     Priority::kDefault, Priority::kInteractive,
-                     Priority::kInteractive}) {
-    ServeOptions opts;
-    opts.priority = p;
-    ASSERT_TRUE(engine.submit_callback(
-        data.test[order.size()].features, record(p), opts));
-  }
-  engine.resume();
-  engine.stop();  // drains everything in lane order
-  ASSERT_EQ(order.size(), 6u);
-  EXPECT_EQ(order[0], Priority::kInteractive);
-  EXPECT_EQ(order[1], Priority::kInteractive);
-  EXPECT_EQ(order[2], Priority::kDefault);
-  EXPECT_EQ(order[3], Priority::kDefault);
-  EXPECT_EQ(order[4], Priority::kBatch);
-  EXPECT_EQ(order[5], Priority::kBatch);
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kInteractive)].completed, 2u);
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kBatch)].completed, 2u);
-}
-
-TEST(InferenceEngine, EvictedRequestResolvesWithTypedShedError) {
-  const auto data = planted();
-  auto store = std::make_shared<ModelStore>(trained_network(data, 20));
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  cfg.queue_capacity = 2;
-  InferenceEngine engine(store, cfg);
-
-  engine.pause();
-  ServeOptions batch_opts;
-  batch_opts.priority = Priority::kBatch;
-  auto victim1 = engine.submit(data.test[0].features, batch_opts);
-  auto victim2 = engine.submit(data.test[1].features, batch_opts);
-  ASSERT_TRUE(victim1.has_value());
-  ASSERT_TRUE(victim2.has_value());
-  ServeOptions urgent;
-  urgent.priority = Priority::kInteractive;
-  auto vip = engine.submit(data.test[2].features, urgent);
-  ASSERT_TRUE(vip.has_value());
-  // The youngest batch request was bumped and its future resolved at once.
-  ASSERT_EQ(victim2->wait_for(0s), std::future_status::ready);
-  ShedReason reason{};
-  EXPECT_EQ(outcome_of(*victim2, &reason), Outcome::kShed);
-  EXPECT_EQ(reason, ShedReason::kQueueEvicted);
-  engine.stop();
-  EXPECT_EQ(outcome_of(*victim1), Outcome::kServed);
-  EXPECT_EQ(outcome_of(*vip), Outcome::kServed);
-  const ServeStats stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.lanes[lane_index(Priority::kBatch)].shed_evicted, 1u);
-  // Accounting identity after drain:
-  EXPECT_EQ(stats.completed + stats.errors + stats.shed_total,
-            stats.submitted);
-}
-
-TEST(InferenceEngine, ShedIsDistinguishableFromServingFailure) {
-  const auto data = planted();
-  auto network = trained_network(data, 20);
-  auto store = std::make_shared<ModelStore>(network);
-  ServeConfig cfg;
-  cfg.num_workers = 1;
-  InferenceEngine engine(store, cfg);
-
-  // A shed future throws ShedError (which IS-A slide::Error)...
-  ServeOptions hopeless;
-  hopeless.deadline = std::chrono::steady_clock::now() - 1ms;
-  auto shed_f = engine.submit(data.test[0].features, hopeless);
-  ASSERT_TRUE(shed_f.has_value());
-  EXPECT_EQ(outcome_of(*shed_f), Outcome::kShed);
-
-  // ...while a serving failure throws a non-shed error. Force one by
-  // hot-swapping to a narrower model between admission and service: the
-  // worker's re-validation fails the request.
   engine.pause();
   auto doomed = engine.submit(data.test[0].features);
   ASSERT_TRUE(doomed.has_value());
@@ -1224,75 +980,11 @@ TEST(InferenceEngine, ShedIsDistinguishableFromServingFailure) {
   store->publish(trained_network(narrow_data, 5));
   engine.resume();
   ASSERT_EQ(doomed->wait_for(10s), std::future_status::ready);
-  EXPECT_EQ(outcome_of(*doomed), Outcome::kFailed);  // Error, not ShedError
+  EXPECT_THROW(doomed->get(), Error);
   engine.stop();
   const ServeStats stats = engine.stats();
   EXPECT_EQ(stats.errors, 1u);
-  EXPECT_EQ(stats.shed_total, 1u);
-}
-
-TEST(InferenceEngine, HotSwapUnderSheddingStressNeverHangsAFuture) {
-  // The everything-at-once stress: tight deadlines, mixed lanes, a queue
-  // small enough to evict, and snapshot publishes mid-flight. Every future
-  // must resolve (served, shed, or failed — never hang), and the ledger
-  // must balance.
-  const auto data = planted();
-  auto network = trained_network(data);
-  auto store = std::make_shared<ModelStore>(network);
-  ServeConfig cfg;
-  cfg.num_workers = 2;
-  cfg.max_batch = 4;
-  cfg.queue_capacity = 32;
-  InferenceEngine engine(store, cfg);
-
-  std::atomic<std::uint64_t> served{0}, shed{0}, failed{0};
-  std::atomic<bool> running{true};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([&, c] {
-      std::size_t i = static_cast<std::size_t>(c);
-      while (running.load()) {
-        ServeOptions opts;
-        opts.priority = static_cast<Priority>(i % kNumLanes);
-        if (i % 2 == 0)
-          opts.deadline = std::chrono::steady_clock::now() + 3ms;
-        auto f = engine.submit(data.test[i % data.test.size()].features,
-                               opts);
-        ++i;
-        if (!f.has_value()) continue;  // backpressure
-        if (f->wait_for(10s) != std::future_status::ready) {
-          failed.fetch_add(1000000);  // poison the count: a hang is fatal
-          return;
-        }
-        switch (outcome_of(*f)) {
-          case Outcome::kServed: served.fetch_add(1); break;
-          case Outcome::kShed: shed.fetch_add(1); break;
-          case Outcome::kFailed: failed.fetch_add(1); break;
-        }
-      }
-    });
-  }
-  for (int swap = 0; swap < 3; ++swap) {
-    std::this_thread::sleep_for(30ms);
-    publish_clone(*store, *network, /*rebuild_threads=*/1);
-  }
-  std::this_thread::sleep_for(30ms);
-  running.store(false);
-  for (auto& t : clients) t.join();
-  engine.stop();
-
-  EXPECT_GT(served.load(), 0u);
-  EXPECT_EQ(failed.load(), 0u);
-  const ServeStats stats = engine.stats();
-  // Admission sheds are not submitted; in-queue sheds are. Post-drain the
-  // ledger balances exactly.
-  std::uint64_t in_queue_sheds = 0;
-  for (int lane = 0; lane < kNumLanes; ++lane)
-    in_queue_sheds += stats.lanes[lane].shed_evicted +
-                      stats.lanes[lane].shed_expired;
-  EXPECT_EQ(stats.completed + stats.errors + in_queue_sheds,
-            stats.submitted);
-  EXPECT_EQ(served.load() + failed.load(), stats.completed + stats.errors);
+  EXPECT_EQ(stats.completed, 0u);
 }
 
 #ifndef NDEBUG

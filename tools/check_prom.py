@@ -15,8 +15,8 @@ invariants our renderer (src/metrics/prometheus.cpp) promises:
   * no trailing garbage lines
 
 With --require-serve, also checks that the serving families the CI smoke
-test depends on are present (per-lane depth, shed, deadline-miss,
-latency histogram).
+test depends on are present (request counters, queue depth, service-time
+EWMA, latency histogram).
 
 Exit code 0 when clean, 1 with one violation per line on stderr.
 
@@ -45,8 +45,6 @@ REQUIRED_SERVE_FAMILIES = [
     "slide_serve_rejected_total",
     "slide_serve_completed_total",
     "slide_serve_errors_total",
-    "slide_serve_shed_total",
-    "slide_serve_deadline_miss_total",
     "slide_serve_queue_depth",
     "slide_serve_ewma_service_seconds",
     "slide_serve_latency_seconds",
