@@ -4,7 +4,6 @@
 //   2. bucket replacement policy (reservoir / fifo) — end-to-end effect
 //   3. hash family (simhash / dwta) on the same workload
 //   4. rebuild schedule (exponential decay / fixed period / never)
-//   5. HOGWILD vs mutex-locked gradient accumulation
 #include "bench_common.h"
 
 using namespace slide;
@@ -19,15 +18,13 @@ struct Arm {
 };
 
 Arm run_arm(const std::string& name, const SyntheticDataset& data,
-            NetworkConfig cfg, int threads, long iterations,
-            bool hogwild = true) {
+            NetworkConfig cfg, int threads, long iterations) {
   Arm arm{name};
   Network network(cfg, threads);
   TrainerConfig tcfg;
   tcfg.batch_size = 128;
   tcfg.num_threads = threads;
   tcfg.learning_rate = 1e-3f;
-  tcfg.hogwild = hogwild;
   Trainer trainer(network, tcfg);
   WallTimer timer;
   trainer.train(data.train, iterations);
@@ -56,7 +53,7 @@ int main() {
   bench::print_header(
       "Ablations: the design choices of paper §3-§4",
       "vanilla sampling, FIFO buckets, per-dataset hash family, exp-decay "
-      "rebuilds, HOGWILD updates");
+      "rebuilds");
   bench::print_env(scale, threads);
 
   const auto data = make_synthetic_xc(delicious_like(scale));
@@ -133,18 +130,6 @@ int main() {
     print_arms("hash-table rebuild schedule (paper §4.2 heuristic 1)", arms);
     std::printf("expectation: stale tables degrade adaptivity; decay saves "
                 "rebuild time late in training\n");
-  }
-
-  // 5. HOGWILD vs locked accumulation.
-  {
-    std::vector<Arm> arms;
-    arms.push_back(
-        run_arm("hogwild (lock-free)", data, base(), threads, iterations));
-    arms.push_back(run_arm("mutex-locked", data, base(), threads, iterations,
-                           /*hogwild=*/false));
-    print_arms("gradient accumulation (paper §3.1, HOGWILD)", arms);
-    std::printf("expectation: same accuracy; locking adds serialization "
-                "cost that grows with threads\n");
   }
   return 0;
 }

@@ -68,7 +68,8 @@ inline NetworkConfig slide_config_for(const Dataset& train,
 
 /// The dense full-softmax baseline (TF-CPU role, DESIGN.md §3) for a
 /// dataset: the embedding slide_config_for uses, then a softmax over every
-/// label. Train it with TrainerConfig::hogwild = false.
+/// label. It trains through the same Trainer as SLIDE, with no lock: each
+/// row's gradient is summed by one thread at apply time.
 inline Network dense_baseline_for(const Dataset& train, int max_batch,
                                   int threads, Index hidden = 128) {
   return NetworkBuilder(train.feature_dim())
@@ -79,7 +80,7 @@ inline Network dense_baseline_for(const Dataset& train, int max_batch,
 }
 
 /// Trains a network — SLIDE, or the dense full-softmax baseline (TF-CPU
-/// role, trained with tcfg.hogwild = false) — recording (iteration,
+/// role) — recording (iteration,
 /// seconds, accuracy) every eval_every iterations. Evaluation time is
 /// excluded from the recorded clock.
 inline void run_slide_convergence(Network& network, const Dataset& train,

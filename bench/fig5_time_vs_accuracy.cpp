@@ -10,6 +10,10 @@
 // Baseline roles (DESIGN.md §3): a dense builder stack plays TF-CPU. No GPU
 // exists in this environment, so the TF-GPU column is reported as the
 // dense baseline with a FLOP-projection note instead of a measurement.
+//
+// The dense baseline takes no lock (DESIGN.md §7), so its multi-thread
+// times read lower than in runs recorded before it lost its accumulation
+// locks.
 #include "bench_common.h"
 
 using namespace slide;
@@ -36,10 +40,8 @@ void run_workload(const char* name, const SyntheticDataset& data,
 
   // Dense baseline (TF-CPU role).
   Network dense = bench::dense_baseline_for(data.train, batch, threads);
-  TrainerConfig dense_tcfg = tcfg;
-  dense_tcfg.hogwild = false;
   ConvergenceRecorder dense_rec("Dense-CPU(TF-role)");
-  bench::run_slide_convergence(dense, data.train, data.test, dense_tcfg,
+  bench::run_slide_convergence(dense, data.train, data.test, tcfg,
                                iterations, std::max<long>(1, iterations / 8),
                                dense_rec);
 

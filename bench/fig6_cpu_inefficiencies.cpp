@@ -10,6 +10,10 @@
 // the hashed layer's time into LSH sampling vs activation math, and report
 // OS memory counters. The memory-bound *trend* shows up as the utilization
 // gap (1 - utilization = stall share) moving with thread count.
+//
+// The dense baseline takes no lock (DESIGN.md §7), so its multi-thread
+// times read lower than in runs recorded before it lost its accumulation
+// locks.
 #include "bench_common.h"
 
 using namespace slide;
@@ -72,7 +76,6 @@ int main() {
       tcfg.batch_size = 128;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      tcfg.hogwild = false;
       Trainer trainer(dense, tcfg);
       trainer.train(data.train, iterations);
       stalls.add_row({"Dense(TF-role)", fmt_int(threads),

@@ -5,6 +5,10 @@
 // larger batches — more per-batch parallelism for SLIDE's independent
 // per-sample threads, while the dense engine's cost per batch grows
 // linearly regardless.
+//
+// The dense baseline takes no lock (DESIGN.md §7), so its multi-thread
+// times read lower than in runs recorded before it lost its accumulation
+// locks.
 #include "bench_common.h"
 
 using namespace slide;
@@ -46,7 +50,6 @@ int main() {
       tcfg.batch_size = batch;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      tcfg.hogwild = false;
       bench::run_slide_convergence(dense, data.train, data.test, tcfg,
                                    iterations, eval_every, dense_rec, 500);
     }

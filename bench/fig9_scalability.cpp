@@ -6,6 +6,10 @@
 // steeply (near-perfect scaling from asynchronous, independent per-sample
 // work) while TF-CPU flattens past 16 cores. Crossover points: SLIDE beats
 // TF-CPU with 2-8 cores and TF-GPU with 8-32 cores.
+//
+// The dense baseline takes no lock (DESIGN.md §7), so its multi-thread
+// times read lower than in runs recorded before it lost its accumulation
+// locks.
 #include "bench_common.h"
 
 using namespace slide;
@@ -74,7 +78,6 @@ int main() {
       tcfg.batch_size = 128;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      tcfg.hogwild = false;
       ConvergenceRecorder rec("dense");
       bench::run_slide_convergence(dense, data.train, data.test, tcfg,
                                    iterations, eval_every, rec, 500);

@@ -3,8 +3,9 @@
 // sizes the engine actually uses (128 = hidden width; 4096 = wide-embedding
 // column strips). Each row takes an on/off argument (1 = best detected
 // level, 0 = scalar) so the historical BENCH metric names stay stable;
-// bench/micro_backend sweeps the explicit per-level tables. BM_ApplyUpdates
-// times the whole lazy-Adam stage of a layer, the step these kernels feed.
+// bench/micro_backend sweeps the explicit per-level tables.
+// BM_BackwardApply times a layer's backward and its whole apply stage (the
+// per-row gradient sums and lazy Adam), the step these kernels feed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -106,13 +107,13 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep)->Args({128, 1})->Args({128, 0});
 
-// One SampledLayer::apply_updates at train-amazon's output shape (24k
-// labels x 128 hidden) on a pool of range(0) threads. A batch of 256
-// samples x 480 sampled rows touches each row with probability
-// 1 - (1 - 480/24000)^256, about 99%, first in sampled (random) order; the
-// backward that re-accumulates those rows' gradients runs outside the
-// timed region.
-void BM_ApplyUpdates(benchmark::State& state) {
+// One SampledLayer backward + apply_updates at train-amazon's output shape
+// (24k labels x 128 hidden), apply on a pool of range(0) threads. A batch
+// of 256 samples x 480 sampled rows touches each row with probability
+// 1 - (1 - 480/24000)^256, about 99%, first in sampled (random) order. Both
+// calls are timed: backward only propagates the error and records the
+// slot, and apply_updates sums each row's gradient before its Adam step.
+void BM_BackwardApply(benchmark::State& state) {
   constexpr Index kUnits = 24'000;
   constexpr Index kFanIn = 128;
   SampledLayer::Config cfg;
@@ -139,8 +140,8 @@ void BM_ApplyUpdates(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     std::fill(prev.err.begin(), prev.err.end(), 0.0f);
-    layer.backward(0, prev, 0);
     state.ResumeTiming();
+    layer.backward(0, prev, 0);
     layer.apply_updates(1e-3f, &pool);
     benchmark::DoNotOptimize(layer.weight_row(0));
     benchmark::ClobberMemory();
@@ -148,7 +149,7 @@ void BM_ApplyUpdates(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(active.ids.size()));
 }
-BENCHMARK(BM_ApplyUpdates)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BackwardApply)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace slide

@@ -39,7 +39,9 @@ LoadStats closed_loop(InferenceEngine& engine, const Dataset& queries,
         auto f = engine.submit(queries[i % queries.size()].features, {.top_k = 5});
         ++i;
         if (!f.has_value()) {
+          // Full queue: give the CPU to the workers before resubmitting.
           retried.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::yield();
           continue;
         }
         try {

@@ -6,6 +6,10 @@
 // batch instance runs independently with tiny, thread-private state and
 // lock-free updates.
 //
+// The dense baseline takes no lock (DESIGN.md §7), so its multi-thread
+// times read lower than in runs recorded before it lost its accumulation
+// locks.
+//
 // VTune substitution (DESIGN.md §3): utilization = busy-time fraction of
 // (threads x wall-time) from the pool's per-thread accounting.
 #include "bench_common.h"
@@ -56,7 +60,6 @@ int main() {
       tcfg.batch_size = 128;
       tcfg.num_threads = threads;
       tcfg.learning_rate = 1e-3f;
-      tcfg.hogwild = false;
       Trainer trainer(dense, tcfg);
       trainer.train(data.train, iterations);
       dense_util.push_back(trainer.core_utilization());

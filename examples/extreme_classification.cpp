@@ -78,17 +78,15 @@ int main(int argc, char** argv) {
   Network network(slide_cfg, threads);
   const Result slide = train_engine(network, tcfg);
 
-  // The dense baseline is a builder stack with a full softmax output,
-  // trained with locked accumulation: every sample touches every weight.
+  // The dense baseline is a builder stack with a full softmax output: every
+  // sample touches every weight.
   std::printf("\n== dense full-softmax baseline (TF-CPU role) ==\n");
   Network dense_network = NetworkBuilder(data.train.feature_dim())
                               .dense(128)
                               .dense(label_dim, Activation::kSoftmax)
                               .max_batch(128)
                               .build(threads);
-  TrainerConfig dense_tcfg = tcfg;
-  dense_tcfg.hogwild = false;
-  const Result dense = train_engine(dense_network, dense_tcfg);
+  const Result dense = train_engine(dense_network, tcfg);
 
   std::printf("\n== summary (%ld iterations each) ==\n", iterations);
   std::printf("SLIDE : %7.1fs  P@1 %.3f  (%.2f%% active neurons)\n",

@@ -6,7 +6,8 @@
 //
 // This is the 60-second tour of the public API: generate data, describe the
 // paper's architecture (sparse input -> 128 dense ReLU -> LSH-sampled
-// softmax), train with the batch-parallel HOGWILD trainer, evaluate, and
+// softmax), train with the batch-parallel trainer (one thread per batch
+// instance, each row's gradient summed once at apply time), evaluate, and
 // finally stand up the serve/ stack (ModelStore snapshot + InferenceEngine
 // micro-batching). See examples/serve_cli.cpp for the full load driver with
 // hot-swapping, and bench/serve_throughput.cpp for the tuning numbers.

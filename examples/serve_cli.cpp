@@ -131,7 +131,9 @@ LoadResult run_load(InferenceEngine& engine, const Dataset& queries,
                                {.top_k = topk});
         ++i;
         if (!f.has_value()) {
+          // Full queue: give the CPU to the workers before resubmitting.
           retried.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::yield();
           continue;
         }
         const Prediction p = f->get();

@@ -1,4 +1,6 @@
-// Configuration structs for the SLIDE network and trainer.
+// Configuration structs for the SLIDE network and trainer. No field picks
+// a training parallelism scheme: every thread count trains the same
+// weights (core/trainer.h).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@ struct RebuildSchedule {
 ///           scored via AVX-512 VNNI `vpdpbusd` / AVX2 `vpmaddubsw` /
 ///           scalar, picked at dispatch-bind time from cpuid. Training is
 ///           untouched: forward/backward/Adam run on the fp32 master
-///           weights (HOGWILD updates never touch the mirror), and the
+///           weights (apply_updates never touches the mirror), and the
 ///           mirror is re-quantized at the publish points — network
 ///           construction, checkpoint load, and an explicit
 ///           Network::refresh_inference_mirrors().
@@ -106,12 +108,6 @@ struct TrainerConfig {
   int num_threads = 0;  // 0 = hardware_threads()
   float learning_rate = 1e-4f;
   bool shuffle = true;
-  /// Lock-free gradient accumulation (paper §3.1, HOGWILD). Setting false
-  /// serializes accumulation behind per-layer mutexes. Two callers do: the
-  /// HOGWILD ablation, and the dense full-softmax baseline, whose output
-  /// layer touches every weight on every sample, so lost updates would no
-  /// longer be negligible and its loss curve would depend on thread count.
-  bool hogwild = true;
   std::uint64_t seed = 99;
 };
 

@@ -156,9 +156,7 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
       units_(units),
       precision_(precision),
       weights_(static_cast<std::size_t>(input_dim) * units),
-      grads_(static_cast<std::size_t>(input_dim) * units),
       bias_(units, 0.0f),
-      bias_grad_(units, 0.0f),
       adam_(adam, static_cast<std::size_t>(input_dim) * units + units) {
   SLIDE_CHECK(input_dim_ > 0 && units_ > 0,
               "EmbeddingLayer: dimensions must be positive");
@@ -175,9 +173,8 @@ EmbeddingLayer::EmbeddingLayer(Index input_dim, Index units,
     s.act.assign(units_, 0.0f);
     s.err.assign(units_, 0.0f);
   }
-  // C++20 value-initializes atomics: the array starts zeroed.
-  column_touched_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(input_dim_);
+  inputs_.resize(static_cast<std::size_t>(batch_slots));
+  pending_.assign(static_cast<std::size_t>(batch_slots), 0);
 
   // Allocate the int8 mirror up front so later refreshes are noexcept
   // (re-quantize in place, no reallocation). It exists only at kInt8 and
@@ -214,8 +211,7 @@ LayerMemory EmbeddingLayer::memory() const noexcept {
   m.mirror_bytes = weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
   m.mirror_hugepage_bytes = thp_bytes(weights_i8_);
-  m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
-                      2 * adam_.num_params() * sizeof(float);
+  m.optimizer_bytes = 2 * adam_.num_params() * sizeof(float);
   return m;
 }
 
@@ -241,60 +237,87 @@ void EmbeddingLayer::forward_inference(const SparseVector& x,
 }
 
 void EmbeddingLayer::backward(int slot, const SparseVector& x) {
+  SLIDE_CHECK(!pending(slot),
+              "EmbeddingLayer::backward: the slot is pending until "
+              "apply_updates");
   ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
   // ReLU': activations are post-ReLU, so act > 0 <=> pre-activation > 0.
   for (Index j = 0; j < units_; ++j) {
     if (s.act[j] <= 0.0f) s.err[j] = 0.0f;
   }
+  inputs_[static_cast<std::size_t>(slot)] = x;
+  pending_[static_cast<std::size_t>(slot)] = 1;
+}
 
-  std::unique_lock<std::mutex> lock;
-  if (use_locks_) lock = std::unique_lock(accum_mutex_);
+void EmbeddingLayer::sum_column(std::span<const RowIndex::Ref> refs,
+                                float* g) const {
+  std::fill(g, g + units_, 0.0f);
+  for (const RowIndex::Ref& r : refs)
+    simd::axpy(r.scale, slots_[r.slot].err.data(), g, units_);
+}
 
-  // Bias gradient (racy accumulate across slots — HOGWILD).
-  simd::axpy(1.0f, s.err.data(), bias_grad_.data(), units_);
+void EmbeddingLayer::sum_bias(float* g) const {
+  std::fill(g, g + units_, 0.0f);
+  for (std::size_t s = 0; s < pending_.size(); ++s)
+    if (pending_[s] != 0) simd::axpy(1.0f, slots_[s].err.data(), g, units_);
+}
 
-  const auto idx = x.indices();
-  const auto val = x.values();
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const Index c = idx[i];
-    float* g = grads_.data() + static_cast<std::size_t>(c) * units_;
-    if (i + kPrefetchDistance < idx.size()) {
-      prefetch_write(grads_.data() +
-                     static_cast<std::size_t>(idx[i + kPrefetchDistance]) *
-                         units_);
-    }
-    simd::axpy(val[i], s.err.data(), g, units_);
-    // Load before store: no locked exchange, and a set flag stays shared.
-    if (column_touched_[c].load(std::memory_order_relaxed) == 0)
-      column_touched_[c].store(1, std::memory_order_relaxed);
+std::vector<float> EmbeddingLayer::gradient_column(Index input_index) const {
+  std::vector<RowIndex::Ref> refs;
+  for (std::size_t s = 0; s < pending_.size(); ++s) {
+    if (pending_[s] == 0) continue;
+    const auto idx = inputs_[s].indices();
+    for (std::size_t p = 0; p < idx.size(); ++p)
+      if (idx[p] == input_index)
+        refs.push_back({static_cast<std::uint32_t>(s), inputs_[s].values()[p]});
   }
+  std::vector<float> g(units_);
+  sum_column(refs, g.data());
+  return g;
+}
+
+float EmbeddingLayer::bias_gradient(Index unit) const {
+  std::vector<float> g(units_);
+  sum_bias(g.data());
+  return g[unit];
 }
 
 void EmbeddingLayer::apply_updates(float lr, ThreadPool* pool) {
+  pending_slots_.clear();
+  for (std::size_t s = 0; s < pending_.size(); ++s)
+    if (pending_[s] != 0) pending_slots_.push_back(static_cast<std::uint32_t>(s));
+  columns_.build(
+      input_dim_, pending_slots_,
+      [&](std::uint32_t s) { return inputs_[s].indices(); },
+      [&](std::uint32_t s) { return inputs_[s].values(); });
   adam_.step_begin();
 
   // The bias row is touched by every sample; update it densely.
+  thread_local AlignedVector<float> bias_grad;
+  bias_grad.resize(units_);
+  sum_bias(bias_grad.data());
   const std::size_t bias_base = static_cast<std::size_t>(input_dim_) * units_;
-  adam_.update_span(bias_.data(), bias_grad_.data(), bias_base, units_, lr);
-  std::fill(bias_grad_.begin(), bias_grad_.end(), 0.0f);
+  adam_.update_span(bias_.data(), bias_grad.data(), bias_base, units_, lr);
 
   // Columns are independent, so each thread walks one contiguous slice of
-  // the touch flags in ascending order, and w, g and the Adam moments
-  // stream forward.
+  // them in ascending order, sums each fed column into its own buffer, and
+  // w and the Adam moments stream forward.
   auto apply_columns = [&](std::size_t begin, std::size_t end, int) {
+    thread_local AlignedVector<float> g;
+    g.resize(units_);
     for (std::size_t c = begin; c < end; ++c) {
-      if (column_touched_[c].load(std::memory_order_relaxed) == 0) continue;
-      float* g = grads_.data() + c * units_;
-      adam_.update_span(weights_.data() + c * units_, g, c * units_, units_,
-                        lr);
-      std::fill(g, g + units_, 0.0f);
-      column_touched_[c].store(0, std::memory_order_relaxed);
+      const auto refs = columns_.refs(static_cast<Index>(c));
+      if (refs.empty()) continue;
+      sum_column(refs, g.data());
+      adam_.update_span(weights_.data() + c * units_, g.data(), c * units_,
+                        units_, lr);
     }
   };
   if (pool != nullptr)
     pool->parallel_range(input_dim_, apply_columns);
   else
     apply_columns(0, input_dim_, 0);
+  for (std::uint32_t s : pending_slots_) pending_[s] = 0;
 }
 
 // ===========================================================================
@@ -307,9 +330,7 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
       units_(config.units),
       fan_in_(config.fan_in),
       weights_(static_cast<std::size_t>(config.units) * config.fan_in),
-      grads_(static_cast<std::size_t>(config.units) * config.fan_in),
       bias_(config.units, 0.0f),
-      bias_grad_(config.units, 0.0f),
       adam_(config.adam,
             static_cast<std::size_t>(config.units) * config.fan_in +
                 config.units),
@@ -330,7 +351,7 @@ SampledLayer::SampledLayer(const Config& config, int batch_slots,
   }
 
   slots_.resize(static_cast<std::size_t>(batch_slots));
-  touched_ = std::make_unique<std::atomic<std::uint8_t>[]>(units_);
+  pending_prev_.assign(static_cast<std::size_t>(batch_slots), nullptr);
   sampling_time_ = std::vector<PaddedDouble>(
       static_cast<std::size_t>(max_threads));
   compute_time_ = std::vector<PaddedDouble>(
@@ -386,8 +407,7 @@ LayerMemory SampledLayer::memory() const noexcept {
   m.mirror_bytes = weights_i8_.size() * sizeof(simd::I8) +
                    i8_scales_.size() * sizeof(float);
   m.mirror_hugepage_bytes = thp_bytes(weights_i8_);
-  m.optimizer_bytes = (grads_.size() + bias_grad_.size()) * sizeof(float) +
-                      2 * adam_.num_params() * sizeof(float);
+  m.optimizer_bytes = 2 * adam_.num_params() * sizeof(float);
   m.retriever_bytes =
       retriever_ != nullptr ? retriever_->memory_bytes() : 0;
   return m;
@@ -617,71 +637,135 @@ void SampledLayer::compute_relu_deltas(int slot) {
 }
 
 void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
+  const ActiveSet*& record = pending_prev_[static_cast<std::size_t>(slot)];
+  SLIDE_CHECK(record == nullptr,
+              "SampledLayer::backward: the slot is pending until "
+              "apply_updates");
   ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
   const std::size_t n = s.size();
   WallTimer timer;
 
-  std::unique_lock<std::mutex> lock;
-  if (use_locks_) lock = std::unique_lock(accum_mutex_);
-
   const std::size_t prev_n = prev.size();
-  // Against a dense prev each sampled row's gradient is written whole.
-  const bool prefetch_rows = !s.dense() && prev.dense();
   for (std::size_t i = 0; i < n; ++i) {
-    if (prefetch_rows && i + kPrefetchDistance < n) {
-      const std::size_t next = s.ids[i + kPrefetchDistance];
-      prefetch_span</*write=*/true>(grads_.data() + next * fan_in_,
-                                    fan_in_ * sizeof(float));
-      prefetch_write(&bias_grad_[next]);
-    }
     const float delta = s.err[i];
     if (delta == 0.0f) continue;
-    const Index u = s.dense() ? static_cast<Index>(i) : s.ids[i];
-    bias_grad_[u] += delta;
-    const float* w = weight_row(u);
-    float* g = grads_.data() + static_cast<std::size_t>(u) * fan_in_;
+    const float* w = weight_row(s.dense() ? static_cast<Index>(i) : s.ids[i]);
     if (prev.dense()) {
-      // Error to the previous layer and gradient accumulation are both
-      // contiguous fan_in-length AXPYs (SIMD fast path).
       simd::axpy(delta, w, prev.err.data(), prev_n);
-      simd::axpy(delta, prev.act.data(), g, prev_n);
     } else {
-      for (std::size_t p = 0; p < prev_n; ++p) {
-        const Index j = prev.ids[p];
-        prev.err[p] += delta * w[j];
-        g[j] += delta * prev.act[p];
-      }
+      for (std::size_t p = 0; p < prev_n; ++p)
+        prev.err[p] += delta * w[prev.ids[p]];
     }
-    if (touched_[u].load(std::memory_order_relaxed) == 0)
-      touched_[u].store(1, std::memory_order_relaxed);
   }
+  record = &prev;
   auto& acc = compute_time_[static_cast<std::size_t>(tid)].value;
   acc.store(acc.load(std::memory_order_relaxed) + timer.seconds(),
             std::memory_order_relaxed);
 }
 
+std::vector<RowIndex::Ref> SampledLayer::refs_of(Index unit) const {
+  std::vector<RowIndex::Ref> refs;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (pending_prev_[s] == nullptr) continue;
+    const ActiveSet& set = slots_[s];
+    const auto slot = static_cast<std::uint32_t>(s);
+    if (set.dense()) {
+      if (unit < set.size()) refs.push_back({slot, set.err[unit]});
+      continue;
+    }
+    for (std::size_t i = 0; i < set.ids.size(); ++i)
+      if (set.ids[i] == unit) refs.push_back({slot, set.err[i]});
+  }
+  return refs;
+}
+
+bool SampledLayer::sum_row(Index unit, std::span<const RowIndex::Ref> refs,
+                           std::span<const std::uint32_t> dense, float* g,
+                           float* bias_grad) const {
+  float b = 0.0f;
+  bool stepped = false;
+  auto add = [&](std::uint32_t slot, float delta) {
+    if (delta == 0.0f) return;
+    if (!stepped) std::fill(g, g + fan_in_, 0.0f);
+    stepped = true;
+    b += delta;
+    const ActiveSet& prev = *pending_prev_[slot];
+    if (prev.dense()) {
+      simd::axpy(delta, prev.act.data(), g, prev.size());
+    } else {
+      for (std::size_t p = 0; p < prev.ids.size(); ++p)
+        g[prev.ids[p]] += delta * prev.act[p];
+    }
+  };
+  auto add_dense = [&](std::uint32_t slot) {
+    const ActiveSet& set = slots_[slot];
+    if (unit < set.size()) add(slot, set.err[unit]);
+  };
+  // Merge the two slot-ordered lists.
+  std::size_t d = 0;
+  for (const RowIndex::Ref& r : refs) {
+    for (; d < dense.size() && dense[d] < r.slot; ++d) add_dense(dense[d]);
+    add(r.slot, r.scale);
+  }
+  for (; d < dense.size(); ++d) add_dense(dense[d]);
+  *bias_grad = b;
+  return stepped;
+}
+
+std::vector<float> SampledLayer::gradient_row(Index unit) const {
+  std::vector<float> g(fan_in_);
+  float b = 0.0f;
+  sum_row(unit, refs_of(unit), {}, g.data(), &b);
+  return g;
+}
+
+float SampledLayer::bias_gradient(Index unit) const {
+  std::vector<float> g(fan_in_);
+  float b = 0.0f;
+  sum_row(unit, refs_of(unit), {}, g.data(), &b);
+  return b;
+}
+
 void SampledLayer::apply_updates(float lr, ThreadPool* pool) {
+  pending_slots_.clear();
+  dense_slots_.clear();
+  for (std::size_t s = 0; s < pending_prev_.size(); ++s) {
+    if (pending_prev_[s] == nullptr) continue;
+    pending_slots_.push_back(static_cast<std::uint32_t>(s));
+    if (slots_[s].dense() && slots_[s].size() > 0)
+      dense_slots_.push_back(static_cast<std::uint32_t>(s));
+  }
+  // A dense slot has no ids, so it adds nothing here: it holds every unit
+  // at the unit's own position, and every row visits dense_slots_ instead.
+  rows_.build(
+      units_, pending_slots_,
+      [&](std::uint32_t s) { return std::span<const Index>(slots_[s].ids); },
+      [&](std::uint32_t s) { return std::span<const float>(slots_[s].err); });
   adam_.step_begin();
 
   const std::size_t bias_base = static_cast<std::size_t>(units_) * fan_in_;
 
-  // Ascending rows, one contiguous slice per thread, as in the embedding.
+  // Ascending rows, one contiguous slice per thread, as in the embedding:
+  // each row has one writer, and its gradient is summed in slot order.
   auto apply_rows = [&](std::size_t begin, std::size_t end, int) {
+    thread_local AlignedVector<float> g;
+    g.resize(fan_in_);
     for (std::size_t u = begin; u < end; ++u) {
-      if (touched_[u].load(std::memory_order_relaxed) == 0) continue;
-      float* w = weights_.data() + u * fan_in_;
-      float* g = grads_.data() + u * fan_in_;
-      adam_.update_span(w, g, u * fan_in_, fan_in_, lr);
-      std::fill(g, g + fan_in_, 0.0f);
-      adam_.update_at(&bias_[u], bias_grad_[u], bias_base + u, lr);
-      bias_grad_[u] = 0.0f;
-      touched_[u].store(0, std::memory_order_relaxed);
+      const Index unit = static_cast<Index>(u);
+      float bias_grad = 0.0f;
+      if (!sum_row(unit, rows_.refs(unit), dense_slots_, g.data(),
+                   &bias_grad))
+        continue;
+      adam_.update_span(weights_.data() + u * fan_in_, g.data(), u * fan_in_,
+                        fan_in_, lr);
+      adam_.update_at(&bias_[u], bias_grad, bias_base + u, lr);
     }
   };
   if (pool != nullptr)
     pool->parallel_range(units_, apply_rows);
   else
     apply_rows(0, units_, 0);
+  for (std::uint32_t s : pending_slots_) pending_prev_[s] = nullptr;
 }
 
 bool SampledLayer::maybe_rebuild(long iteration, ThreadPool* pool) {
@@ -728,7 +812,6 @@ Index SampledLayer::add_units(Index n) {
     arr = std::move(grown);
   };
   copy_grow(weights_);
-  copy_grow(grads_);
 
   // New rows draw from an Rng keyed on (layer seed, growth base): the same
   // growth sequence reproduces identical rows regardless of when in the
@@ -741,21 +824,8 @@ Index SampledLayer::add_units(Index n) {
   init_normal(weights_.data() + old_w, new_w - old_w, stddev, rng);
 
   bias_.resize(static_cast<std::size_t>(new_units), 0.0f);
-  bias_grad_.resize(static_cast<std::size_t>(new_units), 0.0f);
   adam_.grow(old_w, new_w, static_cast<std::size_t>(old_units),
              static_cast<std::size_t>(new_units));
-
-  // Per-unit atomic flag array: reallocate and carry the old flags over.
-  auto grow_flags = [&](std::unique_ptr<std::atomic<std::uint8_t>[]>& arr) {
-    if (arr == nullptr) return;
-    auto grown =
-        std::make_unique<std::atomic<std::uint8_t>[]>(new_units);
-    for (Index u = 0; u < old_units; ++u)
-      grown[u].store(arr[u].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    arr = std::move(grown);
-  };
-  grow_flags(touched_);
 
   // The int8 mirror re-quantizes wholesale below, so a plain (zeroing)
   // resize is fine here.

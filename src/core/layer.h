@@ -9,10 +9,10 @@
 //                             serialize hooks; what Network, Trainer and
 //                             core/serialize program against.
 //   ├── SampledLayer        — the workhorse: neuron-major weights
-//   │   │                     ([units x fan_in]), per-slot active sets,
-//   │   │                     HOGWILD gradient accumulators, and (when
-//   │   │                     hashed) LSH tables over its neurons — the s²
-//   │   │                     cost model of paper §3.1.
+//   │   │                     ([units x fan_in]), per-slot active sets and
+//   │   │                     backward records, and (when hashed) LSH
+//   │   │                     tables over its neurons — the s² cost model
+//   │   │                     of paper §3.1.
 //   │   ├── DenseLayer      — every unit active on every input (the honest
 //   │   │                     dense baseline and ReLU mid-stack layers).
 //   │   └── RandomSampledLayer — labels + static uniform classes (the
@@ -20,21 +20,31 @@
 //   EmbeddingLayer          — the input adapter, NOT part of the stack: it
 //                             consumes the SparseVector input with weights
 //                             stored *input-major* ([input_dim x units]) so
-//                             forward and gradient accumulation touch one
+//                             forward and the column updates touch one
 //                             contiguous units-length row per input nonzero.
 //
 // All layers keep per-batch-slot activation/error arrays (the paper's
 // per-neuron batch arrays, stored struct-of-arrays) so every training
-// instance in a batch runs on its own thread without synchronization, and
-// accumulate gradients HOGWILD-style into shared per-weight accumulators.
+// instance in a batch runs forward and backward on its own thread without
+// synchronization. Backward writes no gradient: it propagates the error to
+// the layer below and leaves the slot *pending*. A slot's record — its
+// active ids, its deltas, and the active set below it (the embedding keeps
+// the slot's input features instead) — lives from its backward to the next
+// apply_updates, which inverts the pending records by row and sums each
+// row's gradient in slot order, one writer per row, before its Adam step.
+// So the weights depend only on the seeds, at every pool size. Between a
+// slot's backward and the next apply_updates, a forward on it rewrites the
+// record that apply_updates sums, and a second backward throws
+// slide::Error.
+//
 // A hashed layer rebuilds its LSH tables in place, between batches, on the
 // schedule of paper §4.2; like every other mutation, the rebuild holds the
 // writer role (core/network.h), so no reader is in flight meanwhile.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -106,7 +116,7 @@ struct TopKScratch {
 struct LayerMemory {
   std::size_t master_bytes = 0;     ///< fp32 weights + biases
   std::size_t mirror_bytes = 0;     ///< quantized inference mirror (0 at fp32)
-  std::size_t optimizer_bytes = 0;  ///< gradient accumulators + Adam moments
+  std::size_t optimizer_bytes = 0;  ///< Adam moments (first and second)
   /// Candidate-retrieval index (the LSH buckets; 0 for layers without
   /// tables). Reported separately because the weight arrays above do not
   /// account for it.
@@ -144,9 +154,13 @@ class Layer {
                                           float inv_batch) = 0;
   /// Hidden-layer path: err *= ReLU'(act), in place.
   virtual void compute_relu_deltas(int slot) = 0;
-  /// Propagates err to prev.err and accumulates gradients (HOGWILD).
+  /// Propagates err to prev.err and leaves the slot pending, remembering
+  /// `prev` (see the header comment). Throws slide::Error when the slot is
+  /// already pending.
   virtual void backward(int slot, ActiveSet& prev, int tid) = 0;
-  /// Applies lazy Adam to touched units. Single caller at a time.
+  /// Sums the pending slots' gradients row by row, in slot order, and
+  /// applies lazy Adam to each row with a nonzero delta; clears the pending
+  /// slots. Single caller at a time.
   virtual void apply_updates(float lr, ThreadPool* pool) = 0;
 
   // ---- LSH lifecycle (no-ops for layers without tables) ----
@@ -235,9 +249,6 @@ class Layer {
   /// Memory accounting for this layer (masters, mirror, optimizer state).
   virtual LayerMemory memory() const noexcept = 0;
 
-  /// Serializes gradient accumulation behind a mutex (HOGWILD ablation).
-  virtual void set_use_locks(bool locks) noexcept = 0;
-
   /// Average active fraction since the last reset (1.0 for dense layers).
   virtual double average_active_fraction() const = 0;
 
@@ -302,6 +313,51 @@ class ParamInit {
   bool deferred_ = false;
 };
 
+/// The pending backward records of a batch, inverted by row: refs(r) lists
+/// every pending slot whose record holds row r, with the factor the slot's
+/// vector enters r's gradient with, in slot order and, within a slot, in
+/// record order. apply_updates builds one per step with a counting sort,
+/// then sums each row's gradient over its refs.
+class RowIndex {
+ public:
+  struct Ref {
+    std::uint32_t slot;  ///< batch slot
+    float scale;         ///< the slot's delta (or feature value) for the row
+  };
+
+  /// Inverts rows_of(s) and scales_of(s), a pending slot's row ids and
+  /// their factors, for every slot of `slots` (ascending). Keeps its
+  /// capacity across calls.
+  template <typename RowsOf, typename ScalesOf>
+  void build(Index rows, std::span<const std::uint32_t> slots, RowsOf rows_of,
+             ScalesOf scales_of) {
+    // Counts land two ahead so that, after the prefix sum and the scatter
+    // (which advances offsets_[r + 1] from the start of row r to its end),
+    // row r spans [offsets_[r], offsets_[r + 1]).
+    offsets_.assign(static_cast<std::size_t>(rows) + 2, 0);
+    for (std::uint32_t s : slots)
+      for (Index r : rows_of(s)) ++offsets_[static_cast<std::size_t>(r) + 2];
+    for (std::size_t i = 2; i < offsets_.size(); ++i)
+      offsets_[i] += offsets_[i - 1];
+    refs_.resize(offsets_.back());
+    for (std::uint32_t s : slots) {
+      const std::span<const Index> ids = rows_of(s);
+      const std::span<const float> scales = scales_of(s);
+      for (std::size_t i = 0; i < ids.size(); ++i)
+        refs_[offsets_[static_cast<std::size_t>(ids[i]) + 1]++] = {s,
+                                                                  scales[i]};
+    }
+  }
+
+  std::span<const Ref> refs(Index row) const noexcept {
+    return {refs_.data() + offsets_[row], refs_.data() + offsets_[row + 1]};
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;
+  std::vector<Ref> refs_;
+};
+
 class EmbeddingLayer {
  public:
   EmbeddingLayer(Index input_dim, Index units, float init_stddev,
@@ -322,11 +378,16 @@ class EmbeddingLayer {
   void forward_inference(const SparseVector& x, float* out) const;
 
   /// Consumes the error accumulated in the slot by upper layers: applies
-  /// ReLU', accumulates weight/bias gradients, marks touched columns.
+  /// ReLU' and records the slot's features; the slot is pending until the
+  /// next apply_updates. Throws slide::Error when it already is.
   void backward(int slot, const SparseVector& x);
+  bool pending(int slot) const noexcept {
+    return pending_[static_cast<std::size_t>(slot)] != 0;
+  }
 
-  /// Applies lazy Adam to all touched columns (+ the bias row) in column
-  /// order and clears gradients and touch marks. Single caller at a time.
+  /// Sums each input column's gradient over the pending slots that feed it,
+  /// in slot order, and applies lazy Adam to those columns and densely to
+  /// the bias row; clears the pending slots. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool);
 
   ActiveSet& slot(int s) { return slots_[static_cast<std::size_t>(s)]; }
@@ -334,21 +395,17 @@ class EmbeddingLayer {
     return slots_[static_cast<std::size_t>(s)];
   }
 
-  /// Serializes gradient accumulation behind a mutex (HOGWILD ablation).
-  void set_use_locks(bool locks) noexcept { use_locks_ = locks; }
-
   float* weight_column(Index input_index) noexcept {
     return weights_.data() + static_cast<std::size_t>(input_index) * units_;
   }
   const float* weight_column(Index input_index) const noexcept {
     return weights_.data() + static_cast<std::size_t>(input_index) * units_;
   }
-  /// Accumulated (pre-apply) gradient column — diagnostics/tests.
-  const float* gradient_column(Index input_index) const noexcept {
-    return grads_.data() + static_cast<std::size_t>(input_index) * units_;
-  }
+  /// The pending gradient of one column (units long) and of one bias
+  /// entry, summed as apply_updates will sum it — diagnostics/tests.
+  std::vector<float> gradient_column(Index input_index) const;
   float bias(Index unit) const noexcept { return bias_[unit]; }
-  float bias_gradient(Index unit) const noexcept { return bias_grad_[unit]; }
+  float bias_gradient(Index unit) const;
 
   /// Whole-parameter views (serialization / checkpointing).
   std::span<float> weights_span() noexcept {
@@ -380,15 +437,17 @@ class EmbeddingLayer {
   bool i8_inference() const noexcept {
     return precision_ == Precision::kInt8 && !weights_i8_.empty();
   }
+  /// Sum into g[0, units), in slot order, the gradient of the column the
+  /// refs belong to, and of the bias row.
+  void sum_column(std::span<const RowIndex::Ref> refs, float* g) const;
+  void sum_bias(float* g) const;
 
   Index input_dim_;
   Index units_;
   Precision precision_;
 
   HugeArray weights_;  // [input_dim x units], input-major
-  HugeArray grads_;
   AlignedVector<float> bias_;
-  AlignedVector<float> bias_grad_;
   // Int8 inference mirror, same input-major layout as weights_; allocated
   // only at Precision::kInt8. Hugepage-backed: the serving path streams
   // these rows, the TLB-bound pattern of paper Table 4. i8_scales_ holds
@@ -399,9 +458,15 @@ class EmbeddingLayer {
 
   std::vector<ActiveSet> slots_;
 
-  std::unique_ptr<std::atomic<std::uint8_t>[]> column_touched_;
-  bool use_locks_ = false;
-  std::mutex accum_mutex_;
+  // Per-slot backward records: the features of each pending slot (its err
+  // holds the ReLU'-gated deltas) and the pending flags. Each slot's entries
+  // are written only by the thread running that slot.
+  std::vector<SparseVector> inputs_;
+  std::vector<std::uint8_t> pending_;
+  // apply_updates scratch: the pending slots and their records inverted by
+  // column.
+  std::vector<std::uint32_t> pending_slots_;
+  RowIndex columns_;
 };
 
 // ---------------------------------------------------------------------------
@@ -468,11 +533,13 @@ class SampledLayer : public Layer {
   /// Hidden-layer path: err *= ReLU'(act), in place.
   void compute_relu_deltas(int slot) override;
 
-  /// Propagates err to prev.err and accumulates weight/bias gradients for
-  /// the slot's active neurons; marks them touched.
+  /// Propagates err to prev.err and leaves the slot pending with `prev` as
+  /// its record's input; no gradient is written (see Layer::backward).
   void backward(int slot, ActiveSet& prev, int tid) override;
 
-  /// Lazy Adam over touched neurons in row order. Single caller at a time.
+  /// Sums each row's gradient over the pending slots in slot order, then
+  /// applies lazy Adam to the rows with a nonzero delta, one contiguous row
+  /// slice per pool thread. Single caller at a time.
   void apply_updates(float lr, ThreadPool* pool) override;
 
   /// Rebuilds the tables in place, over the pool, when the schedule
@@ -487,7 +554,7 @@ class SampledLayer : public Layer {
   long rebuild_count() const noexcept override { return rebuild_count_; }
 
   // ---- Dynamic label lifecycle ----
-  /// Appends `n` units: copy-grows the weight/grad arrays (HugeArray
+  /// Appends `n` units: copy-grows the weight array (HugeArray
   /// reallocation), zero-extends bias and optimizer moments (Adam::grow),
   /// re-quantizes the mirrors, and re-targets the retriever at the grown
   /// rows (resize_universe, then one splice of the new ids into the active
@@ -511,20 +578,17 @@ class SampledLayer : public Layer {
     return slots_[static_cast<std::size_t>(s)];
   }
 
-  void set_use_locks(bool locks) noexcept override { use_locks_ = locks; }
-
   float* weight_row(Index unit) noexcept {
     return weights_.data() + static_cast<std::size_t>(unit) * fan_in_;
   }
   const float* weight_row(Index unit) const noexcept {
     return weights_.data() + static_cast<std::size_t>(unit) * fan_in_;
   }
-  /// Accumulated (pre-apply) gradient row — diagnostics/tests.
-  const float* gradient_row(Index unit) const noexcept {
-    return grads_.data() + static_cast<std::size_t>(unit) * fan_in_;
-  }
+  /// The pending gradient of one row (fan_in long) and of its bias, summed
+  /// by the reduction apply_updates runs — diagnostics/tests.
+  std::vector<float> gradient_row(Index unit) const;
   float bias(Index unit) const noexcept { return bias_[unit]; }
-  float bias_gradient(Index unit) const noexcept { return bias_grad_[unit]; }
+  float bias_gradient(Index unit) const;
 
   /// Whole-parameter views (serialization / checkpointing).
   std::span<float> weights_span() noexcept override {
@@ -602,16 +666,23 @@ class SampledLayer : public Layer {
     if (i8_inference()) return weights_i8_.data() + off;
     return weights_.data() + off;
   }
-
+  /// The refs of `unit` found by scanning the pending slots, dense ones
+  /// included (the accessors' stand-in for the RowIndex of apply_updates).
+  std::vector<RowIndex::Ref> refs_of(Index unit) const;
+  /// Sums row `unit`'s gradient in slot order over `refs` and over the
+  /// `dense` slots, where every unit sits at its own position, into
+  /// g[0, fan_in) and *bias_grad. Returns false, leaving g as it was, when
+  /// every delta was zero: the row takes no step.
+  bool sum_row(Index unit, std::span<const RowIndex::Ref> refs,
+               std::span<const std::uint32_t> dense, float* g,
+               float* bias_grad) const;
 
   Config config_;
   Index units_;
   Index fan_in_;
 
   HugeArray weights_;  // [units x fan_in], neuron-major
-  HugeArray grads_;
   AlignedVector<float> bias_;
-  AlignedVector<float> bias_grad_;
   // Int8 inference mirror, same neuron-major layout as weights_; allocated
   // only at Precision::kInt8 (hugepage-backed — see EmbeddingLayer).
   // i8_scales_ is the per-neuron-row scale.
@@ -627,9 +698,15 @@ class SampledLayer : public Layer {
   std::unique_ptr<retrieval::LshRetriever> retriever_;
   LshTableGroup* tables_ = nullptr;
 
-  std::unique_ptr<std::atomic<std::uint8_t>[]> touched_;
-  bool use_locks_ = false;
-  std::mutex accum_mutex_;
+  // Per-slot backward records: the active set below each pending slot
+  // (null when the slot is not pending); the slot's own ids and err hold
+  // the rest. Each entry is written only by the thread running its slot.
+  std::vector<const ActiveSet*> pending_prev_;
+  // apply_updates scratch: the pending slots, the dense ones among them,
+  // which need no list, and the others' records inverted by row.
+  std::vector<std::uint32_t> pending_slots_;
+  std::vector<std::uint32_t> dense_slots_;
+  RowIndex rows_;
 
   // Rebuild schedule state, written only by the maybe_rebuild caller.
   long next_rebuild_ = 0;

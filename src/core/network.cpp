@@ -56,6 +56,10 @@ MemoryFootprint Network::memory_footprint() const noexcept {
 float Network::train_sample(int slot, const Sample& sample, float inv_batch,
                             Rng& rng, VisitedSet& visited, int tid) {
   SLIDE_ASSERT(slot >= 0 && slot < config_.max_batch_size);
+  // Every train_sample leaves the embedding's slot pending, so its flag
+  // stands for the whole stack's.
+  SLIDE_CHECK(!embedding_->pending(slot),
+              "train_sample: the slot is pending until apply_updates");
   WriteGuard guard(*this);
 
   // ---- Forward ----
@@ -252,11 +256,6 @@ Index Network::add_output_units(Index n) {
 void Network::retire_output_units(std::span<const Index> ids) {
   WriteGuard guard(*this);
   layers_.back()->retire_units(ids);
-}
-
-void Network::set_use_locks(bool locks) noexcept {
-  embedding_->set_use_locks(locks);
-  for (auto& layer : layers_) layer->set_use_locks(locks);
 }
 
 std::size_t Network::num_parameters() const noexcept {

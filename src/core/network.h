@@ -29,7 +29,7 @@ class Network;
 struct MemoryFootprint {
   std::size_t master_weight_bytes = 0;  ///< fp32 weights + biases
   std::size_t mirror_bytes = 0;  ///< int8 inference mirrors
-  std::size_t optimizer_bytes = 0;      ///< grad accumulators + Adam moments
+  std::size_t optimizer_bytes = 0;      ///< Adam moments (first and second)
   /// Candidate-retrieval indexes (LSH buckets) across all hashed layers —
   /// a footprint report without this line under-reports the serving
   /// process by that much.
@@ -115,6 +115,9 @@ class BatchOutput {
 ///
 /// Writers: train_sample, apply_updates, maybe_rebuild, rebuild_all and
 /// checkpoint loads mutate shared state and must never overlap a reader.
+/// train_sample is the one writer that may run concurrently with itself,
+/// on distinct slots: it writes only its own slot's state and reads the
+/// weights, so such callers share nothing but reads.
 /// The supported patterns are (a) a frozen network serving concurrent
 /// readers, or (b) RCU-style snapshots (serve/snapshot.h) where writers
 /// build a fresh network off to the side and swap it in whole. LSH table
@@ -190,13 +193,18 @@ class Network {
     return static_cast<int>(layers_.size());
   }
 
-  /// One training sample through forward + backward on a batch slot.
-  /// Gradients accumulate into the shared per-layer accumulators; call
-  /// apply_updates once per batch afterwards. Returns the sample loss.
+  /// One training sample through forward + backward on a batch slot, which
+  /// stays pending (core/layer.h): every layer keeps the slot's record, and
+  /// no gradient is summed yet. Call apply_updates once per batch
+  /// afterwards. Training a slot that is still pending throws slide::Error
+  /// before anything is touched. Returns the sample loss.
   float train_sample(int slot, const Sample& sample, float inv_batch,
                      Rng& rng, VisitedSet& visited, int tid);
 
-  /// Applies lazy Adam on every layer (parallelized over touched units).
+  /// Sums every layer's gradient from the pending slots, row by row in
+  /// slot order, and applies lazy Adam (parallelized over rows, one writer
+  /// per row); clears the pending slots. The weights depend only on the
+  /// records, not on the pool size.
   void apply_updates(float lr, ThreadPool* pool);
 
   /// Triggers the per-layer rebuild schedules (paper §4.2): a due layer
@@ -247,9 +255,6 @@ class Network {
   /// Tombstones output-layer ids out of retrieval/top-k/softmax without
   /// compacting rows (see Layer::retire_units). Writer-role call.
   void retire_output_units(std::span<const Index> ids);
-
-  /// Serializes gradient accumulation (HOGWILD ablation).
-  void set_use_locks(bool locks) noexcept;
 
   /// Re-quantizes every layer's int8 inference mirror from the current fp32
   /// master weights (no-op at fp32 precision). Writer-role call: run it at

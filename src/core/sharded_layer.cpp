@@ -214,8 +214,8 @@ void ShardedSampledLayer::scatter_errors(int slot) {
 void ShardedSampledLayer::backward(int slot, ActiveSet& prev, int tid) {
   // Route the merged deltas back to the shards that produced the active
   // neurons, then let each shard run its own backward (prev-error
-  // propagation + HOGWILD gradient accumulation + touched marking). A
-  // shard with an empty active set does no work and accumulates nothing.
+  // propagation and its own pending record). A shard with an empty active
+  // set propagates nothing, and its apply_updates finds no row to step.
   scatter_errors(slot);
   for (auto& shard : shards_) shard->backward(slot, prev, tid);
 }
@@ -436,10 +436,6 @@ LayerMemory ShardedSampledLayer::memory() const noexcept {
     m.mirror_hugepage_bytes += sm.mirror_hugepage_bytes;
   }
   return m;
-}
-
-void ShardedSampledLayer::set_use_locks(bool locks) noexcept {
-  for (auto& shard : shards_) shard->set_use_locks(locks);
 }
 
 double ShardedSampledLayer::average_active_fraction() const {

@@ -19,7 +19,8 @@
 // sets into one global active set (ids globalized by the shard row
 // offset); softmax normalization runs over the merged set, exactly like
 // the monolithic layer's active-set softmax. Backward scatters the merged
-// deltas back to the owning shards — a shard that produced no active
+// deltas back to the owning shards, and each shard keeps its own backward
+// record for its own apply_updates — a shard that produced no active
 // neurons receives no gradient traffic. Top-k inference merges the
 // per-shard candidate runs through a bounded heap in InferenceContext
 // scratch (no allocation; see Layer::forward_inference_topk).
@@ -183,7 +184,6 @@ class ShardedSampledLayer final : public Layer {
   std::size_t inference_weight_bytes() const noexcept override;
   LayerMemory memory() const noexcept override;
 
-  void set_use_locks(bool locks) noexcept override;
   double average_active_fraction() const override;
 
  private:

@@ -1,6 +1,5 @@
 #include "core/trainer.h"
 
-#include <atomic>
 #include <numeric>
 
 namespace slide {
@@ -37,13 +36,12 @@ Trainer::Trainer(Network& network, const TrainerConfig& config)
   slot_rngs_.reserve(static_cast<std::size_t>(network_.max_batch_size()));
   for (int s = 0; s < network_.max_batch_size(); ++s)
     slot_rngs_.push_back(seeder.fork());
+  slot_losses_.resize(static_cast<std::size_t>(network_.max_batch_size()));
 
   const Index scratch_size = std::max<Index>(network_.max_sampled_units(), 1);
   visited_.reserve(static_cast<std::size_t>(config_.num_threads));
   for (int t = 0; t < config_.num_threads; ++t)
     visited_.push_back(std::make_unique<VisitedSet>(scratch_size));
-
-  network_.set_use_locks(!config_.hogwild);
 }
 
 float Trainer::step(const Dataset& data,
@@ -56,25 +54,21 @@ float Trainer::step(const Dataset& data,
   const double busy_before = total_busy_seconds(*pool_);
   WallTimer total;
   // Fan the batch out: one sample per slot, slots statically partitioned
-  // over threads. Loss accumulates per-thread to avoid contention.
-  std::atomic<float> loss_sum{0.0f};
+  // over threads. Each slot keeps its own loss, summed below in slot order.
+  float loss_sum = 0.0f;
   {
     WallTimer compute;
     pool_->parallel_range(
         indices.size(), [&](std::size_t begin, std::size_t end, int tid) {
-          float local_loss = 0.0f;
           VisitedSet& visited = *visited_[static_cast<std::size_t>(tid)];
           for (std::size_t s = begin; s < end; ++s) {
-            const Sample& sample = data[indices[s]];
-            local_loss += network_.train_sample(
-                static_cast<int>(s), sample, inv_batch,
+            slot_losses_[s] = network_.train_sample(
+                static_cast<int>(s), data[indices[s]], inv_batch,
                 slot_rngs_[s], visited, tid);
           }
-          float expected = loss_sum.load(std::memory_order_relaxed);
-          while (!loss_sum.compare_exchange_weak(
-              expected, expected + local_loss, std::memory_order_relaxed)) {
-          }
         });
+    for (std::size_t s = 0; s < indices.size(); ++s)
+      loss_sum += slot_losses_[s];
     breakdown_.batch_compute_seconds += compute.seconds();
   }
   {
@@ -90,7 +84,7 @@ float Trainer::step(const Dataset& data,
   }
   breakdown_.total_seconds += total.seconds();
   step_busy_seconds_ += total_busy_seconds(*pool_) - busy_before;
-  return loss_sum.load() * inv_batch;
+  return loss_sum * inv_batch;
 }
 
 void Trainer::train(const Dataset& data, long iterations,

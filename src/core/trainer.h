@@ -1,7 +1,11 @@
 // Batch-parallel trainer (paper §3.1, "OpenMP Parallelization across a
-// Batch"): every training instance of a mini-batch runs on its own thread
-// slot; gradients accumulate HOGWILD-style; lazy Adam applies once per
-// batch; hash tables refresh on the exponential-decay schedule.
+// Batch"): every training instance of a mini-batch runs forward and
+// backward on its own thread slot; apply_updates then sums each row's
+// gradient over the slots in slot order and applies lazy Adam once per
+// batch; hash tables refresh on the exponential-decay schedule. Unlike the
+// paper's HOGWILD accumulation, no two threads write one row, so the
+// weights and the returned loss depend only on the seeds, at every thread
+// count.
 //
 // The refresh rebuilds each due layer's tables in place, spread over the
 // trainer's pool, and stalls the whole step for its duration — that stall
@@ -35,7 +39,8 @@ class Trainer {
  public:
   Trainer(Network& network, const TrainerConfig& config);
 
-  /// Runs one mini-batch (the samples at `indices`); returns the mean loss.
+  /// Runs one mini-batch (the samples at `indices`); returns the mean loss,
+  /// summed over the slots in slot order.
   float step(const Dataset& data, std::span<const std::size_t> indices);
 
   /// Runs `iterations` batches drawn by an internal shuffling Batcher.
@@ -65,6 +70,7 @@ class Trainer {
   TrainerConfig config_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Rng> slot_rngs_;          // one per batch slot (reproducible)
+  std::vector<float> slot_losses_;      // one per batch slot
   std::vector<std::unique_ptr<VisitedSet>> visited_;  // one per thread
   long iteration_ = 0;
   TrainTimeBreakdown breakdown_;

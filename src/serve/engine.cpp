@@ -66,7 +66,7 @@ bool InferenceEngine::enqueue(ServeRequest&& request) {
 std::optional<std::future<Prediction>> InferenceEngine::submit(
     SparseVector features, const ServeOptions& options) {
   ServeRequest request = prepare_request(std::move(features), options);
-  std::future<Prediction> future = request.promise.get_future();
+  std::future<Prediction> future = request.promise.emplace().get_future();
   if (!enqueue(std::move(request))) return std::nullopt;
   return future;
 }
@@ -170,7 +170,7 @@ void InferenceEngine::serve_batch(std::vector<ServeRequest>& batch,
         // resolves always includes this request; set_value runs no user
         // code, so it cannot fail past this point.
         completed_.fetch_add(1, std::memory_order_relaxed);
-        r.promise.set_value(std::move(result));
+        r.promise->set_value(std::move(result));
       }
     } catch (...) {
       fail(r, std::current_exception());
@@ -334,9 +334,9 @@ std::uint64_t InferenceEngine::publish_now() {
 void InferenceEngine::fail(ServeRequest& request,
                            std::exception_ptr error) noexcept {
   errors_.fetch_add(1, std::memory_order_relaxed);
-  if (!request.callback) {
+  if (request.promise) {
     try {
-      request.promise.set_exception(std::move(error));
+      request.promise->set_exception(std::move(error));
     } catch (const std::future_error&) {
       // set_value already succeeded: the exception came from the
       // callback-free tail (nothing left to report) — counted above.

@@ -18,6 +18,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 
 #include "data/sparse_vector.h"
 #include "sys/common.h"
@@ -36,14 +37,16 @@ struct Prediction {
 };
 
 /// One queued inference request. Exactly one of {promise, callback} is
-/// observed by the issuing client; workers fulfill both paths the same way.
+/// set, and observed by the issuing client; workers fulfill both paths the
+/// same way. The promise is built only by submit(): a std::promise
+/// allocates its shared state, which a callback request never uses.
 struct ServeRequest {
   SparseVector features;
   int top_k = 1;
   bool exact = false;
   std::chrono::steady_clock::time_point enqueue_time;
-  std::promise<Prediction> promise;
-  std::function<void(Prediction)> callback;  // empty -> promise path
+  std::optional<std::promise<Prediction>> promise;
+  std::function<void(Prediction)> callback;
 };
 
 class RequestQueue {

@@ -59,14 +59,12 @@ TEST(Integration, SlideReachesDenseAccuracyBallpark) {
   const double slide_acc =
       evaluate_p_at_1(net, data.test, trainer.pool(), {.exact = true});
 
-  // Dense baseline, same architecture/optimizer/schedule, trained with
-  // locked accumulation.
+  // Dense baseline, same architecture/optimizer/schedule.
   Network dense = NetworkBuilder(data.train.feature_dim())
                       .dense(16)
                       .dense(data.train.label_dim(), Activation::kSoftmax)
                       .max_batch(32)
                       .build(2);
-  tc.hogwild = false;
   Trainer dense_trainer(dense, tc);
   dense_trainer.train(data.train, 250);
   const double dense_acc = evaluate_p_at_1(dense, data.test,
@@ -258,7 +256,7 @@ TEST(Integration, GoldenFixedSeedDigestAndAccuracyFloor) {
     Network net(cfg, 1);
     TrainerConfig tc;
     tc.batch_size = 32;
-    tc.num_threads = 1;  // single-threaded: no HOGWILD accumulation races
+    tc.num_threads = 1;  // every pool size gives the same weights
     tc.learning_rate = 5e-3f;
     tc.seed = 99;
     Trainer trainer(net, tc);

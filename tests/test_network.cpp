@@ -1,6 +1,7 @@
 // Network-level tests: construction, the all-active equivalence between the
-// hashed path and dense computation, training-sample mechanics, prediction
-// paths, and parameter accounting.
+// hashed path and dense computation, training-sample mechanics and the
+// pending-slot contract, bit-identical steps at every pool size,
+// prediction paths, and parameter accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "core/network.h"
+#include "core/trainer.h"
 
 namespace slide {
 namespace {
@@ -212,49 +214,49 @@ TEST(Network, MultiLayerSampledStackTrains) {
 }
 
 TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
-  // A row's lazy Adam step reads and writes only that row's state, so how
-  // the rows split over threads cannot change the weights. Identical nets
-  // accumulate the same batch on one thread, then apply it without a pool
-  // and on pools of 1, 2 and 3 threads, for two steps so that the moments
-  // matter.
-  const std::vector<int> pool_sizes = {0, 1, 2, 3};  // 0: no pool
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (int threads : pool_sizes)
-    pools.push_back(threads > 0 ? std::make_unique<ThreadPool>(threads)
-                                : nullptr);
+  // apply_updates sums each row's gradient over the pending slots in slot
+  // order, one writer per row, and Trainer::step sums its loss in slot
+  // order, so how the samples and the rows split over threads cannot
+  // change the weights or the loss. Identical nets take whole
+  // Trainer::steps on pools of 1 to 4 threads, three steps so that the
+  // moments matter.
+  const std::vector<int> pool_sizes = {1, 2, 3, 4};
   // Features 12, 14, 15, 17 and 18 appear in no sample.
-  std::vector<Sample> batch;
+  Dataset data(20, 200);
   for (Index s = 0; s < 6; ++s)
-    batch.push_back(make_sample({2 * s, 2 * s + 1, 3 * s + 4}, {7 * s}));
-  const float inv_batch = 1.0f / static_cast<float>(batch.size());
+    data.add(make_sample({2 * s, 2 * s + 1, 3 * s + 4}, {7 * s}));
+  const std::vector<std::size_t> batch = {0, 1, 2, 3, 4, 5};
 
   for (int shards : {0, 2}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     NetworkConfig cfg = tiny_config(20, 200);
     cfg.layers[0].shards = shards;
     std::vector<std::unique_ptr<Network>> nets;
-    for (std::size_t k = 0; k < pool_sizes.size(); ++k)
-      nets.push_back(std::make_unique<Network>(cfg, 1));
+    std::vector<std::unique_ptr<Trainer>> trainers;
+    for (int threads : pool_sizes) {
+      nets.push_back(std::make_unique<Network>(cfg, threads));
+      TrainerConfig tc;
+      tc.batch_size = static_cast<int>(batch.size());
+      tc.num_threads = threads;
+      tc.learning_rate = 0.05f;
+      trainers.push_back(std::make_unique<Trainer>(*nets.back(), tc));
+    }
     const Params initial = params_of(*nets[0]);
     const int out = nets[0]->stack_depth() - 1;
 
     std::set<Index> active;  // output rows some sample made active
-    for (int step = 0; step < 2; ++step) {
-      for (std::size_t k = 0; k < nets.size(); ++k) {
-        Network& net = *nets[k];
-        VisitedSet visited(net.max_sampled_units());
-        for (std::size_t s = 0; s < batch.size(); ++s) {
-          Rng rng(100 * static_cast<std::uint64_t>(step) + s);
-          net.train_sample(static_cast<int>(s), batch[s], inv_batch, rng,
-                           visited, 0);
-          const auto& ids = net.stack(out).slot(static_cast<int>(s)).ids;
-          active.insert(ids.begin(), ids.end());
-        }
-        net.apply_updates(0.05f, pools[k].get());
+    for (int step = 0; step < 3; ++step) {
+      std::vector<float> losses;
+      for (auto& trainer : trainers) losses.push_back(trainer->step(data, batch));
+      for (std::size_t s = 0; s < batch.size(); ++s) {
+        const auto& ids = nets[0]->stack(out).slot(static_cast<int>(s)).ids;
+        active.insert(ids.begin(), ids.end());
       }
       const Params ref = params_of(*nets[0]);
       for (std::size_t k = 1; k < nets.size(); ++k) {
         SCOPED_TRACE(std::to_string(pool_sizes[k]) + " pool threads");
+        EXPECT_EQ(std::memcmp(&losses[k], &losses[0], sizeof(float)), 0)
+            << "loss " << losses[k] << " vs " << losses[0];
         const Params p = params_of(*nets[k]);
         expect_same_bits(p.embedding_w, ref.embedding_w, "embedding weights");
         expect_same_bits(p.embedding_b, ref.embedding_b, "embedding bias");
@@ -284,18 +286,36 @@ TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
           << "embedding column " << c;
     }
 
-    // With no backward in between, a third apply finds every touch flag
-    // cleared and moves no row. (The embedding bias steps densely.)
+    // With no backward in between, a further apply finds no pending slot
+    // and moves no row. (The embedding bias steps densely.)
     for (std::size_t k = 0; k < nets.size(); ++k) {
       SCOPED_TRACE(std::to_string(pool_sizes[k]) + " pool threads");
       const Params before = params_of(*nets[k]);
-      nets[k]->apply_updates(0.05f, pools[k].get());
+      nets[k]->apply_updates(0.05f, &trainers[k]->pool());
       const Params p = params_of(*nets[k]);
       expect_same_bits(p.embedding_w, before.embedding_w, "embedding weights");
       expect_same_bits(p.output_w, before.output_w, "output weights");
       expect_same_bits(p.output_b, before.output_b, "output bias");
     }
   }
+}
+
+TEST(Network, TrainSampleOnAPendingSlotThrows) {
+  // A slot's backward record lives until apply_updates; a second sample on
+  // the slot would overwrite it, so it is refused before anything moves.
+  Network net(tiny_config(), 2);
+  const Sample s = make_sample({2, 3}, {7});
+  Rng rng(6);
+  VisitedSet visited(net.max_sampled_units());
+  net.train_sample(0, s, 1.0f, rng, visited, 0);
+  const std::vector<float> pending = net.output_layer().gradient_row(7);
+  EXPECT_THROW(net.train_sample(0, s, 1.0f, rng, visited, 0), Error);
+  EXPECT_EQ(net.output_layer().gradient_row(7), pending);
+  EXPECT_THROW(net.output_layer().backward(0, net.embedding().slot(0), 0),
+               Error);
+  net.train_sample(1, s, 1.0f, rng, visited, 0);  // another slot is free
+  net.apply_updates(0.01f, nullptr);
+  EXPECT_NO_THROW(net.train_sample(0, s, 1.0f, rng, visited, 0));
 }
 
 TEST(Network, SampledSoftmaxModeActivatesLabelsPlusRandom) {

@@ -55,8 +55,8 @@ NetworkConfig net_config(const SyntheticDataset& data,
   return cfg;
 }
 
-/// Trains on one thread: HOGWILD updates on two would make the fixture
-/// model, and the agreement counts the tiers are held to, vary run to run.
+/// A fixed-seed fixture model: it, and the agreement counts the tiers are
+/// held to, are the same on every run, at any thread count.
 void train_a_bit(Network& net, const Dataset& train, int iters = 80) {
   TrainerConfig tc;
   tc.batch_size = 16;

@@ -51,8 +51,8 @@ NetworkConfig planted_config(const SyntheticDataset& data) {
   return cfg;
 }
 
-/// Trains on one thread: HOGWILD updates on two would make the model, and
-/// the agreement counts tests hold it to, vary from run to run.
+/// A fixed-seed model: it, and the agreement counts tests hold it to, are
+/// the same on every run, at any thread count.
 std::shared_ptr<const Network> trained_network(const NetworkConfig& config,
                                                const SyntheticDataset& data,
                                                long iterations) {

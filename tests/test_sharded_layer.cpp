@@ -323,10 +323,10 @@ TEST(ShardedLayer, GradientsMatchMonolithicWhenExhaustive) {
   for (Index u = 0; u < 40; ++u) {
     const int s = sharded_out.shard_of(u);
     const Index local = u - sharded_out.shard_offset(s);
-    const float* ga = mono_out.gradient_row(u);
-    const float* gb = sharded_out.shard(s).gradient_row(local);
-    ASSERT_EQ(std::memcmp(ga, gb, mono.config().hidden_units * sizeof(float)),
-              0)
+    const std::vector<float> ga = mono_out.gradient_row(u);
+    const std::vector<float> gb = sharded_out.shard(s).gradient_row(local);
+    ASSERT_EQ(ga.size(), gb.size());
+    ASSERT_EQ(std::memcmp(ga.data(), gb.data(), ga.size() * sizeof(float)), 0)
         << "gradient row " << u;
     EXPECT_EQ(mono_out.bias_gradient(u),
               sharded_out.shard(s).bias_gradient(local));
@@ -335,9 +335,9 @@ TEST(ShardedLayer, GradientsMatchMonolithicWhenExhaustive) {
   // shard-segmented active order changes the prev.err accumulation order
   // (float addition is non-associative), so compare with a tight tolerance
   // rather than byte equality.
-  const float* ea =
+  const std::vector<float> ea =
       mono.embedding().gradient_column(sample.features.indices()[0]);
-  const float* eb =
+  const std::vector<float> eb =
       sharded.embedding().gradient_column(sample.features.indices()[0]);
   for (Index h = 0; h < mono.config().hidden_units; ++h) {
     EXPECT_NEAR(ea[h], eb[h], 1e-5f * (1.0f + std::fabs(ea[h])))
@@ -371,8 +371,9 @@ TEST(ShardedLayer, BackwardRoutesGradientsOnlyToActiveShards) {
   for (Index u = 0; u < 60; ++u) {
     const int s = out.shard_of(u);
     const Index local = u - out.shard_offset(s);
-    const float* g = out.shard(s).gradient_row(local);
-    const bool any = std::any_of(g, g + 16, [](float v) { return v != 0.0f; });
+    const std::vector<float> g = out.shard(s).gradient_row(local);
+    const bool any =
+        std::any_of(g.begin(), g.end(), [](float v) { return v != 0.0f; });
     if (active.count(u)) continue;  // active rows may or may not move
     EXPECT_FALSE(any) << "inactive unit " << u << " received gradient";
     EXPECT_EQ(out.shard(s).bias_gradient(local), 0.0f);

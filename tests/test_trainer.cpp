@@ -1,6 +1,6 @@
 // Trainer tests: end-to-end convergence on planted synthetic data,
-// single-thread determinism, HOGWILD multi-thread training, the locked
-// ablation, rebuild scheduling and instrumentation plumbing.
+// single-thread determinism, multi-thread training, rebuild scheduling and
+// instrumentation plumbing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -96,7 +96,7 @@ TEST(Trainer, SingleThreadIsDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
 }
 
-TEST(Trainer, HogwildMultithreadStillConverges) {
+TEST(Trainer, FourThreadTrainingConverges) {
   const auto data = tiny_data(9);
   NetworkConfig net_cfg = tiny_net_config(data);
   Network net(net_cfg, 4);
@@ -104,23 +104,6 @@ TEST(Trainer, HogwildMultithreadStillConverges) {
   cfg.batch_size = 32;
   cfg.num_threads = 4;  // oversubscribed on 2 cores — still correct
   cfg.learning_rate = 5e-3f;
-  cfg.hogwild = true;
-  Trainer trainer(net, cfg);
-  trainer.train(data.train, 120);
-  const double acc =
-      evaluate_p_at_1(net, data.test, trainer.pool(), {.exact = true});
-  EXPECT_GT(acc, 0.25);
-}
-
-TEST(Trainer, LockedAblationMatchesHogwildQuality) {
-  const auto data = tiny_data(11);
-  NetworkConfig net_cfg = tiny_net_config(data);
-  Network net(net_cfg, 2);
-  TrainerConfig cfg;
-  cfg.batch_size = 32;
-  cfg.num_threads = 2;
-  cfg.learning_rate = 5e-3f;
-  cfg.hogwild = false;  // mutex-guarded accumulation
   Trainer trainer(net, cfg);
   trainer.train(data.train, 120);
   const double acc =
