@@ -74,7 +74,7 @@ inline Network dense_baseline_for(const Dataset& train, int max_batch,
                                   int threads, Index hidden = 128) {
   return NetworkBuilder(train.feature_dim())
       .dense(hidden)
-      .dense(train.label_dim(), Activation::kSoftmax)
+      .dense(train.label_dim())
       .max_batch(max_batch)
       .build(threads);
 }

@@ -57,27 +57,6 @@ void BM_Axpy(benchmark::State& state) {
 }
 BENCHMARK(BM_Axpy)->Args({128, 1})->Args({128, 0})->Args({4096, 1})->Args({4096, 0});
 
-void BM_SparseDotGather(benchmark::State& state) {
-  const auto nnz = static_cast<std::size_t>(state.range(0));
-  simd::set_simd_level(state.range(1) != 0 ? simd::detected_level()
-                                           : simd::SimdLevel::kScalar);
-  const auto dense = vec(100'000, 5);
-  Rng rng(6);
-  std::vector<Index> idx(nnz);
-  std::vector<float> val(nnz);
-  for (std::size_t i = 0; i < nnz; ++i) {
-    idx[i] = rng.uniform(100'000);
-    val[i] = rng.uniform_float();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::sparse_dot(idx.data(), val.data(), nnz, dense.data()));
-  }
-  state.SetLabel(simd::to_string(simd::active_level()));
-  simd::set_simd_level(simd::detected_level());
-}
-BENCHMARK(BM_SparseDotGather)->Args({75, 1})->Args({75, 0});
-
 void BM_Softmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto x = vec(n, 7);

@@ -55,26 +55,6 @@ void BM_HashDense(benchmark::State& state, HashFamilyKind kind) {
 BENCHMARK_CAPTURE(BM_HashDense, simhash, HashFamilyKind::kSimhash);
 BENCHMARK_CAPTURE(BM_HashDense, dwta, HashFamilyKind::kDwta);
 
-void BM_HashSparse(benchmark::State& state) {
-  // 16-nnz sparse input over 10'000 dims: DWTA's native regime.
-  HashFamilyConfig cfg = family_config(HashFamilyKind::kDwta);
-  cfg.dim = 10'000;
-  const auto family = make_hash_family(cfg);
-  Rng rng(2);
-  std::vector<Index> idx;
-  std::vector<float> val;
-  for (int i = 0; i < 16; ++i) {
-    idx.push_back(rng.uniform(10'000));
-    val.push_back(rng.uniform_float());
-  }
-  std::vector<std::uint32_t> keys(50);
-  for (auto _ : state) {
-    family->hash_sparse(idx.data(), val.data(), idx.size(), keys);
-    benchmark::DoNotOptimize(keys.data());
-  }
-}
-BENCHMARK(BM_HashSparse);
-
 void BM_SimhashFullProjection(benchmark::State& state) {
   Simhash h({.k = 9, .l = 50, .dim = kDim, .density = 1.0 / 3.0, .seed = 3});
   const auto x = dense_input(3);

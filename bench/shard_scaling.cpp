@@ -73,7 +73,7 @@ struct Row {
 /// the top-k, but the scored-candidate count is what the budget governs.
 double measure_mean_candidates(const Network& net, Index hidden,
                                std::size_t queries) {
-  const Layer& out = net.stack(net.stack_depth() - 1);
+  const Layer& out = net.stack(0);
   Rng rng(123);
   VisitedSet visited(out.units());
   std::vector<float> prev(static_cast<std::size_t>(hidden));

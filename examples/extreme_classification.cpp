@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::printf("\n== dense full-softmax baseline (TF-CPU role) ==\n");
   Network dense_network = NetworkBuilder(data.train.feature_dim())
                               .dense(128)
-                              .dense(label_dim, Activation::kSoftmax)
+                              .dense(label_dim)
                               .max_batch(128)
                               .build(threads);
   const Result dense = train_engine(dense_network, tcfg);

@@ -35,9 +35,9 @@ int main() {
   // 2. Network: the paper's benchmark architecture, described fluently —
   //    sparse input -> 32 dense ReLU -> LSH-sampled softmax (Simhash with
   //    K=6, L=24; activate ~64 of the 500 classes per sample). Swap
-  //    .sampled(...) for .dense(labels, Activation::kSoftmax) to get the
-  //    full dense baseline, or .random_sampled(labels, 64) for the
-  //    sampled-softmax baseline — same Trainer, checkpoints, and serving.
+  //    .sampled(...) for .dense(labels) to get the full dense baseline,
+  //    or .random_sampled(labels, 64) for the sampled-softmax baseline —
+  //    same Trainer, checkpoints, and serving.
   HashFamilyConfig family;
   family.kind = HashFamilyKind::kSimhash;
   family.k = 6;
@@ -52,10 +52,10 @@ int main() {
       .table(table);
   if (shards > 0) builder.shards(shards);
   Network network = builder.max_batch(64).build(threads);
-  std::printf("network: %zu parameters, %d layers, output sampling %.1f%%, "
+  std::printf("network: %zu parameters, output sampling %.1f%%, "
               "shards %d\n",
-              network.num_parameters(), network.num_layers(),
-              100.0 * 64 / data.train.label_dim(), shards);
+              network.num_parameters(), 100.0 * 64 / data.train.label_dim(),
+              shards);
 
   // 3. Train: one thread per batch instance, lazy Adam, LSH rebuilds on the
   //    exponential-decay schedule.
@@ -73,7 +73,7 @@ int main() {
     // monolithic and sharded output layers alike.
     std::printf("  iter %4ld | %5.1fs | P@1 %.3f | active %.1f%%\n",
                 iteration, timer.seconds(), acc,
-                100.0 * network.stack(network.stack_depth() - 1)
+                100.0 * network.stack(0)
                             .average_active_fraction());
   }, /*callback_every=*/50);
 

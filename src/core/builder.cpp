@@ -8,16 +8,11 @@ namespace slide {
 NetworkBuilder::NetworkBuilder(Index input_dim) {
   SLIDE_CHECK(input_dim > 0, "NetworkBuilder: input_dim must be positive");
   config_.input_dim = input_dim;
-  config_.layers.clear();
 }
 
-NetworkBuilder& NetworkBuilder::dense(Index units, Activation activation,
-                                      float init_stddev) {
+NetworkBuilder& NetworkBuilder::dense(Index units, float init_stddev) {
   SLIDE_CHECK(units > 0, "NetworkBuilder::dense: units must be positive");
   if (!have_embedding_) {
-    SLIDE_CHECK(activation == Activation::kReLU,
-                "NetworkBuilder: the input-facing (first) layer is always "
-                "ReLU");
     config_.hidden_units = units;
     if (init_stddev > 0.0f) config_.hidden_init_stddev = init_stddev;
     have_embedding_ = true;
@@ -25,23 +20,18 @@ NetworkBuilder& NetworkBuilder::dense(Index units, Activation activation,
   }
   LayerSpec spec;
   spec.units = units;
-  spec.activation = activation;
-  spec.hashed = false;
-  spec.random_sampled = false;
   spec.init_stddev = init_stddev;
   return layer(spec);
 }
 
 NetworkBuilder& NetworkBuilder::sampled(Index units,
                                         const HashFamilyConfig& family,
-                                        Index sampling_target,
-                                        Activation activation) {
+                                        Index sampling_target) {
   SLIDE_CHECK(units > 0, "NetworkBuilder::sampled: units must be positive");
   SLIDE_CHECK(sampling_target > 0,
               "NetworkBuilder::sampled: sampling_target must be positive");
   LayerSpec spec;
   spec.units = units;
-  spec.activation = activation;
   spec.hashed = true;
   spec.family = family;
   spec.sampling.strategy = SamplingStrategy::kVanilla;
@@ -49,16 +39,14 @@ NetworkBuilder& NetworkBuilder::sampled(Index units,
   return layer(spec);
 }
 
-NetworkBuilder& NetworkBuilder::random_sampled(Index units, Index num_sampled,
-                                               Activation activation) {
+NetworkBuilder& NetworkBuilder::random_sampled(Index units,
+                                               Index num_sampled) {
   SLIDE_CHECK(units > 0,
               "NetworkBuilder::random_sampled: units must be positive");
   SLIDE_CHECK(num_sampled > 0,
               "NetworkBuilder::random_sampled: num_sampled must be positive");
   LayerSpec spec;
   spec.units = units;
-  spec.activation = activation;
-  spec.hashed = false;
   spec.random_sampled = true;
   spec.sampling.target = num_sampled;
   return layer(spec);
@@ -68,38 +56,41 @@ NetworkBuilder& NetworkBuilder::layer(const LayerSpec& spec) {
   SLIDE_CHECK(have_embedding_,
               "NetworkBuilder: the first layer must be dense (the "
               "input-facing embedding) — call .dense(units) first");
+  SLIDE_CHECK(config_.layers.empty(),
+              "NetworkBuilder: the network already has its output layer "
+              "(one embedding, one output layer)");
   SLIDE_CHECK(spec.units > 0, "NetworkBuilder::layer: units must be positive");
   config_.layers.push_back(spec);
   return *this;
 }
 
-LayerSpec& NetworkBuilder::last_layer(const char* call) {
+LayerSpec& NetworkBuilder::output_spec(const char* call) {
   SLIDE_CHECK(!config_.layers.empty(),
               std::string("NetworkBuilder::") + call +
-                  ": no stack layer to modify — add one first");
+                  ": no output layer to modify — add one first");
   return config_.layers.back();
 }
 
 NetworkBuilder& NetworkBuilder::table(const HashTable::Config& table) {
-  last_layer("table").table = table;
+  output_spec("table").table = table;
   return *this;
 }
 
 NetworkBuilder& NetworkBuilder::rebuild_schedule(
     const RebuildSchedule& schedule) {
-  last_layer("rebuild_schedule").rebuild = schedule;
+  output_spec("rebuild_schedule").rebuild = schedule;
   return *this;
 }
 
 NetworkBuilder& NetworkBuilder::sampling_config(
     const SamplingConfig& sampling) {
-  last_layer("sampling_config").sampling = sampling;
+  output_spec("sampling_config").sampling = sampling;
   return *this;
 }
 
 NetworkBuilder& NetworkBuilder::shards(int shards) {
   SLIDE_CHECK(shards >= 1, "NetworkBuilder::shards: must be >= 1");
-  LayerSpec& spec = last_layer("shards");
+  LayerSpec& spec = output_spec("shards");
   SLIDE_CHECK(spec.hashed,
               "NetworkBuilder::shards: sharding requires an LSH-sampled "
               "layer (call .sampled(...) first)");
@@ -135,11 +126,7 @@ NetworkConfig NetworkBuilder::to_config() const {
   SLIDE_CHECK(have_embedding_,
               "NetworkBuilder: missing the input-facing dense layer");
   SLIDE_CHECK(!config_.layers.empty(),
-              "NetworkBuilder: at least one stack layer (the output layer) "
-              "is required");
-  SLIDE_CHECK(config_.layers.back().activation == Activation::kSoftmax,
-              "NetworkBuilder: the output layer must be softmax (the "
-              "Trainer's cross-entropy contract)");
+              "NetworkBuilder: the output layer is required");
   return config_;
 }
 

@@ -5,22 +5,20 @@
 //                     .sampled(label_dim, family, target)  // LSH output
 //                     .build(num_threads);
 //
-// The first .dense() call defines the input-facing EmbeddingLayer; every
-// later call appends one stack layer, so arbitrary-depth mixed stacks —
-// dense-only baselines, multiple hashed layers, the paper's §4.2 ablations
-// — all build the same way and run through one Network, one Trainer, one
-// checkpoint format, and one serving path:
+// Every network has the paper's one shape (§5): the first .dense() call
+// defines the input-facing EmbeddingLayer (always ReLU), and exactly one
+// more call adds the softmax output layer, choosing its policy:
 //
-//   dense baseline:   .dense(128).dense(labels, Activation::kSoftmax)
+//   dense baseline:   .dense(128).dense(labels)
+//   LSH-sampled:      .dense(128).sampled(labels, family, target)
+//   sharded LSH:      .dense(128).sampled(labels, family, target).shards(4)
 //   sampled softmax:  .dense(128).random_sampled(labels, num_sampled)
-//   deep mixed stack: .dense(256).dense(128).sampled(4096, fam, t1,
-//                       Activation::kReLU).sampled(labels, fam, t2)
 //
-// Per-layer knobs (.table(), .rebuild_schedule(), .sampling_config(),
-// .shards()) apply to the most recently added stack layer.
-// to_config() yields the equivalent NetworkConfig (the serializable
-// architecture description the serving ModelStore consumes); build() is
-// to_config() + Network construction.
+// A third layer call throws slide::Error. The output-layer knobs
+// (.table(), .rebuild_schedule(), .sampling_config(), .shards()) follow
+// the output-layer call. to_config() yields the equivalent NetworkConfig
+// (the serializable architecture description the serving ModelStore
+// consumes); build() is to_config() + Network construction.
 //
 // The built width is a starting point, not a ceiling: a hashed output
 // layer grows and retires labels online after construction
@@ -43,35 +41,32 @@ class NetworkBuilder {
  public:
   explicit NetworkBuilder(Index input_dim);
 
-  // ---- Layer-appending calls (order = stack order) ----
+  // ---- Layer calls: the embedding, then the output layer ----
 
   /// A dense layer: every unit computes on every input. The first call
-  /// defines the input-facing embedding layer (always ReLU); later calls
-  /// append DenseLayers. `init_stddev` 0 selects the per-layer default.
-  NetworkBuilder& dense(Index units,
-                        Activation activation = Activation::kReLU,
-                        float init_stddev = 0.0f);
+  /// defines the input-facing embedding layer (ReLU); the second adds the
+  /// dense softmax output layer (the full-softmax baseline). `init_stddev`
+  /// 0 selects the layer's default.
+  NetworkBuilder& dense(Index units, float init_stddev = 0.0f);
 
-  /// An LSH-sampled layer (paper §3): hash tables over the layer's neurons,
+  /// An LSH-sampled output layer (paper §3): hash tables over its neurons,
   /// ~`sampling_target` adaptively chosen active units per input.
   NetworkBuilder& sampled(Index units, const HashFamilyConfig& family,
-                          Index sampling_target,
-                          Activation activation = Activation::kSoftmax);
+                          Index sampling_target);
 
-  /// A statically sampled layer (Sampled Softmax baseline, paper §5.1):
-  /// labels + `num_sampled` uniformly random units per input.
-  NetworkBuilder& random_sampled(Index units, Index num_sampled,
-                                 Activation activation = Activation::kSoftmax);
+  /// A statically sampled output layer (Sampled Softmax baseline, paper
+  /// §5.1): labels + `num_sampled` uniformly random units per input.
+  NetworkBuilder& random_sampled(Index units, Index num_sampled);
 
-  /// Escape hatch: append a fully hand-built stack layer spec.
+  /// Escape hatch: a fully hand-built output-layer spec.
   NetworkBuilder& layer(const LayerSpec& spec);
 
-  // ---- Knobs for the most recently added stack layer ----
+  // ---- Knobs for the output layer (call after adding it) ----
 
   NetworkBuilder& table(const HashTable::Config& table);
   NetworkBuilder& rebuild_schedule(const RebuildSchedule& schedule);
   NetworkBuilder& sampling_config(const SamplingConfig& sampling);
-  /// Model-parallel sharding of the most recently added LSH-sampled layer
+  /// Model-parallel sharding of the LSH-sampled output layer
   /// (core/sharded_layer.h): the neuron range splits into `shards`
   /// contiguous shards, each with its own weight block and LSH tables.
   /// shards(1) builds a single-shard ShardedSampledLayer, bit-identical to
@@ -93,9 +88,8 @@ class NetworkBuilder {
 
   // ---- Terminal calls ----
 
-  /// The equivalent NetworkConfig. Validates the stack: an embedding layer
-  /// plus at least one stack layer, softmax on the output layer (the
-  /// Trainer's loss contract).
+  /// The equivalent NetworkConfig. Validates the shape: an embedding layer
+  /// plus the output layer.
   NetworkConfig to_config() const;
 
   /// Constructs the Network (see Network's ctor for `max_threads`).
@@ -103,7 +97,7 @@ class NetworkBuilder {
   std::shared_ptr<Network> build_shared(int max_threads) const;
 
  private:
-  LayerSpec& last_layer(const char* call);
+  LayerSpec& output_spec(const char* call);
 
   NetworkConfig config_;
   bool have_embedding_ = false;

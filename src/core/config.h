@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/activation.h"
 #include "lsh/factory.h"
 #include "lsh/hash_table.h"
 #include "lsh/sampling.h"
@@ -53,12 +52,12 @@ Precision parse_precision(const char* name);
 /// other value, including 1 and 2, the removed tiers' tags).
 Precision precision_from_tag(std::uint32_t tag);
 
-/// One layer after the first hidden layer (see EmbeddingLayer for the
-/// input-facing layer). When `hashed` is set, the layer maintains LSH tables
-/// over its neurons and activates only a sampled subset per input.
+/// The softmax output layer, fed by the input-facing EmbeddingLayer. Its
+/// policy: dense (every unit active on every input), `hashed` (LSH tables
+/// over its neurons pick a sampled subset per input, monolithic or
+/// `shards`-way sharded) or `random_sampled`.
 struct LayerSpec {
   Index units = 0;
-  Activation activation = Activation::kReLU;
 
   bool hashed = false;
   /// Static uniform sampling instead of LSH (the Sampled Softmax baseline
@@ -88,7 +87,8 @@ struct NetworkConfig {
   Index hidden_units = 128;
   float hidden_init_stddev = 0.5f;
 
-  /// Subsequent layers; the last one is the (softmax) output layer.
+  /// The output layer's spec: exactly one entry (Network refuses any
+  /// other count). A vector because perfbench writes layers.back().
   std::vector<LayerSpec> layers;
 
   /// Batch slots to preallocate (max batch size the network can train on).

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "core/sharded_layer.h"
 #include "simd/kernels.h"
 #include "sys/prefetch.h"
 #include "sys/timer.h"
@@ -71,34 +70,13 @@ std::size_t thp_bytes(const HugeArrayT<simd::I8>& mirror) noexcept {
   return mirror.uses_thp() ? mirror.size() * sizeof(simd::I8) : 0;
 }
 
-/// One unit's pre-activation against the previous layer's active set,
-/// through its fp32 weight row.
-float score_unit(float bias, const float* w, std::span<const Index> prev_ids,
-                 std::span<const float> prev_act) noexcept {
-  if (prev_ids.empty())
-    return bias + simd::dot(w, prev_act.data(), prev_act.size());
-  return bias + simd::sparse_dot(prev_ids.data(), prev_act.data(),
-                                 prev_ids.size(), w);
-}
-
-SampledLayer::Config dense_layer_config(Index units, Index fan_in,
-                                        Activation activation,
-                                        float init_stddev,
-                                        const AdamConfig& adam,
-                                        std::uint64_t seed,
-                                        Precision precision) {
-  SampledLayer::Config cfg;
-  cfg.units = units;
-  cfg.fan_in = fan_in;
-  cfg.activation = activation;
-  cfg.hashed = false;
-  cfg.random_sampled = false;
-  cfg.init_stddev = init_stddev;
-  cfg.adam = adam;
-  cfg.precision = precision;
-  cfg.seed = seed;
-  return cfg;
-}
+/// Top-k order of two heap entries: the higher score first, ties toward
+/// the earlier candidate (the lower position, packed above the id). A
+/// closure rather than a function, so the heap algorithms inline it.
+constexpr auto ranks_higher = [](const std::pair<float, std::uint64_t>& a,
+                                 const std::pair<float, std::uint64_t>& b) {
+  return a.first > b.first || (a.first == b.first && a.second < b.second);
+};
 
 }  // namespace
 
@@ -116,6 +94,40 @@ const char* to_string(LayerKind kind) {
   return "?";
 }
 
+void TopKScratch::offer(std::size_t k, Index offset) {
+  // The worst of the current top-k sits at the front, and a candidate
+  // enters only by beating it. The run and the position count are read
+  // into locals: a heap write may alias `position`, and through the member
+  // the loop would reload and store it on every candidate.
+  if (k == 0) return;
+  const Index* run_ids = ids.data();
+  const float* run_act = act.data();
+  const std::size_t n = ids.size();
+  std::uint64_t pos = position;
+  for (std::size_t i = 0; i < n; ++i, ++pos) {
+    const std::pair<float, std::uint64_t> cand{
+        run_act[i],
+        (pos << 32) | static_cast<std::uint64_t>(offset + run_ids[i])};
+    if (heap.size() < k) {
+      heap.push_back(cand);
+      std::push_heap(heap.begin(), heap.end(), ranks_higher);
+    } else if (ranks_higher(cand, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), ranks_higher);
+      heap.back() = cand;
+      std::push_heap(heap.begin(), heap.end(), ranks_higher);
+    }
+  }
+  position = pos;
+}
+
+void TopKScratch::take(std::vector<Index>& out) {
+  std::sort_heap(heap.begin(), heap.end(), ranks_higher);
+  out.clear();
+  out.reserve(heap.size());
+  for (const auto& entry : heap)
+    out.push_back(static_cast<Index>(entry.second & 0xFFFFFFFFull));
+}
+
 void Layer::forward_inference_topk(std::span<const Index> prev_ids,
                                    std::span<const float> prev_act, int k,
                                    bool exact, Rng& rng, VisitedSet& visited,
@@ -123,25 +135,10 @@ void Layer::forward_inference_topk(std::span<const Index> prev_ids,
                                    std::vector<Index>& out) const {
   forward_inference(prev_ids, prev_act, exact, rng, visited, scratch.ids,
                     scratch.act);
-  std::vector<std::size_t>& order = scratch.order;
-  const std::vector<float>& act = scratch.act;
-  order.resize(act.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const std::size_t take =
-      std::min<std::size_t>(static_cast<std::size_t>(k), order.size());
-  // Ties break toward the earlier candidate position (the lower unit id in
-  // exact mode), matching predict_top1's first-max rule.
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(take),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      return act[a] > act[b] || (act[a] == act[b] && a < b);
-                    });
-  out.clear();
-  out.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    out.push_back(scratch.ids.empty() ? static_cast<Index>(order[i])
-                                      : scratch.ids[order[i]]);
-  }
+  scratch.heap.clear();
+  scratch.position = 0;
+  scratch.offer(static_cast<std::size_t>(k), 0);
+  scratch.take(out);
 }
 
 // ===========================================================================
@@ -413,64 +410,48 @@ LayerMemory SampledLayer::memory() const noexcept {
   return m;
 }
 
-float SampledLayer::activation_of_i8(Index unit,
-                                     std::span<const Index> prev_ids,
-                                     std::span<const float> prev_act,
+float SampledLayer::activation_of_i8(Index unit, std::size_t n,
                                      const simd::U8* qx,
                                      float act_scale) const {
   const simd::I8* w =
       weights_i8_.data() + static_cast<std::size_t>(unit) * fan_in_;
   const float sw = i8_scales_[unit];
   if (sw == 0.0f) return bias_[unit];  // all-zero weight row
-  if (prev_ids.empty()) {
-    // Dense prev: integer dot against the caller's u8-quantized
-    // activations, score recovered as sw * sx * dot (simd/int8.h).
-    if (act_scale == 0.0f) return bias_[unit];  // all-zero activations
-    return bias_[unit] +
-           sw * act_scale *
-               static_cast<float>(simd::dot_i8(w, qx, prev_act.size()));
-  }
-  // Sparse prev: fp32 values against widened s8 weights (a byte gather has
-  // no SIMD win at SLIDE's active-set sparsity).
-  return bias_[unit] + sw * simd::sparse_dot_i8(prev_ids.data(),
-                                                prev_act.data(),
-                                                prev_ids.size(), w);
+  // Integer dot against the caller's u8-quantized query, score recovered
+  // as sw * sx * dot (simd/int8.h).
+  if (act_scale == 0.0f) return bias_[unit];  // all-zero activations
+  return bias_[unit] +
+         sw * act_scale * static_cast<float>(simd::dot_i8(w, qx, n));
 }
 
 float SampledLayer::activation_of(Index unit,
-                                  std::span<const Index> prev_ids,
                                   std::span<const float> prev_act) const {
-  return score_unit(bias_[unit], weight_row(unit), prev_ids, prev_act);
+  return bias_[unit] +
+         simd::dot(weight_row(unit), prev_act.data(), prev_act.size());
 }
 
 void SampledLayer::score_rows(std::span<const Index> ids,
-                              std::span<const Index> prev_ids,
                               std::span<const float> prev_act,
                               float* out) const {
   const std::size_t n = ids.size();
   if (i8_inference()) {
-    const simd::U8* qx = nullptr;
-    float sx = 0.0f;
-    if (prev_ids.empty()) {
-      // One activation quantization per query, amortized over every
-      // candidate row scored below.
-      thread_local std::vector<simd::U8> qx_scratch;
-      qx_scratch.resize(prev_act.size());
-      sx = simd::quantize_act_u8(prev_act.data(), qx_scratch.data(),
-                                 prev_act.size());
-      qx = qx_scratch.data();
-    }
+    // One query quantization, amortized over every candidate row scored
+    // below.
+    thread_local std::vector<simd::U8> qx;
+    qx.resize(prev_act.size());
+    const float sx =
+        simd::quantize_act_u8(prev_act.data(), qx.data(), prev_act.size());
     for (std::size_t i = 0; i < n; ++i) {
       if (i + kPrefetchDistance < n)
         prefetch_read(inference_row(ids[i + kPrefetchDistance]));
-      out[i] = activation_of_i8(ids[i], prev_ids, prev_act, qx, sx);
+      out[i] = activation_of_i8(ids[i], prev_act.size(), qx.data(), sx);
     }
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n)
       prefetch_read(inference_row(ids[i + kPrefetchDistance]));
-    out[i] = activation_of(ids[i], prev_ids, prev_act);
+    out[i] = activation_of(ids[i], prev_act);
   }
 }
 
@@ -507,7 +488,7 @@ void SampledLayer::select_active(int slot, const ActiveSet& prev,
   // forced labels above are pre-stamped so they are never re-retrieved).
   // For the LSH backend this is the historical key → buckets →
   // sample_neurons sequence, bit for bit.
-  retriever_->retrieve(prev.ids,
+  retriever_->retrieve({},
                        std::span<const float>(prev.act.data(), prev.size()),
                        target, rng, visited, s.ids,
                        /*fresh_epoch=*/false);
@@ -530,31 +511,24 @@ void SampledLayer::select_active(int slot, const ActiveSet& prev,
 
 void SampledLayer::compute_activations(ActiveSet& s,
                                        const ActiveSet& prev) const {
-  const std::span<const Index> prev_ids = prev.ids;
+  SLIDE_ASSERT(prev.dense());
   const std::span<const float> prev_act(prev.act.data(), prev.size());
   if (s.dense()) {
     s.act.resize(units_);
     s.err.assign(units_, 0.0f);
-    for (Index u = 0; u < units_; ++u)
-      s.act[u] = activation_of(u, prev_ids, prev_act);
-    if (config_.activation == Activation::kReLU)
-      simd::relu(s.act.data(), units_);
+    for (Index u = 0; u < units_; ++u) s.act[u] = activation_of(u, prev_act);
     return;
   }
   const std::size_t n = s.ids.size();
   s.act.resize(n);
   s.err.assign(n, 0.0f);
-  // A dense prev reads every line of a candidate row; a sparse one reads a
-  // few scattered entries, and fetching the row's first line serves it.
-  const std::size_t ahead = prev.dense() ? fan_in_ * sizeof(float) : 1;
+  // The dense query reads every line of a candidate row.
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n)
       prefetch_span</*write=*/false>(weight_row(s.ids[i + kPrefetchDistance]),
-                                     ahead);
-    s.act[i] = activation_of(s.ids[i], prev_ids, prev_act);
+                                     fan_in_ * sizeof(float));
+    s.act[i] = activation_of(s.ids[i], prev_act);
   }
-  if (config_.activation == Activation::kReLU)
-    simd::relu(s.act.data(), n);
 }
 
 void SampledLayer::forward(int slot, const ActiveSet& prev,
@@ -596,8 +570,6 @@ void SampledLayer::forward(int slot, const ActiveSet& prev,
 float SampledLayer::compute_softmax_ce_deltas(int slot,
                                               std::span<const Index> labels,
                                               float inv_batch) {
-  SLIDE_CHECK(config_.activation == Activation::kSoftmax,
-              "softmax deltas on a non-softmax layer");
   ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
   const std::size_t n = s.size();
   if (n == 0) return 0.0f;
@@ -628,19 +600,12 @@ float SampledLayer::compute_softmax_ce_deltas(int slot,
   return loss;
 }
 
-void SampledLayer::compute_relu_deltas(int slot) {
-  ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
-  const std::size_t n = s.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (s.act[i] <= 0.0f) s.err[i] = 0.0f;
-  }
-}
-
 void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
   const ActiveSet*& record = pending_prev_[static_cast<std::size_t>(slot)];
   SLIDE_CHECK(record == nullptr,
               "SampledLayer::backward: the slot is pending until "
               "apply_updates");
+  SLIDE_ASSERT(prev.dense());
   ActiveSet& s = slots_[static_cast<std::size_t>(slot)];
   const std::size_t n = s.size();
   WallTimer timer;
@@ -650,12 +615,7 @@ void SampledLayer::backward(int slot, ActiveSet& prev, int tid) {
     const float delta = s.err[i];
     if (delta == 0.0f) continue;
     const float* w = weight_row(s.dense() ? static_cast<Index>(i) : s.ids[i]);
-    if (prev.dense()) {
-      simd::axpy(delta, w, prev.err.data(), prev_n);
-    } else {
-      for (std::size_t p = 0; p < prev_n; ++p)
-        prev.err[p] += delta * w[prev.ids[p]];
-    }
+    simd::axpy(delta, w, prev.err.data(), prev_n);
   }
   record = &prev;
   auto& acc = compute_time_[static_cast<std::size_t>(tid)].value;
@@ -690,12 +650,7 @@ bool SampledLayer::sum_row(Index unit, std::span<const RowIndex::Ref> refs,
     stepped = true;
     b += delta;
     const ActiveSet& prev = *pending_prev_[slot];
-    if (prev.dense()) {
-      simd::axpy(delta, prev.act.data(), g, prev.size());
-    } else {
-      for (std::size_t p = 0; p < prev.ids.size(); ++p)
-        g[prev.ids[p]] += delta * prev.act[p];
-    }
+    simd::axpy(delta, prev.act.data(), g, prev.size());
   };
   auto add_dense = [&](std::uint32_t slot) {
     const ActiveSet& set = slots_[slot];
@@ -873,6 +828,9 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
                                      VisitedSet& visited,
                                      std::vector<Index>& ids_out,
                                      std::vector<float>& act_out) const {
+  SLIDE_CHECK(prev_ids.empty(),
+              "forward_inference: the query is the embedding's dense "
+              "activations; prev_ids must be empty");
   ids_out.clear();
   const bool tombstoned =
       retriever_ != nullptr && retriever_->has_removed();
@@ -893,7 +851,7 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
     // The inference candidate budget caps the sampling target (0 = off).
     if (config_.sampling.inference_budget > 0)
       target = std::min(target, config_.sampling.inference_budget);
-    retriever_->retrieve(prev_ids, prev_act, target, rng, visited, ids_out);
+    retriever_->retrieve({}, prev_act, target, rng, visited, ids_out);
     // The same uniform top-up as training's select_active.
     long attempts = 20L * static_cast<long>(target);
     while (ids_out.size() < target && attempts-- > 0) {
@@ -903,9 +861,7 @@ void SampledLayer::forward_inference(std::span<const Index> prev_ids,
     }
   }
   act_out.resize(ids_out.size());
-  score_rows(ids_out, prev_ids, prev_act, act_out.data());
-  if (config_.activation == Activation::kReLU)
-    simd::relu(act_out.data(), act_out.size());
+  score_rows(ids_out, prev_act, act_out.data());
 }
 
 double SampledLayer::average_active_fraction() const {
@@ -935,81 +891,6 @@ double SampledLayer::compute_seconds() const {
 void SampledLayer::reset_phase_timers() {
   for (auto& t : sampling_time_) t.value.store(0.0);
   for (auto& t : compute_time_) t.value.store(0.0);
-}
-
-// ===========================================================================
-// DenseLayer / RandomSampledLayer / make_layer
-// ===========================================================================
-
-DenseLayer::DenseLayer(Index units, Index fan_in, Activation activation,
-                       float init_stddev, const AdamConfig& adam,
-                       std::uint64_t seed, int batch_slots, int max_threads,
-                       Precision precision, ParamInit init)
-    : SampledLayer(dense_layer_config(units, fan_in, activation, init_stddev,
-                                      adam, seed, precision),
-                   batch_slots, max_threads, init) {}
-
-RandomSampledLayer::RandomSampledLayer(Index units, Index fan_in,
-                                       Index num_sampled,
-                                       Activation activation,
-                                       float init_stddev,
-                                       const AdamConfig& adam,
-                                       std::uint64_t seed, int batch_slots,
-                                       int max_threads, Precision precision,
-                                       ParamInit init)
-    : SampledLayer(
-          [&] {
-            SampledLayer::Config cfg = dense_layer_config(
-                units, fan_in, activation, init_stddev, adam, seed,
-                precision);
-            cfg.random_sampled = true;
-            cfg.sampling.target = num_sampled;
-            return cfg;
-          }(),
-          batch_slots, max_threads, init) {
-  SLIDE_CHECK(num_sampled > 0,
-              "RandomSampledLayer: num_sampled must be positive");
-}
-
-std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
-                                  const AdamConfig& adam, std::uint64_t seed,
-                                  int batch_slots, int max_threads,
-                                  Precision precision, ParamInit init) {
-  SLIDE_CHECK(!(spec.hashed && spec.random_sampled),
-              "make_layer: hashed and random_sampled are exclusive");
-  SLIDE_CHECK(spec.shards == 0 || spec.hashed,
-              "make_layer: shards requires an LSH-sampled (hashed) layer");
-  if (spec.hashed) {
-    SampledLayer::Config cfg;
-    cfg.units = spec.units;
-    cfg.fan_in = fan_in;
-    cfg.activation = spec.activation;
-    cfg.hashed = true;
-    cfg.family = spec.family;
-    cfg.table = spec.table;
-    cfg.sampling = spec.sampling;
-    cfg.rebuild = spec.rebuild;
-    cfg.init_stddev = spec.init_stddev;
-    cfg.adam = adam;
-    cfg.precision = precision;
-    cfg.seed = seed;
-    if (spec.shards >= 1) {
-      return std::make_unique<ShardedSampledLayer>(
-          cfg, spec.shards, batch_slots, max_threads, init);
-    }
-    return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads,
-                                          init);
-  }
-  if (spec.random_sampled) {
-    return std::make_unique<RandomSampledLayer>(
-        spec.units, fan_in, spec.sampling.target, spec.activation,
-        spec.init_stddev, adam, seed, batch_slots, max_threads, precision,
-        init);
-  }
-  return std::make_unique<DenseLayer>(spec.units, fan_in, spec.activation,
-                                      spec.init_stddev, adam, seed,
-                                      batch_slots, max_threads, precision,
-                                      init);
 }
 
 }  // namespace slide

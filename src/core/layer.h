@@ -1,27 +1,30 @@
-// The layer stack of the engine.
+// The layers of the engine: the network is one shape (paper §5), sparse
+// input -> EmbeddingLayer (dense, ReLU) -> one softmax output Layer.
 //
-// The paper's core observation is that adaptive sparsity is a *per-layer
-// policy*, not a fixed topology: any layer past the input-facing one can
-// run dense, LSH-sampled, or statically sampled. The stack is therefore
-// polymorphic:
+// Adaptive sparsity is the output layer's *policy*: it runs dense, LSH-
+// sampled (monolithic or sharded) or statically sampled.
 //
 //   Layer (abstract)        — forward/backward/apply_updates/rebuild/
-//                             serialize hooks; what Network, Trainer and
-//                             core/serialize program against.
-//   ├── SampledLayer        — the workhorse: neuron-major weights
-//   │   │                     ([units x fan_in]), per-slot active sets and
-//   │   │                     backward records, and (when hashed) LSH
-//   │   │                     tables over its neurons — the s² cost model
-//   │   │                     of paper §3.1.
-//   │   ├── DenseLayer      — every unit active on every input (the honest
-//   │   │                     dense baseline and ReLU mid-stack layers).
-//   │   └── RandomSampledLayer — labels + static uniform classes (the
-//   │                         Sampled Softmax baseline of paper §5.1).
-//   EmbeddingLayer          — the input adapter, NOT part of the stack: it
-//                             consumes the SparseVector input with weights
-//                             stored *input-major* ([input_dim x units]) so
-//                             forward and the column updates touch one
-//                             contiguous units-length row per input nonzero.
+//                             serialize hooks of the output layer; what
+//                             Network, Trainer and core/serialize program
+//                             against.
+//   ├── SampledLayer        — neuron-major weights ([units x fan_in]),
+//   │                         per-slot active sets and backward records,
+//   │                         and (when hashed) LSH tables over its
+//   │                         neurons — the s² cost model of paper §3.1.
+//   │                         Dense (every unit active on every input) and
+//   │                         statically sampled (labels + uniform classes,
+//   │                         the Sampled Softmax baseline of paper §5.1)
+//   │                         are its other two policies.
+//   └── ShardedSampledLayer — an LSH-sampled layer split into row shards
+//                             (core/sharded_layer.h).
+//   EmbeddingLayer          — the input adapter: it consumes the
+//                             SparseVector input with weights stored
+//                             *input-major* ([input_dim x units]) so forward
+//                             and the column updates touch one contiguous
+//                             units-length row per input nonzero. Its
+//                             activations are the output layer's dense
+//                             query.
 //
 // All layers keep per-batch-slot activation/error arrays (the paper's
 // per-neuron batch arrays, stored struct-of-arrays) so every training
@@ -48,7 +51,6 @@
 #include <span>
 #include <vector>
 
-#include "core/activation.h"
 #include "core/config.h"
 #include "data/sparse_vector.h"
 #include "lsh/table_group.h"
@@ -80,7 +82,7 @@ struct ActiveSet {
 
 // ---------------------------------------------------------------------------
 
-/// Concrete type of a stack layer (diagnostics, checkpoint tooling).
+/// The output layer's policy (diagnostics, checkpoint tooling).
 enum class LayerKind {
   kDense,
   kSampled,
@@ -91,24 +93,32 @@ enum class LayerKind {
 const char* to_string(LayerKind kind);
 
 /// Reusable scratch for the top-k inference hook (owned by
-/// InferenceContext). Every vector keeps its capacity across calls, so
-/// steady-state top-k queries allocate nothing — this is where the sharded
-/// layer's k-way heap merge lives (see Layer::forward_inference_topk).
+/// InferenceContext): one candidate run's ids and scores, and the bounded
+/// selection heap every run of a query is offered to (one run for a
+/// monolithic layer, one per shard for a sharded one — see
+/// Layer::forward_inference_topk). Every vector keeps its capacity across
+/// calls, so steady-state top-k queries allocate nothing.
 struct TopKScratch {
-  std::vector<Index> ids;    // candidate ids (per-shard run for sharded)
-  std::vector<float> act;    // candidate activations
-  std::vector<std::size_t> order;  // ranking permutation (default path)
-  /// Bounded selection heap: (score, position<<32 | global id). Position
-  /// packs above the id so ties resolve toward the earlier candidate with
-  /// a single integer compare.
+  std::vector<Index> ids;  // the current run's candidate ids
+  std::vector<float> act;  // and their scores
+  /// Bounded selection heap, worst of the current top-k in front: (score,
+  /// position<<32 | global id). Position packs above the id so ties
+  /// resolve toward the earlier candidate with a single integer compare.
   std::vector<std::pair<float, std::uint64_t>> heap;
+  std::uint64_t position = 0;  // candidates offered so far
 
   void clear() {
     ids.clear();
     act.clear();
-    order.clear();
     heap.clear();
+    position = 0;
   }
+  /// Offers the run in ids/act, each id shifted by `offset`, to the
+  /// selection of the `k` best candidates offered since clear().
+  void offer(std::size_t k, Index offset);
+  /// Writes the selected ids into `out`, descending score, ties toward the
+  /// earlier candidate.
+  void take(std::vector<Index>& out);
 };
 
 /// Per-layer memory accounting (drives Network::memory_footprint and the
@@ -127,10 +137,10 @@ struct LayerMemory {
   std::size_t mirror_hugepage_bytes = 0;
 };
 
-/// Abstract interface of one stack layer (everything after the input-facing
-/// EmbeddingLayer). Network, Trainer, and core/serialize drive the stack
-/// exclusively through this interface, so dense, LSH-sampled, and
-/// random-sampled layers mix freely at any depth.
+/// Abstract interface of the output layer (the one layer after the
+/// input-facing EmbeddingLayer, always softmax). Network, Trainer, and
+/// core/serialize drive it exclusively through this interface, so every
+/// policy trains, serves and checkpoints the same way.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -139,12 +149,11 @@ class Layer {
   virtual LayerKind kind() const noexcept = 0;
   virtual Index units() const noexcept = 0;
   virtual Index fan_in() const noexcept = 0;
-  virtual Activation activation() const noexcept = 0;
 
   // ---- Training hooks ----
   /// Selects the slot's active set (policy-specific) and computes
-  /// activations from the previous layer's active set. `forced` ids (true
-  /// labels on the output layer) come first in the active set.
+  /// activations from `prev`, the embedding's dense slot. `forced` ids
+  /// (the true labels) come first in the active set.
   virtual void forward(int slot, const ActiveSet& prev,
                        std::span<const Index> forced, Rng& rng,
                        VisitedSet& visited, int tid) = 0;
@@ -152,8 +161,6 @@ class Layer {
   virtual float compute_softmax_ce_deltas(int slot,
                                           std::span<const Index> labels,
                                           float inv_batch) = 0;
-  /// Hidden-layer path: err *= ReLU'(act), in place.
-  virtual void compute_relu_deltas(int slot) = 0;
   /// Propagates err to prev.err and leaves the slot pending, remembering
   /// `prev` (see the header comment). Throws slide::Error when the slot is
   /// already pending.
@@ -168,8 +175,11 @@ class Layer {
   virtual void rebuild_tables(ThreadPool* pool) = 0;
 
   // ---- Inference hooks ----
-  /// Single-sample inference forward into caller buffers. `exact` scores
-  /// all units regardless of the layer's sampling policy.
+  /// Single-sample inference forward into caller buffers: pre-softmax
+  /// scores of the selected units against the dense query `prev_act` (the
+  /// embedding's activations). `prev_ids` must be empty (slide::Error
+  /// otherwise). `exact` scores all units regardless of the layer's
+  /// sampling policy.
   virtual void forward_inference(std::span<const Index> prev_ids,
                                  std::span<const float> prev_act, bool exact,
                                  Rng& rng, VisitedSet& visited,
@@ -179,10 +189,9 @@ class Layer {
   /// Top-k inference: selects candidates exactly as forward_inference and
   /// writes the ids of the k highest-scoring ones into `out`, descending
   /// score, ties toward the earlier candidate position (the lower unit id
-  /// in exact mode). Network::predict_topk calls this on the output layer.
-  /// The default implementation scores through forward_inference and
-  /// partial-sorts in the scratch; the sharded layer overrides it with a
-  /// k-way heap merge over its per-shard candidate runs.
+  /// in exact mode). Network::predict_topk calls this. The default offers
+  /// forward_inference's one candidate run to the scratch's bounded heap;
+  /// the sharded layer offers one run per shard.
   virtual void forward_inference_topk(std::span<const Index> prev_ids,
                                       std::span<const float> prev_act, int k,
                                       bool exact, Rng& rng,
@@ -377,7 +386,7 @@ class EmbeddingLayer {
   /// Scores through the int8 mirror when the layer is quantized.
   void forward_inference(const SparseVector& x, float* out) const;
 
-  /// Consumes the error accumulated in the slot by upper layers: applies
+  /// Consumes the error the output layer accumulated in the slot: applies
   /// ReLU' and records the slot's features; the slot is pending until the
   /// next apply_updates. Throws slide::Error when it already is.
   void backward(int slot, const SparseVector& x);
@@ -476,7 +485,6 @@ class SampledLayer : public Layer {
   struct Config {
     Index units = 0;
     Index fan_in = 0;
-    Activation activation = Activation::kSoftmax;
     bool hashed = true;
     /// Static uniform sampling (Sampled Softmax baseline); see LayerSpec.
     bool random_sampled = false;
@@ -502,21 +510,18 @@ class SampledLayer : public Layer {
   Index units() const noexcept override { return units_; }
   Index fan_in() const noexcept override { return fan_in_; }
   bool hashed() const noexcept { return config_.hashed; }
-  Activation activation() const noexcept override {
-    return config_.activation;
-  }
   const Config& config() const noexcept { return config_; }
 
   /// Selects the active set for the slot (forced ids first, then LSH
-  /// sampling, then random fill) and computes activations from the previous
-  /// layer's active set. Softmax layers defer normalization to
-  /// compute_softmax_ce_deltas / the caller. Zeroes the slot's error buffer.
-  /// `tid` indexes the per-thread phase timers.
+  /// sampling, then random fill) and computes the pre-softmax scores from
+  /// the embedding's slot; compute_softmax_ce_deltas normalizes them.
+  /// Zeroes the slot's error buffer. `tid` indexes the per-thread phase
+  /// timers.
   void forward(int slot, const ActiveSet& prev, std::span<const Index> forced,
                Rng& rng, VisitedSet& visited, int tid) override;
 
   /// Single-sample inference forward into caller buffers. When `exact` is
-  /// set, scores *all* units (ids_out is filled with 0..units-1).
+  /// set, scores *all* live units (ids_out is filled with 0..units-1).
   void forward_inference(std::span<const Index> prev_ids,
                          std::span<const float> prev_act, bool exact,
                          Rng& rng, VisitedSet& visited,
@@ -529,9 +534,6 @@ class SampledLayer : public Layer {
   /// inv_batch; returns the sample loss.
   float compute_softmax_ce_deltas(int slot, std::span<const Index> labels,
                                   float inv_batch) override;
-
-  /// Hidden-layer path: err *= ReLU'(act), in place.
-  void compute_relu_deltas(int slot) override;
 
   /// Propagates err to prev.err and leaves the slot pending with `prev` as
   /// its record's input; no gradient is written (see Layer::backward).
@@ -641,21 +643,20 @@ class SampledLayer : public Layer {
                      std::span<const Index> forced, Rng& rng,
                      VisitedSet& visited, int tid);
   void compute_activations(ActiveSet& set, const ActiveSet& prev) const;
-  float activation_of(Index unit, std::span<const Index> prev_ids,
-                      std::span<const float> prev_act) const;
-  /// Mirror-reading twin of activation_of (int8 inference scoring): against
-  /// a dense prev the caller provides the u8-quantized activations (qx, one
-  /// quantize_act_u8 per query) and their scale; against a sparse prev qx
-  /// is unused (fp32 values x widened s8 weights).
-  float activation_of_i8(Index unit, std::span<const Index> prev_ids,
-                         std::span<const float> prev_act, const simd::U8* qx,
+  /// One unit's pre-activation against the dense query, through its fp32
+  /// weight row.
+  float activation_of(Index unit, std::span<const float> prev_act) const;
+  /// Mirror-reading twin of activation_of (int8 inference scoring): the
+  /// caller provides the u8-quantized query (qx, one quantize_act_u8 per
+  /// query) and its scale.
+  float activation_of_i8(Index unit, std::size_t n, const simd::U8* qx,
                          float act_scale) const;
-  /// Scores `ids` against the previous active set into out[0..ids.size())
-  /// through whichever precision tier is active, prefetching the candidate
-  /// rows kPrefetchDistance ahead (the rows are LSH-sampled, i.e. scattered
-  /// — exactly the access pattern the software prefetch pays for).
-  void score_rows(std::span<const Index> ids, std::span<const Index> prev_ids,
-                  std::span<const float> prev_act, float* out) const;
+  /// Scores `ids` against the dense query into out[0..ids.size()) through
+  /// whichever precision tier is active, prefetching the candidate rows
+  /// kPrefetchDistance ahead (the rows are LSH-sampled, i.e. scattered —
+  /// exactly the access pattern the software prefetch pays for).
+  void score_rows(std::span<const Index> ids, std::span<const float> prev_act,
+                  float* out) const;
   bool i8_inference() const noexcept {
     return config_.precision == Precision::kInt8 && !weights_i8_.empty();
   }
@@ -725,41 +726,5 @@ class SampledLayer : public Layer {
   /// Units appended by add_units since construction (checkpoint v5).
   Index appended_units_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-
-/// A fully dense stack layer: every unit computes on every input. This is
-/// the honest baseline path (full softmax when it is the output layer) and
-/// the shape of ReLU mid-stack layers in deep configurations.
-class DenseLayer final : public SampledLayer {
- public:
-  DenseLayer(Index units, Index fan_in, Activation activation,
-             float init_stddev, const AdamConfig& adam, std::uint64_t seed,
-             int batch_slots, int max_threads,
-             Precision precision = Precision::kFP32, ParamInit init = {});
-};
-
-/// Static uniform sampling (the Sampled Softmax baseline of paper §5.1):
-/// actives = forced labels + uniformly random classes up to `num_sampled`.
-/// Unlike the LSH path the choice is input-independent — that is the point
-/// of the paper's Figure 7 comparison.
-class RandomSampledLayer final : public SampledLayer {
- public:
-  RandomSampledLayer(Index units, Index fan_in, Index num_sampled,
-                     Activation activation, float init_stddev,
-                     const AdamConfig& adam, std::uint64_t seed,
-                     int batch_slots, int max_threads,
-                     Precision precision = Precision::kFP32,
-                     ParamInit init = {});
-};
-
-/// Builds the concrete Layer for a LayerSpec (DenseLayer, SampledLayer, or
-/// RandomSampledLayer) — the single construction point used by Network.
-/// `precision` is the network-wide inference precision (config.h).
-std::unique_ptr<Layer> make_layer(const LayerSpec& spec, Index fan_in,
-                                  const AdamConfig& adam, std::uint64_t seed,
-                                  int batch_slots, int max_threads,
-                                  Precision precision = Precision::kFP32,
-                                  ParamInit init = {});
 
 }  // namespace slide

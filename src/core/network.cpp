@@ -2,16 +2,58 @@
 
 #include <algorithm>
 
+#include "core/sharded_layer.h"
+
 namespace slide {
+
+namespace {
+
+/// The output layer a spec describes: a SampledLayer for the dense,
+/// LSH-sampled and statically sampled policies, a ShardedSampledLayer for
+/// an LSH-sampled spec with shards >= 1. `precision` is the network-wide
+/// inference precision (config.h).
+std::unique_ptr<Layer> make_output_layer(const LayerSpec& spec, Index fan_in,
+                                         const AdamConfig& adam,
+                                         std::uint64_t seed, int batch_slots,
+                                         int max_threads, Precision precision,
+                                         ParamInit init) {
+  SLIDE_CHECK(!(spec.hashed && spec.random_sampled),
+              "Network: hashed and random_sampled are exclusive");
+  SLIDE_CHECK(spec.shards == 0 || spec.hashed,
+              "Network: shards requires an LSH-sampled (hashed) layer");
+  SLIDE_CHECK(!spec.random_sampled || spec.sampling.target > 0,
+              "Network: random_sampled needs a positive sampling target");
+  SampledLayer::Config cfg;
+  cfg.units = spec.units;
+  cfg.fan_in = fan_in;
+  cfg.hashed = spec.hashed;
+  cfg.random_sampled = spec.random_sampled;
+  cfg.family = spec.family;
+  cfg.table = spec.table;
+  cfg.sampling = spec.sampling;
+  cfg.rebuild = spec.rebuild;
+  cfg.init_stddev = spec.init_stddev;
+  cfg.adam = adam;
+  cfg.precision = precision;
+  cfg.seed = seed;
+  if (spec.shards >= 1) {
+    return std::make_unique<ShardedSampledLayer>(cfg, spec.shards,
+                                                 batch_slots, max_threads,
+                                                 init);
+  }
+  return std::make_unique<SampledLayer>(cfg, batch_slots, max_threads, init);
+}
+
+}  // namespace
 
 Network::Network(const NetworkConfig& config, int max_threads,
                  ParamInit init)
-    : config_(config) {
+    : config_(config), max_threads_(max_threads) {
   SLIDE_CHECK(config_.input_dim > 0, "Network: input_dim must be positive");
   SLIDE_CHECK(config_.hidden_units > 0,
               "Network: hidden_units must be positive");
-  SLIDE_CHECK(!config_.layers.empty(),
-              "Network: at least one layer (the output layer) is required");
+  SLIDE_CHECK(config_.layers.size() == 1,
+              "Network: exactly one LayerSpec (the output layer) is required");
   SLIDE_CHECK(config_.max_batch_size > 0,
               "Network: max_batch_size must be positive");
   SLIDE_CHECK(max_threads > 0, "Network: max_threads must be positive");
@@ -21,20 +63,15 @@ Network::Network(const NetworkConfig& config, int max_threads,
       config_.input_dim, config_.hidden_units, config_.hidden_init_stddev,
       config_.max_batch_size, config_.adam, seeder(), config_.precision,
       init);
-
-  Index fan_in = config_.hidden_units;
-  for (const LayerSpec& spec : config_.layers) {
-    layers_.push_back(make_layer(spec, fan_in, config_.adam, seeder(),
-                                 config_.max_batch_size, max_threads,
-                                 config_.precision, init));
-    fan_in = spec.units;
-  }
+  output_ = make_output_layer(config_.layers.front(), config_.hidden_units,
+                              config_.adam, seeder(), config_.max_batch_size,
+                              max_threads, config_.precision, init);
 }
 
 void Network::refresh_inference_mirrors() {
   WriteGuard guard(*this);
   embedding_->refresh_inference_mirror();
-  for (auto& layer : layers_) layer->refresh_inference_mirror();
+  output_->refresh_inference_mirror();
 }
 
 MemoryFootprint Network::memory_footprint() const noexcept {
@@ -48,8 +85,7 @@ MemoryFootprint Network::memory_footprint() const noexcept {
     f.mirror_hugepage_bytes += m.mirror_hugepage_bytes;
   };
   add(embedding_->memory(), embedding_->inference_weight_bytes());
-  for (const auto& layer : layers_)
-    add(layer->memory(), layer->inference_weight_bytes());
+  add(output_->memory(), output_->inference_weight_bytes());
   return f;
 }
 
@@ -57,37 +93,23 @@ float Network::train_sample(int slot, const Sample& sample, float inv_batch,
                             Rng& rng, VisitedSet& visited, int tid) {
   SLIDE_ASSERT(slot >= 0 && slot < config_.max_batch_size);
   // Every train_sample leaves the embedding's slot pending, so its flag
-  // stands for the whole stack's.
+  // stands for the output layer's too.
   SLIDE_CHECK(!embedding_->pending(slot),
               "train_sample: the slot is pending until apply_updates");
+  SLIDE_CHECK(tid >= 0 && tid < max_threads_,
+              "train_sample: tid must be in [0, max_threads)");
   WriteGuard guard(*this);
 
-  // ---- Forward ----
+  // Forward: the output layer forces the true labels into its active set
+  // so the softmax gradient has signal (paper §3.1).
   embedding_->forward(slot, sample.features);
-  const ActiveSet* prev = &embedding_->slot(slot);
-  const int last = stack_depth() - 1;
-  for (int i = 0; i < last; ++i) {
-    Layer& l = *layers_[static_cast<std::size_t>(i)];
-    l.forward(slot, *prev, {}, rng, visited, tid);
-    prev = &l.slot(slot);
-  }
-  // Output layer: force the true labels into the active set so the softmax
-  // gradient has signal (paper §3.1).
-  layers_.back()->forward(slot, *prev, sample.labels, rng, visited, tid);
+  ActiveSet& hidden = embedding_->slot(slot);
+  output_->forward(slot, hidden, sample.labels, rng, visited, tid);
+  const float loss =
+      output_->compute_softmax_ce_deltas(slot, sample.labels, inv_batch);
 
-  // ---- Loss and deltas ----
-  const float loss = layers_.back()->compute_softmax_ce_deltas(
-      slot, sample.labels, inv_batch);
-
-  // ---- Backward (active x active only) ----
-  for (int i = last; i >= 0; --i) {
-    ActiveSet& below =
-        i == 0 ? embedding_->slot(slot)
-               : layers_[static_cast<std::size_t>(i - 1)]->slot(slot);
-    if (i != last)
-      layers_[static_cast<std::size_t>(i)]->compute_relu_deltas(slot);
-    layers_[static_cast<std::size_t>(i)]->backward(slot, below, tid);
-  }
+  // Backward (active x active only).
+  output_->backward(slot, hidden, tid);
   embedding_->backward(slot, sample.features);
   return loss;
 }
@@ -95,17 +117,17 @@ float Network::train_sample(int slot, const Sample& sample, float inv_batch,
 void Network::apply_updates(float lr, ThreadPool* pool) {
   WriteGuard guard(*this);
   embedding_->apply_updates(lr, pool);
-  for (auto& layer : layers_) layer->apply_updates(lr, pool);
+  output_->apply_updates(lr, pool);
 }
 
 void Network::maybe_rebuild(long iteration, ThreadPool* pool) {
   WriteGuard guard(*this);
-  for (auto& layer : layers_) layer->maybe_rebuild(iteration, pool);
+  output_->maybe_rebuild(iteration, pool);
 }
 
 void Network::rebuild_all(ThreadPool* pool) {
   WriteGuard guard(*this);
-  for (auto& layer : layers_) layer->rebuild_tables(pool);
+  output_->rebuild_tables(pool);
 }
 
 void Network::predict_topk(const SparseVector& x, InferenceContext& ctx,
@@ -115,28 +137,14 @@ void Network::predict_topk(const SparseVector& x, InferenceContext& ctx,
   SLIDE_ASSERT(writers_active() == 0);
   const std::uint64_t epoch_at_entry = write_epoch();
 #endif
-  // Run the same inference forward as predict_top1 through the hidden
-  // layers, then let the output layer rank its own candidates — the
-  // default hook partial-sorts exactly as this function used to, and the
-  // sharded layer overrides it with a k-way heap merge over its per-shard
-  // candidate runs (both in ctx scratch, allocation-free at steady state).
+  // Embed, then let the output layer rank its own candidates against the
+  // dense hidden vector: the default hook partial-sorts, and the sharded
+  // layer merges its per-shard candidate runs through a k-way heap (both
+  // in ctx scratch, allocation-free at steady state).
   ctx.dense.resize(embedding_->units());
   embedding_->forward_inference(x, ctx.dense.data());
-  std::vector<Index>* prev_ids = &ctx.ids_a;
-  std::vector<float>* prev_act = &ctx.act_a;
-  prev_ids->clear();
-  prev_act->assign(ctx.dense.begin(), ctx.dense.end());
-  std::vector<Index>* next_ids = &ctx.ids_b;
-  std::vector<float>* next_act = &ctx.act_b;
-  const std::size_t last = layers_.size() - 1;
-  for (std::size_t i = 0; i < last; ++i) {
-    layers_[i]->forward_inference(*prev_ids, *prev_act, exact, ctx.rng,
-                                  ctx.visited, *next_ids, *next_act);
-    std::swap(prev_ids, next_ids);
-    std::swap(prev_act, next_act);
-  }
-  layers_[last]->forward_inference_topk(*prev_ids, *prev_act, k, exact,
-                                        ctx.rng, ctx.visited, ctx.topk, out);
+  output_->forward_inference_topk({}, ctx.dense, k, exact, ctx.rng,
+                                  ctx.visited, ctx.topk, out);
   // A moved epoch or live writer means a writer overlapped this read — a
   // data race the thread-safety contract (see network.h) forbids.
   SLIDE_ASSERT(write_epoch() == epoch_at_entry && writers_active() == 0);
@@ -212,63 +220,32 @@ void Network::predict_batch(std::span<const SparseVector* const> inputs,
 
 Index Network::predict_top1(const SparseVector& x, InferenceContext& ctx,
                             bool exact) const {
-#ifndef NDEBUG
-  SLIDE_ASSERT(writers_active() == 0);
-  const std::uint64_t epoch_at_entry = write_epoch();
-#endif
-  ctx.dense.resize(embedding_->units());
-  embedding_->forward_inference(x, ctx.dense.data());
-
-  std::vector<Index>* prev_ids = &ctx.ids_a;
-  std::vector<float>* prev_act = &ctx.act_a;
-  prev_ids->clear();
-  prev_act->assign(ctx.dense.begin(), ctx.dense.end());
-  std::vector<Index>* next_ids = &ctx.ids_b;
-  std::vector<float>* next_act = &ctx.act_b;
-
-  for (const auto& layer : layers_) {
-    layer->forward_inference(*prev_ids, *prev_act, exact, ctx.rng,
-                             ctx.visited, *next_ids, *next_act);
-    std::swap(prev_ids, next_ids);
-    std::swap(prev_act, next_act);
-  }
-  // Top-1 = argmax of output activations (softmax is monotone, so the
-  // normalization is unnecessary for prediction).
-  SLIDE_ASSERT(!prev_act->empty());
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < prev_act->size(); ++i) {
-    if ((*prev_act)[i] > (*prev_act)[best]) best = i;
-  }
-  SLIDE_ASSERT(write_epoch() == epoch_at_entry && writers_active() == 0);
-  return prev_ids->empty() ? static_cast<Index>(best) : (*prev_ids)[best];
+  predict_topk(x, ctx, 1, exact, ctx.ids_a);
+  SLIDE_CHECK(!ctx.ids_a.empty(),
+              "predict_top1: no live candidate (every output unit retired)");
+  return ctx.ids_a.front();
 }
 
 Index Network::add_output_units(Index n) {
   WriteGuard guard(*this);
-  Layer& out = *layers_.back();
-  const Index first = out.add_units(n);
+  const Index first = output_->add_units(n);
   // Keep the stored config in step: clones (publish_clone) and checkpoint
   // writers derive layer widths from it.
-  config_.layers.back().units = out.units();
+  config_.layers.front().units = output_->units();
   return first;
 }
 
 void Network::retire_output_units(std::span<const Index> ids) {
   WriteGuard guard(*this);
-  layers_.back()->retire_units(ids);
+  output_->retire_units(ids);
 }
 
 std::size_t Network::num_parameters() const noexcept {
-  std::size_t total = embedding_->num_parameters();
-  for (const auto& layer : layers_) total += layer->num_parameters();
-  return total;
+  return embedding_->num_parameters() + output_->num_parameters();
 }
 
 Index Network::max_sampled_units() const noexcept {
-  Index max_units = 0;
-  for (const auto& layer : layers_)
-    max_units = std::max(max_units, layer->units());
-  return max_units;
+  return output_->units();
 }
 
 }  // namespace slide

@@ -1,10 +1,11 @@
-// The SLIDE network (paper Figure 2, generalized): an input-facing
-// EmbeddingLayer followed by a polymorphic stack of Layers (dense,
-// LSH-sampled, random-sampled — freely mixed at any depth), the last of
-// which is the softmax output layer. Owns all layer state; the Trainer
-// drives batches through the per-slot forward/backward API. Construct
-// networks with core/builder.h (NetworkBuilder) or a hand-built
-// NetworkConfig.
+// The SLIDE network in the one shape the paper evaluates (§5, Figure 2):
+// sparse input -> EmbeddingLayer (dense, ReLU) -> one softmax output Layer,
+// whose policy is dense, LSH-sampled (monolithic or sharded) or statically
+// sampled. Only the output layer keeps hash tables, and its query is always
+// the embedding's dense activation vector. Owns all layer state; the
+// Trainer drives batches through the per-slot forward/backward API.
+// Construct networks with core/builder.h (NetworkBuilder) or a hand-built
+// NetworkConfig with exactly one LayerSpec.
 #pragma once
 
 #include <algorithm>
@@ -21,8 +22,8 @@ namespace slide {
 
 class Network;
 
-/// Whole-network memory accounting (sums the per-layer LayerMemory plus the
-/// embedding). `inference_weight_bytes` is what the serving scoring path
+/// Whole-network memory accounting (the output layer's LayerMemory plus the
+/// embedding's). `inference_weight_bytes` is what the serving scoring path
 /// actually reads — the int8 mirrors when quantized, the fp32 masters
 /// otherwise — and is the number the "int8 quarters serving weight memory"
 /// contract is asserted on.
@@ -57,12 +58,12 @@ struct InferenceContext {
 
   VisitedSet visited;
   Rng rng;
+  /// The embedding's activations: the output layer's query.
   std::vector<float> dense;
-  std::vector<Index> ids_a, ids_b;
-  std::vector<float> act_a, act_b;
-  /// Output-layer top-k scratch (candidate buffers, ranking permutation,
-  /// and the sharded layer's k-way merge heap) — see
-  /// Layer::forward_inference_topk.
+  /// predict_top1's answer buffer (callers may borrow it between calls).
+  std::vector<Index> ids_a;
+  /// Output-layer top-k scratch (a candidate run and the bounded
+  /// selection heap) — see Layer::forward_inference_topk.
   TopKScratch topk;
 };
 
@@ -132,8 +133,10 @@ class BatchOutput {
 /// out.
 class Network {
  public:
-  /// max_threads sizes the per-thread structures (phase timers);
-  /// pass the trainer's thread count (or more).
+  /// max_threads sizes the per-thread structures (phase timers): every
+  /// train_sample `tid` must lie in [0, max_threads). Pass the trainer's
+  /// thread count (or more). `config.layers` must hold exactly one spec,
+  /// the output layer's (slide::Error otherwise).
   Network(const NetworkConfig& config, int max_threads)
       : Network(config, max_threads, ParamInit{}) {}
 
@@ -141,82 +144,77 @@ class Network {
   /// any reader or writer is active is undefined, as for any container.
   Network(Network&& other) noexcept
       : config_(std::move(other.config_)),
+        max_threads_(other.max_threads_),
         embedding_(std::move(other.embedding_)),
-        layers_(std::move(other.layers_)),
+        output_(std::move(other.output_)),
         write_epoch_(other.write_epoch_.load(std::memory_order_acquire)),
         writers_active_(
             other.writers_active_.load(std::memory_order_acquire)) {}
 
   const NetworkConfig& config() const noexcept { return config_; }
   Index input_dim() const noexcept { return config_.input_dim; }
-  Index output_dim() const noexcept { return layers_.back()->units(); }
+  Index output_dim() const noexcept { return output_->units(); }
   /// Inference-scoring precision (config.precision; see core/config.h).
   Precision precision() const noexcept { return config_.precision; }
   int max_batch_size() const noexcept { return config_.max_batch_size; }
-  int num_layers() const noexcept {
-    return 1 + static_cast<int>(layers_.size());
-  }
+  /// The thread count the per-thread structures are sized for.
+  int max_threads() const noexcept { return max_threads_; }
 
   EmbeddingLayer& embedding() noexcept { return *embedding_; }
   const EmbeddingLayer& embedding() const noexcept { return *embedding_; }
 
-  /// Polymorphic stack accessors — the i-th layer after the embedding.
-  Layer& stack(int i) noexcept { return *layers_[static_cast<std::size_t>(i)]; }
-  const Layer& stack(int i) const noexcept {
-    return *layers_[static_cast<std::size_t>(i)];
+  /// The output layer through its polymorphic interface (any policy,
+  /// sharded included). `i` must be 0 and stack_depth() is always 1: the
+  /// indexed spelling stays because perfbench spells it.
+  Layer& stack([[maybe_unused]] int i) noexcept {
+    SLIDE_ASSERT(i == 0);
+    return *output_;
   }
-  int stack_depth() const noexcept { return static_cast<int>(layers_.size()); }
+  const Layer& stack([[maybe_unused]] int i) const noexcept {
+    SLIDE_ASSERT(i == 0);
+    return *output_;
+  }
+  int stack_depth() const noexcept { return 1; }
 
-  /// Concrete accessors, kept for existing callers (instrumentation, tests,
-  /// benches). Valid only for stacks of SampledLayer-derived layers (dense,
-  /// sampled, random-sampled); a ShardedSampledLayer — or any other Layer
-  /// outside that hierarchy — must be reached through stack(), and the
+  /// The output layer as a SampledLayer (every policy but the sharded
+  /// one); a ShardedSampledLayer must be reached through stack(0), and the
   /// debug assert below fires if it is not.
-  SampledLayer& layer(int i) noexcept {
-    SLIDE_ASSERT(dynamic_cast<SampledLayer*>(
-                     layers_[static_cast<std::size_t>(i)].get()) != nullptr);
-    return static_cast<SampledLayer&>(*layers_[static_cast<std::size_t>(i)]);
-  }
-  const SampledLayer& layer(int i) const noexcept {
-    SLIDE_ASSERT(dynamic_cast<const SampledLayer*>(
-                     layers_[static_cast<std::size_t>(i)].get()) != nullptr);
-    return static_cast<const SampledLayer&>(
-        *layers_[static_cast<std::size_t>(i)]);
-  }
   SampledLayer& output_layer() noexcept {
-    return layer(stack_depth() - 1);
+    SLIDE_ASSERT(dynamic_cast<SampledLayer*>(output_.get()) != nullptr);
+    return static_cast<SampledLayer&>(*output_);
   }
   const SampledLayer& output_layer() const noexcept {
-    return layer(stack_depth() - 1);
-  }
-  int num_sampled_layers() const noexcept {
-    return static_cast<int>(layers_.size());
+    SLIDE_ASSERT(dynamic_cast<const SampledLayer*>(output_.get()) != nullptr);
+    return static_cast<const SampledLayer&>(*output_);
   }
 
   /// One training sample through forward + backward on a batch slot, which
-  /// stays pending (core/layer.h): every layer keeps the slot's record, and
+  /// stays pending (core/layer.h): both layers keep the slot's record, and
   /// no gradient is summed yet. Call apply_updates once per batch
-  /// afterwards. Training a slot that is still pending throws slide::Error
-  /// before anything is touched. Returns the sample loss.
+  /// afterwards. Training a slot that is still pending, or passing a `tid`
+  /// outside [0, max_threads()), throws slide::Error before anything is
+  /// touched. Returns the sample loss.
   float train_sample(int slot, const Sample& sample, float inv_batch,
                      Rng& rng, VisitedSet& visited, int tid);
 
-  /// Sums every layer's gradient from the pending slots, row by row in
+  /// Sums both layers' gradients from the pending slots, row by row in
   /// slot order, and applies lazy Adam (parallelized over rows, one writer
   /// per row); clears the pending slots. The weights depend only on the
   /// records, not on the pool size.
   void apply_updates(float lr, ThreadPool* pool);
 
-  /// Triggers the per-layer rebuild schedules (paper §4.2): a due layer
-  /// rebuilds its tables in place, over the pool, before this returns.
+  /// Triggers the output layer's rebuild schedule (paper §4.2): when due,
+  /// it rebuilds its tables in place, over the pool, before this returns.
   void maybe_rebuild(long iteration, ThreadPool* pool);
-  /// Rebuilds every hashed layer's tables now, off the schedule.
+  /// Rebuilds the output layer's tables now, off the schedule.
   void rebuild_all(ThreadPool* pool);
 
-  /// Top-1 prediction. `exact` scores every output neuron (dense forward);
-  /// otherwise the output layer is sampled through the hash tables exactly
-  /// as in training (without label forcing). Safe for concurrent callers
-  /// (one InferenceContext each) while no writer is active — see the
+  /// Top-1 prediction: predict_topk with k = 1, so the first maximum wins.
+  /// `exact` scores every live output neuron; otherwise the output layer
+  /// is sampled through the hash tables exactly as in training (without
+  /// label forcing). Throws slide::Error when no candidate is left (every
+  /// output unit retired). Safe for concurrent callers (one
+  /// InferenceContext each) while no writer is active — see the
   /// thread-safety contract above.
   Index predict_top1(const SparseVector& x, InferenceContext& ctx,
                      bool exact = false) const;
@@ -256,18 +254,18 @@ class Network {
   /// compacting rows (see Layer::retire_units). Writer-role call.
   void retire_output_units(std::span<const Index> ids);
 
-  /// Re-quantizes every layer's int8 inference mirror from the current fp32
+  /// Re-quantizes both layers' int8 inference mirrors from the current fp32
   /// master weights (no-op at fp32 precision). Writer-role call: run it at
   /// the quantize-on-publish points — after training, before handing the
   /// network to readers. Checkpoint loads do it automatically.
   void refresh_inference_mirrors();
 
-  /// Memory accounting across all layers (see MemoryFootprint).
+  /// Memory accounting across both layers (see MemoryFootprint).
   MemoryFootprint memory_footprint() const noexcept;
 
   std::size_t num_parameters() const noexcept;
 
-  /// Largest unit count across sampled layers (sizes VisitedSet scratch).
+  /// The output layer's width, as output_dim() (sizes VisitedSet scratch).
   Index max_sampled_units() const noexcept;
 
   /// Number of mutations observed so far (debug builds only; always 0 with
@@ -335,8 +333,9 @@ class Network {
   }
 
   NetworkConfig config_;
+  int max_threads_;
   std::unique_ptr<EmbeddingLayer> embedding_;
-  std::vector<std::unique_ptr<Layer>> layers_;
+  std::unique_ptr<Layer> output_;
   std::atomic<std::uint64_t> write_epoch_{0};
   std::atomic<int> writers_active_{0};
 };
@@ -348,9 +347,6 @@ inline InferenceContext::InferenceContext(const Network& network,
 inline void InferenceContext::reset() {
   dense.clear();
   ids_a.clear();
-  ids_b.clear();
-  act_a.clear();
-  act_b.clear();
   topk.clear();
 }
 

@@ -145,14 +145,13 @@ void write_file_atomically(const std::string& path, const std::string& what,
 }
 
 void write_header(std::ostream& out, std::uint32_t input_dim,
-                  std::uint32_t hidden, std::uint32_t num_layers,
-                  Precision precision) {
+                  std::uint32_t hidden, Precision precision) {
   write_u32(out, kMagic);
   write_u32(out, kVersion);
-  write_u32(out, 0);  // kind: the unified stack, the only kind there is
+  write_u32(out, 0);  // kind: the slide network, the only kind there is
   write_u32(out, input_dim);
   write_u32(out, hidden);
-  write_u32(out, num_layers);
+  write_u32(out, 1);  // num_layers: the output layer
   write_u32(out, static_cast<std::uint32_t>(precision));
 }
 
@@ -163,7 +162,7 @@ void read_version(std::istream& in) {
               "5 is read)");
 }
 
-/// Reads the kind word, which must be 0 (the unified stack). Kind 1 was
+/// Reads the kind word, which must be 0 (the slide network). Kind 1 was
 /// the removed dense-baseline wrapper's layout.
 void read_kind(std::istream& in) {
   const std::uint32_t kind = read_u32(in);
@@ -176,99 +175,91 @@ void read_kind(std::istream& in) {
 
 void save_weights(const Network& network, std::ostream& out) {
   const EmbeddingLayer& emb = network.embedding();
-  write_header(out, emb.input_dim(), emb.units(),
-               static_cast<std::uint32_t>(network.stack_depth()),
-               network.precision());
+  write_header(out, emb.input_dim(), emb.units(), network.precision());
   write_floats(out, emb.weights_span());
   write_floats(out, emb.bias_span());
-  for (int i = 0; i < network.stack_depth(); ++i) {
-    const Layer& layer = network.stack(i);
-    write_u32(out, layer.units());
-    write_u32(out, layer.fan_in());
-    // Units the layer grew by online (add_units). A loader built from the
-    // original config re-grows its layer by up to this much to reach the
-    // file width before reading the parameter blocks.
-    write_u32(out, layer.appended_units());
-    // One weights+bias block pair per shard, contiguous global row ranges
-    // in order (monolithic layers are the single-shard case).
-    write_u32(out, static_cast<std::uint32_t>(layer.num_shards()));
-    for (int s = 0; s < layer.num_shards(); ++s) {
-      write_floats(out, layer.shard_weights(s));
-      write_floats(out, layer.shard_bias(s));
-    }
-    // Retriever descriptor — the LSH word and an empty aux block. The
-    // tables are a function of the weights and are rebuilt on load.
-    write_u32(out, kLshRetrieverWord);
-    write_u64(out, 0);
-    // Tombstone block — the currently retired global unit ids, so a
-    // reboot does not resurrect retired labels. Rows stay in the parameter
-    // blocks (tombstoning never compacts); only the mask is persisted.
-    const std::vector<Index> retired = layer.retired_unit_ids();
-    write_u64(out, static_cast<std::uint64_t>(retired.size()));
-    for (Index id : retired) write_u32(out, id);
+  const Layer& layer = network.stack(0);
+  write_u32(out, layer.units());
+  write_u32(out, layer.fan_in());
+  // Units the layer grew by online (add_units). A loader built from the
+  // original config re-grows its layer by up to this much to reach the
+  // file width before reading the parameter blocks.
+  write_u32(out, layer.appended_units());
+  // One weights+bias block pair per shard, contiguous global row ranges in
+  // order (a monolithic layer is the single-shard case).
+  write_u32(out, static_cast<std::uint32_t>(layer.num_shards()));
+  for (int s = 0; s < layer.num_shards(); ++s) {
+    write_floats(out, layer.shard_weights(s));
+    write_floats(out, layer.shard_bias(s));
   }
+  // Retriever descriptor — the LSH word and an empty aux block. The tables
+  // are a function of the weights and are rebuilt on load.
+  write_u32(out, kLshRetrieverWord);
+  write_u64(out, 0);
+  // Tombstone block — the currently retired global unit ids, so a reboot
+  // does not resurrect retired labels. Rows stay in the parameter blocks
+  // (tombstoning never compacts); only the mask is persisted.
+  const std::vector<Index> retired = layer.retired_unit_ids();
+  write_u64(out, static_cast<std::uint64_t>(retired.size()));
+  for (Index id : retired) write_u32(out, id);
   SLIDE_CHECK(out.good(), "save_weights: write failed");
 }
 
 namespace {
 
-/// A source's width for one stack layer and the rows it grew by online.
+/// A source's output-layer width and the rows it grew by online.
 struct LayerShape {
   Index units = 0;
   Index appended = 0;
 };
 
 /// Where a fill reads a network's parameters from, in checkpoint order:
-/// the architecture and the embedding, then per stack layer its shape,
-/// its rows and its tombstones. A checkpoint stream and a live network are
-/// the two sources.
+/// the architecture and the embedding, then the output layer's shape, its
+/// rows and its tombstones. A checkpoint stream and a live network are the
+/// two sources.
 class FillSource {
  public:
   virtual ~FillSource() = default;
   /// Checks the architecture against `network`; writes the embedding.
   virtual void embedding(Network& network) = 0;
-  /// Stack layer i's shape at the source (checks the fan-in).
-  virtual LayerShape shape(int i, const Layer& target) = 0;
-  /// Writes every row of stack layer i into `target` by global row.
-  virtual void rows(int i, Layer& target) = 0;
-  /// Stack layer i's retired global ids (`units`: the layer's width).
-  virtual std::vector<Index> retired(int i, Index units) = 0;
+  /// The output layer's shape at the source (checks the fan-in).
+  virtual LayerShape shape(const Layer& target) = 0;
+  /// Writes every output-layer row into `target` by global row.
+  virtual void rows(Layer& target) = 0;
+  /// The output layer's retired global ids (`units`: the layer's width).
+  virtual std::vector<Index> retired(Index units) = 0;
 };
 
 /// The one fill path: every parameter from `source`, then the derived
 /// state — quantized mirrors (on_weights_loaded), tombstones, and one
-/// table build per layer.
+/// table build.
 void fill(Network& network, FillSource& source, ThreadPool* pool) {
   // Weights change behind the layers' backs: bracket the whole fill so
   // concurrent debug readers assert (see network.h thread-safety).
   Network::WriteGuard guard(network);
   source.embedding(network);
   network.embedding().refresh_inference_mirror();
-  for (int i = 0; i < network.stack_depth(); ++i) {
-    Layer& layer = network.stack(i);
-    const LayerShape shape = source.shape(i, layer);
-    // A target narrower than the source re-grows by up to the rows the
-    // source appended online (add_output_units), so a network built from
-    // the original config takes a grown model; any other width difference
-    // is an error. Growing through the network keeps its config at the
-    // grown width, which later publishes and checkpoints read.
-    const Index units = layer.units();
-    if (shape.units != units) {
-      SLIDE_CHECK(i + 1 == network.stack_depth() && shape.units > units &&
-                      shape.units - units <= shape.appended,
-                  "layer width mismatch: the source is narrower than the "
-                  "target or wider by more than its appended output rows");
-      network.add_output_units(shape.units - units);
-    }
-    source.rows(i, layer);
-    layer.on_weights_loaded();
-    // Retired ids stay retired: the retriever mask survives the build below.
-    const std::vector<Index> retired = source.retired(i, layer.units());
-    if (!retired.empty()) layer.retire_units(retired);
+  Layer& layer = network.stack(0);
+  const LayerShape shape = source.shape(layer);
+  // A target narrower than the source re-grows by up to the rows the
+  // source appended online (add_output_units), so a network built from the
+  // original config takes a grown model; any other width difference is an
+  // error. Growing through the network keeps its config at the grown
+  // width, which later publishes and checkpoints read.
+  const Index units = layer.units();
+  if (shape.units != units) {
+    SLIDE_CHECK(shape.units > units && shape.units - units <= shape.appended,
+                "layer width mismatch: the source is narrower than the "
+                "target or wider by more than its appended output rows");
+    network.add_output_units(shape.units - units);
   }
-  // The hash tables are a function of the weights: build each layer's once.
-  for (int i = 0; i < network.stack_depth(); ++i)
-    network.stack(i).rebuild_tables(pool);
+  source.rows(layer);
+  layer.on_weights_loaded();
+  // Retired ids stay retired: the retriever mask survives the build below.
+  const std::vector<Index> retired = source.retired(layer.units());
+  if (!retired.empty()) layer.retire_units(retired);
+  // The hash tables are a function of the weights: build them once.
+  layer.rebuild_tables(pool);
 }
 
 /// A core/serialize checkpoint stream (the version 5 layout).
@@ -284,9 +275,9 @@ class StreamSource final : public FillSource {
                 "load_weights: input_dim mismatch");
     SLIDE_CHECK(read_u32(in_) == emb.units(),
                 "load_weights: hidden width mismatch");
-    SLIDE_CHECK(read_u32(in_) ==
-                    static_cast<std::uint32_t>(network.stack_depth()),
-                "load_weights: layer count mismatch");
+    SLIDE_CHECK(read_u32(in_) == 1,
+                "load_weights: layer count mismatch (a network has one "
+                "output layer)");
     // The tag is provenance only: parameter blocks are fp32 masters either
     // way, and the network re-derives its own mirrors per its config.
     precision_from_tag(read_u32(in_));
@@ -294,7 +285,7 @@ class StreamSource final : public FillSource {
     read_floats(in_, emb.bias_span());
   }
 
-  LayerShape shape(int /*i*/, const Layer& target) override {
+  LayerShape shape(const Layer& target) override {
     LayerShape shape;
     shape.units = static_cast<Index>(read_u32(in_));
     SLIDE_CHECK(read_u32(in_) == target.fan_in(),
@@ -303,7 +294,7 @@ class StreamSource final : public FillSource {
     return shape;
   }
 
-  void rows(int /*i*/, Layer& layer) override {
+  void rows(Layer& layer) override {
     // A shard count + per-shard blocks. The file's partition need not
     // match the target layer's — blocks are scattered by global row index,
     // which is how a monolithic checkpoint reshards into a sharded layer
@@ -335,7 +326,7 @@ class StreamSource final : public FillSource {
                 "load_weights: shard blocks do not cover the layer");
   }
 
-  std::vector<Index> retired(int /*i*/, Index units) override {
+  std::vector<Index> retired(Index units) override {
     // Retriever descriptor: the LSH word and no aux payload. The tables
     // are rebuilt from the loaded weights.
     SLIDE_CHECK(read_u32(in_) == kLshRetrieverWord,
@@ -371,23 +362,21 @@ class NetworkSource final : public FillSource {
                 "copy_network: input_dim mismatch");
     SLIDE_CHECK(from.units() == to.units(),
                 "copy_network: hidden width mismatch");
-    SLIDE_CHECK(src_.stack_depth() == network.stack_depth(),
-                "copy_network: layer count mismatch");
     std::ranges::copy(from.weights_span(), to.weights_span().begin());
     std::ranges::copy(from.bias_span(), to.bias_span().begin());
   }
 
-  LayerShape shape(int i, const Layer& target) override {
-    const Layer& from = src_.stack(i);
+  LayerShape shape(const Layer& target) override {
+    const Layer& from = src_.stack(0);
     SLIDE_CHECK(from.fan_in() == target.fan_in(),
                 "copy_network: layer fan-in mismatch");
     return {from.units(), from.appended_units()};
   }
 
-  void rows(int i, Layer& target) override {
+  void rows(Layer& target) override {
     // Each source shard lands by global row in whichever target shards
     // own it, so the target's partition need not match the source's.
-    const Layer& from = src_.stack(i);
+    const Layer& from = src_.stack(0);
     const std::size_t fan_in = from.fan_in();
     for (int s = 0; s < from.num_shards(); ++s) {
       const std::span<const float> bias = from.shard_bias(s);
@@ -400,8 +389,8 @@ class NetworkSource final : public FillSource {
     }
   }
 
-  std::vector<Index> retired(int i, Index /*units*/) override {
-    return src_.stack(i).retired_unit_ids();
+  std::vector<Index> retired(Index /*units*/) override {
+    return src_.stack(0).retired_unit_ids();
   }
 
  private:

@@ -3,19 +3,19 @@
 // The format stores the architecture signature (dims per layer) followed by
 // raw float32 parameter blocks, so a checkpoint can only be loaded into a
 // network with the same shape — load_weights validates and throws
-// slide::Error on mismatch. One format covers every stack a NetworkBuilder
-// can produce (dense-only, multi-hashed, random-sampled): the writer and
-// loader go through the Layer serialize hooks, so layer policy never
-// changes the byte layout. LSH hash tables are NOT serialized: they are a
-// function of the weights and are rebuilt after loading (load_weights does
-// this automatically).
+// slide::Error on mismatch. One format covers every output-layer policy a
+// NetworkBuilder can produce (dense, LSH-sampled, sharded, random-sampled):
+// the writer and loader go through the Layer serialize hooks, so the policy
+// never changes the byte layout. LSH hash tables are NOT serialized: they
+// are a function of the weights and are rebuilt after loading (load_weights
+// does this automatically).
 //
 // Layout, version 5 (words are u32 unless noted; a block is a u32 length
 // followed by that many floats):
 //   header       magic "SLID", version 5, kind 0, input_dim, hidden,
-//                num_layers, precision tag
+//                num_layers (always 1: the output layer), precision tag
 //   embedding    weights block, bias block
-//   per stack layer:
+//   output layer:
 //     shape      units, fan_in, appended (the rows the layer grew by
 //                online through add_units)
 //     rows       shard count S, then S weights+bias block pairs covering
@@ -37,9 +37,10 @@
 // retired across save/load.
 //
 // Only this layout is read. Any other version, a kind other than 0 (kind 1
-// was the removed dense-baseline wrapper's), a precision tag other than 0
-// or 3 (tags 1 and 2 named removed 16-bit tiers), a retriever word other
-// than 0 or a non-empty aux block fails with slide::Error.
+// was the removed dense-baseline wrapper's), a num_layers other than 1, a
+// precision tag other than 0 or 3 (tags 1 and 2 named removed 16-bit
+// tiers), a retriever word other than 0 or a non-empty aux block fails
+// with slide::Error.
 #pragma once
 
 #include <iosfwd>
@@ -73,11 +74,11 @@ void load_weights_file(Network& network, const std::string& path,
 // Network(config) draws random parameters and builds tables over them, and
 // load_weights then overwrites both. The two functions below construct the
 // layers with neither, write every parameter through load_weights' own
-// fill path, re-apply the tombstones and build each layer's tables once.
-// Since a build is a pure function of the hash family, the weights and the
-// group seed, the result equals Network(config) + load_weights bit for bit
-// at a fraction of the cost. Nothing escapes half-built: on slide::Error
-// the network is discarded. `max_threads` is Network's; a pool with more
+// fill path, re-apply the tombstones and build the output layer's tables
+// once. Since a build is a pure function of the hash family, the weights
+// and the group seed, the result equals Network(config) + load_weights bit
+// for bit at a fraction of the cost. Nothing escapes half-built: on
+// slide::Error the network is discarded. `max_threads` is Network's; a pool with more
 // than one thread builds the tables in parallel.
 
 /// Network(config) + load_weights(in) in one pass.
@@ -86,7 +87,7 @@ std::unique_ptr<Network> load_network(const NetworkConfig& config,
                                       ThreadPool* pool);
 
 /// A network of `config` holding `source`'s parameters: the embedding, then
-/// each stack layer by global row, so a target with another shard count, or
+/// the output layer by global row, so a target with another shard count, or
 /// one built narrower than a source grown online (within its appended
 /// rows), gets exactly the source's rows. The tombstones carry over and the
 /// quantized mirrors follow config.precision. Equals save_weights(source)

@@ -150,8 +150,6 @@ void ShardedSampledLayer::forward(int slot, const ActiveSet& prev,
 
 float ShardedSampledLayer::compute_softmax_ce_deltas(
     int slot, std::span<const Index> labels, float inv_batch) {
-  SLIDE_CHECK(config_.activation == Activation::kSoftmax,
-              "softmax deltas on a non-softmax layer");
   ActiveSet& ms = slots_[static_cast<std::size_t>(slot)];
   const std::size_t n = ms.ids.size();
   if (n == 0) return 0.0f;
@@ -188,14 +186,6 @@ float ShardedSampledLayer::compute_softmax_ce_deltas(
     loss -= y * std::log(std::max(ms.act[i], 1e-30f));
   }
   return loss;
-}
-
-void ShardedSampledLayer::compute_relu_deltas(int slot) {
-  ActiveSet& ms = slots_[static_cast<std::size_t>(slot)];
-  const std::size_t n = ms.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ms.act[i] <= 0.0f) ms.err[i] = 0.0f;
-  }
 }
 
 void ShardedSampledLayer::scatter_errors(int slot) {
@@ -358,47 +348,18 @@ void ShardedSampledLayer::forward_inference_topk(
     std::span<const Index> prev_ids, std::span<const float> prev_act, int k,
     bool exact, Rng& rng, VisitedSet& visited, TopKScratch& scratch,
     std::vector<Index>& out) const {
-  out.clear();
-  if (k < 1) return;
-  // Bounded selection heap over the per-shard candidate runs: the worst of
-  // the current top-k sits at the front, and a candidate enters only by
-  // beating it. `better` orders by descending score with ties toward the
-  // earlier candidate position (packed above the id), matching the default
-  // partial-sort path exactly, so sharded and monolithic top-k agree
+  // Each shard's candidate run goes through the one bounded heap, with
+  // the monolithic layer's order (descending score, ties toward the
+  // earlier candidate position), so sharded and monolithic top-k agree
   // whenever their candidate sets do.
-  auto better = [](const std::pair<float, std::uint64_t>& a,
-                   const std::pair<float, std::uint64_t>& b) {
-    return a.first > b.first || (a.first == b.first && a.second < b.second);
-  };
-  std::vector<std::pair<float, std::uint64_t>>& heap = scratch.heap;
-  heap.clear();
-  const std::size_t cap = static_cast<std::size_t>(k);
-  std::uint64_t position = 0;
-  thread_local std::vector<Index> lids;
-  thread_local std::vector<float> lact;
+  scratch.heap.clear();
+  scratch.position = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->forward_inference(prev_ids, prev_act, exact, rng, visited,
-                                  lids, lact);
-    const Index off = offsets_[s];
-    for (std::size_t i = 0; i < lids.size(); ++i) {
-      const std::pair<float, std::uint64_t> cand{
-          lact[i], (position << 32) |
-                       static_cast<std::uint64_t>(off + lids[i])};
-      ++position;
-      if (heap.size() < cap) {
-        heap.push_back(cand);
-        std::push_heap(heap.begin(), heap.end(), better);
-      } else if (better(cand, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), better);
-        heap.back() = cand;
-        std::push_heap(heap.begin(), heap.end(), better);
-      }
-    }
+                                  scratch.ids, scratch.act);
+    scratch.offer(static_cast<std::size_t>(k), offsets_[s]);
   }
-  std::sort(heap.begin(), heap.end(), better);  // descending score
-  out.reserve(heap.size());
-  for (const auto& entry : heap)
-    out.push_back(static_cast<Index>(entry.second & 0xFFFFFFFFull));
+  scratch.take(out);
 }
 
 // ---------------------------------------------------------------------------

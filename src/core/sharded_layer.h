@@ -68,9 +68,6 @@ class ShardedSampledLayer final : public Layer {
   LayerKind kind() const noexcept override { return LayerKind::kSharded; }
   Index units() const noexcept override { return units_; }
   Index fan_in() const noexcept override { return fan_in_; }
-  Activation activation() const noexcept override {
-    return config_.activation;
-  }
   const SampledLayer::Config& config() const noexcept { return config_; }
 
   /// Shard topology accessors (tests, benches, serialization).
@@ -90,7 +87,6 @@ class ShardedSampledLayer final : public Layer {
                Rng& rng, VisitedSet& visited, int tid) override;
   float compute_softmax_ce_deltas(int slot, std::span<const Index> labels,
                                   float inv_batch) override;
-  void compute_relu_deltas(int slot) override;
   void backward(int slot, ActiveSet& prev, int tid) override;
   void apply_updates(float lr, ThreadPool* pool) override;
 

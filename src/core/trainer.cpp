@@ -27,6 +27,8 @@ TrainTimeBreakdown TrainTimeBreakdown::operator-(
 Trainer::Trainer(Network& network, const TrainerConfig& config)
     : network_(network), config_(config) {
   if (config_.num_threads <= 0) config_.num_threads = hardware_threads();
+  SLIDE_CHECK(config_.num_threads <= network_.max_threads(),
+              "Trainer: more threads than the network's max_threads");
   SLIDE_CHECK(config_.batch_size > 0, "Trainer: batch_size must be positive");
   SLIDE_CHECK(config_.batch_size <= network_.max_batch_size(),
               "Trainer: batch_size exceeds the network's max_batch_size");

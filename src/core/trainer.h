@@ -37,6 +37,9 @@ struct TrainTimeBreakdown {
 
 class Trainer {
  public:
+  /// Throws slide::Error when the pool (config.num_threads, 0 resolved to
+  /// the hardware thread count) has more threads than network.max_threads():
+  /// each pool thread indexes the network's per-thread structures.
   Trainer(Network& network, const TrainerConfig& config);
 
   /// Runs one mini-batch (the samples at `indices`); returns the mean loss,

@@ -57,11 +57,6 @@ void SparseVector::l2_normalize() noexcept {
   if (norm > 0.0f) simd::scale(values_.data(), 1.0f / norm, values_.size());
 }
 
-float SparseVector::dot_dense(const float* dense) const noexcept {
-  return simd::sparse_dot(indices_.data(), values_.data(), indices_.size(),
-                          dense);
-}
-
 std::vector<float> to_dense(const SparseVector& v, Index dim) {
   SLIDE_CHECK(v.min_dim() <= dim, "to_dense: dimension too small");
   std::vector<float> out(dim, 0.0f);

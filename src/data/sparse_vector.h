@@ -1,10 +1,10 @@
 // Sparse vector representation used throughout the library.
 //
 // Inputs in extreme classification are extremely sparse (paper Table 1:
-// 0.038-0.055 % density, ~75 nonzeros per sample), so features, layer
-// inputs and LSH queries are all index/value pair lists. Indices are kept
-// sorted and unique — DWTA's sparse path and the readers rely on that
-// invariant.
+// 0.038-0.055 % density, ~75 nonzeros per sample), so features are
+// index/value pair lists; the embedding turns them into the dense hidden
+// vector every later stage works on. Indices are kept sorted and unique —
+// min_dim() and the readers rely on that invariant.
 #pragma once
 
 #include <span>
@@ -59,9 +59,6 @@ class SparseVector {
 
   /// Scales values so the L2 norm is 1 (no-op on zero vectors).
   void l2_normalize() noexcept;
-
-  /// Dot product with a dense vector of dimension > max index.
-  float dot_dense(const float* dense) const noexcept;
 
   friend bool operator==(const SparseVector&, const SparseVector&) = default;
 

@@ -1,13 +1,15 @@
 // Interface for LSH families.
 //
-// SLIDE parameterizes each layer's sampling with (K, L): L hash tables, each
-// addressed by a meta-hash of K concatenated codes from one LSH family
-// (paper §2, §3.2). A family implementation computes, for an input vector,
-// one 32-bit *fingerprint key per table* — the mixed combination of that
-// table's K codes. The table group then maps fingerprints onto bucket
-// indices. Custom families can be added by implementing this interface
-// (paper: "SLIDE also provides the interface to add customized hash
-// functions based on need").
+// SLIDE parameterizes the output layer's sampling with (K, L): L hash
+// tables, each addressed by a meta-hash of K concatenated codes from one
+// LSH family (paper §2, §3.2). A family implementation computes, for a
+// dense vector, one 32-bit *fingerprint key per table* — the mixed
+// combination of that table's K codes. The table group then maps
+// fingerprints onto bucket indices. Every vector a family hashes is dense:
+// the weight rows it indexes and the query, which is the embedding's
+// activation vector. Custom families can be added by implementing this
+// interface (paper: "SLIDE also provides the interface to add customized
+// hash functions based on need").
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "data/sparse_vector.h"
 #include "sys/common.h"
 
 namespace slide {
@@ -52,17 +53,6 @@ class HashFamily {
       for (std::size_t t = 0; t < row_keys.size(); ++t)
         keys[t * key_stride + i] = row_keys[t];
     }
-  }
-
-  /// Computes the L fingerprint keys for a sparse vector (indices must be
-  /// < dim()). Families that are not natively sparse may densify into
-  /// thread-local scratch.
-  virtual void hash_sparse(const Index* idx, const float* val,
-                           std::size_t nnz,
-                           std::span<std::uint32_t> keys) const = 0;
-
-  void hash_sparse(const SparseVector& v, std::span<std::uint32_t> keys) const {
-    hash_sparse(v.index_data(), v.value_data(), v.nnz(), keys);
   }
 };
 

@@ -106,21 +106,4 @@ void Simhash::hash_dense_rows(const float* rows, std::size_t row_stride,
   }
 }
 
-void Simhash::hash_sparse(const Index* idx, const float* val, std::size_t nnz,
-                          std::span<std::uint32_t> keys) const {
-  // One scaled matrix row per nonzero, in nnz order: cost O(nnz * K*L),
-  // independent of dim.
-  thread_local std::vector<float> dots;
-  dots.assign(static_cast<std::size_t>(num_projections()), 0.0f);
-  for (std::size_t i = 0; i < nnz; ++i)
-    update_projections(idx[i], val[i], dots.data());
-  keys_from_projections(dots.data(), keys);
-}
-
-void Simhash::update_projections(Index dim, float delta, float* dots) const {
-  SLIDE_ASSERT(dim < dim_);
-  simd::axpy_i8(delta, signs_.data() + static_cast<std::size_t>(dim) * stride_,
-                dots, static_cast<std::size_t>(num_projections()));
-}
-
 }  // namespace slide

@@ -10,10 +10,9 @@
 // [dim x K*L]: row d holds every projection's entry for coordinate d, and
 // each row is padded with zeros to the kernel's lane group. A dense vector
 // (or a block of them) is projected by the dispatched simd::sign_project
-// kernel, which sums each projection in increasing coordinate order; a
-// sparse vector adds a scaled matrix row per nonzero with simd::axpy_i8.
-// A product with a +-1 or 0 entry is exact, so every dispatch level
-// computes the same projection values.
+// kernel, which sums each projection in increasing coordinate order. A
+// product with a +-1 or 0 entry is exact, so every dispatch level computes
+// the same projection values.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +47,6 @@ class Simhash final : public HashFamily {
   void hash_dense_rows(const float* rows, std::size_t row_stride,
                        std::size_t count, std::uint32_t* keys,
                        std::size_t key_stride) const override;
-  void hash_sparse(const Index* idx, const float* val, std::size_t nnz,
-                   std::span<std::uint32_t> keys) const override;
 
   // --- Raw projection values (the hash paths above, tests, benches) -----
 
@@ -57,11 +54,6 @@ class Simhash final : public HashFamily {
 
   /// Fills dots[p] = <x, projection_p> for all K*L projections.
   void project_dense(const float* x, float* dots) const;
-
-  /// dots += delta * row(dim) of the sign matrix: the change in every
-  /// projection value when coordinate `dim` of x changes by `delta`.
-  /// hash_sparse sums one such row per nonzero. O(K*L) vector work.
-  void update_projections(Index dim, float delta, float* dots) const;
 
  private:
   /// Converts projection values into the L fingerprint keys.

@@ -1,6 +1,6 @@
-// The (K, L) LSH structure of one layer: a hash family plus L hash tables
-// (paper §2, Figure 1). Supports parallel (re)builds over neuron weight
-// rows and per-query bucket retrieval for the sampling strategies.
+// The (K, L) LSH structure of the output layer: a hash family plus L hash
+// tables (paper §2, Figure 1). Supports parallel (re)builds over neuron
+// weight rows and per-query bucket retrieval for the sampling strategies.
 //
 // The tables are rebuilt and spliced in place. Every write runs under the
 // owning layer's writer role (core/network.h), which excludes readers, so
@@ -53,10 +53,6 @@ class LshTableGroup {
   /// Computes the L fingerprint keys of a dense query of family().dim().
   void query_keys_dense(const float* x, std::span<std::uint32_t> keys) const {
     family_->hash_dense(x, keys);
-  }
-  void query_keys_sparse(const Index* idx, const float* val, std::size_t nnz,
-                         std::span<std::uint32_t> keys) const {
-    family_->hash_sparse(idx, val, nnz, keys);
   }
 
   /// Fills out[t] with the bucket of table t for keys[t].

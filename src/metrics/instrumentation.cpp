@@ -5,31 +5,13 @@
 
 namespace slide {
 
-namespace {
-
-double sampled_layers_sampling_seconds(Network& network) {
-  double total = 0.0;
-  for (int i = 0; i < network.stack_depth(); ++i)
-    total += network.stack(i).sampling_seconds();
-  return total;
-}
-
-double sampled_layers_compute_seconds(Network& network) {
-  double total = 0.0;
-  for (int i = 0; i < network.stack_depth(); ++i)
-    total += network.stack(i).compute_seconds();
-  return total;
-}
-
-}  // namespace
-
 EfficiencyProbe::EfficiencyProbe(Trainer& trainer)
     : trainer_(trainer),
       start_counters_(PerfSnapshot::now()),
       start_breakdown_(trainer.time_breakdown()),
       start_busy_(trainer.pool().busy_seconds()),
-      start_sampling_(sampled_layers_sampling_seconds(trainer.network())),
-      start_compute_(sampled_layers_compute_seconds(trainer.network())) {}
+      start_sampling_(trainer.network().stack(0).sampling_seconds()),
+      start_compute_(trainer.network().stack(0).compute_seconds()) {}
 
 CpuEfficiencyReport EfficiencyProbe::finish() {
   CpuEfficiencyReport r;
@@ -51,10 +33,9 @@ CpuEfficiencyReport EfficiencyProbe::finish() {
     r.update_fraction = d.update_seconds / d.total_seconds;
     r.rebuild_fraction = d.rebuild_seconds / d.total_seconds;
   }
-  r.lsh_sampling_seconds =
-      sampled_layers_sampling_seconds(trainer_.network()) - start_sampling_;
-  r.layer_compute_seconds =
-      sampled_layers_compute_seconds(trainer_.network()) - start_compute_;
+  const Layer& out = trainer_.network().stack(0);
+  r.lsh_sampling_seconds = out.sampling_seconds() - start_sampling_;
+  r.layer_compute_seconds = out.compute_seconds() - start_compute_;
   return r;
 }
 

@@ -22,7 +22,7 @@ struct CpuEfficiencyReport {
   double compute_fraction = 0.0;   // forward+backward fan-out
   double update_fraction = 0.0;    // lazy Adam
   double rebuild_fraction = 0.0;   // hash-table refresh
-  /// Within the hashed layers: LSH sampling vs activation math seconds.
+  /// Within the output layer: LSH sampling vs activation math seconds.
   double lsh_sampling_seconds = 0.0;
   double layer_compute_seconds = 0.0;
   /// OS counters over the run (memory-pressure proxies).

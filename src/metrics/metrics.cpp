@@ -28,11 +28,11 @@ double evaluate_p_at_1(const Network& network, const Dataset& data,
     InferenceContext ctx(std::max<Index>(network.max_sampled_units(), 1),
                          options.seed + static_cast<std::uint64_t>(tid));
     std::size_t local = 0;
+    std::vector<Index> top;
     for (std::size_t i = begin; i < end; ++i) {
       const Sample& sample = data[i];
-      const Index pred = network.predict_top1(sample.features, ctx,
-                                              options.exact);
-      if (hits_top1(pred, sample.labels)) ++local;
+      network.predict_topk(sample.features, ctx, 1, options.exact, top);
+      if (!top.empty() && hits_top1(top.front(), sample.labels)) ++local;
     }
     hits.fetch_add(local, std::memory_order_relaxed);
   });

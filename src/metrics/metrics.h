@@ -20,7 +20,9 @@ struct EvalOptions {
   std::uint64_t seed = 7'001;
 };
 
-/// P@1 of the SLIDE network on a dataset, parallelized over samples.
+/// P@1 of the SLIDE network on a dataset, parallelized over samples. Ranks
+/// through predict_topk with k = 1 (the first maximum wins); a sample with
+/// no candidate left (every output unit retired) counts as a miss.
 double evaluate_p_at_1(const Network& network, const Dataset& data,
                        ThreadPool& pool, const EvalOptions& options = {});
 

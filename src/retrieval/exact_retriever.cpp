@@ -9,7 +9,9 @@ void ExactRetriever::retrieve(std::span<const Index> query_ids,
                               bool fresh_epoch) const {
   // The query and budget do not narrow an exact scan; the signature is the
   // shared contract, not a promise to use every argument.
-  (void)query_ids;
+  SLIDE_CHECK(query_ids.empty(),
+              "ExactRetriever::retrieve: the query must be dense (query_ids "
+              "empty)");
   (void)query_act;
   (void)budget;
   (void)rng;

@@ -18,14 +18,12 @@ void LshRetriever::retrieve(std::span<const Index> query_ids,
   // query once per table, then union/select bucket ids.
   // sample_neurons stamps each selected id into `visited` — that is where
   // the retrieve() dedupe post-condition is enforced for this backend.
+  SLIDE_CHECK(query_ids.empty(),
+              "LshRetriever::retrieve: the query must be dense (query_ids "
+              "empty)");
   thread_local std::vector<std::uint32_t> keys;
   keys.resize(static_cast<std::size_t>(tables_.l()));
-  if (query_ids.empty()) {
-    tables_.query_keys_dense(query_act.data(), keys);
-  } else {
-    tables_.query_keys_sparse(query_ids.data(), query_act.data(),
-                              query_ids.size(), keys);
-  }
+  tables_.query_keys_dense(query_act.data(), keys);
   thread_local std::vector<std::span<const Index>> buckets;
   thread_local std::vector<Index> sampled;
   tables_.buckets(keys, buckets);

@@ -5,16 +5,18 @@
 // interface with two implementations:
 //
 //   LshRetriever    (K, L) hash tables — the paper's sampler, wrapping one
-//                   LshTableGroup. Every hashed layer owns exactly one.
+//                   LshTableGroup. A hashed output layer (each shard of a
+//                   sharded one) owns exactly one.
 //   ExactRetriever  brute force: every live id is a candidate. The oracle
 //                   the LSH sampler is measured against (tests, the
 //                   retrieval_backends bench, examples/lsh_topk_search).
 //
 // A retriever indexes a fixed universe of ids [0, size()) whose vectors
 // live in caller-owned row storage (RowView — for a layer, its weight
-// rows). retrieve() is const and safe to call concurrently with other
-// retrieve() calls; mutation (rebuild/insert/remove/resize_universe)
-// follows the layer's single-writer contract.
+// rows), and answers dense queries (for a layer, the embedding's
+// activation vector). retrieve() is const and safe to call concurrently
+// with other retrieve() calls; mutation (rebuild/insert/remove/
+// resize_universe) follows the layer's single-writer contract.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +66,9 @@ class Retriever {
 
   /// Appends up to ~`budget` candidate ids for the query to `out`.
   ///
-  /// The query is the previous layer's activation vector: dense when
-  /// `query_ids` is empty (`query_act` is the full vector), else sparse
-  /// {query_ids[i], query_act[i]} pairs.
+  /// The query is dense: `query_act` is the full vector (for a layer, the
+  /// embedding's activations). `query_ids` must be empty (slide::Error
+  /// otherwise).
   ///
   /// Post-condition (THE candidate dedupe point — call sites never dedupe
   /// again): every id appended is (a) in [0, size()), (b) not removed,

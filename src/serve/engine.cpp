@@ -262,7 +262,7 @@ std::uint64_t InferenceEngine::publish_master_locked() {
   // master's count here so stats() can report the published label-space
   // delta without touching the master off-lock.
   published_appended_.store(
-      master.stack(master.stack_depth() - 1).appended_units(),
+      master.stack(0).appended_units(),
       std::memory_order_release);
   online_publish_ns_.fetch_add(
       static_cast<std::uint64_t>(
@@ -376,23 +376,18 @@ ServeStats InferenceEngine::stats() const {
   if (snapshot != nullptr && snapshot->network != nullptr) {
     const Network& net = *snapshot->network;
     s.memory = net.memory_footprint();
-    {
-      const Layer& out_layer = net.stack(net.stack_depth() - 1);
-      s.snapshot_appended_labels = out_layer.appended_units();
-      s.snapshot_retired_labels = out_layer.retired_count();
-      // Online-published clones are built at the grown width (their own
-      // appended_units() is 0) — the count recorded at publish time wins.
-      const Index published =
-          published_appended_.load(std::memory_order_acquire);
-      if (published > s.snapshot_appended_labels)
-        s.snapshot_appended_labels = published;
-    }
-    for (int i = 0; i < net.stack_depth(); ++i) {
-      const TableHealth health = net.stack(i).table_health();
-      if (health.buckets > 0)
-        s.lsh_tables.push_back(
-            {i, health.occupancy(), health.saturation()});
-    }
+    const Layer& out_layer = net.stack(0);
+    s.snapshot_appended_labels = out_layer.appended_units();
+    s.snapshot_retired_labels = out_layer.retired_count();
+    // Online-published clones are built at the grown width (their own
+    // appended_units() is 0) — the count recorded at publish time wins.
+    const Index published =
+        published_appended_.load(std::memory_order_acquire);
+    if (published > s.snapshot_appended_labels)
+      s.snapshot_appended_labels = published;
+    const TableHealth health = out_layer.table_health();
+    if (health.buckets > 0)
+      s.lsh_tables.push_back({0, health.occupancy(), health.saturation()});
   }
   return s;
 }

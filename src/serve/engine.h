@@ -126,11 +126,11 @@ struct ServeStats {
   /// until the first batch completes. Reported only: admission ignores it.
   double ewma_service_us = 0.0;
 
-  /// LSH table health of the current snapshot, one entry per stack layer
-  /// that owns tables (Layer::table_health). The tables count their
-  /// buckets when built, so reading these costs no table scan.
+  /// LSH table health of the current snapshot: one entry when the output
+  /// layer owns tables (Layer::table_health), none otherwise. The tables
+  /// count their buckets when built, so reading these costs no table scan.
   struct LshTables {
-    int layer = 0;            ///< index in Network::stack()
+    int layer = 0;            ///< index in Network::stack(), always 0
     double occupancy = 0.0;   ///< non-empty buckets / all buckets
     double saturation = 0.0;  ///< full buckets / all buckets
   };

@@ -15,9 +15,9 @@
 // *before* the swap, off the serving path, through the fill functions of
 // core/serialize: the layers are constructed without a random init, every
 // parameter is written from the checkpoint stream or copied from the
-// trainer by global row, and each layer's tables are built once. This is
-// the building block for train-and-serve loops where a trainer publishes
-// and the server picks the weights up with zero pause (cf. the
+// trainer by global row, and the output layer's tables are built once.
+// This is the building block for train-and-serve loops where a trainer
+// publishes and the server picks the weights up with zero pause (cf. the
 // parameter-exchange motivation in "Distributed SLIDE", 2022, where
 // trained parameters travel as raw row blocks, not re-parsed checkpoints).
 #pragma once

@@ -42,8 +42,8 @@ const char* to_string(SimdLevel level) noexcept;
 SimdLevel parse_simd_level(const char* name);
 
 /// One ISA's kernel set. Entries an ISA does not specialize point at the
-/// scalar reference implementation (e.g. sparse_dot_i8, for which no byte
-/// gather exists), so a table is always total.
+/// scalar reference implementation (e.g. quantize_i8, which runs once per
+/// publish), so a table is always total.
 struct Backend {
   SimdLevel level = SimdLevel::kScalar;
   const char* name = "scalar";
@@ -52,8 +52,6 @@ struct Backend {
   void (*axpy)(float, const float*, float*, std::size_t) noexcept = nullptr;
   void (*scale)(float*, float, std::size_t) noexcept = nullptr;
   void (*relu)(float*, std::size_t) noexcept = nullptr;
-  float (*sparse_dot)(const Index*, const float*, std::size_t,
-                      const float*) noexcept = nullptr;
   void (*softmax_inplace)(float*, std::size_t) noexcept = nullptr;
   void (*adam_step)(float*, float*, float*, const float*, std::size_t, float,
                     float, float, float, float, float) noexcept = nullptr;
@@ -75,8 +73,6 @@ struct Backend {
   // (kAvx512BackendNoVnni otherwise); AVX2 uses `vpmaddubsw`. The active
   // path's name is recorded in i8_path for benches/banners.
   std::int32_t (*dot_i8)(const I8*, const U8*, std::size_t) noexcept = nullptr;
-  float (*sparse_dot_i8)(const Index*, const float*, std::size_t,
-                         const I8*) noexcept = nullptr;
   void (*axpy_i8)(float, const I8*, float*, std::size_t) noexcept = nullptr;
   /// Quantizes one row; returns its scale (0 for an all-zero row). Publish
   /// path (cold): scalar in every table.

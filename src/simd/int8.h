@@ -23,13 +23,10 @@
 // scalar oracle all produce the *same* int32 dot. Parity tests therefore
 // assert exact equality on dot_i8, not a tolerance.
 //
-// A scored unit recovers fp32 as:
+// A scored unit recovers fp32 against the dense query (the embedding's
+// activations) as:
 //
-//   score = bias + scale_r * sx * dot_i8(q_r, qx, n)       (dense prev)
-//   score = bias + scale_r * sparse_dot_i8(idx, val, nnz, q_r)  (sparse prev)
-//
-// where the sparse form keeps fp32 activation values and widens the s8
-// weight per element (no u8 requantization of a sparse active set).
+//   score = bias + scale_r * sx * dot_i8(q_r, qx, n)
 #pragma once
 
 #include <cstdint>

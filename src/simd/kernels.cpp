@@ -18,10 +18,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept {
   backend().scale(x, alpha, n);
 }
 void relu(float* x, std::size_t n) noexcept { backend().relu(x, n); }
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept {
-  return backend().sparse_dot(idx, val, nnz, dense);
-}
 void softmax_inplace(float* x, std::size_t n) noexcept {
   backend().softmax_inplace(x, n);
 }
@@ -45,10 +41,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
 
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept {
   return backend().dot_i8(w, x, n);
-}
-float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
-                    const I8* dense) noexcept {
-  return backend().sparse_dot_i8(idx, val, nnz, dense);
 }
 void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept {
   backend().axpy_i8(alpha, x, y, n);

@@ -36,11 +36,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept;
 /// x[i] = max(x[i], 0).
 void relu(float* x, std::size_t n) noexcept;
 
-/// Dot product of a sparse vector (idx/val pairs, nnz entries) with a dense
-/// vector. Indices must be < the dense vector's length.
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept;
-
 /// Numerically-stable in-place softmax over x[0..n).
 void softmax_inplace(float* x, std::size_t n) noexcept;
 
@@ -87,11 +82,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
 /// Callers rescale: score = bias + scale_row * scale_act * dot_i8(...).
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept;
 
-/// Sparse fp32 vector (idx/val) against a dense s8 row; the s8 weight is
-/// widened per element, fp32 accumulation. Callers multiply by scale_row.
-float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
-                    const I8* dense) noexcept;
-
 /// y[i] += alpha * widen(x[i]) — s8 source, fp32 destination. alpha folds
 /// the row scale (and any activation value) in.
 void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept;
@@ -113,8 +103,6 @@ void scale(float* x, float alpha, std::size_t n) noexcept;
 /// Max of x[0..n); returns -inf for n == 0 (softmax_inplace's shift).
 float max(const float* x, std::size_t n) noexcept;
 void relu(float* x, std::size_t n) noexcept;
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept;
 void softmax_inplace(float* x, std::size_t n) noexcept;
 void adam_step(float* w, float* m, float* v, const float* g, std::size_t n,
                float lr, float beta1, float beta2, float eps, float bias1,
@@ -127,8 +115,6 @@ void sign_project(const I8* w, std::size_t w_stride, std::size_t dim,
                   std::size_t rows, float* out,
                   std::size_t out_stride) noexcept;
 std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept;
-float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
-                    const I8* dense) noexcept;
 void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept;
 float quantize_i8(const float* src, I8* dst, std::size_t n) noexcept;
 float quantize_act_u8(const float* src, U8* dst, std::size_t n) noexcept;

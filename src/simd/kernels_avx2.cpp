@@ -91,22 +91,6 @@ void relu(float* x, std::size_t n) noexcept {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept {
-  // Gather-based: profitable on sparse inputs with tens of nonzeros.
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= nnz; i += 8) {
-    const __m256i vi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(idx + i));
-    const __m256 vd = _mm256_i32gather_ps(dense, vi, 4);
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(val + i), vd, acc);
-  }
-  float s = hsum256(acc);
-  for (; i < nnz; ++i) s += val[i] * dense[idx[i]];
-  return s;
-}
-
 void softmax_inplace(float* x, std::size_t n) noexcept {
   // exp() dominates; vectorizing max + normalization still helps.
   if (n == 0) return;
@@ -332,13 +316,11 @@ constexpr Backend kAvx2Table = {
     .axpy = avx2::axpy,
     .scale = avx2::scale,
     .relu = avx2::relu,
-    .sparse_dot = avx2::sparse_dot,
     .softmax_inplace = avx2::softmax_inplace,
     .adam_step = avx2::adam_step,
     .wta_codes = avx2::wta_codes,
     .sign_project = avx2::sign_project,
     .dot_i8 = avx2::dot_i8,
-    .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = avx2::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,

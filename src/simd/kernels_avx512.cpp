@@ -107,20 +107,6 @@ void relu(float* x, std::size_t n) noexcept {
   }
 }
 
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= nnz; i += 16) {
-    const __m512i vi = _mm512_loadu_si512(idx + i);
-    const __m512 vd = _mm512_i32gather_ps(vi, dense, 4);
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(val + i), vd, acc);
-  }
-  float s = _mm512_reduce_add_ps(acc);
-  for (; i < nnz; ++i) s += val[i] * dense[idx[i]];
-  return s;
-}
-
 void softmax_inplace(float* x, std::size_t n) noexcept {
   // exp() dominates; vectorizing max + normalization still helps.
   if (n == 0) return;
@@ -365,7 +351,6 @@ constexpr Backend kAvx512Table = {
     .axpy = avx512::axpy,
     .scale = avx512::scale,
     .relu = avx512::relu,
-    .sparse_dot = avx512::sparse_dot,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
@@ -375,7 +360,6 @@ constexpr Backend kAvx512Table = {
 #else
     .dot_i8 = avx512::dot_i8_maddubs,
 #endif
-    .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = avx512::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,
@@ -395,13 +379,11 @@ constexpr Backend kAvx512TableNoVnni = {
     .axpy = avx512::axpy,
     .scale = avx512::scale,
     .relu = avx512::relu,
-    .sparse_dot = avx512::sparse_dot,
     .softmax_inplace = avx512::softmax_inplace,
     .adam_step = avx512::adam_step,
     .wta_codes = avx512::wta_codes,
     .sign_project = avx512::sign_project,
     .dot_i8 = avx512::dot_i8_maddubs,
-    .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = avx512::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,

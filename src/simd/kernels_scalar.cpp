@@ -38,13 +38,6 @@ void relu(float* x, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-float sparse_dot(const Index* idx, const float* val, std::size_t nnz,
-                 const float* dense) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < nnz; ++i) acc += val[i] * dense[idx[i]];
-  return acc;
-}
-
 void softmax_inplace(float* x, std::size_t n) noexcept {
   if (n == 0) return;
   const float m = scalar::max(x, n);
@@ -127,15 +120,6 @@ std::int32_t dot_i8(const I8* w, const U8* x, std::size_t n) noexcept {
   return acc;
 }
 
-float sparse_dot_i8(const Index* idx, const float* val, std::size_t nnz,
-                    const I8* dense) noexcept {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < nnz; ++i) {
-    acc += val[i] * static_cast<float>(dense[idx[i]]);
-  }
-  return acc;
-}
-
 void axpy_i8(float alpha, const I8* x, float* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * static_cast<float>(x[i]);
 }
@@ -193,13 +177,11 @@ const Backend kScalarBackend = {
     .axpy = scalar::axpy,
     .scale = scalar::scale,
     .relu = scalar::relu,
-    .sparse_dot = scalar::sparse_dot,
     .softmax_inplace = scalar::softmax_inplace,
     .adam_step = scalar::adam_step,
     .wta_codes = scalar::wta_codes,
     .sign_project = scalar::sign_project,
     .dot_i8 = scalar::dot_i8,
-    .sparse_dot_i8 = scalar::sparse_dot_i8,
     .axpy_i8 = scalar::axpy_i8,
     .quantize_i8 = scalar::quantize_i8,
     .quantize_act_u8 = scalar::quantize_act_u8,

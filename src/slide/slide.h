@@ -7,7 +7,6 @@
 #pragma once
 
 #include "baseline/sampled_softmax.h"  // IWYU pragma: export
-#include "core/activation.h"           // IWYU pragma: export
 #include "core/builder.h"              // IWYU pragma: export
 #include "core/config.h"               // IWYU pragma: export
 #include "core/layer.h"                // IWYU pragma: export

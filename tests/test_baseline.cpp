@@ -32,7 +32,7 @@ Network dense_baseline(Index input_dim, Index hidden, Index labels,
                        int max_batch, int threads) {
   return NetworkBuilder(input_dim)
       .dense(hidden)
-      .dense(labels, Activation::kSoftmax)
+      .dense(labels)
       .max_batch(max_batch)
       .build(threads);
 }

@@ -1,8 +1,8 @@
-// NetworkBuilder + unified-stack tests: fluent construction of dense-only,
-// multi-hashed, and random-sampled stacks; training through the single
-// Trainer; batch inference; and checkpoint round-trips through the one
-// format — including a hand-written checkpoint read and written back byte
-// for byte.
+// NetworkBuilder + one-shape tests: fluent construction of the embedding
+// plus a dense, LSH-sampled or random-sampled output layer; training
+// through the single Trainer; batch inference; and checkpoint round-trips
+// through the one format — including hand-written checkpoints, one read
+// and written back byte for byte, one refused for its layer count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -66,7 +66,7 @@ TEST(NetworkBuilder, PaperNetworkShapeAndKinds) {
 TEST(NetworkBuilder, DenseOnlyStack) {
   Network net = NetworkBuilder(40)
                     .dense(8)
-                    .dense(30, Activation::kSoftmax)
+                    .dense(30)
                     .max_batch(4)
                     .build(1);
   EXPECT_EQ(net.stack(0).kind(), LayerKind::kDense);
@@ -84,30 +84,6 @@ TEST(NetworkBuilder, RandomSampledStack) {
   EXPECT_EQ(net.stack(0).kind(), LayerKind::kRandomSampled);
   EXPECT_FALSE(net.output_layer().hashed());
   EXPECT_EQ(net.output_layer().config().sampling.target, 10u);
-}
-
-TEST(NetworkBuilder, DeepMixedStack) {
-  // dense embedding -> dense ReLU -> hashed ReLU -> hashed softmax: three
-  // stack layers, two of them with their own tables (multi-hashed).
-  Network net = NetworkBuilder(60)
-                    .dense(16)
-                    .dense(12)
-                    .sampled(200, simhash_family(), 24, Activation::kReLU)
-                    .table(small_table())
-                    .sampled(100, simhash_family(3, 6), 16)
-                    .table(small_table())
-                    .max_batch(4)
-                    .build(2);
-  EXPECT_EQ(net.stack_depth(), 3);
-  EXPECT_EQ(net.num_layers(), 4);
-  EXPECT_EQ(net.stack(0).kind(), LayerKind::kDense);
-  EXPECT_EQ(net.stack(1).kind(), LayerKind::kSampled);
-  EXPECT_EQ(net.stack(2).kind(), LayerKind::kSampled);
-  EXPECT_EQ(net.stack(1).activation(), Activation::kReLU);
-  EXPECT_EQ(net.output_dim(), 100u);
-  // fan-in chain: 16 -> 12 -> 200 -> 100
-  EXPECT_EQ(net.stack(1).fan_in(), 12u);
-  EXPECT_EQ(net.stack(2).fan_in(), 200u);
 }
 
 TEST(NetworkBuilder, MakePaperNetworkIsBuilderBacked) {
@@ -128,15 +104,20 @@ TEST(NetworkBuilder, MakePaperNetworkIsBuilderBacked) {
 }
 
 TEST(NetworkBuilder, RejectsMisuse) {
-  // Stack layer before the embedding.
+  // Output layer before the embedding.
   EXPECT_THROW(NetworkBuilder(10).sampled(50, simhash_family(), 8), Error);
-  // Non-ReLU first layer.
-  EXPECT_THROW(NetworkBuilder(10).dense(8, Activation::kSoftmax), Error);
-  // No stack layer at all.
+  // No output layer at all.
   EXPECT_THROW(NetworkBuilder(10).dense(8).to_config(), Error);
-  // Non-softmax output layer.
-  EXPECT_THROW(NetworkBuilder(10).dense(8).dense(5).to_config(), Error);
-  // Per-layer knob with no stack layer to apply it to.
+  // A second output layer: one embedding, one output layer.
+  EXPECT_THROW(NetworkBuilder(10).dense(8).dense(5).dense(5), Error);
+  EXPECT_THROW(NetworkBuilder(10).dense(8).dense(12).sampled(
+                   5, simhash_family(), 4),
+               Error);
+  LayerSpec spec;
+  spec.units = 5;
+  EXPECT_THROW(NetworkBuilder(10).dense(8).random_sampled(20, 4).layer(spec),
+               Error);
+  // Output-layer knob with no output layer to apply it to.
   EXPECT_THROW(NetworkBuilder(10).dense(8).table(small_table()), Error);
 }
 
@@ -159,24 +140,10 @@ TEST(UnifiedStack, DenseBaselineTrainsViaTrainer) {
   const auto data = tiny_data(43);
   Network net = NetworkBuilder(data.train.feature_dim())
                     .dense(16)
-                    .dense(data.train.label_dim(), Activation::kSoftmax)
+                    .dense(data.train.label_dim())
                     .max_batch(16)
                     .build(2);
   EXPECT_GT(train_and_eval(net, data), 0.3);
-}
-
-TEST(UnifiedStack, MultiHashedStackTrainsViaTrainer) {
-  const auto data = tiny_data(47);
-  Network net = NetworkBuilder(data.train.feature_dim())
-                    .dense(16)
-                    .sampled(64, simhash_family(), 48, Activation::kReLU)
-                    .table(small_table())
-                    .sampled(data.train.label_dim(), simhash_family(), 24)
-                    .table(small_table())
-                    .max_batch(16)
-                    .build(2);
-  // A 3-layer multi-hashed stack must still learn the planted structure.
-  EXPECT_GT(train_and_eval(net, data, 200), 0.25);
 }
 
 TEST(UnifiedStack, RandomSampledTrainsViaTrainer) {
@@ -225,7 +192,7 @@ TEST(PredictBatch, PoolParallelMatchesSequentialExact) {
   const auto data = tiny_data(61);
   Network net = NetworkBuilder(data.train.feature_dim())
                     .dense(16)
-                    .dense(data.train.label_dim(), Activation::kSoftmax)
+                    .dense(data.train.label_dim())
                     .max_batch(16)
                     .build(4);
   train_and_eval(net, data, 30);
@@ -251,12 +218,12 @@ TEST(PredictBatch, ReusesScratchAcrossCallsAndArchitectures) {
   const auto data = tiny_data(67);
   Network small = NetworkBuilder(data.train.feature_dim())
                       .dense(8)
-                      .dense(20, Activation::kSoftmax)
+                      .dense(20)
                       .max_batch(4)
                       .build(1);
   Network wide = NetworkBuilder(data.train.feature_dim())
                      .dense(8)
-                     .dense(data.train.label_dim(), Activation::kSoftmax)
+                     .dense(data.train.label_dim())
                      .max_batch(4)
                      .build(1);
   std::vector<SparseVector> queries;
@@ -278,7 +245,7 @@ TEST(PredictBatch, ReusesScratchAcrossCallsAndArchitectures) {
 TEST(PredictBatch, EmptyInputYieldsEmptyOutput) {
   Network net = NetworkBuilder(10)
                     .dense(4)
-                    .dense(5, Activation::kSoftmax)
+                    .dense(5)
                     .max_batch(2)
                     .build(1);
   BatchOutput out;
@@ -290,7 +257,7 @@ TEST(PredictBatch, EmptyInputYieldsEmptyOutput) {
 TEST(InferenceContext, ResetRetargetsArchitecture) {
   Network net = NetworkBuilder(10)
                     .dense(4)
-                    .dense(5, Activation::kSoftmax)
+                    .dense(5)
                     .max_batch(2)
                     .build(1);
   InferenceContext ctx(net);
@@ -298,7 +265,7 @@ TEST(InferenceContext, ResetRetargetsArchitecture) {
   SparseVector x({1, 3}, {1.0f, 0.5f});
   (void)net.predict_top1(x, ctx, true);
   ctx.reset();
-  EXPECT_TRUE(ctx.ids_a.empty() && ctx.act_a.empty());
+  EXPECT_TRUE(ctx.ids_a.empty() && ctx.dense.empty());
   ctx.reset(100);
   EXPECT_EQ(ctx.visited.capacity(), 100u);
   ctx.reset(net);
@@ -325,7 +292,7 @@ TEST(UnifiedCheckpoint, DenseOnlyStackRoundTrip) {
   auto make = [&](std::uint64_t seed) {
     return NetworkBuilder(data.train.feature_dim())
         .dense(8)
-        .dense(data.train.label_dim(), Activation::kSoftmax)
+        .dense(data.train.label_dim())
         .max_batch(16)
         .seed(seed)
         .build(2);
@@ -337,32 +304,6 @@ TEST(UnifiedCheckpoint, DenseOnlyStackRoundTrip) {
   Network restored = make(999);
   load_weights(restored, buffer);
   expect_identical_exact_predictions(trained, restored, data.test);
-}
-
-TEST(UnifiedCheckpoint, MultiHashedStackRoundTrip) {
-  const auto data = tiny_data(73);
-  auto make = [&](std::uint64_t seed) {
-    return NetworkBuilder(data.train.feature_dim())
-        .dense(8)
-        .sampled(64, simhash_family(), 32, Activation::kReLU)
-        .table(small_table())
-        .sampled(data.train.label_dim(), simhash_family(), 16)
-        .table(small_table())
-        .max_batch(16)
-        .seed(seed)
-        .build(2);
-  };
-  Network trained = make(1);
-  train_and_eval(trained, data, 30);
-  std::stringstream buffer;
-  save_weights(trained, buffer);
-  Network restored = make(999);
-  ThreadPool pool(2);
-  load_weights(restored, buffer, &pool);  // rebuilds both table groups
-  expect_identical_exact_predictions(trained, restored, data.test);
-  // Sampled inference also works after load (tables rebuilt).
-  const double acc = evaluate_p_at_1(restored, data.test, pool, {});
-  EXPECT_GE(acc, 0.0);
 }
 
 TEST(UnifiedCheckpoint, RandomSampledStackRoundTrip) {
@@ -384,24 +325,6 @@ TEST(UnifiedCheckpoint, RandomSampledStackRoundTrip) {
   expect_identical_exact_predictions(trained, restored, data.test);
 }
 
-TEST(UnifiedCheckpoint, MixedStackRejectsWrongShape) {
-  const auto data = tiny_data(83);
-  Network a = NetworkBuilder(data.train.feature_dim())
-                  .dense(8)
-                  .dense(data.train.label_dim(), Activation::kSoftmax)
-                  .max_batch(4)
-                  .build(1);
-  std::stringstream buffer;
-  save_weights(a, buffer);
-  Network deeper = NetworkBuilder(data.train.feature_dim())
-                       .dense(8)
-                       .dense(12)
-                       .dense(data.train.label_dim(), Activation::kSoftmax)
-                       .max_batch(4)
-                       .build(1);
-  EXPECT_THROW(load_weights(deeper, buffer), Error);
-}
-
 // The version 5 layout documented in core/serialize.h, written by hand
 // here: a builder-constructed network must load it and write it back byte
 // for byte.
@@ -419,57 +342,90 @@ void write_block(std::ostream& out, const std::vector<float>& data) {
             static_cast<std::streamsize>(data.size() * sizeof(float)));
 }
 
-TEST(UnifiedCheckpoint, LoadsAndWritesHandWrittenVersion5Bytes) {
-  const Index input_dim = 12, hidden = 4, labels = 9;
-  std::vector<float> emb_w(static_cast<std::size_t>(input_dim) * hidden);
-  std::vector<float> emb_b(hidden);
-  std::vector<float> out_w(static_cast<std::size_t>(labels) * hidden);
-  std::vector<float> out_b(labels);
-  for (std::size_t i = 0; i < emb_w.size(); ++i)
-    emb_w[i] = 0.01f * static_cast<float>(i);
-  for (std::size_t i = 0; i < emb_b.size(); ++i)
-    emb_b[i] = 0.5f - 0.1f * static_cast<float>(i);
-  for (std::size_t i = 0; i < out_w.size(); ++i)
-    out_w[i] = -0.02f * static_cast<float>(i);
-  for (std::size_t i = 0; i < out_b.size(); ++i)
-    out_b[i] = 0.25f * static_cast<float>(i);
+/// A hand-written version 5 checkpoint of an input_dim 12, hidden 4,
+/// 9-label network whose header claims `num_layers` layers, followed by
+/// one output layer's blocks.
+struct HandWrittenCheckpoint {
+  static constexpr Index input_dim = 12, hidden = 4, labels = 9;
+  std::vector<float> emb_w, emb_b, out_w, out_b;
+  std::string bytes;
+};
+
+HandWrittenCheckpoint hand_written_v5(std::uint32_t num_layers) {
+  HandWrittenCheckpoint c;
+  c.emb_w.resize(static_cast<std::size_t>(c.input_dim) * c.hidden);
+  c.emb_b.resize(c.hidden);
+  c.out_w.resize(static_cast<std::size_t>(c.labels) * c.hidden);
+  c.out_b.resize(c.labels);
+  for (std::size_t i = 0; i < c.emb_w.size(); ++i)
+    c.emb_w[i] = 0.01f * static_cast<float>(i);
+  for (std::size_t i = 0; i < c.emb_b.size(); ++i)
+    c.emb_b[i] = 0.5f - 0.1f * static_cast<float>(i);
+  for (std::size_t i = 0; i < c.out_w.size(); ++i)
+    c.out_w[i] = -0.02f * static_cast<float>(i);
+  for (std::size_t i = 0; i < c.out_b.size(); ++i)
+    c.out_b[i] = 0.25f * static_cast<float>(i);
 
   std::stringstream buffer;
   write_u32(buffer, 0x534C4944);  // "SLID"
   write_u32(buffer, 5);           // version
   write_u32(buffer, 0);           // kind: slide network
-  write_u32(buffer, input_dim);
-  write_u32(buffer, hidden);
-  write_u32(buffer, 1);  // num stack layers
+  write_u32(buffer, c.input_dim);
+  write_u32(buffer, c.hidden);
+  write_u32(buffer, num_layers);
   write_u32(buffer, 0);  // precision tag: fp32
-  write_block(buffer, emb_w);
-  write_block(buffer, emb_b);
-  write_u32(buffer, labels);
-  write_u32(buffer, hidden);
+  write_block(buffer, c.emb_w);
+  write_block(buffer, c.emb_b);
+  write_u32(buffer, c.labels);
+  write_u32(buffer, c.hidden);
   write_u32(buffer, 0);  // appended rows
   write_u32(buffer, 1);  // one row block pair
-  write_block(buffer, out_w);
-  write_block(buffer, out_b);
+  write_block(buffer, c.out_w);
+  write_block(buffer, c.out_b);
   write_u32(buffer, 0);  // retriever word: LSH
   write_u64(buffer, 0);  // aux bytes
   write_u64(buffer, 0);  // tombstones
-  const std::string bytes = buffer.str();
+  c.bytes = buffer.str();
+  return c;
+}
 
-  Network net = NetworkBuilder(input_dim)
-                    .dense(hidden)
-                    .sampled(labels, simhash_family(2, 4), 4)
-                    .table(small_table())
-                    .max_batch(2)
-                    .build(1);
+Network hand_written_target() {
+  return NetworkBuilder(HandWrittenCheckpoint::input_dim)
+      .dense(HandWrittenCheckpoint::hidden)
+      .sampled(HandWrittenCheckpoint::labels, simhash_family(2, 4), 4)
+      .table(small_table())
+      .max_batch(2)
+      .build(1);
+}
+
+TEST(UnifiedCheckpoint, LoadsAndWritesHandWrittenVersion5Bytes) {
+  const HandWrittenCheckpoint c = hand_written_v5(1);
+  std::stringstream buffer(c.bytes);
+  Network net = hand_written_target();
   load_weights(net, buffer);
   EXPECT_EQ(0, std::memcmp(net.embedding().weights_span().data(),
-                           emb_w.data(), emb_w.size() * sizeof(float)));
+                           c.emb_w.data(), c.emb_w.size() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(net.output_layer().weights_span().data(),
-                           out_w.data(), out_w.size() * sizeof(float)));
-  EXPECT_EQ(net.output_layer().bias(2), out_b[2]);
+                           c.out_w.data(), c.out_w.size() * sizeof(float)));
+  EXPECT_EQ(net.output_layer().bias(2), c.out_b[2]);
   std::stringstream written;
   save_weights(net, written);
-  EXPECT_EQ(written.str(), bytes);
+  EXPECT_EQ(written.str(), c.bytes);
+}
+
+TEST(UnifiedCheckpoint, MixedStackRejectsWrongShape) {
+  // A file is input from outside the program: a header that claims two
+  // layers (a stack this network shape cannot hold) is refused, whatever
+  // follows it, and so is one that claims none.
+  for (std::uint32_t num_layers : {2u, 0u}) {
+    const HandWrittenCheckpoint c = hand_written_v5(num_layers);
+    std::stringstream buffer(c.bytes);
+    Network net = hand_written_target();
+    EXPECT_THROW(load_weights(net, buffer), Error) << num_layers;
+    std::stringstream again(c.bytes);
+    EXPECT_THROW(load_network(net.config(), again, 1, nullptr), Error)
+        << num_layers;
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "http_client.h"
+#include "metrics/metrics.h"
 #include "metrics/prometheus.h"
 #include "serve/engine.h"
 
@@ -63,7 +64,7 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards = 0) {
 /// no LSH tables anywhere.
 NetworkConfig dense_output_config(const SyntheticDataset& data) {
   NetworkBuilder b(data.train.feature_dim());
-  b.dense(16).dense(data.train.label_dim(), Activation::kSoftmax);
+  b.dense(16).dense(data.train.label_dim());
   return b.max_batch(32).seed(123).to_config();
 }
 
@@ -181,6 +182,30 @@ TEST(Churn, RetiredUnitsVanishFromTopkOnEveryBackend) {
       net.retire_output_units(std::vector<Index>{net.output_dim()}), Error);
 }
 
+TEST(Churn, RetiringEveryUnitLeavesNoTop1) {
+  // With every output unit retired no candidate is left: top-1 names no
+  // id rather than a retired one, and P@1 counts every sample as a miss,
+  // on the monolithic and the sharded layer alike.
+  const auto data = tiny_data();
+  for (int shards : {0, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    Network net(net_config(data, shards), 2);
+    train(net, data, 10);
+    std::vector<Index> all(net.output_dim());
+    std::iota(all.begin(), all.end(), Index{0});
+    net.retire_output_units(all);
+    InferenceContext ctx(net, 7);
+    const SparseVector& x = data.test[0].features;
+    for (bool exact : {true, false}) {
+      EXPECT_THROW(net.predict_top1(x, ctx, exact), Error) << exact;
+      EXPECT_TRUE(net.predict_topk(x, ctx, 1, exact).empty()) << exact;
+    }
+    ThreadPool pool(2);
+    EXPECT_EQ(evaluate_p_at_1(net, data.test, pool, {.exact = true}), 0.0);
+    EXPECT_EQ(evaluate_p_at_1(net, data.test, pool, {}), 0.0);
+  }
+}
+
 // A retire batch is all or nothing on every layer: an out-of-range id
 // anywhere in it throws before a single id is tombstoned.
 enum class RetireLayout { kMonolithic, kShardedS2 };
@@ -193,7 +218,7 @@ TEST_P(ChurnRetireBatch, OutOfRangeIdRetiresNothing) {
   b.table({.range_pow = 8, .bucket_size = 32});
   if (GetParam() == RetireLayout::kShardedS2) b.shards(2);
   Network net(b.max_batch(8).seed(123).to_config(), 1);
-  const Layer& out = net.stack(net.stack_depth() - 1);
+  const Layer& out = net.stack(0);
   EXPECT_THROW(
       net.retire_output_units(std::vector<Index>{3, 40, Index{1} << 30}),
       Error);
@@ -279,7 +304,7 @@ TEST(Churn, GrownCheckpointLoadsIntoOriginalConfigAndAcrossShardCounts) {
     load_weights(restored, in);
     EXPECT_EQ(restored.output_dim(), data.train.label_dim() + 6)
         << shards << " shards";
-    const Layer& out = restored.stack(restored.stack_depth() - 1);
+    const Layer& out = restored.stack(0);
     EXPECT_EQ(out.retired_count(), 2);
     EXPECT_EQ(out.retired_unit_ids(), (std::vector<Index>{5, 11}));
     InferenceContext ctx(restored, 7);
@@ -347,10 +372,9 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
     InferenceEngine engine(std::make_shared<ModelStore>(net),
                            ServeConfig{.num_workers = 1});
     const ServeStats stats = engine.stats();
-    const int layer = net->stack_depth() - 1;
-    const TableHealth health = net->stack(layer).table_health();
+    const TableHealth health = net->stack(0).table_health();
     ASSERT_EQ(stats.lsh_tables.size(), 1u);
-    EXPECT_EQ(stats.lsh_tables[0].layer, layer);
+    EXPECT_EQ(stats.lsh_tables[0].layer, 0);
     EXPECT_DOUBLE_EQ(stats.lsh_tables[0].occupancy, health.occupancy());
     EXPECT_DOUBLE_EQ(stats.lsh_tables[0].saturation, health.saturation());
     EXPECT_GT(health.occupancy(), 0.0);
@@ -364,7 +388,7 @@ TEST(Churn, MetricsScrapeExportsLshTableHealthPerLayer) {
       return render_prometheus(engine.stats());
     });
     const std::string text = test_http::scrape(server.port());
-    const std::string label = "{layer=\"" + std::to_string(layer) + "\"} ";
+    const std::string label = "{layer=\"0\"} ";
     EXPECT_NE(text.find("# TYPE slide_lsh_bucket_occupancy gauge"),
               std::string::npos);
     EXPECT_NE(text.find("slide_lsh_bucket_occupancy" + label),

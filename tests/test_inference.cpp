@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/trainer.h"
@@ -78,17 +79,30 @@ TEST(PredictTopK, KLargerThanActiveSetIsClamped) {
 }
 
 TEST(PredictTopK, ExactScoresAreDescending) {
+  // The ranking against a reference: score every unit through the output
+  // layer's exact forward, sort by descending score with ties toward the
+  // lower unit id, and compare the top 10 and the top 1.
   const auto data = planted();
   Network net = trained_network(data);
-  InferenceContext ctx(net.max_sampled_units());
-  const auto& x = data.test[1].features;
-  const auto top = net.predict_topk(x, ctx, 10, true);
-  // Reconstruct scores via single-output scoring through exact top-1 of a
-  // shrinking candidate set is awkward; instead verify the ranking property
-  // through P@k monotonicity: top-1 hit implies top-5 contains it.
-  const Index top1 = net.predict_top1(x, ctx, true);
-  EXPECT_NE(std::find(top.begin(), top.end(), top1), top.end());
-  EXPECT_EQ(top[0], top1);
+  InferenceContext ctx(net);
+  std::vector<float> hidden(net.embedding().units());
+  std::vector<Index> ids;
+  std::vector<float> scores;
+  for (std::size_t i = 0; i < 20; ++i) {
+    const auto& x = data.test[i].features;
+    net.embedding().forward_inference(x, hidden.data());
+    net.stack(0).forward_inference({}, hidden, true, ctx.rng, ctx.visited,
+                                   ids, scores);
+    ASSERT_EQ(ids.size(), net.output_dim());
+    std::vector<Index> want(ids.size());
+    std::iota(want.begin(), want.end(), Index{0});
+    std::stable_sort(want.begin(), want.end(), [&](Index a, Index b) {
+      return scores[a] > scores[b];
+    });
+    want.resize(10);
+    EXPECT_EQ(net.predict_topk(x, ctx, 10, true), want) << i;
+    EXPECT_EQ(net.predict_top1(x, ctx, true), want[0]) << i;
+  }
 }
 
 TEST(PredictTopK, RejectsNonPositiveK) {

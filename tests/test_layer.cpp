@@ -27,7 +27,6 @@ SampledLayer::Config dense_softmax_config(Index units, Index fan_in) {
   SampledLayer::Config cfg;
   cfg.units = units;
   cfg.fan_in = fan_in;
-  cfg.activation = Activation::kSoftmax;
   cfg.hashed = false;
   cfg.seed = 55;
   return cfg;
@@ -285,7 +284,6 @@ SampledLayer::Config hashed_config(Index units, Index fan_in, Index target) {
   SampledLayer::Config cfg;
   cfg.units = units;
   cfg.fan_in = fan_in;
-  cfg.activation = Activation::kSoftmax;
   cfg.hashed = true;
   cfg.family.kind = HashFamilyKind::kSimhash;
   cfg.family.k = 5;

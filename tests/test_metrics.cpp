@@ -168,7 +168,7 @@ TEST(Evaluate, DensePAtKMatchesNetworkShape) {
   const auto data = make_synthetic_xc(dcfg);
   const Network net = NetworkBuilder(150)
                           .dense(8)
-                          .dense(30, Activation::kSoftmax)
+                          .dense(30)
                           .max_batch(16)
                           .build(2);
   ThreadPool pool(2);

@@ -53,7 +53,7 @@ Params params_of(const Network& net) {
   const auto eb = net.embedding().bias_span();
   p.embedding_w.assign(ew.begin(), ew.end());
   p.embedding_b.assign(eb.begin(), eb.end());
-  const Layer& out = net.stack(net.stack_depth() - 1);
+  const Layer& out = net.stack(0);
   for (int s = 0; s < out.num_shards(); ++s) {
     const auto w = out.shard_weights(s);
     const auto b = out.shard_bias(s);
@@ -74,7 +74,8 @@ TEST(Network, ConstructionAndShapes) {
   Network net(tiny_config(), 2);
   EXPECT_EQ(net.input_dim(), 20u);
   EXPECT_EQ(net.output_dim(), 50u);
-  EXPECT_EQ(net.num_layers(), 2);
+  EXPECT_EQ(net.stack_depth(), 1);
+  EXPECT_EQ(net.max_threads(), 2);
   EXPECT_EQ(net.embedding().units(), 8u);
   EXPECT_TRUE(net.output_layer().hashed());
   // params: 20*8 + 8 (embedding) + 50*8 + 50 (output)
@@ -86,8 +87,42 @@ TEST(Network, RejectsInvalidConfig) {
   cfg.input_dim = 0;
   EXPECT_THROW(Network(cfg, 2), Error);
   cfg = tiny_config();
+  EXPECT_THROW(Network(cfg, 0), Error);
+}
+
+TEST(Network, RefusesAnyLayerCountButOne) {
+  // One shape: the embedding plus exactly one output LayerSpec.
+  NetworkConfig cfg = tiny_config();
   cfg.layers.clear();
   EXPECT_THROW(Network(cfg, 2), Error);
+  cfg = tiny_config();
+  cfg.layers.push_back(cfg.layers.front());
+  EXPECT_THROW(Network(cfg, 2), Error);
+  EXPECT_NO_THROW(Network(tiny_config(), 2));
+}
+
+TEST(Network, OutputLayerRefusesASparseQuery) {
+  // The output layer's query is the embedding's dense vector; the prev_ids
+  // and query_ids spans must stay empty.
+  Network net(tiny_config(), 2);
+  const std::vector<float> hidden(8, 0.25f);
+  const std::vector<Index> ids = {1, 3};
+  InferenceContext ctx(net);
+  std::vector<Index> out_ids;
+  std::vector<float> out_act;
+  const Layer& out = net.stack(0);
+  EXPECT_THROW(out.forward_inference(ids, hidden, true, ctx.rng, ctx.visited,
+                                     out_ids, out_act),
+               Error);
+  EXPECT_THROW(out.forward_inference_topk(ids, hidden, 1, false, ctx.rng,
+                                          ctx.visited, ctx.topk, out_ids),
+               Error);
+  EXPECT_THROW(net.output_layer().retriever()->retrieve(
+                   ids, hidden, 4, ctx.rng, ctx.visited, out_ids),
+               Error);
+  out.forward_inference({}, hidden, true, ctx.rng, ctx.visited, out_ids,
+                        out_act);
+  EXPECT_EQ(out_ids.size(), 50u);
 }
 
 TEST(Network, TrainSampleReturnsFiniteLossAndActivatesLabels) {
@@ -164,55 +199,6 @@ TEST(Network, MaybeRebuildHonorsSchedule) {
   EXPECT_EQ(net.output_layer().rebuild_count(), 2);
 }
 
-TEST(Network, MultiLayerSampledStackTrains) {
-  // Three-layer net with a hashed middle layer (paper Figure 2 shows hash
-  // tables in hidden layers as well).
-  NetworkConfig cfg;
-  cfg.input_dim = 30;
-  cfg.hidden_units = 8;
-  cfg.max_batch_size = 4;
-
-  LayerSpec middle;
-  middle.units = 64;
-  middle.activation = Activation::kReLU;
-  middle.hashed = true;
-  middle.family.kind = HashFamilyKind::kSimhash;
-  middle.family.k = 3;
-  middle.family.l = 6;
-  middle.table.range_pow = 6;
-  middle.table.bucket_size = 16;
-  middle.sampling.target = 16;
-
-  LayerSpec output;
-  output.units = 40;
-  output.activation = Activation::kSoftmax;
-  output.hashed = true;
-  output.family.kind = HashFamilyKind::kSimhash;
-  output.family.k = 3;
-  output.family.l = 6;
-  output.table.range_pow = 6;
-  output.table.bucket_size = 16;
-  output.sampling.target = 12;
-
-  cfg.layers = {middle, output};
-  Network net(cfg, 2);
-  EXPECT_EQ(net.num_layers(), 3);
-
-  const Sample s = make_sample({1, 2, 3}, {5});
-  Rng rng(5);
-  VisitedSet visited(net.max_sampled_units());
-  float first = 0.0f, last = 0.0f;
-  for (int step = 0; step < 80; ++step) {
-    const float loss = net.train_sample(0, s, 1.0f, rng, visited, 0);
-    if (step == 0) first = loss;
-    last = loss;
-    net.apply_updates(0.02f, nullptr);
-  }
-  EXPECT_LT(last, first);
-  InferenceContext ctx(net.max_sampled_units());
-  EXPECT_EQ(net.predict_top1(s.features, ctx, true), 5u);
-}
-
 TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
   // apply_updates sums each row's gradient over the pending slots in slot
   // order, one writer per row, and Trainer::step sums its loss in slot
@@ -242,14 +228,13 @@ TEST(Network, ApplyUpdatesIsBitIdenticalAtEveryPoolSize) {
       trainers.push_back(std::make_unique<Trainer>(*nets.back(), tc));
     }
     const Params initial = params_of(*nets[0]);
-    const int out = nets[0]->stack_depth() - 1;
 
     std::set<Index> active;  // output rows some sample made active
     for (int step = 0; step < 3; ++step) {
       std::vector<float> losses;
       for (auto& trainer : trainers) losses.push_back(trainer->step(data, batch));
       for (std::size_t s = 0; s < batch.size(); ++s) {
-        const auto& ids = nets[0]->stack(out).slot(static_cast<int>(s)).ids;
+        const auto& ids = nets[0]->stack(0).slot(static_cast<int>(s)).ids;
         active.insert(ids.begin(), ids.end());
       }
       const Params ref = params_of(*nets[0]);

@@ -329,16 +329,16 @@ TEST(ModelStore, LoadCheckpointRejectsArchitectureMismatch) {
 
 // ---- Publish and boot by copy ----------------------------------------------
 
-/// The planted task with a ReLU mid-stack layer and an output layer split
-/// into `shards` (0 = monolithic). Buckets are small enough to saturate,
-/// so the tables' reservoir draws are part of what the tests compare.
+/// The planted task with an output layer split into `shards` (0 =
+/// monolithic). Buckets are small enough to saturate, so the tables'
+/// reservoir draws are part of what the tests compare.
 NetworkConfig churn_config(const SyntheticDataset& data, int shards) {
   HashFamilyConfig family;
   family.kind = HashFamilyKind::kSimhash;
   family.k = 3;
   family.l = 8;
   NetworkBuilder b(data.train.feature_dim());
-  b.dense(16).dense(24).sampled(data.train.label_dim(), family, 20);
+  b.dense(16).sampled(data.train.label_dim(), family, 20);
   b.table({.range_pow = 5, .bucket_size = 3});
   if (shards > 0) b.shards(shards);
   return b.max_batch(32).seed(77).to_config();
@@ -395,7 +395,7 @@ bool same_bits(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// The in-process table sets of a stack layer, one per shard.
+/// The in-process table sets of the output layer, one per shard.
 std::vector<const LshTableGroup*> tables_of(const Layer& layer) {
   std::vector<const LshTableGroup*> out;
   if (const auto* sharded = dynamic_cast<const ShardedSampledLayer*>(&layer)) {
@@ -418,47 +418,43 @@ void expect_same_snapshot(const Network& want, const Network& got,
                         got.embedding().weights_span()));
   EXPECT_TRUE(
       same_bits(want.embedding().bias_span(), got.embedding().bias_span()));
-  ASSERT_EQ(want.stack_depth(), got.stack_depth());
-  for (int i = 0; i < want.stack_depth(); ++i) {
-    SCOPED_TRACE("stack layer " + std::to_string(i));
-    const Layer& a = want.stack(i);
-    const Layer& b = got.stack(i);
-    ASSERT_EQ(a.units(), b.units());
-    ASSERT_EQ(a.num_shards(), b.num_shards());
-    for (int s = 0; s < a.num_shards(); ++s) {
-      EXPECT_EQ(a.shard_row_offset(s), b.shard_row_offset(s)) << "shard " << s;
-      EXPECT_TRUE(same_bits(a.shard_weights(s), b.shard_weights(s)))
-          << "shard " << s;
-      EXPECT_TRUE(same_bits(a.shard_bias(s), b.shard_bias(s)))
-          << "shard " << s;
-    }
-    EXPECT_EQ(a.retired_unit_ids(), b.retired_unit_ids());
-    EXPECT_EQ(a.appended_units(), b.appended_units());
-    EXPECT_EQ(a.inference_weight_bytes(), b.inference_weight_bytes());
-    const TableHealth ha = a.table_health();
-    const TableHealth hb = b.table_health();
-    EXPECT_EQ(ha.buckets, hb.buckets);
-    EXPECT_EQ(ha.occupied, hb.occupied);
-    EXPECT_EQ(ha.saturated, hb.saturated);
+  const Layer& a = want.stack(0);
+  const Layer& b = got.stack(0);
+  ASSERT_EQ(a.units(), b.units());
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  for (int s = 0; s < a.num_shards(); ++s) {
+    EXPECT_EQ(a.shard_row_offset(s), b.shard_row_offset(s)) << "shard " << s;
+    EXPECT_TRUE(same_bits(a.shard_weights(s), b.shard_weights(s)))
+        << "shard " << s;
+    EXPECT_TRUE(same_bits(a.shard_bias(s), b.shard_bias(s)))
+        << "shard " << s;
+  }
+  EXPECT_EQ(a.retired_unit_ids(), b.retired_unit_ids());
+  EXPECT_EQ(a.appended_units(), b.appended_units());
+  EXPECT_EQ(a.inference_weight_bytes(), b.inference_weight_bytes());
+  const TableHealth ha = a.table_health();
+  const TableHealth hb = b.table_health();
+  EXPECT_EQ(ha.buckets, hb.buckets);
+  EXPECT_EQ(ha.occupied, hb.occupied);
+  EXPECT_EQ(ha.saturated, hb.saturated);
 
-    const std::vector<const LshTableGroup*> ta = tables_of(a);
-    const std::vector<const LshTableGroup*> tb = tables_of(b);
-    ASSERT_EQ(ta.size(), tb.size());
-    Rng rng(99);
-    std::vector<float> query(a.fan_in());
-    std::vector<std::span<const Index>> ba, bb;
-    for (int q = 0; q < 200; ++q) {
-      for (float& v : query) v = rng.normal();
-      for (std::size_t t = 0; t < ta.size(); ++t) {
-        std::vector<std::uint32_t> keys(static_cast<std::size_t>(ta[t]->l()));
-        ta[t]->query_keys_dense(query.data(), keys);
-        ta[t]->buckets(keys, ba);
-        tb[t]->buckets(keys, bb);
-        ASSERT_EQ(ba.size(), bb.size());
-        for (std::size_t k = 0; k < ba.size(); ++k)
-          ASSERT_TRUE(std::ranges::equal(ba[k], bb[k]))
-              << "query " << q << ", shard " << t << ", table " << k;
-      }
+  const std::vector<const LshTableGroup*> ta = tables_of(a);
+  const std::vector<const LshTableGroup*> tb = tables_of(b);
+  ASSERT_EQ(ta.size(), tb.size());
+  Rng rng(99);
+  std::vector<float> query(a.fan_in());
+  std::vector<std::span<const Index>> ba, bb;
+  for (int q = 0; q < 200; ++q) {
+    for (float& v : query) v = rng.normal();
+    for (std::size_t t = 0; t < ta.size(); ++t) {
+      std::vector<std::uint32_t> keys(static_cast<std::size_t>(ta[t]->l()));
+      ta[t]->query_keys_dense(query.data(), keys);
+      ta[t]->buckets(keys, ba);
+      tb[t]->buckets(keys, bb);
+      ASSERT_EQ(ba.size(), bb.size());
+      for (std::size_t k = 0; k < ba.size(); ++k)
+        ASSERT_TRUE(std::ranges::equal(ba[k], bb[k]))
+            << "query " << q << ", shard " << t << ", table " << k;
     }
   }
   InferenceContext ctx_a(want, 7);
@@ -507,12 +503,12 @@ TEST(ModelStore, PublishCloneEqualsCheckpointRoundTrip) {
     load_weights(round_trip, checkpoint);
     // What the comparison covers: tombstones, saturated buckets, and for
     // S=4 a master partition the published layout does not share.
-    const Layer& out = round_trip.stack(round_trip.stack_depth() - 1);
+    const Layer& out = round_trip.stack(0);
     EXPECT_EQ(out.retired_count(), 10);
     EXPECT_GT(out.table_health().saturated, 0u);
     if (c.master_shards == 4 && out.num_shards() == 4) {
       EXPECT_NE(out.shard_row_offset(3),
-                master->stack(master->stack_depth() - 1).shard_row_offset(3));
+                master->stack(0).shard_row_offset(3));
     }
 
     auto store = std::make_shared<ModelStore>(trained_network(data, 5));
@@ -717,9 +713,9 @@ TEST(InferenceEngine, MixedTopKAndExactWithinOneMicroBatch) {
 }
 
 TEST(InferenceEngine, ServesAnyBuilderStackThroughOnePath) {
-  // The unified-API contract: a dense-only baseline and a 3-layer
-  // multi-hashed stack — both straight from NetworkBuilder — serve through
-  // the same engine, which dispatches micro-batches via predict_batch.
+  // The unified-API contract: a dense output layer and an LSH-sampled one
+  // — both straight from NetworkBuilder — serve through the same engine,
+  // which dispatches micro-batches via predict_batch.
   const auto data = planted();
   HashFamilyConfig family;
   family.kind = HashFamilyKind::kSimhash;
@@ -730,13 +726,11 @@ TEST(InferenceEngine, ServesAnyBuilderStackThroughOnePath) {
 
   auto dense_stack = NetworkBuilder(data.train.feature_dim())
                          .dense(16)
-                         .dense(data.train.label_dim(), Activation::kSoftmax)
+                         .dense(data.train.label_dim())
                          .max_batch(32)
                          .build_shared(2);
   auto hashed_stack = NetworkBuilder(data.train.feature_dim())
                           .dense(16)
-                          .sampled(48, family, 32, Activation::kReLU)
-                          .table(table)
                           .sampled(data.train.label_dim(), family, 20)
                           .table(table)
                           .max_batch(32)

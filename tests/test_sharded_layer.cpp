@@ -66,12 +66,12 @@ NetworkConfig net_config(const SyntheticDataset& data, int shards,
 /// The sharded output layer of a network built with net_config(shards>=1).
 const ShardedSampledLayer& sharded_output(const Network& net) {
   const auto* layer = dynamic_cast<const ShardedSampledLayer*>(
-      &net.stack(net.stack_depth() - 1));
+      &net.stack(0));
   EXPECT_NE(layer, nullptr);
   return *layer;
 }
 
-/// Reads global weight row `u` of any stack layer through its shard spans.
+/// Reads global weight row `u` of an output layer through its shard spans.
 std::span<const float> global_row(const Layer& layer, Index u) {
   for (int s = layer.num_shards() - 1; s >= 0; --s) {
     const Index off = layer.shard_row_offset(s);
@@ -186,7 +186,7 @@ TEST(ShardedLayer, BuilderAndFactoryWiring) {
 
   // Sharding a non-hashed layer is rejected.
   NetworkBuilder dense_net(10);
-  dense_net.dense(8).dense(5, Activation::kSoftmax);
+  dense_net.dense(8).dense(5);
   EXPECT_THROW(dense_net.shards(2), Error);
   // More shards than units is rejected.
   NetworkBuilder narrow(10);

@@ -128,30 +128,6 @@ TEST_P(KernelParity, Relu) {
   }
 }
 
-TEST_P(KernelParity, SparseDot) {
-  Rng rng(17);
-  const std::size_t dim = 5000;
-  const auto dense = random_vec(dim + kMaxOffset, rng);
-  for (std::size_t nnz : parity_sizes()) {
-    std::vector<Index> idx(nnz + kMaxOffset);
-    std::vector<float> val(nnz + kMaxOffset);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      // Duplicates allowed by the kernel contract; keep some on purpose.
-      idx[i] = rng.uniform(static_cast<std::uint32_t>(dim));
-      val[i] = rng.uniform_float() * 2.0f - 1.0f;
-    }
-    for (std::size_t off : kOffsets) {
-      const float ref = simd::scalar::sparse_dot(idx.data() + off,
-                                                 val.data() + off, nnz,
-                                                 dense.data());
-      const float got = simd::sparse_dot(idx.data() + off, val.data() + off,
-                                         nnz, dense.data());
-      ASSERT_NEAR(got, ref, 1e-4f * (1.0f + std::fabs(ref)))
-          << "nnz=" << nnz << " off=" << off;
-    }
-  }
-}
-
 TEST_P(KernelParity, Softmax) {
   Rng rng(19);
   for (std::size_t n : parity_sizes()) {
@@ -380,25 +356,6 @@ TEST_P(KernelParity, DotI8) {
   }
 }
 
-TEST_P(KernelParity, SparseDotI8) {
-  Rng rng(32);
-  const std::size_t dim = 3000;
-  const auto dense = random_i8(dim, rng);
-  for (std::size_t nnz : parity_sizes()) {
-    std::vector<Index> idx(nnz);
-    std::vector<float> val(nnz);
-    for (std::size_t i = 0; i < nnz; ++i) {
-      idx[i] = rng.uniform(static_cast<std::uint32_t>(dim));
-      val[i] = rng.uniform_float();
-    }
-    const float ref = simd::scalar::sparse_dot_i8(idx.data(), val.data(), nnz,
-                                                  dense.data());
-    const float got =
-        simd::sparse_dot_i8(idx.data(), val.data(), nnz, dense.data());
-    ASSERT_NEAR(got, ref, 1e-2f * (1.0f + std::fabs(ref))) << "nnz=" << nnz;
-  }
-}
-
 TEST_P(KernelParity, AxpyI8) {
   Rng rng(33);
   for (std::size_t n : parity_sizes()) {
@@ -579,9 +536,8 @@ TEST_F(DispatchLevels, KernelPathNamesAreRecorded) {
     if (level == SimdLevel::kScalar) {
       EXPECT_STREQ(b.i8_path, "scalar");
     }
-    // All five int8 tier slots must be bound at every level.
+    // All four int8 tier slots must be bound at every level.
     EXPECT_NE(b.dot_i8, nullptr);
-    EXPECT_NE(b.sparse_dot_i8, nullptr);
     EXPECT_NE(b.axpy_i8, nullptr);
     EXPECT_NE(b.quantize_i8, nullptr);
     EXPECT_NE(b.quantize_act_u8, nullptr);

@@ -1,6 +1,7 @@
 // Trainer tests: end-to-end convergence on planted synthetic data,
-// single-thread determinism, multi-thread training, rebuild scheduling and
-// instrumentation plumbing.
+// single-thread determinism, multi-thread training, the thread-count
+// contract with the network, rebuild scheduling and instrumentation
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -193,8 +194,44 @@ TEST(Trainer, BatchSizeValidation) {
   NetworkConfig net_cfg = tiny_net_config(data);
   Network net(net_cfg, 1);
   TrainerConfig cfg;
+  cfg.num_threads = 1;
   cfg.batch_size = 1'000;  // > max_batch_size (32)
   EXPECT_THROW(Trainer(net, cfg), Error);
+}
+
+TEST(Trainer, RefusesMoreThreadsThanTheNetwork) {
+  // Each pool thread indexes the network's per-thread phase timers by its
+  // tid, so neither a tid nor a pool may exceed the network's max_threads.
+  const auto data = tiny_data(20);
+  Network net(tiny_net_config(data), 2);
+  Rng rng(1);
+  VisitedSet visited(net.max_sampled_units());
+  EXPECT_THROW(net.train_sample(0, data.train[0], 1.0f, rng, visited, 2),
+               Error);
+  EXPECT_THROW(net.train_sample(0, data.train[0], 1.0f, rng, visited, -1),
+               Error);
+  // A refused sample leaves its slot free.
+  EXPECT_NO_THROW(net.train_sample(0, data.train[0], 1.0f, rng, visited, 1));
+  net.apply_updates(1e-3f, nullptr);
+
+  TrainerConfig cfg;
+  cfg.batch_size = 32;
+  cfg.num_threads = 3;
+  EXPECT_THROW(Trainer(net, cfg), Error);
+  // num_threads = 0 resolves to the hardware thread count first.
+  Network one(tiny_net_config(data), 1);
+  cfg.num_threads = 0;
+  if (hardware_threads() > 1) {
+    EXPECT_THROW(Trainer(one, cfg), Error);
+  }
+
+  // A pool exactly as wide as the network trains.
+  cfg.num_threads = 2;
+  Trainer trainer(net, cfg);
+  EXPECT_TRUE(std::isfinite(trainer.step(data.train, std::vector<std::size_t>{
+                                                         0, 1, 2, 3, 4, 5})));
+  trainer.train(data.train, 5);
+  EXPECT_EQ(trainer.iteration(), 6);
 }
 
 TEST(Trainer, ActiveFractionIsSmall) {
